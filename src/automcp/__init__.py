@@ -4,89 +4,20 @@ The pipeline: load and normalize the contract, inline every $ref,
 extract security schemes into environment bindings, compile each
 operation into an MCP tool, then either serve the manifest over stdio
 JSON-RPC or lint/repair the contract and evaluate it against a mock
-upstream.
+upstream. The command line (`automcp generate|serve|lint|sample`) is the
+main interface; the names below are the documented Python API.
 """
 
 from ._version import __version__
-from .compiler import (
-    EndpointDescriptor,
-    ParamSpec,
-    ToolManifest,
-    ToolSpec,
-    compile_manifest,
-    derive_tool_name,
-    list_endpoints,
-    synthesize_input_schema,
-)
-from .doctor import LintFinding, Patch, apply_patch, fix_loop, lint
-from .evaluator import (
-    EvalReport,
-    aggregate_reports,
-    evaluate,
-    evaluate_spec_file,
-    load_exclusions_file,
-    load_order_file,
-)
-from .ingest import RawDocument, load_document, normalize, resolve_base_url
-from .mock_upstream import MockUpstream, run_mock_upstream
-from .oauth import acquire_client_credentials_token, acquire_oauth_token
-from .pipeline import CompiledApi, compile_file
-from .refs import FlattenedContract, flatten, validate
-from .runtime import InvocationResult, invoke_tool, merge_extra_headers, resolve_auth, serve
-from .sampling import DiversityScore, SampleReport, sample
-from .security import (
-    EnvBinding,
-    OAuth2Flows,
-    SecurityScheme,
-    build_env_map,
-    extract_security,
-)
+from .evaluator import evaluate_spec_file, load_exclusions_file, load_order_file
+from .oauth import acquire_oauth_token
+from .security import OAuth2Flows
 
 __all__ = [
     "__version__",
-    "CompiledApi",
-    "DiversityScore",
-    "EndpointDescriptor",
-    "EnvBinding",
-    "EvalReport",
-    "FlattenedContract",
-    "InvocationResult",
-    "LintFinding",
-    "MockUpstream",
     "OAuth2Flows",
-    "ParamSpec",
-    "Patch",
-    "RawDocument",
-    "SampleReport",
-    "SecurityScheme",
-    "ToolManifest",
-    "ToolSpec",
-    "acquire_client_credentials_token",
     "acquire_oauth_token",
-    "aggregate_reports",
-    "apply_patch",
-    "build_env_map",
-    "compile_file",
-    "compile_manifest",
-    "derive_tool_name",
-    "evaluate",
     "evaluate_spec_file",
-    "extract_security",
-    "fix_loop",
-    "flatten",
-    "invoke_tool",
-    "lint",
-    "list_endpoints",
-    "load_document",
     "load_exclusions_file",
     "load_order_file",
-    "merge_extra_headers",
-    "normalize",
-    "resolve_auth",
-    "resolve_base_url",
-    "run_mock_upstream",
-    "sample",
-    "serve",
-    "synthesize_input_schema",
-    "validate",
 ]

@@ -12,7 +12,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
+from collections import Counter
 from pathlib import Path
 
 from ._version import __version__
@@ -25,6 +25,7 @@ from .errors import (
     ExtraHeadersParseError,
     NonConvergence,
     ParseError,
+    nesting_guard,
 )
 from .ingest import load_document, normalize
 from .pipeline import compile_file
@@ -44,20 +45,6 @@ ENV_PREFIX = "AUTOMCP_"
 log = logging.getLogger("automcp.cli")
 
 
-@dataclass
-class RunConfig:
-    subcommand: str
-    spec_path: Path
-    out_dir: Path | None = None
-    fix: bool = False
-    env_path: Path | None = None
-    timeout_seconds: float = 30.0
-    threshold: int = DEFAULT_THRESHOLD
-    port: int = 8765
-    rules_path: Path | None = None
-    emit_stub: bool = False
-
-
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
@@ -69,7 +56,8 @@ def main(argv: list[str] | None = None) -> int:
         "sample": cmd_sample,
     }
     try:
-        return handlers[cfg.subcommand](cfg)
+        with nesting_guard():
+            return handlers[cfg.subcommand](cfg)
     except (ParseError, DialectError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -85,7 +73,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_IO
 
 
-def _parse_args(argv: list[str]) -> RunConfig:
+def _parse_args(argv: list[str]) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         prog="automcp",
         description="Compile OpenAPI contracts into runnable MCP servers.",
@@ -95,7 +83,7 @@ def _parse_args(argv: list[str]) -> RunConfig:
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("spec", type=Path, help="OpenAPI 2.0/3.x spec file")
-        p.add_argument("--rules", type=Path, default=_env_path("RULES"),
+        p.add_argument("--rules", type=Path, default=_env("RULES", Path),
                        help="vendor rules JSON (class C/D knowledge)")
 
     gen = sub.add_parser("generate", help="compile and write server artifacts")
@@ -105,16 +93,16 @@ def _parse_args(argv: list[str]) -> RunConfig:
                      help="repair patchable spec defects before compiling")
     gen.add_argument("--emit-stub", action="store_true",
                      help="also write the self-describing manifest for external codegen")
-    gen.add_argument("--port", type=int, default=_env_int("PORT", 8765),
+    gen.add_argument("--port", type=int, default=_env("PORT", int, 8765),
                      help="OAuth redirect port recorded in oauth_config.json")
 
     srv = sub.add_parser("serve", help="serve the compiled tools over stdio")
     add_common(srv)
     srv.add_argument("--env", type=Path,
-                     default=_env_path("ENV_PATH") or Path(".env"),
+                     default=_env("ENV_PATH", Path, Path(".env")),
                      help="path to the .env credential store")
     srv.add_argument("--timeout", type=float,
-                     default=_env_float("TIMEOUT_SECONDS", 30.0),
+                     default=_env("TIMEOUT_SECONDS", float, 30.0),
                      help="upstream HTTP timeout in seconds")
 
     ln = sub.add_parser("lint", help="detect and optionally repair spec defects")
@@ -126,53 +114,32 @@ def _parse_args(argv: list[str]) -> RunConfig:
     smp = sub.add_parser("sample", help="print the stratified evaluation sample")
     add_common(smp)
     smp.add_argument("--threshold", type=int,
-                     default=_env_int("THRESHOLD", DEFAULT_THRESHOLD),
+                     default=_env("THRESHOLD", int, DEFAULT_THRESHOLD),
                      help="max endpoint count evaluated exhaustively")
 
-    ns = parser.parse_args(argv)
-    return RunConfig(
-        subcommand=ns.subcommand,
-        spec_path=ns.spec,
-        out_dir=getattr(ns, "out", None),
-        fix=getattr(ns, "fix", False),
-        env_path=getattr(ns, "env", None),
-        timeout_seconds=getattr(ns, "timeout", 30.0),
-        threshold=getattr(ns, "threshold", DEFAULT_THRESHOLD),
-        port=getattr(ns, "port", 8765),
-        rules_path=getattr(ns, "rules", None),
-        emit_stub=getattr(ns, "emit_stub", False),
-    )
+    return parser.parse_args(argv)
 
 
-def _env_path(name: str) -> Path | None:
+def _env(name: str, convert, default=None):
+    """Flag default from `AUTOMCP_<name>`, when set and non-empty."""
     value = os.environ.get(ENV_PREFIX + name)
-    return Path(value) if value else None
+    return convert(value) if value else default
 
 
-def _env_int(name: str, default: int) -> int:
-    value = os.environ.get(ENV_PREFIX + name)
-    return int(value) if value else default
+def _load_rules(cfg: argparse.Namespace) -> list[VendorRule] | None:
+    return load_vendor_rules(cfg.rules) if cfg.rules else None
 
 
-def _env_float(name: str, default: float) -> float:
-    value = os.environ.get(ENV_PREFIX + name)
-    return float(value) if value else default
-
-
-def _load_rules(cfg: RunConfig) -> list[VendorRule] | None:
-    return load_vendor_rules(cfg.rules_path) if cfg.rules_path else None
-
-
-def cmd_generate(cfg: RunConfig) -> int:
+def cmd_generate(cfg: argparse.Namespace) -> int:
     rules = _load_rules(cfg)
-    compiled = compile_file(cfg.spec_path, fix=cfg.fix, rules=rules)
-    out = cfg.out_dir
+    compiled = compile_file(cfg.spec, fix=cfg.fix, rules=rules)
+    out = cfg.out
     out.mkdir(parents=True, exist_ok=True)
 
     if compiled.fix_report and compiled.fix_report.changed:
-        repaired = out / f"{cfg.spec_path.stem}.fixed{cfg.spec_path.suffix}"
+        repaired = out / f"{cfg.spec.stem}.fixed{cfg.spec.suffix}"
         repaired.write_text(compiled.raw.text, encoding="utf-8")
-        (out / f"{cfg.spec_path.stem}.patch.diff").write_text(
+        (out / f"{cfg.spec.stem}.patch.diff").write_text(
             compiled.fix_report.diff + "\n", encoding="utf-8"
         )
         print(f"repaired spec written to {repaired}", file=sys.stderr)
@@ -208,7 +175,7 @@ def cmd_generate(cfg: RunConfig) -> int:
                     "-m",
                     "automcp",
                     "serve",
-                    str(cfg.spec_path.resolve()),
+                    str(cfg.spec.resolve()),
                     "--env",
                     str(env_file.resolve()),
                 ],
@@ -245,24 +212,24 @@ def cmd_generate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_serve(cfg: RunConfig) -> int:
-    compiled = compile_file(cfg.spec_path, rules=_load_rules(cfg))
-    env = load_env(cfg.env_path)
+def cmd_serve(cfg: argparse.Namespace) -> int:
+    compiled = compile_file(cfg.spec, rules=_load_rules(cfg))
+    env = load_env(cfg.env)
     try:
-        serve(compiled.manifest, env, timeout=cfg.timeout_seconds)
+        serve(compiled.manifest, env, timeout=cfg.timeout)
     except ExtraHeadersParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     return EXIT_OK
 
 
-def cmd_lint(cfg: RunConfig) -> int:
+def cmd_lint(cfg: argparse.Namespace) -> int:
     rules = _load_rules(cfg)
-    raw = load_document(cfg.spec_path)
+    raw = load_document(cfg.spec)
 
     if cfg.fix:
         report = fix_loop(raw, rules)
-        out_dir = cfg.out_dir or cfg.spec_path.parent
+        out_dir = cfg.out or cfg.spec.parent
         payload = report.to_dict()
         repaired_count = sum(report.findings_by_class.values())
         payload["summary"] = (
@@ -271,9 +238,9 @@ def cmd_lint(cfg: RunConfig) -> int:
         )
         if report.changed:
             out_dir.mkdir(parents=True, exist_ok=True)
-            repaired = out_dir / f"{cfg.spec_path.stem}.fixed{cfg.spec_path.suffix}"
+            repaired = out_dir / f"{cfg.spec.stem}.fixed{cfg.spec.suffix}"
             repaired.write_text(report.document.text, encoding="utf-8")
-            diff_file = out_dir / f"{cfg.spec_path.stem}.patch.diff"
+            diff_file = out_dir / f"{cfg.spec.stem}.patch.diff"
             diff_file.write_text(report.diff + "\n", encoding="utf-8")
             payload["repaired_spec"] = str(repaired)
             payload["diff_file"] = str(diff_file)
@@ -285,22 +252,15 @@ def cmd_lint(cfg: RunConfig) -> int:
     payload = {
         "summary": f"{len(findings)} findings",
         "findings": [f.to_dict() for f in findings],
-        "counts_by_class": _counts(findings),
+        "counts_by_class": dict(Counter(f.lint_class for f in findings)),
         "clean": not findings,
     }
     print(json.dumps(payload, indent=2, ensure_ascii=False))
     return EXIT_FINDINGS if blocking else EXIT_OK
 
 
-def _counts(findings) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for f in findings:
-        counts[f.lint_class] = counts.get(f.lint_class, 0) + 1
-    return counts
-
-
-def cmd_sample(cfg: RunConfig) -> int:
-    compiled = compile_file(cfg.spec_path, rules=_load_rules(cfg))
+def cmd_sample(cfg: argparse.Namespace) -> int:
+    compiled = compile_file(cfg.spec, rules=_load_rules(cfg))
     report = sample(compiled.manifest, threshold=cfg.threshold)
     print(json.dumps(report.to_dict(), indent=2, ensure_ascii=False))
     return EXIT_OK

@@ -11,7 +11,6 @@ import copy
 import re
 from dataclasses import dataclass, field
 
-from .errors import BaseUrlError
 from .ingest import HTTP_METHODS, _PATH_VAR_RE
 from .refs import FlattenedContract
 from .security import KIND_API_KEY, SecurityScheme
@@ -48,9 +47,7 @@ class EndpointDescriptor:
     request_body_required: bool
     request_content_type: str | None
     success_status: int
-    success_schema: dict | None
     security: list[dict]
-    tags: list[str] = field(default_factory=list)
     deprecated: bool = False
 
 
@@ -59,7 +56,6 @@ class ToolSpec:
     tool_name: str
     description: str
     input_schema: dict
-    output_schema: dict
     endpoint: EndpointDescriptor
 
 
@@ -82,7 +78,7 @@ def list_endpoints(contract: FlattenedContract) -> list[EndpointDescriptor]:
 
     Path-level parameters are merged into each operation (operation-level
     wins on a (name, location) collision). The success status is the
-    smallest declared 2xx code, defaulting to 200 with no schema.
+    smallest declared 2xx code, defaulting to 200.
     """
     tree = contract.tree
     doc_security = tree.get("security") or []
@@ -100,7 +96,6 @@ def list_endpoints(contract: FlattenedContract) -> list[EndpointDescriptor]:
             body_schema, body_required, content_type = _pick_request_body(
                 op.get("requestBody")
             )
-            status, success_schema = _pick_success_response(op.get("responses"))
             security = op["security"] if "security" in op else doc_security
             endpoints.append(
                 EndpointDescriptor(
@@ -113,10 +108,8 @@ def list_endpoints(contract: FlattenedContract) -> list[EndpointDescriptor]:
                     request_body_schema=body_schema,
                     request_body_required=body_required,
                     request_content_type=content_type,
-                    success_status=status,
-                    success_schema=success_schema,
+                    success_status=_pick_success_status(op.get("responses")),
                     security=[s for s in security if isinstance(s, dict)],
-                    tags=list(op.get("tags") or []),
                     deprecated=bool(op.get("deprecated", False)),
                 )
             )
@@ -185,14 +178,12 @@ def synthesize_input_schema(ep: EndpointDescriptor) -> dict:
 def compile_manifest(
     contract: FlattenedContract,
     schemes: list[SecurityScheme],
-    base_url: str | None = None,
+    base_url: str,
 ) -> ToolManifest:
     """Build the full manifest: one ToolSpec per operation, each bound to
     its endpoint and resolved security requirements."""
     tree = contract.tree
     api_title = str((tree.get("info") or {}).get("title", "") or "API")
-    if base_url is None:
-        base_url = _base_url_from_tree(tree)
 
     endpoints = list_endpoints(contract)
     api_key_schemes = [s for s in schemes if s.kind == KIND_API_KEY]
@@ -208,7 +199,6 @@ def compile_manifest(
                 tool_name=derive_tool_name(ep, taken),
                 description=description,
                 input_schema=synthesize_input_schema(ep),
-                output_schema=copy.deepcopy(ep.success_schema) or {},
                 endpoint=ep,
             )
         )
@@ -325,23 +315,15 @@ def _pick_request_body(request_body) -> tuple[dict | None, bool, str | None]:
     return schema, bool(request_body.get("required", False)), media_type
 
 
-def _pick_success_response(responses) -> tuple[int, dict | None]:
+def _pick_success_status(responses) -> int:
     if not isinstance(responses, dict):
-        return 200, None
-    codes = sorted(
+        return 200
+    codes = [
         int(code)
         for code in responses
         if str(code).isdigit() and 200 <= int(code) <= 299
-    )
-    if not codes:
-        return 200, None
-    status = codes[0]
-    response = responses.get(str(status), responses.get(status)) or {}
-    content = response.get("content") or {}
-    media_type = _pick_media_type(content)
-    if media_type is None:
-        return status, None
-    return status, (content[media_type] or {}).get("schema")
+    ]
+    return min(codes, default=200)
 
 
 def _pick_media_type(content: dict) -> str | None:
@@ -360,17 +342,3 @@ def _sanitize_identifier(text: str) -> str:
     if text and text[0].isdigit():
         text = "_" + text
     return text
-
-
-def _base_url_from_tree(tree: dict) -> str:
-    servers = tree.get("servers") or []
-    if not servers or not isinstance(servers[0], dict):
-        raise BaseUrlError("no `servers` entry declared")
-    url = str(servers[0].get("url", ""))
-    for name, spec in (servers[0].get("variables") or {}).items():
-        if isinstance(spec, dict) and "default" in spec:
-            url = url.replace("{%s}" % name, str(spec["default"]))
-    url = url.rstrip("/")
-    if not url or "{" in url or not re.match(r"^https?://[^/]+", url):
-        raise BaseUrlError(f"server URL unusable: {url!r}")
-    return url

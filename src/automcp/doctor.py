@@ -33,7 +33,7 @@ from .ingest import (
     normalize,
     resolve_base_url,
 )
-from .refs import FlattenedContract, flatten
+from .refs import FlattenedContract, escape_token, flatten, pointer_segments
 from .sampling import path_group
 
 CLASS_LABELS = {
@@ -177,7 +177,7 @@ def _lint_class_a(raw: RawDocument, rules: list[VendorRule]) -> list[LintFinding
                 Patch(
                     [
                         PatchEdit(
-                            f"{container_ptr}/{_escape(scheme_id)}",
+                            f"{container_ptr}/{escape_token(scheme_id)}",
                             "add",
                             {"type": "basic"}
                             if raw.dialect == DIALECT_2_0
@@ -191,7 +191,7 @@ def _lint_class_a(raw: RawDocument, rules: list[VendorRule]) -> list[LintFinding
     for scheme_id, node in declared.items():
         if not isinstance(node, dict):
             continue
-        ptr = f"{container_ptr}/{_escape(scheme_id)}"
+        ptr = f"{container_ptr}/{escape_token(scheme_id)}"
         kind = node.get("type")
         if kind not in known_types:
             findings.append(_unknown_type_finding(raw, ptr, scheme_id, node))
@@ -382,7 +382,7 @@ def _lint_class_d(raw: RawDocument, rules: list[VendorRule]) -> list[LintFinding
     for path, item in (raw.tree.get("paths") or {}).items():
         if not isinstance(item, dict):
             continue
-        path_ptr = f"#/paths/{_escape(path)}"
+        path_ptr = f"#/paths/{escape_token(path)}"
         for holder, holder_ptr in _parameter_holders(item, path_ptr):
             for i, param in enumerate(holder):
                 if not isinstance(param, dict) or param.get("in") != "path":
@@ -464,7 +464,7 @@ def _lint_class_e(raw: RawDocument) -> list[LintFinding]:
             continue
         scheme = declared.get(scheme_id) or {}
         for path, method, op, _, _ in uncovered:
-            op_ptr = f"#/paths/{_escape(path)}/{method}"
+            op_ptr = f"#/paths/{escape_token(path)}/{method}"
             findings.append(
                 _class_e_finding(raw, op_ptr, path, method, op, scheme_id, scheme, group)
             )
@@ -572,7 +572,9 @@ def render_document(tree: dict, fmt: str) -> str:
 
 
 def _apply_edit(tree: dict, edit: PatchEdit) -> None:
-    segments = _pointer_segments(edit.pointer)
+    if not edit.pointer.startswith("#"):
+        raise PointerError(edit.pointer, "pointer must start with '#'")
+    segments = pointer_segments(edit.pointer)
     if not segments:
         raise PointerError(edit.pointer, "cannot edit the document root")
     parent = tree
@@ -609,21 +611,6 @@ def _apply_edit(tree: dict, edit: PatchEdit) -> None:
             raise PointerError(edit.pointer, f"bad list index {leaf!r}")
     else:
         raise PointerError(edit.pointer, "parent is a scalar")
-
-
-def _pointer_segments(pointer: str) -> list[str]:
-    if not pointer.startswith("#"):
-        raise PointerError(pointer, "pointer must start with '#'")
-    fragment = pointer[1:].lstrip("/")
-    if not fragment:
-        return []
-    return [
-        seg.replace("~1", "/").replace("~0", "~") for seg in fragment.split("/")
-    ]
-
-
-def _escape(segment: str) -> str:
-    return segment.replace("~", "~0").replace("/", "~1")
 
 
 def _unified_diff(before: str, after: str, name: str) -> str:
@@ -692,7 +679,7 @@ def fix_loop(
     report = FixReport(document=raw)
     doc = raw
     diffs: list[str] = []
-    for _ in range(max_iterations):
+    while True:
         contract = flatten(normalize(doc))
         findings = lint(contract, doc, rules)
         patchable = [f for f in findings if f.patch is not None]
@@ -702,6 +689,11 @@ def fix_loop(
         if not patchable:
             report.document = doc
             return report
+        if report.iterations >= max_iterations:
+            raise NonConvergence(
+                f"{len(patchable)} patchable finding(s) remain after "
+                f"{max_iterations} iterations"
+            )
         report.iterations += 1
         merged = Patch([e for f in patchable for e in f.patch.edits])
         doc, diff = apply_patch(doc, merged)
@@ -723,17 +715,3 @@ def fix_loop(
             report.loc_changed_by_class[cls] = (
                 report.loc_changed_by_class.get(cls, 0) + share
             )
-
-    contract = flatten(normalize(doc))
-    final_findings = lint(contract, doc, rules)
-    remaining = [f for f in final_findings if f.patch is not None]
-    if remaining:
-        raise NonConvergence(
-            f"{len(remaining)} patchable finding(s) remain after "
-            f"{max_iterations} iterations"
-        )
-    report.residual_advisories = [
-        f for f in final_findings if f.patch is None and f.lint_class == "C"
-    ]
-    report.document = doc
-    return report

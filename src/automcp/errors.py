@@ -6,6 +6,8 @@ linter and CLI can map hard failures back to a finding category.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 
 class AutoMcpError(Exception):
     """Base class for all toolchain errors."""
@@ -15,6 +17,19 @@ class AutoMcpError(Exception):
 
 class ParseError(AutoMcpError):
     """The document is not parseable as YAML or JSON."""
+
+
+class NestingError(AutoMcpError):
+    """The document nests deeper than the parser or a tree walk can follow."""
+
+
+@contextmanager
+def nesting_guard():
+    """Turn a RecursionError raised inside the block into NestingError."""
+    try:
+        yield
+    except RecursionError:
+        raise NestingError("document nests too deeply to process") from None
 
 
 class DialectError(AutoMcpError):

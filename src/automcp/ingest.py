@@ -42,6 +42,12 @@ _SWAGGER_ONLY_KEYS = (
     "responses",
 )
 
+# 2.0 non-body parameter keys that move into the 3.x parameter `schema`.
+_PARAMETER_SCHEMA_KEYS = (
+    "type", "format", "items", "enum", "default",
+    "maximum", "minimum", "maxLength", "minLength", "pattern",
+)
+
 
 @dataclass
 class RawDocument:
@@ -111,12 +117,9 @@ def resolve_base_url(doc: RawDocument) -> str:
     empty, or still contains an unsubstitutable placeholder.
     """
     if doc.dialect == DIALECT_2_0:
-        host = doc.tree.get("host", "")
-        if not host:
+        if not doc.tree.get("host"):
             raise BaseUrlError("no `host` declared (2.0 document)")
-        schemes = doc.tree.get("schemes") or ["https"]
-        scheme = "https" if "https" in schemes else schemes[0]
-        url = f"{scheme}://{host}{doc.tree.get('basePath', '')}"
+        url = _swagger_url(doc.tree)
     else:
         servers = doc.tree.get("servers") or []
         if not servers or not isinstance(servers[0], dict):
@@ -162,11 +165,8 @@ def _convert_2_0(tree: dict) -> dict:
         if key not in _SWAGGER_ONLY_KEYS and key != "paths":
             out[key] = value
 
-    host = tree.get("host")
-    if host:
-        schemes = tree.get("schemes") or ["https"]
-        scheme = "https" if "https" in schemes else schemes[0]
-        out["servers"] = [{"url": f"{scheme}://{host}{tree.get('basePath', '')}"}]
+    if tree.get("host"):
+        out["servers"] = [{"url": _swagger_url(tree)}]
 
     components = out.setdefault("components", {})
     if "definitions" in tree:
@@ -191,6 +191,13 @@ def _convert_2_0(tree: dict) -> dict:
     }
     _rewrite_refs(out)
     return out
+
+
+def _swagger_url(tree: dict) -> str:
+    """2.0 ``scheme://host+basePath``, preferring https when listed."""
+    schemes = tree.get("schemes") or ["https"]
+    scheme = "https" if "https" in schemes else schemes[0]
+    return f"{scheme}://{tree['host']}{tree.get('basePath', '')}"
 
 
 def _convert_security_scheme(node: Any) -> Any:
@@ -303,45 +310,17 @@ def _convert_parameter(param: Any) -> Any:
         return param
     if not any(k in param for k in ("type", "items", "enum", "format", "default")):
         return param
-    schema = _parameter_schema(param)
     kept = {
         k: v
         for k, v in param.items()
-        if k
-        not in (
-            "type",
-            "format",
-            "items",
-            "enum",
-            "default",
-            "collectionFormat",
-            "maximum",
-            "minimum",
-            "maxLength",
-            "minLength",
-            "pattern",
-        )
+        if k not in _PARAMETER_SCHEMA_KEYS and k != "collectionFormat"
     }
-    kept["schema"] = schema
+    kept["schema"] = _parameter_schema(param)
     return kept
 
 
 def _parameter_schema(param: dict) -> dict:
-    schema: dict = {}
-    for key in (
-        "type",
-        "format",
-        "items",
-        "enum",
-        "default",
-        "maximum",
-        "minimum",
-        "maxLength",
-        "minLength",
-        "pattern",
-    ):
-        if key in param:
-            schema[key] = param[key]
+    schema = {key: param[key] for key in _PARAMETER_SCHEMA_KEYS if key in param}
     if schema.get("type") == "file":
         schema["type"] = "string"
         schema["format"] = "binary"

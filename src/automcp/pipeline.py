@@ -7,7 +7,7 @@ from pathlib import Path
 
 from .compiler import ToolManifest, compile_manifest
 from .doctor import FixReport, VendorRule, fix_loop
-from .errors import FatalValidationError
+from .errors import FatalValidationError, nesting_guard
 from .ingest import HTTP_METHODS, RawDocument, load_document, normalize, resolve_base_url
 from .refs import FlattenedContract, ValidationFinding, flatten, validate
 from .security import EnvBinding, build_env_map, extract_security
@@ -24,6 +24,7 @@ class CompiledApi:
     fix_report: FixReport | None = None
 
 
+@nesting_guard()
 def compile_file(
     path: str | Path,
     fix: bool = False,
@@ -32,8 +33,9 @@ def compile_file(
     """Load, (optionally) repair, normalize, flatten, validate, and
     compile one spec file.
 
-    Raises ParseError/DialectError, BaseUrlError, SchemeError, or
-    FatalValidationError on defects that block compilation.
+    Raises ParseError/DialectError, BaseUrlError, SchemeError,
+    NestingError or FatalValidationError on defects that block
+    compilation.
     """
     raw = load_document(path)
     fix_report = None

@@ -32,16 +32,31 @@ class ValidationFinding:
     fatal: bool = False
 
 
+def escape_token(key: str) -> str:
+    """One key as a pointer token: RFC 6901 ``~0``/``~1`` escapes, plus
+    ``%`` as ``%25`` because `pointer_segments` percent-decodes (a URI
+    fragment), so that ``pointer_segments("#/" + escape_token(k)) == [k]``."""
+    return key.replace("%", "%25").replace("~", "~0").replace("/", "~1")
+
+
+def pointer_segments(pointer: str) -> list[str]:
+    """The decoded keys of an intra-document pointer; ``#`` and ``#/``
+    both name the document root."""
+    fragment = pointer[1:]
+    if fragment in ("", "/"):
+        return []
+    return [
+        unquote(raw).replace("~1", "/").replace("~0", "~")
+        for raw in fragment.lstrip("/").split("/")
+    ]
+
+
 def pointer_lookup(tree: Any, pointer: str) -> Any:
     """Resolve an intra-document JSON pointer (`#/a/b/0`) to its node."""
     if not pointer.startswith("#"):
         raise ExternalRefError(pointer)
     node = tree
-    fragment = pointer[1:]
-    if fragment in ("", "/"):
-        return node
-    for raw in fragment.lstrip("/").split("/"):
-        key = unquote(raw).replace("~1", "/").replace("~0", "~")
+    for key in pointer_segments(pointer):
         if isinstance(node, dict) and key in node:
             node = node[key]
         elif isinstance(node, list) and key.isdigit() and int(key) < len(node):
@@ -108,7 +123,7 @@ def validate(contract: FlattenedContract) -> list[ValidationFinding]:
         return findings
 
     for path, item in paths.items():
-        path_ptr = "#/paths/" + _escape(path)
+        path_ptr = "#/paths/" + escape_token(path)
         if not isinstance(item, dict):
             findings.append(ValidationFinding(path_ptr, "path item is not a mapping"))
             continue
@@ -153,7 +168,3 @@ def _check_parameter(pointer: str, param: Any) -> list[ValidationFinding]:
     if not param.get("in"):
         findings.append(ValidationFinding(pointer, "parameter has no location (`in`)"))
     return findings
-
-
-def _escape(segment: str) -> str:
-    return segment.replace("~", "~0").replace("/", "~1")

@@ -44,6 +44,7 @@ logger = logging.getLogger("automcp.runtime")
 
 PROTOCOL_VERSIONS = ("2024-11-05", "2025-03-26", "2025-06-18")
 DEFAULT_TIMEOUT_SECONDS = 30.0
+_CALL_WORKERS = 4  # upstream calls in flight at once under `serve`
 REDACTED = "***"
 
 _RPC_PARSE_ERROR = -32700
@@ -380,7 +381,6 @@ def serve(
     stdin=None,
     stdout=None,
     timeout: float = DEFAULT_TIMEOUT_SECONDS,
-    max_workers: int = 4,
 ) -> None:
     """Run the JSON-RPC loop until the input stream closes.
 
@@ -393,7 +393,7 @@ def serve(
     stdout = stdout if stdout is not None else sys.stdout
     writer = _Writer(stdout)
     bindings = bindings_for(manifest)
-    pool = ThreadPoolExecutor(max_workers=max_workers)
+    pool = ThreadPoolExecutor(max_workers=_CALL_WORKERS)
     try:
         for line in stdin:
             line = line.strip()
@@ -401,7 +401,7 @@ def serve(
                 continue
             try:
                 message = json.loads(line)
-            except ValueError:
+            except (ValueError, RecursionError):
                 writer.send(_error_response(None, _RPC_PARSE_ERROR, "parse error"))
                 continue
             if not isinstance(message, dict) or "method" not in message:
@@ -441,6 +441,9 @@ def _dispatch(message, manifest, env, bindings, writer, pool, timeout) -> None:
                     },
                 }
             )
+    elif method == "ping":
+        if not is_notification:
+            writer.send({"jsonrpc": "2.0", "id": msg_id, "result": {}})
     elif method == "tools/list":
         if not is_notification:
             writer.send(

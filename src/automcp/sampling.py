@@ -22,17 +22,6 @@ MODALITY_BODY = "body"
 
 
 @dataclass
-class DiversityScore:
-    novel_verb: bool
-    novel_auth: bool
-    novel_param_modality: bool
-
-    @property
-    def value(self) -> int:
-        return int(self.novel_verb) + int(self.novel_auth) + int(self.novel_param_modality)
-
-
-@dataclass
 class SampleReport:
     groups: dict[str, list[str]] = field(default_factory=dict)
     total_selected: int = 0
@@ -128,11 +117,12 @@ def _greedy_pick(
         best_score = 0
         for i in remaining:
             verb, auth, modalities = axes[i]
-            score = DiversityScore(
-                novel_verb=verb not in seen_verbs,
-                novel_auth=bool(auth - seen_auth),
-                novel_param_modality=bool(modalities - seen_modalities),
-            ).value
+            # diversity score: one point per axis this endpoint is new on
+            score = (
+                (verb not in seen_verbs)
+                + bool(auth - seen_auth)
+                + bool(modalities - seen_modalities)
+            )
             if score > best_score:
                 best_score = score
                 best_index = i

@@ -122,7 +122,6 @@ def random_manifest(rng, max_groups: int = 4, max_endpoints: int = 28) -> ToolMa
             request_body_required=has_body,
             request_content_type="application/json" if has_body else None,
             success_status=200,
-            success_schema=None,
             security=security,
         )
         tools.append(
@@ -131,7 +130,6 @@ def random_manifest(rng, max_groups: int = 4, max_endpoints: int = 28) -> ToolMa
                 description=f"op {i}",
                 input_schema={"type": "object", "properties": {}, "required": [],
                               "additionalProperties": False},
-                output_schema={},
                 endpoint=ep,
             )
         )

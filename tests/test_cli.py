@@ -6,7 +6,11 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from automcp.cli import main
+from automcp.errors import NestingError
+from automcp.pipeline import compile_file
 from conftest import DEFECTS, fixture_path
 
 
@@ -158,6 +162,49 @@ class TestExitCodes:
             encoding="utf-8",
         )
         assert run_cli(["generate", spec, "--out", tmp_path / "out"]) == 2
+
+
+def deep_spec_text(case: str) -> str:
+    """`parse`: a 3,000-deep array the JSON parser cannot follow.
+    `compile`: a 300-level schema that parses but overflows the
+    normalize/flatten tree walks."""
+    spec = {
+        "openapi": "3.0.0",
+        "info": {"title": "Deep", "version": "1"},
+        "servers": [{"url": "https://deep.example"}],
+        "paths": {"/a": {"post": {"responses": {"200": {"description": "ok"}}}}},
+    }
+    if case == "parse":
+        return json.dumps(spec)[:-1] + ', "x-deep": ' + "[" * 3000 + "]" * 3000 + "}"
+    schema: dict = {"type": "string"}
+    for _ in range(300):
+        schema = {"type": "object", "properties": {"a": schema}}
+    spec["paths"]["/a"]["post"]["requestBody"] = {
+        "content": {"application/json": {"schema": schema}}
+    }
+    return json.dumps(spec)
+
+
+@pytest.mark.parametrize("case", ["parse", "compile"])
+class TestDeepNesting:
+    def test_generate_exits_2_without_traceback(self, tmp_path, case):
+        spec = tmp_path / "deep.json"
+        spec.write_text(deep_spec_text(case), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "automcp", "generate", str(spec),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+    def test_compile_file_raises_nesting_error(self, tmp_path, case):
+        spec = tmp_path / "deep.json"
+        spec.write_text(deep_spec_text(case), encoding="utf-8")
+        with pytest.raises(NestingError):
+            compile_file(spec)
 
 
 class TestServeSubprocess:

@@ -16,7 +16,7 @@ from automcp.compiler import (
     synthesize_input_schema,
     tools_list_payload,
 )
-from automcp.ingest import RawDocument, normalize
+from automcp.ingest import RawDocument, normalize, resolve_base_url
 from automcp.pipeline import compile_file, count_operations
 from automcp.refs import flatten
 from automcp.security import extract_security
@@ -37,7 +37,6 @@ def descriptor(method="GET", path="/users/{id}", operation_id=None, **kw) -> End
         request_body_required=False,
         request_content_type=None,
         success_status=200,
-        success_schema=None,
         security=[],
     )
     defaults.update(kw)
@@ -47,7 +46,9 @@ def descriptor(method="GET", path="/users/{id}", operation_id=None, **kw) -> End
 def compile_tree(tree: dict):
     doc = RawDocument(Path("mem.json"), "json", "openapi_3_x", tree)
     contract = flatten(normalize(doc))
-    return compile_manifest(contract, extract_security(contract))
+    return compile_manifest(
+        contract, extract_security(contract), base_url=resolve_base_url(doc)
+    )
 
 
 class TestListEndpoints:
@@ -110,7 +111,6 @@ class TestListEndpoints:
         )
         ep = manifest.tools[0].endpoint
         assert ep.success_status == 200
-        assert ep.success_schema is None
 
     def test_doc_level_security_inherited(self, petstore):
         for ep in list_endpoints(petstore.contract):

@@ -297,6 +297,33 @@ class TestFixLoop:
         with pytest.raises(NonConvergence):
             fix_loop(raw, bad_rules)
 
+    def test_repairs_land_on_escaped_path_keys(self):
+        # `%2F` and `~` must survive the pointer round trip: a decoder that
+        # percent-decodes without `%` being escaped would aim these edits
+        # at "/files/a/b~x/{id}", a path the document does not have.
+        key = "/files/a%2Fb~x/{id}"
+        id_param = {"name": "id", "in": "path", "required": True,
+                    "schema": {"type": "integer"}, "example": "f-1"}
+        tree = {
+            "openapi": "3.0.0",
+            "info": {"title": "Files", "version": "1"},
+            "servers": [{"url": "https://files.example"}],
+            "components": {
+                "securitySchemes": {"bearer": {"type": "http", "scheme": "bearer"}}
+            },
+            "paths": {
+                "/files": {"get": {"security": [{"bearer": []}], "responses": {}}},
+                key: {"get": {"parameters": [id_param], "responses": {}}},
+            },
+        }
+        report = fix_loop(mem_doc(tree))
+        assert report.findings_by_class == {"D": 1, "E": 1}
+        paths = report.document.tree["paths"]
+        assert list(paths) == ["/files", key]
+        op = paths[key]["get"]
+        assert op["parameters"][0]["schema"]["type"] == "string"
+        assert op["security"] == [{"bearer": []}]
+
     def test_loc_accounting_matches_reference_counts(self, rules):
         reference = json.loads((DEFECTS / "reference_counts.json").read_text())
         for name, budget in reference.items():

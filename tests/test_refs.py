@@ -7,10 +7,18 @@ import copy
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from automcp.errors import DanglingRefError, ExternalRefError
 from automcp.ingest import normalize
-from automcp.refs import flatten, pointer_lookup, validate
+from automcp.refs import (
+    escape_token,
+    flatten,
+    pointer_lookup,
+    pointer_segments,
+    validate,
+)
 
 
 # -- the independent oracle: substitute one ref at a time until fixpoint -------
@@ -165,6 +173,15 @@ class TestFlatten:
         before = copy.deepcopy(tree)
         flatten(tree)
         assert tree == before
+
+
+class TestPointerCodec:
+    # "#/" names the document root, so the empty key is left out.
+    @given(st.text(min_size=1))
+    @example("/files/a%2Fb~x/{id}")
+    @example("%25~01~1/%")
+    def test_escaped_key_round_trips(self, key):
+        assert pointer_segments("#/" + escape_token(key)) == [key]
 
 
 class TestValidate:

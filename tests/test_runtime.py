@@ -367,6 +367,10 @@ class TestServe:
         )
         assert responses[0]["error"]["code"] == -32601
 
+    def test_ping_gets_empty_result(self, trello):
+        responses = run_serve(trello, {}, [{"jsonrpc": "2.0", "id": 4, "method": "ping"}])
+        assert responses == [{"jsonrpc": "2.0", "id": 4, "result": {}}]
+
     def test_parse_error_has_null_id(self, trello):
         stdin = io.StringIO("this is not json\n")
         stdout = io.StringIO()
@@ -374,6 +378,15 @@ class TestServe:
         response = json.loads(stdout.getvalue())
         assert response["error"]["code"] == -32700
         assert response["id"] is None
+
+    def test_too_deeply_nested_line_is_parse_error(self, trello):
+        deep = "[" * 3000 + "]" * 3000
+        ping = json.dumps({"jsonrpc": "2.0", "id": 9, "method": "ping"})
+        stdout = io.StringIO()
+        serve(trello.manifest, {}, stdin=io.StringIO(f"{deep}\n{ping}\n"), stdout=stdout)
+        responses = [json.loads(line) for line in stdout.getvalue().splitlines()]
+        assert responses[0]["error"]["code"] == -32700
+        assert responses[1] == {"jsonrpc": "2.0", "id": 9, "result": {}}
 
     def test_notifications_never_answered(self, trello):
         responses = run_serve(

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
-from automcp.sampling import DiversityScore, path_group, sample
+from automcp.pipeline import compile_file
+from automcp.sampling import path_group, sample
 from conftest import (
     group_axis_universe,
     min_cover_size,
@@ -32,11 +34,29 @@ class TestPathGroup:
 
 
 class TestDiversityScore:
-    def test_value_is_sum_of_indicators(self):
-        score = DiversityScore(True, False, True)
-        assert score.value == 2
-        assert DiversityScore(True, True, True).value == 3
-        assert DiversityScore(False, False, False).value == 0
+    def test_value_is_sum_of_indicators(self, tmp_path):
+        # One point per axis (verb, auth kind, parameter modality) that a
+        # pick is the first in its group to cover.
+        query = [{"name": "q", "in": "query", "schema": {"type": "string"}}]
+        body = {"content": {"application/json": {"schema": {"type": "object"}}}}
+        spec = tmp_path / "items.json"
+        spec.write_text(json.dumps({
+            "openapi": "3.0.0",
+            "info": {"title": "Items", "version": "1"},
+            "servers": [{"url": "https://items.example"}],
+            "paths": {
+                "/items": {
+                    "get": {"operationId": "list_items", "parameters": query},
+                    "post": {"operationId": "create_item", "requestBody": body},
+                },
+                "/items/{id}": {"get": {"operationId": "get_item"}},
+            },
+        }), encoding="utf-8")
+        report = sample(compile_file(spec).manifest, threshold=0)
+        # list_items is new on all three axes; then create_item adds POST
+        # and a body (2) before get_item adds only a path parameter (1).
+        assert report.groups == {"items": ["list_items", "create_item", "get_item"]}
+        assert report.scores == {"items": [3, 2, 1]}
 
 
 class TestSample:
