@@ -48,6 +48,15 @@ _PARAMETER_SCHEMA_KEYS = (
     "maximum", "minimum", "maxLength", "minLength", "pattern",
 )
 
+# libyaml parses several times faster than the pure-Python loader and
+# builds the same tree, but its composer recurses in C, beyond Python's
+# recursion limit: a deep enough document crashes the process. Text that
+# may nest deeper than this goes to the pure loader, whose RecursionError
+# becomes NestingError; the tree walks reject such depth anyway.
+_LIBYAML_MAX_DEPTH = 2000
+_FastLoader = getattr(yaml, "CSafeLoader", None)  # None without libyaml
+_LEADING_INDICATORS_RE = re.compile(r"^[ ?:-]+", re.M)
+
 
 @dataclass
 class RawDocument:
@@ -77,7 +86,7 @@ def load_document(path: str | Path) -> RawDocument:
         fmt = FORMAT_JSON
     except ValueError:
         try:
-            tree = yaml.safe_load(text)
+            tree = _load_yaml(text)
             fmt = FORMAT_YAML
         except yaml.YAMLError as exc:
             raise ParseError(f"{path}: not parseable as JSON or YAML: {exc}") from exc
@@ -104,6 +113,31 @@ def load_document(path: str | Path) -> RawDocument:
         source_path=path, format=fmt, dialect=dialect, tree=tree, text=text,
         warnings=warnings,
     )
+
+
+def _load_yaml(text: str) -> Any:
+    """`yaml.safe_load`, through libyaml when it is present and the text
+    cannot nest deeper than `_LIBYAML_MAX_DEPTH`. A libyaml error is
+    re-raised by the pure loader, so the message is the same either way."""
+    if _FastLoader is not None and _nesting_bound(text) <= _LIBYAML_MAX_DEPTH:
+        try:
+            return yaml.load(text, Loader=_FastLoader)
+        except yaml.YAMLError:
+            pass
+    return yaml.load(text, Loader=yaml.SafeLoader)
+
+
+def _nesting_bound(text: str) -> int:
+    """An upper bound on the text's YAML nesting depth. Every flow level
+    opens with a `[` or `{`, and an empty `[]` or `{}` can only be the
+    innermost one. A line's first block level sits at its leading
+    spaces and ``-``/``?``/``:`` indicators, and each column of them
+    holds at most two more (a sequence may share its parent mapping's
+    column)."""
+    flow = (text.count("[") - text.count("[]")
+            + text.count("{") - text.count("{}") + 1)
+    block = 1 + 2 * max(map(len, _LEADING_INDICATORS_RE.findall(text)), default=0)
+    return flow + block
 
 
 def resolve_base_url(doc: RawDocument) -> str:

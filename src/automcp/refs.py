@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Any
 from urllib.parse import unquote
@@ -18,7 +17,11 @@ _CYCLE_PLACEHOLDER_PREFIX = "cyclic reference to "
 
 @dataclass
 class FlattenedContract:
-    """A document with every $ref replaced by a deep copy of its target."""
+    """A document with every $ref replaced by the expansion of its target.
+
+    Acyclic targets are expanded once and shared by all their uses, so
+    `tree` is read-only: copy a subtree before changing it.
+    """
 
     tree: dict
     ref_count_resolved: int = 0
@@ -40,14 +43,14 @@ def escape_token(key: str) -> str:
 
 
 def pointer_segments(pointer: str) -> list[str]:
-    """The decoded keys of an intra-document pointer; ``#`` and ``#/``
-    both name the document root."""
+    """The decoded keys of an intra-document pointer. ``#`` names the
+    document root and, per RFC 6901, ``#/`` the top-level empty key."""
     fragment = pointer[1:]
-    if fragment in ("", "/"):
+    if not fragment:
         return []
     return [
         unquote(raw).replace("~1", "/").replace("~0", "~")
-        for raw in fragment.lstrip("/").split("/")
+        for raw in fragment.removeprefix("/").split("/")
     ]
 
 
@@ -72,27 +75,46 @@ def flatten(tree: dict) -> FlattenedContract:
     A back-edge (a $ref whose target is already being expanded) becomes
     ``{"type": "object", "description": "cyclic reference to <pointer>"}``
     and the target pointer is recorded once in ``cycles_detected``.
+
+    The result shares no node with `tree`, but the expansion of a target
+    that breaks no cycle is built once and placed at every use: treat
+    the result as read-only and copy a subtree before changing it.
     """
     resolved = 0
+    placeholders = 0
     cycles: list[str] = []
+    # ref -> (its expansion, refs resolved inside it). Only expansions that
+    # emitted no placeholder are kept: they reach no cycle and no ref on the
+    # active chain, so they are the same wherever the ref is used. A ref on
+    # a cycle always reaches itself and so is never kept.
+    expanded: dict[str, tuple[Any, int]] = {}
 
     def expand(node: Any, active: tuple[str, ...]) -> Any:
-        nonlocal resolved
+        nonlocal resolved, placeholders
         if isinstance(node, dict):
             ref = node.get("$ref")
             if isinstance(ref, str):
+                if ref in expanded:
+                    value, count = expanded[ref]
+                    resolved += count
+                    return value
                 if not ref.startswith("#"):
                     raise ExternalRefError(ref)
                 if ref in active:
                     if ref not in cycles:
                         cycles.append(ref)
+                    placeholders += 1
                     return {
                         "type": "object",
                         "description": _CYCLE_PLACEHOLDER_PREFIX + ref,
                     }
                 target = pointer_lookup(tree, ref)
+                resolved_before, placeholders_before = resolved, placeholders
                 resolved += 1
-                return expand(copy.deepcopy(target), active + (ref,))
+                value = expand(target, active + (ref,))
+                if placeholders == placeholders_before:
+                    expanded[ref] = (value, resolved - resolved_before)
+                return value
             return {key: expand(value, active) for key, value in node.items()}
         if isinstance(node, list):
             return [expand(value, active) for value in node]

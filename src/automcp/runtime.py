@@ -14,6 +14,7 @@ import json
 import logging
 import sys
 import threading
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from urllib.parse import quote
@@ -352,8 +353,23 @@ def _scalar(value) -> str:
     return str(value)
 
 
+def _bound_secrets(
+    schemes: list[SecurityScheme], bindings: list[EnvBinding], env: dict[str, str]
+) -> set[str]:
+    """Every credential value bound in `env`, plus the Basic tokens
+    derived from them."""
+    secrets = {env.get(b.env_var, "") for b in bindings} - {""}
+    for scheme in schemes:
+        if scheme.kind == KIND_HTTP_BASIC:
+            plan = AuthPlan()
+            _apply_scheme(plan, scheme, [b for b in bindings if b.scheme_id == scheme.id], env)
+            secrets |= plan.secret_values
+    return secrets
+
+
 def _redact(text: str, secrets: set[str]) -> str:
-    for secret in secrets:
+    # longest first, so a secret inside another cannot leave part of it
+    for secret in sorted(secrets, key=len, reverse=True):
         if secret:
             text = text.replace(secret, REDACTED)
             text = text.replace(quote(secret, safe=""), REDACTED)
@@ -404,7 +420,9 @@ def serve(
             except (ValueError, RecursionError):
                 writer.send(_error_response(None, _RPC_PARSE_ERROR, "parse error"))
                 continue
-            if not isinstance(message, dict) or "method" not in message:
+            if not isinstance(message, dict) or not isinstance(
+                message.get("method"), str
+            ):
                 writer.send(
                     _error_response(
                         message.get("id") if isinstance(message, dict) else None,
@@ -510,9 +528,13 @@ def _run_call(
             "isError": True,
         }
     except Exception as exc:  # noqa: BLE001 - surface as protocol error
-        logger.exception("tool call failed unexpectedly")
+        detail = _redact(str(exc), _bound_secrets(manifest.schemes, bindings, env))
+        # frames only: logger.exception would repeat the unredacted message
+        logger.error("tool call %s failed unexpectedly: %s: %s\n%s",
+                     tool.tool_name, exc.__class__.__name__, detail,
+                     "".join(traceback.format_tb(exc.__traceback__)).rstrip())
         if not is_notification:
-            writer.send(_error_response(msg_id, _RPC_INTERNAL, str(exc)))
+            writer.send(_error_response(msg_id, _RPC_INTERNAL, detail))
         return
     if not is_notification:
         writer.send({"jsonrpc": "2.0", "id": msg_id, "result": response})

@@ -207,6 +207,32 @@ class TestDeepNesting:
             compile_file(spec)
 
 
+def deep_yaml_text(case: str, depth: int = 200_000) -> str:
+    """A valid spec whose `x-deep` value nests `depth` levels, far past
+    what libyaml's recursive composer survives."""
+    head = ('openapi: "3.0.0"\ninfo: {title: Deep, version: "1"}\n'
+            'servers: [{url: "https://deep.example"}]\npaths: {}\n')
+    if case == "flow-sequence":
+        return head + "x-deep: " + "[" * depth + "]" * depth + "\n"
+    if case == "flow-mapping":
+        return head + "x-deep: " + "{a: " * depth + "b" + "}" * depth + "\n"
+    return head + "x-deep:\n  " + "- " * depth + "x\n"
+
+
+@pytest.mark.parametrize("case", ["flow-sequence", "flow-mapping", "compact-block-sequence"])
+def test_deep_yaml_exits_2_not_a_signal(tmp_path, case):
+    spec = tmp_path / "deep.yaml"
+    spec.write_text(deep_yaml_text(case), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "automcp", "generate", str(spec),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2, proc.returncode
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
 class TestServeSubprocess:
     def spawn(self, spec_path, env_file):
         return subprocess.Popen(

@@ -16,11 +16,12 @@ from automcp.compiler import (
     synthesize_input_schema,
     tools_list_payload,
 )
-from automcp.ingest import RawDocument, normalize, resolve_base_url
+from automcp.doctor import fix_loop, load_vendor_rules
+from automcp.ingest import RawDocument, load_document, normalize, resolve_base_url
 from automcp.pipeline import compile_file, count_operations
 from automcp.refs import flatten
 from automcp.security import extract_security
-from conftest import fixture_path
+from conftest import DEFECTS, FIXTURES, fixture_path
 
 TOOL_NAME_RE = re.compile(r"^[a-z_][a-z0-9_]*$")
 
@@ -294,3 +295,79 @@ class TestCompileManifest:
         assert len(payload) == 19
         for entry in payload:
             assert set(entry) == {"name", "description", "inputSchema"}
+
+
+def diamond_tree(depth: int = 6) -> dict:
+    """Each schema level refs the one below twice, and every operation
+    shares one $ref'd parameter, so the flattened tree shares subtrees."""
+    schemas = {f"D{depth}": {"type": "object",
+                             "properties": {"value": {"type": "string"}}}}
+    for level in range(depth - 1, -1, -1):
+        below = {"$ref": f"#/components/schemas/D{level + 1}"}
+        schemas[f"D{level}"] = {"type": "object",
+                                "properties": {"l": below, "r": dict(below)}}
+    top = {"$ref": "#/components/schemas/D0"}
+    limit = {"$ref": "#/components/parameters/limit"}
+    return {
+        "openapi": "3.0.3",
+        "info": {"title": "Diamond", "version": "1"},
+        "servers": [{"url": "https://diamond.example"}],
+        "components": {
+            "schemas": schemas,
+            "parameters": {"limit": {"name": "limit", "in": "query", "example": 5,
+                                     "description": "page size",
+                                     "schema": {"$ref": "#/components/schemas/D2"}}},
+        },
+        "paths": {
+            "/nodes": {
+                "parameters": [limit],
+                "post": {"requestBody": {"content": {"application/json": {"schema": top}}},
+                         "responses": {"201": {"description": "created"}}},
+                "get": {"parameters": [dict(limit)],
+                        "responses": {"200": {"description": "ok"}}},
+            },
+        },
+    }
+
+
+class TestContractNotMutated:
+    """The flattened tree shares the expansion of each acyclic target
+    among its uses, so compilation must change none of it, and the
+    manifest must share none of it."""
+
+    def contracts(self, tmp_path):
+        rules = load_vendor_rules(FIXTURES / "vendor_rules.json")
+        diamond = tmp_path / "diamond.json"
+        diamond.write_text(json.dumps(diamond_tree()), encoding="utf-8")
+        paths = sorted(FIXTURES.glob("*.json")) + sorted(FIXTURES.glob("*.yaml"))
+        paths = [p for p in paths if p.name != "vendor_rules.json"]
+        paths += sorted(p for p in DEFECTS.iterdir() if p.suffix in (".json", ".yaml")
+                        and p.name != "reference_counts.json")
+        for path in paths + [diamond]:
+            raw = load_document(path)
+            if path.parent == DEFECTS:
+                raw = fix_loop(raw, rules).document
+            yield path.name, raw, flatten(normalize(raw))
+
+    def test_compile_manifest_leaves_tree_unchanged(self, tmp_path):
+        names = []
+        for name, raw, contract in self.contracts(tmp_path):
+            before = json.dumps(contract.tree)
+            manifest = compile_manifest(contract, extract_security(contract),
+                                        base_url=resolve_base_url(raw))
+            assert json.dumps(contract.tree) == before, name
+            self._scribble(manifest_to_dict(manifest)["tools"])
+            for tool in manifest.tools:
+                self._scribble(tool.input_schema)
+            assert json.dumps(contract.tree) == before, name
+            names.append(name)
+        assert len(names) == 9
+
+    def _scribble(self, node):
+        if isinstance(node, dict):
+            for value in list(node.values()):
+                self._scribble(value)
+            node["x-scribbled"] = True
+        elif isinstance(node, list):
+            for value in node:
+                self._scribble(value)

@@ -6,7 +6,11 @@ import copy
 import json
 
 import pytest
+import yaml
+from hypothesis import given
+from hypothesis import strategies as st
 
+from automcp import ingest
 from automcp.errors import BaseUrlError, DialectError, ParseError
 from automcp.ingest import (
     DIALECT_2_0,
@@ -17,7 +21,7 @@ from automcp.ingest import (
     normalize,
     resolve_base_url,
 )
-from conftest import fixture_path
+from conftest import DEFECTS, FIXTURES, fixture_path
 
 
 def write(tmp_path, name, content):
@@ -320,3 +324,84 @@ class TestNormalize:
                     ]
                     for var in variables:
                         assert declared.count(var) == 1
+
+
+# -- libyaml and the pure-Python loader --------------------------------------------
+
+YAML_SPECS = sorted(FIXTURES.glob("*.yaml")) + sorted(DEFECTS.glob("*.yaml"))
+
+
+class PureLoaderOnly:
+    """Runs a test class again as if PyYAML had been built without libyaml."""
+
+    @pytest.fixture(autouse=True)
+    def _without_libyaml(self, monkeypatch):
+        monkeypatch.setattr(ingest, "_FastLoader", None)
+
+
+class TestLoadDocumentWithoutLibyaml(PureLoaderOnly, TestLoadDocument):
+    pass
+
+
+class TestResolveBaseUrlWithoutLibyaml(PureLoaderOnly, TestResolveBaseUrl):
+    pass
+
+
+class TestNormalizeWithoutLibyaml(PureLoaderOnly, TestNormalize):
+    pass
+
+
+def collection_depth(node) -> int:
+    if isinstance(node, dict):
+        return 1 + max(map(collection_depth, node.values()), default=0)
+    if isinstance(node, list):
+        return 1 + max(map(collection_depth, node), default=0)
+    return 0
+
+
+yaml_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=30,
+)
+
+
+class TestYamlLoaders:
+    @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
+                        reason="PyYAML built without libyaml")
+    @pytest.mark.parametrize("path", YAML_SPECS, ids=lambda p: p.name)
+    def test_libyaml_and_pure_loader_agree(self, path):
+        text = path.read_text(encoding="utf-8")
+        pure = yaml.load(text, Loader=yaml.SafeLoader)
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == pure
+        assert load_document(path).tree == pure
+
+    @given(yaml_values, st.sampled_from([False, True, None]), st.integers(2, 5))
+    def test_nesting_bound_is_an_upper_bound(self, value, flow_style, indent):
+        text = yaml.safe_dump({"root": value}, default_flow_style=flow_style,
+                              indent=indent, allow_unicode=True)
+        assert ingest._nesting_bound(text) >= collection_depth({"root": value})
+
+    def test_text_that_may_nest_deeply_skips_libyaml(self, monkeypatch):
+        used = []
+
+        class SpyLoader(yaml.SafeLoader):
+            def __init__(self, stream):
+                used.append(stream)
+                super().__init__(stream)
+
+        monkeypatch.setattr(ingest, "_FastLoader", SpyLoader)
+        assert ingest._load_yaml("a: [1, {b: 2}]\n") == {"a": [1, {"b": 2}]}
+        assert len(used) == 1
+        with pytest.raises(RecursionError):
+            ingest._load_yaml("- " * ingest._LIBYAML_MAX_DEPTH + "x\n")
+        assert len(used) == 1
+
+    def test_parse_error_message_is_the_pure_loaders(self, tmp_path):
+        text = "openapi: 3.0.0\npaths: {a: [1, 2}\n"
+        with pytest.raises(yaml.YAMLError) as pure:
+            yaml.load(text, Loader=yaml.SafeLoader)
+        with pytest.raises(ParseError) as loaded:
+            load_document(write(tmp_path, "bad.yaml", text))
+        assert str(loaded.value).endswith(str(pure.value))

@@ -82,6 +82,56 @@ def random_ref_document(rng: random.Random, max_nodes: int = 50) -> dict:
     return {"defs": defs, "root": make_value(0, 0)}
 
 
+def reference_flatten(tree: dict) -> tuple[dict, int, list[str]]:
+    """`flatten` without memoisation: a deep copy of each target,
+    re-expanded at every use. Cycles become the same placeholders."""
+    resolved = 0
+    cycles: list[str] = []
+
+    def expand(node, active):
+        nonlocal resolved
+        if isinstance(node, dict):
+            ref = node.get("$ref")
+            if isinstance(ref, str):
+                if ref in active:
+                    if ref not in cycles:
+                        cycles.append(ref)
+                    return {"type": "object", "description": "cyclic reference to " + ref}
+                resolved += 1
+                return expand(copy.deepcopy(pointer_lookup(tree, ref)), active + (ref,))
+            return {key: expand(value, active) for key, value in node.items()}
+        if isinstance(node, list):
+            return [expand(value, active) for value in node]
+        return node
+
+    return expand(tree, ()), resolved, cycles
+
+
+def random_ref_graph(rng: random.Random) -> dict:
+    """Any node may reference any node, itself included, or the `props`
+    inside it, so the documents have cycles, diamonds and shared tails."""
+    node_count = rng.randint(2, 7)
+
+    def make_ref():
+        target = f"#/defs/n{rng.randrange(node_count)}"
+        return {"$ref": target + "/props" if rng.random() < 0.3 else target}
+
+    def make_value(depth: int, refs_left: list[int]):
+        roll = rng.random()
+        if roll < 0.3 and refs_left[0]:
+            refs_left[0] -= 1
+            return make_ref()
+        if roll < 0.55 and depth < 3:
+            return {f"k{rng.randint(0, 3)}": make_value(depth + 1, refs_left)
+                    for _ in range(rng.randint(1, 3))}
+        if roll < 0.7 and depth < 3:
+            return [make_value(depth + 1, refs_left) for _ in range(rng.randint(1, 3))]
+        return rng.choice(["alpha", 42, 3.5, True, None])
+
+    defs = {f"n{i}": {"tag": i, "props": make_value(0, [2])} for i in range(node_count)}
+    return {"defs": defs, "root": make_ref(), "also": make_value(0, [3])}
+
+
 class TestFlatten:
     def test_single_substitution(self):
         tree = {"a": {"$ref": "#/defs/x"}, "defs": {"x": {"type": "string"}}}
@@ -168,6 +218,19 @@ class TestFlatten:
             doc = random_ref_document(rng)
             assert flatten(doc).tree == substitution_fixpoint(doc)
 
+    def test_matches_unmemoised_reference_on_random_cyclic_graphs(self):
+        rng = random.Random(20261018)
+        cyclic = 0
+        for _ in range(300):
+            doc = random_ref_graph(rng)
+            flat = flatten(doc)
+            tree, resolved, cycles = reference_flatten(doc)
+            assert flat.tree == tree
+            assert flat.ref_count_resolved == resolved
+            assert flat.cycles_detected == cycles
+            cyclic += bool(cycles)
+        assert 30 <= cyclic <= 270  # both kinds of graph were drawn
+
     def test_input_not_mutated(self):
         tree = {"a": {"$ref": "#/defs/x"}, "defs": {"x": {"v": 1}}}
         before = copy.deepcopy(tree)
@@ -176,12 +239,18 @@ class TestFlatten:
 
 
 class TestPointerCodec:
-    # "#/" names the document root, so the empty key is left out.
-    @given(st.text(min_size=1))
+    @given(st.text())
+    @example("")
     @example("/files/a%2Fb~x/{id}")
     @example("%25~01~1/%")
     def test_escaped_key_round_trips(self, key):
         assert pointer_segments("#/" + escape_token(key)) == [key]
+
+    def test_hash_alone_is_the_root_and_slash_the_empty_key(self):
+        tree = {"": 1, "a": {"": 2}}
+        assert pointer_lookup(tree, "#") is tree
+        assert pointer_lookup(tree, "#/") == 1
+        assert pointer_lookup(tree, "#/a/") == 2
 
 
 class TestValidate:

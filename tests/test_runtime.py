@@ -18,6 +18,7 @@ from automcp.mock_upstream import run_mock_upstream
 from automcp.pipeline import compile_file
 from automcp.runtime import (
     AuthPlan,
+    _redact,
     bindings_for,
     invoke_tool,
     merge_extra_headers,
@@ -261,6 +262,12 @@ class TestInvokeTool:
             assert secret not in echo_text
         assert "***" in result.request_echo["url"]
 
+    def test_secret_inside_another_is_redacted_whole(self):
+        # 20 pairs, so no set iteration order puts every longer one first
+        longer = [f"sek{i}-tail" for i in range(20)]
+        secrets = set(longer) | {f"sek{i}" for i in range(20)}
+        assert _redact(" ".join(longer), secrets) == " ".join(["***"] * 20)
+
     def test_transport_error(self, trello):
         env, _ = sentinel_credentials(trello)
         tool = trello.manifest.tool("get_user")
@@ -387,6 +394,45 @@ class TestServe:
         responses = [json.loads(line) for line in stdout.getvalue().splitlines()]
         assert responses[0]["error"]["code"] == -32700
         assert responses[1] == {"jsonrpc": "2.0", "id": 9, "result": {}}
+
+    def test_non_string_method_is_not_a_request(self, trello):
+        responses = run_serve(
+            trello, {},
+            [{"jsonrpc": "2.0", "id": 1, "method": 5},
+             {"jsonrpc": "2.0", "id": 2, "method": "ping"}],
+        )
+        assert responses[0]["id"] == 1
+        assert responses[0]["error"] == {"code": -32602,
+                                         "message": "not a JSON-RPC request"}
+        assert responses[1] == {"jsonrpc": "2.0", "id": 2, "result": {}}
+
+    def test_unexpected_failure_message_is_redacted(self, allauth, monkeypatch, caplog):
+        env, _ = sentinel_credentials(allauth)
+        basic = [b for b in allauth.bindings if b.scheme_id == "basicAuth"]
+        token = base64.b64encode(
+            f"{env[basic[0].env_var]}:{env[basic[1].env_var]}".encode()
+        ).decode()
+        secrets = sorted(env.values()) + [token]
+
+        def leaky_invoke(*args, **kwargs):
+            raise RuntimeError("upstream said: " + " ".join(secrets))
+
+        monkeypatch.setattr("automcp.runtime.invoke_tool", leaky_invoke)
+        stdout = io.StringIO()
+        call = {"jsonrpc": "2.0", "id": 8, "method": "tools/call",
+                "params": {"name": "listgadgets", "arguments": {}}}
+        serve(allauth.manifest, env, stdin=io.StringIO(json.dumps(call) + "\n"),
+              stdout=stdout)
+        out = stdout.getvalue()
+        response = json.loads(out)
+        assert response["error"]["code"] == -32603
+        assert response["error"]["message"].startswith("upstream said: ***")
+        logged = "\n".join(r.getMessage() for r in caplog.records)
+        assert "listgadgets failed unexpectedly: RuntimeError: upstream said: ***" in logged
+        assert "in leaky_invoke" in logged  # the traceback's frames are kept
+        for secret in secrets:
+            assert secret not in out
+            assert secret not in logged
 
     def test_notifications_never_answered(self, trello):
         responses = run_serve(
