@@ -55,7 +55,10 @@ _PARAMETER_SCHEMA_KEYS = (
 # becomes NestingError; the tree walks reject such depth anyway.
 _LIBYAML_MAX_DEPTH = 2000
 _FastLoader = getattr(yaml, "CSafeLoader", None)  # None without libyaml
-_LEADING_INDICATORS_RE = re.compile(r"^[ ?:-]+", re.M)
+# A line break and the run of spaces and block indicators after it. YAML
+# also breaks lines at CR, NEL, LS and PS, and libyaml skips a BOM at any
+# line start.
+_LINE_START_RUN_RE = re.compile(r"[\n\r\x85\u2028\u2029\ufeff][\ufeff ?:-]+")
 
 
 @dataclass
@@ -118,8 +121,12 @@ def load_document(path: str | Path) -> RawDocument:
 def _load_yaml(text: str) -> Any:
     """`yaml.safe_load`, through libyaml when it is present and the text
     cannot nest deeper than `_LIBYAML_MAX_DEPTH`. A libyaml error is
-    re-raised by the pure loader, so the message is the same either way."""
-    if _FastLoader is not None and _nesting_bound(text) <= _LIBYAML_MAX_DEPTH:
+    re-raised by the pure loader, so the message is the same either way.
+    Text with a BOM past its first character also takes the pure loader:
+    libyaml skips a BOM at the start of any line, the pure loader only at
+    the start of the text, so the two would build different trees."""
+    if (_FastLoader is not None and text.find("\ufeff", 1) < 0
+            and _nesting_bound(text) <= _LIBYAML_MAX_DEPTH):
         try:
             return yaml.load(text, Loader=_FastLoader)
         except yaml.YAMLError:
@@ -131,12 +138,13 @@ def _nesting_bound(text: str) -> int:
     """An upper bound on the text's YAML nesting depth. Every flow level
     opens with a `[` or `{`, and an empty `[]` or `{}` can only be the
     innermost one. A line's first block level sits at its leading
-    spaces and ``-``/``?``/``:`` indicators, and each column of them
-    holds at most two more (a sequence may share its parent mapping's
-    column)."""
+    spaces and ``-``/``?``/``:`` indicators (after any BOM), and each
+    column of them holds at most two more (a sequence may share its
+    parent mapping's column)."""
     flow = (text.count("[") - text.count("[]")
             + text.count("{") - text.count("{}") + 1)
-    block = 1 + 2 * max(map(len, _LEADING_INDICATORS_RE.findall(text)), default=0)
+    run = max(map(len, _LINE_START_RUN_RE.findall("\n" + text)), default=1) - 1
+    block = 1 + 2 * run
     return flow + block
 
 

@@ -207,6 +207,10 @@ class TestDeepNesting:
             compile_file(spec)
 
 
+# Line breaks YAML knows besides LF; text read from a file keeps these.
+YAML_LINE_BREAKS = {"nel": "\x85", "ls": "\u2028", "ps": "\u2029"}
+
+
 def deep_yaml_text(case: str, depth: int = 200_000) -> str:
     """A valid spec whose `x-deep` value nests `depth` levels, far past
     what libyaml's recursive composer survives."""
@@ -216,10 +220,19 @@ def deep_yaml_text(case: str, depth: int = 200_000) -> str:
         return head + "x-deep: " + "[" * depth + "]" * depth + "\n"
     if case == "flow-mapping":
         return head + "x-deep: " + "{a: " * depth + "b" + "}" * depth + "\n"
+    if case == "bom-compact-block-sequence":  # the whole document is the list
+        return "\ufeff" + "- " * depth + "x\n"
+    if case.endswith("-compact-block-sequence"):
+        newline = YAML_LINE_BREAKS[case.split("-")[0]]
+        return head + "x-deep:" + newline + "  " + "- " * depth + "x\n"
     return head + "x-deep:\n  " + "- " * depth + "x\n"
 
 
-@pytest.mark.parametrize("case", ["flow-sequence", "flow-mapping", "compact-block-sequence"])
+@pytest.mark.parametrize("case", [
+    "flow-sequence", "flow-mapping", "compact-block-sequence",
+    "bom-compact-block-sequence", "nel-compact-block-sequence",
+    "ls-compact-block-sequence", "ps-compact-block-sequence",
+])
 def test_deep_yaml_exits_2_not_a_signal(tmp_path, case):
     spec = tmp_path / "deep.yaml"
     spec.write_text(deep_yaml_text(case), encoding="utf-8")

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import copy
 import json
+import re
 
 import pytest
 import yaml
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from automcp import ingest
@@ -377,11 +378,20 @@ class TestYamlLoaders:
         assert yaml.load(text, Loader=yaml.CSafeLoader) == pure
         assert load_document(path).tree == pure
 
-    @given(yaml_values, st.sampled_from([False, True, None]), st.integers(2, 5))
-    def test_nesting_bound_is_an_upper_bound(self, value, flow_style, indent):
-        text = yaml.safe_dump({"root": value}, default_flow_style=flow_style,
-                              indent=indent, allow_unicode=True)
-        assert ingest._nesting_bound(text) >= collection_depth({"root": value})
+    @given(yaml_values, st.sampled_from([False, True, None]), st.integers(2, 5),
+           st.sampled_from(["\n", "\r\n", "\r", "\x85", "\u2028", "\u2029"]),
+           st.sampled_from(["", "\ufeff"]))
+    @example([[[1]]], False, 2, "\n", "\ufeff")
+    @example({"a": [[[1]]]}, False, 2, "\u2028", "")
+    def test_nesting_bound_is_an_upper_bound(self, value, flow_style, indent,
+                                             newline, bom):
+        """Over every YAML line break and with or without a leading BOM,
+        which both loaders skip."""
+        text = bom + yaml.safe_dump(
+            value, default_flow_style=flow_style, indent=indent,
+            allow_unicode=True).replace("\n", newline)
+        loaded = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        assert ingest._nesting_bound(text) >= collection_depth(loaded)
 
     def test_text_that_may_nest_deeply_skips_libyaml(self, monkeypatch):
         used = []
@@ -397,6 +407,22 @@ class TestYamlLoaders:
         with pytest.raises(RecursionError):
             ingest._load_yaml("- " * ingest._LIBYAML_MAX_DEPTH + "x\n")
         assert len(used) == 1
+
+    @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
+                        reason="PyYAML built without libyaml")
+    @pytest.mark.parametrize("text", [
+        "\ufeff\ufeffa: [1]\n", "a: 1\n\ufeff", "a:\n  b: 1\n\ufeffc: 2\n",
+    ])
+    def test_bom_past_the_start_gets_the_pure_loaders_result(self, text):
+        """libyaml skips a BOM at any line start, the pure loader only at
+        the start of the text."""
+        try:
+            expected = yaml.load(text, Loader=yaml.SafeLoader)
+        except yaml.YAMLError as exc:
+            with pytest.raises(yaml.YAMLError, match=re.escape(str(exc))):
+                ingest._load_yaml(text)
+        else:
+            assert ingest._load_yaml(text) == expected
 
     def test_parse_error_message_is_the_pure_loaders(self, tmp_path):
         text = "openapi: 3.0.0\npaths: {a: [1, 2}\n"
