@@ -24,7 +24,7 @@ from typing import Any
 
 import yaml
 
-from .errors import BaseUrlError, NonConvergence, PointerError
+from .errors import BaseUrlError, NonConvergence, PointerError, SchemeError
 from .ingest import (
     DIALECT_2_0,
     FORMAT_JSON,
@@ -35,6 +35,7 @@ from .ingest import (
 )
 from .refs import FlattenedContract, escape_token, flatten, pointer_segments
 from .sampling import path_group
+from .security import parse_scheme
 
 CLASS_LABELS = {
     "A": "Incorrect or missing security schemes",
@@ -129,7 +130,7 @@ def lint(
     title = str(((raw.tree.get("info") or {}).get("title")) or "")
     matched_rules = _matching_rules(rules, title)
     findings: list[LintFinding] = []
-    findings.extend(_lint_class_a(raw, matched_rules))
+    findings.extend(_lint_class_a(contract, raw, matched_rules))
     findings.extend(_lint_class_b(raw, matched_rules))
     findings.extend(_lint_class_c(matched_rules))
     findings.extend(_lint_class_d(raw, matched_rules))
@@ -145,14 +146,11 @@ def _scheme_container(raw: RawDocument) -> tuple[str, dict]:
     return "#/components/securitySchemes", container
 
 
-def _lint_class_a(raw: RawDocument, rules: list[VendorRule]) -> list[LintFinding]:
+def _lint_class_a(
+    contract: FlattenedContract, raw: RawDocument, rules: list[VendorRule]
+) -> list[LintFinding]:
     findings: list[LintFinding] = []
     container_ptr, declared = _scheme_container(raw)
-    known_types = (
-        ("basic", "apiKey", "oauth2")
-        if raw.dialect == DIALECT_2_0
-        else ("apiKey", "http", "oauth2")
-    )
 
     referenced: set[str] = set()
     for requirement in raw.tree.get("security") or []:
@@ -188,30 +186,35 @@ def _lint_class_a(raw: RawDocument, rules: list[VendorRule]) -> list[LintFinding
             )
         )
 
-    for scheme_id, node in declared.items():
-        if not isinstance(node, dict):
-            continue
-        ptr = f"{container_ptr}/{escape_token(scheme_id)}"
-        kind = node.get("type")
-        if kind not in known_types:
-            findings.append(_unknown_type_finding(raw, ptr, scheme_id, node))
-            continue
-        if kind == "oauth2":
-            finding = (
-                _oauth2_finding_2_0(ptr, scheme_id, node)
-                if raw.dialect == DIALECT_2_0
-                else _oauth2_finding_3_x(ptr, scheme_id, node, rules)
+    # judge the nodes the compiler reads: 3.x shaped, `$ref`s resolved
+    judged = (contract.tree.get("components") or {}).get("securitySchemes") or {}
+    for scheme_id, node in judged.items():
+        try:
+            parse_scheme(scheme_id, node)
+        except SchemeError as exc:
+            ptr = f"{container_ptr}/{escape_token(scheme_id)}"
+            location, edits = _scheme_repair(raw, ptr, declared.get(scheme_id), rules)
+            findings.append(
+                LintFinding("A", location, str(exc), Patch(edits) if edits else None)
             )
-            if finding:
-                findings.append(finding)
     return findings
 
 
-def _unknown_type_finding(
-    raw: RawDocument, ptr: str, scheme_id: str, node: dict
-) -> LintFinding:
+def _scheme_repair(
+    raw: RawDocument, ptr: str, node: Any, rules: list[VendorRule]
+) -> tuple[str, list[PatchEdit]]:
+    """Where to report a scheme the compiler rejects, and the edits to the
+    original-dialect node that make it usable (none when no repair is
+    known: an incomplete apiKey, an unsupported http scheme)."""
+    if not isinstance(node, dict) or "$ref" in node:
+        return ptr, []
     kind = node.get("type")
-    message = f"scheme {scheme_id!r} has unrecognized type {kind!r}"
+    if kind == "oauth2":
+        if raw.dialect == DIALECT_2_0:
+            return ptr, _oauth2_repair_2_0(ptr, node, rules)
+        return _oauth2_repair_3_x(ptr, node, rules)
+    if kind in ("apiKey", "http"):
+        return ptr, []
     if (
         isinstance(kind, str)
         and kind.lower() == "apikey"
@@ -219,105 +222,67 @@ def _unknown_type_finding(
         and node.get("name")
     ):
         # common casing mistake; the declaration is otherwise complete
-        edits = [PatchEdit(f"{ptr}/type", "replace", "apiKey")]
-    elif raw.dialect == DIALECT_2_0:
-        edits = [PatchEdit(f"{ptr}/type", "replace", "basic")]
-    else:
-        edits = [
-            PatchEdit(f"{ptr}/type", "replace", "http"),
-            PatchEdit(f"{ptr}/scheme", "add", "bearer"),
-        ]
-    return LintFinding("A", ptr, message, Patch(edits))
+        return ptr, [PatchEdit(f"{ptr}/type", "replace", "apiKey")]
+    # "add" sets `type` whether or not the node has one
+    if raw.dialect == DIALECT_2_0:
+        return ptr, [PatchEdit(f"{ptr}/type", "add", "basic")]
+    return ptr, [
+        PatchEdit(f"{ptr}/type", "add", "http"),
+        PatchEdit(f"{ptr}/scheme", "add", "bearer"),
+    ]
 
 
-def _oauth2_finding_3_x(
-    ptr: str, scheme_id: str, node: dict, rules: list[VendorRule]
-) -> LintFinding | None:
-    flows = node.get("flows") or {}
+def _oauth2_repair_3_x(
+    ptr: str, node: dict, rules: list[VendorRule]
+) -> tuple[str, list[PatchEdit]]:
+    flows = node.get("flows")
+    flows = flows if isinstance(flows, dict) else {}
     code_flow = flows.get("authorizationCode")
     if isinstance(code_flow, dict):
-        if code_flow.get("tokenUrl"):
-            return None
         token_url = _derive_token_url(code_flow.get("authorizationUrl"), rules)
-        return LintFinding(
-            "A",
-            f"{ptr}/flows/authorizationCode",
-            f"oauth2 scheme {scheme_id!r}: authorizationCode flow omits tokenUrl",
-            Patch([PatchEdit(f"{ptr}/flows/authorizationCode/tokenUrl", "add", token_url)]),
-        )
-    cc_flow = flows.get("clientCredentials")
-    if isinstance(cc_flow, dict):
-        if cc_flow.get("tokenUrl"):
-            return None
+        return f"{ptr}/flows/authorizationCode", [
+            PatchEdit(f"{ptr}/flows/authorizationCode/tokenUrl", "add", token_url)
+        ]
+    if isinstance(flows.get("clientCredentials"), dict):
         token_url = _derive_token_url(None, rules)
-        return LintFinding(
-            "A",
-            f"{ptr}/flows/clientCredentials",
-            f"oauth2 scheme {scheme_id!r}: clientCredentials flow omits tokenUrl",
-            Patch([PatchEdit(f"{ptr}/flows/clientCredentials/tokenUrl", "add", token_url)]),
-        )
+        return f"{ptr}/flows/clientCredentials", [
+            PatchEdit(f"{ptr}/flows/clientCredentials/tokenUrl", "add", token_url)
+        ]
     implicit = flows.get("implicit")
     if isinstance(implicit, dict):
-        token_url = _derive_token_url(implicit.get("authorizationUrl"), rules)
         migrated = {
             "authorizationUrl": implicit.get("authorizationUrl", ""),
-            "tokenUrl": token_url,
+            "tokenUrl": _derive_token_url(implicit.get("authorizationUrl"), rules),
             "scopes": implicit.get("scopes", {}),
         }
-        return LintFinding(
-            "A",
-            f"{ptr}/flows",
-            f"oauth2 scheme {scheme_id!r} declares only the obsolete implicit flow",
-            Patch([PatchEdit(f"{ptr}/flows/authorizationCode", "add", migrated)]),
-        )
+        return f"{ptr}/flows", [
+            PatchEdit(f"{ptr}/flows/authorizationCode", "add", migrated)
+        ]
     password = flows.get("password")
     if isinstance(password, dict) and password.get("tokenUrl"):
-        return LintFinding(
-            "A",
-            f"{ptr}/flows",
-            f"oauth2 scheme {scheme_id!r} declares only a password flow",
-            Patch(
-                [
-                    PatchEdit(
-                        f"{ptr}/flows/clientCredentials",
-                        "add",
-                        {
-                            "tokenUrl": password["tokenUrl"],
-                            "scopes": password.get("scopes", {}),
-                        },
-                    )
-                ]
-            ),
-        )
-    return LintFinding(
-        "A", f"{ptr}/flows", f"oauth2 scheme {scheme_id!r} declares no usable flow"
-    )
+        moved = {"tokenUrl": password["tokenUrl"], "scopes": password.get("scopes", {})}
+        return f"{ptr}/flows", [
+            PatchEdit(f"{ptr}/flows/clientCredentials", "add", moved)
+        ]
+    return f"{ptr}/flows", []
 
 
-def _oauth2_finding_2_0(ptr: str, scheme_id: str, node: dict) -> LintFinding | None:
-    flow = node.get("flow")
-    if flow in ("accessCode", "application", "password") and not node.get("tokenUrl"):
-        token_url = _derive_token_url(node.get("authorizationUrl"), [])
-        return LintFinding(
-            "A",
-            ptr,
-            f"oauth2 scheme {scheme_id!r}: flow {flow!r} omits tokenUrl",
-            Patch([PatchEdit(f"{ptr}/tokenUrl", "add", token_url)]),
-        )
+def _oauth2_repair_2_0(
+    ptr: str, node: dict, rules: list[VendorRule]
+) -> list[PatchEdit]:
+    flow = node.get("flow", "implicit")  # as ingest reads a missing flow
+    token_url = _derive_token_url(node.get("authorizationUrl"), rules)
+    add_token_url = [PatchEdit(f"{ptr}/tokenUrl", "add", token_url)]
+    if flow in ("accessCode", "application"):
+        return add_token_url
+    if flow == "password":
+        # a password grant needs the user's own password; the client
+        # credentials grant exchanges at the same token endpoint
+        edits = [PatchEdit(f"{ptr}/flow", "replace", "application")]
+        return edits if node.get("tokenUrl") else edits + add_token_url
     if flow == "implicit":
-        token_url = _derive_token_url(node.get("authorizationUrl"), [])
-        return LintFinding(
-            "A",
-            ptr,
-            f"oauth2 scheme {scheme_id!r} declares the obsolete implicit flow",
-            Patch(
-                [
-                    PatchEdit(f"{ptr}/flow", "replace", "accessCode"),
-                    PatchEdit(f"{ptr}/tokenUrl", "add", token_url),
-                ]
-            ),
-        )
-    return None
+        return [PatchEdit(f"{ptr}/flow", "add", "accessCode")] + add_token_url
+    return []
 
 
 def _derive_token_url(authorization_url: str | None, rules: list[VendorRule]) -> str:

@@ -117,10 +117,9 @@ def order_tools(
     then deletes within each resource group; an explicit override list
     wins where it names tools."""
     exclusions = exclusions or set()
+    by_name = {t.tool_name: t for t in manifest.tools}
     chosen = [
-        manifest.tool(name)
-        for name in selected
-        if name not in exclusions and manifest.tool(name) is not None
+        by_name[name] for name in selected if name not in exclusions and name in by_name
     ]
     doc_index = {t.tool_name: i for i, t in enumerate(manifest.tools)}
     group_order: dict[str, int] = {}
@@ -139,10 +138,9 @@ def order_tools(
     if order_override:
         names = {t.tool_name for t in ordered}
         pinned = [name for name in order_override if name in names]
-        by_name = {t.tool_name: t for t in ordered}
-        head = [by_name[name] for name in pinned]
-        tail = [t for t in ordered if t.tool_name not in set(pinned)]
-        ordered = head + tail
+        pinned_names = set(pinned)
+        tail = [t for t in ordered if t.tool_name not in pinned_names]
+        ordered = [by_name[name] for name in pinned] + tail
     return ordered
 
 

@@ -17,7 +17,7 @@ import threading
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from urllib.parse import quote
+from urllib.parse import quote, quote_plus
 
 import requests
 
@@ -32,7 +32,6 @@ from .errors import (
 )
 from .security import (
     EnvBinding,
-    INJECT_BASIC_USERPASS,
     KIND_API_KEY,
     KIND_HTTP_BASIC,
     KIND_HTTP_BEARER,
@@ -58,7 +57,6 @@ _RPC_INTERNAL = -32603
 class AuthPlan:
     headers: dict[str, str] = field(default_factory=dict)
     query: dict[str, str] = field(default_factory=dict)
-    secret_values: set[str] = field(default_factory=set)
 
 
 @dataclass
@@ -66,7 +64,6 @@ class InvocationResult:
     http_status: int
     body: object
     is_error: bool
-    request_echo: dict
 
 
 def resolve_auth(
@@ -121,7 +118,6 @@ def _apply_scheme(
         if not value:
             return binding.env_var
         values[binding.role] = value
-        plan.secret_values.add(value)
     if not scheme_bindings:
         return f"(no binding for scheme {scheme.id!r})"
 
@@ -134,12 +130,9 @@ def _apply_scheme(
         else:  # cookie
             _append_cookie(plan, scheme.parameter_name, secret)
     elif scheme.kind == KIND_HTTP_BASIC:
-        userpass = [b for b in scheme_bindings if b.injection == INJECT_BASIC_USERPASS]
-        user = values.get(userpass[0].role, "") if userpass else ""
-        password = values.get(userpass[1].role, "") if len(userpass) > 1 else ""
-        token = base64.b64encode(f"{user}:{password}".encode()).decode()
+        userpass = f"{values.get('USERNAME', '')}:{values.get('PASSWORD', '')}"
+        token = base64.b64encode(userpass.encode()).decode()
         plan.headers["Authorization"] = f"Basic {token}"
-        plan.secret_values.add(token)
     elif scheme.kind in (KIND_HTTP_BEARER, KIND_OAUTH2):
         plan.headers["Authorization"] = f"Bearer {next(iter(values.values()))}"
     return None
@@ -243,7 +236,9 @@ def invoke_tool(
     """Translate one tool call into an upstream HTTP request.
 
     Raises SchemaViolation / MissingCredential before any request is
-    issued; network failures surface as TransportError.
+    issued; network failures surface as TransportError. A parameter the
+    compiler marked as a credential slot is filled by its scheme under
+    every security requirement, never from `args`.
     """
     problems = validate_args(args, tool.input_schema)
     if problems:
@@ -254,21 +249,12 @@ def invoke_tool(
     query: dict[str, object] = {}
     headers: dict[str, str] = {}
     cookies: list[str] = []
-    secret_values: set[str] = set()
-    binding_by_scheme: dict[str, EnvBinding] = {}
-    for binding in bindings:
-        binding_by_scheme.setdefault(binding.scheme_id, binding)
-
+    slots: dict[str, list] = {}
     for param in ep.parameters:
         if param.is_credential:
-            binding = binding_by_scheme.get(param.credential_scheme_id)
-            value = env.get(binding.env_var, "") if binding else ""
-            if not value:
-                raise MissingCredential(
-                    binding.env_var if binding else param.credential_scheme_id or ""
-                )
-            secret_values.add(value)
-        elif param.sanitized_name in args:
+            slots[param.credential_scheme_id] = []
+            continue
+        if param.sanitized_name in args:
             value = args[param.sanitized_name]
         elif param.location == "path":
             raise SchemaViolation(f"missing path parameter {param.name!r}")
@@ -285,7 +271,8 @@ def invoke_tool(
         elif param.location == "cookie":
             cookies.append(f"{param.name}={_scalar(value)}")
 
-    plan = resolve_auth(ep.security, schemes, env, bindings)
+    requirements = [{**slots, **r} for r in ep.security] or [slots]
+    plan = resolve_auth(requirements, schemes, env, bindings)
     plan = merge_extra_headers(plan, env)
     plan_cookie = plan.headers.pop("Cookie", None)
     if plan_cookie:
@@ -294,7 +281,6 @@ def invoke_tool(
     if cookies:
         headers["Cookie"] = "; ".join(cookies)
     query.update(plan.query)
-    secret_values |= plan.secret_values
 
     body_kwargs: dict = {}
     if ep.request_body_schema is not None and "body" in args:
@@ -312,14 +298,13 @@ def invoke_tool(
     url = base_url.rstrip("/") + path
     try:
         response = requests.request(
-            ep.method, url, params=query, headers=headers,
+            ep.method, url, params=query, headers=headers, auth=_no_netrc,
             timeout=timeout, **body_kwargs,
         )
     except requests.RequestException as exc:
-        detail = _redact(f"{exc.__class__.__name__}: {exc}", secret_values)
-        raise TransportError(
-            f"{ep.method} {_redact(url, secret_values)}: {detail}"
-        ) from exc
+        secrets = _bound_secrets(schemes, bindings, env)
+        detail = _redact(f"{exc.__class__.__name__}: {exc}", secrets)
+        raise TransportError(f"{ep.method} {_redact(url, secrets)}: {detail}") from exc
 
     body: object
     content_type = response.headers.get("Content-Type", "")
@@ -331,18 +316,22 @@ def invoke_tool(
     else:
         body = response.text
 
-    echo = {
-        "method": ep.method,
-        "url": _redact(response.url, secret_values),
-        "header_names": sorted(headers),
-    }
-    logger.debug("%s %s -> %s", ep.method, echo["url"], response.status_code)
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug("%s %s -> %s", ep.method,
+                     _redact(response.url, _bound_secrets(schemes, bindings, env)),
+                     response.status_code)
     return InvocationResult(
         http_status=response.status_code,
         body=body,
         is_error=not (200 <= response.status_code <= 299),
-        request_echo=echo,
     )
+
+
+def _no_netrc(request):
+    """A requests `auth` hook that leaves the request as built. Passing
+    any auth stops requests from replacing the Authorization header with
+    a ~/.netrc entry; proxy and CA settings from the env still apply."""
+    return request
 
 
 def _scalar(value) -> str:
@@ -357,13 +346,14 @@ def _bound_secrets(
     schemes: list[SecurityScheme], bindings: list[EnvBinding], env: dict[str, str]
 ) -> set[str]:
     """Every credential value bound in `env`, plus the Basic tokens
-    derived from them."""
+    derived from them: the one set every redaction uses."""
     secrets = {env.get(b.env_var, "") for b in bindings} - {""}
     for scheme in schemes:
         if scheme.kind == KIND_HTTP_BASIC:
             plan = AuthPlan()
-            _apply_scheme(plan, scheme, [b for b in bindings if b.scheme_id == scheme.id], env)
-            secrets |= plan.secret_values
+            scheme_bindings = [b for b in bindings if b.scheme_id == scheme.id]
+            if _apply_scheme(plan, scheme, scheme_bindings, env) is None:
+                secrets.add(plan.headers["Authorization"].removeprefix("Basic "))
     return secrets
 
 
@@ -373,6 +363,7 @@ def _redact(text: str, secrets: set[str]) -> str:
         if secret:
             text = text.replace(secret, REDACTED)
             text = text.replace(quote(secret, safe=""), REDACTED)
+            text = text.replace(quote_plus(secret, safe=""), REDACTED)  # query
     return text
 
 
@@ -446,7 +437,7 @@ def _dispatch(message, manifest, env, bindings, writer, pool, timeout) -> None:
         requested = None
         if isinstance(params, dict):
             requested = params.get("protocolVersion")
-        version = requested if requested in PROTOCOL_VERSIONS else PROTOCOL_VERSIONS[0]
+        version = requested if requested in PROTOCOL_VERSIONS else PROTOCOL_VERSIONS[-1]
         if not is_notification:
             writer.send(
                 {

@@ -14,18 +14,7 @@ KIND_HTTP_BEARER = "http_bearer"
 KIND_OAUTH2 = "oauth2"
 KIND_NONE = "none"
 
-INJECT_HEADER_API_KEY = "header_api_key"
-INJECT_QUERY_API_KEY = "query_api_key"
-INJECT_COOKIE_API_KEY = "cookie_api_key"
-INJECT_BASIC_USERPASS = "basic_userpass"
-INJECT_BEARER_TOKEN = "bearer_token"
-INJECT_OAUTH2_ACCESS_TOKEN = "oauth2_access_token"
-
-_API_KEY_INJECTIONS = {
-    "header": INJECT_HEADER_API_KEY,
-    "query": INJECT_QUERY_API_KEY,
-    "cookie": INJECT_COOKIE_API_KEY,
-}
+_API_KEY_LOCATIONS = ("header", "query", "cookie")
 
 
 @dataclass
@@ -53,7 +42,6 @@ class SecurityScheme:
 class EnvBinding:
     env_var: str
     scheme_id: str
-    injection: str
     role: str  # human-readable slot: API_KEY, USERNAME, PASSWORD, TOKEN, ...
 
 
@@ -66,11 +54,13 @@ def extract_security(contract: FlattenedContract) -> list[SecurityScheme]:
     declared = (contract.tree.get("components") or {}).get("securitySchemes") or {}
     schemes = []
     for scheme_id, node in declared.items():
-        schemes.append(_parse_scheme(scheme_id, node))
+        schemes.append(parse_scheme(scheme_id, node))
     return schemes
 
 
-def _parse_scheme(scheme_id: str, node: dict) -> SecurityScheme:
+def parse_scheme(scheme_id: str, node: dict) -> SecurityScheme:
+    """The one judge of whether a 3.x scheme declaration is usable; the
+    linter reports its SchemeError as the class A finding."""
     if not isinstance(node, dict):
         raise SchemeError(f"security scheme {scheme_id!r} is not a mapping")
     kind = node.get("type")
@@ -79,7 +69,7 @@ def _parse_scheme(scheme_id: str, node: dict) -> SecurityScheme:
     if kind == "apiKey":
         location = node.get("in", "")
         name = node.get("name", "")
-        if location not in _API_KEY_INJECTIONS or not name:
+        if location not in _API_KEY_LOCATIONS or not name:
             raise SchemeError(
                 f"apiKey scheme {scheme_id!r} needs `in` (header/query/cookie) "
                 f"and `name`"
@@ -100,7 +90,8 @@ def _parse_scheme(scheme_id: str, node: dict) -> SecurityScheme:
         )
 
     if kind == "oauth2":
-        flows = _parse_flows(scheme_id, node.get("flows") or {})
+        flows = node.get("flows")
+        flows = _parse_flows(scheme_id, flows if isinstance(flows, dict) else {})
         return SecurityScheme(
             scheme_id, KIND_OAUTH2, flows=flows, description=description
         )
@@ -148,9 +139,9 @@ def build_env_map(
     bindings: list[EnvBinding] = []
     taken: set[str] = set()
 
-    def bind(scheme_id: str, role: str, injection: str) -> EnvBinding:
+    def bind(scheme_id: str, role: str) -> EnvBinding:
         var = _unique(f"{prefix}_{role}", taken)
-        binding = EnvBinding(var, scheme_id, injection, role)
+        binding = EnvBinding(var, scheme_id, role)
         bindings.append(binding)
         return binding
 
@@ -158,24 +149,24 @@ def build_env_map(
     for scheme in schemes:
         if scheme.kind == KIND_API_KEY:
             role = sanitize_env_component(scheme.id) or "API_KEY"
-            binding = bind(scheme.id, role, _API_KEY_INJECTIONS[scheme.location])
+            binding = bind(scheme.id, role)
             lines.append(
                 f"# {scheme.id}: API key sent in {scheme.location} "
                 f"{scheme.parameter_name!r}"
             )
             lines.append(f"{binding.env_var}=")
         elif scheme.kind == KIND_HTTP_BASIC:
-            user = bind(scheme.id, "USERNAME", INJECT_BASIC_USERPASS)
-            password = bind(scheme.id, "PASSWORD", INJECT_BASIC_USERPASS)
+            user = bind(scheme.id, "USERNAME")
+            password = bind(scheme.id, "PASSWORD")
             lines.append(f"# {scheme.id}: HTTP Basic credentials")
             lines.append(f"{user.env_var}=")
             lines.append(f"{password.env_var}=")
         elif scheme.kind == KIND_HTTP_BEARER:
-            binding = bind(scheme.id, "TOKEN", INJECT_BEARER_TOKEN)
+            binding = bind(scheme.id, "TOKEN")
             lines.append(f"# {scheme.id}: HTTP Bearer token")
             lines.append(f"{binding.env_var}=")
         elif scheme.kind == KIND_OAUTH2:
-            binding = bind(scheme.id, "ACCESS_TOKEN", INJECT_OAUTH2_ACCESS_TOKEN)
+            binding = bind(scheme.id, "ACCESS_TOKEN")
             lines.append(
                 f"# {scheme.id}: OAuth2 access token "
                 f"(fill manually or run the token acquisition helper)"

@@ -112,6 +112,33 @@ class TestLint:
         repaired = tmp_path / "class_d.fixed.yaml"
         assert "type: string" in repaired.read_text()
 
+    @pytest.mark.parametrize("case", ["password_2_0", "apikey_no_name_3_x"])
+    def test_scheme_generate_rejects_is_a_finding(self, tmp_path, capsys, case):
+        op = {"get": {"operationId": "getA", "responses": {"200": {"description": "ok"}}}}
+        if case == "password_2_0":
+            tree = {"swagger": "2.0", "info": {"title": "Pw", "version": "1"},
+                    "host": "pw.example", "paths": {"/a": op},
+                    "securityDefinitions": {"pw": {
+                        "type": "oauth2", "flow": "password", "scopes": {},
+                        "tokenUrl": "https://pw.example/oauth/token"}},
+                    "security": [{"pw": []}]}
+        else:
+            tree = {"openapi": "3.0.3", "info": {"title": "Key", "version": "1"},
+                    "servers": [{"url": "https://key.example"}], "paths": {"/a": op},
+                    "components": {"securitySchemes": {
+                        "k": {"type": "apiKey", "in": "header"}}},
+                    "security": [{"k": []}]}
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(tree), encoding="utf-8")
+
+        assert run_cli(["generate", spec, "--out", tmp_path / "plain"]) == 2
+        rejected = capsys.readouterr().err.strip().removeprefix("error: class A: ")
+        assert run_cli(["lint", spec]) == 4
+        [finding] = json.loads(capsys.readouterr().out)["findings"]
+        assert finding["class"] == "A" and finding["message"] == rejected
+        fixed = run_cli(["generate", spec, "--fix", "--out", tmp_path / "fixed"])
+        assert fixed == (0 if case == "password_2_0" else 2)
+
     def test_advisory_only_exits_zero_with_suggestion(self, capsys):
         code = run_cli(
             ["lint", DEFECTS / "class_c.yaml", "--rules", fixture_path("vendor_rules.json")]

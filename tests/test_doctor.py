@@ -16,9 +16,10 @@ from automcp.doctor import (
     lint,
     load_vendor_rules,
 )
-from automcp.errors import NonConvergence, PointerError
+from automcp.errors import NonConvergence, PointerError, SchemeError
 from automcp.ingest import RawDocument, load_document, normalize
 from automcp.refs import flatten
+from automcp.security import extract_security
 from conftest import DEFECTS, fixture_path
 
 
@@ -242,6 +243,136 @@ class TestApplyPatch:
         patched, diff = apply_patch(raw, Patch([PatchEdit("#/a/b", "replace", 2)]))
         assert "b: 2" in patched.text
         assert "-  b: 1" in diff or "-    b: 1" in diff
+
+
+def _oauth2_cases(flows: tuple[str, ...], shape) -> list:
+    """One oauth2 node per flow, with and without a tokenUrl."""
+    cases = []
+    for flow in flows:
+        for token_url in (None, "https://auth.example/token"):
+            cases.append(
+                pytest.param(shape(flow, token_url),
+                             id=f"oauth2-{flow}-{'token' if token_url else 'no-token'}")
+            )
+    return cases
+
+
+def _oauth2_3_x(flow: str, token_url: str | None) -> dict:
+    body = {"authorizationUrl": "https://auth.example/authorize", "scopes": {}}
+    if token_url:
+        body["tokenUrl"] = token_url
+    return {"type": "oauth2", "flows": {flow: body}}
+
+
+def _oauth2_2_0(flow: str, token_url: str | None) -> dict:
+    node = {"type": "oauth2", "flow": flow, "scopes": {},
+            "authorizationUrl": "https://auth.example/authorize"}
+    if token_url:
+        node["tokenUrl"] = token_url
+    return node
+
+
+_COMMON_SCHEME_CASES = [
+    pytest.param({"type": "apiKey", "in": "header", "name": "X-K"}, id="apikey"),
+    pytest.param({"type": "apiKey", "in": "header"}, id="apikey-no-name"),
+    pytest.param({"type": "apiKey", "name": "k"}, id="apikey-no-in"),
+    pytest.param({"type": "apiKey", "in": "body", "name": "k"}, id="apikey-bad-in"),
+    pytest.param({"type": "apikey", "in": "header", "name": "X-K"}, id="apikey-casing"),
+    pytest.param({"type": "apikey", "in": "header"}, id="apikey-casing-no-name"),
+    pytest.param({"type": "http", "scheme": "bearer"}, id="http-bearer"),
+    pytest.param({"type": "http", "scheme": "digest"}, id="http-digest"),
+    pytest.param({"type": "mutualTLS"}, id="unknown-type"),
+    pytest.param({"description": "no type"}, id="no-type"),
+    pytest.param("bearer", id="not-a-mapping"),
+    pytest.param(["x"], id="list-node"),
+]
+
+SCHEME_CASES_3_X = _COMMON_SCHEME_CASES + [
+    pytest.param({"type": "http", "scheme": "basic"}, id="http-basic"),
+    pytest.param({"type": "http"}, id="http-no-scheme"),
+    pytest.param({"type": "basic"}, id="basic-is-2.0-only"),
+    pytest.param({"type": "oauth2", "flows": {}}, id="oauth2-no-flows"),
+    pytest.param({"type": "oauth2", "flows": ["password"]}, id="oauth2-flows-list"),
+] + _oauth2_cases(
+    ("authorizationCode", "clientCredentials", "implicit", "password"), _oauth2_3_x
+)
+
+SCHEME_CASES_2_0 = _COMMON_SCHEME_CASES + [
+    pytest.param({"type": "basic"}, id="basic"),
+    pytest.param({"type": "oauth2", "scopes": {}}, id="oauth2-no-flow"),
+    pytest.param({"type": "oauth2", "flow": "magic", "tokenUrl": "https://a.example/t"},
+                 id="oauth2-unknown-flow"),
+] + _oauth2_cases(
+    ("accessCode", "application", "implicit", "password"), _oauth2_2_0
+)
+
+
+def _one_scheme_doc(dialect: str, node) -> RawDocument:
+    op = {"get": {"operationId": "getA", "responses": {"200": {"description": "ok"}}}}
+    if dialect == "openapi_2_0":
+        tree = {"swagger": "2.0", "info": {"title": "One", "version": "1"},
+                "host": "one.example", "securityDefinitions": {"s": node}}
+    else:
+        tree = {"openapi": "3.0.3", "info": {"title": "One", "version": "1"},
+                "servers": [{"url": "https://one.example"}],
+                "components": {"securitySchemes": {"s": node}}}
+    tree["security"] = [{"s": []}]
+    tree["paths"] = {"/a": op}
+    return mem_doc(tree, dialect=dialect)
+
+
+class TestLintAgreesWithCompiler:
+    """lint reports class A for a declared scheme iff the compiler rejects
+    it, with the compiler's own message; every repair it offers compiles."""
+
+    def check(self, raw: RawDocument) -> None:
+        try:
+            extract_security(flatten(normalize(raw)))
+            rejected = None
+        except SchemeError as exc:
+            rejected = str(exc)
+        findings = [f for f in lint(flatten(normalize(raw)), raw) if f.lint_class == "A"]
+        if rejected is None:
+            assert findings == []
+            return
+        [finding] = findings
+        assert finding.message == rejected
+        if finding.patch is not None:
+            report = fix_loop(raw)
+            extract_security(flatten(normalize(report.document)))
+
+    @pytest.mark.parametrize("node", SCHEME_CASES_3_X)
+    def test_openapi_3_x(self, node):
+        self.check(_one_scheme_doc("openapi_3_x", node))
+
+    @pytest.mark.parametrize("node", SCHEME_CASES_2_0)
+    def test_swagger_2_0(self, node):
+        self.check(_one_scheme_doc("openapi_2_0", node))
+
+    @pytest.mark.parametrize(
+        "target", [{"type": "http", "scheme": "bearer"}, {"type": "apiKey", "in": "query"}]
+    )
+    def test_ref_to_a_scheme_is_judged_by_its_target(self, target):
+        raw = _one_scheme_doc("openapi_3_x", {"$ref": "#/components/x-auth"})
+        raw.tree["components"]["x-auth"] = target
+        self.check(raw)
+
+    def test_vendor_token_url_applies_to_2_0_repairs(self):
+        raw = _one_scheme_doc("openapi_2_0", _oauth2_2_0("accessCode", None))
+        rules = load_vendor_rules_text({"^One$": {"token_url": "https://v.example/t"}})
+        [finding] = lint(flatten(normalize(raw)), raw, rules)
+        assert finding.patch.edits == [
+            PatchEdit("#/securityDefinitions/s/tokenUrl", "add", "https://v.example/t")
+        ]
+
+    def test_password_flow_repair_is_client_credentials(self):
+        node = _oauth2_2_0("password", "https://auth.example/token")
+        raw = _one_scheme_doc("openapi_2_0", node)
+        [finding] = lint(flatten(normalize(raw)), raw)
+        assert finding.location == "#/securityDefinitions/s"
+        assert finding.patch.edits == [
+            PatchEdit("#/securityDefinitions/s/flow", "replace", "application")
+        ]
 
 
 class TestPatchSufficiency:

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import base64
+import dataclasses
 import io
 import json
+import logging
 
 import pytest
 
@@ -249,18 +251,23 @@ class TestInvokeTool:
                 )
             assert mock.records == []
 
-    def test_secrets_redacted_in_request_echo(self, trello):
+    def test_secrets_redacted_in_request_echo(self, trello, caplog):
+        # the DEBUG line is the only echo of the request's URL
         env, creds = sentinel_credentials(trello)
         with run_mock_upstream(trello.manifest, credentials=creds) as mock:
             tool = trello.manifest.tool("list_cards")
-            result = invoke_tool(
-                tool, {}, env, mock.base_url,
-                trello.manifest.schemes, trello.bindings,
-            )
-        echo_text = json.dumps(result.request_echo)
+            with caplog.at_level(logging.DEBUG, logger="automcp.runtime"):
+                invoke_tool(
+                    tool, {}, env, mock.base_url,
+                    trello.manifest.schemes, trello.bindings,
+                )
+        [line] = [r.getMessage() for r in caplog.records
+                  if r.name == "automcp.runtime"]
+        assert line.startswith("GET http://127.0.0.1:")
+        assert "/cards?" in line and line.endswith("-> 200")
         for secret in creds.values():
-            assert secret not in echo_text
-        assert "***" in result.request_echo["url"]
+            assert secret not in line
+        assert "key=***" in line and "token=***" in line
 
     def test_secret_inside_another_is_redacted_whole(self):
         # 20 pairs, so no set iteration order puts every longer one first
@@ -276,6 +283,78 @@ class TestInvokeTool:
                 tool, {"id": "1"}, env, "http://127.0.0.1:1",
                 trello.manifest.schemes, trello.bindings, timeout=2,
             )
+
+    def test_form_encoded_query_key_is_redacted(self, allauth):
+        # requests form-encodes the query: a space becomes `+`, `+` `%2B`
+        key = "s3cr3t key+x/y"
+        env, _ = sentinel_credentials(allauth)
+        [binding] = [b for b in allauth.bindings if b.scheme_id == "queryKey"]
+        env[binding.env_var] = key
+        closed = dataclasses.replace(allauth.manifest, base_url="http://127.0.0.1:1")
+        with pytest.raises(TransportError) as excinfo:
+            invoke_tool(
+                closed.tool("listwidgets"), {}, env, closed.base_url,
+                closed.schemes, allauth.bindings, timeout=2,
+            )
+        call = {"jsonrpc": "2.0", "id": 1, "method": "tools/call",
+                "params": {"name": "listwidgets", "arguments": {}}}
+        stdout = io.StringIO()
+        serve(closed, env, stdin=io.StringIO(json.dumps(call) + "\n"), stdout=stdout,
+              timeout=2)
+        reply = json.loads(stdout.getvalue())["result"]["content"][0]["text"]
+        for text in (str(excinfo.value), reply):
+            assert "api_key=***" in text
+            assert "s3cr3t" not in text
+
+    def test_netrc_does_not_replace_runtime_auth(self, allauth, tmp_path, monkeypatch):
+        netrc = tmp_path / "netrc"
+        netrc.write_text("machine 127.0.0.1 login netrcuser password netrcpass\n")
+        netrc.chmod(0o600)
+        monkeypatch.setenv("NETRC", str(netrc))
+        env, creds = sentinel_credentials(allauth)
+        with run_mock_upstream(allauth.manifest, credentials=creds) as mock:
+            result = invoke_tool(
+                allauth.manifest.tool("listnotes"), {}, env, mock.base_url,
+                allauth.manifest.schemes, allauth.bindings,
+            )
+            record = mock.last_record()
+        assert record.headers["Authorization"] == f"Bearer {creds['bearerAuth']}"
+        assert result.is_error is False
+
+    def test_credential_slot_filled_without_a_requirement(self, tmp_path):
+        # an api-key parameter on an operation marked public is still a
+        # credential slot: filled from the env, never from `args`
+        tree = {
+            "openapi": "3.0.0",
+            "info": {"title": "Search", "version": "1"},
+            "servers": [{"url": "https://search.example"}],
+            "components": {
+                "securitySchemes": {"k": {"type": "apiKey", "in": "query", "name": "key"}}
+            },
+            "paths": {"/search": {"get": {
+                "security": [],
+                "parameters": [
+                    {"name": "key", "in": "query", "required": True,
+                     "schema": {"type": "string"}},
+                    {"name": "q", "in": "query", "schema": {"type": "string"}},
+                ],
+                "responses": {"200": {"description": "ok"}},
+            }}},
+        }
+        spec = tmp_path / "search.json"
+        spec.write_text(json.dumps(tree), encoding="utf-8")
+        compiled = compile_file(spec)
+        tool = compiled.manifest.tools[0]
+        env, creds = sentinel_credentials(compiled)
+        with run_mock_upstream(compiled.manifest, credentials=creds) as mock:
+            invoke_tool(tool, {"q": "x"}, env, mock.base_url,
+                        compiled.manifest.schemes, compiled.bindings)
+            record = mock.last_record()
+            with pytest.raises(MissingCredential) as excinfo:
+                invoke_tool(tool, {"q": "x"}, {}, mock.base_url,
+                            compiled.manifest.schemes, compiled.bindings)
+        assert record.query == {"q": "x", "key": creds["k"]}
+        assert excinfo.value.env_var == "SEARCH_K"
 
     def test_cookie_auth_merges_with_cookie_params(self, tmp_path):
         tree = {
@@ -350,7 +429,7 @@ class TestServe:
             [{"jsonrpc": "2.0", "id": 1, "method": "initialize",
               "params": {"protocolVersion": "1999-01-01"}}],
         )
-        assert responses[0]["result"]["protocolVersion"] == "2024-11-05"
+        assert responses[0]["result"]["protocolVersion"] == "2025-06-18"  # the latest
 
     def test_tools_list_matches_manifest(self, trello):
         responses = run_serve(
