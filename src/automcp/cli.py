@@ -245,10 +245,9 @@ def cmd_lint(cfg: argparse.Namespace) -> int:
             payload["repaired_spec"] = str(repaired)
             payload["diff_file"] = str(diff_file)
         print(json.dumps(payload, indent=2, ensure_ascii=False))
-        return EXIT_OK
+        return _lint_exit(report.residual_advisories)
 
     findings = lint(flatten(normalize(raw)), raw, rules)
-    blocking = [f for f in findings if f.lint_class != "C"]
     payload = {
         "summary": f"{len(findings)} findings",
         "findings": [f.to_dict() for f in findings],
@@ -256,7 +255,13 @@ def cmd_lint(cfg: argparse.Namespace) -> int:
         "clean": not findings,
     }
     print(json.dumps(payload, indent=2, ensure_ascii=False))
-    return EXIT_FINDINGS if blocking else EXIT_OK
+    return _lint_exit(findings)
+
+
+def _lint_exit(findings: list) -> int:
+    """4 while a finding other than a class C advisory remains (a class C
+    fix lives in the server's `.env`, not in the contract)."""
+    return EXIT_FINDINGS if any(f.lint_class != "C" for f in findings) else EXIT_OK
 
 
 def cmd_sample(cfg: argparse.Namespace) -> int:

@@ -1,8 +1,8 @@
 """Compile every (path, method) operation into an MCP tool definition.
 
 Compilation is total on validated contracts and deterministic: identical
-contract bytes produce an identical manifest. Operations are visited in
-document order; no operation is silently dropped.
+contract bytes produce an identical manifest. Every operation that
+`ingest.operations` yields becomes one tool, in document order.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import copy
 import re
 from dataclasses import dataclass, field
 
-from .ingest import HTTP_METHODS, _PATH_VAR_RE
+from .ingest import operations, parameters
 from .refs import FlattenedContract
 from .security import KIND_API_KEY, SecurityScheme
 
@@ -84,35 +84,30 @@ def list_endpoints(contract: FlattenedContract) -> list[EndpointDescriptor]:
     doc_security = tree.get("security") or []
     endpoints: list[EndpointDescriptor] = []
 
-    for path, item in (tree.get("paths") or {}).items():
-        if not isinstance(item, dict):
-            continue
-        path_params = [p for p in item.get("parameters", []) if isinstance(p, dict)]
-        for method in item:
-            if method not in HTTP_METHODS or not isinstance(item[method], dict):
-                continue
-            op = item[method]
-            merged = _merge_parameters(path_params, op.get("parameters") or [])
-            body_schema, body_required, content_type = _pick_request_body(
-                op.get("requestBody")
+    for path, item, method, op in operations(tree):
+        merged = _merge_parameters(parameters(item), parameters(op))
+        body_schema, body_required, content_type = _pick_request_body(
+            op.get("requestBody")
+        )
+        security = op.get("security")
+        if not isinstance(security, list):  # absent or malformed: inherit
+            security = doc_security
+        endpoints.append(
+            EndpointDescriptor(
+                method=method.upper(),
+                path_template=path,
+                operation_id=op.get("operationId"),
+                summary=op.get("summary", "") or "",
+                description=op.get("description", "") or "",
+                parameters=_build_param_specs(merged, has_body=body_schema is not None),
+                request_body_schema=body_schema,
+                request_body_required=body_required,
+                request_content_type=content_type,
+                success_status=_pick_success_status(op.get("responses")),
+                security=[s for s in security if isinstance(s, dict)],
+                deprecated=bool(op.get("deprecated", False)),
             )
-            security = op["security"] if "security" in op else doc_security
-            endpoints.append(
-                EndpointDescriptor(
-                    method=method.upper(),
-                    path_template=path,
-                    operation_id=op.get("operationId"),
-                    summary=op.get("summary", "") or "",
-                    description=op.get("description", "") or "",
-                    parameters=_build_param_specs(merged, has_body=body_schema is not None),
-                    request_body_schema=body_schema,
-                    request_body_required=body_required,
-                    request_content_type=content_type,
-                    success_status=_pick_success_status(op.get("responses")),
-                    security=[s for s in security if isinstance(s, dict)],
-                    deprecated=bool(op.get("deprecated", False)),
-                )
-            )
+        )
     return endpoints
 
 
@@ -251,13 +246,12 @@ def manifest_to_dict(manifest: ToolManifest, include_bindings: bool = False) -> 
 # -- internals ----------------------------------------------------------------
 
 
-def _merge_parameters(path_level: list[dict], op_level: list) -> list[dict]:
-    op_params = [p for p in op_level if isinstance(p, dict)]
-    op_keys = {(p.get("name"), p.get("in")) for p in op_params}
+def _merge_parameters(path_level: list[dict], op_level: list[dict]) -> list[dict]:
+    op_keys = {(p.get("name"), p.get("in")) for p in op_level}
     merged = [
         p for p in path_level if (p.get("name"), p.get("in")) not in op_keys
     ]
-    return merged + op_params
+    return merged + op_level
 
 
 def _build_param_specs(params: list[dict], has_body: bool) -> list[ParamSpec]:

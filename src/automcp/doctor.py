@@ -28,9 +28,10 @@ from .errors import BaseUrlError, NonConvergence, PointerError, SchemeError
 from .ingest import (
     DIALECT_2_0,
     FORMAT_JSON,
-    HTTP_METHODS,
     RawDocument,
     normalize,
+    operations,
+    parameters,
     resolve_base_url,
 )
 from .refs import FlattenedContract, escape_token, flatten, pointer_segments
@@ -156,15 +157,10 @@ def _lint_class_a(
     for requirement in raw.tree.get("security") or []:
         if isinstance(requirement, dict):
             referenced.update(requirement)
-    for item in (raw.tree.get("paths") or {}).values():
-        if not isinstance(item, dict):
-            continue
-        for method in HTTP_METHODS:
-            op = item.get(method)
-            if isinstance(op, dict):
-                for requirement in op.get("security") or []:
-                    if isinstance(requirement, dict):
-                        referenced.update(requirement)
+    for _, _, _, op in operations(raw.tree):
+        for requirement in op.get("security") or []:
+            if isinstance(requirement, dict):
+                referenced.update(requirement)
 
     for scheme_id in sorted(referenced - set(declared)):
         findings.append(
@@ -204,8 +200,9 @@ def _scheme_repair(
     raw: RawDocument, ptr: str, node: Any, rules: list[VendorRule]
 ) -> tuple[str, list[PatchEdit]]:
     """Where to report a scheme the compiler rejects, and the edits to the
-    original-dialect node that make it usable (none when no repair is
-    known: an incomplete apiKey, an unsupported http scheme)."""
+    original-dialect node that make it usable. There are none when the
+    contract does not say how the credential is sent: an incomplete
+    apiKey, an unsupported http scheme, an unknown or missing type."""
     if not isinstance(node, dict) or "$ref" in node:
         return ptr, []
     kind = node.get("type")
@@ -213,23 +210,16 @@ def _scheme_repair(
         if raw.dialect == DIALECT_2_0:
             return ptr, _oauth2_repair_2_0(ptr, node, rules)
         return _oauth2_repair_3_x(ptr, node, rules)
-    if kind in ("apiKey", "http"):
-        return ptr, []
     if (
         isinstance(kind, str)
+        and kind != "apiKey"
         and kind.lower() == "apikey"
         and node.get("in")
         and node.get("name")
     ):
         # common casing mistake; the declaration is otherwise complete
         return ptr, [PatchEdit(f"{ptr}/type", "replace", "apiKey")]
-    # "add" sets `type` whether or not the node has one
-    if raw.dialect == DIALECT_2_0:
-        return ptr, [PatchEdit(f"{ptr}/type", "add", "basic")]
-    return ptr, [
-        PatchEdit(f"{ptr}/type", "add", "http"),
-        PatchEdit(f"{ptr}/scheme", "add", "bearer"),
-    ]
+    return ptr, []
 
 
 def _oauth2_repair_3_x(
@@ -343,30 +333,28 @@ def _lint_class_d(raw: RawDocument, rules: list[VendorRule]) -> list[LintFinding
     override_names = {
         name for rule in rules for name in rule.string_path_params
     }
+    paths = raw.tree.get("paths")
+    holders = [
+        (item, f"#/paths/{escape_token(path)}")
+        for path, item in (paths.items() if isinstance(paths, dict) else ())
+        if isinstance(item, dict)
+    ] + [
+        (op, f"#/paths/{escape_token(path)}/{method}")
+        for path, _, method, op in operations(raw.tree)
+    ]
     findings: list[LintFinding] = []
-    for path, item in (raw.tree.get("paths") or {}).items():
-        if not isinstance(item, dict):
-            continue
-        path_ptr = f"#/paths/{escape_token(path)}"
-        for holder, holder_ptr in _parameter_holders(item, path_ptr):
-            for i, param in enumerate(holder):
-                if not isinstance(param, dict) or param.get("in") != "path":
-                    continue
-                finding = _check_path_param_type(
-                    param, f"{holder_ptr}/{i}", override_names
-                )
-                if finding:
-                    findings.append(finding)
+    for holder, holder_ptr in holders:
+        params = holder.get("parameters")
+        # pointers index the raw list, entries that are not mappings included
+        for i, param in enumerate(params if isinstance(params, list) else []):
+            if not isinstance(param, dict) or param.get("in") != "path":
+                continue
+            finding = _check_path_param_type(
+                param, f"{holder_ptr}/parameters/{i}", override_names
+            )
+            if finding:
+                findings.append(finding)
     return findings
-
-
-def _parameter_holders(item: dict, path_ptr: str):
-    if isinstance(item.get("parameters"), list):
-        yield item["parameters"], f"{path_ptr}/parameters"
-    for method in HTTP_METHODS:
-        op = item.get(method)
-        if isinstance(op, dict) and isinstance(op.get("parameters"), list):
-            yield op["parameters"], f"{path_ptr}/{method}/parameters"
 
 
 def _check_path_param_type(
@@ -405,20 +393,13 @@ def _lint_class_e(raw: RawDocument) -> list[LintFinding]:
     }
 
     groups: dict[str, list[tuple[str, str, dict, bool, str | None]]] = {}
-    for path, item in (raw.tree.get("paths") or {}).items():
-        if not isinstance(item, dict):
-            continue
-        path_level = [p for p in item.get("parameters", []) if isinstance(p, dict)]
-        for method in HTTP_METHODS:
-            op = item.get(method)
-            if not isinstance(op, dict):
-                continue
-            covered, scheme_id = _op_coverage(
-                op, path_level, doc_security, api_key_params
-            )
-            groups.setdefault(path_group(path), []).append(
-                (path, method, op, covered, scheme_id)
-            )
+    for path, item, method, op in operations(raw.tree):
+        covered, scheme_id = _op_coverage(
+            op, parameters(item), doc_security, api_key_params
+        )
+        groups.setdefault(path_group(path), []).append(
+            (path, method, op, covered, scheme_id)
+        )
 
     findings: list[LintFinding] = []
     for group, ops in groups.items():
@@ -445,22 +426,17 @@ def _op_coverage(
     """(is the operation covered, id of the scheme protecting it).
 
     An explicit empty `security: []` counts as covered: the author
-    deliberately marked the operation public.
+    deliberately marked the operation public. A `security` value that is
+    not a list is read as absent, as the compiler reads it.
     """
-    if "security" in op:
-        security = op["security"]
-        explicit = True
-    else:
-        security = doc_security
-        explicit = False
+    explicit = isinstance(op.get("security"), list)
+    security = op["security"] if explicit else doc_security
     for requirement in security or []:
         if isinstance(requirement, dict) and requirement:
             return True, next(iter(requirement))
     if explicit and security == []:
         return True, None
-    for param in list(op.get("parameters") or []) + path_level_params:
-        if not isinstance(param, dict):
-            continue
+    for param in parameters(op) + path_level_params:
         scheme_id = api_key_params.get((param.get("name"), param.get("in")))
         if scheme_id:
             return True, scheme_id
@@ -616,6 +592,7 @@ class FixReport:
     findings_by_class: dict[str, int] = field(default_factory=dict)
     loc_changed_by_class: dict[str, int] = field(default_factory=dict)
     total_loc_changed: int = 0
+    # every finding left without a patch, class C advisories included
     residual_advisories: list[LintFinding] = field(default_factory=list)
     diff: str = ""
     changed: bool = False
@@ -648,9 +625,7 @@ def fix_loop(
         contract = flatten(normalize(doc))
         findings = lint(contract, doc, rules)
         patchable = [f for f in findings if f.patch is not None]
-        report.residual_advisories = [
-            f for f in findings if f.patch is None and f.lint_class == "C"
-        ]
+        report.residual_advisories = [f for f in findings if f.patch is None]
         if not patchable:
             report.document = doc
             return report

@@ -45,11 +45,9 @@ class BaseUrlError(AutoMcpError):
 class DanglingRefError(AutoMcpError):
     """A $ref points at a location that does not exist in the document."""
 
-    def __init__(self, pointer: str, at: str = "") -> None:
+    def __init__(self, pointer: str) -> None:
         self.pointer = pointer
-        self.at = at
-        where = f" (referenced at {at})" if at else ""
-        super().__init__(f"$ref target not found: {pointer}{where}")
+        super().__init__(f"$ref target not found: {pointer}")
 
 
 class ExternalRefError(AutoMcpError):
@@ -107,11 +105,6 @@ class ExtraHeadersParseError(AutoMcpError):
 
 class FatalValidationError(AutoMcpError):
     """Validation found a defect the compiler cannot proceed past."""
-
-    def __init__(self, findings) -> None:
-        self.findings = findings
-        first = findings[0].message if findings else "invalid document"
-        super().__init__(first)
 
 
 class PointerError(AutoMcpError):

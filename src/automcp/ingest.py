@@ -12,7 +12,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 import yaml
 
@@ -182,13 +182,36 @@ def resolve_base_url(doc: RawDocument) -> str:
     return url
 
 
+def operations(tree: dict) -> Iterator[tuple[str, dict, str, dict]]:
+    """(path, path item, method, operation) for every operation, in
+    document order: each mapping under an HTTP-method key of a mapping
+    path item. The one definition of an operation; every other walk over
+    `paths` iterates this."""
+    paths = tree.get("paths")
+    if not isinstance(paths, dict):
+        return
+    for path, item in paths.items():
+        if isinstance(item, dict):
+            for method, op in item.items():
+                if method in HTTP_METHODS and isinstance(op, dict):
+                    yield path, item, method, op
+
+
+def parameters(node: dict) -> list[dict]:
+    """The mapping entries of a path item's or operation's `parameters`;
+    [] when the value is missing or not a list."""
+    params = node.get("parameters")
+    return [p for p in params if isinstance(p, dict)] if isinstance(params, list) else []
+
+
 def normalize(doc: RawDocument) -> dict:
     """Rewrite a document into 3.x shape and repair mechanical defects.
 
     Total on parseable documents: 2.0 constructs are relocated, duplicate
-    operationIds are suffixed ``_2``, ``_3``, ... in document order, and
-    undeclared path template variables gain a synthesized required string
-    parameter. Idempotent.
+    operationIds are suffixed ``_2``, ``_3``, ... in the document order of
+    `operations` (the first use keeps its id), and undeclared path
+    template variables gain a synthesized required string parameter.
+    Idempotent.
     """
     tree = copy.deepcopy(doc.tree)
     if str(tree.get("swagger")) == "2.0":
@@ -227,10 +250,12 @@ def _convert_2_0(tree: dict) -> dict:
 
     doc_consumes = tree.get("consumes") or []
     doc_produces = tree.get("produces") or []
+    paths = tree.get("paths") or {}
     out["paths"] = {
-        path: _convert_path_item(item, doc_consumes, doc_produces)
-        for path, item in (tree.get("paths") or {}).items()
-    }
+        path: _convert_path_item(item) for path, item in paths.items()
+    } if isinstance(paths, dict) else paths
+    for _, item, method, op in operations(out):
+        item[method] = _convert_operation(op, doc_consumes, doc_produces)
     _rewrite_refs(out)
     return out
 
@@ -274,19 +299,12 @@ def _convert_security_scheme(node: Any) -> Any:
     return node  # apiKey and anything else keep their 3.x-compatible shape
 
 
-def _convert_path_item(item: Any, doc_consumes: list, doc_produces: list) -> Any:
+def _convert_path_item(item: Any) -> Any:
     if not isinstance(item, dict):
         return item
-    converted = dict(item)
-    for method in HTTP_METHODS:
-        if method in converted and isinstance(converted[method], dict):
-            converted[method] = _convert_operation(
-                converted[method], doc_consumes, doc_produces
-            )
-    if "parameters" in converted:
-        converted["parameters"] = [
-            _convert_parameter(p) for p in converted["parameters"]
-        ]
+    converted = dict(item)  # YAML aliases can share one item between paths
+    if "parameters" in item:
+        converted["parameters"] = [_convert_parameter(p) for p in parameters(item)]
     return converted
 
 
@@ -295,16 +313,10 @@ def _convert_operation(op: dict, doc_consumes: list, doc_produces: list) -> dict
     produces = op.get("produces") or doc_produces or ["application/json"]
     out = {k: v for k, v in op.items() if k not in ("consumes", "produces")}
 
-    params = out.get("parameters") or []
-    body_params = [p for p in params if isinstance(p, dict) and p.get("in") == "body"]
-    form_params = [
-        p for p in params if isinstance(p, dict) and p.get("in") == "formData"
-    ]
-    rest = [
-        p
-        for p in params
-        if not (isinstance(p, dict) and p.get("in") in ("body", "formData"))
-    ]
+    params = parameters(out)
+    body_params = [p for p in params if p.get("in") == "body"]
+    form_params = [p for p in params if p.get("in") == "formData"]
+    rest = [p for p in params if p.get("in") not in ("body", "formData")]
     out["parameters"] = [_convert_parameter(p) for p in rest]
     if not out["parameters"]:
         del out["parameters"]
@@ -347,8 +359,8 @@ def _convert_operation(op: dict, doc_consumes: list, doc_produces: list) -> dict
     return out
 
 
-def _convert_parameter(param: Any) -> Any:
-    if not isinstance(param, dict) or "$ref" in param or "schema" in param:
+def _convert_parameter(param: dict) -> dict:
+    if "$ref" in param or "schema" in param:
         return param
     if not any(k in param for k in ("type", "items", "enum", "format", "default")):
         return param
@@ -402,50 +414,28 @@ def _rewrite_refs(node: Any) -> None:
 
 def _dedupe_operation_ids(tree: dict) -> None:
     seen: dict[str, int] = {}
-    for item in (tree.get("paths") or {}).values():
-        if not isinstance(item, dict):
+    for _, _, _, op in operations(tree):
+        if "operationId" not in op:
             continue
-        for method in HTTP_METHODS:
-            op = item.get(method)
-            if not isinstance(op, dict) or "operationId" not in op:
-                continue
-            op_id = op["operationId"]
-            if op_id in seen:
-                seen[op_id] += 1
-                op["operationId"] = f"{op_id}_{seen[op_id]}"
-                seen[op["operationId"]] = 1
-            else:
-                seen[op_id] = 1
+        op_id = op["operationId"]
+        if op_id in seen:
+            seen[op_id] += 1
+            op["operationId"] = f"{op_id}_{seen[op_id]}"
+            seen[op["operationId"]] = 1
+        else:
+            seen[op_id] = 1
 
 
 def _synthesize_path_params(tree: dict) -> None:
-    for path, item in (tree.get("paths") or {}).items():
-        if not isinstance(item, dict):
-            continue
-        path_vars = _PATH_VAR_RE.findall(path)
-        if not path_vars:
-            continue
-        path_level = {
-            p.get("name")
-            for p in item.get("parameters", [])
-            if isinstance(p, dict) and p.get("in") == "path"
+    for path, item, _, op in operations(tree):
+        declared = {
+            p.get("name") for p in parameters(item) + parameters(op)
+            if p.get("in") == "path"
         }
-        for method in HTTP_METHODS:
-            op = item.get(method)
-            if not isinstance(op, dict):
-                continue
-            declared = path_level | {
-                p.get("name")
-                for p in op.get("parameters", [])
-                if isinstance(p, dict) and p.get("in") == "path"
-            }
-            for var in path_vars:
-                if var not in declared:
-                    op.setdefault("parameters", []).append(
-                        {
-                            "name": var,
-                            "in": "path",
-                            "required": True,
-                            "schema": {"type": "string"},
-                        }
-                    )
+        missing = [var for var in _PATH_VAR_RE.findall(path) if var not in declared]
+        if missing and not isinstance(op.get("parameters"), list):
+            op["parameters"] = []
+        for var in missing:
+            op["parameters"].append(
+                {"name": var, "in": "path", "required": True, "schema": {"type": "string"}}
+            )

@@ -138,29 +138,6 @@ def acquire_oauth_token(
     return _store_tokens(env_path, env_var, tokens)
 
 
-def acquire_client_credentials_token(
-    flows: OAuth2Flows,
-    client_id: str,
-    client_secret: str,
-    env_path: str | Path,
-    env_var: str,
-    scopes: list[str] | None = None,
-) -> str:
-    """clientCredentials grant: a direct POST to the token endpoint."""
-    if not flows.token_url:
-        raise FlowUnusableError("clientCredentials flow unusable: no tokenUrl")
-    payload = {
-        "grant_type": "client_credentials",
-        "client_id": client_id,
-        "client_secret": client_secret,
-    }
-    requested = list(flows.scopes) if scopes is None else scopes
-    if requested:
-        payload["scope"] = " ".join(requested)
-    tokens = _exchange(flows.token_url, payload)
-    return _store_tokens(env_path, env_var, tokens)
-
-
 def _exchange(token_url: str, payload: dict) -> dict:
     response = requests.post(token_url, data=payload, timeout=30)
     if not (200 <= response.status_code <= 299):

@@ -7,9 +7,9 @@ from pathlib import Path
 
 from .compiler import ToolManifest, compile_manifest
 from .doctor import FixReport, VendorRule, fix_loop
-from .errors import FatalValidationError, nesting_guard
-from .ingest import HTTP_METHODS, RawDocument, load_document, normalize, resolve_base_url
-from .refs import FlattenedContract, ValidationFinding, flatten, validate
+from .errors import nesting_guard
+from .ingest import RawDocument, load_document, normalize, operations, resolve_base_url
+from .refs import FlattenedContract, flatten, validate
 from .security import EnvBinding, build_env_map, extract_security
 
 
@@ -20,7 +20,6 @@ class CompiledApi:
     manifest: ToolManifest
     bindings: list[EnvBinding]
     env_template: str
-    validation: list[ValidationFinding]
     fix_report: FixReport | None = None
 
 
@@ -45,10 +44,7 @@ def compile_file(
 
     base_url = resolve_base_url(raw)
     contract = flatten(normalize(raw))
-    findings = validate(contract)
-    fatal = [f for f in findings if f.fatal]
-    if fatal:
-        raise FatalValidationError(fatal)
+    validate(contract)
 
     schemes = extract_security(contract)
     manifest = compile_manifest(contract, schemes, base_url=base_url)
@@ -59,7 +55,6 @@ def compile_file(
         manifest=manifest,
         bindings=bindings,
         env_template=env_template,
-        validation=findings,
         fix_report=fix_report,
     )
 
@@ -67,8 +62,4 @@ def compile_file(
 def count_operations(tree: dict) -> int:
     """Operation count straight off a parsed document; usable even when
     compilation fails (for failure-rate denominators)."""
-    count = 0
-    for item in (tree.get("paths") or {}).values():
-        if isinstance(item, dict):
-            count += sum(1 for m in item if m in HTTP_METHODS)
-    return count
+    return sum(1 for _ in operations(tree))

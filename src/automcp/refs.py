@@ -1,4 +1,4 @@
-"""Recursive $ref inlining and structural validation of the result."""
+"""Recursive $ref inlining, and the one structural check compilation needs."""
 
 from __future__ import annotations
 
@@ -6,11 +6,7 @@ from dataclasses import dataclass, field
 from typing import Any
 from urllib.parse import unquote
 
-from .errors import DanglingRefError, ExternalRefError
-from .ingest import HTTP_METHODS
-
-# Path-item keys that are legitimately not operations.
-_PATH_ITEM_META = ("parameters", "summary", "description", "servers")
+from .errors import DanglingRefError, ExternalRefError, FatalValidationError
 
 _CYCLE_PLACEHOLDER_PREFIX = "cyclic reference to "
 
@@ -26,13 +22,6 @@ class FlattenedContract:
     tree: dict
     ref_count_resolved: int = 0
     cycles_detected: list[str] = field(default_factory=list)
-
-
-@dataclass
-class ValidationFinding:
-    pointer: str
-    message: str
-    fatal: bool = False
 
 
 def escape_token(key: str) -> str:
@@ -125,68 +114,10 @@ def flatten(tree: dict) -> FlattenedContract:
                              cycles_detected=cycles)
 
 
-def validate(contract: FlattenedContract) -> list[ValidationFinding]:
-    """Structural checks on a flattened document.
-
-    Findings are data; a fatal finding (missing ``paths``) means the
-    document cannot proceed to compilation.
-    """
-    findings: list[ValidationFinding] = []
-    tree = contract.tree
-
-    paths = tree.get("paths")
-    if paths is None or not isinstance(paths, dict):
-        findings.append(
-            ValidationFinding("#/paths", "document has no `paths` object", fatal=True)
-        )
-        return findings
-    if not paths:
-        findings.append(ValidationFinding("#/paths", "no operations declared"))
-        return findings
-
-    for path, item in paths.items():
-        path_ptr = "#/paths/" + escape_token(path)
-        if not isinstance(item, dict):
-            findings.append(ValidationFinding(path_ptr, "path item is not a mapping"))
-            continue
-        for key, value in item.items():
-            if key in HTTP_METHODS:
-                findings.extend(_check_operation(f"{path_ptr}/{key}", value))
-            elif key in _PATH_ITEM_META or key.startswith("x-"):
-                continue
-            elif isinstance(value, dict):
-                findings.append(
-                    ValidationFinding(
-                        f"{path_ptr}/{key}", f"unsupported HTTP method {key!r}"
-                    )
-                )
-        for i, param in enumerate(item.get("parameters", [])):
-            findings.extend(_check_parameter(f"{path_ptr}/parameters/{i}", param))
-    return findings
-
-
-def _check_operation(pointer: str, op: Any) -> list[ValidationFinding]:
-    findings: list[ValidationFinding] = []
-    if not isinstance(op, dict):
-        findings.append(ValidationFinding(pointer, "operation is not a mapping"))
-        return findings
-    for i, param in enumerate(op.get("parameters", [])):
-        findings.extend(_check_parameter(f"{pointer}/parameters/{i}", param))
-    responses = op.get("responses")
-    if isinstance(responses, dict) and not responses:
-        findings.append(
-            ValidationFinding(f"{pointer}/responses", "response map has no entries")
-        )
-    return findings
-
-
-def _check_parameter(pointer: str, param: Any) -> list[ValidationFinding]:
-    findings: list[ValidationFinding] = []
-    if not isinstance(param, dict):
-        findings.append(ValidationFinding(pointer, "parameter is not a mapping"))
-        return findings
-    if not param.get("name"):
-        findings.append(ValidationFinding(pointer, "parameter has no `name`"))
-    if not param.get("in"):
-        findings.append(ValidationFinding(pointer, "parameter has no location (`in`)"))
-    return findings
+def validate(contract: FlattenedContract) -> None:
+    """Raise FatalValidationError when the document has no `paths`
+    mapping: without one there is nothing to compile. Every other shape
+    defect is left to `ingest.operations`, which skips what is not an
+    operation, and to the linter."""
+    if not isinstance(contract.tree.get("paths"), dict):
+        raise FatalValidationError("document has no `paths` object")

@@ -429,74 +429,49 @@ def serve(
 
 def _dispatch(message, manifest, env, bindings, writer, pool, timeout) -> None:
     method = message["method"]
-    msg_id = message.get("id")
-    is_notification = "id" not in message
     params = message.get("params") or {}
+    if "id" in message:
+        def reply(response: dict) -> None:
+            writer.send({"jsonrpc": "2.0", "id": message["id"], **response})
+    else:  # a notification is never answered
+        def reply(response: dict) -> None:
+            pass
 
     if method == "initialize":
         requested = None
         if isinstance(params, dict):
             requested = params.get("protocolVersion")
         version = requested if requested in PROTOCOL_VERSIONS else PROTOCOL_VERSIONS[-1]
-        if not is_notification:
-            writer.send(
-                {
-                    "jsonrpc": "2.0",
-                    "id": msg_id,
-                    "result": {
-                        "protocolVersion": version,
-                        "capabilities": {"tools": {}},
-                        "serverInfo": {"name": manifest.api_title, "version": _version},
-                    },
-                }
-            )
+        reply(
+            {
+                "result": {
+                    "protocolVersion": version,
+                    "capabilities": {"tools": {}},
+                    "serverInfo": {"name": manifest.api_title, "version": _version},
+                },
+            }
+        )
     elif method == "ping":
-        if not is_notification:
-            writer.send({"jsonrpc": "2.0", "id": msg_id, "result": {}})
+        reply({"result": {}})
     elif method == "tools/list":
-        if not is_notification:
-            writer.send(
-                {
-                    "jsonrpc": "2.0",
-                    "id": msg_id,
-                    "result": {"tools": tools_list_payload(manifest)},
-                }
-            )
+        reply({"result": {"tools": tools_list_payload(manifest)}})
     elif method == "tools/call":
         if not isinstance(params, dict) or not isinstance(params.get("name"), str):
-            if not is_notification:
-                writer.send(
-                    _error_response(
-                        msg_id, _RPC_INVALID_PARAMS, "params must carry a tool `name`"
-                    )
-                )
+            reply(_error(_RPC_INVALID_PARAMS, "params must carry a tool `name`"))
             return
         tool = manifest.tool(params["name"])
         if tool is None:
-            if not is_notification:
-                writer.send(
-                    _error_response(
-                        msg_id, _RPC_INVALID_PARAMS, f"unknown tool {params['name']!r}"
-                    )
-                )
+            reply(_error(_RPC_INVALID_PARAMS, f"unknown tool {params['name']!r}"))
             return
         arguments = params.get("arguments") or {}
         pool.submit(
-            _run_call, tool, arguments, manifest, env, bindings, writer,
-            msg_id, is_notification, timeout,
+            _run_call, tool, arguments, manifest, env, bindings, reply, timeout
         )
-    elif method.startswith("notifications/"):
-        pass
-    else:
-        if not is_notification:
-            writer.send(
-                _error_response(msg_id, _RPC_METHOD_NOT_FOUND, f"unknown method {method!r}")
-            )
+    elif not method.startswith("notifications/"):
+        reply(_error(_RPC_METHOD_NOT_FOUND, f"unknown method {method!r}"))
 
 
-def _run_call(
-    tool, arguments, manifest, env, bindings, writer, msg_id, is_notification, timeout
-) -> None:
+def _run_call(tool, arguments, manifest, env, bindings, reply, timeout) -> None:
     try:
         result = invoke_tool(
             tool, arguments, env, manifest.base_url, manifest.schemes,
@@ -524,16 +499,14 @@ def _run_call(
         logger.error("tool call %s failed unexpectedly: %s: %s\n%s",
                      tool.tool_name, exc.__class__.__name__, detail,
                      "".join(traceback.format_tb(exc.__traceback__)).rstrip())
-        if not is_notification:
-            writer.send(_error_response(msg_id, _RPC_INTERNAL, detail))
+        reply(_error(_RPC_INTERNAL, detail))
         return
-    if not is_notification:
-        writer.send({"jsonrpc": "2.0", "id": msg_id, "result": response})
+    reply({"result": response})
+
+
+def _error(code: int, message: str) -> dict:
+    return {"error": {"code": code, "message": message}}
 
 
 def _error_response(msg_id, code: int, message: str) -> dict:
-    return {
-        "jsonrpc": "2.0",
-        "id": msg_id,
-        "error": {"code": code, "message": message},
-    }
+    return {"jsonrpc": "2.0", "id": msg_id, **_error(code, message)}

@@ -139,6 +139,24 @@ class TestLint:
         fixed = run_cli(["generate", spec, "--fix", "--out", tmp_path / "fixed"])
         assert fixed == (0 if case == "password_2_0" else 2)
 
+    @pytest.mark.parametrize("dialect", ["2.0", "3.x"])
+    @pytest.mark.parametrize(
+        "node",
+        [{"type": "apiKey", "in": "header"}, {"type": "apikey", "in": "header"},
+         {"type": "mutualTLS"}, {"description": "no type"}],
+        ids=["apikey-no-name", "apikey-casing-no-name", "unknown-type", "no-type"],
+    )
+    def test_fix_exits_4_when_a_finding_has_no_patch(self, tmp_path, capsys,
+                                                     node, dialect):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(_spec_tree(
+            dialect, {"/a": {"get": _op()}}, {"k": node})), encoding="utf-8")
+        assert run_cli(["lint", spec, "--fix", "--out", tmp_path / "out"]) == 4
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["changed"] is False
+        [residual] = payload["residual_advisories"]
+        assert residual["class"] == "A" and residual["patchable"] is False
+
     def test_advisory_only_exits_zero_with_suggestion(self, capsys):
         code = run_cli(
             ["lint", DEFECTS / "class_c.yaml", "--rules", fixture_path("vendor_rules.json")]
@@ -147,6 +165,53 @@ class TestLint:
         assert code == 0
         assert "EXTRA_HEADERS" in out
         assert "Sync-Version" in out
+
+
+def _op(**extra) -> dict:
+    return {"operationId": "getA", "responses": {"200": {"description": "ok"}},
+            **extra}
+
+
+def _spec_tree(dialect: str, paths: dict, schemes: dict) -> dict:
+    """A one-scheme document required at the document level."""
+    if dialect == "2.0":
+        tree = {"swagger": "2.0", "host": "api.example",
+                "securityDefinitions": schemes}
+    else:
+        tree = {"openapi": "3.0.3", "servers": [{"url": "https://api.example"}],
+                "components": {"securitySchemes": schemes}}
+    return {**tree, "info": {"title": "T", "version": "1"},
+            "security": [{scheme_id: []} for scheme_id in schemes], "paths": paths}
+
+
+@pytest.mark.parametrize("dialect", ["2.0", "3.x"])
+@pytest.mark.parametrize(
+    "path, item",
+    [
+        ("/a/{id}", {"parameters": None, "get": _op()}),
+        ("/a/{id}", {"get": _op(parameters=None)}),
+        ("/a", {"parameters": None, "get": _op()}),
+        ("/a", {"get": _op(security=None)}),
+        ("/a", {"get": _op(security={"k": []})}),
+    ],
+    ids=["path-parameters", "op-parameters", "path-parameters-no-var",
+         "op-security", "op-security-mapping"],
+)
+def test_null_where_a_list_belongs_compiles(tmp_path, capsys, path, item, dialect):
+    """A `parameters` value that is not a list reads as no parameters; a
+    `security` value that is not a list reads as absent, so the operation
+    inherits the document's requirement."""
+    key = {"type": "apiKey", "in": "header", "name": "X-Key"}
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(_spec_tree(dialect, {path: item}, {"k": key})),
+                    encoding="utf-8")
+    assert run_cli(["generate", spec, "--out", tmp_path, "--emit-stub"]) == 0
+    [tool] = json.loads((tmp_path / "stub.json").read_text())["tools"]
+    assert tool["endpoint"]["security"] == [{"k": []}]
+    assert tool["inputSchema"]["required"] == (["id"] if "{id}" in path else [])
+    capsys.readouterr()
+    assert run_cli(["lint", spec]) == 0
+    assert json.loads(capsys.readouterr().out)["clean"] is True
 
 
 class TestSample:

@@ -375,6 +375,18 @@ class TestLintAgreesWithCompiler:
         ]
 
 
+    @pytest.mark.parametrize("dialect", ["openapi_2_0", "openapi_3_x"])
+    @pytest.mark.parametrize(
+        "node",
+        [{"type": "apikey", "in": "header"}, {"type": "mutualTLS"},
+         {"description": "no type"}],
+        ids=["apikey-casing-no-name", "unknown-type", "no-type"],
+    )
+    def test_no_repair_guesses_how_a_credential_is_sent(self, node, dialect):
+        raw = _one_scheme_doc(dialect, node)
+        [finding] = lint(flatten(normalize(raw)), raw)
+        assert finding.lint_class == "A" and finding.patch is None
+
 class TestPatchSufficiency:
     @pytest.mark.parametrize(
         "name", ["class_a.yaml", "class_b.yaml", "class_d.yaml", "class_e.json"]

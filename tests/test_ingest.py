@@ -327,6 +327,39 @@ class TestNormalize:
                         assert declared.count(var) == 1
 
 
+
+class TestOperations:
+    def test_document_order_and_only_mapping_operations(self):
+        item = {"summary": "s", "parameters": [], "post": {"operationId": "p"},
+                "x-get": {}, "trace": {}, "get": {"operationId": "g"}, "put": None}
+        tree = {"paths": {"/a": item, "/b": "not an item", "/c": {"delete": {}}}}
+        assert list(ingest.operations(tree)) == [
+            ("/a", item, "post", {"operationId": "p"}),
+            ("/a", item, "get", {"operationId": "g"}),
+            ("/c", {"delete": {}}, "delete", {}),
+        ]
+
+    @pytest.mark.parametrize("paths", [None, [], ["/a"], "paths"])
+    def test_no_paths_mapping_yields_nothing(self, paths):
+        assert list(ingest.operations({"paths": paths})) == []
+
+    @pytest.mark.parametrize("value", [None, "x", {"name": "id"}, [], [None, 3]])
+    def test_parameters_not_a_list_of_mappings_reads_as_empty(self, value):
+        assert ingest.parameters({"parameters": value}) == []
+
+    @pytest.mark.parametrize("dialect, marker", [
+        (DIALECT_2_0, {"swagger": "2.0"}), (DIALECT_3_X, {"openapi": "3.0.3"}),
+    ])
+    def test_duplicate_ids_in_one_path_item_suffixed_in_document_order(
+        self, dialect, marker
+    ):
+        tree = {**marker, "paths": {"/a": {"post": {"operationId": "dup"},
+                                           "get": {"operationId": "dup"}}}}
+        raw = ingest.RawDocument(None, FORMAT_JSON, dialect, tree)
+        item = normalize(raw)["paths"]["/a"]
+        assert [item[m]["operationId"] for m in item] == ["dup", "dup_2"]
+        assert list(item) == ["post", "get"]
+
 # -- libyaml and the pure-Python loader --------------------------------------------
 
 YAML_SPECS = sorted(FIXTURES.glob("*.yaml")) + sorted(DEFECTS.glob("*.yaml"))

@@ -12,10 +12,7 @@ import requests
 
 from automcp.envfile import read_env_file
 from automcp.errors import CallbackTimeoutError, ExchangeError, FlowUnusableError
-from automcp.oauth import (
-    acquire_client_credentials_token,
-    acquire_oauth_token,
-)
+from automcp.oauth import acquire_oauth_token
 from automcp.security import OAuth2Flows
 
 
@@ -164,24 +161,6 @@ class TestAuthorizationCode:
                     flows_for(provider), "cid", "shh", _free_port(), env_file,
                     "PORTAL_ACCESS_TOKEN", open_browser=lambda url: None, timeout=0.3,
                 )
-
-
-class TestClientCredentials:
-    def test_direct_token_post(self, env_file):
-        with MockAuthProvider(token="cc-tok") as provider:
-            flows = OAuth2Flows(token_url=provider.token_url, scopes={"all": ""})
-            token = acquire_client_credentials_token(
-                flows, "cid", "shh", env_file, "PORTAL_ACCESS_TOKEN"
-            )
-        assert token == "cc-tok"
-        assert provider.token_requests[0]["grant_type"] == "client_credentials"
-        assert read_env_file(env_file)["PORTAL_ACCESS_TOKEN"] == "cc-tok"
-
-    def test_missing_token_url(self, env_file):
-        with pytest.raises(FlowUnusableError):
-            acquire_client_credentials_token(
-                OAuth2Flows(), "cid", "shh", env_file, "X"
-            )
 
 
 def _free_port() -> int:

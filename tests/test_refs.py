@@ -1,5 +1,5 @@
-"""$ref flattening against a single-step substitution oracle, plus
-structural validation."""
+"""$ref flattening against a single-step substitution oracle, plus the
+fatal structural check."""
 
 from __future__ import annotations
 
@@ -10,8 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from automcp.errors import DanglingRefError, ExternalRefError
-from automcp.ingest import normalize
+from automcp.errors import DanglingRefError, ExternalRefError, FatalValidationError
 from automcp.refs import (
     escape_token,
     flatten,
@@ -255,55 +254,10 @@ class TestPointerCodec:
 
 class TestValidate:
     def test_clean_fixture_has_no_findings(self, petstore):
-        assert validate(petstore.contract) == []
-
-    def test_empty_paths_is_single_nonfatal_finding(self):
-        findings = validate(flatten({"openapi": "3.0.0", "paths": {}}))
-        assert len(findings) == 1
-        assert not findings[0].fatal
-        assert "no operations" in findings[0].message
+        assert validate(petstore.contract) is None
 
     def test_missing_paths_is_fatal(self):
-        findings = validate(flatten({"openapi": "3.0.0"}))
-        assert findings[0].fatal
+        for tree in ({"openapi": "3.0.0"}, {"openapi": "3.0.0", "paths": ["/a"]}):
+            with pytest.raises(FatalValidationError, match="no `paths`"):
+                validate(flatten(tree))
 
-    def test_parameter_without_name_points_at_location(self):
-        doc = normalize_and_flatten(
-            {
-                "openapi": "3.0.0",
-                "paths": {
-                    "/a": {
-                        "get": {
-                            "parameters": [{"in": "query"}],
-                            "responses": {"200": {"description": "ok"}},
-                        }
-                    }
-                },
-            }
-        )
-        findings = validate(doc)
-        assert any(
-            f.pointer == "#/paths/~1a/get/parameters/0" and "name" in f.message
-            for f in findings
-        )
-
-    def test_empty_response_map_flagged(self):
-        findings = validate(
-            flatten({"openapi": "3.0.0", "paths": {"/a": {"get": {"responses": {}}}}})
-        )
-        assert any("response map" in f.message for f in findings)
-
-    def test_unsupported_method_flagged(self):
-        findings = validate(
-            flatten({"openapi": "3.0.0",
-                     "paths": {"/a": {"trace": {"responses": {"200": {"description": "x"}}}}}})
-        )
-        assert any("unsupported HTTP method" in f.message for f in findings)
-
-
-def normalize_and_flatten(tree):
-    from automcp.ingest import RawDocument
-    from pathlib import Path
-
-    doc = RawDocument(Path("mem.json"), "json", "openapi_3_x", tree)
-    return flatten(normalize(doc))

@@ -518,7 +518,14 @@ class TestServe:
             trello, {},
             [
                 {"jsonrpc": "2.0", "method": "notifications/initialized"},
+                {"jsonrpc": "2.0", "method": "initialize",
+                 "params": {"protocolVersion": "2025-06-18"}},
+                {"jsonrpc": "2.0", "method": "ping"},
                 {"jsonrpc": "2.0", "method": "tools/list"},
+                {"jsonrpc": "2.0", "method": "tools/call",
+                 "params": {"name": "no_such_tool", "arguments": {}}},
+                {"jsonrpc": "2.0", "method": "tools/call", "params": {}},
+                {"jsonrpc": "2.0", "method": "no/such/method"},
                 {"jsonrpc": "2.0", "id": 4, "method": "tools/list"},
             ],
         )
