@@ -17,7 +17,7 @@ from pathlib import Path
 
 from ._version import __version__
 from .compiler import manifest_to_dict
-from .doctor import VendorRule, fix_loop, lint, load_vendor_rules
+from .doctor import FixReport, fix_loop, lint, load_vendor_rules
 from .envfile import load_env
 from .errors import (
     AutoMcpError,
@@ -81,13 +81,14 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     parser.add_argument("--version", action="version", version=f"automcp {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_common(p: argparse.ArgumentParser, rules: bool = False) -> None:
         p.add_argument("spec", type=Path, help="OpenAPI 2.0/3.x spec file")
-        p.add_argument("--rules", type=Path, default=_env("RULES", Path),
-                       help="vendor rules JSON (class C/D knowledge)")
+        if rules:  # read only by lint and repair
+            p.add_argument("--rules", type=Path, default=_env("RULES", Path),
+                           help="vendor rules JSON (class C/D knowledge)")
 
     gen = sub.add_parser("generate", help="compile and write server artifacts")
-    add_common(gen)
+    add_common(gen, rules=True)
     gen.add_argument("--out", type=Path, required=True, help="output directory")
     gen.add_argument("--fix", action="store_true",
                      help="repair patchable spec defects before compiling")
@@ -106,7 +107,7 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
                      help="upstream HTTP timeout in seconds")
 
     ln = sub.add_parser("lint", help="detect and optionally repair spec defects")
-    add_common(ln)
+    add_common(ln, rules=True)
     ln.add_argument("--fix", action="store_true", help="write a repaired copy + diff")
     ln.add_argument("--out", type=Path, default=None,
                     help="directory for repaired output (default: spec directory)")
@@ -126,22 +127,14 @@ def _env(name: str, convert, default=None):
     return convert(value) if value else default
 
 
-def _load_rules(cfg: argparse.Namespace) -> list[VendorRule] | None:
-    return load_vendor_rules(cfg.rules) if cfg.rules else None
-
-
 def cmd_generate(cfg: argparse.Namespace) -> int:
-    rules = _load_rules(cfg)
+    rules = load_vendor_rules(cfg.rules) if cfg.rules else None
     compiled = compile_file(cfg.spec, fix=cfg.fix, rules=rules)
     out = cfg.out
     out.mkdir(parents=True, exist_ok=True)
 
     if compiled.fix_report and compiled.fix_report.changed:
-        repaired = out / f"{cfg.spec.stem}.fixed{cfg.spec.suffix}"
-        repaired.write_text(compiled.raw.text, encoding="utf-8")
-        (out / f"{cfg.spec.stem}.patch.diff").write_text(
-            compiled.fix_report.diff + "\n", encoding="utf-8"
-        )
+        repaired, _ = _write_repair(compiled.fix_report, cfg.spec, out)
         print(f"repaired spec written to {repaired}", file=sys.stderr)
 
     (out / "manifest.json").write_text(
@@ -213,7 +206,7 @@ def cmd_generate(cfg: argparse.Namespace) -> int:
 
 
 def cmd_serve(cfg: argparse.Namespace) -> int:
-    compiled = compile_file(cfg.spec, rules=_load_rules(cfg))
+    compiled = compile_file(cfg.spec)
     env = load_env(cfg.env)
     try:
         serve(compiled.manifest, env, timeout=cfg.timeout)
@@ -224,7 +217,7 @@ def cmd_serve(cfg: argparse.Namespace) -> int:
 
 
 def cmd_lint(cfg: argparse.Namespace) -> int:
-    rules = _load_rules(cfg)
+    rules = load_vendor_rules(cfg.rules) if cfg.rules else None
     raw = load_document(cfg.spec)
 
     if cfg.fix:
@@ -237,11 +230,7 @@ def cmd_lint(cfg: argparse.Namespace) -> int:
             f"{len(report.residual_advisories)} advisories"
         )
         if report.changed:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            repaired = out_dir / f"{cfg.spec.stem}.fixed{cfg.spec.suffix}"
-            repaired.write_text(report.document.text, encoding="utf-8")
-            diff_file = out_dir / f"{cfg.spec.stem}.patch.diff"
-            diff_file.write_text(report.diff + "\n", encoding="utf-8")
+            repaired, diff_file = _write_repair(report, cfg.spec, out_dir)
             payload["repaired_spec"] = str(repaired)
             payload["diff_file"] = str(diff_file)
         print(json.dumps(payload, indent=2, ensure_ascii=False))
@@ -258,6 +247,16 @@ def cmd_lint(cfg: argparse.Namespace) -> int:
     return _lint_exit(findings)
 
 
+def _write_repair(report: FixReport, spec: Path, out_dir: Path) -> tuple[Path, Path]:
+    """Write the repaired spec and its diff into `out_dir`; their paths."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    repaired = out_dir / f"{spec.stem}.fixed{spec.suffix}"
+    repaired.write_text(report.text, encoding="utf-8")
+    diff_file = out_dir / f"{spec.stem}.patch.diff"
+    diff_file.write_text(report.diff + "\n", encoding="utf-8")
+    return repaired, diff_file
+
+
 def _lint_exit(findings: list) -> int:
     """4 while a finding other than a class C advisory remains (a class C
     fix lives in the server's `.env`, not in the contract)."""
@@ -265,7 +264,7 @@ def _lint_exit(findings: list) -> int:
 
 
 def cmd_sample(cfg: argparse.Namespace) -> int:
-    compiled = compile_file(cfg.spec, rules=_load_rules(cfg))
+    compiled = compile_file(cfg.spec)
     report = sample(compiled.manifest, threshold=cfg.threshold)
     print(json.dumps(report.to_dict(), indent=2, ensure_ascii=False))
     return EXIT_OK

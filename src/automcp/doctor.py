@@ -7,14 +7,16 @@ break automation:
   D  parameter type mismatches
   E  missing endpoint-level auth
 
-Patches are structured pointer edits first; the textual unified diff is
-rendered from a canonical serialization of the document, so untouched
-regions compare byte-identical and the diff shows exactly the repair.
+A finding carries its repair as pointer edits ([] when it has none).
+`fix_loop` applies them until nothing patchable is left, then renders the
+original and the repaired tree once each, canonically: untouched regions
+compare byte-identical, so the one diff shows exactly the repair.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
 import difflib
 import json
 import re
@@ -24,7 +26,7 @@ from typing import Any
 
 import yaml
 
-from .errors import BaseUrlError, NonConvergence, PointerError, SchemeError
+from .errors import BaseUrlError, NonConvergence, ParseError, PointerError, SchemeError
 from .ingest import (
     DIALECT_2_0,
     FORMAT_JSON,
@@ -46,7 +48,7 @@ CLASS_LABELS = {
     "E": "Missing endpoint-level auth",
 }
 
-DEFAULT_FIX_ITERATIONS = 5
+MAX_FIX_ITERATIONS = 5
 _FALLBACK_BASE_URL = "https://api.example.com"
 _ID_NAME_RE = re.compile(r"(^id$|_id$)", re.IGNORECASE)
 
@@ -59,17 +61,11 @@ class PatchEdit:
 
 
 @dataclass
-class Patch:
-    edits: list[PatchEdit] = field(default_factory=list)
-    loc_changed: int = 0
-
-
-@dataclass
 class LintFinding:
     lint_class: str
     location: str
     message: str
-    patch: Patch | None = None
+    edits: list[PatchEdit] = field(default_factory=list)  # [] when unpatchable
     suggested_headers: dict[str, str] | None = None
 
     def to_dict(self) -> dict:
@@ -78,7 +74,7 @@ class LintFinding:
             "label": CLASS_LABELS[self.lint_class],
             "location": self.location,
             "message": self.message,
-            "patchable": self.patch is not None,
+            "patchable": bool(self.edits),
         }
         if self.suggested_headers is not None:
             doc["suggested_extra_headers"] = self.suggested_headers
@@ -96,8 +92,14 @@ class VendorRule:
 
 def load_vendor_rules(path: str | Path) -> list[VendorRule]:
     """Rules file: JSON object mapping an api-title regex to per-vendor
-    knowledge (required headers, replacement URLs, known string ids)."""
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    knowledge (required headers, replacement URLs, known string ids).
+    Raises ParseError when the file is not JSON or not such an object."""
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ParseError(f"{path}: rules file is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict) or not all(isinstance(b, dict) for b in raw.values()):
+        raise ParseError(f"{path}: rules file must map title patterns to objects")
     rules = []
     for pattern, body in raw.items():
         rules.append(
@@ -162,23 +164,13 @@ def _lint_class_a(
             if isinstance(requirement, dict):
                 referenced.update(requirement)
 
+    # no patch: nothing in the contract says how that credential is sent
     for scheme_id in sorted(referenced - set(declared)):
         findings.append(
             LintFinding(
                 "A",
                 container_ptr,
                 f"operations require scheme {scheme_id!r} but it is not declared",
-                Patch(
-                    [
-                        PatchEdit(
-                            f"{container_ptr}/{escape_token(scheme_id)}",
-                            "add",
-                            {"type": "basic"}
-                            if raw.dialect == DIALECT_2_0
-                            else {"type": "http", "scheme": "bearer"},
-                        )
-                    ]
-                ),
             )
         )
 
@@ -191,7 +183,7 @@ def _lint_class_a(
             ptr = f"{container_ptr}/{escape_token(scheme_id)}"
             location, edits = _scheme_repair(raw, ptr, declared.get(scheme_id), rules)
             findings.append(
-                LintFinding("A", location, str(exc), Patch(edits) if edits else None)
+                LintFinding("A", location, str(exc), edits)
             )
     return findings
 
@@ -295,19 +287,18 @@ def _lint_class_b(raw: RawDocument, rules: list[VendorRule]) -> list[LintFinding
         replacement = replacement or _FALLBACK_BASE_URL
         if raw.dialect == DIALECT_2_0:
             host = re.sub(r"^https?://", "", replacement).rstrip("/")
-            if "host" in raw.tree:
-                edits = [PatchEdit("#/host", "replace", host)]
-            else:
-                edits = [PatchEdit("#/host", "add", host)]
+            edits = [PatchEdit("#/host", "add", host)]
             location = "#/host"
         else:
             servers = raw.tree.get("servers")
-            if isinstance(servers, list) and servers:
-                edits = [PatchEdit("#/servers/0/url", "replace", replacement)]
-            else:
+            if not isinstance(servers, list) or not servers:
                 edits = [PatchEdit("#/servers", "add", [{"url": replacement}])]
+            elif isinstance(servers[0], dict):
+                edits = [PatchEdit("#/servers/0/url", "add", replacement)]
+            else:
+                edits = [PatchEdit("#/servers/0", "replace", {"url": replacement})]
             location = "#/servers/0/url"
-        return [LintFinding("B", location, str(exc), Patch(edits))]
+        return [LintFinding("B", location, str(exc), edits)]
 
 
 def _lint_class_c(rules: list[VendorRule]) -> list[LintFinding]:
@@ -322,7 +313,6 @@ def _lint_class_c(rules: list[VendorRule]) -> list[LintFinding]:
                 "#/info/title",
                 "vendor requires runtime headers not declared in the contract; "
                 f"set EXTRA_HEADERS={suggestion} in the server .env",
-                patch=None,
                 suggested_headers=dict(rule.required_headers),
             )
         )
@@ -377,7 +367,7 @@ def _check_path_param_type(
         type_ptr,
         f"path parameter {name!r} is typed {declared} but callers pass string "
         f"identifiers",
-        Patch([PatchEdit(type_ptr, "replace", "string")]),
+        [PatchEdit(type_ptr, "replace", "string")],
     )
 
 
@@ -475,35 +465,19 @@ def _class_e_finding(
             edits = [PatchEdit(f"{op_ptr}/parameters", "add", [entry])]
     else:
         edits = [PatchEdit(f"{op_ptr}/security", "add", [{scheme_id: []}])]
-    return LintFinding("E", op_ptr, message, Patch(edits))
+    return LintFinding("E", op_ptr, message, edits)
 
 
 # -- patching ------------------------------------------------------------------
 
 
-def apply_patch(raw: RawDocument, patch: Patch) -> tuple[RawDocument, str]:
-    """Apply structured edits and render the unified diff.
-
-    Returns the patched document plus the diff between the canonical
-    serializations of the old and new trees; `patch.loc_changed` is
-    updated to the number of touched lines (a replaced line counts once).
-    """
-    patched_tree = copy.deepcopy(raw.tree)
-    for edit in patch.edits:
-        _apply_edit(patched_tree, edit)
-    before = render_document(raw.tree, raw.format)
-    after = render_document(patched_tree, raw.format)
-    diff = _unified_diff(before, after, raw.source_path.name)
-    patch.loc_changed = _count_changed_lines(before, after)
-    patched = RawDocument(
-        source_path=raw.source_path,
-        format=raw.format,
-        dialect=raw.dialect,
-        tree=patched_tree,
-        text=after,
-        warnings=list(raw.warnings),
-    )
-    return patched, diff
+def apply_patch(raw: RawDocument, edits: list[PatchEdit]) -> RawDocument:
+    """A copy of `raw` with the edits applied to a deep copy of its tree;
+    `raw` itself is left untouched."""
+    tree = copy.deepcopy(raw.tree)
+    for edit in edits:
+        _apply_edit(tree, edit)
+    return dataclasses.replace(raw, tree=tree)
 
 
 def render_document(tree: dict, fmt: str) -> str:
@@ -594,8 +568,12 @@ class FixReport:
     total_loc_changed: int = 0
     # every finding left without a patch, class C advisories included
     residual_advisories: list[LintFinding] = field(default_factory=list)
-    diff: str = ""
-    changed: bool = False
+    diff: str = ""  # from the original's rendering to `text`
+    text: str = ""  # the repaired document's rendering
+
+    @property
+    def changed(self) -> bool:
+        return self.iterations > 0
 
     def to_dict(self) -> dict:
         return {
@@ -608,50 +586,42 @@ class FixReport:
         }
 
 
-def fix_loop(
-    raw: RawDocument,
-    rules: list[VendorRule] | None = None,
-    max_iterations: int = DEFAULT_FIX_ITERATIONS,
-) -> FixReport:
-    """lint -> patch -> re-lint until nothing patchable remains.
+def fix_loop(raw: RawDocument, rules: list[VendorRule] | None = None) -> FixReport:
+    """lint -> patch -> re-lint until nothing patchable remains, then
+    render, diff and count the changed lines once for the whole run.
 
-    Raises NonConvergence when the iteration cap is hit with patchable
-    findings still present.
+    Raises NonConvergence when patchable findings remain after
+    MAX_FIX_ITERATIONS iterations.
     """
     report = FixReport(document=raw)
-    doc = raw
-    diffs: list[str] = []
+    edits_by_class: dict[str, int] = {}
     while True:
-        contract = flatten(normalize(doc))
-        findings = lint(contract, doc, rules)
-        patchable = [f for f in findings if f.patch is not None]
-        report.residual_advisories = [f for f in findings if f.patch is None]
+        doc = report.document
+        findings = lint(flatten(normalize(doc)), doc, rules)
+        patchable = [f for f in findings if f.edits]
+        report.residual_advisories = [f for f in findings if not f.edits]
         if not patchable:
-            report.document = doc
-            return report
-        if report.iterations >= max_iterations:
+            break
+        if report.iterations >= MAX_FIX_ITERATIONS:
             raise NonConvergence(
                 f"{len(patchable)} patchable finding(s) remain after "
-                f"{max_iterations} iterations"
+                f"{MAX_FIX_ITERATIONS} iterations"
             )
         report.iterations += 1
-        merged = Patch([e for f in patchable for e in f.patch.edits])
-        doc, diff = apply_patch(doc, merged)
-        diffs.append(diff)
-        report.diff = "\n".join(diffs)
-        report.changed = True
-        report.total_loc_changed += merged.loc_changed
-        per_class: dict[str, int] = {}
         for f in patchable:
-            report.findings_by_class[f.lint_class] = (
-                report.findings_by_class.get(f.lint_class, 0) + 1
-            )
-            per_class[f.lint_class] = per_class.get(f.lint_class, 0) + len(
-                f.patch.edits
-            )
-        total_edits = sum(per_class.values()) or 1
-        for cls, count in per_class.items():
-            share = round(merged.loc_changed * count / total_edits)
-            report.loc_changed_by_class[cls] = (
-                report.loc_changed_by_class.get(cls, 0) + share
-            )
+            cls = f.lint_class
+            report.findings_by_class[cls] = report.findings_by_class.get(cls, 0) + 1
+            edits_by_class[cls] = edits_by_class.get(cls, 0) + len(f.edits)
+        report.document = apply_patch(doc, [e for f in patchable for e in f.edits])
+
+    if report.changed:
+        before = render_document(raw.tree, raw.format)
+        report.text = render_document(report.document.tree, raw.format)
+        report.diff = _unified_diff(before, report.text, raw.source_path.name)
+        report.total_loc_changed = _count_changed_lines(before, report.text)
+        total_edits = sum(edits_by_class.values())
+        report.loc_changed_by_class = {
+            cls: round(report.total_loc_changed * count / total_edits)
+            for cls, count in edits_by_class.items()
+        }
+    return report

@@ -10,7 +10,7 @@ from __future__ import annotations
 import copy
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -63,14 +63,13 @@ _LINE_START_RUN_RE = re.compile(r"[\n\r\x85\u2028\u2029\ufeff][\ufeff ?:-]+")
 
 @dataclass
 class RawDocument:
-    """A parsed spec file plus everything needed to re-render it later."""
+    """A parsed spec file: where it came from, its serialization format,
+    its dialect and its tree."""
 
     source_path: Path
     format: str
     dialect: str
     tree: dict
-    text: str = ""
-    warnings: list[str] = field(default_factory=list)
 
 
 def load_document(path: str | Path) -> RawDocument:
@@ -97,25 +96,16 @@ def load_document(path: str | Path) -> RawDocument:
     if not isinstance(tree, dict):
         raise ParseError(f"{path}: document root must be a mapping")
 
-    warnings: list[str] = []
     if str(tree.get("swagger")) == "2.0":
         dialect = DIALECT_2_0
     elif str(tree.get("openapi", "")).startswith("3."):
-        dialect = DIALECT_3_X
-        if str(tree["openapi"]).startswith("3.1"):
-            warnings.append(
-                f"openapi {tree['openapi']} declared; treating as 3.x "
-                "(3.1-specific schema keywords are not interpreted)"
-            )
+        dialect = DIALECT_3_X  # 3.1 too; its own schema keywords are not read
     else:
         raise DialectError(
             f"{path}: no `swagger: \"2.0\"` or `openapi: 3.x` marker found"
         )
 
-    return RawDocument(
-        source_path=path, format=fmt, dialect=dialect, tree=tree, text=text,
-        warnings=warnings,
-    )
+    return RawDocument(source_path=path, format=fmt, dialect=dialect, tree=tree)
 
 
 def _load_yaml(text: str) -> Any:
@@ -207,16 +197,16 @@ def parameters(node: dict) -> list[dict]:
 def normalize(doc: RawDocument) -> dict:
     """Rewrite a document into 3.x shape and repair mechanical defects.
 
-    Total on parseable documents: 2.0 constructs are relocated, duplicate
-    operationIds are suffixed ``_2``, ``_3``, ... in the document order of
-    `operations` (the first use keeps its id), and undeclared path
-    template variables gain a synthesized required string parameter.
-    Idempotent.
+    Total on parseable documents: 2.0 constructs are relocated, and
+    undeclared path template variables gain a synthesized required string
+    parameter. operationIds are left as they are; the compiler makes tool
+    names unique. Idempotent.
     """
+    # deepcopy's memo keeps a YAML alias one shared node: a copy without
+    # it expands every alias again, in time and memory
     tree = copy.deepcopy(doc.tree)
     if str(tree.get("swagger")) == "2.0":
         tree = _convert_2_0(tree)
-    _dedupe_operation_ids(tree)
     _synthesize_path_params(tree)
     return tree
 
@@ -412,30 +402,26 @@ def _rewrite_refs(node: Any) -> None:
 # -- repairs shared by both dialects -----------------------------------------
 
 
-def _dedupe_operation_ids(tree: dict) -> None:
-    seen: dict[str, int] = {}
-    for _, _, _, op in operations(tree):
-        if "operationId" not in op:
-            continue
-        op_id = op["operationId"]
-        if op_id in seen:
-            seen[op_id] += 1
-            op["operationId"] = f"{op_id}_{seen[op_id]}"
-            seen[op["operationId"]] = 1
-        else:
-            seen[op_id] = 1
-
-
 def _synthesize_path_params(tree: dict) -> None:
-    for path, item, _, op in operations(tree):
+    """Declare each undeclared path template variable as a required string
+    parameter. A YAML alias may share a path item or operation between
+    paths, so each rewritten operation and its path item are new copies."""
+    for path, item, method, op in list(operations(tree)):
         declared = {
             p.get("name") for p in parameters(item) + parameters(op)
             if p.get("in") == "path"
         }
         missing = [var for var in _PATH_VAR_RE.findall(path) if var not in declared]
-        if missing and not isinstance(op.get("parameters"), list):
-            op["parameters"] = []
-        for var in missing:
-            op["parameters"].append(
-                {"name": var, "in": "path", "required": True, "schema": {"type": "string"}}
-            )
+        if not missing:
+            continue
+        params = op.get("parameters")
+        synthesized = [
+            {"name": var, "in": "path", "required": True, "schema": {"type": "string"}}
+            for var in missing
+        ]
+        paths = tree["paths"]
+        if paths[path] is item:
+            paths[path] = dict(item)
+        paths[path][method] = {
+            **op, "parameters": (params if isinstance(params, list) else []) + synthesized
+        }

@@ -265,7 +265,10 @@ def invoke_tool(
                 "{%s}" % param.name, quote(_scalar(value), safe="")
             )
         elif param.location == "query":
-            query[param.name] = value
+            if isinstance(value, list):  # sent as repeated keys
+                query[param.name] = [_scalar(v) for v in value if v is not None]
+            elif value is not None:
+                query[param.name] = _scalar(value)
         elif param.location == "header":
             headers[param.name] = _scalar(value)
         elif param.location == "cookie":

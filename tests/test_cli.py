@@ -255,6 +255,37 @@ class TestExitCodes:
         )
         assert run_cli(["generate", spec, "--out", tmp_path / "out"]) == 2
 
+    @pytest.mark.parametrize("command", ["lint", "generate"])
+    @pytest.mark.parametrize(
+        "text", ["{not json", '{"x": 1}', "[1]"],
+        ids=["not-json", "value-not-an-object", "not-an-object"],
+    )
+    def test_malformed_rules_file_is_parse_error(self, tmp_path, capsys, command, text):
+        rules = tmp_path / "rules.json"
+        rules.write_text(text, encoding="utf-8")
+        args = [command, fixture_path("petstore.json"), "--rules", rules]
+        if command == "generate":
+            args += ["--out", tmp_path / "out"]
+        assert run_cli(args) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and str(rules) in line
+
+
+class TestRulesOnlyWhereTheRepairReadsThem:
+    @pytest.mark.parametrize("command", ["serve", "sample"])
+    def test_flag_rejected(self, capsys, command):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli([command, fixture_path("petstore.json"),
+                     "--rules", fixture_path("vendor_rules.json")])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --rules" in capsys.readouterr().err
+
+    def test_env_ignored(self, tmp_path, capsys, monkeypatch):
+        rules = tmp_path / "rules.json"
+        rules.write_text('{"x": 1}', encoding="utf-8")
+        monkeypatch.setenv("AUTOMCP_RULES", str(rules))
+        assert run_cli(["sample", fixture_path("petstore.json")]) == 0
+
 
 def deep_spec_text(case: str) -> str:
     """`parse`: a 3,000-deep array the JSON parser cannot follow.

@@ -7,6 +7,8 @@ import random
 import re
 from pathlib import Path
 
+import pytest
+
 from automcp.compiler import (
     EndpointDescriptor,
     compile_manifest,
@@ -45,7 +47,8 @@ def descriptor(method="GET", path="/users/{id}", operation_id=None, **kw) -> End
 
 
 def compile_tree(tree: dict):
-    doc = RawDocument(Path("mem.json"), "json", "openapi_3_x", tree)
+    dialect = "openapi_2_0" if tree.get("swagger") == "2.0" else "openapi_3_x"
+    doc = RawDocument(Path("mem.json"), "json", dialect, tree)
     contract = flatten(normalize(doc))
     return compile_manifest(
         contract, extract_security(contract), base_url=resolve_base_url(doc)
@@ -234,6 +237,42 @@ class TestCompileManifest:
             }
         )
         assert [t.tool_name for t in manifest.tools] == ["listitems", "listitems_2"]
+
+    @pytest.mark.parametrize("marker", [
+        {"swagger": "2.0", "host": "t.example"},
+        {"openapi": "3.0.3", "servers": [{"url": "https://t.example"}]},
+    ], ids=["2.0", "3.x"])
+    @pytest.mark.parametrize("ids, names", [
+        (["dup", "dup"], ["dup", "dup_2"]),
+        (["x_2", "x", "x"], ["x_2", "x", "x_3"]),
+        ([["x"], ["x"]], ["x", "x_2"]),
+    ], ids=["same-id", "suffix-already-taken", "list-ids"])
+    def test_operation_id_collisions(self, marker, ids, names):
+        item = {
+            method: {"operationId": op_id, "responses": {"200": {"description": "ok"}}}
+            for method, op_id in zip(["post", "get", "put"], ids)
+        }
+        manifest = compile_tree(
+            {**marker, "info": {"title": "T", "version": "1"}, "paths": {"/a": item}}
+        )
+        assert [t.tool_name for t in manifest.tools] == names
+
+    @pytest.mark.parametrize("paths", [
+        "  /a: &item {get: {operationId: fetch}}\n  /c/{id}: *item\n",
+        "  /a: {get: &op {operationId: fetch}}\n  /c/{id}: {get: *op}\n",
+    ], ids=["shared-path-item", "shared-operation"])
+    def test_yaml_alias_keeps_path_params_apart(self, tmp_path, paths):
+        spec = tmp_path / "alias.yaml"
+        spec.write_text(
+            "openapi: 3.0.3\ninfo: {title: Alias, version: '1'}\n"
+            "servers: [{url: 'https://alias.example'}]\npaths:\n" + paths,
+            encoding="utf-8",
+        )
+        tools = compile_file(spec).manifest.tools
+        assert [
+            (t.tool_name, t.endpoint.path_template, t.input_schema["required"])
+            for t in tools
+        ] == [("fetch", "/a", []), ("fetch_2", "/c/{id}", ["id"])]
 
     def test_deprecated_operations_kept_with_prefix(self, petstore):
         deprecated = next(

@@ -9,12 +9,12 @@ from pathlib import Path
 import pytest
 
 from automcp.doctor import (
-    Patch,
     PatchEdit,
     apply_patch,
     fix_loop,
     lint,
     load_vendor_rules,
+    render_document,
 )
 from automcp.errors import NonConvergence, PointerError, SchemeError
 from automcp.ingest import RawDocument, load_document, normalize
@@ -43,11 +43,11 @@ class TestLintDetection:
         assert [f.lint_class for f in findings] == ["A"]
         finding = findings[0]
         assert "tokenUrl" in finding.message
-        assert finding.patch.edits[0].pointer.endswith(
+        assert finding.edits[0].pointer.endswith(
             "/flows/authorizationCode/tokenUrl"
         )
         # derived from the authorize URL next door
-        assert finding.patch.edits[0].value == (
+        assert finding.edits[0].value == (
             "https://identity.bookings.example/connect/token"
         )
 
@@ -62,9 +62,12 @@ class TestLintDetection:
         raw = mem_doc(tree)
         findings = lint(flatten(normalize(raw)), raw)
         assert [f.lint_class for f in findings] == ["A"]
-        edit = findings[0].patch.edits[0]
-        assert edit.pointer == "#/components/securitySchemes/main_auth"
-        assert edit.value == {"type": "http", "scheme": "bearer"}
+        assert findings[0].location == "#/components/securitySchemes"
+        # nothing says how the credential is sent, so nothing is invented
+        assert findings[0].edits == []
+        report = fix_loop(raw)
+        assert report.changed is False
+        assert report.residual_advisories == findings
 
     def test_class_a_apikey_case_typo(self):
         tree = {
@@ -81,32 +84,32 @@ class TestLintDetection:
         raw = mem_doc(tree)
         findings = lint(flatten(normalize(raw)), raw)
         assert findings[0].lint_class == "A"
-        assert findings[0].patch.edits == [
+        assert findings[0].edits == [
             PatchEdit("#/components/securitySchemes/k/type", "replace", "apiKey")
         ]
 
     def test_class_b_templated_url(self, rules):
         findings, _ = lint_file(DEFECTS / "class_b.yaml", rules)
         assert [f.lint_class for f in findings] == ["B"]
-        edit = findings[0].patch.edits[0]
+        edit = findings[0].edits[0]
         assert edit.pointer == "#/servers/0/url"
         assert edit.value == "https://api.workforce.example"  # from vendor rules
 
     def test_class_b_fallback_without_rules(self):
         findings, _ = lint_file(DEFECTS / "class_b.yaml")
-        assert findings[0].patch.edits[0].value == "https://api.example.com"
+        assert findings[0].edits[0].value == "https://api.example.com"
 
     def test_class_c_advisory_without_patch(self, rules):
         findings, _ = lint_file(DEFECTS / "class_c.yaml", rules)
         assert [f.lint_class for f in findings] == ["C"]
-        assert findings[0].patch is None
+        assert findings[0].edits == []
         assert findings[0].suggested_headers == {"Sync-Version": "2022-06-28"}
         assert "EXTRA_HEADERS" in findings[0].message
 
     def test_class_d_integer_id_with_string_example(self, rules):
         findings, _ = lint_file(DEFECTS / "class_d.yaml", rules)
         assert [f.lint_class for f in findings] == ["D"]
-        edit = findings[0].patch.edits[0]
+        edit = findings[0].edits[0]
         assert edit.op == "replace"
         assert edit.value == "string"
         assert edit.pointer.endswith("/schema/type")
@@ -121,7 +124,7 @@ class TestLintDetection:
 
     def test_class_e_patch_is_query_parameter_entry(self, rules):
         findings, _ = lint_file(DEFECTS / "class_e.json", rules)
-        edit = findings[0].patch.edits[0]
+        edit = findings[0].edits[0]
         assert edit.value == [
             {"name": "api_key", "in": "query", "required": True,
              "schema": {"type": "string"}}
@@ -154,7 +157,7 @@ class TestLintDetection:
         findings = lint(flatten(normalize(raw)), raw)
         e_findings = [f for f in findings if f.lint_class == "E"]
         assert len(e_findings) == 1
-        edit = e_findings[0].patch.edits[0]
+        edit = e_findings[0].edits[0]
         assert edit.pointer.endswith("/security")
         assert edit.value == [{"hk": []}]
 
@@ -190,59 +193,55 @@ class TestLintDetection:
 
 class TestApplyPatch:
     def test_empty_patch_is_identity(self, petstore):
-        patch = Patch()
-        patched, diff = apply_patch(petstore.raw, patch)
+        patched = apply_patch(petstore.raw, [])
         assert patched.tree == petstore.raw.tree
-        assert diff == ""
-        assert patch.loc_changed == 0
+        assert patched.tree is not petstore.raw.tree
+        report = fix_loop(petstore.raw)
+        assert (report.diff, report.total_loc_changed) == ("", 0)
 
     def test_single_value_replace_counts_one_line(self):
         raw = mem_doc({"servers": [{"url": "{{service-root}}"}], "openapi": "3.0.0"})
-        patch = Patch([PatchEdit("#/servers/0/url", "replace", "https://api.adp.com")])
-        patched, diff = apply_patch(raw, patch)
-        assert patch.loc_changed == 1
-        assert '+      "url": "https://api.adp.com"' in diff
-        assert patched.tree["servers"][0]["url"] == "https://api.adp.com"
+        report = fix_loop(raw)
+        assert report.total_loc_changed == 1
+        assert '+      "url": "https://api.example.com"' in report.diff
+        assert report.document.tree["servers"][0]["url"] == "https://api.example.com"
 
     def test_added_token_url_shows_in_diff(self, rules):
-        raw = load_document(DEFECTS / "class_a.yaml")
-        findings = lint(flatten(normalize(raw)), raw, rules)
-        patched, diff = apply_patch(raw, findings[0].patch)
-        added = [line for line in diff.splitlines() if line.startswith("+")]
+        report = fix_loop(load_document(DEFECTS / "class_a.yaml"), rules)
+        added = [line for line in report.diff.splitlines() if line.startswith("+")]
         assert any("tokenUrl:" in line for line in added)
-        assert findings[0].patch.loc_changed == 1
+        assert report.total_loc_changed == 1
 
     def test_add_creates_missing_parents(self):
         raw = mem_doc({"openapi": "3.0.0", "paths": {}})
-        patch = Patch([
+        patched = apply_patch(raw, [
             PatchEdit("#/components/securitySchemes/k", "add",
                       {"type": "http", "scheme": "bearer"})
         ])
-        patched, _ = apply_patch(raw, patch)
         assert patched.tree["components"]["securitySchemes"]["k"]["scheme"] == "bearer"
 
     def test_replace_missing_target_fails(self):
         raw = mem_doc({"openapi": "3.0.0"})
         with pytest.raises(PointerError):
-            apply_patch(raw, Patch([PatchEdit("#/servers/0/url", "replace", "x")]))
+            apply_patch(raw, [PatchEdit("#/servers/0/url", "replace", "x")])
 
     def test_list_append(self):
         raw = mem_doc({"items": [1, 2]})
-        patched, _ = apply_patch(raw, Patch([PatchEdit("#/items/-", "add", 3)]))
+        patched = apply_patch(raw, [PatchEdit("#/items/-", "add", 3)])
         assert patched.tree["items"] == [1, 2, 3]
 
     def test_original_document_untouched(self):
         tree = {"servers": [{"url": "old"}]}
         raw = mem_doc(tree)
         before = copy.deepcopy(tree)
-        apply_patch(raw, Patch([PatchEdit("#/servers/0/url", "replace", "new")]))
+        apply_patch(raw, [PatchEdit("#/servers/0/url", "replace", "new")])
         assert raw.tree == before
 
     def test_yaml_documents_render_as_yaml(self):
         raw = mem_doc({"a": {"b": 1}}, fmt="yaml")
-        patched, diff = apply_patch(raw, Patch([PatchEdit("#/a/b", "replace", 2)]))
-        assert "b: 2" in patched.text
-        assert "-  b: 1" in diff or "-    b: 1" in diff
+        patched = apply_patch(raw, [PatchEdit("#/a/b", "replace", 2)])
+        assert "  b: 1" in render_document(raw.tree, raw.format).splitlines()
+        assert "  b: 2" in render_document(patched.tree, patched.format).splitlines()
 
 
 def _oauth2_cases(flows: tuple[str, ...], shape) -> list:
@@ -337,7 +336,7 @@ class TestLintAgreesWithCompiler:
             return
         [finding] = findings
         assert finding.message == rejected
-        if finding.patch is not None:
+        if finding.edits:
             report = fix_loop(raw)
             extract_security(flatten(normalize(report.document)))
 
@@ -361,7 +360,7 @@ class TestLintAgreesWithCompiler:
         raw = _one_scheme_doc("openapi_2_0", _oauth2_2_0("accessCode", None))
         rules = load_vendor_rules_text({"^One$": {"token_url": "https://v.example/t"}})
         [finding] = lint(flatten(normalize(raw)), raw, rules)
-        assert finding.patch.edits == [
+        assert finding.edits == [
             PatchEdit("#/securityDefinitions/s/tokenUrl", "add", "https://v.example/t")
         ]
 
@@ -370,7 +369,7 @@ class TestLintAgreesWithCompiler:
         raw = _one_scheme_doc("openapi_2_0", node)
         [finding] = lint(flatten(normalize(raw)), raw)
         assert finding.location == "#/securityDefinitions/s"
-        assert finding.patch.edits == [
+        assert finding.edits == [
             PatchEdit("#/securityDefinitions/s/flow", "replace", "application")
         ]
 
@@ -385,7 +384,7 @@ class TestLintAgreesWithCompiler:
     def test_no_repair_guesses_how_a_credential_is_sent(self, node, dialect):
         raw = _one_scheme_doc(dialect, node)
         [finding] = lint(flatten(normalize(raw)), raw)
-        assert finding.lint_class == "A" and finding.patch is None
+        assert finding.lint_class == "A" and finding.edits == []
 
 class TestPatchSufficiency:
     @pytest.mark.parametrize(
@@ -394,12 +393,11 @@ class TestPatchSufficiency:
     def test_patched_class_relints_clean(self, name, rules):
         raw = load_document(DEFECTS / name)
         findings = lint(flatten(normalize(raw)), raw, rules)
-        patchable = [f for f in findings if f.patch is not None]
+        patchable = [f for f in findings if f.edits]
         assert patchable
-        merged = Patch([e for f in patchable for e in f.patch.edits])
-        patched, _ = apply_patch(raw, merged)
+        patched = apply_patch(raw, [e for f in patchable for e in f.edits])
         refindings = lint(flatten(normalize(patched)), patched, rules)
-        assert [f for f in refindings if f.patch is not None] == []
+        assert [f for f in refindings if f.edits] == []
 
 
 class TestFixLoop:
@@ -439,6 +437,17 @@ class TestFixLoop:
         raw = load_document(DEFECTS / "class_b.yaml")
         with pytest.raises(NonConvergence):
             fix_loop(raw, bad_rules)
+
+    @pytest.mark.parametrize(
+        "entry", ["https://x.example", {"description": "no url"}],
+        ids=["scalar", "no-url"],
+    )
+    def test_class_b_repairs_a_server_entry_without_a_url(self, entry):
+        raw = mem_doc({"openapi": "3.0.0", "info": {"title": "S", "version": "1"},
+                       "servers": [entry], "paths": {}})
+        report = fix_loop(raw)
+        assert report.findings_by_class == {"B": 1}
+        assert report.document.tree["servers"][0]["url"] == "https://api.example.com"
 
     def test_repairs_land_on_escaped_path_keys(self):
         # `%2F` and `~` must survive the pointer round trip: a decoder that

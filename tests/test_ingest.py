@@ -71,7 +71,6 @@ class TestLoadDocument:
         path = write(tmp_path, "a.json", '{"openapi":"3.1.0","paths":{}}')
         doc = load_document(path)
         assert doc.dialect == DIALECT_3_X
-        assert doc.warnings
 
 
 class TestResolveBaseUrl:
@@ -256,11 +255,6 @@ class TestNormalize:
         param = op["parameters"][0]
         assert param["schema"] == {"type": "integer", "format": "int32"}
 
-    def test_duplicate_operation_ids_suffixed(self, swagger_doc):
-        tree = normalize(swagger_doc)
-        assert tree["paths"]["/items"]["get"]["operationId"] == "listItems"
-        assert tree["paths"]["/dup"]["get"]["operationId"] == "listItems_2"
-
     def test_undeclared_path_variable_synthesized(self, swagger_doc):
         op = normalize(swagger_doc)["paths"]["/items/{item_id}/tags"]["post"]
         synthesized = [p for p in op.get("parameters", []) if p["name"] == "item_id"]
@@ -346,19 +340,6 @@ class TestOperations:
     @pytest.mark.parametrize("value", [None, "x", {"name": "id"}, [], [None, 3]])
     def test_parameters_not_a_list_of_mappings_reads_as_empty(self, value):
         assert ingest.parameters({"parameters": value}) == []
-
-    @pytest.mark.parametrize("dialect, marker", [
-        (DIALECT_2_0, {"swagger": "2.0"}), (DIALECT_3_X, {"openapi": "3.0.3"}),
-    ])
-    def test_duplicate_ids_in_one_path_item_suffixed_in_document_order(
-        self, dialect, marker
-    ):
-        tree = {**marker, "paths": {"/a": {"post": {"operationId": "dup"},
-                                           "get": {"operationId": "dup"}}}}
-        raw = ingest.RawDocument(None, FORMAT_JSON, dialect, tree)
-        item = normalize(raw)["paths"]["/a"]
-        assert [item[m]["operationId"] for m in item] == ["dup", "dup_2"]
-        assert list(item) == ["post", "get"]
 
 # -- libyaml and the pure-Python loader --------------------------------------------
 

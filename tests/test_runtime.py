@@ -356,6 +356,37 @@ class TestInvokeTool:
         assert record.query == {"q": "x", "key": creds["k"]}
         assert excinfo.value.env_var == "SEARCH_K"
 
+    def test_query_values_encoded_like_every_other_location(self, tmp_path):
+        params = {
+            "active": {"type": "boolean"},
+            "filter": {"type": "object"},
+            "tags": {"type": "array", "items": {"type": "boolean"}},
+            "n": {"type": "integer"},
+            "unset": {"type": ["string", "null"]},
+        }
+        tree = {
+            "openapi": "3.0.0",
+            "info": {"title": "Query", "version": "1"},
+            "servers": [{"url": "https://query.example"}],
+            "paths": {"/search": {"get": {
+                "parameters": [{"name": name, "in": "query", "schema": schema}
+                               for name, schema in params.items()],
+                "responses": {"200": {"description": "ok"}},
+            }}},
+        }
+        spec = tmp_path / "query.json"
+        spec.write_text(json.dumps(tree), encoding="utf-8")
+        compiled = compile_file(spec)
+        args = {"active": True, "filter": {"a": 1}, "tags": [False, True], "n": 3,
+                "unset": None}
+        with run_mock_upstream(compiled.manifest) as mock:
+            invoke_tool(compiled.manifest.tools[0], args, {}, mock.base_url,
+                        compiled.manifest.schemes, compiled.bindings)
+            record = mock.last_record()
+        # the mock records the first of repeated keys
+        assert record.query == {"active": "true", "filter": '{"a": 1}',
+                                "tags": "false", "n": "3"}
+
     def test_cookie_auth_merges_with_cookie_params(self, tmp_path):
         tree = {
             "openapi": "3.0.0",
