@@ -12,6 +12,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from automcp import ingest
+from automcp.compiler import compile_manifest
 from automcp.errors import BaseUrlError, DialectError, ParseError
 from automcp.ingest import (
     DIALECT_2_0,
@@ -22,6 +23,8 @@ from automcp.ingest import (
     normalize,
     resolve_base_url,
 )
+from automcp.refs import flatten
+from automcp.security import extract_security
 from conftest import DEFECTS, FIXTURES, fixture_path
 
 
@@ -254,6 +257,18 @@ class TestNormalize:
         op = normalize(swagger_doc)["paths"]["/items"]["get"]
         param = op["parameters"][0]
         assert param["schema"] == {"type": "integer", "format": "int32"}
+
+    def test_duplicate_operation_ids_suffixed(self, swagger_doc):
+        tree = normalize(swagger_doc)
+        assert tree["paths"]["/items"]["get"]["operationId"] == "listItems"
+        assert tree["paths"]["/dup"]["get"]["operationId"] == "listItems"
+        contract = flatten(tree)
+        manifest = compile_manifest(
+            contract, extract_security(contract), resolve_base_url(swagger_doc)
+        )
+        names = {t.endpoint.path_template: t.tool_name for t in manifest.tools
+                 if t.endpoint.operation_id == "listItems"}
+        assert names == {"/items": "listitems", "/dup": "listitems_2"}
 
     def test_undeclared_path_variable_synthesized(self, swagger_doc):
         op = normalize(swagger_doc)["paths"]["/items/{item_id}/tags"]["post"]
