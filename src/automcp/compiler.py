@@ -10,7 +10,9 @@ from __future__ import annotations
 import copy
 import re
 from dataclasses import dataclass, field
+from typing import Any, Container
 
+from .errors import SchemeError
 from .ingest import operations, parameters
 from .refs import FlattenedContract
 from .security import KIND_API_KEY, SecurityScheme
@@ -78,10 +80,12 @@ def list_endpoints(contract: FlattenedContract) -> list[EndpointDescriptor]:
 
     Path-level parameters are merged into each operation (operation-level
     wins on a (name, location) collision). The success status is the
-    smallest declared 2xx code, defaulting to 200.
+    smallest declared 2xx code, defaulting to 200. Raises SchemeError
+    (class A) when an operation requires a scheme nobody declared.
     """
     tree = contract.tree
     doc_security = tree.get("security") or []
+    declared = (tree.get("components") or {}).get("securitySchemes") or {}
     endpoints: list[EndpointDescriptor] = []
 
     for path, item, method, op in operations(tree):
@@ -89,9 +93,6 @@ def list_endpoints(contract: FlattenedContract) -> list[EndpointDescriptor]:
         body_schema, body_required, content_type = _pick_request_body(
             op.get("requestBody")
         )
-        security = op.get("security")
-        if not isinstance(security, list):  # absent or malformed: inherit
-            security = doc_security
         endpoints.append(
             EndpointDescriptor(
                 method=method.upper(),
@@ -104,11 +105,30 @@ def list_endpoints(contract: FlattenedContract) -> list[EndpointDescriptor]:
                 request_body_required=body_required,
                 request_content_type=content_type,
                 success_status=_pick_success_status(op.get("responses")),
-                security=[s for s in security if isinstance(s, dict)],
+                security=requirements(op, doc_security, declared),
                 deprecated=bool(op.get("deprecated", False)),
             )
         )
     return endpoints
+
+
+def requirements(op: dict, doc_security: Any, declared: Container) -> list[dict]:
+    """The requirement sets a call to the operation must meet: its own
+    `security` list, or the document's when it has none (a value that is
+    not a list counts as none). The one place requirements are resolved;
+    raises SchemeError (class A) for the first scheme they name that
+    `declared` does not hold."""
+    security = op.get("security")
+    if not isinstance(security, list):
+        security = doc_security
+    sets = [s for s in security if isinstance(s, dict)]
+    for requirement in sets:
+        for scheme_id in requirement:
+            if scheme_id not in declared:
+                raise SchemeError(
+                    f"operations require scheme {scheme_id!r} but it is not declared"
+                )
+    return sets
 
 
 def derive_tool_name(ep: EndpointDescriptor, taken: set[str]) -> str:

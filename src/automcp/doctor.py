@@ -8,9 +8,11 @@ break automation:
   E  missing endpoint-level auth
 
 A finding carries its repair as pointer edits ([] when it has none).
-`fix_loop` applies them until nothing patchable is left, then renders the
-original and the repaired tree once each, canonically: untouched regions
-compare byte-identical, so the one diff shows exactly the repair.
+`fix_loop` applies them to the tree until nothing patchable is left, and
+splices the same edits into the source text (`splice`), so the repaired
+copy is the author's file with only the repair changed. The tree-level
+result is the oracle: where the spliced text does not read back to it,
+or there is no source text, the repaired tree is rendered canonically.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from typing import Any
 
 import yaml
 
+from .compiler import requirements
 from .errors import BaseUrlError, NonConvergence, ParseError, PointerError, SchemeError
 from .ingest import (
     DIALECT_2_0,
@@ -39,6 +42,7 @@ from .ingest import (
 from .refs import FlattenedContract, escape_token, flatten, pointer_segments
 from .sampling import path_group
 from .security import parse_scheme
+from .splice import SourceText, Unplaceable
 
 CLASS_LABELS = {
     "A": "Incorrect or missing security schemes",
@@ -93,7 +97,8 @@ class VendorRule:
 def load_vendor_rules(path: str | Path) -> list[VendorRule]:
     """Rules file: JSON object mapping an api-title regex to per-vendor
     knowledge (required headers, replacement URLs, known string ids).
-    Raises ParseError when the file is not JSON or not such an object."""
+    Raises ParseError when the file is not JSON, not such an object, a
+    title pattern does not compile, or a field has the wrong type."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:
@@ -102,13 +107,34 @@ def load_vendor_rules(path: str | Path) -> list[VendorRule]:
         raise ParseError(f"{path}: rules file must map title patterns to objects")
     rules = []
     for pattern, body in raw.items():
+        try:
+            re.compile(pattern)
+        except re.error as exc:
+            raise ParseError(
+                f"{path}: title pattern {pattern!r} is not a regex: {exc}"
+            ) from exc
+        headers = body.get("required_headers", {})
+        names = body.get("string_path_params", [])
+        shape = {  # JSON object keys are strings already
+            "`required_headers` must map strings to strings": isinstance(headers, dict)
+            and all(isinstance(v, str) for v in headers.values()),
+            "`base_url` must be a string or null":
+                isinstance(body.get("base_url"), (str, type(None))),
+            "`token_url` must be a string or null":
+                isinstance(body.get("token_url"), (str, type(None))),
+            "`string_path_params` must be a list of strings": isinstance(names, list)
+            and all(isinstance(n, str) for n in names),
+        }
+        for problem, ok in shape.items():
+            if not ok:
+                raise ParseError(f"{path}: rule {pattern!r}: {problem}")
         rules.append(
             VendorRule(
                 title_pattern=pattern,
-                required_headers=dict(body.get("required_headers", {})),
+                required_headers=dict(headers),
                 base_url=body.get("base_url"),
                 token_url=body.get("token_url"),
-                string_path_params=list(body.get("string_path_params", [])),
+                string_path_params=list(names),
             )
         )
     return rules
@@ -154,28 +180,20 @@ def _lint_class_a(
 ) -> list[LintFinding]:
     findings: list[LintFinding] = []
     container_ptr, declared = _scheme_container(raw)
-
-    referenced: set[str] = set()
-    for requirement in raw.tree.get("security") or []:
-        if isinstance(requirement, dict):
-            referenced.update(requirement)
-    for _, _, _, op in operations(raw.tree):
-        for requirement in op.get("security") or []:
-            if isinstance(requirement, dict):
-                referenced.update(requirement)
-
-    # no patch: nothing in the contract says how that credential is sent
-    for scheme_id in sorted(referenced - set(declared)):
-        findings.append(
-            LintFinding(
-                "A",
-                container_ptr,
-                f"operations require scheme {scheme_id!r} but it is not declared",
-            )
-        )
-
     # judge the nodes the compiler reads: 3.x shaped, `$ref`s resolved
     judged = (contract.tree.get("components") or {}).get("securitySchemes") or {}
+
+    # each operation's first undeclared scheme, as the compiler resolves
+    # requirements; no patch: nothing says how that credential is sent
+    doc_security = contract.tree.get("security") or []
+    undeclared: set[str] = set()
+    for _, _, _, op in operations(contract.tree):
+        try:
+            requirements(op, doc_security, judged)
+        except SchemeError as exc:
+            undeclared.add(str(exc))
+    findings.extend(LintFinding("A", container_ptr, m) for m in sorted(undeclared))
+
     for scheme_id, node in judged.items():
         try:
             parse_scheme(scheme_id, node)
@@ -472,12 +490,12 @@ def _class_e_finding(
 
 
 def apply_patch(raw: RawDocument, edits: list[PatchEdit]) -> RawDocument:
-    """A copy of `raw` with the edits applied to a deep copy of its tree;
-    `raw` itself is left untouched."""
+    """A copy of `raw` with the edits applied to a deep copy of its tree
+    and no source text; `raw` itself is left untouched."""
     tree = copy.deepcopy(raw.tree)
     for edit in edits:
         _apply_edit(tree, edit)
-    return dataclasses.replace(raw, tree=tree)
+    return dataclasses.replace(raw, tree=tree, text=None)
 
 
 def render_document(tree: dict, fmt: str) -> str:
@@ -568,8 +586,11 @@ class FixReport:
     total_loc_changed: int = 0
     # every finding left without a patch, class C advisories included
     residual_advisories: list[LintFinding] = field(default_factory=list)
-    diff: str = ""  # from the original's rendering to `text`
-    text: str = ""  # the repaired document's rendering
+    diff: str = ""  # from the original text to `text`
+    text: str = ""  # the repaired document
+    # `text` is a canonical rendering of the repaired tree, not the source
+    # text with the edits spliced in
+    whole_document_render: bool = False
 
     @property
     def changed(self) -> bool:
@@ -582,18 +603,28 @@ class FixReport:
             "findings_by_class": self.findings_by_class,
             "loc_changed_by_class": self.loc_changed_by_class,
             "total_loc_changed": self.total_loc_changed,
+            "whole_document_render": self.whole_document_render,
             "residual_advisories": [f.to_dict() for f in self.residual_advisories],
         }
 
 
 def fix_loop(raw: RawDocument, rules: list[VendorRule] | None = None) -> FixReport:
-    """lint -> patch -> re-lint until nothing patchable remains, then
-    render, diff and count the changed lines once for the whole run.
+    """lint -> patch -> re-lint until nothing patchable remains.
+
+    Each iteration's edits go to the tree (`apply_patch`) and into the
+    source text at their nodes. The text, its diff from the original and
+    the changed lines per class come from those splices. When an edit has
+    no place in the text, the text does not read back to the patched tree,
+    or the document has no text, the original and repaired trees are
+    rendered canonically instead and diffed whole; the report says so in
+    `whole_document_render`, and shares the changed lines out among the
+    classes by their edits.
 
     Raises NonConvergence when patchable findings remain after
     MAX_FIX_ITERATIONS iterations.
     """
     report = FixReport(document=raw)
+    source = SourceText(raw.text, raw.format) if raw.text is not None else None
     edits_by_class: dict[str, int] = {}
     while True:
         doc = report.document
@@ -612,16 +643,41 @@ def fix_loop(raw: RawDocument, rules: list[VendorRule] | None = None) -> FixRepo
             cls = f.lint_class
             report.findings_by_class[cls] = report.findings_by_class.get(cls, 0) + 1
             edits_by_class[cls] = edits_by_class.get(cls, 0) + len(f.edits)
-        report.document = apply_patch(doc, [e for f in patchable for e in f.edits])
+        edits = [(f.lint_class, e) for f in patchable for e in f.edits]
+        report.document = apply_patch(doc, [e for _, e in edits])
+        if source is not None:
+            try:
+                source.splice(edits)
+            except Unplaceable:
+                source = None
 
-    if report.changed:
+    if not report.changed:
+        return report
+    name = raw.source_path.name
+    if source is not None and source.loads_to(report.document.tree):
+        report.text = source.text
+        report.diff = source.unified_diff(name, f"{name} (patched)")
+        report.loc_changed_by_class = dict.fromkeys(edits_by_class, 0)
+        report.loc_changed_by_class.update(source.changed_lines_by_class())
+    else:
+        report.whole_document_render = True
         before = render_document(raw.tree, raw.format)
         report.text = render_document(report.document.tree, raw.format)
-        report.diff = _unified_diff(before, report.text, raw.source_path.name)
-        report.total_loc_changed = _count_changed_lines(before, report.text)
-        total_edits = sum(edits_by_class.values())
-        report.loc_changed_by_class = {
-            cls: round(report.total_loc_changed * count / total_edits)
-            for cls, count in edits_by_class.items()
-        }
+        report.diff = _unified_diff(before, report.text, name)
+        report.loc_changed_by_class = _apportion(
+            _count_changed_lines(before, report.text), edits_by_class
+        )
+    report.total_loc_changed = sum(report.loc_changed_by_class.values())
+    report.document = dataclasses.replace(report.document, text=report.text)
     return report
+
+
+def _apportion(total: int, weights: dict[str, int]) -> dict[str, int]:
+    """`total` shared out in proportion to `weights` by largest remainder,
+    so that the shares sum to `total`."""
+    whole = sum(weights.values())
+    shares = {key: total * weight // whole for key, weight in weights.items()}
+    by_remainder = sorted(weights, key=lambda key: -(total * weights[key] % whole))
+    for key in by_remainder[:total - sum(shares.values())]:
+        shares[key] += 1
+    return shares

@@ -64,12 +64,14 @@ _LINE_START_RUN_RE = re.compile(r"[\n\r\x85\u2028\u2029\ufeff][\ufeff ?:-]+")
 @dataclass
 class RawDocument:
     """A parsed spec file: where it came from, its serialization format,
-    its dialect and its tree."""
+    its dialect, its tree and the text it was parsed from (None for a
+    document built in memory or edited as a tree)."""
 
     source_path: Path
     format: str
     dialect: str
     tree: dict
+    text: str | None = None
 
 
 def load_document(path: str | Path) -> RawDocument:
@@ -105,23 +107,47 @@ def load_document(path: str | Path) -> RawDocument:
             f"{path}: no `swagger: \"2.0\"` or `openapi: 3.x` marker found"
         )
 
-    return RawDocument(source_path=path, format=fmt, dialect=dialect, tree=tree)
+    return RawDocument(source_path=path, format=fmt, dialect=dialect, tree=tree,
+                       text=text)
+
+
+def load_text(text: str, fmt: str) -> Any:
+    """The tree `text` gives when read as `fmt`, as `load_document` reads it."""
+    return json.loads(text) if fmt == FORMAT_JSON else _load_yaml(text)
 
 
 def _load_yaml(text: str) -> Any:
-    """`yaml.safe_load`, through libyaml when it is present and the text
-    cannot nest deeper than `_LIBYAML_MAX_DEPTH`. A libyaml error is
-    re-raised by the pure loader, so the message is the same either way.
-    Text with a BOM past its first character also takes the pure loader:
-    libyaml skips a BOM at the start of any line, the pure loader only at
-    the start of the text, so the two would build different trees."""
+    """`yaml.safe_load` through the loader `_with_yaml_loader` picks."""
+    return _with_yaml_loader(yaml.load, text)
+
+
+def compose_yaml(text: str) -> tuple[yaml.Node, int]:
+    """The node graph `_load_yaml` builds its tree from, whose marks give
+    source positions, and the offset that turns a mark's `index` into an
+    offset into `text`: libyaml does not count a leading BOM."""
+
+    def compose(text: str, Loader: type) -> tuple[yaml.Node, int]:
+        bom = text.startswith("\ufeff") and Loader is getattr(yaml, "CSafeLoader", None)
+        return yaml.compose(text, Loader=Loader), int(bom)
+
+    return _with_yaml_loader(compose, text)
+
+
+def _with_yaml_loader(parse, text: str) -> Any:
+    """`parse(text, Loader=...)` through libyaml when it is present and the
+    text cannot nest deeper than `_LIBYAML_MAX_DEPTH`, else through the
+    pure loader. A libyaml error is re-raised by the pure loader, so the
+    message is the same either way. Text with a BOM past its first
+    character also takes the pure loader: libyaml skips a BOM at the start
+    of any line, the pure loader only at the start of the text, so the two
+    would build different trees."""
     if (_FastLoader is not None and text.find("\ufeff", 1) < 0
             and _nesting_bound(text) <= _LIBYAML_MAX_DEPTH):
         try:
-            return yaml.load(text, Loader=_FastLoader)
+            return parse(text, Loader=_FastLoader)
         except yaml.YAMLError:
             pass
-    return yaml.load(text, Loader=yaml.SafeLoader)
+    return parse(text, Loader=yaml.SafeLoader)
 
 
 def _nesting_bound(text: str) -> int:

@@ -1,0 +1,429 @@
+"""Place pointer edits in a spec's source text, so that a repaired copy
+keeps the author's comments, key order and quoting.
+
+`SourceText.splice` composes the current text once, with the loader that
+`ingest` reads YAML with (JSON is YAML's flow style), finds each edit's
+node by its marks and changes only that node's text: it replaces a
+value's span, adds a mapping entry or appends a sequence item. A new
+value is written on one line: as JSON in a JSON document, and otherwise
+as YAML, in flow style where it is a collection. Each line of the text
+remembers the original line it still is, or the lint class whose edit
+wrote it; the changed-line counts and the unified diff come from that
+record, not from diffing the whole text.
+
+An edit with no safe place raises `Unplaceable`. The caller keeps the
+tree-level edit as the oracle: it loads the spliced text and renders the
+whole document instead when the two trees differ.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import re
+from bisect import bisect_right
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+import yaml
+from yaml.nodes import CollectionNode, MappingNode, ScalarNode, SequenceNode
+
+from .ingest import FORMAT_JSON, compose_yaml, load_text
+from .refs import pointer_segments
+
+if TYPE_CHECKING:
+    from .doctor import PatchEdit
+
+# the line breaks of str.splitlines, which the line counts use
+_BREAK_RE = re.compile("\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+# characters JSON may hold raw but YAML may not, or reads as line breaks;
+# they occur only inside strings, where JSON escapes them
+_JSON_ESCAPE_RE = re.compile("[\x7f-\x9f\u2028\u2029\ufffe\uffff]")
+_STR_TAG = "tag:yaml.org,2002:str"
+_MERGE_TAG = "tag:yaml.org,2002:merge"
+_DIFF_CONTEXT = 3
+
+
+class Unplaceable(Exception):
+    """An edit that has no safe place in the text."""
+
+
+@dataclass
+class _Splice:
+    start: int
+    end: int
+    text: str
+    lint_class: str
+
+
+class SourceText:
+    """A document's text under repair, with per-line provenance."""
+
+    def __init__(self, text: str, fmt: str) -> None:
+        self.original = text
+        self.text = text
+        self.format = fmt
+        self._original_lines = len(text.splitlines())
+        # per current line: the original line index it still is, or the
+        # lint class whose edit wrote it
+        self._origin: list[int | str] = list(range(self._original_lines))
+        self._removed: dict[int, str] = {}  # original line -> class that removed it
+        self._shift = 0  # added to a mark's index: see compose_yaml
+
+    def splice(self, edits: list[tuple[str, PatchEdit]]) -> None:
+        """Place one iteration's (lint class, edit) pairs, all located in
+        the current text. Raises Unplaceable, leaving the text as it was,
+        when one of them cannot be placed."""
+        try:
+            root, self._shift = compose_yaml(self.text)
+        except yaml.YAMLError as exc:
+            raise Unplaceable(f"text does not compose: {exc}") from exc
+        splices = sorted(
+            (self._place(root, edit, cls) for cls, edit in edits),
+            key=lambda s: (s.start, s.end),
+        )
+        for before, after in zip(splices, splices[1:]):
+            if after.start < before.end:
+                raise Unplaceable("two edits overlap")
+        self._apply(splices)
+
+    def loads_to(self, tree: dict) -> bool:
+        """Whether the text reads, as `ingest` reads it, to `tree`."""
+        try:
+            return load_text(self.text, self.format) == tree
+        except (ValueError, yaml.YAMLError):
+            return False
+
+    # -- placing one edit ---------------------------------------------------
+
+    def _place(self, root: yaml.Node, edit: PatchEdit, cls: str) -> _Splice:
+        segments = pointer_segments(edit.pointer)
+        node = root
+        for i, segment in enumerate(segments[:-1]):
+            child, _ = self._child(node, segment)
+            if child is None:  # a missing parent, which `add` creates
+                value = edit.value
+                for inner in reversed(segments[i + 1:]):
+                    value = {inner: value}
+                return self._add_entry(node, segment, value, cls)
+            node = child
+        leaf = segments[-1]
+        if isinstance(node, MappingNode):
+            child, child_key = self._child(node, leaf)
+            if child is None:
+                return self._add_entry(node, leaf, edit.value, cls)
+            return self._replace(node, child_key, child, edit.value, cls)
+        if isinstance(node, SequenceNode):
+            # `-` appends whatever the op, as `_apply_edit` does
+            if leaf == "-" or (edit.op == "add" and int(leaf) == len(node.value)):
+                return self._append(node, edit.value, cls)
+            if edit.op == "replace":
+                item, _ = self._child(node, leaf)
+                return self._replace(node, None, item, edit.value, cls)
+            raise Unplaceable("an item inserted before another")
+        raise Unplaceable(f"{edit.pointer}: parent is a scalar")
+
+    def _child(
+        self, node: yaml.Node, segment: str
+    ) -> tuple[yaml.Node | None, ScalarNode | None]:
+        """(value, key node) under `segment`; (None, None) for a missing
+        mapping key. A node reached through an alias is refused: its marks
+        are those of its anchor."""
+        if isinstance(node, MappingNode):
+            for key, value in reversed(node.value):  # the last duplicate wins
+                if key.tag == _STR_TAG and key.value == segment:
+                    if self._start(value) < self._end(key):
+                        raise Unplaceable(f"{segment!r} is an alias")
+                    return value, key
+            if any(key.tag == _MERGE_TAG for key, _ in node.value):
+                raise Unplaceable(f"{segment!r} may come from a merge key")
+            return None, None
+        if isinstance(node, SequenceNode) and segment.isdigit():
+            index = int(segment)
+            if index < len(node.value):
+                item = node.value[index]
+                previous = node.value[index - 1] if index else None
+                floor = self._start(previous) + 1 if previous else self._start(node)
+                if self._start(item) < floor:
+                    raise Unplaceable(f"item {index} is an alias")
+                return item, None
+        raise Unplaceable(f"no node at {segment!r}")
+
+    def _replace(
+        self, parent: yaml.Node, key: ScalarNode | None, node: yaml.Node,
+        value: object, cls: str,
+    ) -> _Splice:
+        rendered = self._render(value, bool(parent.flow_style))
+        start = self._start(node)
+        if _zero_width(node) or (not parent.flow_style and _is_block(node)):
+            if key is None:
+                if _zero_width(node):
+                    raise Unplaceable("empty sequence item")
+                # a block item starts after its `- `: only its span goes
+                return _Splice(start, self._content_end(node), rendered, cls)
+            # the value moves up onto its key's line
+            colon = self._colon_after(key)
+            end = colon + 1 if _zero_width(node) else self._content_end(node)
+            return _Splice(colon + 1, end, " " + rendered, cls)
+        return _Splice(start, self._end(node), rendered, cls)
+
+    def _add_entry(self, mapping: yaml.Node, key: str, value: object, cls: str) -> _Splice:
+        if not isinstance(mapping, MappingNode):
+            raise Unplaceable("parent is not a mapping")
+        flow = bool(mapping.flow_style)
+        entry = f"{self._render(key, flow)}: {self._render(value, flow)}"
+        if flow:
+            first = mapping.value[0][0] if mapping.value else None
+            return self._flow_insert(mapping, first, entry, cls)
+        first = mapping.value[0][0]
+        start = self._start(first)
+        if self.text[self._line_start(start):start].strip(" -\ufeff"):
+            raise Unplaceable("the first key does not start its entry")  # `? key`
+        indent = " " * first.start_mark.column
+        return self._new_line(self._content_end(mapping), indent + entry, cls)
+
+    def _append(self, seq: SequenceNode, value: object, cls: str) -> _Splice:
+        rendered = self._render(value, bool(seq.flow_style))
+        items = seq.value
+        if seq.flow_style:
+            if not items:
+                return self._flow_insert(seq, None, rendered, cls)
+            last = items[-1]
+            sep = self._separator(seq, items[-2] if len(items) > 1 else None, last)
+            return _Splice(self._end(last), self._end(last), sep + rendered, cls)
+        dash = self._dash(items[0])
+        indent = " " * (items[0].start_mark.column - (self._start(items[0]) - dash))
+        return self._new_line(self._content_end(seq), indent + "- " + rendered, cls)
+
+    # -- text positions -------------------------------------------------------
+
+    def _start(self, node: yaml.Node) -> int:
+        return node.start_mark.index + self._shift
+
+    def _end(self, node: yaml.Node) -> int:
+        return node.end_mark.index + self._shift
+
+    def _content_end(self, node: yaml.Node) -> int:
+        """Where the node's own text ends. A block collection's end mark
+        lies at the next token, past any comments and blank lines, so this
+        follows its last entry down to a scalar or a flow collection."""
+        while _is_block(node) and isinstance(node, CollectionNode):
+            last = node.value[-1]
+            if isinstance(node, MappingNode):
+                key, node = last
+                if _zero_width(node):
+                    return self._colon_after(key) + 1
+            else:
+                node = last
+        if _zero_width(node):
+            raise Unplaceable("ends in an empty item")
+        start, end = self._start(node), self._end(node)
+        if isinstance(node, ScalarNode) and node.style in ("|", ">"):
+            while end > start and self.text[end - 1] in " \t" + _BREAKS:
+                end -= 1
+        return end
+
+    def _colon_after(self, key: ScalarNode) -> int:
+        colon = self._end(key)
+        while colon < len(self.text) and self.text[colon] in " \t":
+            colon += 1
+        if not self.text.startswith(":", colon):
+            raise Unplaceable("no `:` after the key")
+        return colon
+
+    def _dash(self, item: yaml.Node) -> int:
+        """The offset of the `-` that opens a block sequence item."""
+        dash = self._start(item) - 1
+        while dash >= 0 and self.text[dash] == " ":
+            dash -= 1
+        if dash < 0 or self.text[dash] != "-":
+            raise Unplaceable("no `-` before the item")
+        return dash
+
+    def _line_start(self, pos: int) -> int:
+        while pos > 0 and self.text[pos - 1] not in _BREAKS:
+            pos -= 1
+        return pos
+
+    def _new_line(self, content_end: int, line: str, cls: str) -> _Splice:
+        """A whole new line after the line where `content_end` falls."""
+        if content_end == self._line_start(content_end):
+            return _Splice(content_end, content_end, line + "\n", cls)
+        match = _BREAK_RE.search(self.text, content_end)
+        if match is None:  # the last line, with no break at its end
+            return _Splice(len(self.text), len(self.text), "\n" + line, cls)
+        return _Splice(match.end(), match.end(), line + "\n", cls)
+
+    def _flow_insert(
+        self, node: yaml.Node, first: yaml.Node | None, text: str, cls: str
+    ) -> _Splice:
+        """`text` placed first in a flow collection."""
+        if first is None:
+            pos = self._opener(node) + 1
+            return _Splice(pos, pos, text, cls)
+        pos = self._start(first)
+        return _Splice(pos, pos, text + self._separator(node, None, first), cls)
+
+    def _separator(self, node: yaml.Node, before: yaml.Node | None, item: yaml.Node) -> str:
+        """`,` plus the layout between `item` and what precedes it in a
+        flow collection: a line break and its indentation, or a space."""
+        gap_start = self._end(before) if before else self._opener(node) + 1
+        if any(ch in _BREAKS for ch in self.text[gap_start:self._start(item)]):
+            return ",\n" + " " * item.start_mark.column
+        return ", "
+
+    def _opener(self, node: yaml.Node) -> int:
+        """The offset of the `{` or `[` that opens a flow collection."""
+        opener = "{" if isinstance(node, MappingNode) else "["
+        pos = self.text.find(opener, self._start(node))
+        if pos < 0:
+            raise Unplaceable(f"no {opener!r} opens the collection")
+        return pos
+
+    def _render(self, value: object, flow: bool) -> str:
+        """`value` on one line, for a flow or a block context."""
+        if self.format == FORMAT_JSON:
+            return _JSON_ESCAPE_RE.sub(
+                lambda m: f"\\u{ord(m[0]):04x}", json.dumps(value, ensure_ascii=False)
+            )
+        if flow or isinstance(value, (dict, list)):
+            rendered = yaml.safe_dump(
+                [value], default_flow_style=True, width=math.inf, allow_unicode=True
+            )[1:-2]
+        else:  # a block context leaves more scalars plain
+            rendered = yaml.safe_dump(
+                {"k": value}, default_flow_style=False, width=math.inf, allow_unicode=True
+            )[3:-1]
+        if any(ch in _BREAKS for ch in rendered):
+            raise Unplaceable("value renders on several lines")
+        return rendered
+
+    # -- applying splices and accounting for lines -----------------------------
+
+    def _apply(self, splices: list[_Splice]) -> None:
+        """Apply sorted, non-overlapping splices. Splices that share a line
+        form one region; the lines a region leaves as they were at either
+        end keep their provenance, and every other line in it is new and
+        counts for the class of the region's first splice."""
+        text = self.text
+        starts = [0] + [m.end() for m in _BREAK_RE.finditer(text)]
+
+        def line_of(pos: int) -> int:
+            return bisect_right(starts, pos) - 1
+
+        out: list[str] = []
+        origin: list[int | str] = []
+        pos = line = 0
+        i = 0
+        while i < len(splices):
+            first_line, last_line = line_of(splices[i].start), line_of(splices[i].end)
+            j = i + 1
+            while j < len(splices) and line_of(splices[j].start) <= last_line:
+                last_line = max(last_line, line_of(splices[j].end))
+                j += 1
+            group, i = splices[i:j], j
+            a = starts[first_line]
+            b = starts[last_line + 1] if last_line + 1 < len(starts) else len(text)
+            pieces, cursor = [], a
+            for s in group:
+                pieces += [text[cursor:s.start], s.text]
+                cursor = s.end
+            pieces.append(text[cursor:b])
+            region = "".join(pieces)
+
+            old_lines, new_lines = text[a:b].splitlines(), region.splitlines()
+            head = 0
+            while (head < min(len(old_lines), len(new_lines))
+                   and old_lines[head] == new_lines[head]):
+                head += 1
+            tail = 0
+            while (tail < min(len(old_lines), len(new_lines)) - head
+                   and old_lines[-1 - tail] == new_lines[-1 - tail]):
+                tail += 1
+            tags = self._origin[first_line:first_line + len(old_lines)]
+            cls = group[0].lint_class
+            for tag in tags[head:len(tags) - tail]:
+                if isinstance(tag, int):
+                    self._removed[tag] = cls
+            out += [text[pos:a], region]
+            origin += self._origin[line:first_line] + tags[:head]
+            origin += [cls] * (len(new_lines) - head - tail) + tags[len(tags) - tail:]
+            pos, line = b, first_line + len(old_lines)
+        out.append(text[pos:])
+        origin += self._origin[line:]
+        self.text = "".join(out)
+        self._origin = origin
+
+    def _blocks(self) -> list[tuple[int, int, int, int]]:
+        """(i1, i2, j1, j2) for each run of original lines i1:i2 that the
+        current lines j1:j2 replace; one of the two may be empty."""
+        blocks = []
+        i = j = 0
+        for jj, tag in enumerate([*self._origin, self._original_lines]):
+            if isinstance(tag, int):
+                if tag > i or jj > j:
+                    blocks.append((i, tag, j, jj))
+                i, j = tag + 1, jj + 1
+        return blocks
+
+    def changed_lines_by_class(self) -> dict[str, int]:
+        """Changed lines as a line diff counts them (a replaced run counts
+        its longer side, an inserted or deleted run its length), each line
+        for the class that wrote it or, where more lines went than came,
+        removed it."""
+        counts: dict[str, int] = {}
+        for i1, i2, j1, j2 in self._blocks():
+            added = self._origin[j1:j2]
+            removed = [self._removed[i] for i in range(i1, i2)]
+            for cls in added if len(added) >= len(removed) else removed:
+                counts[cls] = counts.get(cls, 0) + 1
+        return counts
+
+    def unified_diff(self, fromfile: str, tofile: str) -> str:
+        """The unified diff from the original text to the current one, in
+        difflib's format (three lines of context, no line terminators)."""
+        old, new = self.original.splitlines(), self.text.splitlines()
+        hunks: list[list[tuple[int, int, int, int]]] = []
+        for block in self._blocks():
+            if hunks and block[0] - hunks[-1][-1][1] <= 2 * _DIFF_CONTEXT:
+                hunks[-1].append(block)
+            else:
+                hunks.append([block])
+        if not hunks:
+            return ""
+        lines = [f"--- {fromfile}", f"+++ {tofile}"]
+        for hunk in hunks:
+            i1 = max(0, hunk[0][0] - _DIFF_CONTEXT)
+            j1 = hunk[0][2] - (hunk[0][0] - i1)
+            i2 = min(len(old), hunk[-1][1] + _DIFF_CONTEXT)
+            j2 = hunk[-1][3] + (i2 - hunk[-1][1])
+            lines.append(f"@@ -{_hunk_range(i1, i2)} +{_hunk_range(j1, j2)} @@")
+            i = i1
+            for b_i1, b_i2, b_j1, b_j2 in hunk:
+                lines += [" " + line for line in old[i:b_i1]]
+                lines += ["-" + line for line in old[b_i1:b_i2]]
+                lines += ["+" + line for line in new[b_j1:b_j2]]
+                i = b_i2
+            lines += [" " + line for line in old[i:i2]]
+        return "\n".join(lines)
+
+
+def _hunk_range(start: int, stop: int) -> str:
+    """A unified-diff range, as difflib writes it."""
+    length = stop - start
+    if length == 1:
+        return str(start + 1)
+    return f"{start if length == 0 else start + 1},{length}"
+
+
+def _zero_width(node: yaml.Node) -> bool:
+    """An empty plain scalar: its marks sit at the next token."""
+    return isinstance(node, ScalarNode) and node.start_mark.index == node.end_mark.index
+
+
+def _is_block(node: yaml.Node) -> bool:
+    """A block collection or a literal or folded block scalar."""
+    if isinstance(node, ScalarNode):
+        return node.style in ("|", ">")
+    return not node.flow_style

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import difflib
 import itertools
 import json
 from pathlib import Path
@@ -26,6 +27,18 @@ DEFECTS = FIXTURES / "defects"
 
 def fixture_path(name: str) -> Path:
     return FIXTURES / name
+
+
+def changed_line_count(before: str, after: str) -> int:
+    """Lines a difflib line diff touches: a replaced run counts its longer
+    side, an inserted or deleted run its length."""
+    matcher = difflib.SequenceMatcher(
+        a=before.splitlines(), b=after.splitlines(), autojunk=False
+    )
+    return sum(
+        max(i2 - i1, j2 - j1)
+        for op, i1, i2, j1, j2 in matcher.get_opcodes() if op != "equal"
+    )
 
 
 @pytest.fixture(scope="session")

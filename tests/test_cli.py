@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import difflib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from automcp.cli import main
 from automcp.errors import NestingError
 from automcp.pipeline import compile_file
-from conftest import DEFECTS, fixture_path
+from conftest import DEFECTS, changed_line_count, fixture_path
 
 
 def run_cli(args: list[str]) -> int:
@@ -257,8 +259,14 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["lint", "generate"])
     @pytest.mark.parametrize(
-        "text", ["{not json", '{"x": 1}', "[1]"],
-        ids=["not-json", "value-not-an-object", "not-an-object"],
+        "text",
+        ["{not json", '{"x": 1}', "[1]", '{"(": {}}',
+         '{".*": {"required_headers": "x"}}', '{".*": {"required_headers": {"a": 1}}}',
+         '{".*": {"base_url": 1}}', '{".*": {"token_url": ["x"]}}',
+         '{".*": {"string_path_params": "id"}}', '{".*": {"string_path_params": [1]}}'],
+        ids=["not-json", "value-not-an-object", "not-an-object", "bad-title-regex",
+             "headers-not-an-object", "header-not-a-string", "base-url-not-a-string",
+             "token-url-not-a-string", "params-not-a-list", "param-not-a-string"],
     )
     def test_malformed_rules_file_is_parse_error(self, tmp_path, capsys, command, text):
         rules = tmp_path / "rules.json"
@@ -269,6 +277,53 @@ class TestExitCodes:
         assert run_cli(args) == 1
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith("error: ") and str(rules) in line
+
+
+    @pytest.mark.parametrize("fix", [False, True], ids=["plain", "fix"])
+    def test_undeclared_scheme_is_class_a(self, tmp_path, capsys, fix):
+        spec = tmp_path / "ghost.json"
+        spec.write_text(json.dumps({
+            "openapi": "3.0.0", "info": {"title": "Ghost", "version": "1"},
+            "servers": [{"url": "https://ghost.example"}],
+            "paths": {"/x": {"get": {"security": [{"ghost": []}]}}},
+        }), encoding="utf-8")
+        args = ["generate", spec, "--out", tmp_path / "out"] + (["--fix"] if fix else [])
+        assert run_cli(args) == 2
+        assert "class A: operations require scheme 'ghost'" in capsys.readouterr().err
+
+
+class TestLintFixSplicesTheSource:
+    """The repaired copy is the original text with the repair spliced in:
+    it differs from the original in exactly the lines reported."""
+
+    @pytest.mark.parametrize(
+        "name", ["class_a.yaml", "class_b.yaml", "class_d.yaml", "class_e.json"]
+    )
+    def test_written_copy_differs_by_the_reported_lines(self, tmp_path, capsys, name):
+        code = run_cli(["lint", DEFECTS / name, "--fix", "--out", tmp_path,
+                        "--rules", fixture_path("vendor_rules.json")])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        original = (DEFECTS / name).read_text(encoding="utf-8")
+        written = Path(report["repaired_spec"]).read_text(encoding="utf-8")
+        changed = changed_line_count(original, written)
+        assert changed == report["total_loc_changed"]
+        assert sum(report["loc_changed_by_class"].values()) == changed
+        assert report["whole_document_render"] is False
+        if name == "class_e.json":
+            assert changed <= 2 * report["findings_by_class"]["E"]
+        else:
+            assert changed == 1
+        diff = difflib.unified_diff(original.splitlines(), written.splitlines(),
+                                    fromfile=name, tofile=f"{name} (patched)", lineterm="")
+        written_diff = Path(report["diff_file"]).read_text(encoding="utf-8")
+        assert written_diff == "\n".join(diff) + "\n"
+
+    def test_comment_survives(self, tmp_path, capsys):
+        run_cli(["lint", DEFECTS / "class_a.yaml", "--fix", "--out", tmp_path])
+        written = (tmp_path / "class_a.fixed.yaml").read_text(encoding="utf-8")
+        comment = "        # seeded class A defect: this flow declares no tokenUrl\n"
+        assert comment in written
 
 
 class TestRulesOnlyWhereTheRepairReadsThem:

@@ -3,13 +3,19 @@
 from __future__ import annotations
 
 import copy
+import difflib
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from automcp import ingest
+from automcp.compiler import list_endpoints
 from automcp.doctor import (
     PatchEdit,
+    _apply_edit,
     apply_patch,
     fix_loop,
     lint,
@@ -18,9 +24,10 @@ from automcp.doctor import (
 )
 from automcp.errors import NonConvergence, PointerError, SchemeError
 from automcp.ingest import RawDocument, load_document, normalize
-from automcp.refs import flatten
+from automcp.refs import escape_token, flatten, pointer_lookup
 from automcp.security import extract_security
-from conftest import DEFECTS, fixture_path
+from automcp.splice import SourceText
+from conftest import DEFECTS, changed_line_count, fixture_path
 
 
 @pytest.fixture(scope="module")
@@ -325,8 +332,10 @@ class TestLintAgreesWithCompiler:
     it, with the compiler's own message; every repair it offers compiles."""
 
     def check(self, raw: RawDocument) -> None:
-        try:
-            extract_security(flatten(normalize(raw)))
+        contract = flatten(normalize(raw))
+        try:  # in the pipeline's order
+            extract_security(contract)
+            list_endpoints(contract)
             rejected = None
         except SchemeError as exc:
             rejected = str(exc)
@@ -354,6 +363,21 @@ class TestLintAgreesWithCompiler:
     def test_ref_to_a_scheme_is_judged_by_its_target(self, target):
         raw = _one_scheme_doc("openapi_3_x", {"$ref": "#/components/x-auth"})
         raw.tree["components"]["x-auth"] = target
+        self.check(raw)
+
+    @pytest.mark.parametrize("dialect", ["openapi_2_0", "openapi_3_x"])
+    @pytest.mark.parametrize("where", ["document", "operation", "overridden"])
+    def test_undeclared_scheme(self, dialect, where):
+        """Judged where requirements are resolved: a document-level
+        requirement that every operation overrides is never used."""
+        raw = _one_scheme_doc(dialect, {"type": "apiKey", "in": "header", "name": "X-K"})
+        op = raw.tree["paths"]["/a"]["get"]
+        if where == "operation":
+            op["security"] = [{"s": [], "ghost": []}]
+        else:
+            raw.tree["security"] = [{"ghost": []}]
+        if where == "overridden":
+            op["security"] = [{"s": []}]
         self.check(raw)
 
     def test_vendor_token_url_applies_to_2_0_repairs(self):
@@ -493,3 +517,217 @@ def load_vendor_rules_text(payload: dict):
         json.dump(payload, handle)
         path = handle.name
     return load_vendor_rules(path)
+
+
+# -- repairs spliced into the source text ---------------------------------------
+
+PATCHED_FIXTURES = ["class_a.yaml", "class_b.yaml", "class_d.yaml", "class_e.json"]
+
+
+def patched_lines(lines: list[str], diff: str) -> list[str]:
+    """`lines` with a unified diff applied."""
+    out, i = [], 0
+    for line in diff.splitlines()[2:]:
+        if line.startswith("@@"):
+            start = int(line.split()[1].split(",")[0].lstrip("-"))
+            length = line.split()[1].partition(",")[2]
+            start = start if length == "0" else start - 1
+            out += lines[i:start]
+            i = start
+        elif line.startswith("+"):
+            out.append(line[1:])
+        else:
+            assert lines[i] == line[1:]
+            if line.startswith(" "):
+                out.append(line[1:])
+            i += 1
+    return out + lines[i:]
+
+
+def diff_changed_lines(diff: str) -> int:
+    """Per run of changed lines in a unified diff, its longer side."""
+    total = minus = plus = 0
+    for line in diff.splitlines()[2:] + [" "]:
+        if line.startswith("-"):
+            minus += 1
+        elif line.startswith("+"):
+            plus += 1
+        else:
+            total, minus, plus = total + max(minus, plus), 0, 0
+    return total
+
+
+def write_spec(tmp_path: Path, name: str, text: str) -> RawDocument:
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return load_document(path)
+
+
+def pointers(node, prefix="#"):
+    """The pointer of every node below the root."""
+    children = (
+        node.items() if isinstance(node, dict)
+        else enumerate(node) if isinstance(node, list) else ()
+    )
+    for key, child in children:
+        pointer = f"{prefix}/{escape_token(str(key))}"
+        yield pointer
+        yield from pointers(child, pointer)
+
+
+# no line breaks: a YAML string that has one renders on several lines
+one_line_text = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\r\x0b\x0c"
+                  "\x1c\x1d\x1e\x85\u2028\u2029"),
+    max_size=8,
+)
+edit_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | one_line_text
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(one_line_text, children, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def fixture_edits(draw, tree):
+    """An edit at an existing node: a replace, an add at an existing key,
+    an add of a new key, or an append. (The text path does not insert an
+    item before another, which an add at an existing item would.)"""
+    target = draw(st.sampled_from(sorted(pointers(tree))))
+    node = pointer_lookup(tree, target)
+    in_list = isinstance(pointer_lookup(tree, target.rpartition("/")[0]), list)
+    kind = draw(st.sampled_from(["replace", "add", "add-child"]))
+    value = draw(edit_values)
+    if kind == "add-child" and isinstance(node, dict):
+        key = draw(one_line_text.filter(bool))
+        return PatchEdit(f"{target}/{escape_token(key)}", "add", value)
+    if kind == "add-child" and isinstance(node, list):
+        index = draw(st.sampled_from(["-", str(len(node))]))
+        return PatchEdit(f"{target}/{index}", "add", value)
+    return PatchEdit(target, "add" if kind == "add" and not in_list else "replace", value)
+
+
+class TestSourceText:
+    @pytest.mark.parametrize("name", PATCHED_FIXTURES)
+    def test_fixture_repairs_are_spliced(self, name, rules):
+        original = (DEFECTS / name).read_text(encoding="utf-8")
+        report = fix_loop(load_document(DEFECTS / name), rules)
+        assert report.whole_document_render is False
+        assert report.total_loc_changed == changed_line_count(original, report.text)
+        assert report.diff == "\n".join(difflib.unified_diff(
+            original.splitlines(), report.text.splitlines(),
+            fromfile=name, tofile=f"{name} (patched)", lineterm="",
+        ))
+        if name == "class_e.json":
+            assert report.total_loc_changed <= 2 * report.findings_by_class["E"]
+        else:
+            assert report.total_loc_changed == 1
+
+    @pytest.mark.parametrize("name", PATCHED_FIXTURES)
+    def test_pure_loader_splices_the_same_text(self, name, rules, monkeypatch):
+        with_libyaml = fix_loop(load_document(DEFECTS / name), rules)
+        monkeypatch.setattr(ingest, "_FastLoader", None)
+        pure = fix_loop(load_document(DEFECTS / name), rules)
+        assert pure.whole_document_render is False
+        assert (pure.text, pure.diff) == (with_libyaml.text, with_libyaml.diff)
+        assert pure.loc_changed_by_class == with_libyaml.loc_changed_by_class
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.sampled_from(PATCHED_FIXTURES), st.data())
+    def test_spliced_text_loads_to_the_tree_level_edit(self, name, data):
+        """One edit per splice, as one per fix iteration: the text reads
+        back to `_apply_edit`'s tree, the diff turns the original into it,
+        and the changed lines are the ones the diff shows. (difflib may
+        align a long deletion differently, so its count is not the oracle
+        here.)"""
+        raw = load_document(DEFECTS / name)
+        source = SourceText(raw.text, raw.format)
+        tree = copy.deepcopy(raw.tree)
+        for _ in range(data.draw(st.integers(1, 3))):
+            edit = data.draw(fixture_edits(tree))
+            _apply_edit(tree, edit)
+            source.splice([("A", edit)])
+            assert source.loads_to(tree)
+        diff = source.unified_diff("a", "b")
+        assert patched_lines(raw.text.splitlines(), diff) == source.text.splitlines()
+        assert sum(source.changed_lines_by_class().values()) == diff_changed_lines(diff)
+
+    def test_two_classes_on_one_line_sum_to_the_total(self, tmp_path):
+        """Each class's count comes from its own splices: two edits on the
+        one line of a minified spec count that line once."""
+        tree = {
+            "openapi": "3.0.0", "info": {"title": "Mini", "version": "1"},
+            "servers": [{"url": "{{root}}"}],
+            "paths": {"/things/{thing_id}": {"get": {"parameters": [
+                {"name": "thing_id", "in": "path", "required": True,
+                 "schema": {"type": "integer"}, "example": "t-1"}]}}},
+        }
+        raw = write_spec(tmp_path, "mini.json", json.dumps(tree))
+        report = fix_loop(raw)
+        assert report.findings_by_class == {"B": 1, "D": 1}
+        assert report.total_loc_changed == 1
+        assert sum(report.loc_changed_by_class.values()) == 1
+        assert set(report.loc_changed_by_class) == {"B", "D"}
+        assert report.whole_document_render is False
+
+    def test_comments_key_order_and_quoting_survive(self, tmp_path):
+        text = (
+            "# Gap API\n"
+            "openapi: '3.0.0'\n"
+            "info: {title: \"Gap\", version: '1'}\n"
+            "servers:\n"
+            "  - url: ''  # filled in per deployment\n"
+            "paths:\n"
+            "  /a:\n"
+            "    get:\n"
+            "      responses: {'200': {description: ok}}\n"
+        )
+        report = fix_loop(write_spec(tmp_path, "gap.yaml", text))
+        assert report.whole_document_render is False
+        assert report.text == text.replace(
+            "url: ''", "url: https://api.example.com")
+        assert report.total_loc_changed == 1
+
+    @pytest.mark.parametrize("servers, fixed", [
+        ("servers:   # none yet\n",
+         "servers: [{url: 'https://api.example.com'}]   # none yet\n"),
+        ("servers:\n- https://x.example  # old\n",
+         "servers:\n- {url: 'https://api.example.com'}  # old\n"),
+        ("servers: []\n", "servers: [{url: 'https://api.example.com'}]\n"),
+        ("", ""),
+    ], ids=["empty-value", "block-item", "flow-sequence", "missing-key"])
+    def test_each_kind_of_placement_changes_one_line(self, tmp_path, servers, fixed):
+        head = "openapi: 3.0.0\ninfo: {title: T, version: '1'}\n"
+        report = fix_loop(write_spec(tmp_path, "s.yaml", head + servers + "paths: {}\n"))
+        expected = head + fixed + "paths: {}\n"
+        if not servers:  # a new key goes after the mapping's last entry
+            expected += "servers: [{url: 'https://api.example.com'}]\n"
+        assert report.text == expected
+        assert (report.total_loc_changed, report.whole_document_render) == (1, False)
+
+    def test_documents_without_text_render_whole(self):
+        raw = mem_doc({"openapi": "3.0.0", "servers": [{"url": "x"}], "paths": {}})
+        report = fix_loop(raw)
+        assert report.whole_document_render is True
+        assert report.to_dict()["whole_document_render"] is True
+        assert json.loads(report.text) == report.document.tree
+
+    def test_text_that_does_not_read_back_renders_whole(self, tmp_path):
+        """The edit lands under an alias: the spliced text would change
+        the anchor's node, so the tree-level result is rendered instead."""
+        text = (
+            "openapi: 3.0.0\n"
+            "info: {title: Alias, version: '1'}\n"
+            "x-base: &base {url: '{{root}}'}\n"
+            "servers:\n"
+            "  - *base\n"
+            "paths: {}\n"
+        )
+        raw = write_spec(tmp_path, "alias.yaml", text)
+        report = fix_loop(raw)
+        assert report.whole_document_render is True
+        assert ingest._load_yaml(report.text) == report.document.tree
+        assert report.total_loc_changed == sum(report.loc_changed_by_class.values())
