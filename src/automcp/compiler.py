@@ -15,7 +15,7 @@ from typing import Any, Container
 from .errors import SchemeError
 from .ingest import operations, parameters
 from .refs import FlattenedContract
-from .security import KIND_API_KEY, SecurityScheme
+from .security import KIND_API_KEY, SecurityScheme, declared_schemes
 
 TOOL_NAME_MAX = 64
 
@@ -85,7 +85,7 @@ def list_endpoints(contract: FlattenedContract) -> list[EndpointDescriptor]:
     """
     tree = contract.tree
     doc_security = tree.get("security") or []
-    declared = (tree.get("components") or {}).get("securitySchemes") or {}
+    _, declared = declared_schemes(tree)
     endpoints: list[EndpointDescriptor] = []
 
     for path, item, method, op in operations(tree):

@@ -41,7 +41,7 @@ from .ingest import (
 )
 from .refs import FlattenedContract, escape_token, flatten, pointer_segments
 from .sampling import path_group
-from .security import parse_scheme
+from .security import declared_schemes, parse_scheme
 from .splice import SourceText, Unplaceable
 
 CLASS_LABELS = {
@@ -168,20 +168,16 @@ def lint(
     return findings
 
 
-def _scheme_container(raw: RawDocument) -> tuple[str, dict]:
-    if raw.dialect == DIALECT_2_0:
-        return "#/securityDefinitions", raw.tree.get("securityDefinitions") or {}
-    container = (raw.tree.get("components") or {}).get("securitySchemes") or {}
-    return "#/components/securitySchemes", container
-
-
 def _lint_class_a(
     contract: FlattenedContract, raw: RawDocument, rules: list[VendorRule]
 ) -> list[LintFinding]:
     findings: list[LintFinding] = []
-    container_ptr, declared = _scheme_container(raw)
-    # judge the nodes the compiler reads: 3.x shaped, `$ref`s resolved
-    judged = (contract.tree.get("components") or {}).get("securitySchemes") or {}
+    try:
+        container_ptr, declared = declared_schemes(raw.tree, raw.dialect)
+        # judge the nodes the compiler reads: 3.x shaped, `$ref`s resolved
+        _, judged = declared_schemes(contract.tree)
+    except SchemeError as exc:  # no patch: nothing says what was meant
+        return [LintFinding("A", exc.pointer, str(exc))]
 
     # each operation's first undeclared scheme, as the compiler resolves
     # requirements; no patch: nothing says how that credential is sent
@@ -390,7 +386,10 @@ def _check_path_param_type(
 
 
 def _lint_class_e(raw: RawDocument) -> list[LintFinding]:
-    container_ptr, declared = _scheme_container(raw)
+    try:
+        _, declared = declared_schemes(raw.tree, raw.dialect)
+    except SchemeError:
+        return []  # class A reports it
     if not declared:
         return []
     doc_security = raw.tree.get("security") or []
@@ -580,6 +579,8 @@ def _count_changed_lines(before: str, after: str) -> int:
 @dataclass
 class FixReport:
     document: RawDocument
+    # `document` normalized and flattened, as the last lint pass read it
+    contract: FlattenedContract | None = None
     iterations: int = 0
     findings_by_class: dict[str, int] = field(default_factory=dict)
     loc_changed_by_class: dict[str, int] = field(default_factory=dict)
@@ -628,7 +629,8 @@ def fix_loop(raw: RawDocument, rules: list[VendorRule] | None = None) -> FixRepo
     edits_by_class: dict[str, int] = {}
     while True:
         doc = report.document
-        findings = lint(flatten(normalize(doc)), doc, rules)
+        report.contract = flatten(normalize(doc))
+        findings = lint(report.contract, doc, rules)
         patchable = [f for f in findings if f.edits]
         report.residual_advisories = [f for f in findings if not f.edits]
         if not patchable:

@@ -59,9 +59,14 @@ class ExternalRefError(AutoMcpError):
 
 
 class SchemeError(AutoMcpError):
-    """A declared security scheme is unusable or of an unknown type."""
+    """A declared security scheme is unusable or of an unknown type, or the
+    schemes are not declared in a mapping (`pointer` says where)."""
 
     lint_class = "A"
+
+    def __init__(self, message: str, pointer: str | None = None) -> None:
+        self.pointer = pointer
+        super().__init__(message)
 
 
 class FlowUnusableError(AutoMcpError):

@@ -1,5 +1,13 @@
 """Load OpenAPI documents and normalize 2.0 constructs into 3.x shape.
 
+YAML is parsed by libyaml when PyYAML has it, and the tree is built
+straight from libyaml's parse events: plain dicts, lists and scalars,
+with no node graph in between. What that event walk leaves out (merge
+keys, tags other than PyYAML's plain scalar ones, a collection as a key,
+a second document) is loaded by PyYAML's own constructor, so every tree
+and every error is `yaml.safe_load`'s. Text that libyaml could overflow,
+and any text when libyaml is absent, takes PyYAML's pure-Python loader.
+
 All functions here are pure with respect to their inputs: trees are deep
 copied before rewriting, so a ``RawDocument`` can be reused (e.g. by the
 linter, which patches the original tree) after normalization.
@@ -48,9 +56,12 @@ _PARAMETER_SCHEMA_KEYS = (
     "maximum", "minimum", "maxLength", "minLength", "pattern",
 )
 
-# libyaml parses several times faster than the pure-Python loader and
-# builds the same tree, but its composer recurses in C, beyond Python's
-# recursion limit: a deep enough document crashes the process. Text that
+# libyaml parses several times faster than the pure-Python loader, and
+# building the tree from its events (`_tree_from_events`) also skips
+# PyYAML's node graph and constructor. But libyaml's composer (behind
+# `compose_yaml` and `_tree_from_events`' fallback) recurses in C, beyond
+# Python's recursion limit, so a deep enough document crashes the
+# process, and its event stream slows quadratically with depth. Text that
 # may nest deeper than this goes to the pure loader, whose RecursionError
 # becomes NestingError; the tree walks reject such depth anyway.
 _LIBYAML_MAX_DEPTH = 2000
@@ -117,8 +128,111 @@ def load_text(text: str, fmt: str) -> Any:
 
 
 def _load_yaml(text: str) -> Any:
-    """`yaml.safe_load` through the loader `_with_yaml_loader` picks."""
-    return _with_yaml_loader(yaml.load, text)
+    """`yaml.safe_load` through the loader `_with_yaml_loader` picks; with
+    libyaml, the tree is built from its parse events."""
+
+    def load(text: str, Loader: type) -> Any:
+        if Loader is not _FastLoader:
+            return yaml.load(text, Loader=Loader)
+        loader = Loader(text)
+        try:
+            return _tree_from_events(loader)
+        except _Unbuilt:
+            pass
+        finally:
+            loader.dispose()
+        return yaml.load(text, Loader=Loader)
+
+    return _with_yaml_loader(load, text)
+
+
+class _Unbuilt(Exception):
+    """The event stream holds something `_tree_from_events` leaves to
+    PyYAML's own constructor."""
+
+
+_STR_TAG = "tag:yaml.org,2002:str"
+_NO_KEY = object()  # a mapping frame's key slot while it waits for a key
+# a collection's start event -> the tags under which it is a plain dict or list
+_PLAIN_TAGS = {
+    yaml.MappingStartEvent: (None, "!", "tag:yaml.org,2002:map"),
+    yaml.SequenceStartEvent: (None, "!", "tag:yaml.org,2002:seq"),
+}
+
+
+def _tree_from_events(loader: Any) -> Any:
+    """The tree `loader.get_single_data()` would construct, built straight
+    from the loader's parse events: dicts, lists and scalars, with each
+    alias sharing the object its anchor names. A scalar's tag is resolved
+    and constructed by the loader itself, so ints, floats, bools, nulls,
+    timestamps and binary come out as PyYAML makes them.
+
+    Raises _Unbuilt on what only PyYAML's constructor gets exactly right,
+    or reports in its own words: a merge key or any other tag it has no
+    plain constructor for, a tagged collection, a collection as a key, an
+    undefined or redefined anchor, a scalar whose constructor fails, and a
+    second document."""
+    get_event = loader.get_event
+    resolve = loader.resolve
+    constructors = loader.yaml_constructors
+    anchors: dict[str, Any] = {}
+    root = None
+    stack: list[list] = []  # [collection, key slot] per open collection
+    get_event()  # StreamStartEvent
+    if isinstance(get_event(), yaml.StreamEndEvent):
+        return None  # an empty stream; else that was a DocumentStartEvent
+    while True:
+        event = get_event()
+        kind = type(event)
+        if kind is yaml.ScalarEvent:
+            node = event.value
+            tag = event.tag
+            if tag is None or tag == "!":
+                tag = resolve(yaml.ScalarNode, node, event.implicit)
+            if tag != _STR_TAG:
+                construct = constructors.get(tag)
+                if construct is None:
+                    raise _Unbuilt
+                try:
+                    node = construct(loader, yaml.ScalarNode(tag, node))
+                except Exception as exc:  # yaml.load raises it, or an earlier error
+                    raise _Unbuilt from exc
+        elif kind is yaml.AliasEvent:
+            if event.anchor not in anchors:
+                raise _Unbuilt
+            node = anchors[event.anchor]
+        elif kind in _PLAIN_TAGS:
+            if event.tag not in _PLAIN_TAGS[kind]:
+                raise _Unbuilt
+            node = {} if kind is yaml.MappingStartEvent else []
+        elif kind is yaml.DocumentEndEvent:
+            if not isinstance(get_event(), yaml.StreamEndEvent):
+                raise _Unbuilt  # a second document
+            return root
+        else:  # MappingEndEvent, SequenceEndEvent
+            stack.pop()
+            continue
+
+        if event.anchor is not None and kind is not yaml.AliasEvent:
+            if event.anchor in anchors:
+                raise _Unbuilt
+            anchors[event.anchor] = node
+        if not stack:
+            root = node
+        else:
+            frame = stack[-1]
+            parent = frame[0]
+            if parent.__class__ is list:
+                parent.append(node)
+            elif frame[1] is _NO_KEY:
+                if isinstance(node, (dict, list)):
+                    raise _Unbuilt  # unhashable key
+                frame[1] = node
+            else:
+                parent[frame[1]] = node
+                frame[1] = _NO_KEY
+        if kind in _PLAIN_TAGS:
+            stack.append([node, _NO_KEY])
 
 
 def compose_yaml(text: str) -> tuple[yaml.Node, int]:
@@ -257,10 +371,12 @@ def _convert_2_0(tree: dict) -> dict:
     if "responses" in tree:
         components["responses"] = tree["responses"]
     if "securityDefinitions" in tree:
+        declared = tree["securityDefinitions"]
+        # a value that is not a mapping moves as it is: the compiler rejects it
         components["securitySchemes"] = {
             name: _convert_security_scheme(scheme_node)
-            for name, scheme_node in tree["securityDefinitions"].items()
-        }
+            for name, scheme_node in declared.items()
+        } if isinstance(declared, dict) else declared
     if not components:
         del out["components"]
 

@@ -10,7 +10,7 @@ from .doctor import FixReport, VendorRule, fix_loop
 from .errors import nesting_guard
 from .ingest import RawDocument, load_document, normalize, operations, resolve_base_url
 from .refs import FlattenedContract, flatten, validate
-from .security import EnvBinding, build_env_map, extract_security
+from .security import EnvBinding, build_env_map, declared_schemes, extract_security
 
 
 @dataclass
@@ -43,7 +43,9 @@ def compile_file(
         raw = fix_report.document
 
     base_url = resolve_base_url(raw)
-    contract = flatten(normalize(raw))
+    declared_schemes(raw.tree, raw.dialect)  # a SchemeError names the source's pointer
+    # the fix loop's last lint pass read the repaired document's contract
+    contract = fix_report.contract if fix else flatten(normalize(raw))
     validate(contract)
 
     schemes = extract_security(contract)

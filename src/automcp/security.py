@@ -6,6 +6,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import SchemeError
+from .ingest import DIALECT_2_0, DIALECT_3_X
 from .refs import FlattenedContract
 
 KIND_API_KEY = "api_key"
@@ -48,14 +49,31 @@ class EnvBinding:
 def extract_security(contract: FlattenedContract) -> list[SecurityScheme]:
     """One SecurityScheme per entry in components.securitySchemes.
 
-    Raises SchemeError (lint class A) for unrecognized scheme types and
-    for oauth2 schemes with no flow capable of producing a token.
+    Raises SchemeError (lint class A) for unrecognized scheme types, for
+    oauth2 schemes with no flow capable of producing a token, and when the
+    schemes are not declared in a mapping.
     """
-    declared = (contract.tree.get("components") or {}).get("securitySchemes") or {}
-    schemes = []
-    for scheme_id, node in declared.items():
-        schemes.append(parse_scheme(scheme_id, node))
-    return schemes
+    _, declared = declared_schemes(contract.tree)
+    return [parse_scheme(scheme_id, node) for scheme_id, node in declared.items()]
+
+
+def declared_schemes(tree: dict, dialect: str = DIALECT_3_X) -> tuple[str, dict]:
+    """Where a document declares its security schemes, and the mapping of
+    scheme names to declarations there ({} when there is none):
+    `securityDefinitions` in 2.0, `components.securitySchemes` in 3.x.
+    The one reader of that container; raises SchemeError (class A) naming
+    its pointer when it is not a mapping."""
+    if dialect == DIALECT_2_0:
+        ptr, declared = "#/securityDefinitions", tree.get("securityDefinitions")
+    else:
+        components = tree.get("components") or {}
+        if not isinstance(components, dict):
+            raise SchemeError("#/components is not a mapping", "#/components")
+        ptr, declared = "#/components/securitySchemes", components.get("securitySchemes")
+    declared = declared or {}
+    if not isinstance(declared, dict):
+        raise SchemeError(f"{ptr} is not a mapping of scheme names to schemes", ptr)
+    return ptr, declared
 
 
 def parse_scheme(scheme_id: str, node: dict) -> SecurityScheme:

@@ -10,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from automcp import pipeline
 from automcp.cli import main
+from automcp.doctor import load_vendor_rules
 from automcp.errors import NestingError
 from automcp.pipeline import compile_file
 from conftest import DEFECTS, changed_line_count, fixture_path
@@ -78,6 +80,42 @@ class TestGenerate:
         assert (tmp_path / "class_b.patch.diff").exists()
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["base_url"] == "https://api.workforce.example"
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in DEFECTS.glob("class_*")))
+    def test_fix_manifest_is_the_written_repairs(self, tmp_path, name):
+        rules = ["--rules", fixture_path("vendor_rules.json")]
+        fixed, again = tmp_path / "fixed", tmp_path / "again"
+        assert run_cli(["generate", DEFECTS / name, "--out", fixed, "--fix"] + rules) == 0
+        stem, suffix = name.rsplit(".", 1)
+        written = fixed / f"{stem}.fixed.{suffix}"
+        assert written.exists() == (name != "class_c.yaml")  # class C is advisory
+        spec = written if written.exists() else DEFECTS / name
+        assert run_cli(["generate", spec, "--out", again] + rules) == 0
+        assert (again / "manifest.json").read_bytes() == (
+            fixed / "manifest.json").read_bytes()
+
+    def test_fix_compiles_the_last_lint_passs_contract(self, monkeypatch):
+        """compile_file(fix=True) normalizes and flattens the repaired
+        document only inside the fix loop; a plain compile does it once."""
+        calls = []
+
+        def counted(name):
+            original = getattr(pipeline, name)
+
+            def call(*args):
+                calls.append(name)
+                return original(*args)
+            return call
+
+        for name in ("normalize", "flatten"):
+            monkeypatch.setattr(pipeline, name, counted(name))
+        spec = DEFECTS / "class_d.yaml"
+        rules = load_vendor_rules(fixture_path("vendor_rules.json"))
+        fixed = compile_file(spec, fix=True, rules=rules)
+        assert calls == []
+        assert fixed.contract is fixed.fix_report.contract
+        compile_file(spec)
+        assert calls == ["normalize", "flatten"]
 
 
 class TestLint:
@@ -158,6 +196,30 @@ class TestLint:
         assert payload["changed"] is False
         [residual] = payload["residual_advisories"]
         assert residual["class"] == "A" and residual["patchable"] is False
+
+    @pytest.mark.parametrize("schemes", [["k"], "k"], ids=["list", "string"])
+    @pytest.mark.parametrize("dialect, pointer", [
+        ("2.0", "#/securityDefinitions"), ("3.x", "#/components/securitySchemes"),
+        ("3.x", "#/components"),
+    ], ids=["2.0", "3.x", "3.x-components"])
+    def test_scheme_container_not_a_mapping_is_class_a(self, tmp_path, capsys,
+                                                       schemes, dialect, pointer):
+        tree = _spec_tree(dialect, {"/a": {"get": _op()}}, schemes)
+        if pointer == "#/components":
+            tree["components"] = [schemes]
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(tree), encoding="utf-8")
+        for fix in ([], ["--fix"]):
+            assert run_cli(["generate", spec, "--out", tmp_path / "out"] + fix) == 2
+            [line] = capsys.readouterr().err.splitlines()
+            assert line.startswith(f"error: class A: {pointer} is not a mapping")
+        assert run_cli(["lint", spec]) == 4
+        [finding] = json.loads(capsys.readouterr().out)["findings"]
+        assert finding == {
+            "class": "A", "label": "Incorrect or missing security schemes",
+            "location": pointer, "message": line.removeprefix("error: class A: "),
+            "patchable": False,
+        }
 
     def test_advisory_only_exits_zero_with_suggestion(self, capsys):
         code = run_cli(

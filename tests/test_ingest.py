@@ -460,3 +460,126 @@ class TestYamlLoaders:
         with pytest.raises(ParseError) as loaded:
             load_document(write(tmp_path, "bad.yaml", text))
         assert str(loaded.value).endswith(str(pure.value))
+
+
+# -- the tree built from libyaml's parse events ------------------------------------
+
+def shape(node, seen=None):
+    """`node` with every scalar's type and repr and every collection's key
+    order spelled out, and a collection met again (an alias, or a cycle)
+    written as the index of its first visit; equal shapes mean the same
+    tree in key order, scalar type and sharing."""
+    seen = {} if seen is None else seen
+    if isinstance(node, (dict, list)):
+        if id(node) in seen:
+            return ("seen", seen[id(node)])
+        seen[id(node)] = len(seen)
+        if isinstance(node, dict):
+            return ("dict", [(shape(k, seen), shape(v, seen)) for k, v in node.items()])
+        return ("list", [shape(v, seen) for v in node])
+    return (type(node).__name__, repr(node))
+
+
+def load_outcome(load, text):
+    """(shape of the tree, None) or (None, (error type, message))."""
+    try:
+        return shape(load(text)), None
+    except Exception as exc:  # the outcome under test, whatever it is
+        return None, (type(exc), str(exc))
+
+
+def todays_load(text):
+    """The load before the event-built tree: `yaml.load` through the
+    loader `_with_yaml_loader` picks."""
+    return ingest._with_yaml_loader(yaml.load, text)
+
+
+YAML_SNIPPETS = {
+    "merge-key": "base: &b {x: 1, y: 2}\nm:\n  <<: *b\n  y: 3\n",
+    "merge-key-list": "a: &a {x: 1}\nb: &b {y: 2, x: 0}\nm:\n  z: 3\n  <<: [*a, *b]\n",
+    "duplicate-keys": "a: 1\nb: 2\na: [3]\n1: x\n1.0: y\ntrue: z\n",
+    "timestamps": "d: 2001-12-14\nt: 2001-12-14t21:59:43.10-05:00\n"
+                  "u: 2001-12-14 21:59:43.10\nz: 2002-12-14T21:59:43Z\n",
+    "ints": "a: 0o17\nb: 0x1F\nc: 1_000\nd: 190:20:30\ne: 017\nf: 0b101\ng: -0\n",
+    "floats": "a: .inf\nb: -.Inf\nc: 1.5e3\nd: 6.8523015e+5\ne: 190:20:30.15\nf: 1_0.5\n"
+              "g: .NaN\n",
+    "bools-and-nulls": "a: yes\nb: No\nc: ~\nd: null\ne: on\nf: OFF\ng:\n~: k\n",
+    "quoted": "a: '1'\nb: \"yes\"\nc: '~'\nd: \"<<\"\n",
+    "explicit-str": "a: !!str 123\nb: !!str yes\nc: ! 12\n",
+    "binary": "b: !!binary aGVsbG8=\n",
+    "bad-binary": "b: !!binary \"é\"\n",
+    "bad-int": "a: !!int abc\n",
+    "set": "s: !!set {a, b}\n",
+    "omap": "o: !!omap [a: 1, b: 2]\n",
+    "tagged-map-and-seq": "m: !!map {a: 1}\ns: !!seq [1]\n",
+    "unknown-tag": "a: !foo x\n",
+    "value-key": "=: 1\n",
+    "value-value": "a: =\n",
+    "sequence-key": "? [1, 2]\n: x\n",
+    "mapping-key": "? {a: 1}\n: x\n",
+    "alias-key": "a: &k x\n*k : 2\n",
+    "alias-to-collection-key": "a: &k [1]\n*k : 2\n",
+    "self-referencing-sequence": "a: &x [1, *x]\n",
+    "self-referencing-mapping": "&m {k: *m}\n",
+    "shared-alias": "a: &x {b: [1]}\nc: *x\nd: [*x, *x]\n",
+    "scalar-anchor": "a: &s 5\nb: *s\n",
+    "undefined-alias": "a: *nope\n",
+    "redefined-anchor": "a: &x 1\nb: &x 2\nc: *x\n",
+    "empty-stream": "",
+    "comment-only": "# nothing\n",
+    "empty-document": "---\n",
+    "explicit-end": "a: 1\n...\n",
+    "two-documents": "a: 1\n---\nb: 2\n",
+    "scalar-root": "just text\n",
+    "sequence-root": "- 1\n- [2, {c: d}]\n",
+    "parse-error": "a: [1, 2\nb: }\n",
+    "leading-bom": "\ufeffa: 1\n",
+}
+# Left to PyYAML's own constructor (or, for a parse error, its pure loader)
+FALLS_BACK = {
+    "merge-key", "merge-key-list", "bad-binary", "bad-int", "set", "omap",
+    "unknown-tag", "value-key", "value-value", "sequence-key", "mapping-key",
+    "alias-to-collection-key", "undefined-alias", "redefined-anchor",
+    "two-documents", "parse-error",
+}
+
+LOADABLE = sorted(FIXTURES.glob("*.yaml")) + sorted(FIXTURES.glob("*.json")) + sorted(
+    DEFECTS.glob("*.yaml")) + sorted(DEFECTS.glob("*.json"))
+
+
+def libyaml_load(text):
+    return yaml.load(text, Loader=yaml.CSafeLoader)
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("fell back to yaml.load")
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
+                    reason="PyYAML built without libyaml")
+class TestTreeFromEvents:
+    @pytest.mark.parametrize("path", LOADABLE, ids=lambda p: p.name)
+    def test_fixture_tree_is_libyamls_built_from_events(self, path, monkeypatch):
+        text = path.read_text(encoding="utf-8")
+        expected = shape(libyaml_load(text))
+        monkeypatch.setattr(yaml, "load", refuse)
+        assert shape(ingest._load_yaml(text)) == expected
+        if path.suffix == ".yaml":
+            assert shape(load_document(path).tree) == expected
+
+    @pytest.mark.parametrize("name", YAML_SNIPPETS)
+    def test_snippet_outcome_is_todays(self, name, monkeypatch):
+        """Tree or error; built from events unless the snippet falls back."""
+        text = YAML_SNIPPETS[name]
+        expected = load_outcome(todays_load, text)
+        if expected[1] is None:
+            assert expected == load_outcome(libyaml_load, text)
+        if name not in FALLS_BACK:
+            monkeypatch.setattr(yaml, "load", refuse)
+        assert load_outcome(ingest._load_yaml, text) == expected
+
+    @given(yaml_values, st.sampled_from([False, True, None]), st.integers(2, 5))
+    def test_dumped_value_loads_to_libyamls_tree(self, value, flow_style, indent):
+        text = yaml.safe_dump(value, default_flow_style=flow_style, indent=indent,
+                              allow_unicode=True)
+        assert shape(ingest._load_yaml(text)) == shape(libyaml_load(text))
