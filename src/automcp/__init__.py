@@ -1,11 +1,11 @@
 """automcp: compile OpenAPI 2.0/3.x contracts into runnable MCP servers.
 
-The pipeline: load and normalize the contract, inline every $ref,
-extract security schemes into environment bindings, compile each
-operation into an MCP tool, then either serve the manifest over stdio
-JSON-RPC or lint/repair the contract and evaluate it against a mock
-upstream. The command line (`automcp generate|serve|lint|sample`) is the
-main interface; the names below are the documented Python API.
+The pipeline: load the contract, inline every $ref, normalize the result
+into 3.x shape, extract security schemes into environment bindings,
+compile each operation into an MCP tool, then either serve the manifest
+over stdio JSON-RPC or lint/repair the contract and evaluate it against
+a mock upstream. The command line (`automcp generate|serve|lint|sample`)
+is the main interface; the names below are the documented Python API.
 """
 
 from ._version import __version__

@@ -236,7 +236,9 @@ def cmd_lint(cfg: argparse.Namespace) -> int:
         print(json.dumps(payload, indent=2, ensure_ascii=False))
         return _lint_exit(report.residual_advisories)
 
-    findings = lint(flatten(normalize(raw)), raw, rules)
+    contract = flatten(raw.tree)
+    contract.tree = normalize(contract)
+    findings = lint(contract, raw, rules)
     payload = {
         "summary": f"{len(findings)} findings",
         "findings": [f.to_dict() for f in findings],

@@ -198,7 +198,8 @@ def compile_manifest(
     """Build the full manifest: one ToolSpec per operation, each bound to
     its endpoint and resolved security requirements."""
     tree = contract.tree
-    api_title = str((tree.get("info") or {}).get("title", "") or "API")
+    info = tree.get("info")
+    api_title = str((info.get("title") if isinstance(info, dict) else None) or "API")
 
     endpoints = list_endpoints(contract)
     api_key_schemes = [s for s in schemes if s.kind == KIND_API_KEY]
@@ -267,11 +268,11 @@ def manifest_to_dict(manifest: ToolManifest, include_bindings: bool = False) -> 
 
 
 def _merge_parameters(path_level: list[dict], op_level: list[dict]) -> list[dict]:
-    op_keys = {(p.get("name"), p.get("in")) for p in op_level}
-    merged = [
-        p for p in path_level if (p.get("name"), p.get("in")) not in op_keys
-    ]
-    return merged + op_level
+    def key(p: dict) -> tuple[str, str]:  # as `_build_param_specs` reads them
+        return str(p.get("name", "")), str(p.get("in", "query"))
+
+    op_keys = {key(p) for p in op_level}
+    return [p for p in path_level if key(p) not in op_keys] + op_level
 
 
 def _build_param_specs(params: list[dict], has_body: bool) -> list[ParamSpec]:
@@ -322,7 +323,7 @@ def _pick_request_body(request_body) -> tuple[dict | None, bool, str | None]:
     if not isinstance(request_body, dict):
         return None, False, None
     content = request_body.get("content") or {}
-    media_type = _pick_media_type(content)
+    media_type = _pick_media_type(content) if isinstance(content, dict) else None
     if media_type is None:
         return None, False, None
     schema = (content[media_type] or {}).get("schema") or {}

@@ -17,7 +17,6 @@ or there is no source text, the repaired tree is rendered canonically.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import difflib
 import json
@@ -156,7 +155,8 @@ def lint(
 ) -> list[LintFinding]:
     """Scan for the five defect classes. Patch edits target the raw
     (original-dialect) document, not the normalized view."""
-    title = str(((raw.tree.get("info") or {}).get("title")) or "")
+    info = raw.tree.get("info")
+    title = str((info.get("title") if isinstance(info, dict) else None) or "")
     matched_rules = _matching_rules(rules, title)
     findings: list[LintFinding] = []
     findings.extend(_lint_class_a(contract, raw, matched_rules))
@@ -307,9 +307,11 @@ def _lint_class_b(raw: RawDocument, rules: list[VendorRule]) -> list[LintFinding
             servers = raw.tree.get("servers")
             if not isinstance(servers, list) or not servers:
                 edits = [PatchEdit("#/servers", "add", [{"url": replacement}])]
-            elif isinstance(servers[0], dict):
+            elif isinstance(servers[0], dict) and isinstance(
+                servers[0].get("variables") or {}, dict
+            ):
                 edits = [PatchEdit("#/servers/0/url", "add", replacement)]
-            else:
+            else:  # servers[0], or its `variables`, is not a mapping
                 edits = [PatchEdit("#/servers/0", "replace", {"url": replacement})]
             location = "#/servers/0/url"
         return [LintFinding("B", location, str(exc), edits)]
@@ -394,7 +396,7 @@ def _lint_class_e(raw: RawDocument) -> list[LintFinding]:
         return []
     doc_security = raw.tree.get("security") or []
     api_key_params = {
-        (node.get("name"), node.get("in")): scheme_id
+        (str(node.get("name")), str(node.get("in"))): scheme_id
         for scheme_id, node in declared.items()
         if isinstance(node, dict) and node.get("type") == "apiKey"
     }
@@ -444,7 +446,7 @@ def _op_coverage(
     if explicit and security == []:
         return True, None
     for param in parameters(op) + path_level_params:
-        scheme_id = api_key_params.get((param.get("name"), param.get("in")))
+        scheme_id = api_key_params.get((str(param.get("name")), str(param.get("in"))))
         if scheme_id:
             return True, scheme_id
     if not explicit and doc_security:
@@ -489,11 +491,13 @@ def _class_e_finding(
 
 
 def apply_patch(raw: RawDocument, edits: list[PatchEdit]) -> RawDocument:
-    """A copy of `raw` with the edits applied to a deep copy of its tree
-    and no source text; `raw` itself is left untouched."""
-    tree = copy.deepcopy(raw.tree)
+    """A copy of `raw` with the edits applied and no source text. Only the
+    root and the containers along each edit's pointer are copied: `raw` is
+    untouched, and an edit under a YAML alias changes only its own node."""
+    tree = dict(raw.tree)
+    copied = {id(tree)}  # containers this call made, safe to change
     for edit in edits:
-        _apply_edit(tree, edit)
+        _apply_edit(tree, edit, copied)
     return dataclasses.replace(raw, tree=tree, text=None)
 
 
@@ -503,26 +507,32 @@ def render_document(tree: dict, fmt: str) -> str:
     return yaml.safe_dump(tree, sort_keys=False, allow_unicode=True)
 
 
-def _apply_edit(tree: dict, edit: PatchEdit) -> None:
+def _apply_edit(tree: dict, edit: PatchEdit, copied: set[int]) -> None:
+    """Apply one edit, first copying each container on its pointer not in `copied`."""
     if not edit.pointer.startswith("#"):
         raise PointerError(edit.pointer, "pointer must start with '#'")
     segments = pointer_segments(edit.pointer)
     if not segments:
         raise PointerError(edit.pointer, "cannot edit the document root")
     parent = tree
-    for i, segment in enumerate(segments[:-1]):
+    for segment in segments[:-1]:
         if isinstance(parent, dict):
             if segment not in parent:
                 if edit.op != "add":
                     raise PointerError(edit.pointer, f"missing segment {segment!r}")
                 parent[segment] = {}
-            parent = parent[segment]
+            key = segment
         elif isinstance(parent, list):
             if not segment.isdigit() or int(segment) >= len(parent):
                 raise PointerError(edit.pointer, f"bad list index {segment!r}")
-            parent = parent[int(segment)]
+            key = int(segment)
         else:
             raise PointerError(edit.pointer, f"segment {segment!r} is a scalar")
+        child = parent[key]
+        if isinstance(child, (dict, list)) and id(child) not in copied:
+            child = parent[key] = type(child)(child)
+            copied.add(id(child))
+        parent = child
 
     leaf = segments[-1]
     if isinstance(parent, dict):
@@ -579,7 +589,7 @@ def _count_changed_lines(before: str, after: str) -> int:
 @dataclass
 class FixReport:
     document: RawDocument
-    # `document` normalized and flattened, as the last lint pass read it
+    # `document` flattened and normalized, as the last lint pass read it
     contract: FlattenedContract | None = None
     iterations: int = 0
     findings_by_class: dict[str, int] = field(default_factory=dict)
@@ -629,7 +639,8 @@ def fix_loop(raw: RawDocument, rules: list[VendorRule] | None = None) -> FixRepo
     edits_by_class: dict[str, int] = {}
     while True:
         doc = report.document
-        report.contract = flatten(normalize(doc))
+        report.contract = flatten(doc.tree)
+        report.contract.tree = normalize(report.contract)
         findings = lint(report.contract, doc, rules)
         patchable = [f for f in findings if f.edits]
         report.residual_advisories = [f for f in findings if not f.edits]

@@ -257,7 +257,8 @@ def evaluate_spec_file(
         try:
             doc = load_document(spec_path)
             raw_ops = count_operations(doc.tree)
-            title = (doc.tree.get("info") or {}).get("title", title)
+            info = doc.tree.get("info")
+            title = info.get("title", title) if isinstance(info, dict) else title
         except AutoMcpError:
             pass
         return EvalReport(

@@ -8,14 +8,13 @@ a second document) is loaded by PyYAML's own constructor, so every tree
 and every error is `yaml.safe_load`'s. Text that libyaml could overflow,
 and any text when libyaml is absent, takes PyYAML's pure-Python loader.
 
-All functions here are pure with respect to their inputs: trees are deep
-copied before rewriting, so a ``RawDocument`` can be reused (e.g. by the
-linter, which patches the original tree) after normalization.
+`normalize` runs on the flattened tree, so it never sees a `$ref`. No
+function here changes its input: each copies only what it rewrites and
+shares the rest with it.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import re
 from dataclasses import dataclass
@@ -25,6 +24,7 @@ from typing import Any, Iterator
 import yaml
 
 from .errors import BaseUrlError, DialectError, ParseError
+from .refs import FlattenedContract
 
 FORMAT_JSON = "json"
 FORMAT_YAML = "yaml"
@@ -294,10 +294,14 @@ def resolve_base_url(doc: RawDocument) -> str:
         url = _swagger_url(doc.tree)
     else:
         servers = doc.tree.get("servers") or []
+        if not isinstance(servers, list):
+            raise BaseUrlError("`servers` is not a list")
         if not servers or not isinstance(servers[0], dict):
             raise BaseUrlError("no `servers` entry declared")
         url = str(servers[0].get("url", ""))
         variables = servers[0].get("variables") or {}
+        if not isinstance(variables, dict):
+            raise BaseUrlError("`servers[0].variables` is not a mapping")
         for name, spec in variables.items():
             if isinstance(spec, dict) and "default" in spec:
                 url = url.replace("{%s}" % name, str(spec["default"]))
@@ -334,21 +338,21 @@ def parameters(node: dict) -> list[dict]:
     return [p for p in params if isinstance(p, dict)] if isinstance(params, list) else []
 
 
-def normalize(doc: RawDocument) -> dict:
-    """Rewrite a document into 3.x shape and repair mechanical defects.
+def normalize(doc: RawDocument | FlattenedContract) -> dict:
+    """`doc.tree` in 3.x shape, with mechanical defects repaired.
 
-    Total on parseable documents: 2.0 constructs are relocated, and
-    undeclared path template variables gain a synthesized required string
-    parameter. operationIds are left as they are; the compiler makes tool
-    names unique. Idempotent.
+    Runs on the flattened tree (``contract = flatten(raw.tree);
+    contract.tree = normalize(contract)``), so it sees no `$ref`. Total on
+    parseable documents: 2.0 constructs are relocated, and undeclared path
+    template variables gain a synthesized required string parameter.
+    operationIds are left as they are; the compiler makes tool names
+    unique. Idempotent. `doc.tree` is never changed: only what is
+    rewritten is copied, and the result shares the rest with it.
     """
-    # deepcopy's memo keeps a YAML alias one shared node: a copy without
-    # it expands every alias again, in time and memory
-    tree = copy.deepcopy(doc.tree)
+    tree = doc.tree
     if str(tree.get("swagger")) == "2.0":
         tree = _convert_2_0(tree)
-    _synthesize_path_params(tree)
-    return tree
+    return _synthesize_path_params(tree)
 
 
 # -- 2.0 conversion ----------------------------------------------------------
@@ -363,22 +367,15 @@ def _convert_2_0(tree: dict) -> dict:
     if tree.get("host"):
         out["servers"] = [{"url": _swagger_url(tree)}]
 
-    components = out.setdefault("components", {})
-    if "definitions" in tree:
-        components["schemas"] = tree["definitions"]
-    if "parameters" in tree:
-        components["parameters"] = tree["parameters"]
-    if "responses" in tree:
-        components["responses"] = tree["responses"]
-    if "securityDefinitions" in tree:
+    # a `components` or `securityDefinitions` that is not a mapping stays
+    # as it is: the compiler rejects it
+    components = out.get("components") or {}
+    if "securityDefinitions" in tree and isinstance(components, dict):
         declared = tree["securityDefinitions"]
-        # a value that is not a mapping moves as it is: the compiler rejects it
-        components["securitySchemes"] = {
+        out["components"] = {**components, "securitySchemes": {
             name: _convert_security_scheme(scheme_node)
             for name, scheme_node in declared.items()
-        } if isinstance(declared, dict) else declared
-    if not components:
-        del out["components"]
+        } if isinstance(declared, dict) else declared}
 
     doc_consumes = tree.get("consumes") or []
     doc_produces = tree.get("produces") or []
@@ -388,7 +385,6 @@ def _convert_2_0(tree: dict) -> dict:
     } if isinstance(paths, dict) else paths
     for _, item, method, op in operations(out):
         item[method] = _convert_operation(op, doc_consumes, doc_produces)
-    _rewrite_refs(out)
     return out
 
 
@@ -447,7 +443,7 @@ def _convert_operation(op: dict, doc_consumes: list, doc_produces: list) -> dict
 
     params = parameters(out)
     body_params = [p for p in params if p.get("in") == "body"]
-    form_params = [p for p in params if p.get("in") == "formData"]
+    form_params = [p for p in params if p.get("in") == "formData" and "name" in p]
     rest = [p for p in params if p.get("in") not in ("body", "formData")]
     out["parameters"] = [_convert_parameter(p) for p in rest]
     if not out["parameters"]:
@@ -492,9 +488,8 @@ def _convert_operation(op: dict, doc_consumes: list, doc_produces: list) -> dict
 
 
 def _convert_parameter(param: dict) -> dict:
-    if "$ref" in param or "schema" in param:
-        return param
-    if not any(k in param for k in ("type", "items", "enum", "format", "default")):
+    if "schema" in param or not any(
+            k in param for k in ("type", "items", "enum", "format", "default")):
         return param
     kept = {
         k: v
@@ -521,34 +516,16 @@ def _convert_response(resp: Any, produces: list) -> Any:
     return converted
 
 
-def _rewrite_refs(node: Any) -> None:
-    """Repoint 2.0 ref prefixes at their relocated 3.x component paths."""
-    if isinstance(node, dict):
-        ref = node.get("$ref")
-        if isinstance(ref, str):
-            for old, new in (
-                ("#/definitions/", "#/components/schemas/"),
-                ("#/parameters/", "#/components/parameters/"),
-                ("#/responses/", "#/components/responses/"),
-            ):
-                if ref.startswith(old):
-                    node["$ref"] = new + ref[len(old):]
-                    break
-        for value in node.values():
-            _rewrite_refs(value)
-    elif isinstance(node, list):
-        for value in node:
-            _rewrite_refs(value)
-
-
 # -- repairs shared by both dialects -----------------------------------------
 
 
-def _synthesize_path_params(tree: dict) -> None:
-    """Declare each undeclared path template variable as a required string
-    parameter. A YAML alias may share a path item or operation between
-    paths, so each rewritten operation and its path item are new copies."""
-    for path, item, method, op in list(operations(tree)):
+def _synthesize_path_params(tree: dict) -> dict:
+    """`tree` with each undeclared path template variable declared as a
+    required string parameter. Copies the root, `paths` and each path item
+    and operation it rewrites, once per path: a YAML alias or a shared
+    `$ref` expansion may put one under several paths."""
+    out = tree
+    for path, item, method, op in operations(tree):
         declared = {
             p.get("name") for p in parameters(item) + parameters(op)
             if p.get("in") == "path"
@@ -561,9 +538,12 @@ def _synthesize_path_params(tree: dict) -> None:
             {"name": var, "in": "path", "required": True, "schema": {"type": "string"}}
             for var in missing
         ]
-        paths = tree["paths"]
+        if out is tree:
+            out = {**tree, "paths": dict(tree["paths"])}
+        paths = out["paths"]
         if paths[path] is item:
             paths[path] = dict(item)
         paths[path][method] = {
             **op, "parameters": (params if isinstance(params, list) else []) + synthesized
         }
+    return out

@@ -29,8 +29,9 @@ def compile_file(
     fix: bool = False,
     rules: list[VendorRule] | None = None,
 ) -> CompiledApi:
-    """Load, (optionally) repair, normalize, flatten, validate, and
-    compile one spec file.
+    """Load, (optionally) repair, flatten, normalize, validate, and
+    compile one spec file. `$ref`s are inlined first, so normalization
+    sees none; with `fix`, the fix loop's last contract is compiled.
 
     Raises ParseError/DialectError, BaseUrlError, SchemeError,
     NestingError or FatalValidationError on defects that block
@@ -44,8 +45,11 @@ def compile_file(
 
     base_url = resolve_base_url(raw)
     declared_schemes(raw.tree, raw.dialect)  # a SchemeError names the source's pointer
-    # the fix loop's last lint pass read the repaired document's contract
-    contract = fix_report.contract if fix else flatten(normalize(raw))
+    if fix:  # the fix loop's last lint pass read the repaired document's contract
+        contract = fix_report.contract
+    else:
+        contract = flatten(raw.tree)
+        contract.tree = normalize(contract)
     validate(contract)
 
     schemes = extract_security(contract)

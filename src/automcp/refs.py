@@ -13,7 +13,7 @@ _CYCLE_PLACEHOLDER_PREFIX = "cyclic reference to "
 
 @dataclass
 class FlattenedContract:
-    """A document with every $ref replaced by the expansion of its target.
+    """A document with every $ref inlined, then `ingest.normalize`d.
 
     Acyclic targets are expanded once and shared by all their uses, so
     `tree` is read-only: copy a subtree before changing it.

@@ -11,7 +11,9 @@ import pytest
 import yaml
 
 from automcp.compiler import EndpointDescriptor, ParamSpec, ToolManifest, ToolSpec
+from automcp.ingest import RawDocument, normalize
 from automcp.pipeline import CompiledApi, compile_file
+from automcp.refs import FlattenedContract, flatten
 from automcp.sampling import endpoint_axes
 from automcp.security import (
     KIND_API_KEY,
@@ -27,6 +29,14 @@ DEFECTS = FIXTURES / "defects"
 
 def fixture_path(name: str) -> Path:
     return FIXTURES / name
+
+
+def build_contract(raw: RawDocument) -> FlattenedContract:
+    """The contract `compile_file`, `fix_loop` and `lint` build: every
+    `$ref` inlined first, then the result normalized."""
+    contract = flatten(raw.tree)
+    contract.tree = normalize(contract)
+    return contract
 
 
 def changed_line_count(before: str, after: str) -> int:

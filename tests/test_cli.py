@@ -95,7 +95,7 @@ class TestGenerate:
             fixed / "manifest.json").read_bytes()
 
     def test_fix_compiles_the_last_lint_passs_contract(self, monkeypatch):
-        """compile_file(fix=True) normalizes and flattens the repaired
+        """compile_file(fix=True) flattens and normalizes the repaired
         document only inside the fix loop; a plain compile does it once."""
         calls = []
 
@@ -115,7 +115,7 @@ class TestGenerate:
         assert calls == []
         assert fixed.contract is fixed.fix_report.contract
         compile_file(spec)
-        assert calls == ["normalize", "flatten"]
+        assert calls == ["flatten", "normalize"]
 
 
 class TestLint:
@@ -352,6 +352,82 @@ class TestExitCodes:
         args = ["generate", spec, "--out", tmp_path / "out"] + (["--fix"] if fix else [])
         assert run_cli(args) == 2
         assert "class A: operations require scheme 'ghost'" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("extra", [
+        {},
+        {"definitions": {"Item": {"type": "object"}}},
+        {"securityDefinitions": {"k": {"type": "apiKey", "in": "header", "name": "X-K"}}},
+    ], ids=["bare", "definitions", "security-definitions"])
+    def test_2_0_components_not_a_mapping_is_class_a(self, tmp_path, capsys, extra):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "swagger": "2.0", "info": {"title": "T", "version": "1"},
+            "host": "t.example", "components": [1], "paths": {"/a": {"get": _op()}},
+            **extra,
+        }), encoding="utf-8")
+        assert run_cli(["generate", spec, "--out", tmp_path / "out"]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == "error: class A: #/components is not a mapping"
+        assert run_cli(["lint", spec]) == 4
+        [finding] = json.loads(capsys.readouterr().out)["findings"]
+        assert (finding["class"], finding["location"], finding["patchable"]) == (
+            "A", "#/components", False)
+
+    @pytest.mark.parametrize("servers", [
+        {"url": "https://a.example"},
+        3,
+        [{"url": "https://{region}.example", "variables": ["region"]}],
+    ], ids=["mapping", "int", "variables-not-a-mapping"])
+    def test_malformed_server_list_is_class_b(self, tmp_path, capsys, servers):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "openapi": "3.0.3", "info": {"title": "T", "version": "1"},
+            "servers": servers, "paths": {"/a": {"get": _op()}},
+        }, indent=2), encoding="utf-8")
+        assert run_cli(["generate", spec, "--out", tmp_path / "out"]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: class B: ")
+        assert run_cli(["lint", spec, "--fix", "--out", tmp_path / "fixed"]) == 0
+        assert json.loads(capsys.readouterr().out)["findings_by_class"] == {"B": 1}
+        fixed = tmp_path / "fixed" / "spec.fixed.json"
+        assert run_cli(["generate", fixed, "--out", tmp_path / "out"]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["base_url"] == "https://api.example.com"
+
+
+MALFORMED_SHAPES = {
+    "info-not-a-mapping": {"info": ["T"], "paths": {"/a": {"get": _op()}}},
+    "request-body-content-not-a-mapping": {"paths": {"/a": {"post": _op(
+        requestBody={"content": [1]})}}},
+    "parameter-name-not-a-string": {
+        "components": {"securitySchemes": {"k": {"type": "apiKey", "in": "header",
+                                                 "name": "X-K"}}},
+        "paths": {"/a": {"get": _op(parameters=[
+            {"name": ["q"], "in": "query", "schema": {"type": "string"}}])}}},
+    "2.0-form-data-without-name": {"swagger": "2.0", "host": "t.example",
+                                   "paths": {"/a": {"post": _op(parameters=[
+                                       {"in": "formData", "type": "string"}])}}},
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_SHAPES))
+def test_malformed_shape_compiles_without_traceback(tmp_path, case):
+    """Each shape is read as missing or skipped, so the spec compiles and
+    lints clean (exit 0) instead of ending in a traceback."""
+    tree = {"openapi": "3.0.3", "info": {"title": "T", "version": "1"},
+            "servers": [{"url": "https://t.example"}]}
+    tree.update(MALFORMED_SHAPES[case])
+    if "swagger" in tree:
+        del tree["openapi"], tree["servers"]
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(tree), encoding="utf-8")
+    for command in (["generate", str(spec), "--out", str(tmp_path / "out")],
+                    ["lint", str(spec)]):
+        proc = subprocess.run([sys.executable, "-m", "automcp", *command],
+                              capture_output=True, text=True, timeout=60)
+        assert "Traceback" not in proc.stderr, proc.stderr
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestLintFixSplicesTheSource:

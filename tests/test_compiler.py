@@ -19,11 +19,10 @@ from automcp.compiler import (
     tools_list_payload,
 )
 from automcp.doctor import fix_loop, load_vendor_rules
-from automcp.ingest import RawDocument, load_document, normalize, resolve_base_url
+from automcp.ingest import RawDocument, load_document, resolve_base_url
 from automcp.pipeline import compile_file, count_operations
-from automcp.refs import flatten
 from automcp.security import extract_security
-from conftest import DEFECTS, FIXTURES, fixture_path
+from conftest import DEFECTS, FIXTURES, build_contract, fixture_path
 
 TOOL_NAME_RE = re.compile(r"^[a-z_][a-z0-9_]*$")
 
@@ -49,7 +48,7 @@ def descriptor(method="GET", path="/users/{id}", operation_id=None, **kw) -> End
 def compile_tree(tree: dict):
     dialect = "openapi_2_0" if tree.get("swagger") == "2.0" else "openapi_3_x"
     doc = RawDocument(Path("mem.json"), "json", dialect, tree)
-    contract = flatten(normalize(doc))
+    contract = build_contract(doc)
     return compile_manifest(
         contract, extract_security(contract), base_url=resolve_base_url(doc)
     )
@@ -336,6 +335,71 @@ class TestCompileManifest:
             assert set(entry) == {"name", "description", "inputSchema"}
 
 
+def _swagger(paths: dict, **top) -> dict:
+    return {"swagger": "2.0", "info": {"title": "T", "version": "1"},
+            "host": "t.example", "paths": paths, **top}
+
+
+def compile_spec(tmp_path: Path, tree: dict):
+    """`compile_file` on `tree` written out, so the pipeline builds the contract."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(tree), encoding="utf-8")
+    return compile_file(spec)
+
+
+class TestRefsInlinedBeforeNormalize:
+    """normalize runs on the flattened tree, so what a `$ref` names is
+    normalized like what is written in place."""
+
+    def test_petstore_pet_id_tools_take_one_path_argument(self, petstore):
+        tools = [t for t in petstore.manifest.tools
+                 if t.endpoint.path_template.startswith("/pet/{petId}")]
+        assert sorted(t.tool_name for t in tools) == [
+            "deletepet", "getpetbyid", "updatepetwithform", "uploadfile"]
+        for tool in tools:
+            path_args = [p.sanitized_name for p in tool.endpoint.parameters
+                         if p.location == "path"]
+            assert path_args == ["petid"], tool.tool_name
+            assert "petid_2" not in tool.input_schema["properties"]
+
+    def test_ref_path_item_gets_its_path_variables(self, tmp_path):
+        compiled = compile_spec(tmp_path, {
+            "openapi": "3.1.0", "info": {"title": "T", "version": "1"},
+            "servers": [{"url": "https://t.example"}],
+            "components": {"pathItems": {"Thing": {"get": {
+                "operationId": "getThing",
+                "responses": {"200": {"description": "ok"}}}}}},
+            "paths": {"/things/{id}": {"$ref": "#/components/pathItems/Thing"}},
+        })
+        [tool] = compiled.manifest.tools
+        assert tool.input_schema["properties"] == {"id": {"type": "string"}}
+        assert tool.input_schema["required"] == ["id"]
+
+    def test_2_0_ref_parameter_keeps_its_type(self, tmp_path):
+        compiled = compile_spec(tmp_path, _swagger(
+            {"/items": {"get": {"parameters": [{"$ref": "#/parameters/Limit"}],
+                                "responses": {"200": {"description": "ok"}}}}},
+            parameters={"Limit": {"name": "limit", "in": "query", "type": "integer"}},
+        ))
+        [tool] = compiled.manifest.tools
+        assert tool.input_schema["properties"] == {"limit": {"type": "integer"}}
+
+    def test_2_0_cycle_placeholder_names_the_pointer_as_written(self, tmp_path):
+        compiled = compile_spec(tmp_path, _swagger(
+            {"/nodes": {"post": {
+                "parameters": [{"name": "node", "in": "body",
+                                "schema": {"$ref": "#/definitions/Node"}}],
+                "responses": {"200": {"description": "ok"}}}}},
+            definitions={"Node": {"type": "object", "properties": {
+                "next": {"$ref": "#/definitions/Node"}}}},
+        ))
+        assert compiled.contract.cycles_detected == ["#/definitions/Node"]
+        [tool] = compiled.manifest.tools
+        body = tool.input_schema["properties"]["body"]
+        assert body["properties"]["next"] == {
+            "type": "object", "description": "cyclic reference to #/definitions/Node"}
+
+
 def diamond_tree(depth: int = 6) -> dict:
     """Each schema level refs the one below twice, and every operation
     shares one $ref'd parameter, so the flattened tree shares subtrees."""
@@ -386,7 +450,7 @@ class TestContractNotMutated:
             raw = load_document(path)
             if path.parent == DEFECTS:
                 raw = fix_loop(raw, rules).document
-            yield path.name, raw, flatten(normalize(raw))
+            yield path.name, raw, build_contract(raw)
 
     def test_compile_manifest_leaves_tree_unchanged(self, tmp_path):
         names = []

@@ -23,11 +23,11 @@ from automcp.doctor import (
     render_document,
 )
 from automcp.errors import NonConvergence, PointerError, SchemeError
-from automcp.ingest import RawDocument, load_document, normalize
-from automcp.refs import escape_token, flatten, pointer_lookup
+from automcp.ingest import RawDocument, load_document
+from automcp.refs import escape_token, pointer_lookup
 from automcp.security import extract_security
 from automcp.splice import SourceText
-from conftest import DEFECTS, changed_line_count, fixture_path
+from conftest import DEFECTS, build_contract, changed_line_count, fixture_path
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +37,7 @@ def rules():
 
 def lint_file(path: Path, rules=None):
     raw = load_document(path)
-    return lint(flatten(normalize(raw)), raw, rules), raw
+    return lint(build_contract(raw), raw, rules), raw
 
 
 def mem_doc(tree: dict, fmt="json", dialect="openapi_3_x") -> RawDocument:
@@ -67,7 +67,7 @@ class TestLintDetection:
             "paths": {"/a": {"get": {"responses": {"200": {"description": "ok"}}}}},
         }
         raw = mem_doc(tree)
-        findings = lint(flatten(normalize(raw)), raw)
+        findings = lint(build_contract(raw), raw)
         assert [f.lint_class for f in findings] == ["A"]
         assert findings[0].location == "#/components/securitySchemes"
         # nothing says how the credential is sent, so nothing is invented
@@ -89,7 +89,7 @@ class TestLintDetection:
             "paths": {"/a": {"get": {"responses": {"200": {"description": "ok"}}}}},
         }
         raw = mem_doc(tree)
-        findings = lint(flatten(normalize(raw)), raw)
+        findings = lint(build_contract(raw), raw)
         assert findings[0].lint_class == "A"
         assert findings[0].edits == [
             PatchEdit("#/components/securitySchemes/k/type", "replace", "apiKey")
@@ -161,7 +161,7 @@ class TestLintDetection:
             },
         }
         raw = mem_doc(tree)
-        findings = lint(flatten(normalize(raw)), raw)
+        findings = lint(build_contract(raw), raw)
         e_findings = [f for f in findings if f.lint_class == "E"]
         assert len(e_findings) == 1
         edit = e_findings[0].edits[0]
@@ -190,7 +190,7 @@ class TestLintDetection:
             },
         }
         raw = mem_doc(tree)
-        findings = lint(flatten(normalize(raw)), raw)
+        findings = lint(build_contract(raw), raw)
         assert [f for f in findings if f.lint_class == "E"] == []
 
     def test_clean_corpus_has_zero_findings(self, rules, petstore, allauth):
@@ -332,14 +332,14 @@ class TestLintAgreesWithCompiler:
     it, with the compiler's own message; every repair it offers compiles."""
 
     def check(self, raw: RawDocument) -> None:
-        contract = flatten(normalize(raw))
+        contract = build_contract(raw)
         try:  # in the pipeline's order
             extract_security(contract)
             list_endpoints(contract)
             rejected = None
         except SchemeError as exc:
             rejected = str(exc)
-        findings = [f for f in lint(flatten(normalize(raw)), raw) if f.lint_class == "A"]
+        findings = [f for f in lint(build_contract(raw), raw) if f.lint_class == "A"]
         if rejected is None:
             assert findings == []
             return
@@ -347,7 +347,7 @@ class TestLintAgreesWithCompiler:
         assert finding.message == rejected
         if finding.edits:
             report = fix_loop(raw)
-            extract_security(flatten(normalize(report.document)))
+            extract_security(build_contract(report.document))
 
     @pytest.mark.parametrize("node", SCHEME_CASES_3_X)
     def test_openapi_3_x(self, node):
@@ -383,7 +383,7 @@ class TestLintAgreesWithCompiler:
     def test_vendor_token_url_applies_to_2_0_repairs(self):
         raw = _one_scheme_doc("openapi_2_0", _oauth2_2_0("accessCode", None))
         rules = load_vendor_rules_text({"^One$": {"token_url": "https://v.example/t"}})
-        [finding] = lint(flatten(normalize(raw)), raw, rules)
+        [finding] = lint(build_contract(raw), raw, rules)
         assert finding.edits == [
             PatchEdit("#/securityDefinitions/s/tokenUrl", "add", "https://v.example/t")
         ]
@@ -391,7 +391,7 @@ class TestLintAgreesWithCompiler:
     def test_password_flow_repair_is_client_credentials(self):
         node = _oauth2_2_0("password", "https://auth.example/token")
         raw = _one_scheme_doc("openapi_2_0", node)
-        [finding] = lint(flatten(normalize(raw)), raw)
+        [finding] = lint(build_contract(raw), raw)
         assert finding.location == "#/securityDefinitions/s"
         assert finding.edits == [
             PatchEdit("#/securityDefinitions/s/flow", "replace", "application")
@@ -407,7 +407,7 @@ class TestLintAgreesWithCompiler:
     )
     def test_no_repair_guesses_how_a_credential_is_sent(self, node, dialect):
         raw = _one_scheme_doc(dialect, node)
-        [finding] = lint(flatten(normalize(raw)), raw)
+        [finding] = lint(build_contract(raw), raw)
         assert finding.lint_class == "A" and finding.edits == []
 
 class TestPatchSufficiency:
@@ -416,11 +416,11 @@ class TestPatchSufficiency:
     )
     def test_patched_class_relints_clean(self, name, rules):
         raw = load_document(DEFECTS / name)
-        findings = lint(flatten(normalize(raw)), raw, rules)
+        findings = lint(build_contract(raw), raw, rules)
         patchable = [f for f in findings if f.edits]
         assert patchable
         patched = apply_patch(raw, [e for f in patchable for e in f.edits])
-        refindings = lint(flatten(normalize(patched)), patched, rules)
+        refindings = lint(build_contract(patched), patched, rules)
         assert [f for f in refindings if f.edits] == []
 
 
@@ -434,7 +434,7 @@ class TestFixLoop:
         assert set(report.findings_by_class) == {"A", "B"}
         assert report.residual_advisories == []
         refindings = lint(
-            flatten(normalize(report.document)), report.document, rules
+            build_contract(report.document), report.document, rules
         )
         assert refindings == []
 
@@ -648,7 +648,7 @@ class TestSourceText:
         tree = copy.deepcopy(raw.tree)
         for _ in range(data.draw(st.integers(1, 3))):
             edit = data.draw(fixture_edits(tree))
-            _apply_edit(tree, edit)
+            _apply_edit(tree, edit, set())
             source.splice([("A", edit)])
             assert source.loads_to(tree)
         diff = source.unified_diff("a", "b")
@@ -717,7 +717,8 @@ class TestSourceText:
 
     def test_text_that_does_not_read_back_renders_whole(self, tmp_path):
         """The edit lands under an alias: the spliced text would change
-        the anchor's node, so the tree-level result is rendered instead."""
+        the anchor's node, so the tree-level result is rendered instead.
+        The edit changes only the node its pointer names."""
         text = (
             "openapi: 3.0.0\n"
             "info: {title: Alias, version: '1'}\n"
@@ -731,3 +732,6 @@ class TestSourceText:
         assert report.whole_document_render is True
         assert ingest._load_yaml(report.text) == report.document.tree
         assert report.total_loc_changed == sum(report.loc_changed_by_class.values())
+        assert report.document.tree["x-base"] == {"url": "{{root}}"}
+        assert report.document.tree["servers"] == [{"url": "https://api.example.com"}]
+        assert raw.tree["servers"][0] is raw.tree["x-base"] == {"url": "{{root}}"}

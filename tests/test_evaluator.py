@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 from automcp.evaluator import (
     aggregate_reports,
     evaluate,
@@ -112,6 +114,16 @@ class TestEvaluate:
         assert report.total == 7
         assert "BaseUrlError" in report.load_error
         assert report.pass_rate == 0.0
+
+    def test_compile_stage_failure_with_info_not_a_mapping(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "openapi": "3.0.3", "info": ["T"],
+            "paths": {"/a": {"get": {"responses": {"200": {"description": "ok"}}}}},
+        }), encoding="utf-8")
+        report = evaluate_spec_file(spec, env={})
+        assert (report.api_title, report.total) == (str(spec), 1)
+        assert "BaseUrlError" in report.load_error
 
     def test_fix_flag_repairs_and_passes(self):
         from automcp.doctor import load_vendor_rules

@@ -25,7 +25,7 @@ from automcp.ingest import (
 )
 from automcp.refs import flatten
 from automcp.security import extract_security
-from conftest import DEFECTS, FIXTURES, fixture_path
+from conftest import DEFECTS, FIXTURES, build_contract, fixture_path
 
 
 def write(tmp_path, name, content):
@@ -214,6 +214,13 @@ SWAGGER_DOC = {
 }
 
 
+SPEC_FILES = sorted(
+    p for p in list(FIXTURES.iterdir()) + list(DEFECTS.iterdir())
+    if p.suffix in (".json", ".yaml")
+    and p.name not in ("vendor_rules.json", "reference_counts.json")
+)
+
+
 class TestNormalize:
     @pytest.fixture()
     def swagger_doc(self, tmp_path):
@@ -231,11 +238,13 @@ class TestNormalize:
         assert flows["authorizationCode"]["tokenUrl"].endswith("/token")
 
     def test_definitions_become_schemas_and_refs_rewritten(self, swagger_doc):
-        tree = normalize(swagger_doc)
-        assert "Item" in tree["components"]["schemas"]
+        """`$ref`s are inlined before normalization, so the body's
+        `#/definitions/Item` arrives as the schema itself."""
+        tree = build_contract(swagger_doc).tree
         body = tree["paths"]["/items"]["post"]["requestBody"]
-        schema_ref = body["content"]["application/json"]["schema"]["$ref"]
-        assert schema_ref == "#/components/schemas/Item"
+        assert body["content"]["application/json"]["schema"] == (
+            SWAGGER_DOC["definitions"]["Item"])
+        assert "schemas" not in tree.get("components", {})
 
     def test_body_param_becomes_request_body(self, swagger_doc):
         op = normalize(swagger_doc)["paths"]["/items"]["post"]
@@ -249,9 +258,9 @@ class TestNormalize:
         assert media["schema"]["required"] == ["tag"]
 
     def test_response_schema_moved_under_content(self, swagger_doc):
-        op = normalize(swagger_doc)["paths"]["/items"]["post"]
+        op = build_contract(swagger_doc).tree["paths"]["/items"]["post"]
         content = op["responses"]["200"]["content"]["application/json"]
-        assert content["schema"]["$ref"] == "#/components/schemas/Item"
+        assert content["schema"] == SWAGGER_DOC["definitions"]["Item"]
 
     def test_query_param_type_wrapped_in_schema(self, swagger_doc):
         op = normalize(swagger_doc)["paths"]["/items"]["get"]
@@ -259,10 +268,9 @@ class TestNormalize:
         assert param["schema"] == {"type": "integer", "format": "int32"}
 
     def test_duplicate_operation_ids_suffixed(self, swagger_doc):
-        tree = normalize(swagger_doc)
-        assert tree["paths"]["/items"]["get"]["operationId"] == "listItems"
-        assert tree["paths"]["/dup"]["get"]["operationId"] == "listItems"
-        contract = flatten(tree)
+        contract = build_contract(swagger_doc)
+        assert contract.tree["paths"]["/items"]["get"]["operationId"] == "listItems"
+        assert contract.tree["paths"]["/dup"]["get"]["operationId"] == "listItems"
         manifest = compile_manifest(
             contract, extract_security(contract), resolve_base_url(swagger_doc)
         )
@@ -316,10 +324,17 @@ class TestNormalize:
         doc.tree = copy.deepcopy(once)
         assert normalize(doc) == once
 
-    def test_input_tree_not_mutated(self, swagger_doc):
-        before = copy.deepcopy(swagger_doc.tree)
-        normalize(swagger_doc)
-        assert swagger_doc.tree == before
+    @pytest.mark.parametrize("stage", ["raw", "flattened"])
+    @pytest.mark.parametrize("path", SPEC_FILES, ids=lambda path: path.name)
+    def test_input_tree_not_mutated(self, path, stage):
+        """normalize copies only what it rewrites, on the raw document and
+        on the flattened contract, whose acyclic expansions are shared."""
+        doc = load_document(path)
+        if stage == "flattened":
+            doc = flatten(doc.tree)
+        before = copy.deepcopy(doc.tree)
+        normalize(doc)
+        assert doc.tree == before
 
     def test_every_path_var_declared_after_normalize(self, swagger_doc):
         tree = normalize(swagger_doc)

@@ -424,6 +424,29 @@ class TestInvokeTool:
         assert "flavor=oat" in record.headers["Cookie"]
         assert f"session={creds['ck']}" in record.headers["Cookie"]
 
+    def test_2_0_ref_body_parameter_is_sent_as_the_body(self, tmp_path):
+        spec = tmp_path / "legacy.json"
+        spec.write_text(json.dumps({
+            "swagger": "2.0", "info": {"title": "T", "version": "1"},
+            "host": "t.example",
+            "parameters": {"Card": {"name": "card", "in": "body", "required": True,
+                                    "schema": {"type": "object"}}},
+            "paths": {"/cards": {"post": {
+                "operationId": "create_card",
+                "parameters": [{"$ref": "#/parameters/Card"}],
+                "responses": {"201": {"description": "created"}}}}},
+        }), encoding="utf-8")
+        compiled = compile_file(spec)
+        tool = compiled.manifest.tool("create_card")
+        assert tool.endpoint.parameters == []
+        assert tool.input_schema["required"] == ["body"]
+        with run_mock_upstream(compiled.manifest) as mock:
+            result = invoke_tool(tool, {"body": {"name": "x"}}, {}, mock.base_url,
+                                 compiled.manifest.schemes, compiled.bindings)
+            record = mock.last_record()
+        assert result.http_status == 201
+        assert record.body == {"name": "x"}
+
     def test_extra_headers_reach_the_wire(self, trello):
         env, creds = sentinel_credentials(trello)
         env["EXTRA_HEADERS"] = '{"Notion-Version":"2022-06-28"}'
