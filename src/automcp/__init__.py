@@ -6,18 +6,35 @@ compile each operation into an MCP tool, then either serve the manifest
 over stdio JSON-RPC or lint/repair the contract and evaluate it against
 a mock upstream. The command line (`automcp generate|serve|lint|sample`)
 is the main interface; the names below are the documented Python API.
+
+Each export but `__version__` is imported from its submodule on first
+access (PEP 562), so `import automcp`, which every command pays, loads
+nothing else.
 """
 
 from ._version import __version__
-from .evaluator import evaluate_spec_file, load_exclusions_file, load_order_file
-from .oauth import acquire_oauth_token
-from .security import OAuth2Flows
 
-__all__ = [
-    "__version__",
-    "OAuth2Flows",
-    "acquire_oauth_token",
-    "evaluate_spec_file",
-    "load_exclusions_file",
-    "load_order_file",
-]
+# export -> the submodule that defines it
+_EXPORTS = {
+    "OAuth2Flows": "security",
+    "acquire_oauth_token": "oauth",
+    "evaluate_spec_file": "evaluator",
+    "load_exclusions_file": "evaluator",
+    "load_order_file": "evaluator",
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

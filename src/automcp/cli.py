@@ -3,6 +3,10 @@
 Exit codes: 0 success, 1 parse/dialect error, 2 validation error,
 3 I/O error, 4 lint findings remain. Under `serve`, stdout carries
 protocol messages only; every diagnostic goes to stderr.
+
+Each `cmd_*` imports the modules that only it runs, so start-up pays
+for one command: `generate` on a JSON spec loads no HTTP client or
+server, no YAML parser and no repair code, and `serve` no repair code.
 """
 
 from __future__ import annotations
@@ -14,11 +18,9 @@ import os
 import sys
 from collections import Counter
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from ._version import __version__
-from .compiler import manifest_to_dict
-from .doctor import FixReport, fix_loop, lint, load_vendor_rules
-from .envfile import load_env
 from .errors import (
     AutoMcpError,
     DialectError,
@@ -27,12 +29,11 @@ from .errors import (
     ParseError,
     nesting_guard,
 )
-from .ingest import load_document, normalize
 from .pipeline import compile_file
-from .refs import flatten
-from .runtime import serve
 from .sampling import DEFAULT_THRESHOLD, sample
-from .security import KIND_OAUTH2
+
+if TYPE_CHECKING:
+    from .doctor import FixReport, VendorRule
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -128,7 +129,10 @@ def _env(name: str, convert, default=None):
 
 
 def cmd_generate(cfg: argparse.Namespace) -> int:
-    rules = load_vendor_rules(cfg.rules) if cfg.rules else None
+    from .compiler import manifest_to_dict
+    from .security import KIND_OAUTH2
+
+    rules = _load_rules(cfg.rules)
     compiled = compile_file(cfg.spec, fix=cfg.fix, rules=rules)
     out = cfg.out
     out.mkdir(parents=True, exist_ok=True)
@@ -206,6 +210,9 @@ def cmd_generate(cfg: argparse.Namespace) -> int:
 
 
 def cmd_serve(cfg: argparse.Namespace) -> int:
+    from .envfile import load_env
+    from .runtime import serve
+
     compiled = compile_file(cfg.spec)
     env = load_env(cfg.env)
     try:
@@ -217,7 +224,11 @@ def cmd_serve(cfg: argparse.Namespace) -> int:
 
 
 def cmd_lint(cfg: argparse.Namespace) -> int:
-    rules = load_vendor_rules(cfg.rules) if cfg.rules else None
+    from .doctor import fix_loop, lint
+    from .ingest import load_document, normalize
+    from .refs import flatten
+
+    rules = _load_rules(cfg.rules)
     raw = load_document(cfg.spec)
 
     if cfg.fix:
@@ -247,6 +258,15 @@ def cmd_lint(cfg: argparse.Namespace) -> int:
     }
     print(json.dumps(payload, indent=2, ensure_ascii=False))
     return _lint_exit(findings)
+
+
+def _load_rules(path: Path | None) -> list[VendorRule] | None:
+    """The vendor rules `--rules` names; None without the flag."""
+    if path is None:
+        return None
+    from .doctor import load_vendor_rules
+
+    return load_vendor_rules(path)
 
 
 def _write_repair(report: FixReport, spec: Path, out_dir: Path) -> tuple[Path, Path]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any, Container
 
 from .errors import SchemeError
-from .ingest import operations, parameters
+from .ingest import merge_parameters, operations, parameters
 from .refs import FlattenedContract
 from .security import KIND_API_KEY, SecurityScheme, declared_schemes
 
@@ -89,7 +89,7 @@ def list_endpoints(contract: FlattenedContract) -> list[EndpointDescriptor]:
     endpoints: list[EndpointDescriptor] = []
 
     for path, item, method, op in operations(tree):
-        merged = _merge_parameters(parameters(item), parameters(op))
+        merged = merge_parameters(parameters(item), parameters(op))
         body_schema, body_required, content_type = _pick_request_body(
             op.get("requestBody")
         )
@@ -265,14 +265,6 @@ def manifest_to_dict(manifest: ToolManifest, include_bindings: bool = False) -> 
 
 
 # -- internals ----------------------------------------------------------------
-
-
-def _merge_parameters(path_level: list[dict], op_level: list[dict]) -> list[dict]:
-    def key(p: dict) -> tuple[str, str]:  # as `_build_param_specs` reads them
-        return str(p.get("name", "")), str(p.get("in", "query"))
-
-    op_keys = {key(p) for p in op_level}
-    return [p for p in path_level if key(p) not in op_keys] + op_level
 
 
 def _build_param_specs(params: list[dict], has_body: bool) -> list[ParamSpec]:

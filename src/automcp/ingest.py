@@ -1,12 +1,8 @@
 """Load OpenAPI documents and normalize 2.0 constructs into 3.x shape.
 
-YAML is parsed by libyaml when PyYAML has it, and the tree is built
-straight from libyaml's parse events: plain dicts, lists and scalars,
-with no node graph in between. What that event walk leaves out (merge
-keys, tags other than PyYAML's plain scalar ones, a collection as a key,
-a second document) is loaded by PyYAML's own constructor, so every tree
-and every error is `yaml.safe_load`'s. Text that libyaml could overflow,
-and any text when libyaml is absent, takes PyYAML's pure-Python loader.
+A document is read as JSON first. Only text that is not JSON goes to the
+YAML reader (`yamltree`), imported on first use, so a JSON spec never
+loads `yaml`.
 
 `normalize` runs on the flattened tree, so it never sees a `$ref`. No
 function here changes its input: each copies only what it rewrites and
@@ -20,8 +16,6 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator
-
-import yaml
 
 from .errors import BaseUrlError, DialectError, ParseError
 from .refs import FlattenedContract
@@ -50,26 +44,14 @@ _SWAGGER_ONLY_KEYS = (
     "responses",
 )
 
+# 2.0 parameter locations that become a 3.x `requestBody`.
+_BODY_LOCATIONS = ("body", "formData")
+
 # 2.0 non-body parameter keys that move into the 3.x parameter `schema`.
 _PARAMETER_SCHEMA_KEYS = (
     "type", "format", "items", "enum", "default",
     "maximum", "minimum", "maxLength", "minLength", "pattern",
 )
-
-# libyaml parses several times faster than the pure-Python loader, and
-# building the tree from its events (`_tree_from_events`) also skips
-# PyYAML's node graph and constructor. But libyaml's composer (behind
-# `compose_yaml` and `_tree_from_events`' fallback) recurses in C, beyond
-# Python's recursion limit, so a deep enough document crashes the
-# process, and its event stream slows quadratically with depth. Text that
-# may nest deeper than this goes to the pure loader, whose RecursionError
-# becomes NestingError; the tree walks reject such depth anyway.
-_LIBYAML_MAX_DEPTH = 2000
-_FastLoader = getattr(yaml, "CSafeLoader", None)  # None without libyaml
-# A line break and the run of spaces and block indicators after it. YAML
-# also breaks lines at CR, NEL, LS and PS, and libyaml skips a BOM at any
-# line start.
-_LINE_START_RUN_RE = re.compile(r"[\n\r\x85\u2028\u2029\ufeff][\ufeff ?:-]+")
 
 
 @dataclass
@@ -100,6 +82,10 @@ def load_document(path: str | Path) -> RawDocument:
         tree = json.loads(text)
         fmt = FORMAT_JSON
     except ValueError:
+        import yaml
+
+        from .yamltree import _load_yaml
+
         try:
             tree = _load_yaml(text)
             fmt = FORMAT_YAML
@@ -124,158 +110,11 @@ def load_document(path: str | Path) -> RawDocument:
 
 def load_text(text: str, fmt: str) -> Any:
     """The tree `text` gives when read as `fmt`, as `load_document` reads it."""
-    return json.loads(text) if fmt == FORMAT_JSON else _load_yaml(text)
+    if fmt == FORMAT_JSON:
+        return json.loads(text)
+    from .yamltree import _load_yaml
 
-
-def _load_yaml(text: str) -> Any:
-    """`yaml.safe_load` through the loader `_with_yaml_loader` picks; with
-    libyaml, the tree is built from its parse events."""
-
-    def load(text: str, Loader: type) -> Any:
-        if Loader is not _FastLoader:
-            return yaml.load(text, Loader=Loader)
-        loader = Loader(text)
-        try:
-            return _tree_from_events(loader)
-        except _Unbuilt:
-            pass
-        finally:
-            loader.dispose()
-        return yaml.load(text, Loader=Loader)
-
-    return _with_yaml_loader(load, text)
-
-
-class _Unbuilt(Exception):
-    """The event stream holds something `_tree_from_events` leaves to
-    PyYAML's own constructor."""
-
-
-_STR_TAG = "tag:yaml.org,2002:str"
-_NO_KEY = object()  # a mapping frame's key slot while it waits for a key
-# a collection's start event -> the tags under which it is a plain dict or list
-_PLAIN_TAGS = {
-    yaml.MappingStartEvent: (None, "!", "tag:yaml.org,2002:map"),
-    yaml.SequenceStartEvent: (None, "!", "tag:yaml.org,2002:seq"),
-}
-
-
-def _tree_from_events(loader: Any) -> Any:
-    """The tree `loader.get_single_data()` would construct, built straight
-    from the loader's parse events: dicts, lists and scalars, with each
-    alias sharing the object its anchor names. A scalar's tag is resolved
-    and constructed by the loader itself, so ints, floats, bools, nulls,
-    timestamps and binary come out as PyYAML makes them.
-
-    Raises _Unbuilt on what only PyYAML's constructor gets exactly right,
-    or reports in its own words: a merge key or any other tag it has no
-    plain constructor for, a tagged collection, a collection as a key, an
-    undefined or redefined anchor, a scalar whose constructor fails, and a
-    second document."""
-    get_event = loader.get_event
-    resolve = loader.resolve
-    constructors = loader.yaml_constructors
-    anchors: dict[str, Any] = {}
-    root = None
-    stack: list[list] = []  # [collection, key slot] per open collection
-    get_event()  # StreamStartEvent
-    if isinstance(get_event(), yaml.StreamEndEvent):
-        return None  # an empty stream; else that was a DocumentStartEvent
-    while True:
-        event = get_event()
-        kind = type(event)
-        if kind is yaml.ScalarEvent:
-            node = event.value
-            tag = event.tag
-            if tag is None or tag == "!":
-                tag = resolve(yaml.ScalarNode, node, event.implicit)
-            if tag != _STR_TAG:
-                construct = constructors.get(tag)
-                if construct is None:
-                    raise _Unbuilt
-                try:
-                    node = construct(loader, yaml.ScalarNode(tag, node))
-                except Exception as exc:  # yaml.load raises it, or an earlier error
-                    raise _Unbuilt from exc
-        elif kind is yaml.AliasEvent:
-            if event.anchor not in anchors:
-                raise _Unbuilt
-            node = anchors[event.anchor]
-        elif kind in _PLAIN_TAGS:
-            if event.tag not in _PLAIN_TAGS[kind]:
-                raise _Unbuilt
-            node = {} if kind is yaml.MappingStartEvent else []
-        elif kind is yaml.DocumentEndEvent:
-            if not isinstance(get_event(), yaml.StreamEndEvent):
-                raise _Unbuilt  # a second document
-            return root
-        else:  # MappingEndEvent, SequenceEndEvent
-            stack.pop()
-            continue
-
-        if event.anchor is not None and kind is not yaml.AliasEvent:
-            if event.anchor in anchors:
-                raise _Unbuilt
-            anchors[event.anchor] = node
-        if not stack:
-            root = node
-        else:
-            frame = stack[-1]
-            parent = frame[0]
-            if parent.__class__ is list:
-                parent.append(node)
-            elif frame[1] is _NO_KEY:
-                if isinstance(node, (dict, list)):
-                    raise _Unbuilt  # unhashable key
-                frame[1] = node
-            else:
-                parent[frame[1]] = node
-                frame[1] = _NO_KEY
-        if kind in _PLAIN_TAGS:
-            stack.append([node, _NO_KEY])
-
-
-def compose_yaml(text: str) -> tuple[yaml.Node, int]:
-    """The node graph `_load_yaml` builds its tree from, whose marks give
-    source positions, and the offset that turns a mark's `index` into an
-    offset into `text`: libyaml does not count a leading BOM."""
-
-    def compose(text: str, Loader: type) -> tuple[yaml.Node, int]:
-        bom = text.startswith("\ufeff") and Loader is getattr(yaml, "CSafeLoader", None)
-        return yaml.compose(text, Loader=Loader), int(bom)
-
-    return _with_yaml_loader(compose, text)
-
-
-def _with_yaml_loader(parse, text: str) -> Any:
-    """`parse(text, Loader=...)` through libyaml when it is present and the
-    text cannot nest deeper than `_LIBYAML_MAX_DEPTH`, else through the
-    pure loader. A libyaml error is re-raised by the pure loader, so the
-    message is the same either way. Text with a BOM past its first
-    character also takes the pure loader: libyaml skips a BOM at the start
-    of any line, the pure loader only at the start of the text, so the two
-    would build different trees."""
-    if (_FastLoader is not None and text.find("\ufeff", 1) < 0
-            and _nesting_bound(text) <= _LIBYAML_MAX_DEPTH):
-        try:
-            return parse(text, Loader=_FastLoader)
-        except yaml.YAMLError:
-            pass
-    return parse(text, Loader=yaml.SafeLoader)
-
-
-def _nesting_bound(text: str) -> int:
-    """An upper bound on the text's YAML nesting depth. Every flow level
-    opens with a `[` or `{`, and an empty `[]` or `{}` can only be the
-    innermost one. A line's first block level sits at its leading
-    spaces and ``-``/``?``/``:`` indicators (after any BOM), and each
-    column of them holds at most two more (a sequence may share its
-    parent mapping's column)."""
-    flow = (text.count("[") - text.count("[]")
-            + text.count("{") - text.count("{}") + 1)
-    run = max(map(len, _LINE_START_RUN_RE.findall("\n" + text)), default=1) - 1
-    block = 1 + 2 * run
-    return flow + block
+    return _load_yaml(text)
 
 
 def resolve_base_url(doc: RawDocument) -> str:
@@ -338,6 +177,18 @@ def parameters(node: dict) -> list[dict]:
     return [p for p in params if isinstance(p, dict)] if isinstance(params, list) else []
 
 
+def merge_parameters(path_level: list[dict], op_level: list[dict]) -> list[dict]:
+    """The parameters an operation takes: each path-level one that none of
+    its own overrides, then its own. One overrides another with the same
+    name and location, read as strings (`in` defaults to query)."""
+
+    def key(p: dict) -> tuple[str, str]:
+        return str(p.get("name", "")), str(p.get("in", "query"))
+
+    op_keys = {key(p) for p in op_level}
+    return [p for p in path_level if key(p) not in op_keys] + op_level
+
+
 def normalize(doc: RawDocument | FlattenedContract) -> dict:
     """`doc.tree` in 3.x shape, with mechanical defects repaired.
 
@@ -383,8 +234,9 @@ def _convert_2_0(tree: dict) -> dict:
     out["paths"] = {
         path: _convert_path_item(item) for path, item in paths.items()
     } if isinstance(paths, dict) else paths
-    for _, item, method, op in operations(out):
-        item[method] = _convert_operation(op, doc_consumes, doc_produces)
+    for path, item, method, op in operations(out):
+        shared = [p for p in parameters(paths[path]) if p.get("in") in _BODY_LOCATIONS]
+        item[method] = _convert_operation(op, shared, doc_consumes, doc_produces)
     return out
 
 
@@ -431,20 +283,29 @@ def _convert_path_item(item: Any) -> Any:
     if not isinstance(item, dict):
         return item
     converted = dict(item)  # YAML aliases can share one item between paths
-    if "parameters" in item:
-        converted["parameters"] = [_convert_parameter(p) for p in parameters(item)]
+    if "parameters" in item:  # body and formData ones go to each operation
+        converted["parameters"] = [
+            _convert_parameter(p) for p in parameters(item)
+            if p.get("in") not in _BODY_LOCATIONS
+        ]
     return converted
 
 
-def _convert_operation(op: dict, doc_consumes: list, doc_produces: list) -> dict:
+def _convert_operation(
+    op: dict, shared: list[dict], doc_consumes: list, doc_produces: list
+) -> dict:
+    """`op` in 3.x shape. `shared` holds its path item's body and formData
+    parameters, which it inherits unless it overrides them."""
     consumes = op.get("consumes") or doc_consumes or ["application/json"]
     produces = op.get("produces") or doc_produces or ["application/json"]
     out = {k: v for k, v in op.items() if k not in ("consumes", "produces")}
 
-    params = parameters(out)
+    params = merge_parameters(shared, parameters(out))
     body_params = [p for p in params if p.get("in") == "body"]
-    form_params = [p for p in params if p.get("in") == "formData" and "name" in p]
-    rest = [p for p in params if p.get("in") not in ("body", "formData")]
+    # a name that is not a string reads as absent
+    form_params = [p for p in params
+                   if p.get("in") == "formData" and isinstance(p.get("name"), str)]
+    rest = [p for p in params if p.get("in") not in _BODY_LOCATIONS]
     out["parameters"] = [_convert_parameter(p) for p in rest]
     if not out["parameters"]:
         del out["parameters"]

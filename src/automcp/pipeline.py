@@ -4,13 +4,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .compiler import ToolManifest, compile_manifest
-from .doctor import FixReport, VendorRule, fix_loop
 from .errors import nesting_guard
 from .ingest import RawDocument, load_document, normalize, operations, resolve_base_url
 from .refs import FlattenedContract, flatten, validate
 from .security import EnvBinding, build_env_map, declared_schemes, extract_security
+
+if TYPE_CHECKING:
+    from .doctor import FixReport, VendorRule
 
 
 @dataclass
@@ -32,6 +35,7 @@ def compile_file(
     """Load, (optionally) repair, flatten, normalize, validate, and
     compile one spec file. `$ref`s are inlined first, so normalization
     sees none; with `fix`, the fix loop's last contract is compiled.
+    The repair code (`doctor`, `splice`) is imported only with `fix`.
 
     Raises ParseError/DialectError, BaseUrlError, SchemeError,
     NestingError or FatalValidationError on defects that block
@@ -63,6 +67,14 @@ def compile_file(
         env_template=env_template,
         fix_report=fix_report,
     )
+
+
+def fix_loop(raw: RawDocument, rules: list[VendorRule] | None) -> FixReport:
+    """`doctor.fix_loop`, imported on first call. `compile_file` looks it
+    up here at call time, so a caller may rebind it in this module."""
+    from .doctor import fix_loop
+
+    return fix_loop(raw, rules)
 
 
 def count_operations(tree: dict) -> int:

@@ -28,8 +28,9 @@ from typing import TYPE_CHECKING
 import yaml
 from yaml.nodes import CollectionNode, MappingNode, ScalarNode, SequenceNode
 
-from .ingest import FORMAT_JSON, compose_yaml, load_text
+from .ingest import FORMAT_JSON, load_text
 from .refs import pointer_segments
+from .yamltree import compose_yaml
 
 if TYPE_CHECKING:
     from .doctor import PatchEdit

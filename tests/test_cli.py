@@ -408,6 +408,14 @@ MALFORMED_SHAPES = {
     "2.0-form-data-without-name": {"swagger": "2.0", "host": "t.example",
                                    "paths": {"/a": {"post": _op(parameters=[
                                        {"in": "formData", "type": "string"}])}}},
+    "2.0-form-data-name-a-list": {"swagger": "2.0", "host": "t.example",
+                                  "paths": {"/a": {"post": _op(parameters=[
+                                      {"name": ["x"], "in": "formData",
+                                       "type": "string"}])}}},
+    "2.0-form-data-name-a-mapping": {"swagger": "2.0", "host": "t.example",
+                                     "paths": {"/a": {"post": _op(parameters=[
+                                         {"name": {"a": 1}, "in": "formData",
+                                          "type": "string"}])}}},
 }
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from automcp import ingest
+from automcp import yamltree
 from automcp.compiler import list_endpoints
 from automcp.doctor import (
     PatchEdit,
@@ -628,7 +628,7 @@ class TestSourceText:
     @pytest.mark.parametrize("name", PATCHED_FIXTURES)
     def test_pure_loader_splices_the_same_text(self, name, rules, monkeypatch):
         with_libyaml = fix_loop(load_document(DEFECTS / name), rules)
-        monkeypatch.setattr(ingest, "_FastLoader", None)
+        monkeypatch.setattr(yamltree, "_FastLoader", None)
         pure = fix_loop(load_document(DEFECTS / name), rules)
         assert pure.whole_document_render is False
         assert (pure.text, pure.diff) == (with_libyaml.text, with_libyaml.diff)
@@ -730,7 +730,7 @@ class TestSourceText:
         raw = write_spec(tmp_path, "alias.yaml", text)
         report = fix_loop(raw)
         assert report.whole_document_render is True
-        assert ingest._load_yaml(report.text) == report.document.tree
+        assert yamltree._load_yaml(report.text) == report.document.tree
         assert report.total_loc_changed == sum(report.loc_changed_by_class.values())
         assert report.document.tree["x-base"] == {"url": "{{root}}"}
         assert report.document.tree["servers"] == [{"url": "https://api.example.com"}]

@@ -11,7 +11,7 @@ import yaml
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from automcp import ingest
+from automcp import ingest, yamltree
 from automcp.compiler import compile_manifest
 from automcp.errors import BaseUrlError, DialectError, ParseError
 from automcp.ingest import (
@@ -257,6 +257,32 @@ class TestNormalize:
         assert media["schema"]["properties"]["tag"] == {"type": "string"}
         assert media["schema"]["required"] == ["tag"]
 
+    def test_path_level_form_data_is_inherited_unless_overridden(self, tmp_path):
+        doc = load_document(write(tmp_path, "form.json", json.dumps({
+            "swagger": "2.0", "info": {"title": "T", "version": "1"},
+            "host": "t.example",
+            "paths": {"/a": {
+                "parameters": [
+                    {"name": "a", "in": "formData", "type": "string"},
+                    {"name": "b", "in": "formData", "type": "string"},
+                    {"name": "q", "in": "query", "type": "string"},
+                ],
+                "post": {
+                    "parameters": [{"name": "b", "in": "formData", "type": "integer",
+                                    "required": True}],
+                    "responses": {"200": {"description": "ok"}},
+                },
+            }},
+        })))
+        item = normalize(doc)["paths"]["/a"]
+        assert item["parameters"] == [{"name": "q", "in": "query", "schema": {"type": "string"}}]
+        media = item["post"]["requestBody"]["content"]["application/x-www-form-urlencoded"]
+        assert media["schema"] == {
+            "type": "object",
+            "properties": {"a": {"type": "string"}, "b": {"type": "integer"}},
+            "required": ["b"],
+        }
+
     def test_response_schema_moved_under_content(self, swagger_doc):
         op = build_contract(swagger_doc).tree["paths"]["/items"]["post"]
         content = op["responses"]["200"]["content"]["application/json"]
@@ -381,7 +407,7 @@ class PureLoaderOnly:
 
     @pytest.fixture(autouse=True)
     def _without_libyaml(self, monkeypatch):
-        monkeypatch.setattr(ingest, "_FastLoader", None)
+        monkeypatch.setattr(yamltree, "_FastLoader", None)
 
 
 class TestLoadDocumentWithoutLibyaml(PureLoaderOnly, TestLoadDocument):
@@ -435,7 +461,7 @@ class TestYamlLoaders:
             value, default_flow_style=flow_style, indent=indent,
             allow_unicode=True).replace("\n", newline)
         loaded = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
-        assert ingest._nesting_bound(text) >= collection_depth(loaded)
+        assert yamltree._nesting_bound(text) >= collection_depth(loaded)
 
     def test_text_that_may_nest_deeply_skips_libyaml(self, monkeypatch):
         used = []
@@ -445,11 +471,11 @@ class TestYamlLoaders:
                 used.append(stream)
                 super().__init__(stream)
 
-        monkeypatch.setattr(ingest, "_FastLoader", SpyLoader)
-        assert ingest._load_yaml("a: [1, {b: 2}]\n") == {"a": [1, {"b": 2}]}
+        monkeypatch.setattr(yamltree, "_FastLoader", SpyLoader)
+        assert yamltree._load_yaml("a: [1, {b: 2}]\n") == {"a": [1, {"b": 2}]}
         assert len(used) == 1
         with pytest.raises(RecursionError):
-            ingest._load_yaml("- " * ingest._LIBYAML_MAX_DEPTH + "x\n")
+            yamltree._load_yaml("- " * yamltree._LIBYAML_MAX_DEPTH + "x\n")
         assert len(used) == 1
 
     @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
@@ -464,9 +490,9 @@ class TestYamlLoaders:
             expected = yaml.load(text, Loader=yaml.SafeLoader)
         except yaml.YAMLError as exc:
             with pytest.raises(yaml.YAMLError, match=re.escape(str(exc))):
-                ingest._load_yaml(text)
+                yamltree._load_yaml(text)
         else:
-            assert ingest._load_yaml(text) == expected
+            assert yamltree._load_yaml(text) == expected
 
     def test_parse_error_message_is_the_pure_loaders(self, tmp_path):
         text = "openapi: 3.0.0\npaths: {a: [1, 2}\n"
@@ -506,7 +532,7 @@ def load_outcome(load, text):
 def todays_load(text):
     """The load before the event-built tree: `yaml.load` through the
     loader `_with_yaml_loader` picks."""
-    return ingest._with_yaml_loader(yaml.load, text)
+    return yamltree._with_yaml_loader(yaml.load, text)
 
 
 YAML_SNIPPETS = {
@@ -578,7 +604,7 @@ class TestTreeFromEvents:
         text = path.read_text(encoding="utf-8")
         expected = shape(libyaml_load(text))
         monkeypatch.setattr(yaml, "load", refuse)
-        assert shape(ingest._load_yaml(text)) == expected
+        assert shape(yamltree._load_yaml(text)) == expected
         if path.suffix == ".yaml":
             assert shape(load_document(path).tree) == expected
 
@@ -591,10 +617,10 @@ class TestTreeFromEvents:
             assert expected == load_outcome(libyaml_load, text)
         if name not in FALLS_BACK:
             monkeypatch.setattr(yaml, "load", refuse)
-        assert load_outcome(ingest._load_yaml, text) == expected
+        assert load_outcome(yamltree._load_yaml, text) == expected
 
     @given(yaml_values, st.sampled_from([False, True, None]), st.integers(2, 5))
     def test_dumped_value_loads_to_libyamls_tree(self, value, flow_style, indent):
         text = yaml.safe_dump(value, default_flow_style=flow_style, indent=indent,
                               allow_unicode=True)
-        assert shape(ingest._load_yaml(text)) == shape(libyaml_load(text))
+        assert shape(yamltree._load_yaml(text)) == shape(libyaml_load(text))
