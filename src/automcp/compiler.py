@@ -10,10 +10,11 @@ from __future__ import annotations
 import copy
 import re
 from dataclasses import dataclass, field
-from typing import Any, Container
+from typing import Container
 
 from .errors import SchemeError
-from .ingest import merge_parameters, operations, parameters
+from .ingest import api_title, mapping, merge_parameters, operations, parameters
+from .ingest import sequence, text
 from .refs import FlattenedContract
 from .security import KIND_API_KEY, SecurityScheme, declared_schemes
 
@@ -84,43 +85,39 @@ def list_endpoints(contract: FlattenedContract) -> list[EndpointDescriptor]:
     (class A) when an operation requires a scheme nobody declared.
     """
     tree = contract.tree
-    doc_security = tree.get("security") or []
     _, declared = declared_schemes(tree)
     endpoints: list[EndpointDescriptor] = []
 
     for path, item, method, op in operations(tree):
         merged = merge_parameters(parameters(item), parameters(op))
         body_schema, body_required, content_type = _pick_request_body(
-            op.get("requestBody")
+            mapping(op, "requestBody")
         )
         endpoints.append(
             EndpointDescriptor(
                 method=method.upper(),
                 path_template=path,
                 operation_id=op.get("operationId"),
-                summary=op.get("summary", "") or "",
-                description=op.get("description", "") or "",
+                summary=text(op, "summary"),
+                description=text(op, "description"),
                 parameters=_build_param_specs(merged, has_body=body_schema is not None),
                 request_body_schema=body_schema,
                 request_body_required=body_required,
                 request_content_type=content_type,
-                success_status=_pick_success_status(op.get("responses")),
-                security=requirements(op, doc_security, declared),
+                success_status=_pick_success_status(mapping(op, "responses")),
+                security=requirements(op, tree, declared),
                 deprecated=bool(op.get("deprecated", False)),
             )
         )
     return endpoints
 
 
-def requirements(op: dict, doc_security: Any, declared: Container) -> list[dict]:
+def requirements(op: dict, tree: dict, declared: Container) -> list[dict]:
     """The requirement sets a call to the operation must meet: its own
-    `security` list, or the document's when it has none (a value that is
-    not a list counts as none). The one place requirements are resolved;
-    raises SchemeError (class A) for the first scheme they name that
-    `declared` does not hold."""
-    security = op.get("security")
-    if not isinstance(security, list):
-        security = doc_security
+    `security` list, or the document's (`tree`'s) when it has none. The one
+    place requirements are resolved; raises SchemeError (class A) for the
+    first scheme they name that `declared` does not hold."""
+    security = sequence(op, "security", sequence(tree, "security"))
     sets = [s for s in security if isinstance(s, dict)]
     for requirement in sets:
         for scheme_id in requirement:
@@ -197,10 +194,7 @@ def compile_manifest(
 ) -> ToolManifest:
     """Build the full manifest: one ToolSpec per operation, each bound to
     its endpoint and resolved security requirements."""
-    tree = contract.tree
-    info = tree.get("info")
-    api_title = str((info.get("title") if isinstance(info, dict) else None) or "API")
-
+    title = api_title(contract.tree) or "API"
     endpoints = list_endpoints(contract)
     api_key_schemes = [s for s in schemes if s.kind == KIND_API_KEY]
     taken: set[str] = set()
@@ -218,7 +212,7 @@ def compile_manifest(
                 endpoint=ep,
             )
         )
-    return ToolManifest(tools=tools, api_title=api_title, base_url=base_url,
+    return ToolManifest(tools=tools, api_title=title, base_url=base_url,
                         schemes=schemes)
 
 
@@ -271,8 +265,8 @@ def _build_param_specs(params: list[dict], has_body: bool) -> list[ParamSpec]:
     taken = {"body"} if has_body else set()
     specs: list[ParamSpec] = []
     for param in params:
-        name = str(param.get("name", ""))
-        location = str(param.get("in", "query"))
+        name = text(param, "name")
+        location = text(param, "in", "query")
         sanitized = _sanitize_identifier(name) or "param"
         base = sanitized
         counter = 1
@@ -280,7 +274,7 @@ def _build_param_specs(params: list[dict], has_body: bool) -> list[ParamSpec]:
             counter += 1
             sanitized = f"{base}_{counter}"
         taken.add(sanitized)
-        schema = dict(param.get("schema") or {})
+        schema = dict(mapping(param, "schema"))
         if "example" in param and "example" not in schema:
             schema["example"] = param["example"]
         specs.append(
@@ -290,7 +284,7 @@ def _build_param_specs(params: list[dict], has_body: bool) -> list[ParamSpec]:
                 required=True if location == "path" else bool(param.get("required")),
                 schema=schema,
                 sanitized_name=sanitized,
-                description=param.get("description", "") or "",
+                description=text(param, "description"),
             )
         )
     return specs
@@ -311,20 +305,16 @@ def _mark_credential_params(
                 break
 
 
-def _pick_request_body(request_body) -> tuple[dict | None, bool, str | None]:
-    if not isinstance(request_body, dict):
-        return None, False, None
-    content = request_body.get("content") or {}
-    media_type = _pick_media_type(content) if isinstance(content, dict) else None
+def _pick_request_body(request_body: dict) -> tuple[dict | None, bool, str | None]:
+    content = mapping(request_body, "content")
+    media_type = _pick_media_type(content)
     if media_type is None:
         return None, False, None
-    schema = (content[media_type] or {}).get("schema") or {}
+    schema = mapping(mapping(content, media_type), "schema")
     return schema, bool(request_body.get("required", False)), media_type
 
 
-def _pick_success_status(responses) -> int:
-    if not isinstance(responses, dict):
-        return 200
+def _pick_success_status(responses: dict) -> int:
     codes = [
         int(code)
         for code in responses
@@ -334,12 +324,10 @@ def _pick_success_status(responses) -> int:
 
 
 def _pick_media_type(content: dict) -> str | None:
-    if not content:
-        return None
     for media_type in content:
         if media_type == "application/json" or str(media_type).endswith("+json"):
             return media_type
-    return next(iter(content))
+    return next(iter(content), None)
 
 
 def _sanitize_identifier(text: str) -> str:

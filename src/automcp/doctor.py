@@ -18,30 +18,19 @@ or there is no source text, the repaired tree is rendered canonically.
 from __future__ import annotations
 
 import dataclasses
-import difflib
 import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-import yaml
-
 from .compiler import requirements
 from .errors import BaseUrlError, NonConvergence, ParseError, PointerError, SchemeError
-from .ingest import (
-    DIALECT_2_0,
-    FORMAT_JSON,
-    RawDocument,
-    normalize,
-    operations,
-    parameters,
-    resolve_base_url,
-)
+from .ingest import DIALECT_2_0, FORMAT_JSON, RawDocument, api_title, mapping, normalize
+from .ingest import operations, parameters, resolve_base_url, sequence, text
 from .refs import FlattenedContract, escape_token, flatten, pointer_segments
 from .sampling import path_group
 from .security import declared_schemes, parse_scheme
-from .splice import SourceText, Unplaceable
 
 CLASS_LABELS = {
     "A": "Incorrect or missing security schemes",
@@ -155,9 +144,7 @@ def lint(
 ) -> list[LintFinding]:
     """Scan for the five defect classes. Patch edits target the raw
     (original-dialect) document, not the normalized view."""
-    info = raw.tree.get("info")
-    title = str((info.get("title") if isinstance(info, dict) else None) or "")
-    matched_rules = _matching_rules(rules, title)
+    matched_rules = _matching_rules(rules, api_title(raw.tree))
     findings: list[LintFinding] = []
     findings.extend(_lint_class_a(contract, raw, matched_rules))
     findings.extend(_lint_class_b(raw, matched_rules))
@@ -181,11 +168,10 @@ def _lint_class_a(
 
     # each operation's first undeclared scheme, as the compiler resolves
     # requirements; no patch: nothing says how that credential is sent
-    doc_security = contract.tree.get("security") or []
     undeclared: set[str] = set()
     for _, _, _, op in operations(contract.tree):
         try:
-            requirements(op, doc_security, judged)
+            requirements(op, contract.tree, judged)
         except SchemeError as exc:
             undeclared.add(str(exc))
     findings.extend(LintFinding("A", container_ptr, m) for m in sorted(undeclared))
@@ -195,30 +181,29 @@ def _lint_class_a(
             parse_scheme(scheme_id, node)
         except SchemeError as exc:
             ptr = f"{container_ptr}/{escape_token(scheme_id)}"
-            location, edits = _scheme_repair(raw, ptr, declared.get(scheme_id), rules)
-            findings.append(
-                LintFinding("A", location, str(exc), edits)
-            )
+            raw_node = mapping(declared, scheme_id)
+            location, edits = _scheme_repair(raw, ptr, raw_node, rules)
+            findings.append(LintFinding("A", location, str(exc), edits))
     return findings
 
 
 def _scheme_repair(
-    raw: RawDocument, ptr: str, node: Any, rules: list[VendorRule]
+    raw: RawDocument, ptr: str, node: dict, rules: list[VendorRule]
 ) -> tuple[str, list[PatchEdit]]:
     """Where to report a scheme the compiler rejects, and the edits to the
     original-dialect node that make it usable. There are none when the
     contract does not say how the credential is sent: an incomplete
-    apiKey, an unsupported http scheme, an unknown or missing type."""
-    if not isinstance(node, dict) or "$ref" in node:
+    apiKey, an unsupported http scheme, an unknown or missing type, a
+    declaration that is not a mapping."""
+    if "$ref" in node:
         return ptr, []
-    kind = node.get("type")
+    kind = text(node, "type")
     if kind == "oauth2":
         if raw.dialect == DIALECT_2_0:
             return ptr, _oauth2_repair_2_0(ptr, node, rules)
         return _oauth2_repair_3_x(ptr, node, rules)
     if (
-        isinstance(kind, str)
-        and kind != "apiKey"
+        kind != "apiKey"
         and kind.lower() == "apikey"
         and node.get("in")
         and node.get("name")
@@ -231,32 +216,30 @@ def _scheme_repair(
 def _oauth2_repair_3_x(
     ptr: str, node: dict, rules: list[VendorRule]
 ) -> tuple[str, list[PatchEdit]]:
-    flows = node.get("flows")
-    flows = flows if isinstance(flows, dict) else {}
-    code_flow = flows.get("authorizationCode")
-    if isinstance(code_flow, dict):
-        token_url = _derive_token_url(code_flow.get("authorizationUrl"), rules)
-        return f"{ptr}/flows/authorizationCode", [
-            PatchEdit(f"{ptr}/flows/authorizationCode/tokenUrl", "add", token_url)
-        ]
-    if isinstance(flows.get("clientCredentials"), dict):
-        token_url = _derive_token_url(None, rules)
-        return f"{ptr}/flows/clientCredentials", [
-            PatchEdit(f"{ptr}/flows/clientCredentials/tokenUrl", "add", token_url)
-        ]
-    implicit = flows.get("implicit")
-    if isinstance(implicit, dict):
+    flows = mapping(node, "flows")
+    for name in ("authorizationCode", "clientCredentials"):
+        flow = mapping(flows, name, None)
+        if flow is not None:  # as `security._parse_flows` picks it
+            code = name == "authorizationCode"
+            token_url = _derive_token_url(
+                text(flow, "authorizationUrl") if code else "", rules)
+            return f"{ptr}/flows/{name}", [
+                PatchEdit(f"{ptr}/flows/{name}/tokenUrl", "add", token_url)
+            ]
+    implicit = mapping(flows, "implicit", None)
+    if implicit is not None:
+        authorization_url = text(implicit, "authorizationUrl")
         migrated = {
-            "authorizationUrl": implicit.get("authorizationUrl", ""),
-            "tokenUrl": _derive_token_url(implicit.get("authorizationUrl"), rules),
-            "scopes": implicit.get("scopes", {}),
+            "authorizationUrl": authorization_url,
+            "tokenUrl": _derive_token_url(authorization_url, rules),
+            "scopes": mapping(implicit, "scopes"),
         }
         return f"{ptr}/flows", [
             PatchEdit(f"{ptr}/flows/authorizationCode", "add", migrated)
         ]
-    password = flows.get("password")
-    if isinstance(password, dict) and password.get("tokenUrl"):
-        moved = {"tokenUrl": password["tokenUrl"], "scopes": password.get("scopes", {})}
+    password = mapping(flows, "password")
+    if text(password, "tokenUrl"):
+        moved = {"tokenUrl": password["tokenUrl"], "scopes": mapping(password, "scopes")}
         return f"{ptr}/flows", [
             PatchEdit(f"{ptr}/flows/clientCredentials", "add", moved)
         ]
@@ -266,8 +249,8 @@ def _oauth2_repair_3_x(
 def _oauth2_repair_2_0(
     ptr: str, node: dict, rules: list[VendorRule]
 ) -> list[PatchEdit]:
-    flow = node.get("flow", "implicit")  # as ingest reads a missing flow
-    token_url = _derive_token_url(node.get("authorizationUrl"), rules)
+    flow = text(node, "flow", "implicit")  # as ingest reads a missing flow
+    token_url = _derive_token_url(text(node, "authorizationUrl"), rules)
     add_token_url = [PatchEdit(f"{ptr}/tokenUrl", "add", token_url)]
     if flow in ("accessCode", "application"):
         return add_token_url
@@ -275,13 +258,13 @@ def _oauth2_repair_2_0(
         # a password grant needs the user's own password; the client
         # credentials grant exchanges at the same token endpoint
         edits = [PatchEdit(f"{ptr}/flow", "replace", "application")]
-        return edits if node.get("tokenUrl") else edits + add_token_url
+        return edits if text(node, "tokenUrl") else edits + add_token_url
     if flow == "implicit":
         return [PatchEdit(f"{ptr}/flow", "add", "accessCode")] + add_token_url
     return []
 
 
-def _derive_token_url(authorization_url: str | None, rules: list[VendorRule]) -> str:
+def _derive_token_url(authorization_url: str, rules: list[VendorRule]) -> str:
     for rule in rules:
         if rule.token_url:
             return rule.token_url
@@ -304,15 +287,13 @@ def _lint_class_b(raw: RawDocument, rules: list[VendorRule]) -> list[LintFinding
             edits = [PatchEdit("#/host", "add", host)]
             location = "#/host"
         else:
-            servers = raw.tree.get("servers")
-            if not isinstance(servers, list) or not servers:
+            servers = sequence(raw.tree, "servers")
+            if not servers:
                 edits = [PatchEdit("#/servers", "add", [{"url": replacement}])]
-            elif isinstance(servers[0], dict) and isinstance(
-                servers[0].get("variables") or {}, dict
-            ):
-                edits = [PatchEdit("#/servers/0/url", "add", replacement)]
-            else:  # servers[0], or its `variables`, is not a mapping
+            elif mapping(servers, 0, None) is None:
                 edits = [PatchEdit("#/servers/0", "replace", {"url": replacement})]
+            else:
+                edits = [PatchEdit("#/servers/0/url", "add", replacement)]
             location = "#/servers/0/url"
         return [LintFinding("B", location, str(exc), edits)]
 
@@ -339,21 +320,18 @@ def _lint_class_d(raw: RawDocument, rules: list[VendorRule]) -> list[LintFinding
     override_names = {
         name for rule in rules for name in rule.string_path_params
     }
-    paths = raw.tree.get("paths")
+    paths = mapping(raw.tree, "paths")
     holders = [
-        (item, f"#/paths/{escape_token(path)}")
-        for path, item in (paths.items() if isinstance(paths, dict) else ())
-        if isinstance(item, dict)
+        (mapping(paths, path), f"#/paths/{escape_token(path)}") for path in paths
     ] + [
         (op, f"#/paths/{escape_token(path)}/{method}")
         for path, _, method, op in operations(raw.tree)
     ]
     findings: list[LintFinding] = []
     for holder, holder_ptr in holders:
-        params = holder.get("parameters")
         # pointers index the raw list, entries that are not mappings included
-        for i, param in enumerate(params if isinstance(params, list) else []):
-            if not isinstance(param, dict) or param.get("in") != "path":
+        for i, param in enumerate(sequence(holder, "parameters")):
+            if text(param, "in") != "path":
                 continue
             finding = _check_path_param_type(
                 param, f"{holder_ptr}/parameters/{i}", override_names
@@ -366,8 +344,8 @@ def _lint_class_d(raw: RawDocument, rules: list[VendorRule]) -> list[LintFinding
 def _check_path_param_type(
     param: dict, ptr: str, override_names: set[str]
 ) -> LintFinding | None:
-    name = str(param.get("name", ""))
-    schema = param.get("schema") if isinstance(param.get("schema"), dict) else None
+    name = text(param, "name")
+    schema = mapping(param, "schema", None)
     declared = (schema or param).get("type")
     if declared not in ("integer", "number"):
         return None
@@ -394,13 +372,13 @@ def _lint_class_e(raw: RawDocument) -> list[LintFinding]:
         return []  # class A reports it
     if not declared:
         return []
-    doc_security = raw.tree.get("security") or []
     api_key_params = {
-        (str(node.get("name")), str(node.get("in"))): scheme_id
+        (text(node, "name"), text(node, "in")): scheme_id
         for scheme_id, node in declared.items()
-        if isinstance(node, dict) and node.get("type") == "apiKey"
+        if text(node, "type") == "apiKey"
     }
 
+    doc_security = sequence(raw.tree, "security")
     groups: dict[str, list[tuple[str, str, dict, bool, str | None]]] = {}
     for path, item, method, op in operations(raw.tree):
         covered, scheme_id = _op_coverage(
@@ -415,9 +393,9 @@ def _lint_class_e(raw: RawDocument) -> list[LintFinding]:
         covered = [entry for entry in ops if entry[3]]
         uncovered = [entry for entry in ops if not entry[3]]
         scheme_id = next((e[4] for e in covered if e[4]), None)
-        if not covered or not uncovered or scheme_id is None:
+        if not uncovered or scheme_id is None:
             continue
-        scheme = declared.get(scheme_id) or {}
+        scheme = mapping(declared, scheme_id)
         for path, method, op, _, _ in uncovered:
             op_ptr = f"#/paths/{escape_token(path)}/{method}"
             findings.append(
@@ -438,18 +416,17 @@ def _op_coverage(
     deliberately marked the operation public. A `security` value that is
     not a list is read as absent, as the compiler reads it.
     """
-    explicit = isinstance(op.get("security"), list)
-    security = op["security"] if explicit else doc_security
-    for requirement in security or []:
+    own = sequence(op, "security", None)
+    for requirement in doc_security if own is None else own:
         if isinstance(requirement, dict) and requirement:
             return True, next(iter(requirement))
-    if explicit and security == []:
+    if own == []:
         return True, None
     for param in parameters(op) + path_level_params:
-        scheme_id = api_key_params.get((str(param.get("name")), str(param.get("in"))))
+        scheme_id = api_key_params.get((text(param, "name"), text(param, "in")))
         if scheme_id:
             return True, scheme_id
-    if not explicit and doc_security:
+    if own is None and doc_security:
         return True, None
     return False, None
 
@@ -469,16 +446,13 @@ def _class_e_finding(
         f"operations under /{group} require scheme {scheme_id!r}"
     )
     if scheme.get("type") == "apiKey" and scheme.get("in") == "query":
-        entry: dict = {
-            "name": scheme.get("name", scheme_id),
-            "in": "query",
-            "required": True,
-        }
+        entry: dict = {"name": text(scheme, "name", scheme_id), "in": "query",
+                       "required": True}
         if raw.dialect == DIALECT_2_0:
             entry["type"] = "string"
         else:
             entry["schema"] = {"type": "string"}
-        if isinstance(op.get("parameters"), list):
+        if sequence(op, "parameters", None) is not None:
             edits = [PatchEdit(f"{op_ptr}/parameters/-", "add", entry)]
         else:
             edits = [PatchEdit(f"{op_ptr}/parameters", "add", [entry])]
@@ -504,6 +478,8 @@ def apply_patch(raw: RawDocument, edits: list[PatchEdit]) -> RawDocument:
 def render_document(tree: dict, fmt: str) -> str:
     if fmt == FORMAT_JSON:
         return json.dumps(tree, indent=2, ensure_ascii=False) + "\n"
+    import yaml
+
     return yaml.safe_dump(tree, sort_keys=False, allow_unicode=True)
 
 
@@ -556,6 +532,8 @@ def _apply_edit(tree: dict, edit: PatchEdit, copied: set[int]) -> None:
 
 
 def _unified_diff(before: str, after: str, name: str) -> str:
+    import difflib
+
     lines = difflib.unified_diff(
         before.splitlines(),
         after.splitlines(),
@@ -569,6 +547,8 @@ def _unified_diff(before: str, after: str, name: str) -> str:
 def _count_changed_lines(before: str, after: str) -> int:
     """Lines touched by the patch: a replacement counts once, pure
     insertions and deletions count per line."""
+    import difflib
+
     matcher = difflib.SequenceMatcher(
         a=before.splitlines(), b=after.splitlines(), autojunk=False
     )
@@ -634,6 +614,8 @@ def fix_loop(raw: RawDocument, rules: list[VendorRule] | None = None) -> FixRepo
     Raises NonConvergence when patchable findings remain after
     MAX_FIX_ITERATIONS iterations.
     """
+    from .splice import SourceText, Unplaceable
+
     report = FixReport(document=raw)
     source = SourceText(raw.text, raw.format) if raw.text is not None else None
     edits_by_class: dict[str, int] = {}

@@ -10,9 +10,14 @@ from contextlib import contextmanager
 
 
 class AutoMcpError(Exception):
-    """Base class for all toolchain errors."""
+    """Base class for all toolchain errors. `pointer` names the spec node
+    at fault, when there is one."""
 
     lint_class: str | None = None
+
+    def __init__(self, message: str = "", pointer: str | None = None) -> None:
+        self.pointer = pointer
+        super().__init__(message)
 
 
 class ParseError(AutoMcpError):
@@ -46,16 +51,14 @@ class DanglingRefError(AutoMcpError):
     """A $ref points at a location that does not exist in the document."""
 
     def __init__(self, pointer: str) -> None:
-        self.pointer = pointer
-        super().__init__(f"$ref target not found: {pointer}")
+        super().__init__(f"$ref target not found: {pointer}", pointer)
 
 
 class ExternalRefError(AutoMcpError):
     """A $ref points outside the document (another file or a URL)."""
 
     def __init__(self, pointer: str) -> None:
-        self.pointer = pointer
-        super().__init__(f"external $ref not supported: {pointer}")
+        super().__init__(f"external $ref not supported: {pointer}", pointer)
 
 
 class SchemeError(AutoMcpError):
@@ -63,10 +66,6 @@ class SchemeError(AutoMcpError):
     schemes are not declared in a mapping (`pointer` says where)."""
 
     lint_class = "A"
-
-    def __init__(self, message: str, pointer: str | None = None) -> None:
-        self.pointer = pointer
-        super().__init__(message)
 
 
 class FlowUnusableError(AutoMcpError):
@@ -116,8 +115,7 @@ class PointerError(AutoMcpError):
     """A patch edit targets a JSON pointer that cannot be created."""
 
     def __init__(self, pointer: str, reason: str) -> None:
-        self.pointer = pointer
-        super().__init__(f"cannot apply edit at {pointer}: {reason}")
+        super().__init__(f"cannot apply edit at {pointer}: {reason}", pointer)
 
 
 class NonConvergence(AutoMcpError):

@@ -16,7 +16,7 @@ from urllib.parse import quote
 from .compiler import ToolManifest, ToolSpec
 from .doctor import VendorRule
 from .errors import AutoMcpError
-from .ingest import load_document
+from .ingest import api_title, load_document
 from .mock_upstream import ENFORCE_PER_ENDPOINT, MockUpstream, run_mock_upstream
 from .pipeline import compile_file, count_operations
 from .runtime import _scalar, bindings_for, invoke_tool
@@ -257,12 +257,11 @@ def evaluate_spec_file(
         try:
             doc = load_document(spec_path)
             raw_ops = count_operations(doc.tree)
-            info = doc.tree.get("info")
-            title = info.get("title", title) if isinstance(info, dict) else title
+            title = api_title(doc.tree) or title
         except AutoMcpError:
             pass
         return EvalReport(
-            api_title=str(title),
+            api_title=title,
             manifest_loaded=False,
             load_error=f"{exc.__class__.__name__}: {exc}",
             total=raw_ops,

@@ -1,8 +1,17 @@
-"""Load OpenAPI documents and normalize 2.0 constructs into 3.x shape.
+"""Load OpenAPI documents, read their shape, and normalize 2.0 constructs
+into 3.x shape.
 
 A document is read as JSON first. Only text that is not JSON goes to the
 YAML reader (`yamltree`), imported on first use, so a JSON spec never
 loads `yaml`.
+
+Every read of the spec's shape goes through three readers: `mapping`,
+`sequence` and `text`. One rule decides what a field of the wrong type
+means. A field compile cannot go on without (`paths`, the base URL from
+`servers` or `host`, the security-scheme container) raises its typed
+error, exit code 2, naming the field's pointer. Any other field of the
+wrong type reads as absent; lint may report it. A text field reads a
+number or boolean as its `str()`.
 
 `normalize` runs on the flattened tree, so it never sees a `$ref`. No
 function here changes its input: each copies only what it rewrites and
@@ -15,10 +24,12 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
-from .errors import BaseUrlError, DialectError, ParseError
-from .refs import FlattenedContract
+from .errors import AutoMcpError, BaseUrlError, DialectError, ParseError
+
+if TYPE_CHECKING:
+    from .refs import FlattenedContract
 
 FORMAT_JSON = "json"
 FORMAT_YAML = "yaml"
@@ -47,6 +58,12 @@ _SWAGGER_ONLY_KEYS = (
 # 2.0 parameter locations that become a 3.x `requestBody`.
 _BODY_LOCATIONS = ("body", "formData")
 
+# 2.0 oauth2 flow names that 3.x renames.
+_OAUTH2_FLOWS = {"application": "clientCredentials", "accessCode": "authorizationCode"}
+
+# 2.0 media types a form body may take; the first is the default.
+_FORM_MEDIA = ("application/x-www-form-urlencoded", "multipart/form-data")
+
 # 2.0 non-body parameter keys that move into the 3.x parameter `schema`.
 _PARAMETER_SCHEMA_KEYS = (
     "type", "format", "items", "enum", "default",
@@ -67,6 +84,60 @@ class RawDocument:
     text: str | None = None
 
 
+# -- readers -------------------------------------------------------------------
+
+# A required field's typed error, and the field's pointer.
+Required = tuple[type[AutoMcpError], str]
+
+_EMPTY: Any = object()  # the default `default`: a new {} or []
+
+
+def _read(node: Any, key: Any, kind: type | tuple, noun: str, default: Any,
+          required: Required | None) -> Any:
+    """`node[key]` (`node` a mapping, or a list and `key` an index) when it
+    is a `kind`, else `default`. A present value of another type raises
+    `required`'s error instead, when there is one."""
+    if isinstance(node, dict):
+        value = node.get(key)
+    elif isinstance(node, list) and isinstance(key, int) and 0 <= key < len(node):
+        value = node[key]
+    else:
+        value = None
+    if isinstance(value, kind):
+        return value
+    if required is not None and value is not None:
+        error, pointer = required
+        raise error(f"{pointer} is not {noun}", pointer)
+    return default
+
+
+def mapping(node: Any, key: Any, default: Any = _EMPTY,
+            required: Required | None = None) -> Any:
+    """The mapping at `node[key]`, else `default` ({} unless given)."""
+    value = _read(node, key, dict, "a mapping", default, required)
+    return {} if value is _EMPTY else value
+
+
+def sequence(node: Any, key: Any, default: Any = _EMPTY,
+             required: Required | None = None) -> Any:
+    """The list at `node[key]`, else `default` ([] unless given)."""
+    value = _read(node, key, list, "a list", default, required)
+    return [] if value is _EMPTY else value
+
+
+def text(node: Any, key: Any, default: Any = "",
+         required: Required | None = None) -> Any:
+    """The string at `node[key]`, or the `str()` of a number or boolean,
+    else `default`."""
+    value = _read(node, key, (str, int, float), "a string", None, required)
+    return default if value is None else str(value)
+
+
+def api_title(tree: dict) -> str:
+    """`info.title`; "" when there is none."""
+    return text(mapping(tree, "info"), "title")
+
+
 def load_document(path: str | Path) -> RawDocument:
     """Read a spec file, detect its serialization format and dialect.
 
@@ -74,12 +145,12 @@ def load_document(path: str | Path) -> RawDocument:
     also parse as YAML (every JSON document is valid YAML).
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    source = path.read_text(encoding="utf-8")
 
     tree: Any = None
     fmt = None
     try:
-        tree = json.loads(text)
+        tree = json.loads(source)
         fmt = FORMAT_JSON
     except ValueError:
         import yaml
@@ -87,7 +158,7 @@ def load_document(path: str | Path) -> RawDocument:
         from .yamltree import _load_yaml
 
         try:
-            tree = _load_yaml(text)
+            tree = _load_yaml(source)
             fmt = FORMAT_YAML
         except yaml.YAMLError as exc:
             raise ParseError(f"{path}: not parseable as JSON or YAML: {exc}") from exc
@@ -95,9 +166,9 @@ def load_document(path: str | Path) -> RawDocument:
     if not isinstance(tree, dict):
         raise ParseError(f"{path}: document root must be a mapping")
 
-    if str(tree.get("swagger")) == "2.0":
+    if text(tree, "swagger") == "2.0":
         dialect = DIALECT_2_0
-    elif str(tree.get("openapi", "")).startswith("3."):
+    elif text(tree, "openapi").startswith("3."):
         dialect = DIALECT_3_X  # 3.1 too; its own schema keywords are not read
     else:
         raise DialectError(
@@ -105,7 +176,7 @@ def load_document(path: str | Path) -> RawDocument:
         )
 
     return RawDocument(source_path=path, format=fmt, dialect=dialect, tree=tree,
-                       text=text)
+                       text=source)
 
 
 def load_text(text: str, fmt: str) -> Any:
@@ -124,26 +195,26 @@ def resolve_base_url(doc: RawDocument) -> str:
     schemes are listed. For 3.x: the first ``servers`` entry with every
     server variable replaced by its declared default.
 
-    Raises BaseUrlError (lint class B) when the result is relative,
+    Raises BaseUrlError (lint class B) when `host`, `servers` or its first
+    entry is missing or of the wrong type, or the result is relative,
     empty, or still contains an unsubstitutable placeholder.
     """
+    tree = doc.tree
     if doc.dialect == DIALECT_2_0:
-        if not doc.tree.get("host"):
+        if not text(tree, "host", required=(BaseUrlError, "#/host")):
             raise BaseUrlError("no `host` declared (2.0 document)")
-        url = _swagger_url(doc.tree)
+        url = _swagger_url(tree)
     else:
-        servers = doc.tree.get("servers") or []
-        if not isinstance(servers, list):
-            raise BaseUrlError("`servers` is not a list")
-        if not servers or not isinstance(servers[0], dict):
+        servers = sequence(tree, "servers", required=(BaseUrlError, "#/servers"))
+        if not servers:
             raise BaseUrlError("no `servers` entry declared")
-        url = str(servers[0].get("url", ""))
-        variables = servers[0].get("variables") or {}
-        if not isinstance(variables, dict):
-            raise BaseUrlError("`servers[0].variables` is not a mapping")
-        for name, spec in variables.items():
-            if isinstance(spec, dict) and "default" in spec:
-                url = url.replace("{%s}" % name, str(spec["default"]))
+        server = mapping(servers, 0, required=(BaseUrlError, "#/servers/0"))
+        url = text(server, "url")
+        variables = mapping(server, "variables")
+        for name in variables:
+            default = text(variables[name], "default", None)
+            if default is not None:
+                url = url.replace("{%s}" % name, default)
 
     url = url.rstrip("/")
     if not url:
@@ -160,30 +231,27 @@ def operations(tree: dict) -> Iterator[tuple[str, dict, str, dict]]:
     document order: each mapping under an HTTP-method key of a mapping
     path item. The one definition of an operation; every other walk over
     `paths` iterates this."""
-    paths = tree.get("paths")
-    if not isinstance(paths, dict):
-        return
-    for path, item in paths.items():
-        if isinstance(item, dict):
-            for method, op in item.items():
-                if method in HTTP_METHODS and isinstance(op, dict):
-                    yield path, item, method, op
+    paths = mapping(tree, "paths")
+    for path in paths:
+        item = mapping(paths, path)
+        for method, op in item.items():
+            if method in HTTP_METHODS and isinstance(op, dict):
+                yield path, item, method, op
 
 
 def parameters(node: dict) -> list[dict]:
     """The mapping entries of a path item's or operation's `parameters`;
     [] when the value is missing or not a list."""
-    params = node.get("parameters")
-    return [p for p in params if isinstance(p, dict)] if isinstance(params, list) else []
+    return [p for p in sequence(node, "parameters") if isinstance(p, dict)]
 
 
 def merge_parameters(path_level: list[dict], op_level: list[dict]) -> list[dict]:
     """The parameters an operation takes: each path-level one that none of
     its own overrides, then its own. One overrides another with the same
-    name and location, read as strings (`in` defaults to query)."""
+    name and location (`in` defaults to query)."""
 
     def key(p: dict) -> tuple[str, str]:
-        return str(p.get("name", "")), str(p.get("in", "query"))
+        return text(p, "name"), text(p, "in", "query")
 
     op_keys = {key(p) for p in op_level}
     return [p for p in path_level if key(p) not in op_keys] + op_level
@@ -201,7 +269,7 @@ def normalize(doc: RawDocument | FlattenedContract) -> dict:
     rewritten is copied, and the result shares the rest with it.
     """
     tree = doc.tree
-    if str(tree.get("swagger")) == "2.0":
+    if text(tree, "swagger") == "2.0":
         tree = _convert_2_0(tree)
     return _synthesize_path_params(tree)
 
@@ -215,73 +283,59 @@ def _convert_2_0(tree: dict) -> dict:
         if key not in _SWAGGER_ONLY_KEYS and key != "paths":
             out[key] = value
 
-    if tree.get("host"):
+    if text(tree, "host"):
         out["servers"] = [{"url": _swagger_url(tree)}]
 
-    # a `components` or `securityDefinitions` that is not a mapping stays
-    # as it is: the compiler rejects it
+    # a `components` that is not a mapping stays as it is: the compiler
+    # rejects it
     components = out.get("components") or {}
     if "securityDefinitions" in tree and isinstance(components, dict):
-        declared = tree["securityDefinitions"]
         out["components"] = {**components, "securitySchemes": {
             name: _convert_security_scheme(scheme_node)
-            for name, scheme_node in declared.items()
-        } if isinstance(declared, dict) else declared}
+            for name, scheme_node in mapping(tree, "securityDefinitions").items()
+        }}
 
-    doc_consumes = tree.get("consumes") or []
-    doc_produces = tree.get("produces") or []
-    paths = tree.get("paths") or {}
-    out["paths"] = {
-        path: _convert_path_item(item) for path, item in paths.items()
-    } if isinstance(paths, dict) else paths
+    paths = mapping(tree, "paths", None)
+    if paths is None:  # missing or not a mapping: validation rejects it
+        out["paths"] = tree.get("paths")
+        return out
+    consumes = sequence(tree, "consumes")
+    produces = sequence(tree, "produces")
+    out["paths"] = {path: _convert_path_item(mapping(paths, path)) for path in paths}
     for path, item, method, op in operations(out):
         shared = [p for p in parameters(paths[path]) if p.get("in") in _BODY_LOCATIONS]
-        item[method] = _convert_operation(op, shared, doc_consumes, doc_produces)
+        item[method] = _convert_operation(op, shared, consumes, produces)
     return out
 
 
 def _swagger_url(tree: dict) -> str:
     """2.0 ``scheme://host+basePath``, preferring https when listed."""
-    schemes = tree.get("schemes") or ["https"]
-    scheme = "https" if "https" in schemes else schemes[0]
-    return f"{scheme}://{tree['host']}{tree.get('basePath', '')}"
+    schemes = sequence(tree, "schemes")
+    scheme = "https" if "https" in schemes else text(schemes, 0) or "https"
+    return f"{scheme}://{text(tree, 'host')}{text(tree, 'basePath')}"
 
 
 def _convert_security_scheme(node: Any) -> Any:
-    if not isinstance(node, dict):
-        return node
-    kind = node.get("type")
+    kind = text(node, "type")
     if kind == "basic":
         converted = {k: v for k, v in node.items() if k != "type"}
         converted["type"] = "http"
         converted["scheme"] = "basic"
         return converted
     if kind == "oauth2":
-        flow_name = {
-            "implicit": "implicit",
-            "password": "password",
-            "application": "clientCredentials",
-            "accessCode": "authorizationCode",
-        }.get(node.get("flow", ""), node.get("flow", "implicit"))
-        flow: dict = {"scopes": node.get("scopes", {})}
-        if "authorizationUrl" in node:
-            flow["authorizationUrl"] = node["authorizationUrl"]
-        if "tokenUrl" in node:
-            flow["tokenUrl"] = node["tokenUrl"]
-        converted = {
-            k: v
-            for k, v in node.items()
-            if k not in ("type", "flow", "authorizationUrl", "tokenUrl", "scopes")
-        }
+        flow = text(node, "flow", "implicit")
+        urls = ("authorizationUrl", "tokenUrl")
+        oauth_flow = {"scopes": node.get("scopes", {})}
+        oauth_flow.update((k, node[k]) for k in urls if k in node)
+        moved = ("type", "flow", "scopes", *urls)
+        converted = {k: v for k, v in node.items() if k not in moved}
         converted["type"] = "oauth2"
-        converted["flows"] = {flow_name: flow}
+        converted["flows"] = {_OAUTH2_FLOWS.get(flow, flow): oauth_flow}
         return converted
     return node  # apiKey and anything else keep their 3.x-compatible shape
 
 
-def _convert_path_item(item: Any) -> Any:
-    if not isinstance(item, dict):
-        return item
+def _convert_path_item(item: dict) -> dict:
     converted = dict(item)  # YAML aliases can share one item between paths
     if "parameters" in item:  # body and formData ones go to each operation
         converted["parameters"] = [
@@ -296,41 +350,32 @@ def _convert_operation(
 ) -> dict:
     """`op` in 3.x shape. `shared` holds its path item's body and formData
     parameters, which it inherits unless it overrides them."""
-    consumes = op.get("consumes") or doc_consumes or ["application/json"]
-    produces = op.get("produces") or doc_produces or ["application/json"]
+    consumes = sequence(op, "consumes") or doc_consumes
+    produces = sequence(op, "produces") or doc_produces
     out = {k: v for k, v in op.items() if k not in ("consumes", "produces")}
 
     params = merge_parameters(shared, parameters(out))
     body_params = [p for p in params if p.get("in") == "body"]
-    # a name that is not a string reads as absent
-    form_params = [p for p in params
-                   if p.get("in") == "formData" and isinstance(p.get("name"), str)]
+    # a parameter with no name reads as absent
+    form_params = [p for p in params if p.get("in") == "formData" and text(p, "name")]
     rest = [p for p in params if p.get("in") not in _BODY_LOCATIONS]
     out["parameters"] = [_convert_parameter(p) for p in rest]
     if not out["parameters"]:
         del out["parameters"]
 
+    request_media = text(consumes, 0) or "application/json"
     if body_params:
         body = body_params[0]
         out["requestBody"] = {
-            "content": {consumes[0]: {"schema": body.get("schema", {})}},
+            "content": {request_media: {"schema": body.get("schema", {})}},
             "required": bool(body.get("required", False)),
         }
         if body.get("description"):
             out["requestBody"]["description"] = body["description"]
     elif form_params:
-        media = (
-            consumes[0]
-            if consumes[0]
-            in ("application/x-www-form-urlencoded", "multipart/form-data")
-            else "application/x-www-form-urlencoded"
-        )
-        properties = {}
-        required = []
-        for p in form_params:
-            properties[p["name"]] = _parameter_schema(p)
-            if p.get("required"):
-                required.append(p["name"])
+        media = request_media if request_media in _FORM_MEDIA else _FORM_MEDIA[0]
+        properties = {text(p, "name"): _parameter_schema(p) for p in form_params}
+        required = [text(p, "name") for p in form_params if p.get("required")]
         schema: dict = {"type": "object", "properties": properties}
         if required:
             schema["required"] = required
@@ -339,11 +384,12 @@ def _convert_operation(
             "required": bool(required),
         }
 
-    responses = out.get("responses")
-    if isinstance(responses, dict):
+    responses = mapping(out, "responses", None)
+    if responses is not None:
+        response_media = text(produces, 0) or "application/json"
         out["responses"] = {
-            status: _convert_response(resp, produces)
-            for status, resp in responses.items()
+            status: _convert_response(mapping(responses, status), response_media)
+            for status in responses
         }
     return out
 
@@ -369,11 +415,11 @@ def _parameter_schema(param: dict) -> dict:
     return schema
 
 
-def _convert_response(resp: Any, produces: list) -> Any:
-    if not isinstance(resp, dict) or "schema" not in resp:
+def _convert_response(resp: dict, media: str) -> dict:
+    if "schema" not in resp:
         return resp
     converted = {k: v for k, v in resp.items() if k != "schema"}
-    converted["content"] = {produces[0]: {"schema": resp["schema"]}}
+    converted["content"] = {media: {"schema": resp["schema"]}}
     return converted
 
 
@@ -388,13 +434,12 @@ def _synthesize_path_params(tree: dict) -> dict:
     out = tree
     for path, item, method, op in operations(tree):
         declared = {
-            p.get("name") for p in parameters(item) + parameters(op)
+            text(p, "name") for p in parameters(item) + parameters(op)
             if p.get("in") == "path"
         }
         missing = [var for var in _PATH_VAR_RE.findall(path) if var not in declared]
         if not missing:
             continue
-        params = op.get("parameters")
         synthesized = [
             {"name": var, "in": "path", "required": True, "schema": {"type": "string"}}
             for var in missing
@@ -404,7 +449,6 @@ def _synthesize_path_params(tree: dict) -> dict:
         paths = out["paths"]
         if paths[path] is item:
             paths[path] = dict(item)
-        paths[path][method] = {
-            **op, "parameters": (params if isinstance(params, list) else []) + synthesized
-        }
+        params = sequence(op, "parameters") + synthesized
+        paths[path][method] = {**op, "parameters": params}
     return out

@@ -7,6 +7,7 @@ from typing import Any
 from urllib.parse import unquote
 
 from .errors import DanglingRefError, ExternalRefError, FatalValidationError
+from .ingest import mapping
 
 _CYCLE_PLACEHOLDER_PREFIX = "cyclic reference to "
 
@@ -116,8 +117,8 @@ def flatten(tree: dict) -> FlattenedContract:
 
 def validate(contract: FlattenedContract) -> None:
     """Raise FatalValidationError when the document has no `paths`
-    mapping: without one there is nothing to compile. Every other shape
-    defect is left to `ingest.operations`, which skips what is not an
-    operation, and to the linter."""
-    if not isinstance(contract.tree.get("paths"), dict):
-        raise FatalValidationError("document has no `paths` object")
+    mapping: without one there is nothing to compile. Every other field
+    of the wrong type reads as absent (the `ingest` readers), and is left
+    to the linter."""
+    if mapping(contract.tree, "paths", None) is None:
+        raise FatalValidationError("document has no `paths` object at #/paths", "#/paths")

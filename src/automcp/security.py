@@ -6,7 +6,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import SchemeError
-from .ingest import DIALECT_2_0, DIALECT_3_X
+from .ingest import DIALECT_2_0, DIALECT_3_X, mapping, text
 from .refs import FlattenedContract
 
 KIND_API_KEY = "api_key"
@@ -62,18 +62,13 @@ def declared_schemes(tree: dict, dialect: str = DIALECT_3_X) -> tuple[str, dict]
     scheme names to declarations there ({} when there is none):
     `securityDefinitions` in 2.0, `components.securitySchemes` in 3.x.
     The one reader of that container; raises SchemeError (class A) naming
-    its pointer when it is not a mapping."""
+    its pointer when it, or `components`, is not a mapping."""
     if dialect == DIALECT_2_0:
-        ptr, declared = "#/securityDefinitions", tree.get("securityDefinitions")
-    else:
-        components = tree.get("components") or {}
-        if not isinstance(components, dict):
-            raise SchemeError("#/components is not a mapping", "#/components")
-        ptr, declared = "#/components/securitySchemes", components.get("securitySchemes")
-    declared = declared or {}
-    if not isinstance(declared, dict):
-        raise SchemeError(f"{ptr} is not a mapping of scheme names to schemes", ptr)
-    return ptr, declared
+        ptr = "#/securityDefinitions"
+        return ptr, mapping(tree, "securityDefinitions", required=(SchemeError, ptr))
+    components = mapping(tree, "components", required=(SchemeError, "#/components"))
+    ptr = "#/components/securitySchemes"
+    return ptr, mapping(components, "securitySchemes", required=(SchemeError, ptr))
 
 
 def parse_scheme(scheme_id: str, node: dict) -> SecurityScheme:
@@ -82,23 +77,21 @@ def parse_scheme(scheme_id: str, node: dict) -> SecurityScheme:
     if not isinstance(node, dict):
         raise SchemeError(f"security scheme {scheme_id!r} is not a mapping")
     kind = node.get("type")
-    description = node.get("description", "")
+    description = text(node, "description")
 
     if kind == "apiKey":
-        location = node.get("in", "")
-        name = node.get("name", "")
+        location = text(node, "in")
+        name = text(node, "name")
         if location not in _API_KEY_LOCATIONS or not name:
             raise SchemeError(
                 f"apiKey scheme {scheme_id!r} needs `in` (header/query/cookie) "
                 f"and `name`"
             )
-        return SecurityScheme(
-            id=scheme_id, kind=KIND_API_KEY, location=location,
-            parameter_name=name, description=description,
-        )
+        return SecurityScheme(scheme_id, KIND_API_KEY, location, name,
+                              description=description)
 
     if kind == "http":
-        http_scheme = str(node.get("scheme", "")).lower()
+        http_scheme = text(node, "scheme").lower()
         if http_scheme == "basic":
             return SecurityScheme(scheme_id, KIND_HTTP_BASIC, description=description)
         if http_scheme == "bearer":
@@ -108,11 +101,9 @@ def parse_scheme(scheme_id: str, node: dict) -> SecurityScheme:
         )
 
     if kind == "oauth2":
-        flows = node.get("flows")
-        flows = _parse_flows(scheme_id, flows if isinstance(flows, dict) else {})
-        return SecurityScheme(
-            scheme_id, KIND_OAUTH2, flows=flows, description=description
-        )
+        flows = _parse_flows(scheme_id, mapping(node, "flows"))
+        return SecurityScheme(scheme_id, KIND_OAUTH2, flows=flows,
+                              description=description)
 
     raise SchemeError(f"security scheme {scheme_id!r} has unrecognized type {kind!r}")
 
@@ -120,25 +111,20 @@ def parse_scheme(scheme_id: str, node: dict) -> SecurityScheme:
 def _parse_flows(scheme_id: str, flows: dict) -> OAuth2Flows:
     """Pick a token-capable flow; implicit/password-only declarations are
     class-A defects (no token endpoint a client can exchange against)."""
-    code_flow = flows.get("authorizationCode")
-    if isinstance(code_flow, dict):
-        if not code_flow.get("tokenUrl"):
+    for name in ("authorizationCode", "clientCredentials"):
+        flow = mapping(flows, name, None)
+        if flow is None:
+            continue
+        token_url = text(flow, "tokenUrl")
+        if not token_url:
             raise SchemeError(
-                f"oauth2 scheme {scheme_id!r}: authorizationCode flow has no tokenUrl"
+                f"oauth2 scheme {scheme_id!r}: {name} flow has no tokenUrl"
             )
+        code = name == "authorizationCode"
         return OAuth2Flows(
-            authorization_url=code_flow.get("authorizationUrl"),
-            token_url=code_flow["tokenUrl"],
-            scopes=dict(code_flow.get("scopes") or {}),
-        )
-    cc_flow = flows.get("clientCredentials")
-    if isinstance(cc_flow, dict):
-        if not cc_flow.get("tokenUrl"):
-            raise SchemeError(
-                f"oauth2 scheme {scheme_id!r}: clientCredentials flow has no tokenUrl"
-            )
-        return OAuth2Flows(
-            token_url=cc_flow["tokenUrl"], scopes=dict(cc_flow.get("scopes") or {})
+            authorization_url=text(flow, "authorizationUrl", None) if code else None,
+            token_url=token_url,
+            scopes=dict(mapping(flow, "scopes")),
         )
     present = ", ".join(sorted(flows)) or "none"
     raise SchemeError(

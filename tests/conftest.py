@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import settings
 
 from automcp.compiler import EndpointDescriptor, ParamSpec, ToolManifest, ToolSpec
 from automcp.ingest import RawDocument, normalize
@@ -25,6 +26,10 @@ from automcp.security import (
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DEFECTS = FIXTURES / "defects"
+
+# A larger budget for the mutation property (tests/test_totality.py), run
+# by CI's `totality` job: pytest tests/test_totality.py --hypothesis-profile=totality
+settings.register_profile("totality", max_examples=5000, deadline=None)
 
 
 def fixture_path(name: str) -> Path:

@@ -416,13 +416,75 @@ MALFORMED_SHAPES = {
                                      "paths": {"/a": {"post": _op(parameters=[
                                          {"name": {"a": 1}, "in": "formData",
                                           "type": "string"}])}}},
+    "media-type-not-a-mapping": {"paths": {"/a": {"post": _op(
+        requestBody={"content": {"application/json": [1]}})}}},
+    "parameter-schema-not-a-mapping": {"paths": {"/a": {"get": _op(parameters=[
+        {"name": "q", "in": "query", "schema": 1}])}}},
+    "security-not-a-list": {"security": 1, "paths": {"/a": {"get": _op()}}},
+    "summary-a-list": {"paths": {"/a": {"get": _op(summary=["s"], deprecated=True)}}},
+    "path-parameter-name-a-list": {"paths": {"/a/{id}": {
+        "parameters": [{"name": ["id"], "in": "path"}], "get": _op()}}},
+    "2.0-consumes-not-a-list": {"swagger": "2.0", "host": "t.example", "consumes": 1,
+                                "paths": {"/a": {"post": _op(parameters=[
+                                    {"name": "b", "in": "body", "schema": {}}])}}},
+    "2.0-produces-not-a-list": {"swagger": "2.0", "host": "t.example", "produces": 1,
+                                "paths": {"/a": {"get": _op(responses={
+                                    "200": {"description": "ok", "schema": {}}})}}},
+    "2.0-schemes-not-a-list": {"swagger": "2.0", "host": "t.example", "schemes": 1,
+                               "paths": {"/a": {"get": _op()}}},
+    "scopes-not-a-mapping": {
+        "components": {"securitySchemes": {"o": {"type": "oauth2", "flows": {
+            "authorizationCode": {"authorizationUrl": "https://t.example/authorize",
+                                  "tokenUrl": "https://t.example/token",
+                                  "scopes": [1]}}}}},
+        "paths": {"/a": {"get": _op()}}},
+    "scheme-a-list": {
+        "components": {"securitySchemes": {"k": [1]}},
+        "paths": {"/a": {"get": _op(security=[{"k": []}]),
+                         "post": _op(operationId="postA")}}},
+    "authorization-url-not-a-string": {
+        "components": {"securitySchemes": {"o": {"type": "oauth2", "flows": {
+            "authorizationCode": {"authorizationUrl": [1], "scopes": {}}}}}},
+        "paths": {"/a": {"get": _op()}}},
+    "2.0-oauth2-flow-a-list": {
+        "swagger": "2.0", "host": "t.example",
+        "securityDefinitions": {"o": {"type": "oauth2", "flow": ["accessCode"],
+                                      "tokenUrl": "https://t.example/token"}},
+        "paths": {"/a": {"get": _op()}}},
+    "2.0-host-a-list": {"swagger": "2.0", "host": ["a.example"],
+                        "paths": {"/a": {"get": _op()}}},
+    "title-a-list": {"info": {"title": ["T"], "version": "1"},
+                     "paths": {"/a": {"get": _op()}}},
+    "summary-a-mapping": {"paths": {"/a": {"get": _op(summary={"a": 1})}}},
+}
+
+# Shapes that leave a field compile cannot go on without unusable: generate
+# exits 2 with this line, and lint exits 4.
+MALFORMED_REQUIRED = {
+    "scheme-a-list": "error: class A: security scheme 'k' is not a mapping",
+    "authorization-url-not-a-string":
+        "error: class A: oauth2 scheme 'o': authorizationCode flow has no tokenUrl",
+    "2.0-oauth2-flow-a-list": "error: class A: oauth2 scheme 'o' declares no usable "
+        "flow (flows present: implicit; need authorizationCode or clientCredentials "
+        "with a tokenUrl)",
+    "2.0-host-a-list": "error: class B: #/host is not a string",
+}
+
+# What the manifest holds where a text field has the wrong type: the field
+# reads as absent.
+MALFORMED_TEXT = {
+    "title-a-list": {"api_title": "API"},
+    "summary-a-mapping": {"description": "GET /a"},
+    "summary-a-list": {"description": "[DEPRECATED] GET /a"},
 }
 
 
 @pytest.mark.parametrize("case", list(MALFORMED_SHAPES))
 def test_malformed_shape_compiles_without_traceback(tmp_path, case):
-    """Each shape is read as missing or skipped, so the spec compiles and
-    lints clean (exit 0) instead of ending in a traceback."""
+    """Each shape is read as absent, so the spec compiles and lints clean
+    (exit 0) instead of ending in a traceback. Where that leaves a field
+    compile cannot go on without unusable, generate exits 2 naming it and
+    lint exits 4."""
     tree = {"openapi": "3.0.3", "info": {"title": "T", "version": "1"},
             "servers": [{"url": "https://t.example"}]}
     tree.update(MALFORMED_SHAPES[case])
@@ -430,12 +492,27 @@ def test_malformed_shape_compiles_without_traceback(tmp_path, case):
         del tree["openapi"], tree["servers"]
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(tree), encoding="utf-8")
+    procs = {}
     for command in (["generate", str(spec), "--out", str(tmp_path / "out")],
                     ["lint", str(spec)]):
         proc = subprocess.run([sys.executable, "-m", "automcp", *command],
                               capture_output=True, text=True, timeout=60)
         assert "Traceback" not in proc.stderr, proc.stderr
-        assert proc.returncode == 0, proc.stderr
+        procs[command[0]] = proc
+    error = MALFORMED_REQUIRED.get(case)
+    if error:
+        assert procs["generate"].returncode == 2
+        assert procs["generate"].stderr == f"{error}\n"
+        assert procs["lint"].returncode == 4
+        return
+    assert procs["generate"].returncode == 0, procs["generate"].stderr
+    assert procs["lint"].returncode == 0, procs["lint"].stdout
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    read = {"api_title": manifest["api_title"],
+            "description": manifest["tools"][0]["description"]}
+    assert all(isinstance(value, str) for value in read.values())
+    expected = MALFORMED_TEXT.get(case, {})
+    assert {key: read[key] for key in expected} == expected
 
 
 class TestLintFixSplicesTheSource:

@@ -76,6 +76,13 @@ def test_serve_on_json_loads_only_the_call_path(tmp_path):
     assert sorted(loaded.intersection(HEAVY) - call_path) == []
 
 
+def test_lint_on_json_loads_no_yaml_or_repair_code(tmp_path):
+    loaded = loaded_after(RUN_CLI, "lint", fixture_path("legacy20.json"),
+                          tmp_path=tmp_path)
+    assert "automcp.doctor" in loaded
+    assert sorted(loaded.intersection(["yaml", "automcp.splice", "difflib"])) == []
+
+
 @pytest.mark.parametrize("name", ["legacy20.json", "allauth.yaml"])
 def test_compile_file_without_fix_loads_no_repair_code(tmp_path, name):
     code = "import sys\nfrom automcp.pipeline import compile_file\ncompile_file(sys.argv[2])"
