@@ -6,7 +6,8 @@ protocol messages only; every diagnostic goes to stderr.
 
 Each `cmd_*` imports the modules that only it runs, so start-up pays
 for one command: `generate` on a JSON spec loads no HTTP client or
-server, no YAML parser and no repair code, and `serve` no repair code.
+server, no YAML parser and no repair code. `serve` loads no repair code,
+and no HTTP client until its first `tools/call`.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from typing import Container
 
 from .errors import SchemeError
 from .ingest import api_title, mapping, merge_parameters, operations, parameters
-from .ingest import sequence, text
+from .ingest import sequence, text, text_keys
 from .refs import FlattenedContract
 from .security import KIND_API_KEY, SecurityScheme, declared_schemes
 
@@ -115,10 +115,11 @@ def list_endpoints(contract: FlattenedContract) -> list[EndpointDescriptor]:
 def requirements(op: dict, tree: dict, declared: Container) -> list[dict]:
     """The requirement sets a call to the operation must meet: its own
     `security` list, or the document's (`tree`'s) when it has none. The one
-    place requirements are resolved; raises SchemeError (class A) for the
-    first scheme they name that `declared` does not hold."""
+    place requirements are resolved, each scheme name read as text
+    (`text_keys`); raises SchemeError (class A) for the first scheme they
+    name that `declared` does not hold."""
     security = sequence(op, "security", sequence(tree, "security"))
-    sets = [s for s in security if isinstance(s, dict)]
+    sets = [text_keys(s) for s in security if isinstance(s, dict)]
     for requirement in sets:
         for scheme_id in requirement:
             if scheme_id not in declared:

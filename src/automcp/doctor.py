@@ -27,8 +27,9 @@ from typing import Any
 from .compiler import requirements
 from .errors import BaseUrlError, NonConvergence, ParseError, PointerError, SchemeError
 from .ingest import DIALECT_2_0, FORMAT_JSON, RawDocument, api_title, mapping, normalize
-from .ingest import operations, parameters, resolve_base_url, sequence, text
-from .refs import FlattenedContract, escape_token, flatten, pointer_segments
+from .ingest import operations, parameters, resolve_base_url, sequence, swagger_scheme
+from .ingest import text, text_keys
+from .refs import FlattenedContract, child_key, escape_token, flatten, pointer_segments
 from .sampling import path_group
 from .security import declared_schemes, parse_scheme
 
@@ -283,9 +284,7 @@ def _lint_class_b(raw: RawDocument, rules: list[VendorRule]) -> list[LintFinding
         replacement = next((r.base_url for r in rules if r.base_url), None)
         replacement = replacement or _FALLBACK_BASE_URL
         if raw.dialect == DIALECT_2_0:
-            host = re.sub(r"^https?://", "", replacement).rstrip("/")
-            edits = [PatchEdit("#/host", "add", host)]
-            location = "#/host"
+            edits, location = _swagger_base_url_repair(raw, replacement)
         else:
             servers = sequence(raw.tree, "servers")
             if not servers:
@@ -296,6 +295,26 @@ def _lint_class_b(raw: RawDocument, rules: list[VendorRule]) -> list[LintFinding
                 edits = [PatchEdit("#/servers/0/url", "add", replacement)]
             location = "#/servers/0/url"
         return [LintFinding("B", location, str(exc), edits)]
+
+
+def _swagger_base_url_repair(
+    raw: RawDocument, replacement: str
+) -> tuple[list[PatchEdit], str]:
+    """The edits that give a 2.0 document `replacement`'s base URL, and
+    where to report them. `schemes` is replaced when it lists no http(s)
+    scheme, and `host` only when it is still wrong after that."""
+    scheme = "http" if replacement.startswith("http://") else "https"
+    host = re.sub(r"^https?://", "", replacement).rstrip("/")
+    edits = []
+    tree = raw.tree
+    if swagger_scheme(tree) not in ("http", "https"):
+        edits.append(PatchEdit("#/schemes", "replace", [scheme]))
+        tree = {**tree, "schemes": [scheme]}
+    try:
+        resolve_base_url(dataclasses.replace(raw, tree=tree))
+    except BaseUrlError:
+        edits.append(PatchEdit("#/host", "add", host))
+    return edits, edits[0].pointer
 
 
 def _lint_class_c(rules: list[VendorRule]) -> list[LintFinding]:
@@ -320,7 +339,7 @@ def _lint_class_d(raw: RawDocument, rules: list[VendorRule]) -> list[LintFinding
     override_names = {
         name for rule in rules for name in rule.string_path_params
     }
-    paths = mapping(raw.tree, "paths")
+    paths = text_keys(mapping(raw.tree, "paths"))
     holders = [
         (mapping(paths, path), f"#/paths/{escape_token(path)}") for path in paths
     ] + [
@@ -419,7 +438,7 @@ def _op_coverage(
     own = sequence(op, "security", None)
     for requirement in doc_security if own is None else own:
         if isinstance(requirement, dict) and requirement:
-            return True, next(iter(requirement))
+            return True, next(iter(text_keys(requirement)))
     if own == []:
         return True, None
     for param in parameters(op) + path_level_params:
@@ -493,11 +512,11 @@ def _apply_edit(tree: dict, edit: PatchEdit, copied: set[int]) -> None:
     parent = tree
     for segment in segments[:-1]:
         if isinstance(parent, dict):
-            if segment not in parent:
+            key = child_key(parent, segment)
+            if key not in parent:
                 if edit.op != "add":
                     raise PointerError(edit.pointer, f"missing segment {segment!r}")
-                parent[segment] = {}
-            key = segment
+                parent[key] = {}
         elif isinstance(parent, list):
             if not segment.isdigit() or int(segment) >= len(parent):
                 raise PointerError(edit.pointer, f"bad list index {segment!r}")
@@ -512,6 +531,7 @@ def _apply_edit(tree: dict, edit: PatchEdit, copied: set[int]) -> None:
 
     leaf = segments[-1]
     if isinstance(parent, dict):
+        leaf = child_key(parent, leaf)
         if edit.op == "replace" and leaf not in parent:
             raise PointerError(edit.pointer, f"nothing to replace at {leaf!r}")
         parent[leaf] = edit.value

@@ -11,7 +11,9 @@ means. A field compile cannot go on without (`paths`, the base URL from
 `servers` or `host`, the security-scheme container) raises its typed
 error, exit code 2, naming the field's pointer. Any other field of the
 wrong type reads as absent; lint may report it. A text field reads a
-number or boolean as its `str()`.
+number or boolean as its `str()`, and so does a mapping key that names
+something (a path, a scheme, a scope): `text_keys` reads YAML's `200:`
+as `"200"`.
 
 `normalize` runs on the flattened tree, so it never sees a `$ref`. No
 function here changes its input: each copies only what it rewrites and
@@ -133,6 +135,17 @@ def text(node: Any, key: Any, default: Any = "",
     return default if value is None else str(value)
 
 
+def text_keys(node: dict) -> dict:
+    """`node` with each key that is not a string read as its `str()`, as
+    `text` reads a number; `node` itself when every key is a string. A
+    string key wins over one that reads the same (`refs.child_key`)."""
+    for key in node:
+        if not isinstance(key, str):
+            return {str(key): value for key, value in node.items()
+                    if isinstance(key, str) or str(key) not in node}
+    return node
+
+
 def api_title(tree: dict) -> str:
     """`info.title`; "" when there is none."""
     return text(mapping(tree, "info"), "title")
@@ -191,8 +204,8 @@ def load_text(text: str, fmt: str) -> Any:
 def resolve_base_url(doc: RawDocument) -> str:
     """Compose the absolute upstream base URL for a document.
 
-    For 2.0: scheme + host + basePath, preferring https when several
-    schemes are listed. For 3.x: the first ``servers`` entry with every
+    For 2.0: scheme + host + basePath, the scheme as `swagger_scheme`
+    picks it. For 3.x: the first ``servers`` entry with every
     server variable replaced by its declared default.
 
     Raises BaseUrlError (lint class B) when `host`, `servers` or its first
@@ -230,8 +243,8 @@ def operations(tree: dict) -> Iterator[tuple[str, dict, str, dict]]:
     """(path, path item, method, operation) for every operation, in
     document order: each mapping under an HTTP-method key of a mapping
     path item. The one definition of an operation; every other walk over
-    `paths` iterates this."""
-    paths = mapping(tree, "paths")
+    `paths` iterates this. Each path is read as text (`text_keys`)."""
+    paths = text_keys(mapping(tree, "paths"))
     for path in paths:
         item = mapping(paths, path)
         for method, op in item.items():
@@ -290,15 +303,17 @@ def _convert_2_0(tree: dict) -> dict:
     # rejects it
     components = out.get("components") or {}
     if "securityDefinitions" in tree and isinstance(components, dict):
+        declared = text_keys(mapping(tree, "securityDefinitions"))
         out["components"] = {**components, "securitySchemes": {
             name: _convert_security_scheme(scheme_node)
-            for name, scheme_node in mapping(tree, "securityDefinitions").items()
+            for name, scheme_node in declared.items()
         }}
 
     paths = mapping(tree, "paths", None)
     if paths is None:  # missing or not a mapping: validation rejects it
         out["paths"] = tree.get("paths")
         return out
+    paths = text_keys(paths)
     consumes = sequence(tree, "consumes")
     produces = sequence(tree, "produces")
     out["paths"] = {path: _convert_path_item(mapping(paths, path)) for path in paths}
@@ -308,11 +323,20 @@ def _convert_2_0(tree: dict) -> dict:
     return out
 
 
-def _swagger_url(tree: dict) -> str:
-    """2.0 ``scheme://host+basePath``, preferring https when listed."""
+def swagger_scheme(tree: dict) -> str:
+    """The scheme of a 2.0 document's base URL: https when `schemes` lists
+    it, else http when listed, else the first entry; https when there is
+    none."""
     schemes = sequence(tree, "schemes")
-    scheme = "https" if "https" in schemes else text(schemes, 0) or "https"
-    return f"{scheme}://{text(tree, 'host')}{text(tree, 'basePath')}"
+    for scheme in ("https", "http"):
+        if scheme in schemes:
+            return scheme
+    return text(schemes, 0) or "https"
+
+
+def _swagger_url(tree: dict) -> str:
+    """2.0 ``scheme://host+basePath``."""
+    return f"{swagger_scheme(tree)}://{text(tree, 'host')}{text(tree, 'basePath')}"
 
 
 def _convert_security_scheme(node: Any) -> Any:
@@ -445,7 +469,7 @@ def _synthesize_path_params(tree: dict) -> dict:
             for var in missing
         ]
         if out is tree:
-            out = {**tree, "paths": dict(tree["paths"])}
+            out = {**tree, "paths": dict(text_keys(tree["paths"]))}
         paths = out["paths"]
         if paths[path] is item:
             paths[path] = dict(item)

@@ -301,8 +301,11 @@ class MockUpstream:
         record.status = status
         with self._lock:
             self.records.append(record)
-        data = json.dumps(payload).encode()
         request.send_response(status)
+        if status in (204, 304):  # no content (RFC 9110 §15.3.5, §15.4.5)
+            request.end_headers()
+            return
+        data = json.dumps(payload).encode()
         request.send_header("Content-Type", "application/json")
         request.send_header("Content-Length", str(len(data)))
         request.end_headers()

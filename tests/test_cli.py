@@ -395,6 +395,25 @@ class TestExitCodes:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["base_url"] == "https://api.example.com"
 
+    @pytest.mark.parametrize("command", ["lint", "generate"])
+    def test_2_0_schemes_without_http_are_replaced(self, tmp_path, capsys, command):
+        """`schemes: [ws]` gives a `ws://` base URL. The class B repair
+        replaces `schemes` and keeps the valid `host`."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "swagger": "2.0", "info": {"title": "T", "version": "1"},
+            "host": "a.example", "schemes": ["ws"], "paths": {"/a": {"get": _op()}},
+        }), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_cli([command, spec, "--fix", "--out", out]) == 0
+        if command == "lint":
+            assert json.loads(capsys.readouterr().out)["findings_by_class"] == {"B": 1}
+        fixed = json.loads((out / "spec.fixed.json").read_text(encoding="utf-8"))
+        assert (fixed["schemes"], fixed["host"]) == (["https"], "a.example")
+        if command == "generate":
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["base_url"] == "https://a.example"
+
 
 MALFORMED_SHAPES = {
     "info-not-a-mapping": {"info": ["T"], "paths": {"/a": {"get": _op()}}},
@@ -513,6 +532,52 @@ def test_malformed_shape_compiles_without_traceback(tmp_path, case):
     assert all(isinstance(value, str) for value in read.values())
     expected = MALFORMED_TEXT.get(case, {})
     assert {key: read[key] for key in expected} == expected
+
+
+# YAML mapping keys that are not strings, where a key names something:
+# each reads as its str(), so the spec compiles and lints clean.
+NON_STRING_KEYS = {
+    "path": """
+openapi: 3.0.3
+info: {title: T, version: "1"}
+servers: [{url: "https://t.example"}]
+paths:
+  200:
+    get: {responses: {200: {description: ok}}}
+  /a/{id}:
+    get: {responses: {200: {description: ok}}}
+""",
+    "security-scheme": """
+openapi: 3.0.3
+info: {title: T, version: "1"}
+servers: [{url: "https://t.example"}]
+security: [{1: []}]
+components:
+  securitySchemes:
+    1: {type: apiKey, in: header, name: X-Key}
+paths:
+  /a:
+    get: {responses: {200: {description: ok}}}
+""",
+}
+
+
+@pytest.mark.parametrize("case", list(NON_STRING_KEYS))
+def test_non_string_key_reads_as_its_text(tmp_path, case):
+    spec = tmp_path / "spec.yaml"
+    spec.write_text(NON_STRING_KEYS[case], encoding="utf-8")
+    out = tmp_path / "out"
+    for command in (["generate", spec, "--out", out], ["lint", spec],
+                    ["lint", spec, "--fix", "--out", tmp_path / "fixed"]):
+        proc = subprocess.run([sys.executable, "-m", "automcp", *map(str, command)],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+    manifest = json.loads((out / "manifest.json").read_text())
+    if case == "path":
+        descriptions = [t["description"] for t in manifest["tools"]]
+        assert descriptions == ["GET 200", "GET /a/{id}"]
+    else:
+        assert "T_API_1=" in (out / ".env").read_text(encoding="utf-8").splitlines()
 
 
 class TestLintFixSplicesTheSource:

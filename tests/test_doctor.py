@@ -735,3 +735,21 @@ class TestSourceText:
         assert report.document.tree["x-base"] == {"url": "{{root}}"}
         assert report.document.tree["servers"] == [{"url": "https://api.example.com"}]
         assert raw.tree["servers"][0] is raw.tree["x-base"] == {"url": "{{root}}"}
+
+
+def test_edit_under_a_non_string_key_lands_on_that_node():
+    """A repair under YAML's `200:` path key edits that operation, not a
+    new `"200"` path beside it."""
+    param = {"name": "user_id", "in": "path", "required": True,
+             "schema": {"type": "integer"}, "example": "u-1"}
+    tree = {
+        "openapi": "3.0.0", "info": {"title": "T", "version": "1"},
+        "servers": [{"url": "https://t.example"}],
+        "paths": {200: {"get": {"parameters": [param],
+                                "responses": {"200": {"description": "ok"}}}}},
+    }
+    report = fix_loop(mem_doc(tree, fmt="yaml"))
+    assert report.findings_by_class == {"D": 1}
+    assert list(report.document.tree["paths"]) == [200]
+    [fixed] = report.document.tree["paths"][200]["get"]["parameters"]
+    assert fixed["schema"] == {"type": "string"}

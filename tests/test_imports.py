@@ -12,7 +12,8 @@ import sys
 
 import pytest
 
-from conftest import fixture_path
+from automcp.mock_upstream import run_mock_upstream
+from conftest import fixture_path, rebase_spec, sentinel_credentials
 
 # what neither `import automcp` nor `generate` on a JSON spec needs
 HEAVY = [
@@ -27,6 +28,26 @@ HEAVY = [
     "yaml",
     "difflib",
 ]
+
+# the HTTP client and what it loads; `certifi` is left out, because `site`
+# may import it
+HTTP_CLIENT = ["requests", "urllib3", "ssl", "http.client", "charset_normalizer",
+               "idna"]
+
+# Feeds stdin to `serve` a line at a time, and fails the run if `requests`
+# is loaded when the first `tools/call` line is read.
+NO_CLIENT_BEFORE_A_CALL = """
+import sys
+_lines = sys.stdin.readlines()
+def _feed():
+    first = True
+    for line in _lines:
+        if first and '"tools/call"' in line:
+            assert "requests" not in sys.modules, "requests loaded before a call"
+            first = False
+        yield line
+sys.stdin = _feed()
+"""
 
 # Runs `python -m automcp <args>` in this interpreter.
 RUN_CLI = """
@@ -64,16 +85,75 @@ def test_generate_on_json_loads_no_heavy_module(tmp_path):
     assert sorted(loaded.intersection(HEAVY)) == []
 
 
+def handshake(*calls: dict) -> str:
+    """`initialize` and `tools/list`, then `calls`, as serve's stdin."""
+    messages = [{"jsonrpc": "2.0", "id": 1, "method": "initialize",
+                 "params": {"protocolVersion": "2024-11-05"}},
+                {"jsonrpc": "2.0", "id": 2, "method": "tools/list"},
+                *({"jsonrpc": "2.0", "id": i, "method": "tools/call", "params": call}
+                  for i, call in enumerate(calls, start=3))]
+    return "".join(json.dumps(m) + "\n" for m in messages)
+
+
 def test_serve_on_json_loads_only_the_call_path(tmp_path):
+    """`serve` answers the handshake with `runtime` loaded but no HTTP
+    client: `requests` waits for the first `tools/call`."""
     env_file = tmp_path / ".env"
     env_file.write_text("", encoding="utf-8")
-    initialize = json.dumps({"jsonrpc": "2.0", "id": 1, "method": "initialize",
-                             "params": {"protocolVersion": "2024-11-05"}}) + "\n"
     loaded = loaded_after(RUN_CLI, "serve", fixture_path("petstore.json"),
-                          "--env", env_file, tmp_path=tmp_path, stdin=initialize)
-    call_path = {"automcp.runtime", "requests"}
-    assert call_path <= loaded
-    assert sorted(loaded.intersection(HEAVY) - call_path) == []
+                          "--env", env_file, tmp_path=tmp_path, stdin=handshake())
+    assert "automcp.runtime" in loaded
+    assert sorted(loaded.intersection(HEAVY + HTTP_CLIENT) - {"automcp.runtime"}) == []
+
+
+def test_serve_on_yaml_loads_no_http_client(tmp_path):
+    env_file = tmp_path / ".env"
+    env_file.write_text("", encoding="utf-8")
+    loaded = loaded_after(RUN_CLI, "serve", fixture_path("allauth.yaml"),
+                          "--env", env_file, tmp_path=tmp_path, stdin=handshake())
+    assert "automcp.runtime" in loaded
+    assert sorted(loaded.intersection(HTTP_CLIENT)) == []
+
+
+@pytest.fixture
+def allauth_mock(allauth, tmp_path):
+    """(the mock, allauth.yaml pointed at it, a .env holding its credentials)"""
+    env_values, creds = sentinel_credentials(allauth)
+    with run_mock_upstream(allauth.manifest, credentials=creds) as mock:
+        spec = rebase_spec(fixture_path("allauth.yaml"), mock.base_url, tmp_path)
+        env_file = tmp_path / ".env"
+        env_file.write_text("".join(f"{k}={v}\n" for k, v in env_values.items()),
+                            encoding="utf-8")
+        yield mock, spec, env_file
+
+
+def test_first_tools_call_imports_requests(tmp_path, allauth_mock):
+    _, spec, env_file = allauth_mock
+    loaded = loaded_after(NO_CLIENT_BEFORE_A_CALL + RUN_CLI, "serve", spec,
+                          "--env", env_file, tmp_path=tmp_path,
+                          stdin=handshake({"name": "listgadgets", "arguments": {}}))
+    assert "requests" in loaded
+
+
+def test_two_first_calls_import_requests_at_once(tmp_path, allauth_mock):
+    """The first two calls go to two pool workers, which both import
+    `requests`; each gets the mock's answer."""
+    mock, spec, env_file = allauth_mock
+    names = ["listgadgets", "listnotes"]
+    stdin = handshake(*({"name": name, "arguments": {}} for name in names))
+    proc = subprocess.run(  # RUN_CLI reads its arguments from sys.argv[2:]
+        [sys.executable, "-c", NO_CLIENT_BEFORE_A_CALL + RUN_CLI, "-",
+         "serve", str(spec), "--env", str(env_file)],
+        input=stdin, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    replies = {r["id"]: r for r in map(json.loads, proc.stdout.splitlines())}
+    for msg_id, name in enumerate(names, start=3):
+        result = replies[msg_id]["result"]
+        assert result["isError"] is False, result
+        assert json.loads(result["content"][0]["text"])["tool"] == name
+    success = {t.tool_name: t.endpoint.success_status for t in mock.manifest.tools}
+    assert sorted((r.tool_name, r.status) for r in mock.records) == sorted(
+        (name, success[name]) for name in names)
 
 
 def test_lint_on_json_loads_no_yaml_or_repair_code(tmp_path):

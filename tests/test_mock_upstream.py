@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import http.client
+import json
+
 import requests
 
 from automcp.mock_upstream import ENFORCE_GLOBAL, run_mock_upstream
+from automcp.pipeline import compile_file
 from conftest import sentinel_credentials
 
 
@@ -142,3 +146,31 @@ def test_success_status_comes_from_contract(allauth):
             headers={"X-Api-Key": creds["headerKey"]}, timeout=5,
         )
     assert response.status_code == 201
+
+
+def test_no_content_carries_no_body(tmp_path):
+    """A 204 has no body and no Content-Length, so the next response on
+    the kept-alive connection starts at its own status line."""
+    spec = tmp_path / "spec.json"
+    ok = {"200": {"description": "ok"}}
+    spec.write_text(json.dumps({
+        "openapi": "3.0.3", "info": {"title": "T", "version": "1"},
+        "servers": [{"url": "https://t.example"}],
+        "paths": {"/things/{id}": {
+            "delete": {"operationId": "dropThing",
+                       "responses": {"204": {"description": "gone"}}},
+            "get": {"operationId": "readThing", "responses": ok}}},
+    }), encoding="utf-8")
+    with run_mock_upstream(compile_file(spec).manifest) as mock:
+        conn = http.client.HTTPConnection("127.0.0.1", mock.port, timeout=5)
+        try:
+            conn.request("DELETE", "/things/1")
+            dropped = conn.getresponse()
+            assert (dropped.status, dropped.read()) == (204, b"")
+            assert dropped.getheader("Content-Length") is None
+            conn.request("GET", "/things/1")
+            read = conn.getresponse()
+            assert read.status == 200
+            assert json.loads(read.read())["tool"] == "readthing"
+        finally:
+            conn.close()

@@ -251,6 +251,12 @@ class TestPointerCodec:
         assert pointer_lookup(tree, "#/") == 1
         assert pointer_lookup(tree, "#/a/") == 2
 
+    def test_token_names_a_key_that_reads_as_it(self):
+        """YAML's `200:` is an int key; `#/200` reaches it, and a string
+        key that reads the same wins."""
+        assert pointer_lookup({"a": {200: "int"}}, "#/a/200") == "int"
+        assert pointer_lookup({200: "int", "200": "str"}, "#/200") == "str"
+
 
 class TestValidate:
     def test_clean_fixture_has_no_findings(self, petstore):

@@ -2,16 +2,17 @@
 
 Each example takes one fixture spec (the three corpus specs and the five
 defect specs) and changes one node: it replaces it by `[1]`, `1`, `null`,
-`"x"` or `{}`, deletes its key, or points a `$ref` at another node. The
-mutant then runs through `compile_file`, `compile_file(fix=True)` and
-`lint`. Each must return or raise `AutoMcpError`, never anything else,
-within a bounded wall time.
+`"x"` or `{}`, deletes its key, replaces its key by an integer, or points
+a `$ref` at another node. The mutant then runs through `compile_file`,
+`compile_file(fix=True)` and `lint`. Each must return or raise
+`AutoMcpError`, never anything else, within a bounded wall time.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from dataclasses import dataclass
 
 import pytest
 import yaml
@@ -49,15 +50,28 @@ def node_paths(node, prefix=()):
 DELETE = object()  # a mutation that deletes the node's key
 
 
+@dataclass(frozen=True)
+class RenameKey:
+    """A mutation that replaces the node's key by `key`, in its place."""
+
+    key: int
+
+
+# `200` reads as the text of a response code key, `1` as a new name
+KEY_INTS = [RenameKey(200), RenameKey(1)]
+
+
 def mutated(node, path, value):
-    """A copy of `node` with `value` at `path` (or the key deleted),
-    copying only the containers along it."""
+    """A copy of `node` with `value` at `path` (or the key deleted or
+    renamed), copying only the containers along it."""
     copy = dict(node) if isinstance(node, dict) else list(node)
     head, rest = path[0], path[1:]
     if rest:
         copy[head] = mutated(node[head], rest, value)
     elif value is DELETE:
         del copy[head]
+    elif isinstance(value, RenameKey):
+        copy = {value.key if k == head else k: v for k, v in node.items()}
     else:
         copy[head] = value
     return copy
@@ -90,6 +104,11 @@ def _delete(name):
                      st.just(DELETE))
 
 
+def _rename(name):
+    return st.tuples(st.just(name), st.sampled_from(SPECS[name]["keys"]),
+                     st.sampled_from(KEY_INTS))
+
+
 def _rewire(name):
     return st.tuples(st.just(name), st.sampled_from(SPECS[name]["refs"]),
                      st.sampled_from(SPECS[name]["pointers"]))
@@ -99,6 +118,7 @@ def _rewire(name):
 MUTATIONS = st.one_of(
     st.sampled_from(list(SPECS)).flatmap(_replace),
     st.sampled_from(list(SPECS)).flatmap(_delete),
+    st.sampled_from(list(SPECS)).flatmap(_rename),
     st.sampled_from([name for name in SPECS if SPECS[name]["refs"]]).flatmap(_rewire),
 )
 
@@ -127,6 +147,8 @@ def test_mutant_returns_or_raises_a_typed_error(workdir, mutation):
     name, path, value = mutation
     tree = mutated(SPECS[name]["tree"], path, value)
     target = workdir / name
+    if isinstance(value, RenameKey):  # JSON has no integer keys
+        target = target.with_suffix(".yaml")
     if target.suffix == ".json":
         target.write_text(json.dumps(tree, indent=2), encoding="utf-8")
     else:
