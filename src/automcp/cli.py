@@ -44,8 +44,6 @@ EXIT_FINDINGS = 4
 
 ENV_PREFIX = "AUTOMCP_"
 
-log = logging.getLogger("automcp.cli")
-
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.WARNING,

@@ -16,7 +16,7 @@ from .errors import SchemeError
 from .ingest import api_title, mapping, merge_parameters, operations, parameters
 from .ingest import sequence, text, text_keys
 from .refs import FlattenedContract
-from .security import KIND_API_KEY, SecurityScheme, declared_schemes
+from .security import KIND_API_KEY, SecurityScheme, unique_name
 
 TOOL_NAME_MAX = 64
 
@@ -27,10 +27,7 @@ _IDENT_RE = re.compile(r"[^a-z0-9_]+")
 class ParamSpec:
     name: str
     location: str  # path / query / header / cookie
-    required: bool
-    schema: dict
     sanitized_name: str
-    description: str = ""
     credential_scheme_id: str | None = None
 
     @property
@@ -42,16 +39,11 @@ class ParamSpec:
 class EndpointDescriptor:
     method: str
     path_template: str
-    operation_id: str | None
-    summary: str
-    description: str
     parameters: list[ParamSpec]
     request_body_schema: dict | None
-    request_body_required: bool
     request_content_type: str | None
     success_status: int
-    security: list[dict]
-    deprecated: bool = False
+    security: list[dict]  # credential slots folded into every set
 
 
 @dataclass
@@ -76,40 +68,69 @@ class ToolManifest:
         return None
 
 
-def list_endpoints(contract: FlattenedContract) -> list[EndpointDescriptor]:
-    """One descriptor per path-method pair, in document order.
+def compile_manifest(
+    contract: FlattenedContract,
+    schemes: list[SecurityScheme],
+    base_url: str,
+) -> ToolManifest:
+    """Build the full manifest in one walk over the operations: one
+    ToolSpec per operation, with its name, description, input schema and
+    endpoint.
 
     Path-level parameters are merged into each operation (operation-level
-    wins on a (name, location) collision). The success status is the
-    smallest declared 2xx code, defaulting to 200. Raises SchemeError
-    (class A) when an operation requires a scheme nobody declared.
+    wins on a (name, location) collision). A parameter named like a
+    declared apiKey scheme, at that scheme's location, is a credential
+    slot: never a tool argument, and its scheme joins every requirement
+    set of the endpoint's `security`. The success status is the smallest
+    declared 2xx code, defaulting to 200. Raises SchemeError (class A)
+    when an operation requires a scheme that `schemes` does not hold.
     """
     tree = contract.tree
-    _, declared = declared_schemes(tree)
-    endpoints: list[EndpointDescriptor] = []
-
+    declared = {s.id for s in schemes}
+    api_keys = {(s.location, s.parameter_name): s.id  # the first declared wins
+                for s in reversed(schemes) if s.kind == KIND_API_KEY}
+    taken: set[str] = set()
+    tools: list[ToolSpec] = []
     for path, item, method, op in operations(tree):
-        merged = merge_parameters(parameters(item), parameters(op))
-        body_schema, body_required, content_type = _pick_request_body(
-            mapping(op, "requestBody")
+        request_body = mapping(op, "requestBody")
+        body_schema, content_type = _pick_request_body(request_body)
+        specs, properties, required = _compile_parameters(
+            merge_parameters(parameters(item), parameters(op)), api_keys,
+            names={"body"} if body_schema is not None else set(),
         )
-        endpoints.append(
-            EndpointDescriptor(
-                method=method.upper(),
+        if body_schema is not None:
+            properties["body"] = copy.deepcopy(body_schema)
+            if request_body.get("required", False):
+                required.append("body")
+
+        slots = {p.credential_scheme_id: [] for p in specs if p.is_credential}
+        security = [{**slots, **r} for r in requirements(op, tree, declared)]
+        verb = method.upper()
+        description = text(op, "summary") or text(op, "description") \
+            or f"{verb} {path}"
+        if op.get("deprecated", False):
+            description = "[DEPRECATED] " + description
+        tools.append(ToolSpec(
+            tool_name=derive_tool_name(text(op, "operationId"), method, path, taken),
+            description=description,
+            input_schema={
+                "type": "object",
+                "properties": properties,
+                "required": required,
+                "additionalProperties": False,
+            },
+            endpoint=EndpointDescriptor(
+                method=verb,
                 path_template=path,
-                operation_id=op.get("operationId"),
-                summary=text(op, "summary"),
-                description=text(op, "description"),
-                parameters=_build_param_specs(merged, has_body=body_schema is not None),
+                parameters=specs,
                 request_body_schema=body_schema,
-                request_body_required=body_required,
                 request_content_type=content_type,
                 success_status=_pick_success_status(mapping(op, "responses")),
-                security=requirements(op, tree, declared),
-                deprecated=bool(op.get("deprecated", False)),
-            )
-        )
-    return endpoints
+                security=security or ([slots] if slots else []),
+            ),
+        ))
+    return ToolManifest(tools=tools, api_title=api_title(tree) or "API",
+                        base_url=base_url, schemes=schemes)
 
 
 def requirements(op: dict, tree: dict, declared: Container) -> list[dict]:
@@ -129,24 +150,18 @@ def requirements(op: dict, tree: dict, declared: Container) -> list[dict]:
     return sets
 
 
-def derive_tool_name(ep: EndpointDescriptor, taken: set[str]) -> str:
-    """Stable identifier for one endpoint, unique within `taken`.
+def derive_tool_name(operation_id: str, method: str, path: str,
+                     taken: set[str]) -> str:
+    """Stable identifier for one operation, unique within `taken`.
 
     The operationId is sanitized when present; otherwise the name is
     synthesized from the method and path words. Capped at 64 chars with
     ``_2``, ``_3``, ... suffixes on collision.
     """
-    if ep.operation_id:
-        base = _sanitize_identifier(ep.operation_id)
-    else:
-        base = ""
+    base = _sanitize_identifier(operation_id)
     if not base:
-        words = [
-            _sanitize_identifier(seg.strip("{}"))
-            for seg in ep.path_template.split("/")
-            if seg
-        ]
-        base = "_".join([ep.method.lower()] + [w for w in words if w])
+        words = [_sanitize_identifier(seg.strip("{}")) for seg in path.split("/")]
+        base = "_".join([method.lower()] + [w for w in words if w])
     base = base[:TOOL_NAME_MAX].rstrip("_") or "tool"
 
     name = base
@@ -157,64 +172,6 @@ def derive_tool_name(ep: EndpointDescriptor, taken: set[str]) -> str:
         name = base[: TOOL_NAME_MAX - len(suffix)] + suffix
     taken.add(name)
     return name
-
-
-def synthesize_input_schema(ep: EndpointDescriptor) -> dict:
-    """Closed JSON-schema object for the tool's arguments.
-
-    One property per non-credential parameter (keyed by sanitized name),
-    plus a ``body`` property when the operation takes a request body.
-    """
-    properties: dict[str, dict] = {}
-    required: list[str] = []
-    for param in ep.parameters:
-        if param.is_credential:
-            continue
-        schema = copy.deepcopy(param.schema) if param.schema else {"type": "string"}
-        if param.description and "description" not in schema:
-            schema["description"] = param.description
-        properties[param.sanitized_name] = schema
-        if param.required:
-            required.append(param.sanitized_name)
-    if ep.request_body_schema is not None:
-        properties["body"] = copy.deepcopy(ep.request_body_schema)
-        if ep.request_body_required:
-            required.append("body")
-    return {
-        "type": "object",
-        "properties": properties,
-        "required": required,
-        "additionalProperties": False,
-    }
-
-
-def compile_manifest(
-    contract: FlattenedContract,
-    schemes: list[SecurityScheme],
-    base_url: str,
-) -> ToolManifest:
-    """Build the full manifest: one ToolSpec per operation, each bound to
-    its endpoint and resolved security requirements."""
-    title = api_title(contract.tree) or "API"
-    endpoints = list_endpoints(contract)
-    api_key_schemes = [s for s in schemes if s.kind == KIND_API_KEY]
-    taken: set[str] = set()
-    tools: list[ToolSpec] = []
-    for ep in endpoints:
-        _mark_credential_params(ep, api_key_schemes)
-        description = ep.summary or ep.description or f"{ep.method} {ep.path_template}"
-        if ep.deprecated:
-            description = "[DEPRECATED] " + description
-        tools.append(
-            ToolSpec(
-                tool_name=derive_tool_name(ep, taken),
-                description=description,
-                input_schema=synthesize_input_schema(ep),
-                endpoint=ep,
-            )
-        )
-    return ToolManifest(tools=tools, api_title=title, base_url=base_url,
-                        schemes=schemes)
 
 
 def tools_list_payload(manifest: ToolManifest) -> list[dict]:
@@ -262,57 +219,44 @@ def manifest_to_dict(manifest: ToolManifest, include_bindings: bool = False) -> 
 # -- internals ----------------------------------------------------------------
 
 
-def _build_param_specs(params: list[dict], has_body: bool) -> list[ParamSpec]:
-    taken = {"body"} if has_body else set()
+def _compile_parameters(
+    params: list[dict], api_keys: dict[tuple[str, str], str], names: set[str]
+) -> tuple[list[ParamSpec], dict[str, dict], list[str]]:
+    """The ParamSpecs of an operation's parameters, and the input-schema
+    properties and required names of those that are not credential slots.
+    Each sanitized name is made unique within `names`."""
     specs: list[ParamSpec] = []
+    properties: dict[str, dict] = {}
+    required: list[str] = []
     for param in params:
         name = text(param, "name")
         location = text(param, "in", "query")
-        sanitized = _sanitize_identifier(name) or "param"
-        base = sanitized
-        counter = 1
-        while sanitized in taken:
-            counter += 1
-            sanitized = f"{base}_{counter}"
-        taken.add(sanitized)
-        schema = dict(mapping(param, "schema"))
+        spec = ParamSpec(name, location,
+                         unique_name(_sanitize_identifier(name) or "param", names),
+                         api_keys.get((location, name)))
+        specs.append(spec)
+        if spec.is_credential:
+            continue
+        schema = copy.deepcopy(mapping(param, "schema"))
         if "example" in param and "example" not in schema:
-            schema["example"] = param["example"]
-        specs.append(
-            ParamSpec(
-                name=name,
-                location=location,
-                required=True if location == "path" else bool(param.get("required")),
-                schema=schema,
-                sanitized_name=sanitized,
-                description=text(param, "description"),
-            )
-        )
-    return specs
+            schema["example"] = copy.deepcopy(param["example"])
+        if not schema:
+            schema = {"type": "string"}
+        description = text(param, "description")
+        if description and "description" not in schema:
+            schema["description"] = description
+        properties[spec.sanitized_name] = schema
+        if location == "path" or param.get("required"):
+            required.append(spec.sanitized_name)
+    return specs, properties, required
 
 
-def _mark_credential_params(
-    ep: EndpointDescriptor, api_key_schemes: list[SecurityScheme]
-) -> None:
-    """An explicit parameter matching a declared api-key scheme's name and
-    location is a credential slot, not an LLM-facing argument."""
-    for param in ep.parameters:
-        for scheme in api_key_schemes:
-            if (
-                param.name == scheme.parameter_name
-                and param.location == scheme.location
-            ):
-                param.credential_scheme_id = scheme.id
-                break
-
-
-def _pick_request_body(request_body: dict) -> tuple[dict | None, bool, str | None]:
+def _pick_request_body(request_body: dict) -> tuple[dict | None, str | None]:
     content = mapping(request_body, "content")
     media_type = _pick_media_type(content)
     if media_type is None:
-        return None, False, None
-    schema = mapping(mapping(content, media_type), "schema")
-    return schema, bool(request_body.get("required", False)), media_type
+        return None, None
+    return mapping(mapping(content, media_type), "schema"), media_type
 
 
 def _pick_success_status(responses: dict) -> int:

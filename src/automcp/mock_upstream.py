@@ -217,23 +217,14 @@ class MockUpstream:
                     return None
             return "unauthorized: no configured scheme satisfied"
 
-        ep = tool.endpoint
-        requirements = ep.security
-        credential_params = [p for p in ep.parameters if p.is_credential]
-        if not requirements and not credential_params:
+        requirements = tool.endpoint.security
+        if not requirements:
             return None
         for requirement in requirements:
             if all(
                 schemes.get(scheme_id) is not None
                 and self._scheme_satisfied(schemes[scheme_id], headers, query)
                 for scheme_id in requirement
-            ):
-                return None
-        if not requirements and credential_params:
-            if all(
-                self._scheme_satisfied(schemes[p.credential_scheme_id], headers, query)
-                for p in credential_params
-                if p.credential_scheme_id in schemes
             ):
                 return None
         return "unauthorized: required credentials absent or wrong"

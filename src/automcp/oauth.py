@@ -4,18 +4,25 @@ Runs the authorization-code dance: start a throwaway HTTP listener,
 send the user's browser to the authorization URL, trade the returned
 code for tokens, and persist them into the `.env` store. Exactly one
 acquisition may run per process (the listener owns its port).
+
+The exchange goes through `urllib.request`, which never reads
+`~/.netrc`, so no stored login for the token host rides along with the
+client credentials.
 """
 
 from __future__ import annotations
 
+import json
+import os
 import secrets
+import ssl
 import threading
+import urllib.error
+import urllib.request
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 from typing import Callable
 from urllib.parse import parse_qs, urlencode, urlparse
-
-import requests
 
 from .envfile import update_env_file
 from .errors import CallbackTimeoutError, ExchangeError, FlowUnusableError
@@ -139,15 +146,32 @@ def acquire_oauth_token(
 
 
 def _exchange(token_url: str, payload: dict) -> dict:
-    response = requests.post(token_url, data=payload, timeout=30)
-    if not (200 <= response.status_code <= 299):
-        raise ExchangeError(response.status_code, response.text)
+    """POST `payload` as a form to the token endpoint; its JSON reply,
+    which must carry an `access_token`. HTTPS trusts the bundle named by
+    SSL_CERT_FILE or REQUESTS_CA_BUNDLE, else the system's CAs."""
+    request = urllib.request.Request(
+        token_url, data=urlencode(payload).encode(), method="POST",
+        headers={"Content-Type": "application/x-www-form-urlencoded"},
+    )
+    context = None
+    if request.type == "https":
+        context = ssl.create_default_context(
+            cafile=os.environ.get("SSL_CERT_FILE") or os.environ.get("REQUESTS_CA_BUNDLE")
+        )
     try:
-        tokens = response.json()
+        with urllib.request.urlopen(request, timeout=30, context=context) as response:
+            status, raw = response.status, response.read()
+    except urllib.error.HTTPError as exc:  # a non-2xx reply
+        status, raw = exc.code, exc.read()
+    body = raw.decode("utf-8", "replace")
+    if not (200 <= status <= 299):
+        raise ExchangeError(status, body)
+    try:
+        tokens = json.loads(body)
     except ValueError as exc:
-        raise ExchangeError(response.status_code, response.text) from exc
-    if "access_token" not in tokens:
-        raise ExchangeError(response.status_code, response.text)
+        raise ExchangeError(status, body) from exc
+    if not isinstance(tokens, dict) or "access_token" not in tokens:
+        raise ExchangeError(status, body)
     return tokens
 
 

@@ -240,9 +240,9 @@ def invoke_tool(
     """Translate one tool call into an upstream HTTP request.
 
     Raises SchemaViolation / MissingCredential before any request is
-    issued; network failures surface as TransportError. A parameter the
-    compiler marked as a credential slot is filled by its scheme under
-    every security requirement, never from `args`.
+    issued; network failures surface as TransportError. A credential slot
+    is never filled from `args`: the compiler put its scheme in every
+    requirement set of `security`.
     """
     problems = validate_args(args, tool.input_schema)
     if problems:
@@ -253,10 +253,8 @@ def invoke_tool(
     query: dict[str, object] = {}
     headers: dict[str, str] = {}
     cookies: list[str] = []
-    slots: dict[str, list] = {}
     for param in ep.parameters:
         if param.is_credential:
-            slots[param.credential_scheme_id] = []
             continue
         if param.sanitized_name in args:
             value = args[param.sanitized_name]
@@ -278,8 +276,7 @@ def invoke_tool(
         elif param.location == "cookie":
             cookies.append(f"{param.name}={_scalar(value)}")
 
-    requirements = [{**slots, **r} for r in ep.security] or [slots]
-    plan = resolve_auth(requirements, schemes, env, bindings)
+    plan = resolve_auth(ep.security, schemes, env, bindings)
     plan = merge_extra_headers(plan, env)
     plan_cookie = plan.headers.pop("Cookie", None)
     if plan_cookie:

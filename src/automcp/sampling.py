@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass, field
 
 from .compiler import ToolManifest, ToolSpec
-from .security import KIND_API_KEY, KIND_NONE
+from .security import KIND_NONE
 
 DEFAULT_THRESHOLD = 20
 
@@ -64,9 +64,6 @@ def endpoint_axes(tool: ToolSpec, scheme_kinds: dict[str, str]) -> tuple[str, fr
     for requirement in ep.security:
         for scheme_id in requirement:
             auth.add(scheme_kinds.get(scheme_id, KIND_NONE))
-    for param in ep.parameters:
-        if param.is_credential:
-            auth.add(KIND_API_KEY)
     if not auth:
         auth.add(KIND_NONE)
     modalities = {p.location for p in ep.parameters}

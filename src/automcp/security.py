@@ -147,7 +147,7 @@ def build_env_map(
     taken: set[str] = set()
 
     def bind(scheme_id: str, role: str) -> EnvBinding:
-        var = _unique(f"{prefix}_{role}", taken)
+        var = unique_name(f"{prefix}_{role}", taken)
         binding = EnvBinding(var, scheme_id, role)
         bindings.append(binding)
         return binding
@@ -200,7 +200,9 @@ def sanitize_env_component(text: str) -> str:
     return text
 
 
-def _unique(candidate: str, taken: set[str]) -> str:
+def unique_name(candidate: str, taken: set[str]) -> str:
+    """`candidate`, or the first of `candidate_2`, `candidate_3`, ... that
+    `taken` does not hold; added to `taken`."""
     name = candidate
     counter = 1
     while name in taken:

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import yaml
+from yaml.constructor import SafeConstructor
 from yaml.nodes import CollectionNode, MappingNode, ScalarNode, SequenceNode
 
 from .ingest import FORMAT_JSON, load_text
@@ -129,14 +130,22 @@ class SourceText:
         self, node: yaml.Node, segment: str
     ) -> tuple[yaml.Node | None, ScalarNode | None]:
         """(value, key node) under `segment`; (None, None) for a missing
-        mapping key. A node reached through an alias is refused: its marks
-        are those of its anchor."""
+        mapping key. The key is `segment` as a string, or else one that
+        loads to a value reading as it, as `refs.child_key` picks it. A
+        node reached through an alias is refused: its marks are those of
+        its anchor."""
         if isinstance(node, MappingNode):
-            for key, value in reversed(node.value):  # the last duplicate wins
-                if key.tag == _STR_TAG and key.value == segment:
-                    if self._start(value) < self._end(key):
-                        raise Unplaceable(f"{segment!r} is an alias")
-                    return value, key
+            pairs = node.value[::-1]  # the last duplicate wins
+            match = next(((k, v) for k, v in pairs
+                          if k.tag == _STR_TAG and k.value == segment), None)
+            if match is None:
+                match = next(((k, v) for k, v in pairs
+                              if k.tag != _STR_TAG and _key_text(k) == segment), None)
+            if match is not None:
+                key, value = match
+                if self._start(value) < self._end(key):
+                    raise Unplaceable(f"{segment!r} is an alias")
+                return value, key
             if any(key.tag == _MERGE_TAG for key, _ in node.value):
                 raise Unplaceable(f"{segment!r} may come from a merge key")
             return None, None
@@ -416,6 +425,18 @@ def _hunk_range(start: int, stop: int) -> str:
     if length == 1:
         return str(start + 1)
     return f"{start if length == 0 else start + 1},{length}"
+
+
+def _key_text(key: yaml.Node) -> str | None:
+    """The `str()` of what a scalar key loads to (`ingest.text_keys`), so
+    `200` reads as "200"; None for a key that is not a scalar or does
+    not load."""
+    if not isinstance(key, ScalarNode):
+        return None
+    try:
+        return str(SafeConstructor().construct_object(key))
+    except yaml.YAMLError:
+        return None
 
 
 def _zero_width(node: yaml.Node) -> bool:

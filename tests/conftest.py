@@ -125,15 +125,11 @@ def random_manifest(rng, max_groups: int = 4, max_endpoints: int = 28) -> ToolMa
         path = f"/{group}"
         if rng.random() < 0.5:
             path += "/{item_id}"
-            params.append(
-                ParamSpec("item_id", "path", True, {"type": "string"}, "item_id")
-            )
+            params.append(ParamSpec("item_id", "path", "item_id"))
         for location in ("query", "header", "cookie"):
             if rng.random() < 0.35:
                 name = f"{location[0]}{i}"
-                params.append(
-                    ParamSpec(name, location, False, {"type": "string"}, name)
-                )
+                params.append(ParamSpec(name, location, name))
         has_body = verb in ("POST", "PUT", "PATCH") and rng.random() < 0.6
         security = []
         if scheme is not None:
@@ -142,12 +138,8 @@ def random_manifest(rng, max_groups: int = 4, max_endpoints: int = 28) -> ToolMa
         ep = EndpointDescriptor(
             method=verb,
             path_template=path,
-            operation_id=f"op{i}",
-            summary=f"op {i}",
-            description="",
             parameters=params,
             request_body_schema={"type": "object"} if has_body else None,
-            request_body_required=has_body,
             request_content_type="application/json" if has_body else None,
             success_status=200,
             security=security,

@@ -48,6 +48,31 @@ class TestGenerate:
         assert stub["tools"][0]["endpoint"]["method"]
         assert stub["securitySchemes"][0]["id"] == "api_key"
 
+    def test_emit_stub_lists_a_slot_scheme_in_security(self, tmp_path):
+        """A parameter named like a declared apiKey scheme is a credential
+        slot: its scheme joins every requirement set, or is the only one."""
+        key = {"name": "key", "in": "query", "schema": {"type": "string"}}
+        ok = {"200": {"description": "ok"}}
+        spec = tmp_path / "slots.json"
+        spec.write_text(json.dumps({
+            "openapi": "3.0.3", "info": {"title": "Slots", "version": "1"},
+            "servers": [{"url": "https://slots.example"}],
+            "components": {"securitySchemes": {
+                "k": {"type": "apiKey", "in": "query", "name": "key"},
+                "bearer": {"type": "http", "scheme": "bearer"}}},
+            "paths": {
+                "/guarded": {"get": {"security": [{"bearer": []}],
+                                     "parameters": [key], "responses": ok}},
+                "/public": {"get": {"parameters": [key], "responses": ok}},
+                "/plain": {"get": {"responses": ok}},
+            },
+        }), encoding="utf-8")
+        assert run_cli(["generate", spec, "--out", tmp_path, "--emit-stub"]) == 0
+        stub = json.loads((tmp_path / "stub.json").read_text())
+        assert [t["endpoint"]["security"] for t in stub["tools"]] == [
+            [{"k": [], "bearer": []}], [{"k": []}], []]
+        assert [t["inputSchema"]["properties"] for t in stub["tools"]] == [{}] * 3
+
     def test_oauth_config_written_when_oauth_scheme_present(self, tmp_path):
         code = run_cli(["generate", fixture_path("allauth.yaml"), "--out", tmp_path])
         assert code == 0
@@ -606,6 +631,30 @@ class TestLintFixSplicesTheSource:
                                     fromfile=name, tofile=f"{name} (patched)", lineterm="")
         written_diff = Path(report["diff_file"]).read_text(encoding="utf-8")
         assert written_diff == "\n".join(diff) + "\n"
+
+    def test_repair_under_a_non_string_key_is_spliced(self, tmp_path, capsys):
+        """A repair under YAML's `200:` path key is placed at that node:
+        one changed line, and the author's flow mapping survives."""
+        item = ("        - {name: user_id, in: path, required: true, "
+                "schema: {type: %s}, example: \"u-1\"}\n")
+        head = (
+            "openapi: 3.0.0\n"
+            "info: {title: T, version: '1'}\n"
+            "servers: [{url: 'https://t.example'}]\n"
+            "paths:\n"
+            "  200:\n"
+            "    get:\n"
+            "      parameters:\n"
+        )
+        tail = "      responses: {'200': {description: ok}}\n"
+        spec = tmp_path / "key200.yaml"
+        spec.write_text(head + item % "integer" + tail, encoding="utf-8")
+        assert run_cli(["lint", spec, "--fix", "--out", tmp_path / "out"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["whole_document_render"] is False
+        assert report["total_loc_changed"] == 1
+        written = Path(report["repaired_spec"]).read_text(encoding="utf-8")
+        assert written == head + item % "string" + tail
 
     def test_comment_survives(self, tmp_path, capsys):
         run_cli(["lint", DEFECTS / "class_a.yaml", "--fix", "--out", tmp_path])

@@ -10,12 +10,9 @@ from pathlib import Path
 import pytest
 
 from automcp.compiler import (
-    EndpointDescriptor,
     compile_manifest,
     derive_tool_name,
-    list_endpoints,
     manifest_to_dict,
-    synthesize_input_schema,
     tools_list_payload,
 )
 from automcp.doctor import fix_loop, load_vendor_rules
@@ -27,24 +24,6 @@ from conftest import DEFECTS, FIXTURES, build_contract, fixture_path
 TOOL_NAME_RE = re.compile(r"^[a-z_][a-z0-9_]*$")
 
 
-def descriptor(method="GET", path="/users/{id}", operation_id=None, **kw) -> EndpointDescriptor:
-    defaults = dict(
-        method=method,
-        path_template=path,
-        operation_id=operation_id,
-        summary="",
-        description="",
-        parameters=[],
-        request_body_schema=None,
-        request_body_required=False,
-        request_content_type=None,
-        success_status=200,
-        security=[],
-    )
-    defaults.update(kw)
-    return EndpointDescriptor(**defaults)
-
-
 def compile_tree(tree: dict):
     dialect = "openapi_2_0" if tree.get("swagger") == "2.0" else "openapi_3_x"
     doc = RawDocument(Path("mem.json"), "json", dialect, tree)
@@ -54,14 +33,23 @@ def compile_tree(tree: dict):
     )
 
 
+def endpoints(compiled) -> list:
+    """The endpoints `compile_manifest` builds for a compiled fixture."""
+    manifest = compile_manifest(compiled.contract, compiled.manifest.schemes,
+                                base_url=compiled.manifest.base_url)
+    return [t.endpoint for t in manifest.tools]
+
+
+def tool_named(compiled, name: str):
+    return next(t for t in compiled.manifest.tools if t.tool_name == name)
+
+
 class TestListEndpoints:
     def test_petstore_has_19_descriptors(self, petstore):
-        assert len(list_endpoints(petstore.contract)) == 19
+        assert len(endpoints(petstore)) == 19
 
     def test_path_level_params_shared_across_methods(self, petstore):
-        eps = {
-            (e.method, e.path_template): e for e in list_endpoints(petstore.contract)
-        }
+        eps = {(e.method, e.path_template): e for e in endpoints(petstore)}
         get_ep = eps[("GET", "/store/order/{orderId}")]
         delete_ep = eps[("DELETE", "/store/order/{orderId}")]
         for ep in (get_ep, delete_ep):
@@ -90,16 +78,13 @@ class TestListEndpoints:
                 },
             }
         )
-        ep = manifest.tools[0].endpoint
-        assert len(ep.parameters) == 1
-        assert ep.parameters[0].schema == {"type": "string"}
+        [tool] = manifest.tools
+        assert len(tool.endpoint.parameters) == 1
+        assert tool.input_schema["properties"] == {"x": {"type": "string"}}
 
     def test_smallest_2xx_wins(self, petstore):
-        order = next(
-            e for e in list_endpoints(petstore.contract)
-            if e.operation_id == "placeOrder"
-        )
-        assert order.success_status == 200
+        order = tool_named(petstore, "placeorder")
+        assert order.endpoint.success_status == 200
 
     def test_status_default_when_no_2xx(self):
         manifest = compile_tree(
@@ -116,22 +101,22 @@ class TestListEndpoints:
         assert ep.success_status == 200
 
     def test_doc_level_security_inherited(self, petstore):
-        for ep in list_endpoints(petstore.contract):
+        for ep in endpoints(petstore):
             assert ep.security == [{"api_key": []}]
 
 
 class TestDeriveToolName:
     def test_operation_id_sanitized(self):
-        ep = descriptor(operation_id="repos/list-branches")
-        assert derive_tool_name(ep, set()) == "repos_list_branches"
+        name = derive_tool_name("repos/list-branches", "get", "/users/{id}", set())
+        assert name == "repos_list_branches"
 
     def test_fallback_from_method_and_path(self):
-        assert derive_tool_name(descriptor(), set()) == "get_users_id"
+        assert derive_tool_name("", "get", "/users/{id}", set()) == "get_users_id"
 
     def test_collision_suffixed(self):
         taken: set[str] = set()
-        first = derive_tool_name(descriptor(operation_id="get-items"), taken)
-        second = derive_tool_name(descriptor(operation_id="get.items"), taken)
+        first = derive_tool_name("get-items", "get", "/users/{id}", taken)
+        second = derive_tool_name("get.items", "get", "/users/{id}", taken)
         assert first == "get_items"
         assert second == "get_items_2"
 
@@ -143,8 +128,7 @@ class TestDeriveToolName:
         names = []
         for _ in range(300):
             base = rng.choice(corpus)
-            ep = descriptor(operation_id=base, path="/p/{q}")
-            names.append(derive_tool_name(ep, taken))
+            names.append(derive_tool_name(base, "get", "/p/{q}", taken))
         assert len(names) == len(set(names))
         for name in names:
             assert len(name) <= 64
@@ -153,17 +137,19 @@ class TestDeriveToolName:
 
 class TestSynthesizeInputSchema:
     def test_path_params_required(self, petstore):
-        branches = next(
-            t for t in petstore.manifest.tools if t.tool_name == "getUserByName".lower()
-            or t.endpoint.operation_id == "getUserByName"
-        )
-        schema = branches.input_schema
+        schema = tool_named(petstore, "getuserbyname").input_schema
         assert list(schema["properties"]) == ["username"]
         assert schema["required"] == ["username"]
         assert schema["additionalProperties"] is False
 
     def test_empty_endpoint_schema_shape(self):
-        assert synthesize_input_schema(descriptor(path="/ping")) == {
+        manifest = compile_tree({
+            "openapi": "3.0.0",
+            "info": {"title": "T", "version": "1"},
+            "servers": [{"url": "https://t.example"}],
+            "paths": {"/ping": {"get": {"responses": {"200": {"description": "ok"}}}}},
+        })
+        assert manifest.tools[0].input_schema == {
             "type": "object",
             "properties": {},
             "required": [],
@@ -172,14 +158,17 @@ class TestSynthesizeInputSchema:
 
     def test_required_body_under_body_key(self):
         body_schema = {"type": "object", "properties": {"name": {"type": "string"}}}
-        ep = descriptor(
-            method="POST",
-            path="/things",
-            request_body_schema=body_schema,
-            request_body_required=True,
-            request_content_type="application/json",
-        )
-        schema = synthesize_input_schema(ep)
+        manifest = compile_tree({
+            "openapi": "3.0.0",
+            "info": {"title": "T", "version": "1"},
+            "servers": [{"url": "https://t.example"}],
+            "paths": {"/things": {"post": {
+                "requestBody": {"required": True, "content": {
+                    "application/json": {"schema": body_schema}}},
+                "responses": {"201": {"description": "created"}},
+            }}},
+        })
+        schema = manifest.tools[0].input_schema
         assert schema["properties"]["body"] == body_schema
         assert "body" in schema["required"]
 
@@ -190,9 +179,7 @@ class TestSynthesizeInputSchema:
                     assert TOOL_NAME_RE.match(prop), prop
 
     def test_param_descriptions_carried(self, petstore):
-        get_pet = next(
-            t for t in petstore.manifest.tools if t.endpoint.operation_id == "getPetById"
-        )
+        get_pet = tool_named(petstore, "getpetbyid")
         # sanitized property key: lowercase identifier derived from "petId"
         assert "ID of the pet" in get_pet.input_schema["properties"]["petid"].get(
             "description", ""
@@ -244,7 +231,7 @@ class TestCompileManifest:
     @pytest.mark.parametrize("ids, names", [
         (["dup", "dup"], ["dup", "dup_2"]),
         (["x_2", "x", "x"], ["x_2", "x", "x_3"]),
-        ([["x"], ["x"]], ["x", "x_2"]),
+        ([["x"], ["x"]], ["post_a", "get_a"]),
     ], ids=["same-id", "suffix-already-taken", "list-ids"])
     def test_operation_id_collisions(self, marker, ids, names):
         item = {
@@ -274,10 +261,7 @@ class TestCompileManifest:
         ] == [("fetch", "/a", []), ("fetch_2", "/c/{id}", ["id"])]
 
     def test_deprecated_operations_kept_with_prefix(self, petstore):
-        deprecated = next(
-            t for t in petstore.manifest.tools
-            if t.endpoint.operation_id == "findPetsByTags"
-        )
+        deprecated = tool_named(petstore, "findpetsbytags")
         assert deprecated.description.startswith("[DEPRECATED] ")
 
     def test_description_fallback_is_method_and_path(self):

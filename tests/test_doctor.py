@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from automcp import yamltree
-from automcp.compiler import list_endpoints
+from automcp.compiler import compile_manifest
 from automcp.doctor import (
     PatchEdit,
     _apply_edit,
@@ -334,8 +334,7 @@ class TestLintAgreesWithCompiler:
     def check(self, raw: RawDocument) -> None:
         contract = build_contract(raw)
         try:  # in the pipeline's order
-            extract_security(contract)
-            list_endpoints(contract)
+            compile_manifest(contract, extract_security(contract), base_url="")
             rejected = None
         except SchemeError as exc:
             rejected = str(exc)

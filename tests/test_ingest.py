@@ -301,7 +301,8 @@ class TestNormalize:
             contract, extract_security(contract), resolve_base_url(swagger_doc)
         )
         names = {t.endpoint.path_template: t.tool_name for t in manifest.tools
-                 if t.endpoint.operation_id == "listItems"}
+                 if t.endpoint.path_template in ("/items", "/dup")
+                 and t.endpoint.method == "GET"}
         assert names == {"/items": "listitems", "/dup": "listitems_2"}
 
     def test_undeclared_path_variable_synthesized(self, swagger_doc):

@@ -174,3 +174,31 @@ def test_no_content_carries_no_body(tmp_path):
             assert json.loads(read.read())["tool"] == "readthing"
         finally:
             conn.close()
+
+
+def test_credential_slot_is_checked_beside_the_requirement(tmp_path):
+    """An operation requiring bearer that takes the `api_key` query
+    parameter needs both: the slot's scheme is in its requirement set."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "openapi": "3.0.3", "info": {"title": "T", "version": "1"},
+        "servers": [{"url": "https://t.example"}],
+        "components": {"securitySchemes": {
+            "api_key": {"type": "apiKey", "in": "query", "name": "api_key"},
+            "bearer": {"type": "http", "scheme": "bearer"}}},
+        "paths": {"/things": {"get": {
+            "security": [{"bearer": []}],
+            "parameters": [{"name": "api_key", "in": "query",
+                            "schema": {"type": "string"}}],
+            "responses": {"200": {"description": "ok"}}}}},
+    }), encoding="utf-8")
+    compiled = compile_file(spec)
+    env, creds = sentinel_credentials(compiled)
+    bearer = {"Authorization": f"Bearer {creds['bearer']}"}
+    with run_mock_upstream(compiled.manifest, credentials=creds) as mock:
+        url = f"{mock.base_url}/things"
+        token_only = requests.get(url, headers=bearer, timeout=5)
+        both = requests.get(url, headers=bearer,
+                            params={"api_key": creds["api_key"]}, timeout=5)
+    assert token_only.status_code == 401
+    assert both.status_code == 200

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import shutil
+import ssl
+import subprocess
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from urllib.parse import parse_qs, urlparse
@@ -19,12 +22,15 @@ from automcp.security import OAuth2Flows
 class MockAuthProvider:
     """Token endpoint plus a scripted 'user' that follows the redirect."""
 
-    def __init__(self, code="abc", token="tok-1", refresh=None, token_status=200):
+    def __init__(self, code="abc", token="tok-1", refresh=None, token_status=200,
+                 token_payload=None, tls=None):
         self.code = code
         self.token = token
         self.refresh = refresh
         self.token_status = token_status
+        self.token_payload = token_payload  # a 200 reply's body, as given
         self.token_requests: list[dict] = []
+        self.token_headers: list[dict] = []
         provider = self
 
         class Handler(BaseHTTPRequestHandler):
@@ -35,9 +41,13 @@ class MockAuthProvider:
                 length = int(self.headers.get("Content-Length", 0))
                 form = parse_qs(self.rfile.read(length).decode())
                 provider.token_requests.append({k: v[0] for k, v in form.items()})
+                provider.token_headers.append(dict(self.headers))
                 if provider.token_status != 200:
                     payload = b'{"error":"invalid_grant"}'
                     self.send_response(provider.token_status)
+                elif provider.token_payload is not None:
+                    payload = provider.token_payload
+                    self.send_response(200)
                 else:
                     doc = {"access_token": provider.token}
                     if provider.refresh:
@@ -50,6 +60,13 @@ class MockAuthProvider:
                 self.wfile.write(payload)
 
         self.server = HTTPServer(("127.0.0.1", 0), Handler)
+        self.scheme = "http"
+        if tls is not None:  # (certificate file, key file)
+            context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+            context.load_cert_chain(*tls)
+            self.server.socket = context.wrap_socket(self.server.socket,
+                                                     server_side=True)
+            self.scheme = "https"
         self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
 
     def __enter__(self):
@@ -62,7 +79,8 @@ class MockAuthProvider:
 
     @property
     def token_url(self):
-        return f"http://127.0.0.1:{self.server.server_address[1]}/connect/token"
+        port = self.server.server_address[1]
+        return f"{self.scheme}://127.0.0.1:{port}/connect/token"
 
     def browse(self, auth_url: str) -> None:
         """Act as the resource owner: approve and hit the callback."""
@@ -153,6 +171,59 @@ class TestAuthorizationCode:
                 )
         assert excinfo.value.status == 400
         assert "invalid_grant" in excinfo.value.body
+
+    def test_exchange_sends_no_netrc_login(self, env_file, tmp_path, monkeypatch):
+        home = tmp_path / "home"
+        home.mkdir()
+        netrc = home / ".netrc"
+        netrc.write_text("machine 127.0.0.1 login netrc-user password netrc-pass\n",
+                         encoding="utf-8")
+        netrc.chmod(0o600)
+        monkeypatch.setenv("HOME", str(home))
+        monkeypatch.delenv("NETRC", raising=False)
+        with MockAuthProvider() as provider:
+            acquire_oauth_token(
+                flows_for(provider), "cid", "shh", _free_port(), env_file,
+                "PORTAL_ACCESS_TOKEN", open_browser=provider.browse, timeout=10,
+            )
+        [headers] = provider.token_headers
+        assert "authorization" not in {name.lower() for name in headers}
+        assert provider.token_requests[0]["client_secret"] == "shh"
+
+    @pytest.mark.parametrize("payload", [b"not json", b"7"], ids=["not-json", "number"])
+    def test_reply_without_a_token_object_is_an_exchange_error(
+            self, env_file, payload):
+        with MockAuthProvider(token_payload=payload) as provider:
+            with pytest.raises(ExchangeError) as excinfo:
+                acquire_oauth_token(
+                    flows_for(provider), "cid", "shh", _free_port(), env_file,
+                    "PORTAL_ACCESS_TOKEN", open_browser=provider.browse, timeout=10,
+                )
+        assert excinfo.value.status == 200
+        assert excinfo.value.body == payload.decode()
+
+    @pytest.mark.parametrize("variable", ["SSL_CERT_FILE", "REQUESTS_CA_BUNDLE"])
+    def test_https_trusts_the_configured_ca_bundle(
+            self, env_file, tmp_path, monkeypatch, variable):
+        if shutil.which("openssl") is None:
+            pytest.skip("needs the openssl command to make a certificate")
+        cert, key = tmp_path / "cert.pem", tmp_path / "key.pem"
+        subprocess.run(
+            ["openssl", "req", "-x509", "-newkey", "ec", "-pkeyopt",
+             "ec_paramgen_curve:prime256v1", "-nodes", "-days", "1",
+             "-subj", "/CN=127.0.0.1", "-addext", "subjectAltName=IP:127.0.0.1",
+             "-keyout", str(key), "-out", str(cert)],
+            check=True, capture_output=True,
+        )
+        for name in ("SSL_CERT_FILE", "REQUESTS_CA_BUNDLE"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv(variable, str(cert))
+        with MockAuthProvider(token="tok-tls", tls=(cert, key)) as provider:
+            token = acquire_oauth_token(
+                flows_for(provider), "cid", "shh", _free_port(), env_file,
+                "PORTAL_ACCESS_TOKEN", open_browser=provider.browse, timeout=10,
+            )
+        assert token == "tok-tls"
 
     def test_timeout_without_callback(self, env_file):
         with MockAuthProvider() as provider:
