@@ -10,7 +10,7 @@ from __future__ import annotations
 import copy
 import re
 from dataclasses import dataclass, field
-from typing import Container
+from typing import Iterator, Mapping
 
 from .errors import SchemeError
 from .ingest import api_title, flag, mapping, merge_parameters, operations
@@ -40,14 +40,17 @@ class EndpointDescriptor:
     method: str
     path_template: str
     parameters: list[ParamSpec]
-    request_body_schema: dict | None
-    request_content_type: str | None
+    request_content_type: str | None  # None when there is no request body
     success_status: int
     security: list[dict]  # credential slots folded into every set
 
 
 @dataclass
 class ToolSpec:
+    """One compiled tool. The tools of a manifest may share schema nodes
+    (`compile_manifest` copies each contract node once), so nothing writes
+    to a compiled schema."""
+
     tool_name: str
     description: str
     input_schema: dict
@@ -77,27 +80,28 @@ def compile_manifest(
     ToolSpec per operation, with its name, description, input schema and
     endpoint.
 
-    Path-level parameters are merged into each operation (operation-level
-    wins on a (name, location) collision). A credential slot (see
-    `endpoint_security`) is never a tool argument. The success status is
-    the smallest declared 2xx code, defaulting to 200. Raises SchemeError
+    Each operation's parameters and auth are read by `operation_auth`; a
+    credential slot is never a tool argument. The success status is the
+    smallest declared 2xx code, defaulting to 200. Raises SchemeError
     (class A) when an operation requires a scheme that `schemes` does not
-    hold.
+    hold. Each contract node is copied once, however many tools use it.
     """
     tree = contract.tree
-    declared = {s.id for s in schemes}
-    api_keys = credential_slots(schemes)
+    memo: dict = {}  # one `copy.deepcopy` memo: tools share the copies
     taken: set[str] = set()
     tools: list[ToolSpec] = []
-    for path, item, method, op in operations(tree):
+    for path, method, op, params, security in operation_auth(
+        tree, {s.id: s for s in schemes}
+    ):
+        if isinstance(security, SchemeError):
+            raise security
         request_body = mapping(op, "requestBody")
         body_schema, content_type = _pick_request_body(request_body)
-        params = merge_parameters(parameters(item), parameters(op))
         specs, properties, required = _compile_parameters(
-            params, api_keys, names={"body"} if body_schema is not None else set(),
+            params, memo, names={"body"} if content_type is not None else set(),
         )
-        if body_schema is not None:
-            properties["body"] = copy.deepcopy(body_schema)
+        if content_type is not None:
+            properties["body"] = copy.deepcopy(body_schema, memo)
             if flag(request_body, "required"):
                 required.append("body")
 
@@ -119,55 +123,51 @@ def compile_manifest(
                 method=verb,
                 path_template=path,
                 parameters=specs,
-                request_body_schema=body_schema,
                 request_content_type=content_type,
                 success_status=_pick_success_status(mapping(op, "responses")),
-                security=endpoint_security(op, tree, declared, params, api_keys),
+                security=security,
             ),
         ))
     return ToolManifest(tools=tools, api_title=api_title(tree) or "API",
                         base_url=base_url, schemes=schemes)
 
 
-def credential_slots(schemes: list[SecurityScheme]) -> dict[tuple[str, str], str]:
-    """Each apiKey scheme's id by its parameter's `slot_key`; the first wins."""
-    return {slot_key(s.location, s.parameter_name): s.id
-            for s in reversed(schemes) if s.kind == KIND_API_KEY}
+def operation_auth(tree: dict, schemes: Mapping[str, object]) -> Iterator[tuple]:
+    """(path, method, operation, parameters, auth) for every operation of
+    `tree`, in document order: the one reading of an operation's auth,
+    which compile and lint both iterate. `schemes` maps each declared
+    scheme id to its reading.
 
+    The parameters are the path item's merged into the operation's
+    (`merge_parameters`), each paired with the id of the apiKey scheme
+    whose credential slot it is, else None. The first apiKey scheme sent
+    at a name holds that slot; a header name matches in any case (RFC
+    9110 §5.1). The auth is the requirement sets, the operation's own
+    `security` or else the document's, with each slot's scheme joined to
+    every set (the slots alone when there is none). It is instead the
+    SchemeError (class A) for the first scheme they name that `schemes`
+    does not hold. Scheme names are read as text (`text_keys`).
+    """
+    def slot(location: str, name: str) -> tuple[str, str]:
+        return location, name.lower() if location == "header" else name
 
-def slot_key(location: str, name: str) -> tuple[str, str]:
-    """What a credential slot matches on: a header name case-insensitively
-    (RFC 9110 §5.1), any other name exactly."""
-    return location, name.lower() if location == "header" else name
-
-
-def endpoint_security(op: dict, tree: dict, declared: Container,
-                      params: list[dict], api_keys: dict) -> list[dict]:
-    """The operation's auth, as compile and lint read it: `requirements`,
-    with each credential slot's scheme joined to every set (the slots alone
-    when there is none). A credential slot is one of its merged `params`
-    that `api_keys` (`credential_slots`) holds. Raises as `requirements`."""
-    keys = [slot_key(text(p, "in", "query"), text(p, "name")) for p in params]
-    slots = {api_keys[key]: [] for key in keys if key in api_keys}
-    security = [{**slots, **r} for r in requirements(op, tree, declared)]
-    return security or ([slots] if slots else [])
-
-
-def requirements(op: dict, tree: dict, declared: Container) -> list[dict]:
-    """The requirement sets a call to the operation must meet: its own
-    `security` list, or the document's (`tree`'s) when it has none. The one
-    place requirements are resolved, each scheme name read as text
-    (`text_keys`); raises SchemeError (class A) for the first scheme they
-    name that `declared` does not hold."""
-    security = sequence(op, "security", sequence(tree, "security"))
-    sets = [text_keys(s) for s in security if isinstance(s, dict)]
-    for requirement in sets:
-        for scheme_id in requirement:
-            if scheme_id not in declared:
-                raise SchemeError(
-                    f"operations require scheme {scheme_id!r} but it is not declared"
-                )
-    return sets
+    api_keys = {slot(s.location, s.parameter_name): s.id
+                for s in reversed(list(schemes.values()))
+                if isinstance(s, SecurityScheme) and s.kind == KIND_API_KEY}
+    default = sequence(tree, "security")
+    for path, item, method, op in operations(tree):
+        params = [(p, api_keys.get(slot(text(p, "in", "query"), text(p, "name"))))
+                  for p in merge_parameters(parameters(item), parameters(op))]
+        sets = [text_keys(s) for s in sequence(op, "security", default)
+                if isinstance(s, dict)]
+        undeclared = next((k for s in sets for k in s if k not in schemes), None)
+        if undeclared is not None:
+            yield path, method, op, params, SchemeError(
+                f"operations require scheme {undeclared!r} but it is not declared")
+            continue
+        slots = {scheme_id: [] for _, scheme_id in params if scheme_id is not None}
+        security = [{**slots, **s} for s in sets] or ([slots] if slots else [])
+        yield path, method, op, params, security
 
 
 def derive_tool_name(operation_id: str, method: str, path: str,
@@ -240,26 +240,27 @@ def manifest_to_dict(manifest: ToolManifest, include_bindings: bool = False) -> 
 
 
 def _compile_parameters(
-    params: list[dict], api_keys: dict[tuple[str, str], str], names: set[str]
+    params: list[tuple[dict, str | None]], memo: dict, names: set[str]
 ) -> tuple[list[ParamSpec], dict[str, dict], list[str]]:
-    """The ParamSpecs of an operation's parameters, and the input-schema
+    """The ParamSpecs of an operation's parameters (as `operation_auth`
+    pairs them with their credential slots), and the input-schema
     properties and required names of those that are not credential slots.
-    Each sanitized name is made unique within `names`."""
+    Each sanitized name is made unique within `names`. Schemas are copied
+    through `memo`, each under a top-level dict of its own."""
     specs: list[ParamSpec] = []
     properties: dict[str, dict] = {}
     required: list[str] = []
-    for param in params:
+    for param, slot in params:
         name = text(param, "name")
         location = text(param, "in", "query")
         spec = ParamSpec(name, location,
-                         unique_name(_sanitize_identifier(name) or "param", names),
-                         api_keys.get(slot_key(location, name)))
+                         unique_name(_sanitize_identifier(name) or "param", names), slot)
         specs.append(spec)
         if spec.is_credential:
             continue
-        schema = copy.deepcopy(mapping(param, "schema"))
+        schema = dict(copy.deepcopy(mapping(param, "schema"), memo))
         if "example" in param and "example" not in schema:
-            schema["example"] = copy.deepcopy(param["example"])
+            schema["example"] = copy.deepcopy(param["example"], memo)
         if not schema:
             schema = {"type": "string"}
         description = text(param, "description")

@@ -24,11 +24,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from .compiler import credential_slots, endpoint_security, requirements
+from .compiler import operation_auth
 from .errors import BaseUrlError, NonConvergence, ParseError, PointerError, SchemeError
 from .ingest import DIALECT_2_0, FORMAT_JSON, RawDocument, api_title, mapping
-from .ingest import merge_parameters, normalize, operations, parameters
-from .ingest import resolve_base_url, sequence, swagger_scheme, text, text_keys
+from .ingest import normalize, operations, resolve_base_url, sequence, swagger_scheme
+from .ingest import text, text_keys
 from .refs import FlattenedContract, child_key, escape_token, flatten, pointer_segments
 from .sampling import path_group
 from .security import SecurityScheme, declared_schemes, parse_scheme
@@ -145,7 +145,9 @@ def lint(
 ) -> list[LintFinding]:
     """Scan for the five defect classes. Patch edits target the raw
     (original-dialect) document, not the normalized view. Classes A and E
-    judge the schemes the compiler reads: `contract`'s, by `parse_scheme`."""
+    judge the schemes the compiler reads: `contract`'s, by `parse_scheme`,
+    and each operation's auth as the compiler reads it, in one walk of
+    `operation_auth`."""
     matched_rules = _matching_rules(rules, api_title(raw.tree))
     try:
         container_ptr, declared = declared_schemes(raw.tree, raw.dialect)
@@ -153,15 +155,8 @@ def lint(
     except SchemeError as exc:  # no patch: nothing says what was meant
         findings = [LintFinding("A", exc.pointer, str(exc))]
     else:
-        parsed: dict[str, SecurityScheme | SchemeError] = {}
-        for scheme_id, node in judged.items():
-            try:
-                parsed[scheme_id] = parse_scheme(scheme_id, node)
-            except SchemeError as exc:
-                parsed[scheme_id] = exc
-        findings = _lint_class_a(contract, raw, matched_rules, container_ptr,
-                                 declared, parsed)
-        findings.extend(_lint_class_e(contract, raw, parsed))
+        findings = _lint_auth(contract, raw, matched_rules, container_ptr, declared,
+                              judged)
     findings.extend(_lint_class_b(raw, matched_rules))
     findings.extend(_lint_class_c(matched_rules))
     findings.extend(_lint_class_d(raw, matched_rules))
@@ -169,28 +164,34 @@ def lint(
     return findings
 
 
-def _lint_class_a(contract: FlattenedContract, raw: RawDocument, rules: list[VendorRule],
-                  container_ptr: str, declared: dict, parsed: dict) -> list[LintFinding]:
-    """Undeclared and unusable schemes. `declared` holds the raw document's
-    declarations, at `container_ptr`; `parsed`, the compiler's reading of
-    the contract's (a SchemeError when it rejects one)."""
-    # each operation's first undeclared scheme, as the compiler resolves
-    # requirements; no patch: nothing says how that credential is sent
-    undeclared: set[str] = set()
-    for _, _, _, op in operations(contract.tree):
+def _lint_auth(contract: FlattenedContract, raw: RawDocument, rules: list[VendorRule],
+               container_ptr: str, declared: dict, judged: dict) -> list[LintFinding]:
+    """Classes A and E. `declared` holds the raw document's scheme
+    declarations, at `container_ptr`, and `judged` the contract's. Class
+    A: each of `judged` that `parse_scheme` rejects, and each operation's
+    first undeclared scheme, with no patch: nothing says how that
+    credential is sent. Class E: the other operations' auth, in sibling
+    groups."""
+    parsed: dict[str, SecurityScheme | SchemeError] = {}
+    findings = []
+    for scheme_id, node in judged.items():
         try:
-            requirements(op, contract.tree, parsed)
+            parsed[scheme_id] = parse_scheme(scheme_id, node)
         except SchemeError as exc:
-            undeclared.add(str(exc))
-    findings = [LintFinding("A", container_ptr, m) for m in sorted(undeclared)]
-
-    for scheme_id, scheme in parsed.items():
-        if isinstance(scheme, SchemeError):
+            parsed[scheme_id] = exc
             ptr = f"{container_ptr}/{escape_token(scheme_id)}"
-            raw_node = mapping(declared, scheme_id)
-            location, edits = _scheme_repair(raw, ptr, raw_node, rules)
-            findings.append(LintFinding("A", location, str(scheme), edits))
-    return findings
+            location, edits = _scheme_repair(raw, ptr, mapping(declared, scheme_id), rules)
+            findings.append(LintFinding("A", location, str(exc), edits))
+    undeclared: set[str] = set()
+    groups: dict[str, list[tuple[str, str, list[dict], bool]]] = {}
+    for path, method, op, _, auth in operation_auth(contract.tree, parsed):
+        if isinstance(auth, SchemeError):
+            undeclared.add(str(auth))
+        else:
+            public = sequence(op, "security", None) == []
+            groups.setdefault(path_group(path), []).append((path, method, auth, public))
+    findings += [LintFinding("A", container_ptr, m) for m in sorted(undeclared)]
+    return findings + _lint_class_e(raw, groups, parsed)
 
 
 def _scheme_repair(
@@ -393,26 +394,14 @@ def _check_path_param_type(
     )
 
 
-def _lint_class_e(contract: FlattenedContract, raw: RawDocument,
+def _lint_class_e(raw: RawDocument, groups: dict[str, list[tuple]],
                   parsed: dict) -> list[LintFinding]:
-    """Operations with no auth among siblings (`path_group`) that have
-    some, each operation's auth read by the compiler's `endpoint_security`
-    (`parsed` as `_lint_class_a` takes it); `security: []` marks one public.
-    There is no edit where the raw document has no such operation."""
-    if not parsed:
-        return []  # nothing declared: no operation has auth to copy
-    api_keys = credential_slots(
-        [s for s in parsed.values() if isinstance(s, SecurityScheme)])
-    groups: dict[str, list[tuple[str, str, list[dict], bool]]] = {}
-    for path, item, method, op in operations(contract.tree):
-        params = merge_parameters(parameters(item), parameters(op))
-        try:
-            security = endpoint_security(op, contract.tree, parsed, params, api_keys)
-        except SchemeError:
-            continue  # class A reports it
-        public = sequence(op, "security", None) == []
-        groups.setdefault(path_group(path), []).append((path, method, security, public))
-
+    """Operations with no auth among siblings that have some. `groups`
+    holds (path, method, auth, public) for each operation whose auth the
+    compiler reads, by `path_group`; `security: []` marks one public.
+    `parsed` holds the compiler's reading of each declared scheme (a
+    SchemeError when it rejects one). There is no edit where the raw
+    document has no such operation."""
     raw_paths = text_keys(mapping(raw.tree, "paths"))
     findings: list[LintFinding] = []
     for group, ops in groups.items():

@@ -143,11 +143,11 @@ class MockUpstream:
         path = parsed.path
         query = {k: v[0] for k, v in parse_qs(parsed.query).items()}
         headers = {k: v for k, v in request.headers.items()}
-        length = int(headers.get("Content-Length", 0) or 0)
+        length = int(request.headers.get("Content-Length", 0) or 0)  # names in any case
         raw_body = request.rfile.read(length) if length else b""
         body: object = None
         if raw_body:
-            content_type = headers.get("Content-Type", "")
+            content_type = request.headers.get("Content-Type", "")
             if "application/x-www-form-urlencoded" in content_type:
                 pairs = parse_qs(raw_body.decode("utf-8", "replace"))
                 body = {k: v[0] for k, v in pairs.items()}

@@ -278,16 +278,16 @@ def invoke_tool(
 
     plan = resolve_auth(ep.security, schemes, env, bindings)
     plan = merge_extra_headers(plan, env)
-    plan_cookie = plan.headers.pop("Cookie", None)
-    if plan_cookie:
-        cookies.append(plan_cookie)  # merge auth cookies with cookie params
+    # merge auth and EXTRA_HEADERS cookies, by any name case, with cookie params
+    plan_cookies = [plan.headers.pop(n) for n in list(plan.headers) if n.lower() == "cookie"]
+    cookies += [cookie for cookie in plan_cookies if cookie]
     headers.update(plan.headers)
     if cookies:
         headers["Cookie"] = "; ".join(cookies)
     query.update(plan.query)
 
     body_kwargs: dict = {}
-    if ep.request_body_schema is not None and "body" in args:
+    if ep.request_content_type is not None and "body" in args:
         content_type = ep.request_content_type or "application/json"
         if content_type == "application/x-www-form-urlencoded" and isinstance(
             args["body"], dict
@@ -385,6 +385,10 @@ class _Writer:
 
     def send(self, message: dict) -> None:
         line = json.dumps(message, ensure_ascii=False)
+        try:
+            line.encode()
+        except UnicodeEncodeError:  # a lone surrogate: send it as a \u escape
+            line = json.dumps(message)
         with self._lock:
             self._stream.write(line + "\n")
             self._stream.flush()

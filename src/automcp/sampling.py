@@ -67,7 +67,7 @@ def endpoint_axes(tool: ToolSpec, scheme_kinds: dict[str, str]) -> tuple[str, fr
     if not auth:
         auth.add(KIND_NONE)
     modalities = {p.location for p in ep.parameters}
-    if ep.request_body_schema is not None:
+    if ep.request_content_type is not None:
         modalities.add(MODALITY_BODY)
     return ep.method, frozenset(auth), frozenset(modalities)
 

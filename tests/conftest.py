@@ -139,7 +139,6 @@ def random_manifest(rng, max_groups: int = 4, max_endpoints: int = 28) -> ToolMa
             method=verb,
             path_template=path,
             parameters=params,
-            request_body_schema={"type": "object"} if has_body else None,
             request_content_type="application/json" if has_body else None,
             success_status=200,
             security=security,

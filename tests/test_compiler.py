@@ -348,6 +348,41 @@ class TestCompileManifest:
         for entry in payload:
             assert set(entry) == {"name", "description", "inputSchema"}
 
+    def test_a_shared_model_is_copied_once(self):
+        """Operations that `$ref` one model share one copy of it, not the
+        contract's node. A parameter's schema keeps a top-level dict of its
+        own, which compile adds `example` and `description` to."""
+        body = {"content": {"application/json": {
+            "schema": {"$ref": "#/components/schemas/Pet"}}}}
+        tag = {"name": "tag", "in": "query",
+               "schema": {"$ref": "#/components/schemas/Tag"}}
+        ok = {"200": {"description": "ok"}}
+        tree = {
+            "openapi": "3.0.3", "info": {"title": "T", "version": "1"},
+            "components": {"schemas": {
+                "Tag": {"type": "object", "properties": {"name": {"type": "string"}}},
+                "Pet": {"type": "object",
+                        "properties": {"tag": {"$ref": "#/components/schemas/Tag"}}},
+            }},
+            "paths": {
+                "/pets": {"post": {"requestBody": body, "responses": ok,
+                                   "parameters": [{**tag, "example": {"name": "a"}}]}},
+                "/pets/{id}": {"put": {"requestBody": body, "responses": ok,
+                                       "parameters": [tag]}},
+            },
+        }
+        contract = build_contract(RawDocument(Path("mem.json"), "json", "openapi_3_x", tree))
+        post, put = compile_manifest(contract, [], base_url="").tools
+        first, second = (t.input_schema["properties"] for t in (post, put))
+        assert first["body"] is second["body"]
+        node = contract.tree["paths"]["/pets"]["post"]["requestBody"]["content"][
+            "application/json"]["schema"]
+        assert first["body"] == node and first["body"] is not node
+        assert first["tag"] is not second["tag"]
+        assert first["tag"]["properties"] is second["tag"]["properties"]
+        assert first["tag"]["properties"] is first["body"]["properties"]["tag"]["properties"]
+        assert first["tag"]["example"] == {"name": "a"} and "example" not in second["tag"]
+
 
 def _swagger(paths: dict, **top) -> dict:
     return {"swagger": "2.0", "info": {"title": "T", "version": "1"},

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from automcp import yamltree
+from automcp import compiler, doctor, yamltree
 from automcp.compiler import compile_manifest
 from automcp.doctor import (
     PatchEdit,
@@ -498,6 +498,25 @@ class TestLintAgreesWithCompiler:
         raw = _one_scheme_doc(dialect, node)
         [finding] = lint(build_contract(raw), raw)
         assert finding.lint_class == "A" and finding.edits == []
+
+    def test_one_pass_reads_each_operations_auth_once(self, monkeypatch):
+        """Classes A and E share one walk over the contract's operations."""
+        tree = copy.deepcopy(load_document(DEFECTS / "class_e.json").tree)
+        first = next(iter(tree["paths"].values()))
+        next(iter(first.values()))["security"] = [{"ghost": []}]
+        raw = mem_doc(tree)
+        contract = build_contract(raw)
+        assert contract.tree is not raw.tree
+        walks = []
+        for module in (compiler, doctor):
+            def operations(tree, module=module, real=module.operations):
+                if tree is contract.tree:
+                    walks.append(module.__name__)
+                return real(tree)
+            monkeypatch.setattr(module, "operations", operations)
+        classes = {f.lint_class for f in lint(contract, raw)}
+        assert {"A", "E"} <= classes
+        assert walks == ["automcp.compiler"]
 
 class TestPatchSufficiency:
     @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import http.client
 import json
 
+import pytest
 import requests
 
 from automcp.mock_upstream import ENFORCE_GLOBAL, run_mock_upstream
@@ -202,3 +203,36 @@ def test_credential_slot_is_checked_beside_the_requirement(tmp_path):
                             params={"api_key": creds["api_key"]}, timeout=5)
     assert token_only.status_code == 401
     assert both.status_code == 200
+
+
+@pytest.mark.parametrize("case", [str.title, str.lower, str.upper])
+def test_body_headers_are_read_in_any_case(tmp_path, case):
+    """Content-Type and Content-Length match in any case (RFC 9110 §5.1);
+    the record keeps the names as sent, and so does the cookie check."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "openapi": "3.0.3", "info": {"title": "T", "version": "1"},
+        "servers": [{"url": "https://t.example"}],
+        "components": {"securitySchemes": {
+            "ck": {"type": "apiKey", "in": "cookie", "name": "sid"}}},
+        "security": [{"ck": []}],
+        "paths": {"/forms": {"post": {
+            "requestBody": {"content": {"application/x-www-form-urlencoded": {
+                "schema": {"type": "object"}}}},
+            "responses": {"201": {"description": "ok"}}}}},
+    }), encoding="utf-8")
+    headers = {case("content-type"): "application/x-www-form-urlencoded",
+               case("content-length"): "3", case("cookie"): "sid=s3cret"}
+    with run_mock_upstream(compile_file(spec).manifest,
+                           credentials={"ck": "s3cret"}) as mock:
+        conn = http.client.HTTPConnection("127.0.0.1", mock.port, timeout=5)
+        try:
+            conn.request("POST", "/forms", body=b"a=1", headers=headers)
+            response = conn.getresponse()
+            response.read()
+        finally:
+            conn.close()
+        record = mock.last_record()
+    assert response.status == 201
+    assert record.body == {"a": "1"}
+    assert {k: record.headers[k] for k in headers} == headers

@@ -424,6 +424,33 @@ class TestInvokeTool:
         assert "flavor=oat" in record.headers["Cookie"]
         assert f"session={creds['ck']}" in record.headers["Cookie"]
 
+    @pytest.mark.parametrize("name", ["Cookie", "cookie", "COOKIE"])
+    def test_extra_cookie_joins_the_cookie_params_in_any_case(self, tmp_path, name):
+        """EXTRA_HEADERS overrides the auth cookie by any name case (RFC 9110
+        §5.1), and what it sets is sent beside the cookie parameters."""
+        spec = tmp_path / "cj.json"
+        spec.write_text(json.dumps({
+            "openapi": "3.0.0", "info": {"title": "CookieJar", "version": "1"},
+            "servers": [{"url": "https://cj.example"}],
+            "components": {"securitySchemes": {
+                "ck": {"type": "apiKey", "in": "cookie", "name": "session"}}},
+            "security": [{"ck": []}],
+            "paths": {"/jar": {"get": {
+                "parameters": [{"name": "lang", "in": "cookie",
+                                "schema": {"type": "string"}}],
+                "responses": {"200": {"description": "ok"}}}}},
+        }), encoding="utf-8")
+        compiled = compile_file(spec)
+        env, _ = sentinel_credentials(compiled)
+        env["EXTRA_HEADERS"] = json.dumps({name: "x=1"})
+        with run_mock_upstream(compiled.manifest) as mock:
+            invoke_tool(compiled.manifest.tools[0], {"lang": "en"}, env, mock.base_url,
+                        compiled.manifest.schemes, compiled.bindings)
+            record = mock.last_record()
+        assert [(k, v) for k, v in record.headers.items() if k.lower() == "cookie"] == [
+            ("Cookie", "lang=en; x=1")
+        ]
+
     def test_2_0_ref_body_parameter_is_sent_as_the_body(self, tmp_path):
         spec = tmp_path / "legacy.json"
         spec.write_text(json.dumps({
@@ -712,6 +739,54 @@ class TestServe:
             responses = run_serve(trello, env, requests_lines)
         ids = [r["id"] for r in responses]
         assert sorted(ids) == list(range(20))
+
+
+def serve_utf8(manifest, lines: list[str]) -> list[bytes]:
+    """`serve`'s output lines, written through a strict UTF-8 stream."""
+    out = io.BytesIO()
+    stdout = io.TextIOWrapper(out, encoding="utf-8", errors="strict", newline="\n")
+    serve(manifest, {}, stdin=io.StringIO("".join(line + "\n" for line in lines)),
+          stdout=stdout, timeout=5)
+    stdout.flush()
+    return out.getvalue().splitlines()
+
+
+class TestLoneSurrogates:
+    """A lone surrogate is valid JSON (RFC 8259 §8.2) but no UTF-8 text:
+    such a line goes out with `\\u` escapes, and every other line keeps
+    its bytes."""
+
+    def test_ping_id_is_answered(self, trello):
+        lines = serve_utf8(trello.manifest, [
+            '{"jsonrpc": "2.0", "id": "\\ud800", "method": "ping"}',
+            '{"jsonrpc": "2.0", "id": "\u00e9", "method": "ping"}',
+        ])
+        assert lines == [
+            b'{"jsonrpc": "2.0", "id": "\\ud800", "result": {}}',
+            '{"jsonrpc": "2.0", "id": "\u00e9", "result": {}}'.encode(),
+        ]
+
+    def test_upstream_body_is_answered(self, tmp_path):
+        spec = tmp_path / "echo.json"
+        spec.write_text(json.dumps({
+            "openapi": "3.0.3", "info": {"title": "Echo", "version": "1"},
+            "servers": [{"url": "https://echo.example"}],
+            "paths": {"/notes": {"post": {
+                "operationId": "add_note",
+                "requestBody": {"content": {"application/json": {
+                    "schema": {"type": "object"}}}},
+                "responses": {"201": {"description": "created"}}}}},
+        }), encoding="utf-8")
+        manifest = compile_file(spec).manifest
+        call = {"jsonrpc": "2.0", "id": 1, "method": "tools/call", "params": {
+            "name": "add_note", "arguments": {"body": {"text": "\ud800"}}}}
+        with run_mock_upstream(manifest) as mock:
+            manifest.base_url = mock.base_url
+            [line] = serve_utf8(manifest, [json.dumps(call)])
+        response = json.loads(line.decode("utf-8"))
+        assert response["id"] == 1 and response["result"]["isError"] is False
+        created = json.loads(response["result"]["content"][0]["text"])["created"]
+        assert created["text"] == "\ud800"
 
 
 def test_bindings_rederived_from_manifest(trello_manifest=None):
