@@ -9,7 +9,8 @@
 # under tests/fixtures, each defect spec under tests/fixtures/defects
 # (compiled with --fix and the vendor rules), and the benchmark's
 # generated specs at seed 1 (perfbench/specgen.py: the 500-op spec as
-# JSON and as YAML, the diamond and the cyclic spec). For each spec OUT
+# JSON, as block YAML and as flow-style YAML, the 1000-op spec as
+# flow-style YAML, the diamond and the cyclic spec). For each spec OUT
 # holds `generate --emit-stub`'s files (manifest, stub.json, .env
 # template, launch config, and the repaired copy and diff of a defect
 # spec) and `lint --rules`'s JSON. A lint exit other than 0 or 4 fails
@@ -42,12 +43,19 @@ python - "$specs" <<'PY'
 import json, sys
 from pathlib import Path
 
+import yaml
+
 sys.path.insert(0, "perfbench")
 from specgen import crud_spec, cyclic_spec, diamond_spec, to_yaml
 
 out = Path(sys.argv[1])
 crud = crud_spec(1, 500)
 (out / "generated500.json").write_text(json.dumps(crud, indent=2), encoding="utf-8")
+# Flow-style leaves put many brackets in shallow text; the 1000-op spec
+# has more than 2,000, which once sent it to the pure-Python YAML loader.
+for name, tree in (("generated500-flow", crud), ("generated1000-flow", crud_spec(1, 1000))):
+    (out / f"{name}.yaml").write_text(
+        yaml.safe_dump(tree, default_flow_style=None), encoding="utf-8")
 for name, tree in (("generated500", crud), ("diamond", diamond_spec(1)),
                    ("cyclic", cyclic_spec(1))):
     (out / f"{name}.yaml").write_text(to_yaml(tree), encoding="utf-8")

@@ -30,6 +30,7 @@ from .errors import (
     ParseError,
     nesting_guard,
 )
+from .jsonout import dumps
 from .pipeline import compile_file
 from .sampling import DEFAULT_THRESHOLD, sample
 
@@ -141,17 +142,11 @@ def cmd_generate(cfg: argparse.Namespace) -> int:
         print(f"repaired spec written to {repaired}", file=sys.stderr)
 
     (out / "manifest.json").write_text(
-        json.dumps(manifest_to_dict(compiled.manifest), indent=2, ensure_ascii=False)
-        + "\n",
-        encoding="utf-8",
+        dumps(manifest_to_dict(compiled.manifest), indent=2) + "\n", encoding="utf-8"
     )
     if cfg.emit_stub:
         (out / "stub.json").write_text(
-            json.dumps(
-                manifest_to_dict(compiled.manifest, include_bindings=True),
-                indent=2,
-                ensure_ascii=False,
-            )
+            dumps(manifest_to_dict(compiled.manifest, include_bindings=True), indent=2)
             + "\n",
             encoding="utf-8",
         )
@@ -160,7 +155,9 @@ def cmd_generate(cfg: argparse.Namespace) -> int:
     if env_file.exists():
         print(f"{env_file} already exists; leaving it untouched", file=sys.stderr)
     else:
-        env_file.write_text(compiled.env_template, encoding="utf-8")
+        # a lone surrogate in the title goes out as a `\u` escape
+        env_file.write_text(compiled.env_template, encoding="utf-8",
+                            errors="backslashreplace")
 
     slug = compiled.manifest.api_title.lower().replace(" ", "-") or "api"
     launch = {
@@ -243,7 +240,7 @@ def cmd_lint(cfg: argparse.Namespace) -> int:
             repaired, diff_file = _write_repair(report, cfg.spec, out_dir)
             payload["repaired_spec"] = str(repaired)
             payload["diff_file"] = str(diff_file)
-        print(json.dumps(payload, indent=2, ensure_ascii=False))
+        print(dumps(payload, indent=2))
         return _lint_exit(report.residual_advisories)
 
     contract = flatten(raw.tree)
@@ -255,7 +252,7 @@ def cmd_lint(cfg: argparse.Namespace) -> int:
         "counts_by_class": dict(Counter(f.lint_class for f in findings)),
         "clean": not findings,
     }
-    print(json.dumps(payload, indent=2, ensure_ascii=False))
+    print(dumps(payload, indent=2))
     return _lint_exit(findings)
 
 
@@ -287,5 +284,5 @@ def _lint_exit(findings: list) -> int:
 def cmd_sample(cfg: argparse.Namespace) -> int:
     compiled = compile_file(cfg.spec)
     report = sample(compiled.manifest, threshold=cfg.threshold)
-    print(json.dumps(report.to_dict(), indent=2, ensure_ascii=False))
+    print(dumps(report.to_dict(), indent=2))
     return EXIT_OK

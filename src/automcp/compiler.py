@@ -20,7 +20,9 @@ from .security import KIND_API_KEY, SecurityScheme, unique_name
 
 TOOL_NAME_MAX = 64
 
+_SEPARATOR_RE = re.compile(r"[/\-.\s]+")
 _IDENT_RE = re.compile(r"[^a-z0-9_]+")
+_UNDERSCORES_RE = re.compile(r"_{2,}")
 
 
 @dataclass
@@ -297,9 +299,9 @@ def _pick_media_type(content: dict) -> str | None:
 
 
 def _sanitize_identifier(text: str) -> str:
-    text = re.sub(r"[/\-.\s]+", "_", str(text).lower())
+    text = _SEPARATOR_RE.sub("_", str(text).lower())
     text = _IDENT_RE.sub("", text)
-    text = re.sub(r"_{2,}", "_", text).strip("_")
+    text = _UNDERSCORES_RE.sub("_", text).strip("_")
     if text and text[0].isdigit():
         text = "_" + text
     return text

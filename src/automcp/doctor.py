@@ -29,6 +29,7 @@ from .errors import BaseUrlError, NonConvergence, ParseError, PointerError, Sche
 from .ingest import DIALECT_2_0, FORMAT_JSON, RawDocument, api_title, mapping
 from .ingest import normalize, operations, resolve_base_url, sequence, swagger_scheme
 from .ingest import text, text_keys
+from .jsonout import dumps
 from .refs import FlattenedContract, child_key, escape_token, flatten, pointer_segments
 from .sampling import path_group
 from .security import SecurityScheme, declared_schemes, parse_scheme
@@ -453,7 +454,7 @@ def apply_patch(raw: RawDocument, edits: list[PatchEdit]) -> RawDocument:
 
 def render_document(tree: dict, fmt: str) -> str:
     if fmt == FORMAT_JSON:
-        return json.dumps(tree, indent=2, ensure_ascii=False) + "\n"
+        return dumps(tree, indent=2) + "\n"
     import yaml
 
     return yaml.safe_dump(tree, sort_keys=False, allow_unicode=True)

@@ -34,6 +34,7 @@ from .errors import (
     SchemaViolation,
     TransportError,
 )
+from .jsonout import dumps
 from .security import (
     EnvBinding,
     KIND_API_KEY,
@@ -384,11 +385,7 @@ class _Writer:
         self._lock = threading.Lock()
 
     def send(self, message: dict) -> None:
-        line = json.dumps(message, ensure_ascii=False)
-        try:
-            line.encode()
-        except UnicodeEncodeError:  # a lone surrogate: send it as a \u escape
-            line = json.dumps(message)
+        line = dumps(message)
         with self._lock:
             self._stream.write(line + "\n")
             self._stream.flush()

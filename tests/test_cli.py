@@ -12,6 +12,7 @@ import pytest
 
 from automcp import pipeline
 from automcp.cli import main
+from automcp.compiler import manifest_to_dict
 from automcp.doctor import load_vendor_rules
 from automcp.errors import NestingError
 from automcp.pipeline import compile_file
@@ -276,6 +277,49 @@ class TestLint:
         assert code == 0
         assert "EXTRA_HEADERS" in out
         assert "Sync-Version" in out
+
+
+class TestLoneSurrogates:
+    """A lone surrogate is valid JSON (RFC 8259 §8.2) but no UTF-8 text:
+    a file or stdout that would hold one gets `\\u` escapes instead, and
+    every other output keeps its bytes."""
+
+    def spec(self, tmp_path, odd: str) -> Path:
+        path = tmp_path / "odd.json"
+        path.write_text(json.dumps({
+            "openapi": "3.0.3", "info": {"title": f"T{odd}", "version": "1"},
+            "servers": [{"url": "https://x.example"}],
+            "components": {"securitySchemes": {
+                "k": {"type": "apiKey", "in": "header", "name": "X-Key"}}},
+            "paths": {f"/a{odd}": {
+                "get": {"operationId": "get_a", "summary": f"a{odd}b",
+                        "security": [{"k": []}],
+                        "responses": {"200": {"description": "ok"}}},
+                "post": {"operationId": "post_a",
+                         "responses": {"200": {"description": "ok"}}}}},
+        }), encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("odd", ["\ud800", "\u00e9"])
+    def test_generate_writes_every_file(self, tmp_path, odd):
+        out = tmp_path / "out"
+        assert run_cli(["generate", self.spec(tmp_path, odd), "--emit-stub",
+                        "--out", out]) == 0
+        manifest = compile_file(tmp_path / "odd.json").manifest
+        for name, bindings in (("manifest.json", False), ("stub.json", True)):
+            tree = manifest_to_dict(manifest, include_bindings=bindings)
+            text = json.dumps(tree, indent=2, ensure_ascii=odd != "\u00e9") + "\n"
+            assert (out / name).read_bytes() == text.encode()
+            assert json.loads((out / name).read_text(encoding="utf-8")) == tree
+        assert f"T{odd}".encode("utf-8", "backslashreplace") in (out / ".env").read_bytes()
+
+    @pytest.mark.parametrize("odd", ["\ud800", "\u00e9"])
+    def test_lint_prints_its_findings(self, tmp_path, capsys, odd):
+        assert run_cli(["lint", self.spec(tmp_path, odd)]) == 4
+        out = capsys.readouterr().out
+        assert (odd == "\u00e9") == (odd in out)
+        [finding] = json.loads(out)["findings"]
+        assert finding["location"] == f"#/paths/~1a{odd}/post"
 
 
 def _op(**extra) -> dict:

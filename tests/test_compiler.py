@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from automcp.compiler import (
+    _sanitize_identifier,
     compile_manifest,
     derive_tool_name,
     manifest_to_dict,
@@ -119,6 +120,29 @@ class TestDeriveToolName:
         second = derive_tool_name("get.items", "get", "/users/{id}", taken)
         assert first == "get_items"
         assert second == "get_items_2"
+
+    @pytest.mark.parametrize("text, expected", [
+        ("a\u00a0b", "a_b"),
+        ("tab\tand\u2003em\u3000ideo", "tab_and_em_ideo"),
+        ("line\u2028sep", "line_sep"),
+        ("x\x85y", "x_y"),
+        ("v1.2.3", "v1_2_3"),
+        ("get-user-by-id", "get_user_by_id"),
+        ("/users/{id}", "users_id"),
+        ("a___b", "a_b"),
+        ("__x__", "x"),
+        ("a_-_b", "a_b"),
+        ("a - b", "a_b"),
+        ("GetUser", "getuser"),
+        ("Straße", "strae"),
+        ("3d-model", "_3d_model"),
+        ("42", "_42"),
+        ("!!!", ""),
+        ("ÄÖü", ""),
+        ("", ""),
+    ])
+    def test_sanitize_identifier(self, text, expected):
+        assert _sanitize_identifier(text) == expected
 
     def test_random_operation_ids_stay_unique_and_valid(self):
         rng = random.Random(99)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import json
 import re
+import time
 
 import pytest
 import yaml
@@ -465,19 +466,82 @@ class TestYamlLoaders:
         assert yamltree._nesting_bound(text) >= collection_depth(loaded)
 
     def test_text_that_may_nest_deeply_skips_libyaml(self, monkeypatch):
+        """The event walk counts open collections, and text that nests
+        past `_LIBYAML_MAX_DEPTH` goes to the pure loader, never to the
+        fast loader's `yaml.load`."""
         used = []
+        loaders = []
+        load = yaml.load
 
         class SpyLoader(yaml.SafeLoader):
             def __init__(self, stream):
                 used.append(stream)
                 super().__init__(stream)
 
+        def spy_load(stream, Loader):
+            loaders.append(Loader)
+            return load(stream, Loader=Loader)
+
         monkeypatch.setattr(yamltree, "_FastLoader", SpyLoader)
+        monkeypatch.setattr(yaml, "load", spy_load)
         assert yamltree._load_yaml("a: [1, {b: 2}]\n") == {"a": [1, {"b": 2}]}
-        assert len(used) == 1
+        assert len(used) == 1 and loaders == []
         with pytest.raises(RecursionError):
-            yamltree._load_yaml("- " * yamltree._LIBYAML_MAX_DEPTH + "x\n")
-        assert len(used) == 1
+            yamltree._load_yaml("- " * (yamltree._LIBYAML_MAX_DEPTH + 1) + "x\n")
+        assert len(used) == 2 and loaders == [yaml.SafeLoader]
+
+    @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
+                        reason="PyYAML built without libyaml")
+    @pytest.mark.parametrize("text", [
+        "a: !foo x\nb: " + "[" * 2001 + "]" * 2001 + "\n",
+        "? [k]\n: " + "[" * 2001 + "]" * 2001 + "\n",
+        "a: 1\n---\n" + "- " * 2001 + "x\n",
+    ], ids=["unknown-tag", "collection-key", "second-document"])
+    def test_fallback_keeps_the_bound(self, text, monkeypatch):
+        """What the walk leaves to PyYAML's constructor goes to libyaml's
+        recursive composer only if the rest of the stream is shallow."""
+        loaders = []
+        load = yaml.load
+
+        def spy_load(stream, Loader):
+            loaders.append(Loader)
+            return load(stream, Loader=Loader)
+
+        monkeypatch.setattr(yaml, "load", spy_load)
+        with pytest.raises((RecursionError, yaml.YAMLError)):
+            yamltree._load_yaml(text)
+        assert loaders == [yaml.SafeLoader]
+
+    @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
+                        reason="PyYAML built without libyaml")
+    def test_deep_flow_text_stops_at_the_bound(self, monkeypatch):
+        """libyaml's event stream slows quadratically with depth (about 7 s
+        for 40,000 levels), so the walk must stop reading at the bound."""
+        events = []
+
+        class CountingLoader(yaml.CSafeLoader):
+            def get_event(self):
+                events.append(None)
+                return super().get_event()
+
+        monkeypatch.setattr(yamltree, "_FastLoader", CountingLoader)
+        start = time.monotonic()
+        with pytest.raises(RecursionError):
+            yamltree._load_yaml("[" * 100_000)
+        assert time.monotonic() - start < 20
+        assert len(events) == yamltree._LIBYAML_MAX_DEPTH + 3  # stream, document
+
+    @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
+                        reason="PyYAML built without libyaml")
+    @pytest.mark.parametrize("text", [
+        "- " * 2000 + "x\n", "[" * 2000 + "]" * 2000 + "\n",
+    ], ids=["block", "flow"])
+    def test_document_at_the_bound_is_built_from_events(self, text, monkeypatch):
+        monkeypatch.setattr(yaml, "load", refuse)
+        node, depth = yamltree._load_yaml(text), 0
+        while isinstance(node, list):
+            node, depth = (node[0] if node else None), depth + 1
+        assert depth == yamltree._LIBYAML_MAX_DEPTH
 
     @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
                         reason="PyYAML built without libyaml")
@@ -576,6 +640,9 @@ YAML_SNIPPETS = {
     "sequence-root": "- 1\n- [2, {c: d}]\n",
     "parse-error": "a: [1, 2\nb: }\n",
     "leading-bom": "\ufeffa: 1\n",
+    "plain-and-quoted": "a: yes\nb: 'yes'\nc: yes\nd: '1'\ne: 1\nf: \"1\"\ng: 1\n",
+    "anchored-repeated-plain": "a: 1\nb: &n 1\nc: *n\nd: 1\ne: [&t yes, yes, *t]\n",
+    "bang-tag": "a: ! yes\nb: yes\nc: ! 'yes'\nd: ! 12\ne: '12'\n",
 }
 # Left to PyYAML's own constructor (or, for a parse error, its pure loader)
 FALLS_BACK = {
@@ -619,6 +686,19 @@ class TestTreeFromEvents:
         if name not in FALLS_BACK:
             monkeypatch.setattr(yaml, "load", refuse)
         assert load_outcome(yamltree._load_yaml, text) == expected
+
+    def test_flow_style_text_is_built_from_events(self, monkeypatch):
+        """Many `[`/`{` in shallow text: `_nesting_bound` counts brackets,
+        not depth, and must not send such text to the pure loader."""
+        text = yaml.safe_dump(
+            {"paths": {f"/p{i}": {"get": {"tags": [f"t{i}"], "responses": {
+                "200": {"description": "ok"}}}} for i in range(1000)}},
+            default_flow_style=None)
+        assert yamltree._nesting_bound(text) > yamltree._LIBYAML_MAX_DEPTH
+        assert "{" in text and "[" in text
+        expected = shape(libyaml_load(text))
+        monkeypatch.setattr(yaml, "load", refuse)
+        assert shape(yamltree._load_yaml(text)) == expected
 
     @given(yaml_values, st.sampled_from([False, True, None]), st.integers(2, 5))
     def test_dumped_value_loads_to_libyamls_tree(self, value, flow_style, indent):
