@@ -11,8 +11,15 @@ def dumps(value: object, indent: int | None = None) -> str:
     cannot encode: then the same value with every non-ASCII character as
     a `\\u` escape."""
     text = json.dumps(value, indent=indent, ensure_ascii=False)
+    if encodes(text):
+        return text
+    return json.dumps(value, indent=indent)
+
+
+def encodes(text: str) -> bool:
+    """Whether `text` encodes as UTF-8: whether it holds no lone surrogate."""
     try:
         text.encode()
     except UnicodeEncodeError:
-        return json.dumps(value, indent=indent)
-    return text
+        return False
+    return True

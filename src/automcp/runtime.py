@@ -4,7 +4,14 @@
 against the upstream base URL. Upstream calls may overlap (a small worker
 pool), but every write to the output stream goes through one lock, so
 each emitted line is exactly one complete JSON-RPC message. Credential
-values never appear on the stdio channel or in logs.
+values never appear on the stdio channel or in logs. Every request with
+an allowed id (a string, a number or null) gets exactly one line; any
+other id is answered once, with a null id.
+
+The `tools/list` result is encoded once per session, at the first
+`tools/list`, not at start-up, so `initialize` does no extra work. Each
+reply splices its request's id into that text, byte for byte the line
+that encoding the whole reply would give.
 
 `requests` is imported by the first `tools/call`, not at start-up, so
 `initialize` and `tools/list` are answered without loading an HTTP
@@ -18,6 +25,7 @@ from __future__ import annotations
 import base64
 import json
 import logging
+import math
 import sys
 import threading
 import traceback
@@ -34,7 +42,7 @@ from .errors import (
     SchemaViolation,
     TransportError,
 )
-from .jsonout import dumps
+from .jsonout import dumps, encodes
 from .security import (
     EnvBinding,
     KIND_API_KEY,
@@ -385,10 +393,50 @@ class _Writer:
         self._lock = threading.Lock()
 
     def send(self, message: dict) -> None:
-        line = dumps(message)
+        self.write(dumps(message))
+
+    def write(self, line: str) -> None:
+        """Write one encoded JSON-RPC message as one line."""
         with self._lock:
             self._stream.write(line + "\n")
             self._stream.flush()
+
+
+# `dumps` of a tools/list reply, with its id and tools text spliced in
+_TOOLS_LIST_LINE = '{"jsonrpc": "2.0", "id": %s, "result": {"tools": %s}}'
+
+
+class _Session:
+    """The state of one `serve` call. The manifest never changes while it
+    runs, so the `tools/list` result is encoded once, at the session's
+    first `tools/list`, and each reply splices its id into that text."""
+
+    def __init__(self, manifest: ToolManifest, env: dict[str, str],
+                 writer: _Writer, pool: ThreadPoolExecutor, timeout: float) -> None:
+        self.manifest = manifest
+        self.env = env
+        self.bindings = bindings_for(manifest)
+        self.writer = writer
+        self.pool = pool
+        self.timeout = timeout
+        # the tools array as `dumps` writes it (None if no UTF-8 can hold
+        # it), and the same `\u`-escaped: set at the first `tools/list`
+        self._tools: tuple[str | None, str] | None = None
+
+    def tools_list_line(self, msg_id) -> str:
+        """`dumps({"jsonrpc": "2.0", "id": msg_id, "result": {"tools":
+        tools_list_payload(manifest)}})`, byte for byte: when the id or the
+        tools text will not encode as UTF-8, the whole line is escaped."""
+        if self._tools is None:
+            payload = tools_list_payload(self.manifest)
+            text = json.dumps(payload, ensure_ascii=False)
+            self._tools = (text if encodes(text) else None,
+                           text if text.isascii() else json.dumps(payload))
+        text, escaped = self._tools
+        id_text = json.dumps(msg_id, ensure_ascii=False)
+        if text is not None and encodes(id_text):
+            return _TOOLS_LIST_LINE % (id_text, text)
+        return _TOOLS_LIST_LINE % (json.dumps(msg_id), escaped)
 
 
 def serve(
@@ -408,8 +456,8 @@ def serve(
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
     writer = _Writer(stdout)
-    bindings = bindings_for(manifest)
     pool = ThreadPoolExecutor(max_workers=_CALL_WORKERS)
+    session = _Session(manifest, env, writer, pool, timeout)
     try:
         for line in stdin:
             line = line.strip()
@@ -420,28 +468,36 @@ def serve(
             except (ValueError, RecursionError):
                 writer.send(_error_response(None, _RPC_PARSE_ERROR, "parse error"))
                 continue
-            if not isinstance(message, dict) or not isinstance(
-                message.get("method"), str
-            ):
-                writer.send(
-                    _error_response(
-                        message.get("id") if isinstance(message, dict) else None,
-                        _RPC_INVALID_PARAMS,
-                        "not a JSON-RPC request",
-                    )
-                )
+            well_formed = isinstance(message, dict) and _is_id(message.get("id"))
+            if well_formed and isinstance(message.get("method"), str):
+                _dispatch(session, message)
                 continue
-            _dispatch(message, manifest, env, bindings, writer, pool, timeout)
+            writer.send(
+                _error_response(
+                    message.get("id") if well_formed else None,
+                    _RPC_INVALID_PARAMS,
+                    "not a JSON-RPC request",
+                )
+            )
     finally:
         pool.shutdown(wait=True)
 
 
-def _dispatch(message, manifest, env, bindings, writer, pool, timeout) -> None:
+def _is_id(value) -> bool:
+    """JSON-RPC 2.0 §4: an id is a string, a number or null. A bool is no
+    number, and neither are NaN and the infinities, which JSON cannot hold;
+    such an id is never echoed."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return value is None or (isinstance(value, (str, int)) and not isinstance(value, bool))
+
+
+def _dispatch(session: _Session, message: dict) -> None:
     method = message["method"]
     params = message.get("params") or {}
     if "id" in message:
         def reply(response: dict) -> None:
-            writer.send({"jsonrpc": "2.0", "id": message["id"], **response})
+            session.writer.send({"jsonrpc": "2.0", "id": message["id"], **response})
     else:  # a notification is never answered
         def reply(response: dict) -> None:
             pass
@@ -456,61 +512,66 @@ def _dispatch(message, manifest, env, bindings, writer, pool, timeout) -> None:
                 "result": {
                     "protocolVersion": version,
                     "capabilities": {"tools": {}},
-                    "serverInfo": {"name": manifest.api_title, "version": _version},
+                    "serverInfo": {"name": session.manifest.api_title, "version": _version},
                 },
             }
         )
     elif method == "ping":
         reply({"result": {}})
     elif method == "tools/list":
-        reply({"result": {"tools": tools_list_payload(manifest)}})
+        if "id" in message:
+            session.writer.write(session.tools_list_line(message["id"]))
     elif method == "tools/call":
         if not isinstance(params, dict) or not isinstance(params.get("name"), str):
             reply(_error(_RPC_INVALID_PARAMS, "params must carry a tool `name`"))
             return
-        tool = manifest.tool(params["name"])
+        tool = session.manifest.tool(params["name"])
         if tool is None:
             reply(_error(_RPC_INVALID_PARAMS, f"unknown tool {params['name']!r}"))
             return
         arguments = params.get("arguments") or {}
-        pool.submit(
-            _run_call, tool, arguments, manifest, env, bindings, reply, timeout
-        )
-    elif not method.startswith("notifications/"):
+        session.pool.submit(_run_call, session, tool, arguments, reply)
+    else:  # `notifications/...` with an id too: a request is always answered
         reply(_error(_RPC_METHOD_NOT_FOUND, f"unknown method {method!r}"))
 
 
-def _run_call(tool, arguments, manifest, env, bindings, reply, timeout) -> None:
+def _run_call(session: _Session, tool: ToolSpec, arguments, reply) -> None:
+    """Answer one `tools/call` exactly once: with its result, or with one
+    `-32603` error if building or writing that reply raises."""
     try:
-        result = invoke_tool(
-            tool, arguments, env, manifest.base_url, manifest.schemes,
-            bindings, timeout=timeout,
-        )
-        if result.is_error:
-            payload = json.dumps(
-                {"httpStatus": result.http_status, "body": result.body},
-                ensure_ascii=False,
-            )
-        else:
-            payload = json.dumps(result.body, ensure_ascii=False)
-        response = {
-            "content": [{"type": "text", "text": payload}],
-            "isError": result.is_error,
-        }
-    except (SchemaViolation, MissingCredential, TransportError) as exc:
-        response = {
-            "content": [{"type": "text", "text": f"{exc.__class__.__name__}: {exc}"}],
-            "isError": True,
-        }
+        reply({"result": _call_result(session, tool, arguments)})
     except Exception as exc:  # noqa: BLE001 - surface as protocol error
-        detail = _redact(str(exc), _bound_secrets(manifest.schemes, bindings, env))
+        secrets = _bound_secrets(session.manifest.schemes, session.bindings, session.env)
+        detail = _redact(str(exc), secrets)
         # frames only: logger.exception would repeat the unredacted message
         logger.error("tool call %s failed unexpectedly: %s: %s\n%s",
                      tool.tool_name, exc.__class__.__name__, detail,
                      "".join(traceback.format_tb(exc.__traceback__)).rstrip())
         reply(_error(_RPC_INTERNAL, detail))
-        return
-    reply({"result": response})
+
+
+def _call_result(session: _Session, tool: ToolSpec, arguments) -> dict:
+    try:
+        result = invoke_tool(
+            tool, arguments, session.env, session.manifest.base_url,
+            session.manifest.schemes, session.bindings, timeout=session.timeout,
+        )
+    except (SchemaViolation, MissingCredential, TransportError) as exc:
+        return {
+            "content": [{"type": "text", "text": f"{exc.__class__.__name__}: {exc}"}],
+            "isError": True,
+        }
+    if result.is_error:
+        payload = json.dumps(
+            {"httpStatus": result.http_status, "body": result.body},
+            ensure_ascii=False,
+        )
+    else:
+        payload = json.dumps(result.body, ensure_ascii=False)
+    return {
+        "content": [{"type": "text", "text": payload}],
+        "isError": result.is_error,
+    }
 
 
 def _error(code: int, message: str) -> dict:

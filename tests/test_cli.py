@@ -869,6 +869,23 @@ class TestServeSubprocess:
         assert response["result"]["isError"] is True
         assert "MissingCredential" in response["result"]["content"][0]["text"]
 
+    def test_deeply_nested_id_is_answered_with_null(self, tmp_path):
+        # json.loads accepts an id nested 985 deep, which no reply can echo
+        env_file = tmp_path / ".env"
+        env_file.write_text("", encoding="utf-8")
+        proc = self.spawn(fixture_path("allauth.yaml"), env_file)
+        deep = "[" * 985 + "]" * 985
+        lines = ['{"jsonrpc": "2.0", "id": %s, "method": "%s", "params": '
+                 '{"name": "listgadgets", "arguments": {}}}' % (deep, method)
+                 for method in ("ping", "tools/list", "tools/call")]
+        lines.append('{"jsonrpc": "2.0", "id": 2, "method": "ping"}')
+        out, err = proc.communicate("\n".join(lines) + "\n", timeout=30)
+        assert proc.returncode == 0, err
+        invalid = {"jsonrpc": "2.0", "id": None, "error": {
+            "code": -32602, "message": "not a JSON-RPC request"}}
+        assert [json.loads(line) for line in out.splitlines()] == [
+            invalid, invalid, invalid, {"jsonrpc": "2.0", "id": 2, "result": {}}]
+
     def test_stdout_carries_only_json(self, tmp_path):
         env_file = tmp_path / ".env"
         env_file.write_text("EXTRA_HEADERS=\n", encoding="utf-8")

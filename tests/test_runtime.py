@@ -10,17 +10,20 @@ import logging
 
 import pytest
 
+from automcp.compiler import tools_list_payload
 from automcp.errors import (
     ExtraHeadersParseError,
     MissingCredential,
     SchemaViolation,
     TransportError,
 )
+from automcp.jsonout import dumps
 from automcp.mock_upstream import run_mock_upstream
 from automcp.pipeline import compile_file
 from automcp.runtime import (
     AuthPlan,
     _redact,
+    _Writer,
     bindings_for,
     invoke_tool,
     merge_extra_headers,
@@ -740,6 +743,61 @@ class TestServe:
         ids = [r["id"] for r in responses]
         assert sorted(ids) == list(range(20))
 
+    @pytest.mark.parametrize("method", ["ping", "tools/list", "tools/call"])
+    @pytest.mark.parametrize("id_text", [
+        "true", "false", "[1]", '{"a": 1}', "NaN", "-Infinity",
+        "[" * 900 + "]" * 900,  # test_cli: 985 deep, where it killed serve
+    ], ids=["true", "false", "array", "object", "nan", "-inf", "nested-900"])
+    def test_id_json_rpc_forbids_is_answered_once_with_null(self, trello, method,
+                                                             id_text):
+        lines = ['{"jsonrpc": "2.0", "id": %s, "method": "%s", "params": '
+                 '{"name": "get_user", "arguments": {}}}' % (id_text, method),
+                 '{"jsonrpc": "2.0", "id": 2, "method": "ping"}']
+        stdout = io.StringIO()
+        serve(trello.manifest, {}, stdin=io.StringIO("\n".join(lines) + "\n"),
+              stdout=stdout, timeout=5)
+        assert stdout.getvalue().splitlines() == [
+            '{"jsonrpc": "2.0", "id": null, "error": '
+            '{"code": -32602, "message": "not a JSON-RPC request"}}',
+            '{"jsonrpc": "2.0", "id": 2, "result": {}}',
+        ]
+
+    def test_request_named_like_a_notification_is_answered(self, trello):
+        responses = run_serve(
+            trello, {},
+            [{"jsonrpc": "2.0", "id": 6, "method": "notifications/initialized"}],
+        )
+        assert responses == [{"jsonrpc": "2.0", "id": 6, "error": {
+            "code": -32601, "message": "unknown method 'notifications/initialized'"}}]
+
+    def test_call_whose_reply_write_fails_is_answered_once(self, trello, monkeypatch,
+                                                           caplog):
+        write = _Writer.write
+        failures = []
+
+        def write_failing_once(self, line):
+            if '"id": 5, "result"' in line and not failures:
+                failures.append(line)
+                raise OSError("stdout said no")
+            write(self, line)
+
+        monkeypatch.setattr(_Writer, "write", write_failing_once)
+        responses = run_serve(
+            trello, {},
+            [{"jsonrpc": "2.0", "id": 5, "method": "tools/call",  # a SchemaViolation
+              "params": {"name": "get_user", "arguments": {"bogus": True}}},
+             {"jsonrpc": "2.0", "id": 6, "method": "ping"}],
+        )
+        assert len(failures) == 1
+        assert sorted(responses, key=lambda r: r["id"]) == [
+            {"jsonrpc": "2.0", "id": 5,
+             "error": {"code": -32603, "message": "stdout said no"}},
+            {"jsonrpc": "2.0", "id": 6, "result": {}},
+        ]
+        logged = "\n".join(r.getMessage() for r in caplog.records)
+        assert "get_user failed unexpectedly: OSError: stdout said no" in logged
+        assert "in write_failing_once" in logged
+
 
 def serve_utf8(manifest, lines: list[str]) -> list[bytes]:
     """`serve`'s output lines, written through a strict UTF-8 stream."""
@@ -787,6 +845,35 @@ class TestLoneSurrogates:
         assert response["id"] == 1 and response["result"]["isError"] is False
         created = json.loads(response["result"]["content"][0]["text"])["created"]
         assert created["text"] == "\ud800"
+
+
+class TestToolsListLine:
+    """`serve` encodes the tools once per session and splices each id in;
+    every line is still `dumps` of the whole reply, byte for byte."""
+
+    @pytest.mark.parametrize("description", ["Get a user", "a user, \u00e9",
+                                             "a user \ud800"])
+    def test_lines_are_the_reference_encoding(self, trello, description):
+        trello.manifest.tools[-1].description = description
+        ids = ["\u00e9", None, 2.5, 1, -0.0, 10**20, "\ud800", "x"]
+        lines = [json.dumps({"jsonrpc": "2.0", "id": msg_id, "method": "tools/list"})
+                 for msg_id in ids]
+        stdout = io.StringIO()
+        serve(trello.manifest, {}, stdin=io.StringIO("\n".join(lines) + "\n"),
+              stdout=stdout)
+        tools = tools_list_payload(trello.manifest)
+        assert stdout.getvalue().splitlines() == [
+            dumps({"jsonrpc": "2.0", "id": msg_id, "result": {"tools": tools}})
+            for msg_id in ids
+        ]
+
+    def test_each_session_lists_its_manifest_as_it_is(self, trello):
+        request = [{"jsonrpc": "2.0", "id": 1, "method": "tools/list"}]
+        before = run_serve(trello, {}, request)[0]["result"]["tools"]
+        trello.manifest.tools[0].description = "changed between sessions"
+        after = run_serve(trello, {}, request)[0]["result"]["tools"]
+        assert before[0]["description"] != "changed between sessions"
+        assert after[0]["description"] == "changed between sessions"
 
 
 def test_bindings_rederived_from_manifest(trello_manifest=None):
