@@ -10,11 +10,16 @@
 # (compiled with --fix and the vendor rules), and the benchmark's
 # generated specs at seed 1 (perfbench/specgen.py: the 500-op spec as
 # JSON, as block YAML and as flow-style YAML, the 1000-op spec as
-# flow-style YAML, the diamond and the cyclic spec). For each spec OUT
-# holds `generate --emit-stub`'s files (manifest, stub.json, .env
-# template, launch config, and the repaired copy and diff of a defect
-# spec) and `lint --rules`'s JSON. A lint exit other than 0 or 4 fails
-# the script. The work happens under fixed paths in TMPDIR, so paths
+# flow-style YAML, the diamond and the cyclic spec). Two generated specs
+# with gaps are compiled with --fix and the vendor rules as well: the
+# 500-op spec as JSON with class E gaps, whose repairs are spliced, and a
+# small YAML spec whose class B repair lands under an alias, so the whole
+# document is rendered. For each spec OUT holds `generate --emit-stub`'s
+# files (manifest, stub.json, .env template, launch config, and the
+# repaired copy and diff of a defect spec) and `lint --rules`'s JSON; for
+# the two specs with gaps also `lint --fix --rules`'s JSON, which holds
+# the changed-line counts. A lint exit other than 0 or 4 fails the
+# script. The work happens under fixed paths in TMPDIR, so paths
 # written into the artifacts are the same on every run.
 set -euo pipefail
 
@@ -25,6 +30,9 @@ work="${TMPDIR:-/tmp}/automcp-compile-artifacts"
 specs="${TMPDIR:-/tmp}/automcp-generated-specs"
 rm -rf "$work" "$specs"
 mkdir -p "$work" "$specs"
+gaps="${TMPDIR:-/tmp}/automcp-generated-gap-specs"
+rm -rf "$gaps"
+mkdir -p "$gaps"
 
 automcp() { PYTHONPATH="$src" python -m automcp "$@"; }
 
@@ -68,6 +76,53 @@ done
 for spec in tests/fixtures/defects/*.json tests/fixtures/defects/*.yaml; do
   [ "$(basename "$spec")" = reference_counts.json ] && continue
   compile_and_lint "$spec" "$work/defects/$(basename "$spec")" --fix --rules "$rules"
+done
+
+python - "$gaps" <<'PY'
+import json, sys
+from pathlib import Path
+
+sys.path.insert(0, "perfbench")
+from specgen import crud_spec
+
+out = Path(sys.argv[1])
+# class E: no document-level auth, and each bearer resource's delete
+# without the security its siblings declare
+crud = crud_spec(1, 500)
+del crud["security"]
+for item in crud["paths"].values():
+    if "security" in item.get("delete", {}):
+        del item["delete"]["security"]
+(out / "generated500-gaps.json").write_text(json.dumps(crud, indent=2), encoding="utf-8")
+(out / "alias-gaps.yaml").write_text("""\
+openapi: 3.0.3
+info: {title: Alias Gaps, version: '1'}
+x-base: &base {url: '{{root}}'}
+servers:
+  - *base
+components:
+  securitySchemes:
+    bearer: {type: http, scheme: bearer}
+paths:
+  /notes:
+    get:
+      security: [{bearer: []}]
+      responses: {'200': {description: ok}}
+    post:
+      responses: {'201': {description: created}}
+""", encoding="utf-8")
+PY
+
+for spec in "$gaps"/*; do
+  dir="$work/gaps/$(basename "$spec")"
+  compile_and_lint "$spec" "$dir" --fix --rules "$rules"
+  code=0
+  automcp lint "$spec" --fix --rules "$rules" --out "$dir/lint-fix" > "$dir/lint-fix.json" \
+    || code=$?
+  if [ "$code" -ne 0 ] && [ "$code" -ne 4 ]; then
+    echo "lint --fix $spec exited $code" >&2
+    exit 1
+  fi
 done
 
 rm -rf "$out"

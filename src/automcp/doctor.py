@@ -13,6 +13,8 @@ splices the same edits into the source text (`splice`), so the repaired
 copy is the author's file with only the repair changed. The tree-level
 result is the oracle: where the spliced text does not read back to it,
 or there is no source text, the repaired tree is rendered canonically.
+Either way `splice.unified_diff` writes the diff, from the changed runs
+that the changed-line counts come from.
 """
 
 from __future__ import annotations
@@ -509,38 +511,6 @@ def _apply_edit(tree: dict, edit: PatchEdit, copied: set[int]) -> None:
         raise PointerError(edit.pointer, "parent is a scalar")
 
 
-def _unified_diff(before: str, after: str, name: str) -> str:
-    import difflib
-
-    lines = difflib.unified_diff(
-        before.splitlines(),
-        after.splitlines(),
-        fromfile=name,
-        tofile=f"{name} (patched)",
-        lineterm="",
-    )
-    return "\n".join(lines)
-
-
-def _count_changed_lines(before: str, after: str) -> int:
-    """Lines touched by the patch: a replacement counts once, pure
-    insertions and deletions count per line."""
-    import difflib
-
-    matcher = difflib.SequenceMatcher(
-        a=before.splitlines(), b=after.splitlines(), autojunk=False
-    )
-    changed = 0
-    for op, i1, i2, j1, j2 in matcher.get_opcodes():
-        if op == "replace":
-            changed += max(i2 - i1, j2 - j1)
-        elif op == "delete":
-            changed += i2 - i1
-        elif op == "insert":
-            changed += j2 - j1
-    return changed
-
-
 # -- fix loop ------------------------------------------------------------------
 
 
@@ -585,14 +555,16 @@ def fix_loop(raw: RawDocument, rules: list[VendorRule] | None = None) -> FixRepo
     the changed lines per class come from those splices. When an edit has
     no place in the text, the text does not read back to the patched tree,
     or the document has no text, the original and repaired trees are
-    rendered canonically instead and diffed whole; the report says so in
+    rendered canonically instead and diffed whole, by the one
+    `difflib.SequenceMatcher` that `difflib.unified_diff` would run, so the
+    changed lines are those the diff shows. The report says so in
     `whole_document_render`, and shares the changed lines out among the
     classes by their edits.
 
     Raises NonConvergence when patchable findings remain after
     MAX_FIX_ITERATIONS iterations.
     """
-    from .splice import SourceText, Unplaceable
+    from .splice import SourceText, Unplaceable, unified_diff
 
     report = FixReport(document=raw)
     source = SourceText(raw.text, raw.format) if raw.text is not None else None
@@ -633,12 +605,19 @@ def fix_loop(raw: RawDocument, rules: list[VendorRule] | None = None) -> FixRepo
         report.loc_changed_by_class = dict.fromkeys(edits_by_class, 0)
         report.loc_changed_by_class.update(source.changed_lines_by_class())
     else:
+        import difflib
+
         report.whole_document_render = True
-        before = render_document(raw.tree, raw.format)
         report.text = render_document(report.document.tree, raw.format)
-        report.diff = _unified_diff(before, report.text, name)
+        before = render_document(raw.tree, raw.format).splitlines()
+        after = report.text.splitlines()
+        # the matcher `difflib.unified_diff` runs; a changed run counts its longer side
+        blocks = [(i1, i2, j1, j2) for tag, i1, i2, j1, j2
+                  in difflib.SequenceMatcher(None, before, after).get_opcodes()
+                  if tag != "equal"]
+        report.diff = unified_diff(before, after, blocks, name, f"{name} (patched)")
         report.loc_changed_by_class = _apportion(
-            _count_changed_lines(before, report.text), edits_by_class
+            sum(max(i2 - i1, j2 - j1) for i1, i2, j1, j2 in blocks), edits_by_class
         )
     report.total_loc_changed = sum(report.loc_changed_by_class.values())
     report.document = dataclasses.replace(report.document, text=report.text)

@@ -281,26 +281,6 @@ def evaluate_spec_file(
         mock.stop()
 
 
-def aggregate_reports(reports: list[EvalReport]) -> dict:
-    """Corpus-level rollup: per-API pass rates plus the aggregate."""
-    total = sum(r.total for r in reports)
-    passed = sum(r.passed for r in reports)
-    return {
-        "apis": {
-            r.api_title: {
-                "passed": r.passed,
-                "total": r.total,
-                "pass_rate": round(r.pass_rate, 4),
-                "manifest_loaded": r.manifest_loaded,
-            }
-            for r in reports
-        },
-        "passed": passed,
-        "total": total,
-        "pass_rate": round(passed / total, 4) if total else 0.0,
-    }
-
-
 def synth_args(tool: ToolSpec) -> dict:
     """Deterministic sample arguments straight from the input schema.
 

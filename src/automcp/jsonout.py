@@ -16,10 +16,11 @@ def dumps(value: object, indent: int | None = None) -> str:
     return json.dumps(value, indent=indent)
 
 
-def encodes(text: str) -> bool:
-    """Whether `text` encodes as UTF-8: whether it holds no lone surrogate."""
+def encodes(text: str, codec: str = "utf-8") -> bool:
+    """Whether `text` encodes in `codec`; as UTF-8, whether it holds no
+    lone surrogate."""
     try:
-        text.encode()
+        text.encode(codec)
     except UnicodeEncodeError:
         return False
     return True

@@ -185,6 +185,11 @@ def parse_extra_headers(raw: str) -> dict[str, str]:
         raise ExtraHeadersParseError(
             "EXTRA_HEADERS must be a JSON object of string -> string"
         )
+    for name, value in parsed.items():  # as http.client writes a header
+        if not (encodes(name, "ascii") and encodes(value, "latin-1")):
+            raise ExtraHeadersParseError(
+                f"EXTRA_HEADERS entry {name!r} needs an ASCII name and a Latin-1 value"
+            )
     return parsed
 
 
@@ -271,19 +276,17 @@ def invoke_tool(
             raise SchemaViolation(f"missing path parameter {param.name!r}")
         else:
             continue
+        arg = param.sanitized_name
         if param.location == "path":
             path = path.replace(
-                "{%s}" % param.name, quote(_scalar(value), safe="")
+                "{%s}" % param.name, quote(_sendable(arg, _scalar(value)), safe="")
             )
         elif param.location == "query":
-            if isinstance(value, list):  # sent as repeated keys
-                query[param.name] = [_scalar(v) for v in value if v is not None]
-            elif value is not None:
-                query[param.name] = _scalar(value)
+            _add_field(query, param.name, value, arg)
         elif param.location == "header":
-            headers[param.name] = _scalar(value)
+            headers[param.name] = _sendable(arg, _scalar(value), "latin-1")
         elif param.location == "cookie":
-            cookies.append(f"{param.name}={_scalar(value)}")
+            cookies.append(f"{param.name}={_sendable(arg, _scalar(value), 'latin-1')}")
 
     plan = resolve_auth(ep.security, schemes, env, bindings)
     plan = merge_extra_headers(plan, env)
@@ -301,11 +304,14 @@ def invoke_tool(
         if content_type == "application/x-www-form-urlencoded" and isinstance(
             args["body"], dict
         ):
-            body_kwargs["data"] = args["body"]
+            form: dict[str, object] = {}
+            for name, value in args["body"].items():
+                _add_field(form, _sendable("body", name), value, "body")
+            body_kwargs["data"] = form
         elif "json" in content_type:
-            body_kwargs["json"] = args["body"]
+            body_kwargs["json"] = args["body"]  # written as ASCII JSON
         else:
-            body_kwargs["data"] = _scalar(args["body"])
+            body_kwargs["data"] = _sendable("body", _scalar(args["body"]))
         # the declared media type, unless a header (a parameter, say) sets one
         if not any(name.lower() == "content-type" for name in headers):
             headers["Content-Type"] = content_type
@@ -328,7 +334,7 @@ def invoke_tool(
     if "json" in content_type:
         try:
             body = response.json()
-        except ValueError:
+        except (ValueError, RecursionError):  # not JSON, or nested too deep
             body = response.text
     else:
         body = response.text
@@ -357,6 +363,24 @@ def _scalar(value) -> str:
     if isinstance(value, (dict, list)):
         return json.dumps(value)
     return str(value)
+
+
+def _add_field(fields: dict[str, object], name: str, value, arg: str) -> None:
+    """A query or form field as it is sent: each value through `_scalar`,
+    a list as repeated keys, None left out."""
+    if isinstance(value, list):
+        fields[name] = [_sendable(arg, _scalar(v)) for v in value if v is not None]
+    elif value is not None:
+        fields[name] = _sendable(arg, _scalar(value))
+
+
+def _sendable(arg: str, text: str, codec: str = "utf-8") -> str:
+    """`text`, checked to encode in the codec its place in the request
+    takes: UTF-8 in a path, query or body, Latin-1 in a header. Raises
+    SchemaViolation naming the argument `arg`, never its value."""
+    if not encodes(text, codec):
+        raise SchemaViolation(f"argument {arg!r} cannot be sent as {codec} text")
+    return text
 
 
 def _bound_secrets(

@@ -9,7 +9,9 @@ value is written on one line: as JSON in a JSON document, and otherwise
 as YAML, in flow style where it is a collection. Each line of the text
 remembers the original line it still is, or the lint class whose edit
 wrote it; the changed-line counts and the unified diff come from that
-record, not from diffing the whole text.
+record, not from diffing the whole text. `unified_diff` is the one hunk
+writer: `doctor.fix_loop`'s whole-document fallback passes it a
+`difflib.SequenceMatcher`'s changed runs instead.
 
 An edit with no safe place raises `Unplaceable`. The caller keeps the
 tree-level edit as the oracle: it loads the spliced text and renders the
@@ -391,32 +393,40 @@ class SourceText:
         return counts
 
     def unified_diff(self, fromfile: str, tofile: str) -> str:
-        """The unified diff from the original text to the current one, in
-        difflib's format (three lines of context, no line terminators)."""
-        old, new = self.original.splitlines(), self.text.splitlines()
-        hunks: list[list[tuple[int, int, int, int]]] = []
-        for block in self._blocks():
-            if hunks and block[0] - hunks[-1][-1][1] <= 2 * _DIFF_CONTEXT:
-                hunks[-1].append(block)
-            else:
-                hunks.append([block])
-        if not hunks:
-            return ""
-        lines = [f"--- {fromfile}", f"+++ {tofile}"]
-        for hunk in hunks:
-            i1 = max(0, hunk[0][0] - _DIFF_CONTEXT)
-            j1 = hunk[0][2] - (hunk[0][0] - i1)
-            i2 = min(len(old), hunk[-1][1] + _DIFF_CONTEXT)
-            j2 = hunk[-1][3] + (i2 - hunk[-1][1])
-            lines.append(f"@@ -{_hunk_range(i1, i2)} +{_hunk_range(j1, j2)} @@")
-            i = i1
-            for b_i1, b_i2, b_j1, b_j2 in hunk:
-                lines += [" " + line for line in old[i:b_i1]]
-                lines += ["-" + line for line in old[b_i1:b_i2]]
-                lines += ["+" + line for line in new[b_j1:b_j2]]
-                i = b_i2
-            lines += [" " + line for line in old[i:i2]]
-        return "\n".join(lines)
+        """The unified diff from the original text to the current one."""
+        return unified_diff(self.original.splitlines(), self.text.splitlines(),
+                            self._blocks(), fromfile, tofile)
+
+
+def unified_diff(old: list[str], new: list[str], blocks: list[tuple[int, int, int, int]],
+                 fromfile: str, tofile: str) -> str:
+    """The unified diff from `old` to `new` whose changed runs are
+    `blocks`, (i1, i2, j1, j2) in order, in difflib's format (three lines
+    of context, no line terminators): over a `difflib.SequenceMatcher`'s
+    non-`equal` opcodes, byte for byte `difflib.unified_diff`."""
+    hunks: list[list[tuple[int, int, int, int]]] = []
+    for block in blocks:
+        if hunks and block[0] - hunks[-1][-1][1] <= 2 * _DIFF_CONTEXT:
+            hunks[-1].append(block)
+        else:
+            hunks.append([block])
+    if not hunks:
+        return ""
+    lines = [f"--- {fromfile}", f"+++ {tofile}"]
+    for hunk in hunks:
+        i1 = max(0, hunk[0][0] - _DIFF_CONTEXT)
+        j1 = hunk[0][2] - (hunk[0][0] - i1)
+        i2 = min(len(old), hunk[-1][1] + _DIFF_CONTEXT)
+        j2 = hunk[-1][3] + (i2 - hunk[-1][1])
+        lines.append(f"@@ -{_hunk_range(i1, i2)} +{_hunk_range(j1, j2)} @@")
+        i = i1
+        for b_i1, b_i2, b_j1, b_j2 in hunk:
+            lines += [" " + line for line in old[i:b_i1]]
+            lines += ["-" + line for line in old[b_i1:b_i2]]
+            lines += ["+" + line for line in new[b_j1:b_j2]]
+            i = b_i2
+        lines += [" " + line for line in old[i:i2]]
+    return "\n".join(lines)
 
 
 def _hunk_range(start: int, stop: int) -> str:

@@ -410,6 +410,17 @@ class TestExitCodes:
         )
         assert run_cli(["generate", spec, "--out", tmp_path / "out"]) == 2
 
+    @pytest.mark.parametrize("extra", ['{"X-Lang": "\u65e5\u672c"}',
+                                       '{"X-\u65e5": "ja"}'], ids=["value", "name"])
+    def test_extra_headers_http_cannot_carry_is_2_at_start(self, tmp_path, capsys,
+                                                           monkeypatch, extra):
+        monkeypatch.delenv("EXTRA_HEADERS", raising=False)
+        env_file = tmp_path / ".env"
+        env_file.write_text(f"EXTRA_HEADERS={extra}\n", encoding="utf-8")
+        assert run_cli(["serve", fixture_path("petstore.json"), "--env", env_file]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: EXTRA_HEADERS entry") and "ja" not in line
+
     @pytest.mark.parametrize("command", ["lint", "generate"])
     @pytest.mark.parametrize(
         "text",

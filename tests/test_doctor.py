@@ -8,7 +8,7 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from automcp import compiler, doctor, yamltree
@@ -26,7 +26,7 @@ from automcp.errors import NonConvergence, PointerError, SchemeError
 from automcp.ingest import RawDocument, load_document
 from automcp.refs import escape_token, pointer_lookup
 from automcp.security import extract_security
-from automcp.splice import SourceText
+from automcp.splice import SourceText, unified_diff
 from conftest import DEFECTS, build_contract, changed_line_count, fixture_path
 
 
@@ -843,6 +843,88 @@ class TestSourceText:
         assert report.document.tree["x-base"] == {"url": "{{root}}"}
         assert report.document.tree["servers"] == [{"url": "https://api.example.com"}]
         assert raw.tree["servers"][0] is raw.tree["x-base"] == {"url": "{{root}}"}
+
+
+# -- one hunk writer for every diff --------------------------------------------
+
+diff_lines = st.sampled_from(["a", "b", "c", "  d: 1", ""])
+
+
+@st.composite
+def line_list_pairs(draw):
+    """Old lines, repeated up to eight times so that a list over 200
+    lines puts difflib's autojunk to work, and new lines made from them
+    by a few replaced slices (none: an empty diff)."""
+    old = draw(st.lists(diff_lines, max_size=40)) * draw(st.integers(1, 8))
+    new = list(old)
+    for _ in range(draw(st.integers(0, 5))):
+        i = draw(st.integers(0, len(new)))
+        j = draw(st.integers(i, min(len(new), i + 5)))
+        new[i:j] = draw(st.lists(diff_lines, max_size=4))
+    return old, new
+
+
+def changed_runs(old: list[str], new: list[str]) -> list[tuple[int, int, int, int]]:
+    return [(i1, i2, j1, j2) for tag, i1, i2, j1, j2
+            in difflib.SequenceMatcher(None, old, new).get_opcodes() if tag != "equal"]
+
+
+BIG_OLD = ["x", "y: 1", "z"] * 80
+
+
+class TestOneDiff:
+    @settings(max_examples=300, deadline=None)
+    @given(line_list_pairs())
+    @example(([], []))
+    @example((["a"], ["a"]))
+    @example((BIG_OLD, BIG_OLD[:100] + ["w"] + BIG_OLD[103:]))
+    def test_hunk_writer_over_a_matchers_runs_is_difflibs(self, pair):
+        old, new = pair
+        assert unified_diff(old, new, changed_runs(old, new), "a", "b") == "\n".join(
+            difflib.unified_diff(old, new, fromfile="a", tofile="b", lineterm=""))
+
+    def test_big_example_puts_autojunk_to_work(self):
+        assert difflib.SequenceMatcher(None, BIG_OLD, BIG_OLD).bpopular
+
+    @pytest.mark.parametrize("kind", ["no-text", "alias"])
+    def test_whole_document_fallback_counts_the_lines_its_diff_shows(self, tmp_path,
+                                                                       kind):
+        """Over 200 rendered lines: the count is the changed lines of the
+        one diff, and that diff is difflib's over the two renderings."""
+        paths = {
+            f"/r{k}": {
+                "get": {"security": [{"bearer": []}],
+                        "responses": {"200": {"description": "ok"}}},
+                "post": {"responses": {"201": {"description": "created"}}},
+            }
+            for k in range(30)
+        }
+        tree = {
+            "openapi": "3.0.0", "info": {"title": "Gaps", "version": "1"},
+            "servers": [{"url": "https://gaps.example"}],
+            "components": {"securitySchemes": {
+                "bearer": {"type": "http", "scheme": "bearer"}}},
+            "paths": paths,
+        }
+        if kind == "no-text":
+            raw = mem_doc(tree)
+        else:  # the class B repair lands under an alias
+            import yaml
+
+            del tree["servers"]
+            raw = write_spec(tmp_path, "gaps.yaml", (
+                "x-base: &base {url: '{{root}}'}\n"
+                "servers:\n  - *base\n" + yaml.safe_dump(tree, sort_keys=False)))
+        report = fix_loop(raw)
+        assert report.whole_document_render is True
+        assert report.findings_by_class["E"] == 30
+        before = render_document(raw.tree, raw.format)
+        assert len(before.splitlines()) > 200
+        name = raw.source_path.name
+        assert report.diff == "\n".join(difflib.unified_diff(
+            before.splitlines(), report.text.splitlines(),
+            fromfile=name, tofile=f"{name} (patched)", lineterm=""))
+        assert report.total_loc_changed == diff_changed_lines(report.diff) > 0
 
 
 def test_edit_under_a_non_string_key_lands_on_that_node():

@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 
 from automcp.evaluator import (
-    aggregate_reports,
     evaluate,
     evaluate_spec_file,
     load_exclusions_file,
@@ -171,15 +170,3 @@ class TestEvaluate:
         # the synthesized path parameter made it into the flag tool
         flag = next(t for t in compiled.manifest.tools if t.tool_name == "flagentry")
         assert "entry_id" in flag.input_schema["properties"]
-
-    def test_aggregate_rollup(self, petstore, allauth):
-        reports = []
-        for compiled in (petstore, allauth):
-            env, creds = sentinel_credentials(compiled)
-            report_sample = sample(compiled.manifest, threshold=100)
-            with run_mock_upstream(compiled.manifest, credentials=creds) as mock:
-                reports.append(evaluate(compiled.manifest, report_sample, mock, env))
-        rollup = aggregate_reports(reports)
-        assert rollup["total"] == 19 + 25
-        assert rollup["pass_rate"] == 1.0
-        assert rollup["apis"]["Petstore Fixture"]["passed"] == 19

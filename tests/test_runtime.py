@@ -7,6 +7,8 @@ import dataclasses
 import io
 import json
 import logging
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -845,6 +847,124 @@ class TestLoneSurrogates:
         assert response["id"] == 1 and response["result"]["isError"] is False
         created = json.loads(response["result"]["content"][0]["text"])["created"]
         assert created["text"] == "\ud800"
+
+
+SEND_TREE = {
+    "openapi": "3.0.3", "info": {"title": "Send", "version": "1"},
+    "servers": [{"url": "https://send.example"}],
+    "paths": {
+        "/items/{item_id}": {"get": {
+            "operationId": "get_item",
+            "parameters": [
+                {"name": "item_id", "in": "path", "required": True,
+                 "schema": {"type": "string"}},
+                {"name": "q", "in": "query", "schema": {"type": "string"}},
+                {"name": "X-Note", "in": "header", "schema": {"type": "string"}},
+                {"name": "pref", "in": "cookie", "schema": {"type": "string"}},
+            ],
+            "responses": {"200": {"description": "ok"}}}},
+        "/notes": {"post": {
+            "operationId": "add_note",
+            "requestBody": {"content": {"text/plain": {"schema": {"type": "string"}}}},
+            "responses": {"201": {"description": "created"}}}},
+        "/forms": {"post": {
+            "operationId": "send_form",
+            "requestBody": {"content": {"application/x-www-form-urlencoded": {
+                "schema": {"type": "object"}}}},
+            "responses": {"201": {"description": "created"}}}},
+    },
+}
+
+
+@pytest.fixture()
+def send(tmp_path):
+    spec = tmp_path / "send.json"
+    spec.write_text(json.dumps(SEND_TREE), encoding="utf-8")
+    return compile_file(spec)
+
+
+def call_line(name: str, arguments: dict) -> str:
+    return json.dumps({"jsonrpc": "2.0", "id": 1, "method": "tools/call",
+                       "params": {"name": name, "arguments": arguments}})
+
+
+class TestArgumentsTheRequestCannotCarry:
+    """An argument its place in the request cannot encode is a tool error
+    before any request, naming the argument and never its value."""
+
+    @pytest.mark.parametrize("tool, arguments, bad", [
+        ("get_item", {"item_id": "\ud800"}, "item_id"),
+        ("get_item", {"item_id": "1", "q": "\ud800"}, "q"),
+        ("get_item", {"item_id": "1", "x_note": "\u65e5\u672c"}, "x_note"),
+        ("get_item", {"item_id": "1", "pref": "\u65e5\u672c"}, "pref"),
+        ("add_note", {"body": "\ud800"}, "body"),
+        ("send_form", {"body": {"k": ["ok", "\ud800"]}}, "body"),
+        ("send_form", {"body": {"\ud800": "v"}}, "body"),
+    ], ids=["path", "query", "header", "cookie", "text-body", "form-value", "form-key"])
+    def test_is_one_tool_error_and_no_request(self, send, caplog, tool, arguments, bad):
+        with run_mock_upstream(send.manifest) as mock:
+            send.manifest.base_url = mock.base_url
+            with caplog.at_level(logging.ERROR, logger="automcp.runtime"):
+                [line] = serve_utf8(send.manifest, [call_line(tool, arguments)])
+            assert mock.records == []
+        result = json.loads(line)["result"]
+        assert result["isError"] is True
+        [content] = result["content"]
+        assert content["text"].startswith(f"SchemaViolation: argument {bad!r} cannot be sent")
+        assert "\ud800" not in line.decode() and "\u65e5" not in content["text"]
+        assert caplog.records == []
+
+    def test_non_ascii_text_goes_out_as_utf8(self, send):
+        with run_mock_upstream(send.manifest) as mock:
+            invoke_tool(send.manifest.tool("get_item"),
+                        {"item_id": "\u65e5", "q": "\u672c"}, {}, mock.base_url,
+                        send.manifest.schemes, send.bindings)
+            record = mock.last_record()
+        assert record.path == "/items/%E6%97%A5" and record.query == {"q": "\u672c"}
+
+    def test_form_values_encoded_like_the_query(self, send):
+        body = {"flag": True, "obj": {"a": 1, "b": 2}, "tags": ["x", None, "y"],
+                "n": 3, "gone": None}
+        with run_mock_upstream(send.manifest) as mock:
+            invoke_tool(send.manifest.tool("send_form"), {"body": body}, {},
+                        mock.base_url, send.manifest.schemes, send.bindings)
+            record = mock.last_record()
+        # the mock records the first of repeated keys
+        assert record.body == {"flag": "true", "obj": '{"a": 1, "b": 2}', "tags": "x",
+                               "n": "3"}
+
+
+class _DeepJson(BaseHTTPRequestHandler):
+    """Answers every request with a JSON array nested 5,000 deep."""
+
+    def do_GET(self):  # noqa: N802 - http.server's name
+        body = b"[" * 5000 + b"]" * 5000
+        self.send_response(422)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+def test_upstream_json_nested_too_deep_stays_text(send, caplog):
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _DeepJson)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        send.manifest.base_url = f"http://127.0.0.1:{server.server_address[1]}"
+        with caplog.at_level(logging.ERROR, logger="automcp.runtime"):
+            [line] = serve_utf8(send.manifest, [call_line("get_item", {"item_id": "1"})])
+    finally:
+        server.shutdown()
+        server.server_close()
+    result = json.loads(line)["result"]
+    assert result["isError"] is True
+    assert json.loads(result["content"][0]["text"]) == {
+        "httpStatus": 422, "body": "[" * 5000 + "]" * 5000}
+    assert caplog.records == []
 
 
 class TestToolsListLine:
