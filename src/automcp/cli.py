@@ -13,7 +13,6 @@ and no HTTP client until its first `tools/call`.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -25,7 +24,6 @@ from ._version import __version__
 from .errors import (
     AutoMcpError,
     DialectError,
-    ExtraHeadersParseError,
     NonConvergence,
     ParseError,
     nesting_guard,
@@ -85,7 +83,7 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     def add_common(p: argparse.ArgumentParser, rules: bool = False) -> None:
         p.add_argument("spec", type=Path, help="OpenAPI 2.0/3.x spec file")
         if rules:  # read only by lint and repair
-            p.add_argument("--rules", type=Path, default=_env("RULES", Path),
+            p.add_argument("--rules", type=Path, default=_env("RULES"),
                            help="vendor rules JSON (class C/D knowledge)")
 
     gen = sub.add_parser("generate", help="compile and write server artifacts")
@@ -95,16 +93,16 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
                      help="repair patchable spec defects before compiling")
     gen.add_argument("--emit-stub", action="store_true",
                      help="also write the self-describing manifest for external codegen")
-    gen.add_argument("--port", type=int, default=_env("PORT", int, 8765),
+    gen.add_argument("--port", type=int, default=_env("PORT", 8765),
                      help="OAuth redirect port recorded in oauth_config.json")
 
     srv = sub.add_parser("serve", help="serve the compiled tools over stdio")
     add_common(srv)
     srv.add_argument("--env", type=Path,
-                     default=_env("ENV_PATH", Path, Path(".env")),
+                     default=_env("ENV_PATH", ".env"),
                      help="path to the .env credential store")
     srv.add_argument("--timeout", type=float,
-                     default=_env("TIMEOUT_SECONDS", float, 30.0),
+                     default=_env("TIMEOUT_SECONDS", 30.0),
                      help="upstream HTTP timeout in seconds")
 
     ln = sub.add_parser("lint", help="detect and optionally repair spec defects")
@@ -116,16 +114,17 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     smp = sub.add_parser("sample", help="print the stratified evaluation sample")
     add_common(smp)
     smp.add_argument("--threshold", type=int,
-                     default=_env("THRESHOLD", int, DEFAULT_THRESHOLD),
+                     default=_env("THRESHOLD", DEFAULT_THRESHOLD),
                      help="max endpoint count evaluated exhaustively")
 
     return parser.parse_args(argv)
 
 
-def _env(name: str, convert, default=None):
-    """Flag default from `AUTOMCP_<name>`, when set and non-empty."""
-    value = os.environ.get(ENV_PREFIX + name)
-    return convert(value) if value else default
+def _env(name: str, default=None):
+    """Flag default: the text of `AUTOMCP_<name>` when set and non-empty,
+    which the flag's `type` converts as it would the flag's own value (a
+    bad one is a usage error, exit 2, for the command that has the flag)."""
+    return os.environ.get(ENV_PREFIX + name) or default
 
 
 def cmd_generate(cfg: argparse.Namespace) -> int:
@@ -175,9 +174,7 @@ def cmd_generate(cfg: argparse.Namespace) -> int:
             }
         }
     }
-    (out / "mcp_config.json").write_text(
-        json.dumps(launch, indent=2) + "\n", encoding="utf-8"
-    )
+    (out / "mcp_config.json").write_text(dumps(launch, indent=2) + "\n", encoding="utf-8")
 
     oauth_schemes = [s for s in compiled.manifest.schemes if s.kind == KIND_OAUTH2]
     if oauth_schemes:
@@ -195,7 +192,7 @@ def cmd_generate(cfg: argparse.Namespace) -> int:
             "envPath": str(env_file.resolve()),
         }
         (out / "oauth_config.json").write_text(
-            json.dumps(oauth_doc, indent=2) + "\n", encoding="utf-8"
+            dumps(oauth_doc, indent=2) + "\n", encoding="utf-8"
         )
 
     print(
@@ -210,12 +207,7 @@ def cmd_serve(cfg: argparse.Namespace) -> int:
     from .runtime import serve
 
     compiled = compile_file(cfg.spec)
-    env = load_env(cfg.env)
-    try:
-        serve(compiled.manifest, env, timeout=cfg.timeout)
-    except ExtraHeadersParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    serve(compiled.manifest, load_env(cfg.env), timeout=cfg.timeout)
     return EXIT_OK
 
 

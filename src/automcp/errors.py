@@ -99,6 +99,15 @@ class MissingCredential(AutoMcpError):
         super().__init__(f"missing credential: set {env_var} in the environment or .env")
 
 
+class UnsendableCredential(MissingCredential):
+    """A credential's value cannot be encoded where its scheme sends it."""
+
+    def __init__(self, env_var: str, codec: str) -> None:
+        self.env_var = env_var
+        AutoMcpError.__init__(
+            self, f"credential {env_var} cannot be sent: its value is not {codec} text")
+
+
 class TransportError(AutoMcpError):
     """DNS, TLS, connection, or timeout failure talking to the upstream."""
 

@@ -2,16 +2,18 @@
 and score each call on HTTP success plus observable effect.
 
 A tool passes when it (1) is present in a loadable manifest, (2) returns
-a 2xx from the upstream, and (3) the upstream's recorded request matches
-the method/path/query derived from the arguments; creates additionally
-must land in the mock's resource store.
+a 2xx from the upstream, and (3) the mock served the request as this
+tool's operation, with each path and query argument decoded to its text
+under the wire rule (`_wire_text`); creates additionally must land in
+the mock's resource store. The mock is the only oracle: nothing here
+rebuilds a request the way the runtime does.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from urllib.parse import quote
 
 from .compiler import ToolManifest, ToolSpec
 from .doctor import VendorRule
@@ -19,7 +21,7 @@ from .errors import AutoMcpError
 from .ingest import api_title, load_document
 from .mock_upstream import ENFORCE_PER_ENDPOINT, MockUpstream, run_mock_upstream
 from .pipeline import compile_file, count_operations
-from .runtime import _scalar, bindings_for, invoke_tool
+from .runtime import bindings_for, invoke_tool
 from .sampling import SampleReport, path_group, sample
 
 _METHOD_RANK = {
@@ -184,40 +186,33 @@ def _run_one(tool, manifest, mock, env, bindings, timeout) -> ToolOutcome:
         )
 
     record = mock.last_record()
-    expected_path = _expected_path(tool, args)
-    if (
-        record is None
-        or record.method != tool.endpoint.method
-        or record.path != expected_path
-    ):
-        got = f"{record.method} {record.path}" if record else "nothing recorded"
+    if record is None or record.tool_name != tool.tool_name:
+        got = (f"{record.method} {record.path} as {record.tool_name}" if record
+               else "nothing recorded")
         return ToolOutcome(
             tool.tool_name, False, "echo",
-            f"expected {tool.endpoint.method} {expected_path}, mock saw {got}",
+            f"expected {tool.endpoint.method} {tool.endpoint.path_template} "
+            f"as {tool.tool_name}, mock saw {got}",
             result.http_status,
         )
     for param in tool.endpoint.parameters:
-        if param.is_credential or param.location != "query":
+        if param.is_credential or param.sanitized_name not in args:
             continue
-        if param.sanitized_name in args:
-            sent = args[param.sanitized_name]
-            seen = record.query.get(param.name)
-            if isinstance(sent, list):
-                # requests serializes lists as repeated keys; the record
-                # keeps the first value, and an empty list sends nothing
-                ok = (
-                    param.name not in record.query
-                    if not sent
-                    else seen in {_scalar(v) for v in sent}
-                )
-            else:
-                ok = seen == _scalar(sent)
-            if not ok:
-                return ToolOutcome(
-                    tool.tool_name, False, "echo",
-                    f"query {param.name!r}: sent {sent!r}, mock saw {seen!r}",
-                    result.http_status,
-                )
+        sent = args[param.sanitized_name]
+        if param.location == "path":
+            expected, seen = _wire_text(sent), record.path_params.get(param.name)
+        elif param.location == "query":  # the mock records a list's first item
+            items = sent if isinstance(sent, list) else [sent]
+            texts = [t for t in map(_wire_text, items) if t is not None]
+            expected, seen = next(iter(texts), None), record.query.get(param.name)
+        else:
+            continue
+        if seen != expected:
+            return ToolOutcome(
+                tool.tool_name, False, "echo",
+                f"{param.location} {param.name!r}: sent {sent!r}, mock saw {seen!r}",
+                result.http_status,
+            )
 
     if tool.endpoint.method == "POST" and isinstance(args.get("body"), dict):
         stored = mock.store.get(record.path, [])
@@ -326,12 +321,10 @@ def _sample_value(schema: dict, hint: str, depth: int = 0):
     return f"sample-{hint}"
 
 
-def _expected_path(tool: ToolSpec, args: dict) -> str:
-    path = tool.endpoint.path_template
-    for param in tool.endpoint.parameters:
-        if param.location == "path" and param.sanitized_name in args:
-            path = path.replace(
-                "{%s}" % param.name,
-                quote(_scalar(args[param.sanitized_name]), safe=""),
-            )
-    return path
+def _wire_text(value) -> str | None:
+    """An argument's text on the wire, by the rule the README states for
+    a path or query value: a string as itself, any other value as its
+    JSON text, None left out (None here). A query list goes item by item."""
+    if value is None or isinstance(value, str):
+        return value
+    return json.dumps(value)

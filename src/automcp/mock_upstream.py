@@ -4,7 +4,8 @@ Every manifest endpoint is served: the handler matches method + path
 template, enforces the credentials it was configured with, echoes the
 received parameters, and keeps an in-memory resource store so a create
 followed by a read observes the new resource. Credential values are
-redacted from echo bodies; the full request is kept only in the
+redacted from echo bodies; the full request, with the operation that
+served it and each template variable decoded, is kept only in the
 in-memory record list for assertions.
 """
 
@@ -16,7 +17,7 @@ import re
 import threading
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import parse_qs, urlparse
+from urllib.parse import parse_qs, unquote, urlparse
 
 from .compiler import ToolManifest, ToolSpec
 from .security import (
@@ -41,14 +42,15 @@ class RequestRecord:
     headers: dict[str, str]
     body: object
     tool_name: str | None = None
+    path_params: dict[str, str] = field(default_factory=dict)  # decoded
     status: int = 0
 
 
 @dataclass
 class _Route:
     tool: ToolSpec
-    pattern: re.Pattern
-    template_vars: int
+    pattern: re.Pattern  # one group per template variable
+    names: tuple[str, ...]  # the template variables, in order
 
 
 @dataclass
@@ -66,11 +68,7 @@ class MockUpstream:
         self.manifest = manifest
         self.config = config or MockConfig()
         self.routes = [
-            _Route(
-                tool,
-                _compile_template(tool.endpoint.path_template),
-                tool.endpoint.path_template.count("{"),
-            )
+            _Route(tool, *_compile_template(tool.endpoint.path_template))
             for tool in manifest.tools
         ]
         self.records: list[RequestRecord] = []
@@ -161,15 +159,17 @@ class MockUpstream:
             method=request.command, path=path, query=query,
             headers=headers, body=body,
         )
-        route = self._match(request.command, path)
-        if route is None:
+        matched = self._match(request.command, path)
+        if matched is None:
             self._finish(request, record, 404, {
                 "error": "no matching operation in manifest",
                 "method": request.command,
                 "path": path,
             })
             return
+        route, found = matched
         record.tool_name = route.tool.tool_name
+        record.path_params = dict(zip(route.names, map(unquote, found.groups())))
 
         missing_header = self._missing_required_header(headers)
         if missing_header:
@@ -187,15 +187,12 @@ class MockUpstream:
         status, payload = self._apply(route.tool, path, query, body)
         self._finish(request, record, status, payload)
 
-    def _match(self, method: str, path: str) -> _Route | None:
+    def _match(self, method: str, path: str) -> tuple[_Route, re.Match] | None:
         # prefer the most literal matching template (document order on ties)
-        matches = [
-            route for route in self.routes
-            if route.tool.endpoint.method == method and route.pattern.match(path)
-        ]
-        if not matches:
-            return None
-        return min(matches, key=lambda r: r.template_vars)
+        matches = [(route, found) for route in self.routes
+                   if route.tool.endpoint.method == method
+                   and (found := route.pattern.match(path))]
+        return min(matches, key=lambda match: len(match[0].names), default=None)
 
     def _missing_required_header(self, headers: dict[str, str]) -> str | None:
         lowered = {k.lower(): v for k, v in headers.items()}
@@ -320,11 +317,12 @@ def run_mock_upstream(
     return MockUpstream(manifest, port=port, config=config).start()
 
 
-def _compile_template(template: str) -> re.Pattern:
-    parts = []
+def _compile_template(template: str) -> tuple[re.Pattern, tuple[str, ...]]:
+    parts, names = [], []
     for token in re.split(r"(\{[^}/]+\})", template):
         if token.startswith("{") and token.endswith("}"):
-            parts.append(r"[^/]+")
+            parts.append(r"([^/]+)")
+            names.append(token[1:-1])
         else:
             parts.append(re.escape(token))
-    return re.compile("^" + "".join(parts) + "$")
+    return re.compile("^" + "".join(parts) + "$"), tuple(names)

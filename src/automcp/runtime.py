@@ -41,6 +41,7 @@ from .errors import (
     MissingCredential,
     SchemaViolation,
     TransportError,
+    UnsendableCredential,
 )
 from .jsonout import dumps, encodes
 from .security import (
@@ -89,7 +90,8 @@ def resolve_auth(
 
     Requirement sets are alternatives; within a set every scheme applies.
     The first set whose bindings are all satisfied by `env` wins. Raises
-    MissingCredential (naming the first unmet variable) when none is.
+    MissingCredential (naming the first unmet variable, and why for a
+    value its place cannot carry) when none is.
     """
     if not requirements:
         return AuthPlan()
@@ -98,23 +100,22 @@ def resolve_auth(
         by_scheme.setdefault(binding.scheme_id, []).append(binding)
     scheme_map = {s.id: s for s in schemes}
 
-    first_missing: str | None = None
+    first_unmet: MissingCredential | None = None
     for requirement in requirements:
         plan = AuthPlan()
-        missing: str | None = None
+        unmet: MissingCredential | None = None
         for scheme_id in requirement:
             scheme = scheme_map.get(scheme_id)
             if scheme is None:
-                missing = f"(undeclared scheme {scheme_id!r})"
+                unmet = MissingCredential(f"(undeclared scheme {scheme_id!r})")
+            else:
+                unmet = _apply_scheme(plan, scheme, by_scheme.get(scheme_id, []), env)
+            if unmet is not None:
                 break
-            missing = _apply_scheme(plan, scheme, by_scheme.get(scheme_id, []), env)
-            if missing:
-                break
-        if missing is None:
+        if unmet is None:
             return plan
-        if first_missing is None:
-            first_missing = missing
-    raise MissingCredential(first_missing or "(no satisfiable security requirement)")
+        first_unmet = first_unmet or unmet
+    raise first_unmet or MissingCredential("(no satisfiable security requirement)")
 
 
 def _apply_scheme(
@@ -122,17 +123,25 @@ def _apply_scheme(
     scheme: SecurityScheme,
     scheme_bindings: list[EnvBinding],
     env: dict[str, str],
-) -> str | None:
-    """Inject one scheme into the plan; returns the missing env var name
-    (if any) instead of mutating further."""
+) -> MissingCredential | None:
+    """Inject one scheme into the plan; returns why it is unmet (an empty
+    variable, or a value its place cannot carry) instead of mutating
+    further. A header or cookie takes Latin-1 text; a query, and the
+    `user:password` that Basic encodes, UTF-8."""
+    codec = "latin-1"
+    if scheme.kind == KIND_HTTP_BASIC or (
+            scheme.kind == KIND_API_KEY and scheme.location == "query"):
+        codec = "utf-8"
     values = {}
     for binding in scheme_bindings:
         value = env.get(binding.env_var, "")
         if not value:
-            return binding.env_var
+            return MissingCredential(binding.env_var)
+        if not encodes(value, codec):
+            return UnsendableCredential(binding.env_var, codec)
         values[binding.role] = value
     if not scheme_bindings:
-        return f"(no binding for scheme {scheme.id!r})"
+        return MissingCredential(f"(no binding for scheme {scheme.id!r})")
 
     if scheme.kind == KIND_API_KEY:
         secret = next(iter(values.values()))

@@ -9,6 +9,12 @@ every tree and every error is `yaml.safe_load`'s. The walk also guards
 nesting depth: a document that nests deeper than `_LIBYAML_MAX_DEPTH`,
 and any text when libyaml is absent, takes PyYAML's pure-Python loader.
 
+One rule differs from `yaml.safe_load`: a plain scalar such as
+`2020-01-01` reads as text, not as a date. A spec's values end up as
+JSON (a manifest, a tool argument, a lint finding), and JSON has no
+date. Both loaders are subclasses that drop the implicit timestamp
+resolver; PyYAML's own classes are left as they are.
+
 Only text that does not parse as JSON is read here: `ingest` imports
 this module, and with it `yaml`, on first use.
 """
@@ -35,7 +41,21 @@ from yaml import (AliasEvent, DocumentEndEvent, MappingEndEvent, MappingStartEve
 # `compose_yaml` hands the text to libyaml's composer before any event
 # is read, so it bounds the depth from the text first (`_nesting_bound`).
 _LIBYAML_MAX_DEPTH = 2000
-_FastLoader = getattr(yaml, "CSafeLoader", None)  # None without libyaml
+_TIMESTAMP_TAG = "tag:yaml.org,2002:timestamp"
+
+
+def _without_timestamps(loader: type) -> type:
+    """A subclass of `loader` whose plain scalars never resolve to a date."""
+    resolvers = {
+        first: [(tag, regexp) for tag, regexp in pairs if tag != _TIMESTAMP_TAG]
+        for first, pairs in loader.yaml_implicit_resolvers.items()
+    }
+    return type(loader.__name__, (loader,), {"yaml_implicit_resolvers": resolvers})
+
+
+_PureLoader = _without_timestamps(yaml.SafeLoader)
+_FastLoader = (_without_timestamps(yaml.CSafeLoader)  # None without libyaml
+               if hasattr(yaml, "CSafeLoader") else None)
 # A line break and the run of spaces and block indicators after it. YAML
 # also breaks lines at CR, NEL, LS and PS, and libyaml skips a BOM at any
 # line start.
@@ -43,12 +63,12 @@ _LINE_START_RUN_RE = re.compile(r"[\n\r\x85\u2028\u2029\ufeff][\ufeff ?:-]+")
 
 
 def _load_yaml(text: str) -> Any:
-    """`yaml.safe_load(text)`. With libyaml, the tree is built from its
-    parse events; a libyaml error is re-raised by the pure loader, so the
-    message is the same either way. Text with a BOM past its first
-    character takes the pure loader: libyaml skips a BOM at the start of
-    any line, the pure loader only at the start of the text, so the two
-    would build different trees."""
+    """`yaml.safe_load(text)`, with plain dates as text. With libyaml, the
+    tree is built from its parse events; a libyaml error is re-raised by
+    the pure loader, so the message is the same either way. Text with a
+    BOM past its first character takes the pure loader: libyaml skips a
+    BOM at the start of any line, the pure loader only at the start of
+    the text, so the two would build different trees."""
     if _FastLoader is not None and text.find("\ufeff", 1) < 0:
         loader = _FastLoader(text)
         try:
@@ -62,7 +82,7 @@ def _load_yaml(text: str) -> Any:
             pass
         finally:
             loader.dispose()
-    return yaml.load(text, Loader=yaml.SafeLoader)
+    return yaml.load(text, Loader=_PureLoader)
 
 
 class _Unbuilt(Exception):
@@ -104,8 +124,8 @@ def _tree_from_events(loader: Any) -> Any:
     # gives the str tag when `implicit[0]` is false (a quoted scalar).
     by_text = not loader.yaml_path_resolvers
     # a plain scalar's text -> its value, resolved and constructed once
-    # per load; the implicit tags construct ints, floats, bools, None,
-    # dates and strs, so sharing a value shares nothing mutable
+    # per load; the implicit tags construct ints, floats, bools, None
+    # and strs, so sharing a value shares nothing mutable
     plain: dict[str, Any] = {}
     anchors: dict[str, Any] = {}
     root = None
@@ -231,7 +251,7 @@ def compose_yaml(text: str) -> tuple[yaml.Node, int]:
     offset into `text`: libyaml does not count a leading BOM."""
 
     def compose(text: str, Loader: type) -> tuple[yaml.Node, int]:
-        bom = text.startswith("\ufeff") and Loader is getattr(yaml, "CSafeLoader", None)
+        bom = text.startswith("\ufeff") and Loader is _FastLoader
         return yaml.compose(text, Loader=Loader), int(bom)
 
     return _with_yaml_loader(compose, text)
@@ -249,7 +269,7 @@ def _with_yaml_loader(parse, text: str) -> Any:
             return parse(text, Loader=_FastLoader)
         except yaml.YAMLError:
             pass
-    return parse(text, Loader=yaml.SafeLoader)
+    return parse(text, Loader=_PureLoader)
 
 
 def _nesting_bound(text: str) -> int:

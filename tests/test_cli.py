@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import difflib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ from automcp.cli import main
 from automcp.compiler import manifest_to_dict
 from automcp.doctor import load_vendor_rules
 from automcp.errors import NestingError
+from automcp.mock_upstream import run_mock_upstream
 from automcp.pipeline import compile_file
 from conftest import DEFECTS, changed_line_count, fixture_path
 
@@ -908,3 +910,132 @@ class TestServeSubprocess:
         assert proc.returncode == 0
         for line in out.splitlines():
             json.loads(line)
+
+
+def run_module(args: list, env_vars: dict[str, str] | None = None, stdin: str = ""):
+    """`python -m automcp ARGS` with `env_vars` added to the environment."""
+    env = {**os.environ, **(env_vars or {})}
+    return subprocess.run([sys.executable, "-m", "automcp", *map(str, args)],
+                          input=stdin, capture_output=True, text=True, env=env,
+                          timeout=60)
+
+
+class TestFlagsFromTheEnvironment:
+    """An `AUTOMCP_*` value is converted by its flag's `type`: a bad one is
+    a usage error (exit 2) naming the flag, for the command that has it."""
+
+    @pytest.mark.parametrize("command, name, flag", [
+        ("generate", "AUTOMCP_PORT", "--port"),
+        ("serve", "AUTOMCP_TIMEOUT_SECONDS", "--timeout"),
+        ("sample", "AUTOMCP_THRESHOLD", "--threshold"),
+    ])
+    def test_bad_value_is_a_usage_error(self, tmp_path, command, name, flag):
+        args = [command, fixture_path("petstore.json")]
+        if command == "generate":
+            args += ["--out", tmp_path / "out"]
+        done = run_module(args, {name: "abc"})
+        assert done.returncode == 2
+        assert f"error: argument {flag}: invalid" in done.stderr
+        assert "Traceback" not in done.stderr
+
+    def test_bad_value_of_another_commands_flag_is_ignored(self):
+        done = run_module(["sample", fixture_path("petstore.json")],
+                          {"AUTOMCP_TIMEOUT_SECONDS": "x", "AUTOMCP_PORT": "x"})
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["total_selected"] == 19
+
+    def test_values_are_converted(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("AUTOMCP_PORT", "9999")
+        spec = tmp_path / "oauth.json"
+        spec.write_text(json.dumps({
+            "openapi": "3.0.3", "info": {"title": "O", "version": "1"},
+            "servers": [{"url": "https://o.example"}],
+            "components": {"securitySchemes": {"o": {"type": "oauth2", "flows": {
+                "authorizationCode": {"authorizationUrl": "https://o.example/a",
+                                      "tokenUrl": "https://o.example/t",
+                                      "scopes": {}}}}}},
+            "security": [{"o": []}],
+            "paths": {"/a": {"get": {"responses": {"200": {"description": "ok"}}}}},
+        }), encoding="utf-8")
+        assert run_cli(["generate", spec, "--out", tmp_path / "out"]) == 0
+        oauth = json.loads((tmp_path / "out" / "oauth_config.json").read_text())
+        assert oauth["redirectPort"] == 9999
+
+
+# `example: 2020-01-01` reads as the text "2020-01-01", not as a date
+DATE_SPEC = """\
+openapi: 3.0.3
+info: {title: Dates, version: "1"}
+servers: [{url: "https://dates.example"}]
+paths:
+  /days/{day}:
+    get:
+      operationId: getDay
+      parameters:
+        - name: day
+          in: path
+          required: true
+          schema: {type: string}
+          example: 2020-01-01
+      responses: {"200": {description: ok}}
+"""
+
+
+class TestPlainYamlDates:
+    @pytest.fixture()
+    def spec(self, tmp_path):
+        spec = tmp_path / "dates.yaml"
+        spec.write_text(DATE_SPEC, encoding="utf-8")
+        return spec
+
+    def test_generate_writes_the_date_as_text(self, tmp_path, spec):
+        done = run_module(["generate", spec, "--out", tmp_path / "out", "--emit-stub"])
+        assert done.returncode == 0, done.stderr
+        for name in ("manifest.json", "stub.json"):
+            text = (tmp_path / "out" / name).read_text(encoding="utf-8")
+            assert '"example": "2020-01-01"' in text
+
+    def test_serve_lists_the_tool(self, tmp_path, spec):
+        env_file = tmp_path / ".env"
+        env_file.write_text("", encoding="utf-8")
+        done = run_module(["serve", spec, "--env", env_file], stdin=json.dumps(
+            {"jsonrpc": "2.0", "id": 1, "method": "tools/list"}) + "\n")
+        assert done.returncode == 0, done.stderr
+        [tool] = json.loads(done.stdout)["result"]["tools"]
+        assert tool["inputSchema"]["properties"]["day"]["example"] == "2020-01-01"
+
+
+class TestCredentialItsPlaceCannotCarry:
+    def test_non_latin1_bearer_token_is_a_tool_error(self, tmp_path):
+        """The variable is named, the value never shown, and no request
+        is sent; nothing is logged."""
+        spec = tmp_path / "bearer.json"
+        tree = {
+            "openapi": "3.0.3", "info": {"title": "Bear", "version": "1"},
+            "servers": [{"url": "https://bear.example"}],
+            "components": {"securitySchemes": {"b": {"type": "http", "scheme": "bearer"}}},
+            "security": [{"b": []}],
+            "paths": {"/a": {"get": {"operationId": "getA",
+                                     "responses": {"200": {"description": "ok"}}}}},
+        }
+        spec.write_text(json.dumps(tree), encoding="utf-8")
+        compiled = compile_file(spec)
+        [binding] = compiled.bindings
+        env_file = tmp_path / ".env"
+        env_file.write_text(f"{binding.env_var}=日本\n", encoding="utf-8")
+        call = json.dumps({"jsonrpc": "2.0", "id": 1, "method": "tools/call",
+                           "params": {"name": "geta", "arguments": {}}}) + "\n"
+        with run_mock_upstream(compiled.manifest) as mock:
+            tree["servers"] = [{"url": mock.base_url}]
+            spec.write_text(json.dumps(tree), encoding="utf-8")
+            done = run_module(["serve", spec, "--env", env_file], stdin=call)
+            assert mock.records == []
+        assert done.returncode == 0, done.stderr
+        result = json.loads(done.stdout)["result"]
+        assert result["isError"] is True
+        assert result["content"][0]["text"] == (
+            f"UnsendableCredential: credential {binding.env_var} cannot be sent: "
+            "its value is not latin-1 text")
+        for stream in (done.stdout, done.stderr):
+            assert "日" not in stream and "Traceback" not in stream
+        assert done.stderr == ""

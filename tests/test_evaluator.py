@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
+from automcp import evaluator
 from automcp.evaluator import (
     evaluate,
     evaluate_spec_file,
@@ -13,6 +16,7 @@ from automcp.evaluator import (
     synth_args,
 )
 from automcp.mock_upstream import run_mock_upstream
+from automcp.runtime import InvocationResult
 from automcp.sampling import sample
 from conftest import DEFECTS, fixture_path, sentinel_credentials
 
@@ -170,3 +174,120 @@ class TestEvaluate:
         # the synthesized path parameter made it into the flag tool
         flag = next(t for t in compiled.manifest.tools if t.tool_name == "flagentry")
         assert "entry_id" in flag.input_schema["properties"]
+
+
+OK = {"200": {"description": "ok"}}
+
+
+def write_spec(tmp_path, paths: dict):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "openapi": "3.0.3", "info": {"title": "Echo", "version": "1"},
+        "servers": [{"url": "https://echo.example"}], "paths": paths,
+    }), encoding="utf-8")
+    return spec
+
+
+def outcomes(report) -> dict:
+    return {o.tool_name: (o.passed, o.stage, o.detail) for o in report.outcomes}
+
+
+def query(name: str, schema: dict) -> dict:
+    return {"name": name, "in": "query", "schema": schema}
+
+
+ITEM_PATHS = {"/items/{item_id}": {"get": {"operationId": "getItem", "parameters": [
+    {"name": "item_id", "in": "path", "required": True,
+     "schema": {"type": "string", "example": "a b/é"}},
+    query("q", {"type": "string", "example": "x"}),
+    query("flag", {"type": "boolean", "example": True}),
+    query("n", {"type": "integer", "example": 3}),
+    query("filter", {"type": "object", "example": {"a": [1, "b"]}}),
+    query("tags", {"type": "array", "items": {"type": "string"},
+                   "example": [None, "t1", "t2"]}),
+    query("none", {"type": "array", "items": {"type": "string"}, "example": []}),
+], "responses": OK}}}
+
+
+DROP = object()  # an argument the changed call leaves out
+
+
+class TestEchoStage:
+    """The mock is the only oracle: a tool passes the echo stage when the
+    mock served it as that tool's operation, with each path and query
+    argument decoded to its wire text."""
+
+    def test_wire_text_of_every_value_kind_passes(self, tmp_path):
+        report = evaluate_spec_file(write_spec(tmp_path, ITEM_PATHS), env={})
+        assert outcomes(report) == {"getitem": (True, "ok", "")}
+
+    def test_sibling_route_the_mock_prefers_fails(self, tmp_path):
+        """`GET /pets/{id}` called with `id: "mine"` is served by the mock
+        as the more literal `GET /pets/mine`."""
+        spec = write_spec(tmp_path, {
+            "/pets/{id}": {"get": {"operationId": "getPet", "parameters": [
+                {"name": "id", "in": "path", "required": True,
+                 "schema": {"type": "string", "example": "mine"}}],
+                "responses": OK}},
+            "/pets/mine": {"get": {"operationId": "getMyPets", "responses": OK}},
+        })
+        report = evaluate_spec_file(spec, env={})
+        got = outcomes(report)
+        assert got["getmypets"] == (True, "ok", "")
+        assert got["getpet"][:2] == (False, "echo")
+        assert got["getpet"][2] == (
+            "expected GET /pets/{id} as getpet, mock saw GET /pets/mine as getmypets")
+
+    @pytest.mark.parametrize("change, detail", [
+        ({"item_id": "other"}, "path 'item_id': sent 'a b/é', mock saw 'other'"),
+        ({"q": "y"}, "query 'q': sent 'x', mock saw 'y'"),
+        ({"flag": False}, "query 'flag': sent True, mock saw 'false'"),
+        ({"tags": ["t2", "t1"]}, "query 'tags': sent [None, 't1', 't2'], mock saw 't2'"),
+        ({"none": ["x"]}, "query 'none': sent [], mock saw 'x'"),
+        ({"q": DROP}, "query 'q': sent 'x', mock saw None"),
+    ], ids=["path", "query", "query-bool", "query-list-order", "query-empty-list",
+            "query-left-out"])
+    def test_argument_the_mock_decodes_differently_fails(
+            self, tmp_path, monkeypatch, change, detail):
+        real = evaluator.invoke_tool
+
+        def invoke_changed(tool, args, *rest, **kwargs):
+            changed = {k: v for k, v in {**args, **change}.items() if v is not DROP}
+            return real(tool, changed, *rest, **kwargs)
+
+        monkeypatch.setattr(evaluator, "invoke_tool", invoke_changed)
+        report = evaluate_spec_file(write_spec(tmp_path, ITEM_PATHS), env={})
+        assert outcomes(report) == {"getitem": (False, "echo", detail)}
+
+    def test_nothing_recorded_fails(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(evaluator, "invoke_tool",
+                            lambda *args, **kwargs: InvocationResult(200, {}, False))
+        report = evaluate_spec_file(write_spec(tmp_path, ITEM_PATHS), env={})
+        assert outcomes(report) == {"getitem": (
+            False, "echo",
+            "expected GET /items/{item_id} as getitem, mock saw nothing recorded")}
+
+    def test_plain_yaml_date_example_passes(self, tmp_path):
+        spec = tmp_path / "dates.yaml"
+        spec.write_text(DATE_SPEC, encoding="utf-8")
+        report = evaluate_spec_file(spec, env={})
+        assert outcomes(report) == {"getday": (True, "ok", "")}
+
+
+# `example: 2020-01-01` reads as the text "2020-01-01", not as a date
+DATE_SPEC = """\
+openapi: 3.0.3
+info: {title: Dates, version: "1"}
+servers: [{url: "https://dates.example"}]
+paths:
+  /days/{day}:
+    get:
+      operationId: getDay
+      parameters:
+        - name: day
+          in: path
+          required: true
+          schema: {type: string}
+          example: 2020-01-01
+      responses: {"200": {description: ok}}
+"""

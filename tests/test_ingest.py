@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import datetime
 import json
 import re
 import time
@@ -488,7 +489,7 @@ class TestYamlLoaders:
         assert len(used) == 1 and loaders == []
         with pytest.raises(RecursionError):
             yamltree._load_yaml("- " * (yamltree._LIBYAML_MAX_DEPTH + 1) + "x\n")
-        assert len(used) == 2 and loaders == [yaml.SafeLoader]
+        assert len(used) == 2 and loaders == [yamltree._PureLoader]
 
     @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
                         reason="PyYAML built without libyaml")
@@ -510,7 +511,7 @@ class TestYamlLoaders:
         monkeypatch.setattr(yaml, "load", spy_load)
         with pytest.raises((RecursionError, yaml.YAMLError)):
             yamltree._load_yaml(text)
-        assert loaders == [yaml.SafeLoader]
+        assert loaders == [yamltree._PureLoader]
 
     @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
                         reason="PyYAML built without libyaml")
@@ -558,6 +559,24 @@ class TestYamlLoaders:
                 yamltree._load_yaml(text)
         else:
             assert yamltree._load_yaml(text) == expected
+
+    @pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pure"])
+    def test_plain_dates_read_as_text(self, tmp_path, monkeypatch, libyaml):
+        """A plain date or time is the text a JSON spec would hold, as a
+        value and as a key, in the tree and in the node graph; PyYAML's
+        own loaders still read a date."""
+        if not libyaml:
+            monkeypatch.setattr(yamltree, "_FastLoader", None)
+        text = ("openapi: 3.0.3\nd: 2020-01-01\nt: 2001-12-14 21:59:43.10\n"
+                "2020-01-02: k\nl: [2020-01-03]\n")
+        tree = load_document(write(tmp_path, "dates.yaml", text)).tree
+        assert tree == {"openapi": "3.0.3", "d": "2020-01-01",
+                        "t": "2001-12-14 21:59:43.10", "2020-01-02": "k",
+                        "l": ["2020-01-03"]}
+        node, _ = yamltree.compose_yaml(text)
+        assert {key.tag for key, _ in node.value} == {"tag:yaml.org,2002:str"}
+        assert {value.tag for _, value in node.value[:-1]} == {"tag:yaml.org,2002:str"}
+        assert yaml.safe_load(text)["d"] == datetime.date(2020, 1, 1)
 
     def test_parse_error_message_is_the_pure_loaders(self, tmp_path):
         text = "openapi: 3.0.0\npaths: {a: [1, 2}\n"
@@ -652,6 +671,12 @@ FALLS_BACK = {
     "two-documents", "parse-error",
 }
 
+# Plain dates and times read as text, where PyYAML's loaders give dates
+TEXT_NOT_DATES = {
+    "timestamps": {"d": "2001-12-14", "t": "2001-12-14t21:59:43.10-05:00",
+                   "u": "2001-12-14 21:59:43.10", "z": "2002-12-14T21:59:43Z"},
+}
+
 LOADABLE = sorted(FIXTURES.glob("*.yaml")) + sorted(FIXTURES.glob("*.json")) + sorted(
     DEFECTS.glob("*.yaml")) + sorted(DEFECTS.glob("*.json"))
 
@@ -681,7 +706,9 @@ class TestTreeFromEvents:
         """Tree or error; built from events unless the snippet falls back."""
         text = YAML_SNIPPETS[name]
         expected = load_outcome(todays_load, text)
-        if expected[1] is None:
+        if name in TEXT_NOT_DATES:
+            assert expected == (shape(TEXT_NOT_DATES[name]), None)
+        elif expected[1] is None:
             assert expected == load_outcome(libyaml_load, text)
         if name not in FALLS_BACK:
             monkeypatch.setattr(yaml, "load", refuse)

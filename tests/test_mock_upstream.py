@@ -236,3 +236,30 @@ def test_body_headers_are_read_in_any_case(tmp_path, case):
     assert response.status == 201
     assert record.body == {"a": "1"}
     assert {k: record.headers[k] for k in headers} == headers
+
+
+def test_records_the_served_tool_and_decoded_path_params(tmp_path):
+    """The most literal template serves a path, and each template
+    variable of that route is recorded percent-decoded."""
+    spec = tmp_path / "spec.json"
+    ok = {"200": {"description": "ok"}}
+    spec.write_text(json.dumps({
+        "openapi": "3.0.3", "info": {"title": "T", "version": "1"},
+        "servers": [{"url": "https://t.example"}],
+        "paths": {
+            "/pets/{id}/toys/{toy-id}": {"get": {"operationId": "getToy", "responses": ok}},
+            "/pets/{id}": {"get": {"operationId": "getPet", "responses": ok}},
+            "/pets/mine": {"get": {"operationId": "getMine", "responses": ok}},
+        },
+    }), encoding="utf-8")
+    with run_mock_upstream(compile_file(spec).manifest) as mock:
+        seen = []
+        for path in ("/pets/a%2Fb%20%C3%A9/toys/%7Bx%7D", "/pets/mine", "/pets/mine%21"):
+            assert requests.get(mock.base_url + path, timeout=5).status_code == 200
+            record = mock.last_record()
+            seen.append((record.tool_name, record.path_params))
+    assert seen == [
+        ("gettoy", {"id": "a/b é", "toy-id": "{x}"}),
+        ("getmine", {}),
+        ("getpet", {"id": "mine!"}),
+    ]

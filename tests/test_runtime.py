@@ -1000,3 +1000,60 @@ def test_bindings_rederived_from_manifest(trello_manifest=None):
     compiled = compile_file(fixture_path("allauth.yaml"))
     rederived = bindings_for(compiled.manifest)
     assert rederived == compiled.bindings
+
+
+class TestCredentialsTheirPlaceCannotCarry:
+    """A credential value its place cannot encode (Latin-1 in a header or
+    cookie; UTF-8 in a query and in Basic's `user:password`) leaves its
+    requirement set unmet, and the error names the variable, never the
+    value."""
+
+    @pytest.mark.parametrize("scheme, value, codec", [
+        (SecurityScheme("s", KIND_HTTP_BEARER), "日本", "latin-1"),
+        (SecurityScheme("s", KIND_OAUTH2), "日本", "latin-1"),
+        (SecurityScheme("s", KIND_API_KEY, "header", "X-Key"), "日", "latin-1"),
+        (SecurityScheme("s", KIND_API_KEY, "cookie", "sid"), "日", "latin-1"),
+        (SecurityScheme("s", KIND_API_KEY, "query", "key"), "\ud800", "utf-8"),
+        (SecurityScheme("s", KIND_HTTP_BASIC), "\ud800", "utf-8"),
+    ], ids=["bearer", "oauth2", "header", "cookie", "query", "basic"])
+    def test_is_unmet_naming_the_variable(self, scheme, value, codec):
+        bindings, _ = build_env_map([scheme], "Acme")
+        env = {b.env_var: value for b in bindings}
+        with pytest.raises(MissingCredential) as excinfo:
+            resolve_auth([{"s": []}], [scheme], env, bindings)
+        assert excinfo.value.env_var == bindings[0].env_var
+        assert str(excinfo.value) == (
+            f"credential {bindings[0].env_var} cannot be sent: "
+            f"its value is not {codec} text")
+
+    @pytest.mark.parametrize("scheme, value", [
+        (SecurityScheme("s", KIND_HTTP_BEARER), "café"),
+        (SecurityScheme("s", KIND_API_KEY, "query", "key"), "日本"),
+        (SecurityScheme("s", KIND_HTTP_BASIC), "日本"),
+    ], ids=["bearer-latin-1", "query-utf-8", "basic-utf-8"])
+    def test_value_its_place_carries_is_sent(self, scheme, value):
+        bindings, _ = build_env_map([scheme], "Acme")
+        env = {b.env_var: value for b in bindings}
+        plan = resolve_auth([{"s": []}], [scheme], env, bindings)
+        assert plan.headers or plan.query
+
+    def test_another_requirement_set_still_applies(self):
+        schemes, bindings, env = bindings_and_env({"bear1": "日", "key1": "k"})
+        plan = resolve_auth([{"bear1": []}, {"key1": []}], schemes, env, bindings)
+        assert plan.headers == {"X-Key": "k"}
+
+    def test_through_serve_no_request_and_no_log(self, trello, caplog):
+        env, creds = sentinel_credentials(trello)
+        key_var = next(b.env_var for b in trello.bindings if b.scheme_id == "apiKey")
+        env[key_var] = "\ud800"
+        stdout = io.StringIO()
+        with run_mock_upstream(trello.manifest, credentials=creds) as mock:
+            trello.manifest.base_url = mock.base_url
+            with caplog.at_level(logging.DEBUG, logger="automcp.runtime"):
+                serve(trello.manifest, env, stdin=io.StringIO(
+                    call_line("list_cards", {}) + "\n"), stdout=stdout, timeout=5)
+            assert mock.records == []
+        result = json.loads(stdout.getvalue())["result"]
+        assert result["isError"] is True
+        assert key_var in result["content"][0]["text"]
+        assert "\\ud800" not in stdout.getvalue() and caplog.records == []

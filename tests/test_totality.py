@@ -2,14 +2,17 @@
 
 Each example takes one fixture spec (the three corpus specs and the five
 defect specs) and changes one node: it replaces it by `[1]`, `1`, `null`,
-`"x"` or `{}`, deletes its key, replaces its key by an integer, or points
-a `$ref` at another node. The mutant then runs through `compile_file`,
+`"x"`, `{}`, a plain YAML date or text holding a lone surrogate, deletes
+its key, replaces its key by an integer, or points a `$ref` at another
+node. The mutant then runs through `compile_file`,
 `compile_file(fix=True)` and `lint`. Each must return or raise
-`AutoMcpError`, never anything else, within a bounded wall time.
+`AutoMcpError`, never anything else, within a bounded wall time, and
+each manifest compiled must encode as `generate` writes it.
 """
 
 from __future__ import annotations
 
+import datetime
 import json
 import time
 from dataclasses import dataclass
@@ -19,9 +22,11 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from automcp.compiler import manifest_to_dict
 from automcp.doctor import lint
 from automcp.errors import AutoMcpError
 from automcp.ingest import load_document
+from automcp.jsonout import dumps
 from automcp.pipeline import compile_file
 from automcp.refs import escape_token
 from conftest import DEFECTS, FIXTURES, build_contract
@@ -29,7 +34,8 @@ from conftest import DEFECTS, FIXTURES, build_contract
 SPEC_FILES = [FIXTURES / "allauth.yaml", FIXTURES / "legacy20.json",
               FIXTURES / "petstore.json", *sorted(DEFECTS.glob("class_*"))]
 
-WRONG_VALUES = [[1], 1, None, "x", {}]
+# a date is written as YAML, where it is a plain `2020-01-01`
+WRONG_VALUES = [[1], 1, None, "x", {}, datetime.date(2020, 1, 1), "a\ud800b"]
 WALL_TIME_BOUND_S = 2.0
 
 # A fixed budget that keeps this module to a few seconds in tier-1. CI's
@@ -147,7 +153,7 @@ def test_mutant_returns_or_raises_a_typed_error(workdir, mutation):
     name, path, value = mutation
     tree = mutated(SPECS[name]["tree"], path, value)
     target = workdir / name
-    if isinstance(value, RenameKey):  # JSON has no integer keys
+    if isinstance(value, (RenameKey, datetime.date)):  # JSON has neither
         target = target.with_suffix(".yaml")
     if target.suffix == ".json":
         target.write_text(json.dumps(tree, indent=2), encoding="utf-8")
@@ -156,8 +162,10 @@ def test_mutant_returns_or_raises_a_typed_error(workdir, mutation):
     for command, run in RUNS.items():
         start = time.perf_counter()
         try:
-            run(target)
+            compiled = run(target)
         except AutoMcpError:
-            pass
+            compiled = None
         elapsed = time.perf_counter() - start
         assert elapsed < WALL_TIME_BOUND_S, (command, elapsed)
+        if compiled is not None:  # as `generate` writes manifest.json and stub.json
+            dumps(manifest_to_dict(compiled.manifest, include_bindings=True)).encode()
