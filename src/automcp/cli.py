@@ -6,14 +6,13 @@ protocol messages only; every diagnostic goes to stderr.
 
 Each `cmd_*` imports the modules that only it runs, so start-up pays
 for one command: `generate` on a JSON spec loads no HTTP client or
-server, no YAML parser and no repair code. `serve` loads no repair code,
-and no HTTP client until its first `tools/call`.
+server, no YAML parser, no repair code and no `logging`. `serve` loads
+no repair code, and no HTTP client until its first `tools/call`.
 """
 
 from __future__ import annotations
 
 import argparse
-import logging
 import os
 import sys
 from collections import Counter
@@ -45,8 +44,6 @@ ENV_PREFIX = "AUTOMCP_"
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(stream=sys.stderr, level=logging.WARNING,
-                        format="%(levelname)s %(name)s: %(message)s")
     cfg = _parse_args(argv if argv is not None else sys.argv[1:])
     handlers = {
         "generate": cmd_generate,
@@ -203,9 +200,13 @@ def cmd_generate(cfg: argparse.Namespace) -> int:
 
 
 def cmd_serve(cfg: argparse.Namespace) -> int:
+    import logging  # only `runtime` logs
+
     from .envfile import load_env
     from .runtime import serve
 
+    logging.basicConfig(stream=sys.stderr, level=logging.WARNING,
+                        format="%(levelname)s %(name)s: %(message)s")
     compiled = compile_file(cfg.spec)
     serve(compiled.manifest, load_env(cfg.env), timeout=cfg.timeout)
     return EXIT_OK

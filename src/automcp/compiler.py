@@ -7,10 +7,9 @@ contract bytes produce an identical manifest. Every operation that
 
 from __future__ import annotations
 
-import copy
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Any, Iterator, Mapping
 
 from .errors import SchemeError
 from .ingest import api_title, flag, mapping, merge_parameters, operations
@@ -86,10 +85,12 @@ def compile_manifest(
     credential slot is never a tool argument. The success status is the
     smallest declared 2xx code, defaulting to 200. Raises SchemeError
     (class A) when an operation requires a scheme that `schemes` does not
-    hold. Each contract node is copied once, however many tools use it.
+    hold. Schemas and examples are copied by `_copy_json`, through one
+    memo per compile, so each contract node is copied once, however many
+    tools use it, and the manifest shares no node with the contract.
     """
     tree = contract.tree
-    memo: dict = {}  # one `copy.deepcopy` memo: tools share the copies
+    memo: dict = {}  # one `_copy_json` memo: tools share the copies
     taken: set[str] = set()
     tools: list[ToolSpec] = []
     for path, method, op, params, security in operation_auth(
@@ -103,7 +104,7 @@ def compile_manifest(
             params, memo, names={"body"} if content_type is not None else set(),
         )
         if content_type is not None:
-            properties["body"] = copy.deepcopy(body_schema, memo)
+            properties["body"] = _copy_json(body_schema, memo)
             if flag(request_body, "required"):
                 required.append("body")
 
@@ -260,9 +261,9 @@ def _compile_parameters(
         specs.append(spec)
         if spec.is_credential:
             continue
-        schema = dict(copy.deepcopy(mapping(param, "schema"), memo))
+        schema = dict(_copy_json(mapping(param, "schema"), memo))
         if "example" in param and "example" not in schema:
-            schema["example"] = copy.deepcopy(param["example"], memo)
+            schema["example"] = _copy_json(param["example"], memo)
         if not schema:
             schema = {"type": "string"}
         description = text(param, "description")
@@ -272,6 +273,29 @@ def _compile_parameters(
         if location == "path" or flag(param, "required"):
             required.append(spec.sanitized_name)
     return specs, properties, required
+
+
+def _copy_json(node: Any, memo: dict) -> Any:
+    """`node` with each dict and list under it rebuilt, and each scalar as
+    it is: a loaded tree holds only JSON values (`yamltree`), whose
+    scalars are immutable. `memo` maps the id of each container copied
+    so far to it and its copy, so a node reached twice is copied once,
+    and holding the original keeps its id from being reused."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return node
+    seen = memo.get(id(node))
+    if seen is not None:
+        return seen[1]
+    copied = node.copy()
+    memo[id(node)] = (node, copied)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            copied[key] = _copy_json(value, memo)
+    return copied
 
 
 def _pick_request_body(request_body: dict) -> tuple[dict | None, str | None]:

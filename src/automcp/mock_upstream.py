@@ -139,7 +139,8 @@ class MockUpstream:
         # Match on the still-encoded path: an encoded "/" inside one
         # segment must not look like a segment separator.
         path = parsed.path
-        query = {k: v[0] for k, v in parse_qs(parsed.query).items()}
+        query = {k: v[0] for k, v
+                 in parse_qs(parsed.query, keep_blank_values=True).items()}
         headers = {k: v for k, v in request.headers.items()}
         length = int(request.headers.get("Content-Length", 0) or 0)  # names in any case
         raw_body = request.rfile.read(length) if length else b""
@@ -147,7 +148,8 @@ class MockUpstream:
         if raw_body:
             content_type = request.headers.get("Content-Type", "")
             if "application/x-www-form-urlencoded" in content_type:
-                pairs = parse_qs(raw_body.decode("utf-8", "replace"))
+                pairs = parse_qs(raw_body.decode("utf-8", "replace"),
+                                 keep_blank_values=True)
                 body = {k: v[0] for k, v in pairs.items()}
             else:
                 try:

@@ -16,8 +16,9 @@ _CYCLE_PLACEHOLDER_PREFIX = "cyclic reference to "
 class FlattenedContract:
     """A document with every $ref inlined, then `ingest.normalize`d.
 
-    Acyclic targets are expanded once and shared by all their uses, so
-    `tree` is read-only: copy a subtree before changing it.
+    `tree` shares every node it does not rewrite with the loaded tree,
+    and acyclic targets are expanded once and shared by all their uses,
+    so `tree` is read-only: copy a subtree before changing it.
     """
 
     tree: dict
@@ -75,9 +76,11 @@ def flatten(tree: dict) -> FlattenedContract:
     ``{"type": "object", "description": "cyclic reference to <pointer>"}``
     and the target pointer is recorded once in ``cycles_detected``.
 
-    The result shares no node with `tree`, but the expansion of a target
-    that breaks no cycle is built once and placed at every use: treat
-    the result as read-only and copy a subtree before changing it.
+    Only the containers on a path to a $ref are rebuilt: the result
+    shares every other node with `tree`, which is never changed, and the
+    expansion of a target that breaks no cycle is built once and placed
+    at every use. Treat the result as read-only and copy a subtree
+    before changing it.
     """
     resolved = 0
     placeholders = 0
@@ -114,10 +117,20 @@ def flatten(tree: dict) -> FlattenedContract:
                 if placeholders == placeholders_before:
                     expanded[ref] = (value, resolved - resolved_before)
                 return value
-            return {key: expand(value, active) for key, value in node.items()}
-        if isinstance(node, list):
-            return [expand(value, active) for value in node]
-        return node
+            items = node.items()
+        elif isinstance(node, list):
+            items = enumerate(node)
+        else:
+            return node
+        copied = None  # made at the first child whose expansion differs
+        for key, value in items:
+            if isinstance(value, (dict, list)):
+                flat = expand(value, active)
+                if flat is not value:
+                    if copied is None:
+                        copied = node.copy()
+                    copied[key] = flat
+        return node if copied is None else copied
 
     flat = expand(tree, ())
     return FlattenedContract(tree=flat, ref_count_resolved=resolved,

@@ -9,11 +9,16 @@ every tree and every error is `yaml.safe_load`'s. The walk also guards
 nesting depth: a document that nests deeper than `_LIBYAML_MAX_DEPTH`,
 and any text when libyaml is absent, takes PyYAML's pure-Python loader.
 
-One rule differs from `yaml.safe_load`: a plain scalar such as
-`2020-01-01` reads as text, not as a date. A spec's values end up as
-JSON (a manifest, a tool argument, a lint finding), and JSON has no
-date. Both loaders are subclasses that drop the implicit timestamp
-resolver; PyYAML's own classes are left as they are.
+A few rules differ from `yaml.safe_load`, so that every tree holds only
+JSON values: a spec's values end up as JSON (a manifest, a tool
+argument, a lint finding), and JSON has no date, bytes, set or tuple.
+A plain scalar such as `2020-01-01` reads as text, not as a date. An
+explicit tag whose value JSON cannot hold reads as the node it tags:
+`!!timestamp` and `!!binary` as the scalar's text as written, `!!set`
+as its mapping (whose values are null), and `!!omap` and `!!pairs` as
+their sequence of one-key mappings. Both loaders are subclasses that
+drop the implicit timestamp resolver and hold these constructors;
+PyYAML's own classes are left as they are.
 
 Only text that does not parse as JSON is read here: `ingest` imports
 this module, and with it `yaml`, on first use.
@@ -42,19 +47,30 @@ from yaml import (AliasEvent, DocumentEndEvent, MappingEndEvent, MappingStartEve
 # is read, so it bounds the depth from the text first (`_nesting_bound`).
 _LIBYAML_MAX_DEPTH = 2000
 _TIMESTAMP_TAG = "tag:yaml.org,2002:timestamp"
+_MAP_TAG = "tag:yaml.org,2002:map"
+_SEQ_TAG = "tag:yaml.org,2002:seq"
 
 
-def _without_timestamps(loader: type) -> type:
-    """A subclass of `loader` whose plain scalars never resolve to a date."""
+def _json_loader(loader: type) -> type:
+    """A subclass of `loader` whose plain scalars never resolve to a date,
+    and whose tagged nodes build only JSON values."""
     resolvers = {
         first: [(tag, regexp) for tag, regexp in pairs if tag != _TIMESTAMP_TAG]
         for first, pairs in loader.yaml_implicit_resolvers.items()
     }
-    return type(loader.__name__, (loader,), {"yaml_implicit_resolvers": resolvers})
+    untagged = {_TIMESTAMP_TAG: loader.construct_scalar,
+                "tag:yaml.org,2002:binary": loader.construct_scalar,
+                "tag:yaml.org,2002:set": loader.yaml_constructors[_MAP_TAG],
+                "tag:yaml.org,2002:omap": loader.yaml_constructors[_SEQ_TAG],
+                "tag:yaml.org,2002:pairs": loader.yaml_constructors[_SEQ_TAG]}
+    return type(loader.__name__, (loader,), {
+        "yaml_implicit_resolvers": resolvers,
+        "yaml_constructors": {**loader.yaml_constructors, **untagged},
+    })
 
 
-_PureLoader = _without_timestamps(yaml.SafeLoader)
-_FastLoader = (_without_timestamps(yaml.CSafeLoader)  # None without libyaml
+_PureLoader = _json_loader(yaml.SafeLoader)
+_FastLoader = (_json_loader(yaml.CSafeLoader)  # None without libyaml
                if hasattr(yaml, "CSafeLoader") else None)
 # A line break and the run of spaces and block indicators after it. YAML
 # also breaks lines at CR, NEL, LS and PS, and libyaml skips a BOM at any
@@ -98,8 +114,8 @@ _STR_TAG = "tag:yaml.org,2002:str"
 _NO_KEY = object()  # a mapping's key slot while it waits for a key
 # a collection's start event -> the tags under which it is a plain dict or list
 _PLAIN_TAGS = {
-    MappingStartEvent: (None, "!", "tag:yaml.org,2002:map"),
-    SequenceStartEvent: (None, "!", "tag:yaml.org,2002:seq"),
+    MappingStartEvent: (None, "!", _MAP_TAG),
+    SequenceStartEvent: (None, "!", _SEQ_TAG),
 }
 
 
@@ -107,8 +123,9 @@ def _tree_from_events(loader: Any) -> Any:
     """The tree `loader.get_single_data()` would construct, built straight
     from the loader's parse events: dicts, lists and scalars, with each
     alias sharing the object its anchor names. A scalar's tag is resolved
-    and constructed by the loader itself, so ints, floats, bools, nulls,
-    timestamps and binary come out as PyYAML makes them.
+    and constructed by the loader itself, so ints, floats, bools and
+    nulls come out as PyYAML makes them, and timestamps and binary as
+    the loader's constructors read them (as text).
 
     Raises _TooDeep once more than `_LIBYAML_MAX_DEPTH` collections are
     open. Raises _Unbuilt on what only PyYAML's constructor gets exactly

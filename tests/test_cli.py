@@ -760,8 +760,11 @@ class TestRulesOnlyWhereTheRepairReadsThem:
 
 def deep_spec_text(case: str) -> str:
     """`parse`: a 3,000-deep array the JSON parser cannot follow.
-    `compile`: a 300-level schema that parses but overflows the
-    normalize/flatten tree walks."""
+    `compile`: a 700-level schema that parses but overflows the tree
+    walks of compile. It is flow-style YAML (which `load_document` reads
+    whatever the file is named), because the flatten and copy walks
+    follow any tree the JSON parser can build, while the YAML event walk
+    builds trees up to 2,000 levels deep."""
     spec = {
         "openapi": "3.0.0",
         "info": {"title": "Deep", "version": "1"},
@@ -770,13 +773,12 @@ def deep_spec_text(case: str) -> str:
     }
     if case == "parse":
         return json.dumps(spec)[:-1] + ', "x-deep": ' + "[" * 3000 + "]" * 3000 + "}"
-    schema: dict = {"type": "string"}
-    for _ in range(300):
-        schema = {"type": "object", "properties": {"a": schema}}
-    spec["paths"]["/a"]["post"]["requestBody"] = {
-        "content": {"application/json": {"schema": schema}}
-    }
-    return json.dumps(spec)
+    schema = "{type: string}"
+    for _ in range(700):
+        schema = "{type: object, properties: {a: " + schema + "}}"
+    # the JSON text up to the post operation's responses, then its request body
+    return json.dumps(spec)[:-4] + ", requestBody: {content: {application/json: {schema: " \
+        + schema + "}" * 7
 
 
 @pytest.mark.parametrize("case", ["parse", "compile"])
@@ -1003,6 +1005,31 @@ class TestPlainYamlDates:
         assert done.returncode == 0, done.stderr
         [tool] = json.loads(done.stdout)["result"]["tools"]
         assert tool["inputSchema"]["properties"]["day"]["example"] == "2020-01-01"
+
+
+# an explicit tag whose value JSON cannot hold reads as the node it tags
+TAGGED_EXAMPLES = {
+    "timestamp": ("!!timestamp 2020-01-01", "2020-01-01"),
+    "binary": ("!!binary aGVsbG8=", "aGVsbG8="),
+    "set": ("!!set {a, b}", {"a": None, "b": None}),
+    "omap": ("!!omap [a: 1, b: 2]", [{"a": 1}, {"b": 2}]),
+    "pairs": ("!!pairs [a: 1, a: 2]", [{"a": 1}, {"a": 2}]),
+}
+
+
+class TestExplicitYamlTags:
+    @pytest.mark.parametrize("tag", TAGGED_EXAMPLES)
+    def test_generate_writes_the_tagged_example_as_json(self, tmp_path, tag):
+        written, value = TAGGED_EXAMPLES[tag]
+        spec = tmp_path / "tagged.yaml"
+        spec.write_text(DATE_SPEC.replace("example: 2020-01-01", "example: " + written),
+                        encoding="utf-8")
+        done = run_module(["generate", spec, "--out", tmp_path / "out", "--emit-stub"])
+        assert done.returncode == 0, done.stderr
+        for name in ("manifest.json", "stub.json"):
+            manifest = json.loads((tmp_path / "out" / name).read_text(encoding="utf-8"))
+            [tool] = manifest["tools"]
+            assert tool["inputSchema"]["properties"]["day"]["example"] == value
 
 
 class TestCredentialItsPlaceCannotCarry:

@@ -407,6 +407,32 @@ class TestCompileManifest:
         assert first["tag"]["properties"] is first["body"]["properties"]["tag"]["properties"]
         assert first["tag"]["example"] == {"name": "a"} and "example" not in second["tag"]
 
+    def test_a_yaml_anchor_is_copied_once(self, tmp_path):
+        """Two operations whose bodies alias one YAML anchor share one copy
+        of it, which is neither the loaded node nor the contract's."""
+        spec = tmp_path / "anchor.yaml"
+        spec.write_text(
+            "openapi: 3.0.3\ninfo: {title: Anchor, version: '1'}\n"
+            "servers: [{url: 'https://anchor.example'}]\npaths:\n"
+            "  /a:\n    post:\n      requestBody:\n        content:\n"
+            "          application/json:\n            schema: &pet\n"
+            "              type: object\n"
+            "              properties: {name: {type: string}}\n"
+            "      responses: {'200': {description: ok}}\n"
+            "  /b:\n    put:\n      requestBody:\n        content:\n"
+            "          application/json: {schema: *pet}\n"
+            "      responses: {'200': {description: ok}}\n",
+            encoding="utf-8",
+        )
+        compiled = compile_file(spec)
+        first, second = (t.input_schema["properties"]["body"]
+                         for t in compiled.manifest.tools)
+        loaded = compiled.raw.tree["paths"]["/a"]["post"]["requestBody"]["content"][
+            "application/json"]["schema"]
+        assert first is second
+        assert first == loaded and first is not loaded
+        assert first["properties"] is not loaded["properties"]
+
 
 def _swagger(paths: dict, **top) -> dict:
     return {"swagger": "2.0", "info": {"title": "T", "version": "1"},
@@ -508,8 +534,9 @@ def diamond_tree(depth: int = 6) -> dict:
 
 class TestContractNotMutated:
     """The flattened tree shares the expansion of each acyclic target
-    among its uses, so compilation must change none of it, and the
-    manifest must share none of it."""
+    among its uses, and every node it does not rewrite with the loaded
+    tree, so compilation must change neither, and the manifest must
+    share no node with them."""
 
     def contracts(self, tmp_path):
         rules = load_vendor_rules(FIXTURES / "vendor_rules.json")
@@ -529,13 +556,16 @@ class TestContractNotMutated:
         names = []
         for name, raw, contract in self.contracts(tmp_path):
             before = json.dumps(contract.tree)
+            raw_before = json.dumps(raw.tree)
             manifest = compile_manifest(contract, extract_security(contract),
                                         base_url=resolve_base_url(raw))
             assert json.dumps(contract.tree) == before, name
+            assert json.dumps(raw.tree) == raw_before, name
             self._scribble(manifest_to_dict(manifest)["tools"])
             for tool in manifest.tools:
                 self._scribble(tool.input_schema)
             assert json.dumps(contract.tree) == before, name
+            assert json.dumps(raw.tree) == raw_before, name
             names.append(name)
         assert len(names) == 9
 

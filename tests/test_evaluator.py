@@ -273,6 +273,13 @@ class TestEchoStage:
         report = evaluate_spec_file(spec, env={})
         assert outcomes(report) == {"getday": (True, "ok", "")}
 
+    def test_blank_query_value_passes(self, tmp_path):
+        """`?blank=` reaches the mock as the empty text, not as nothing."""
+        paths = {"/items": {"get": {"operationId": "listItems", "parameters": [
+            query("blank", {"type": "string", "example": ""})], "responses": OK}}}
+        report = evaluate_spec_file(write_spec(tmp_path, paths), env={})
+        assert outcomes(report) == {"listitems": (True, "ok", "")}
+
 
 # `example: 2020-01-01` reads as the text "2020-01-01", not as a date
 DATE_SPEC = """\

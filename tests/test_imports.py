@@ -163,6 +163,16 @@ def test_lint_on_json_loads_no_yaml_or_repair_code(tmp_path):
     assert sorted(loaded.intersection(["yaml", "automcp.splice", "difflib"])) == []
 
 
+@pytest.mark.parametrize("command", ["generate", "lint", "sample"])
+def test_commands_other_than_serve_load_no_logging(tmp_path, command):
+    """Only `runtime` logs, so only `serve` configures `logging`."""
+    args = ["--out", tmp_path / "out"] if command == "generate" else []
+    loaded = loaded_after(RUN_CLI, command, fixture_path("legacy20.json"), *args,
+                          tmp_path=tmp_path)
+    assert "automcp.pipeline" in loaded
+    assert "logging" not in loaded
+
+
 @pytest.mark.parametrize("name", ["legacy20.json", "allauth.yaml"])
 def test_compile_file_without_fix_loads_no_repair_code(tmp_path, name):
     code = "import sys\nfrom automcp.pipeline import compile_file\ncompile_file(sys.argv[2])"

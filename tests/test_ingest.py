@@ -578,6 +578,23 @@ class TestYamlLoaders:
         assert {value.tag for _, value in node.value[:-1]} == {"tag:yaml.org,2002:str"}
         assert yaml.safe_load(text)["d"] == datetime.date(2020, 1, 1)
 
+    @pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pure"])
+    def test_explicit_tags_read_as_json_values(self, tmp_path, monkeypatch, libyaml):
+        """A tagged node whose value JSON cannot hold reads as the node it
+        tags; PyYAML's own loaders still build a date, bytes and a set."""
+        if not libyaml:
+            monkeypatch.setattr(yamltree, "_FastLoader", None)
+        text = ("openapi: 3.0.3\nd: !!timestamp 2020-01-01\nb: !!binary aGVsbG8=\n"
+                "s: !!set {x, y}\no: !!omap [k: 1]\np: !!pairs [k: 1, k: 2]\n"
+                "!!timestamp 2020-01-02: key\n")
+        tree = load_document(write(tmp_path, "tags.yaml", text)).tree
+        assert tree == {"openapi": "3.0.3", "d": "2020-01-01", "b": "aGVsbG8=",
+                         "s": {"x": None, "y": None}, "o": [{"k": 1}],
+                         "p": [{"k": 1}, {"k": 2}], "2020-01-02": "key"}
+        loaded = yaml.safe_load(text)
+        assert (loaded["d"], loaded["b"], loaded["s"]) == (
+            datetime.date(2020, 1, 1), b"hello", {"x", "y"})
+
     def test_parse_error_message_is_the_pure_loaders(self, tmp_path):
         text = "openapi: 3.0.0\npaths: {a: [1, 2}\n"
         with pytest.raises(yaml.YAMLError) as pure:
@@ -671,10 +688,16 @@ FALLS_BACK = {
     "two-documents", "parse-error",
 }
 
-# Plain dates and times read as text, where PyYAML's loaders give dates
-TEXT_NOT_DATES = {
+# Trees of JSON values where PyYAML's loaders give a date, bytes, a set or
+# tuples (or, for bad base64, an error): plain dates and times read as text,
+# and a tagged node as the node it tags
+JSON_NOT_PYYAMLS = {
     "timestamps": {"d": "2001-12-14", "t": "2001-12-14t21:59:43.10-05:00",
                    "u": "2001-12-14 21:59:43.10", "z": "2002-12-14T21:59:43Z"},
+    "binary": {"b": "aGVsbG8="},
+    "bad-binary": {"b": "é"},
+    "set": {"s": {"a": None, "b": None}},
+    "omap": {"o": [{"a": 1}, {"b": 2}]},
 }
 
 LOADABLE = sorted(FIXTURES.glob("*.yaml")) + sorted(FIXTURES.glob("*.json")) + sorted(
@@ -706,8 +729,8 @@ class TestTreeFromEvents:
         """Tree or error; built from events unless the snippet falls back."""
         text = YAML_SNIPPETS[name]
         expected = load_outcome(todays_load, text)
-        if name in TEXT_NOT_DATES:
-            assert expected == (shape(TEXT_NOT_DATES[name]), None)
+        if name in JSON_NOT_PYYAMLS:
+            assert expected == (shape(JSON_NOT_PYYAMLS[name]), None)
         elif expected[1] is None:
             assert expected == load_outcome(libyaml_load, text)
         if name not in FALLS_BACK:

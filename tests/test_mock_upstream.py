@@ -263,3 +263,24 @@ def test_records_the_served_tool_and_decoded_path_params(tmp_path):
         ("getmine", {}),
         ("getpet", {"id": "mine!"}),
     ]
+
+
+def test_blank_query_and_form_values_are_recorded(tmp_path):
+    """An empty query value or form field is recorded as "", not dropped."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "openapi": "3.0.3", "info": {"title": "T", "version": "1"},
+        "servers": [{"url": "https://t.example"}],
+        "paths": {"/forms": {"post": {
+            "requestBody": {"content": {"application/x-www-form-urlencoded": {
+                "schema": {"type": "object"}}}},
+            "responses": {"201": {"description": "ok"}}}}},
+    }), encoding="utf-8")
+    with run_mock_upstream(compile_file(spec).manifest) as mock:
+        response = requests.post(
+            f"{mock.base_url}/forms?blank=&q=x", data="a=&b=1", timeout=5,
+            headers={"Content-Type": "application/x-www-form-urlencoded"})
+        record = mock.last_record()
+    assert response.status_code == 201
+    assert record.query == {"blank": "", "q": "x"}
+    assert record.body == {"a": "", "b": "1"}

@@ -236,6 +236,41 @@ class TestFlatten:
         flatten(tree)
         assert tree == before
 
+    def test_result_shares_every_ref_free_subtree_with_the_input(self):
+        """Only the containers on a path to a $ref are new objects; every
+        other node of the result is the input's own."""
+        tree = {
+            "info": {"title": "t", "tags": [{"name": "a"}]},
+            "paths": {
+                "/a": {"get": {"responses": {"200": {"description": "ok"}}},
+                       "post": {"body": {"$ref": "#/defs/x"}, "plain": {"k": [1]}}},
+                "/b": {"get": {"items": [{"v": 1}, {"$ref": "#/defs/x"}]}},
+            },
+            "defs": {"x": {"type": "string", "enum": ["p", "q"]}},
+        }
+        flat = flatten(tree).tree
+        on_ref_paths = [(), ("paths",), ("paths", "/a"), ("paths", "/a", "post"),
+                        ("paths", "/b"), ("paths", "/b", "get"),
+                        ("paths", "/b", "get", "items")]
+        for path in on_ref_paths:
+            node, source = flat, tree
+            for key in path:
+                node, source = node[key], source[key]
+            assert node is not source, path
+        assert flat["info"] is tree["info"]
+        assert flat["defs"] is tree["defs"]
+        assert flat["paths"]["/a"]["get"] is tree["paths"]["/a"]["get"]
+        post = flat["paths"]["/a"]["post"]
+        assert post["plain"] is tree["paths"]["/a"]["post"]["plain"]
+        assert post["body"] is tree["defs"]["x"]  # a ref-free target is the input's
+        items = flat["paths"]["/b"]["get"]["items"]
+        assert items[0] is tree["paths"]["/b"]["get"]["items"][0]
+        assert items[1] is tree["defs"]["x"]
+
+    def test_ref_free_document_is_the_input(self):
+        tree = {"openapi": "3.0.3", "paths": {"/a": {"get": {}}}}
+        assert flatten(tree).tree is tree
+
 
 class TestPointerCodec:
     @given(st.text())

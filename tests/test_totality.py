@@ -2,8 +2,9 @@
 
 Each example takes one fixture spec (the three corpus specs and the five
 defect specs) and changes one node: it replaces it by `[1]`, `1`, `null`,
-`"x"`, `{}`, a plain YAML date or text holding a lone surrogate, deletes
-its key, replaces its key by an integer, or points a `$ref` at another
+`"x"`, `{}`, a plain YAML date, text holding a lone surrogate, or a value
+under an explicit `!!timestamp`, `!!binary` or `!!set` tag, deletes its
+key, replaces its key by an integer, or points a `$ref` at another
 node. The mutant then runs through `compile_file`,
 `compile_file(fix=True)` and `lint`. Each must return or raise
 `AutoMcpError`, never anything else, within a bounded wall time, and
@@ -34,8 +35,30 @@ from conftest import DEFECTS, FIXTURES, build_contract
 SPEC_FILES = [FIXTURES / "allauth.yaml", FIXTURES / "legacy20.json",
               FIXTURES / "petstore.json", *sorted(DEFECTS.glob("class_*"))]
 
-# a date is written as YAML, where it is a plain `2020-01-01`
-WRONG_VALUES = [[1], 1, None, "x", {}, datetime.date(2020, 1, 1), "a\ud800b"]
+
+@dataclass(frozen=True)
+class ExplicitTag:
+    """A scalar written under an explicit tag, quoted so that the tag is
+    kept where the text alone would resolve to it."""
+
+    tag: str
+    text: str
+
+
+class TagDumper(yaml.SafeDumper):
+    pass
+
+
+TagDumper.add_representer(
+    ExplicitTag, lambda dumper, value: dumper.represent_scalar(value.tag, value.text,
+                                                                style="'"))
+
+# JSON holds neither a date nor any tagged value, so a mutant holding one
+# is written as YAML: the date as a plain `2020-01-01`, the tag as
+# `!!timestamp '2020-01-01'`, bytes as `!!binary` and the set as `!!set`
+WRONG_VALUES = [[1], 1, None, "x", {}, datetime.date(2020, 1, 1), "a\ud800b",
+                ExplicitTag("tag:yaml.org,2002:timestamp", "2020-01-01"),
+                b"hello", {"a"}]
 WALL_TIME_BOUND_S = 2.0
 
 # A fixed budget that keeps this module to a few seconds in tier-1. CI's
@@ -153,12 +176,13 @@ def test_mutant_returns_or_raises_a_typed_error(workdir, mutation):
     name, path, value = mutation
     tree = mutated(SPECS[name]["tree"], path, value)
     target = workdir / name
-    if isinstance(value, (RenameKey, datetime.date)):  # JSON has neither
+    if isinstance(value, (RenameKey, datetime.date, ExplicitTag, bytes, set)):
         target = target.with_suffix(".yaml")
     if target.suffix == ".json":
         target.write_text(json.dumps(tree, indent=2), encoding="utf-8")
     else:
-        target.write_text(yaml.safe_dump(tree, sort_keys=False), encoding="utf-8")
+        target.write_text(yaml.dump(tree, Dumper=TagDumper, sort_keys=False),
+                          encoding="utf-8")
     for command, run in RUNS.items():
         start = time.perf_counter()
         try:
