@@ -26,6 +26,7 @@ import base64
 import json
 import logging
 import math
+import re
 import sys
 import threading
 import traceback
@@ -59,6 +60,8 @@ logger = logging.getLogger("automcp.runtime")
 PROTOCOL_VERSIONS = ("2024-11-05", "2025-03-26", "2025-06-18")
 DEFAULT_TIMEOUT_SECONDS = 30.0
 _CALL_WORKERS = 4  # upstream calls in flight at once under `serve`
+# RFC 6265 §4.1.1's cookie-octet: US-ASCII but controls, whitespace, DQUOTE, `,`, `;`, `\`
+_COOKIE_OCTETS = re.compile(r"[\x21\x23-\x2b\x2d-\x3a\x3c-\x5b\x5d-\x7e]*")
 REDACTED = "***"
 
 _RPC_PARSE_ERROR = -32700
@@ -273,6 +276,7 @@ def invoke_tool(
     ep = tool.endpoint
 
     path = ep.path_template
+    path_args: dict[str, str] = {}  # "{name}" -> the argument that fills it
     query: dict[str, object] = {}
     headers: dict[str, str] = {}
     cookies: list[str] = []
@@ -287,15 +291,17 @@ def invoke_tool(
             continue
         arg = param.sanitized_name
         if param.location == "path":
+            path_args["{%s}" % param.name] = arg
             path = path.replace(
                 "{%s}" % param.name, quote(_sendable(arg, _scalar(value)), safe="")
             )
         elif param.location == "query":
             _add_field(query, param.name, value, arg)
         elif param.location == "header":
-            headers[param.name] = _sendable(arg, _scalar(value), "latin-1")
+            headers[param.name] = _header_value(arg, _scalar(value))
         elif param.location == "cookie":
-            cookies.append(f"{param.name}={_sendable(arg, _scalar(value), 'latin-1')}")
+            cookies.append(f"{param.name}={_cookie_value(arg, _scalar(value))}")
+    _check_segments(ep.path_template, path, path_args)
 
     plan = resolve_auth(ep.security, schemes, env, bindings)
     plan = merge_extra_headers(plan, env)
@@ -389,6 +395,37 @@ def _sendable(arg: str, text: str, codec: str = "utf-8") -> str:
     SchemaViolation naming the argument `arg`, never its value."""
     if not encodes(text, codec):
         raise SchemaViolation(f"argument {arg!r} cannot be sent as {codec} text")
+    return text
+
+
+def _check_segments(template: str, path: str, path_args: dict[str, str]) -> None:
+    """Raise SchemaViolation when an argument makes a path segment empty,
+    `.` or `..`: urllib3 removes dot segments (RFC 3986 §5.2.4), so the
+    request would reach another resource. Such a segment is refused, not
+    percent-encoded. A quoted argument holds no `/`, so the template and
+    the path have the same segments."""
+    for written, sent in zip(template.split("/"), path.split("/")):
+        if sent in ("", ".", "..") and sent != written:
+            arg = next(arg for name, arg in path_args.items() if name in written)
+            raise SchemaViolation(
+                f"argument {arg!r} cannot be sent as a path segment: it would be "
+                "empty or a dot segment")
+
+
+def _header_value(arg: str, text: str) -> str:
+    """`text` as a header value: Latin-1, with no CR, LF or NUL and no
+    leading or trailing SP or HTAB (RFC 9110 §5.5)."""
+    if text.strip(" \t") != text or any(ch in text for ch in "\r\n\0"):
+        raise SchemaViolation(f"argument {arg!r} cannot be sent as a header value")
+    return _sendable(arg, text, "latin-1")
+
+
+def _cookie_value(arg: str, text: str) -> str:
+    """`text` as a cookie value: cookie-octets only (RFC 6265 §4.1.1), so
+    no `;`, `,`, space, quote, backslash, control or non-ASCII character
+    can add a cookie or change one."""
+    if not _COOKIE_OCTETS.fullmatch(text):
+        raise SchemaViolation(f"argument {arg!r} cannot be sent as a cookie value")
     return text
 
 

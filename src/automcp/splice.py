@@ -1,17 +1,17 @@
 """Place pointer edits in a spec's source text, so that a repaired copy
 keeps the author's comments, key order and quoting.
 
-`SourceText.splice` composes the current text once, with the loader that
-`ingest` reads YAML with (JSON is YAML's flow style), finds each edit's
-node by its marks and changes only that node's text: it replaces a
-value's span, adds a mapping entry or appends a sequence item. A new
-value is written on one line: as JSON in a JSON document, and otherwise
-as YAML, in flow style where it is a collection. Each line of the text
-remembers the original line it still is, or the lint class whose edit
-wrote it; the changed-line counts and the unified diff come from that
-record, not from diffing the whole text. `unified_diff` is the one hunk
-writer: `doctor.fix_loop`'s whole-document fallback passes it a
-`difflib.SequenceMatcher`'s changed runs instead.
+`SourceText.splice` reads the current text's nodes once, from the parse
+events of the loader `ingest` reads YAML with (`yamltree.source_nodes`;
+JSON is YAML's flow style), finds each edit's node and changes only that
+node's text: it replaces a value's span, adds a mapping entry or appends
+a sequence item. A new value is written on one line: as JSON in a JSON
+document, and otherwise as YAML, in flow style where it is a collection.
+Each line of the text remembers the original line it still is, or the
+lint class whose edit wrote it; the changed-line counts and the unified
+diff come from that record, not from diffing the whole text.
+`unified_diff` is the one hunk writer: `doctor.fix_loop`'s whole-document
+fallback passes it a `difflib.SequenceMatcher`'s changed runs instead.
 
 An edit with no safe place raises `Unplaceable`. The caller keeps the
 tree-level edit as the oracle: it loads the spliced text and renders the
@@ -24,16 +24,14 @@ import json
 import math
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import yaml
-from yaml.constructor import SafeConstructor
-from yaml.nodes import CollectionNode, MappingNode, ScalarNode, SequenceNode
 
 from .ingest import FORMAT_JSON, load_text
 from .refs import pointer_segments
-from .yamltree import compose_yaml
+from .yamltree import (ALIAS, MAPPING, SCALAR, SEQUENCE, Node, _TooDeep, _Unbuilt,
+                       key_value, source_nodes)
 
 if TYPE_CHECKING:
     from .doctor import PatchEdit
@@ -44,8 +42,6 @@ _BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 # characters JSON may hold raw but YAML may not, or reads as line breaks;
 # they occur only inside strings, where JSON escapes them
 _JSON_ESCAPE_RE = re.compile("[\x7f-\x9f\u2028\u2029\ufffe\uffff]")
-_STR_TAG = "tag:yaml.org,2002:str"
-_MERGE_TAG = "tag:yaml.org,2002:merge"
 _DIFF_CONTEXT = 3
 
 
@@ -53,12 +49,8 @@ class Unplaceable(Exception):
     """An edit that has no safe place in the text."""
 
 
-@dataclass
-class _Splice:
-    start: int
-    end: int
-    text: str
-    lint_class: str
+_Splice = NamedTuple("_Splice", [("start", int), ("end", int), ("text", str),
+                                 ("lint_class", str)])
 
 
 class SourceText:
@@ -73,20 +65,17 @@ class SourceText:
         # lint class whose edit wrote it
         self._origin: list[int | str] = list(range(self._original_lines))
         self._removed: dict[int, str] = {}  # original line -> class that removed it
-        self._shift = 0  # added to a mark's index: see compose_yaml
 
     def splice(self, edits: list[tuple[str, PatchEdit]]) -> None:
         """Place one iteration's (lint class, edit) pairs, all located in
         the current text. Raises Unplaceable, leaving the text as it was,
         when one of them cannot be placed."""
         try:
-            root, self._shift = compose_yaml(self.text)
-        except yaml.YAMLError as exc:
+            root = source_nodes(self.text)
+        except (yaml.YAMLError, _TooDeep) as exc:
             raise Unplaceable(f"text does not compose: {exc}") from exc
-        splices = sorted(
-            (self._place(root, edit, cls) for cls, edit in edits),
-            key=lambda s: (s.start, s.end),
-        )
+        splices = sorted((self._place(root, edit, cls) for cls, edit in edits),
+                         key=lambda s: (s.start, s.end))
         for before, after in zip(splices, splices[1:]):
             if after.start < before.end:
                 raise Unplaceable("two edits overlap")
@@ -101,7 +90,7 @@ class SourceText:
 
     # -- placing one edit ---------------------------------------------------
 
-    def _place(self, root: yaml.Node, edit: PatchEdit, cls: str) -> _Splice:
+    def _place(self, root: Node, edit: PatchEdit, cls: str) -> _Splice:
         segments = pointer_segments(edit.pointer)
         node = root
         for i, segment in enumerate(segments[:-1]):
@@ -113,12 +102,12 @@ class SourceText:
                 return self._add_entry(node, segment, value, cls)
             node = child
         leaf = segments[-1]
-        if isinstance(node, MappingNode):
+        if node.kind is MAPPING:
             child, child_key = self._child(node, leaf)
             if child is None:
                 return self._add_entry(node, leaf, edit.value, cls)
             return self._replace(node, child_key, child, edit.value, cls)
-        if isinstance(node, SequenceNode):
+        if node.kind is SEQUENCE:
             # `-` appends whatever the op, as `_apply_edit` does
             if leaf == "-" or (edit.op == "add" and int(leaf) == len(node.value)):
                 return self._append(node, edit.value, cls)
@@ -128,125 +117,98 @@ class SourceText:
             raise Unplaceable("an item inserted before another")
         raise Unplaceable(f"{edit.pointer}: parent is a scalar")
 
-    def _child(
-        self, node: yaml.Node, segment: str
-    ) -> tuple[yaml.Node | None, ScalarNode | None]:
+    def _child(self, node: Node, segment: str) -> tuple[Node | None, Node | None]:
         """(value, key node) under `segment`; (None, None) for a missing
-        mapping key. The key is `segment` as a string, or else one that
-        loads to a value reading as it, as `refs.child_key` picks it. A
-        node reached through an alias is refused: its marks are those of
-        its anchor."""
-        if isinstance(node, MappingNode):
-            pairs = node.value[::-1]  # the last duplicate wins
-            match = next(((k, v) for k, v in pairs
-                          if k.tag == _STR_TAG and k.value == segment), None)
-            if match is None:
-                match = next(((k, v) for k, v in pairs
-                              if k.tag != _STR_TAG and _key_text(k) == segment), None)
-            if match is not None:
-                key, value = match
-                if self._start(value) < self._end(key):
-                    raise Unplaceable(f"{segment!r} is an alias")
-                return value, key
-            if any(key.tag == _MERGE_TAG for key, _ in node.value):
-                raise Unplaceable(f"{segment!r} may come from a merge key")
-            return None, None
-        if isinstance(node, SequenceNode) and segment.isdigit():
-            index = int(segment)
-            if index < len(node.value):
-                item = node.value[index]
-                previous = node.value[index - 1] if index else None
-                floor = self._start(previous) + 1 if previous else self._start(node)
-                if self._start(item) < floor:
-                    raise Unplaceable(f"item {index} is an alias")
-                return item, None
-        raise Unplaceable(f"no node at {segment!r}")
-
-    def _replace(
-        self, parent: yaml.Node, key: ScalarNode | None, node: yaml.Node,
-        value: object, cls: str,
-    ) -> _Splice:
-        rendered = self._render(value, bool(parent.flow_style))
-        start = self._start(node)
-        if _zero_width(node) or (not parent.flow_style and _is_block(node)):
+        mapping key, which is `segment` as a string or else one that loads
+        to a value reading as it (`refs.child_key`). An alias is refused."""
+        if node.kind is SEQUENCE and segment.isdigit() and int(segment) < len(node.value):
+            key, value = None, node.value[int(segment)]
+        elif node.kind is MAPPING:
+            pairs = list(zip(node.value[-2::-2], node.value[::-2]))  # the last duplicate wins
+            key, value = next(((k, v) for k, v in pairs
+                               if k.value == segment and key_value(k) == segment), (None, None))
             if key is None:
-                if _zero_width(node):
+                loaded = [(key_value(k), k, v) for k, v in pairs]
+                key, value = next(((k, v) for text, k, v in loaded if not isinstance(
+                    text, str) and str(text) == segment), (None, None))
+                if key is None and any(text is _Unbuilt for text, _, _ in loaded):
+                    raise Unplaceable(f"{segment!r} may come from a merge key")
+        else:
+            raise Unplaceable(f"no node at {segment!r}")
+        if value is not None and value.kind is ALIAS:
+            raise Unplaceable(f"{segment!r} is an alias")
+        return value, key
+
+    def _replace(self, parent: Node, key: Node | None, node: Node, value: object,
+                 cls: str) -> _Splice:
+        rendered = self._render(value, parent.flow)
+        if node.empty or (not parent.flow and node.block):
+            if key is None:
+                if node.empty:
                     raise Unplaceable("empty sequence item")
                 # a block item starts after its `- `: only its span goes
-                return _Splice(start, self._content_end(node), rendered, cls)
+                return _Splice(node.start, self._content_end(node), rendered, cls)
             # the value moves up onto its key's line
             colon = self._colon_after(key)
-            end = colon + 1 if _zero_width(node) else self._content_end(node)
+            end = colon + 1 if node.empty else self._content_end(node)
             return _Splice(colon + 1, end, " " + rendered, cls)
-        return _Splice(start, self._end(node), rendered, cls)
+        return _Splice(node.start, node.end, rendered, cls)
 
-    def _add_entry(self, mapping: yaml.Node, key: str, value: object, cls: str) -> _Splice:
-        if not isinstance(mapping, MappingNode):
+    def _add_entry(self, mapping: Node, key: str, value: object, cls: str) -> _Splice:
+        if mapping.kind is not MAPPING:
             raise Unplaceable("parent is not a mapping")
-        flow = bool(mapping.flow_style)
+        flow = mapping.flow
         entry = f"{self._render(key, flow)}: {self._render(value, flow)}"
         if flow:
-            first = mapping.value[0][0] if mapping.value else None
-            return self._flow_insert(mapping, first, entry, cls)
-        first = mapping.value[0][0]
-        start = self._start(first)
-        if self.text[self._line_start(start):start].strip(" -\ufeff"):
+            return self._flow_insert(mapping, entry, cls)
+        first = mapping.value[0]
+        if self.text[self._line_start(first.start):first.start].strip(" -\ufeff"):
             raise Unplaceable("the first key does not start its entry")  # `? key`
-        indent = " " * first.start_mark.column
+        indent = " " * first.column
         return self._new_line(self._content_end(mapping), indent + entry, cls)
 
-    def _append(self, seq: SequenceNode, value: object, cls: str) -> _Splice:
-        rendered = self._render(value, bool(seq.flow_style))
+    def _append(self, seq: Node, value: object, cls: str) -> _Splice:
+        rendered = self._render(value, seq.flow)
         items = seq.value
-        if seq.flow_style:
+        if seq.flow:
             if not items:
-                return self._flow_insert(seq, None, rendered, cls)
+                return self._flow_insert(seq, rendered, cls)
             last = items[-1]
             sep = self._separator(seq, items[-2] if len(items) > 1 else None, last)
-            return _Splice(self._end(last), self._end(last), sep + rendered, cls)
+            return _Splice(last.end, last.end, sep + rendered, cls)
         dash = self._dash(items[0])
-        indent = " " * (items[0].start_mark.column - (self._start(items[0]) - dash))
+        indent = " " * (items[0].column - (items[0].start - dash))
         return self._new_line(self._content_end(seq), indent + "- " + rendered, cls)
 
     # -- text positions -------------------------------------------------------
 
-    def _start(self, node: yaml.Node) -> int:
-        return node.start_mark.index + self._shift
-
-    def _end(self, node: yaml.Node) -> int:
-        return node.end_mark.index + self._shift
-
-    def _content_end(self, node: yaml.Node) -> int:
+    def _content_end(self, node: Node) -> int:
         """Where the node's own text ends. A block collection's end mark
         lies at the next token, past any comments and blank lines, so this
         follows its last entry down to a scalar or a flow collection."""
-        while _is_block(node) and isinstance(node, CollectionNode):
-            last = node.value[-1]
-            if isinstance(node, MappingNode):
-                key, node = last
-                if _zero_width(node):
-                    return self._colon_after(key) + 1
-            else:
-                node = last
-        if _zero_width(node):
+        while node.block and node.kind is not SCALAR:
+            key, node = node.value[-2:] if node.kind is MAPPING else (None, node.value[-1])
+            if key is not None and node.empty:
+                return self._colon_after(key) + 1
+        if node.empty:
             raise Unplaceable("ends in an empty item")
-        start, end = self._start(node), self._end(node)
-        if isinstance(node, ScalarNode) and node.style in ("|", ">"):
+        start, end = node.start, node.end
+        if node.kind is SCALAR and node.style in ("|", ">"):
             while end > start and self.text[end - 1] in " \t" + _BREAKS:
                 end -= 1
         return end
 
-    def _colon_after(self, key: ScalarNode) -> int:
-        colon = self._end(key)
+    def _colon_after(self, key: Node) -> int:
+        colon = key.end
         while colon < len(self.text) and self.text[colon] in " \t":
             colon += 1
         if not self.text.startswith(":", colon):
             raise Unplaceable("no `:` after the key")
         return colon
 
-    def _dash(self, item: yaml.Node) -> int:
+    def _dash(self, item: Node) -> int:
         """The offset of the `-` that opens a block sequence item."""
-        dash = self._start(item) - 1
+        dash = item.start - 1
         while dash >= 0 and self.text[dash] == " ":
             dash -= 1
         if dash < 0 or self.text[dash] != "-":
@@ -267,28 +229,26 @@ class SourceText:
             return _Splice(len(self.text), len(self.text), "\n" + line, cls)
         return _Splice(match.end(), match.end(), line + "\n", cls)
 
-    def _flow_insert(
-        self, node: yaml.Node, first: yaml.Node | None, text: str, cls: str
-    ) -> _Splice:
+    def _flow_insert(self, node: Node, text: str, cls: str) -> _Splice:
         """`text` placed first in a flow collection."""
-        if first is None:
+        if not node.value:
             pos = self._opener(node) + 1
             return _Splice(pos, pos, text, cls)
-        pos = self._start(first)
-        return _Splice(pos, pos, text + self._separator(node, None, first), cls)
+        first = node.value[0]
+        return _Splice(first.start, first.start, text + self._separator(node, None, first), cls)
 
-    def _separator(self, node: yaml.Node, before: yaml.Node | None, item: yaml.Node) -> str:
+    def _separator(self, node: Node, before: Node | None, item: Node) -> str:
         """`,` plus the layout between `item` and what precedes it in a
         flow collection: a line break and its indentation, or a space."""
-        gap_start = self._end(before) if before else self._opener(node) + 1
-        if any(ch in _BREAKS for ch in self.text[gap_start:self._start(item)]):
-            return ",\n" + " " * item.start_mark.column
+        gap_start = before.end if before else self._opener(node) + 1
+        if any(ch in _BREAKS for ch in self.text[gap_start:item.start]):
+            return ",\n" + " " * item.column
         return ", "
 
-    def _opener(self, node: yaml.Node) -> int:
+    def _opener(self, node: Node) -> int:
         """The offset of the `{` or `[` that opens a flow collection."""
-        opener = "{" if isinstance(node, MappingNode) else "["
-        pos = self.text.find(opener, self._start(node))
+        opener = "{" if node.kind is MAPPING else "["
+        pos = self.text.find(opener, node.start)
         if pos < 0:
             raise Unplaceable(f"no {opener!r} opens the collection")
         return pos
@@ -296,9 +256,8 @@ class SourceText:
     def _render(self, value: object, flow: bool) -> str:
         """`value` on one line, for a flow or a block context."""
         if self.format == FORMAT_JSON:
-            return _JSON_ESCAPE_RE.sub(
-                lambda m: f"\\u{ord(m[0]):04x}", json.dumps(value, ensure_ascii=False)
-            )
+            return _JSON_ESCAPE_RE.sub(lambda m: f"\\u{ord(m[0]):04x}",
+                                       json.dumps(value, ensure_ascii=False))
         if flow or isinstance(value, (dict, list)):
             rendered = yaml.safe_dump(
                 [value], default_flow_style=True, width=math.inf, allow_unicode=True
@@ -326,8 +285,7 @@ class SourceText:
 
         out: list[str] = []
         origin: list[int | str] = []
-        pos = line = 0
-        i = 0
+        pos = line = i = 0
         while i < len(splices):
             first_line, last_line = line_of(splices[i].start), line_of(splices[i].end)
             j = i + 1
@@ -436,26 +394,3 @@ def _hunk_range(start: int, stop: int) -> str:
         return str(start + 1)
     return f"{start if length == 0 else start + 1},{length}"
 
-
-def _key_text(key: yaml.Node) -> str | None:
-    """The `str()` of what a scalar key loads to (`ingest.text_keys`), so
-    `200` reads as "200"; None for a key that is not a scalar or does
-    not load."""
-    if not isinstance(key, ScalarNode):
-        return None
-    try:
-        return str(SafeConstructor().construct_object(key))
-    except yaml.YAMLError:
-        return None
-
-
-def _zero_width(node: yaml.Node) -> bool:
-    """An empty plain scalar: its marks sit at the next token."""
-    return isinstance(node, ScalarNode) and node.start_mark.index == node.end_mark.index
-
-
-def _is_block(node: yaml.Node) -> bool:
-    """A block collection or a literal or folded block scalar."""
-    if isinstance(node, ScalarNode):
-        return node.style in ("|", ">")
-    return not node.flow_style

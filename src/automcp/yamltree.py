@@ -5,9 +5,11 @@ straight from libyaml's parse events in one pass: plain dicts, lists and
 scalars, with no node graph in between. What that event walk leaves out
 (merge keys, tags other than PyYAML's plain scalar ones, a collection as
 a key, a second document) is loaded by PyYAML's own constructor, so
-every tree and every error is `yaml.safe_load`'s. The walk also guards
-nesting depth: a document that nests deeper than `_LIBYAML_MAX_DEPTH`,
-and any text when libyaml is absent, takes PyYAML's pure-Python loader.
+every tree and every error is `yaml.safe_load`'s. A second walk over the
+same events gives the positioned nodes `splice` edits the text by
+(`source_nodes`). Only these walks guard nesting depth: a document that
+nests deeper than `_LIBYAML_MAX_DEPTH`, and any text when libyaml is
+absent, takes PyYAML's pure-Python loader.
 
 A few rules differ from `yaml.safe_load`, so that every tree holds only
 JSON values: a spec's values end up as JSON (a manifest, a tool
@@ -26,7 +28,6 @@ this module, and with it `yaml`, on first use.
 
 from __future__ import annotations
 
-import re
 from typing import Any
 
 import yaml
@@ -34,17 +35,12 @@ from yaml import (AliasEvent, DocumentEndEvent, MappingEndEvent, MappingStartEve
                   ScalarEvent, ScalarNode, SequenceEndEvent, SequenceStartEvent,
                   StreamEndEvent)
 
-# libyaml parses several times faster than the pure-Python loader, and
-# building the tree from its events (`_tree_from_events`) also skips
-# PyYAML's node graph and constructor. But libyaml's composer (behind
-# `compose_yaml` and the walk's fallback to `yaml.load`) recurses in C,
-# beyond Python's recursion limit, so a deep enough document crashes the
-# process, and its event stream slows quadratically with depth. The walk
-# counts open collections as it reads events and stops past this depth;
-# the text then goes to the pure loader, whose RecursionError becomes
-# NestingError, and the tree walks reject such depth anyway.
-# `compose_yaml` hands the text to libyaml's composer before any event
-# is read, so it bounds the depth from the text first (`_nesting_bound`).
+# libyaml parses several times faster than the pure-Python loader. But
+# its composer (behind `yaml.load`) recurses in C, beyond Python's
+# recursion limit, so a deep enough document crashes the process, and its
+# event stream slows quadratically with depth. Both event walks count
+# open collections and stop past this depth; the tree walk then hands the
+# text to the pure loader, whose RecursionError becomes NestingError.
 _LIBYAML_MAX_DEPTH = 2000
 _TIMESTAMP_TAG = "tag:yaml.org,2002:timestamp"
 _MAP_TAG = "tag:yaml.org,2002:map"
@@ -72,20 +68,13 @@ def _json_loader(loader: type) -> type:
 _PureLoader = _json_loader(yaml.SafeLoader)
 _FastLoader = (_json_loader(yaml.CSafeLoader)  # None without libyaml
                if hasattr(yaml, "CSafeLoader") else None)
-# A line break and the run of spaces and block indicators after it. YAML
-# also breaks lines at CR, NEL, LS and PS, and libyaml skips a BOM at any
-# line start.
-_LINE_START_RUN_RE = re.compile(r"[\n\r\x85\u2028\u2029\ufeff][\ufeff ?:-]+")
 
 
 def _load_yaml(text: str) -> Any:
     """`yaml.safe_load(text)`, with plain dates as text. With libyaml, the
     tree is built from its parse events; a libyaml error is re-raised by
-    the pure loader, so the message is the same either way. Text with a
-    BOM past its first character takes the pure loader: libyaml skips a
-    BOM at the start of any line, the pure loader only at the start of
-    the text, so the two would build different trees."""
-    if _FastLoader is not None and text.find("\ufeff", 1) < 0:
+    the pure loader, so the message is the same either way."""
+    if _libyaml_reads(text):
         loader = _FastLoader(text)
         try:
             return _tree_from_events(loader)
@@ -99,6 +88,12 @@ def _load_yaml(text: str) -> Any:
         finally:
             loader.dispose()
     return yaml.load(text, Loader=_PureLoader)
+
+
+def _libyaml_reads(text: str) -> bool:
+    """Whether libyaml is present and the text has no BOM past its first
+    character, which libyaml would skip and the pure loader would not."""
+    return _FastLoader is not None and text.find("\ufeff", 1) < 0
 
 
 class _Unbuilt(Exception):
@@ -262,42 +257,111 @@ def _read_to_end(get_event, depth: int) -> None:
             return
 
 
-def compose_yaml(text: str) -> tuple[yaml.Node, int]:
-    """The node graph `_load_yaml` builds its tree from, whose marks give
-    source positions, and the offset that turns a mark's `index` into an
-    offset into `text`: libyaml does not count a leading BOM."""
-
-    def compose(text: str, Loader: type) -> tuple[yaml.Node, int]:
-        bom = text.startswith("\ufeff") and Loader is _FastLoader
-        return yaml.compose(text, Loader=Loader), int(bom)
-
-    return _with_yaml_loader(compose, text)
+SCALAR, MAPPING, SEQUENCE, ALIAS = ScalarEvent, MappingStartEvent, SequenceStartEvent, AliasEvent
 
 
-def _with_yaml_loader(parse, text: str) -> Any:
-    """`parse(text, Loader=...)` through libyaml when it is present and the
-    text cannot nest deeper than `_LIBYAML_MAX_DEPTH`, else through the
-    pure loader, with `_load_yaml`'s rules for errors and a BOM. `parse`
-    hands the text to libyaml's composer, which recurses in C before any
-    event could be counted, so the depth is bounded from the text first."""
-    if (_FastLoader is not None and text.find("\ufeff", 1) < 0
-            and _nesting_bound(text) <= _LIBYAML_MAX_DEPTH):
+class Node:
+    """A node as written: its `kind`, the class of the event that opens it,
+    and its `value`, a scalar's text, a sequence's items, a mapping's keys
+    and values in turn, or the node an alias (a node of its own, at its
+    `*name`) names. The rest is read from its events on use: `tag` as
+    written, `start`, `end` and `column` as PyYAML's composer marks them,
+    `flow`, and `style` (falsy if plain). An `empty` plain scalar's marks
+    sit at the next token; a `block` node is a block collection or a
+    literal or folded scalar."""
+
+    __slots__ = ("value", "_open", "_close")  # `_close`: a collection's end event
+
+    def __init__(self, value: Any, event: Any) -> None:
+        self.value, self._open = value, event
+
+    kind = property(lambda self: self._open.__class__)
+    tag = property(lambda self: getattr(self._open, "tag", None))
+    start = property(lambda self: self._open.start_mark.index)
+    end = property(lambda self: getattr(self, "_close", self._open).end_mark.index)
+    column = property(lambda self: self._open.start_mark.column)
+    flow = property(lambda self: bool(getattr(self._open, "flow_style", False)))
+    style = property(lambda self: getattr(self._open, "style", None))
+    empty = property(lambda self: self.kind is SCALAR and self.start == self.end)
+    block = property(lambda self: self.style in ("|", ">") if self.kind is SCALAR
+                     else self.kind is not ALIAS and not self.flow)
+
+
+def source_nodes(text: str) -> Node | None:
+    """The node tree of `text`'s document (None for an empty stream), from
+    the events of the parser `_load_yaml` picks, or the pure one's on a
+    libyaml error. Raises yaml.YAMLError, or _TooDeep past the depth bound."""
+    if _libyaml_reads(text):
+        # libyaml's marks do not count a leading BOM (the only one here); a
+        # line break in its place keeps every offset, column and node
         try:
-            return parse(text, Loader=_FastLoader)
+            return _nodes_from_events(_FastLoader(text.replace("\ufeff", "\n", 1)))
         except yaml.YAMLError:
             pass
-    return parse(text, Loader=_PureLoader)
+    return _nodes_from_events(_PureLoader(text))
 
 
-def _nesting_bound(text: str) -> int:
-    """An upper bound on the text's YAML nesting depth. Every flow level
-    opens with a `[` or `{`, and an empty `[]` or `{}` can only be the
-    innermost one. A line's first block level sits at its leading
-    spaces and ``-``/``?``/``:`` indicators (after any BOM), and each
-    column of them holds at most two more (a sequence may share its
-    parent mapping's column)."""
-    flow = (text.count("[") - text.count("[]")
-            + text.count("{") - text.count("{}") + 1)
-    run = max(map(len, _LINE_START_RUN_RE.findall("\n" + text)), default=1) - 1
-    block = 1 + 2 * run
-    return flow + block
+def _nodes_from_events(loader: Any) -> Node | None:
+    """The tree of nodes `yaml.compose` would build from the loader's
+    events, but with each alias a node of its own."""
+    get_event = loader.get_event
+    anchors: dict[str, Node] = {}
+    stack: list[Node] = []  # the open collections
+    items = top = []  # the open collection's children, or the root
+    append = items.append
+    try:
+        get_event()  # StreamStartEvent
+        if get_event().__class__ is StreamEndEvent:
+            return None  # an empty stream; else that was a DocumentStartEvent
+        while True:
+            event = get_event()
+            kind = event.__class__
+            if kind is ScalarEvent:
+                append(node := Node(event.value, event))
+                if event.anchor is not None:
+                    anchors[event.anchor] = node
+            elif kind is MappingEndEvent or kind is SequenceEndEvent:
+                stack.pop()._close = event
+                items = stack[-1].value if stack else top
+                append = items.append
+            elif kind is MappingStartEvent or kind is SequenceStartEvent:
+                append(node := Node([], event))
+                if event.anchor is not None:
+                    anchors[event.anchor] = node
+                stack.append(node)
+                if len(stack) > _LIBYAML_MAX_DEPTH:
+                    raise _TooDeep
+                items = node.value
+                append = items.append
+            elif kind is AliasEvent:
+                if event.anchor not in anchors:
+                    raise yaml.YAMLError(f"found undefined alias {event.anchor!r}")
+                append(Node(anchors[event.anchor], event))
+            else:  # DocumentEndEvent
+                return top[0]
+    finally:
+        loader.dispose()
+
+
+_KEYS = _PureLoader("")  # resolves and constructs keys for `key_value`
+
+
+def scalar_tag(node: Node) -> str:
+    """The tag a scalar node loads under, resolved as the composer does."""
+    event = node._open
+    if event.tag is not None and event.tag != "!":
+        return event.tag
+    return _KEYS.resolve(ScalarNode, event.value, event.implicit)
+
+
+def key_value(node: Node) -> Any:
+    """What a mapping key node loads to in `_load_yaml`'s tree, through an
+    alias; `_Unbuilt` itself for a collection or a merge key."""
+    if node._open.__class__ is ALIAS:  # `kind`, without the property call
+        node = node.value
+    if node._open.__class__ is not SCALAR:
+        return _Unbuilt
+    try:
+        return _construct(_KEYS, _KEYS.yaml_constructors, scalar_tag(node), node.value)
+    except _Unbuilt:
+        return _Unbuilt

@@ -823,6 +823,61 @@ class TestSourceText:
         assert report.to_dict()["whole_document_render"] is True
         assert json.loads(report.text) == report.document.tree
 
+    def test_entry_after_an_alias_value_is_spliced(self, tmp_path):
+        """A block mapping whose last value is an alias: the new entry
+        goes after the alias's own line, and the anchor stays as written."""
+        text = (
+            "openapi: 3.0.3\n"
+            "info: {title: Alias Last, version: '1'}\n"
+            "servers: [{url: 'https://alias.example'}]\n"
+            "x-ok: &ok {'200': {description: ok}}\n"
+            "components:\n"
+            "  securitySchemes:\n"
+            "    bearer: {type: http, scheme: bearer}\n"
+            "paths:\n"
+            "  /notes:\n"
+            "    get:\n"
+            "      security: [{bearer: []}]\n"
+            "      responses: *ok\n"
+            "    post:\n"
+            "      responses: *ok\n"
+        )
+        report = fix_loop(write_spec(tmp_path, "alias-last.yaml", text))
+        assert report.findings_by_class == {"E": 1}
+        assert report.to_dict()["whole_document_render"] is False
+        assert report.text == text + "      security: [{bearer: []}]\n"
+        assert report.total_loc_changed == 1
+
+    def test_bracket_rich_json_never_takes_the_pure_loader(self, tmp_path, monkeypatch):
+        """A 1,000-path JSON spec holds over 2,000 `{` and `[` but nests
+        shallowly: its splices read libyaml's events alone."""
+        ok = {"200": {"description": "ok"}}
+        paths = {f"/r{k}": {"get": {"security": [{"bearer": []}], "responses": ok}}
+                 for k in range(1000)}
+        paths["/r0"]["post"] = {"responses": ok}
+        tree = {
+            "openapi": "3.0.0", "info": {"title": "Brackets", "version": "1"},
+            "servers": [{"url": "https://brackets.example"}],
+            "components": {"securitySchemes": {
+                "bearer": {"type": "http", "scheme": "bearer"}}},
+            "paths": paths,
+        }
+        text = json.dumps(tree, indent=2)
+        assert text.count("{") > yamltree._LIBYAML_MAX_DEPTH
+        raw = write_spec(tmp_path, "brackets.json", text)
+        built = []
+
+        class SpyLoader(yamltree._PureLoader):
+            def __init__(self, stream):
+                built.append(stream)
+                super().__init__(stream)
+
+        monkeypatch.setattr(yamltree, "_PureLoader", SpyLoader)
+        report = fix_loop(raw)
+        assert report.findings_by_class == {"E": 1}
+        assert (report.whole_document_render, report.total_loc_changed) == (False, 1)
+        assert built == []
+
     def test_text_that_does_not_read_back_renders_whole(self, tmp_path):
         """The edit lands under an alias: the spliced text would change
         the anchor's node, so the tree-level result is rendered instead.

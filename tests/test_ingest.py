@@ -441,6 +441,45 @@ yaml_values = st.recursive(
 )
 
 
+def node_outline(node, key_tag=None):
+    """A `yamltree.Node` as (kind, span, column, flow style, key tag,
+    children); an alias is left out."""
+    if node.kind is yamltree.MAPPING:
+        children = [(node_outline(k, yamltree.scalar_tag(k)), node_outline(v))
+                    for k, v in zip(node.value[::2], node.value[1::2])
+                    if yamltree.ALIAS not in (k.kind, v.kind)]
+    elif node.kind is yamltree.SEQUENCE:
+        children = [node_outline(v) for v in node.value if v.kind is not yamltree.ALIAS]
+    else:
+        children = None
+    return (node.kind, node.start, node.end, node.column,
+            node.flow if children is not None else None, key_tag, children)
+
+
+def composed_outline(node, key_tag=None):
+    """A PyYAML node as `node_outline` writes a `yamltree.Node`."""
+    start, end = node.start_mark, node.end_mark
+    if isinstance(node, yaml.MappingNode):
+        children = [(composed_outline(k, k.tag), composed_outline(v)) for k, v in node.value]
+    elif isinstance(node, yaml.SequenceNode):
+        children = [composed_outline(v) for v in node.value]
+    else:
+        children = None
+    kind = {yaml.MappingNode: yamltree.MAPPING, yaml.SequenceNode: yamltree.SEQUENCE,
+            yaml.ScalarNode: yamltree.SCALAR}[type(node)]
+    return (kind, start.index, end.index, start.column,
+            bool(node.flow_style) if children is not None else None, key_tag, children)
+
+
+def node_depth(node) -> int:
+    """How many collections a `yamltree.Node` nests, its keys aside."""
+    if node.kind is yamltree.MAPPING:
+        return 1 + max(map(node_depth, node.value[1::2]), default=0)
+    if node.kind is yamltree.SEQUENCE:
+        return 1 + max(map(node_depth, node.value), default=0)
+    return 0
+
+
 class TestYamlLoaders:
     @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
                         reason="PyYAML built without libyaml")
@@ -456,15 +495,20 @@ class TestYamlLoaders:
            st.sampled_from(["", "\ufeff"]))
     @example([[[1]]], False, 2, "\n", "\ufeff")
     @example({"a": [[[1]]]}, False, 2, "\u2028", "")
-    def test_nesting_bound_is_an_upper_bound(self, value, flow_style, indent,
-                                             newline, bom):
+    def test_source_nodes_are_the_pure_composers(self, value, flow_style, indent,
+                                                  newline, bom):
         """Over every YAML line break and with or without a leading BOM,
-        which both loaders skip."""
+        which both loaders skip: the walk's nodes have the kinds, spans,
+        columns, flow styles and key tags of `yaml.compose`'s, and nest
+        as deep as the loaded tree."""
         text = bom + yaml.safe_dump(
             value, default_flow_style=flow_style, indent=indent,
             allow_unicode=True).replace("\n", newline)
-        loaded = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
-        assert yamltree._nesting_bound(text) >= collection_depth(loaded)
+        nodes = yamltree.source_nodes(text)
+        assert node_outline(nodes) == composed_outline(
+            yaml.compose(text, Loader=yamltree._PureLoader))
+        assert node_depth(nodes) == collection_depth(yaml.load(
+            text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader)))
 
     def test_text_that_may_nest_deeply_skips_libyaml(self, monkeypatch):
         """The event walk counts open collections, and text that nests
@@ -534,6 +578,25 @@ class TestYamlLoaders:
 
     @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
                         reason="PyYAML built without libyaml")
+    def test_source_nodes_stop_at_the_bound(self, monkeypatch):
+        """The positioned walk counts depth as the tree walk does, within
+        `test_deep_flow_text_stops_at_the_bound`'s time."""
+        events = []
+
+        class CountingLoader(yaml.CSafeLoader):
+            def get_event(self):
+                events.append(None)
+                return super().get_event()
+
+        monkeypatch.setattr(yamltree, "_FastLoader", CountingLoader)
+        start = time.monotonic()
+        with pytest.raises(yamltree._TooDeep):
+            yamltree.source_nodes("[" * 100_000)
+        assert time.monotonic() - start < 20
+        assert len(events) == yamltree._LIBYAML_MAX_DEPTH + 3  # stream, document
+
+    @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
+                        reason="PyYAML built without libyaml")
     @pytest.mark.parametrize("text", [
         "- " * 2000 + "x\n", "[" * 2000 + "]" * 2000 + "\n",
     ], ids=["block", "flow"])
@@ -563,7 +626,7 @@ class TestYamlLoaders:
     @pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pure"])
     def test_plain_dates_read_as_text(self, tmp_path, monkeypatch, libyaml):
         """A plain date or time is the text a JSON spec would hold, as a
-        value and as a key, in the tree and in the node graph; PyYAML's
+        value and as a key, in the tree and in the positioned nodes; PyYAML's
         own loaders still read a date."""
         if not libyaml:
             monkeypatch.setattr(yamltree, "_FastLoader", None)
@@ -573,9 +636,11 @@ class TestYamlLoaders:
         assert tree == {"openapi": "3.0.3", "d": "2020-01-01",
                         "t": "2001-12-14 21:59:43.10", "2020-01-02": "k",
                         "l": ["2020-01-03"]}
-        node, _ = yamltree.compose_yaml(text)
-        assert {key.tag for key, _ in node.value} == {"tag:yaml.org,2002:str"}
-        assert {value.tag for _, value in node.value[:-1]} == {"tag:yaml.org,2002:str"}
+        node = yamltree.source_nodes(text)
+        assert {yamltree.scalar_tag(key) for key in node.value[::2]} == {
+            "tag:yaml.org,2002:str"}
+        assert {yamltree.scalar_tag(value) for value in node.value[1:-2:2]} == {
+            "tag:yaml.org,2002:str"}
         assert yaml.safe_load(text)["d"] == datetime.date(2020, 1, 1)
 
     @pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pure"])
@@ -631,9 +696,12 @@ def load_outcome(load, text):
 
 
 def todays_load(text):
-    """The load before the event-built tree: `yaml.load` through the
-    loader `_with_yaml_loader` picks."""
-    return yamltree._with_yaml_loader(yaml.load, text)
+    """The load before the event-built tree: libyaml's `yaml.load`, then
+    the pure loader's on a YAMLError."""
+    try:
+        return yaml.load(text, Loader=yamltree._FastLoader)
+    except yaml.YAMLError:
+        return yaml.load(text, Loader=yamltree._PureLoader)
 
 
 YAML_SNIPPETS = {
@@ -738,13 +806,12 @@ class TestTreeFromEvents:
         assert load_outcome(yamltree._load_yaml, text) == expected
 
     def test_flow_style_text_is_built_from_events(self, monkeypatch):
-        """Many `[`/`{` in shallow text: `_nesting_bound` counts brackets,
-        not depth, and must not send such text to the pure loader."""
+        """Many `[`/`{` in shallow text: only the walk counts depth, and
+        such text does not go to the pure loader."""
         text = yaml.safe_dump(
             {"paths": {f"/p{i}": {"get": {"tags": [f"t{i}"], "responses": {
                 "200": {"description": "ok"}}}} for i in range(1000)}},
             default_flow_style=None)
-        assert yamltree._nesting_bound(text) > yamltree._LIBYAML_MAX_DEPTH
         assert "{" in text and "[" in text
         expected = shape(libyaml_load(text))
         monkeypatch.setattr(yaml, "load", refuse)

@@ -889,8 +889,10 @@ def call_line(name: str, arguments: dict) -> str:
 
 
 class TestArgumentsTheRequestCannotCarry:
-    """An argument its place in the request cannot encode is a tool error
-    before any request, naming the argument and never its value."""
+    """An argument its place in the request cannot encode, or that would
+    change the request's shape (its route, its cookies, its header
+    lines), is a tool error before any request, naming the argument and
+    never its value."""
 
     @pytest.mark.parametrize("tool, arguments, bad", [
         ("get_item", {"item_id": "\ud800"}, "item_id"),
@@ -900,7 +902,19 @@ class TestArgumentsTheRequestCannotCarry:
         ("add_note", {"body": "\ud800"}, "body"),
         ("send_form", {"body": {"k": ["ok", "\ud800"]}}, "body"),
         ("send_form", {"body": {"\ud800": "v"}}, "body"),
-    ], ids=["path", "query", "header", "cookie", "text-body", "form-value", "form-key"])
+        ("get_item", {"item_id": ".."}, "item_id"),
+        ("get_item", {"item_id": "."}, "item_id"),
+        ("get_item", {"item_id": ""}, "item_id"),
+        ("get_item", {"item_id": "1", "pref": "en; session=attacker"}, "pref"),
+        ("get_item", {"item_id": "1", "pref": "caf\u00e9"}, "pref"),
+        ("get_item", {"item_id": "1", "x_note": "a\x00b"}, "x_note"),
+        ("get_item", {"item_id": "1", "x_note": "a\r\nX-Injected: 1"}, "x_note"),
+        ("get_item", {"item_id": "1", "x_note": " padded"}, "x_note"),
+        ("get_item", {"item_id": "1", "x_note": "padded\t"}, "x_note"),
+    ], ids=["path", "query", "header", "cookie", "text-body", "form-value", "form-key",
+            "path-dot-dot", "path-dot", "path-empty", "cookie-adds-a-cookie",
+            "cookie-latin-1", "header-nul", "header-crlf", "header-leading-space",
+            "header-trailing-tab"])
     def test_is_one_tool_error_and_no_request(self, send, caplog, tool, arguments, bad):
         with run_mock_upstream(send.manifest) as mock:
             send.manifest.base_url = mock.base_url
@@ -912,6 +926,8 @@ class TestArgumentsTheRequestCannotCarry:
         [content] = result["content"]
         assert content["text"].startswith(f"SchemaViolation: argument {bad!r} cannot be sent")
         assert "\ud800" not in line.decode() and "\u65e5" not in content["text"]
+        assert all(str(value) not in content["text"] for value in arguments.values()
+                   if len(str(value)) > 2)
         assert caplog.records == []
 
     def test_non_ascii_text_goes_out_as_utf8(self, send):
