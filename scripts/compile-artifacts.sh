@@ -10,15 +10,17 @@
 # (compiled with --fix and the vendor rules), and the benchmark's
 # generated specs at seed 1 (perfbench/specgen.py: the 500-op spec as
 # JSON, as block YAML and as flow-style YAML, the 1000-op spec as
-# flow-style YAML, the diamond and the cyclic spec). Two generated specs
-# with gaps are compiled with --fix and the vendor rules as well: the
-# 500-op spec as JSON with class E gaps, whose repairs are spliced, and a
-# small YAML spec whose class B repair lands under an alias, so the whole
-# document is rendered. For each spec OUT holds `generate --emit-stub`'s
-# files (manifest, stub.json, .env template, launch config, and the
-# repaired copy and diff of a defect spec) and `lint --rules`'s JSON; for
-# the two specs with gaps also `lint --fix --rules`'s JSON, which holds
-# the changed-line counts. A lint exit other than 0 or 4 fails the
+# flow-style YAML, the diamond and the cyclic spec). Three specs with
+# gaps are compiled with --fix and the vendor rules as well: the 500-op
+# spec as JSON with class E gaps, whose repairs are spliced; a small YAML
+# spec whose class B repair lands under an alias, so the whole document
+# is rendered; and a small YAML spec whose keys are not strings (a `200:`
+# path, a `1:` scheme, an `on:` property, a `~:` example key) and whose
+# class B repair replaces an anchored URL that an alias names. For each
+# spec OUT holds `generate --emit-stub`'s files (manifest, stub.json,
+# .env template, launch config, and the repaired copy and diff of a
+# defect spec) and `lint --rules`'s JSON; for the specs with gaps also
+# `lint --fix --rules`'s JSON, which holds the changed-line counts. A lint exit other than 0 or 4 fails the
 # script. The work happens under fixed paths in TMPDIR, so paths
 # written into the artifacts are the same on every run.
 set -euo pipefail
@@ -110,6 +112,28 @@ paths:
       responses: {'200': {description: ok}}
     post:
       responses: {'201': {description: created}}
+""", encoding="utf-8")
+(out / "keys.yaml").write_text("""\
+openapi: 3.0.3
+info: {title: Keys, version: '1'}
+servers: [{url: &u '{{root}}'}]
+x-copy: *u
+security: [{1: []}]
+components:
+  securitySchemes:
+    1: {type: apiKey, in: header, name: X-Key}
+paths:
+  200:
+    post:
+      requestBody:
+        content:
+          application/json:
+            schema:
+              type: object
+              properties:
+                on: {type: boolean}
+              example: {on: true, ~: none}
+      responses: {200: {description: ok}}
 """, encoding="utf-8")
 PY
 

@@ -13,7 +13,7 @@ from typing import Any, Iterator, Mapping
 
 from .errors import SchemeError
 from .ingest import api_title, flag, mapping, merge_parameters, operations
-from .ingest import parameters, sequence, text, text_keys
+from .ingest import parameters, sequence, text
 from .refs import FlattenedContract
 from .security import KIND_API_KEY, SecurityScheme, unique_name
 
@@ -149,7 +149,7 @@ def operation_auth(tree: dict, schemes: Mapping[str, object]) -> Iterator[tuple]
     `security` or else the document's, with each slot's scheme joined to
     every set (the slots alone when there is none). It is instead the
     SchemeError (class A) for the first scheme they name that `schemes`
-    does not hold. Scheme names are read as text (`text_keys`).
+    does not hold.
     """
     def slot(location: str, name: str) -> tuple[str, str]:
         return location, name.lower() if location == "header" else name
@@ -161,8 +161,7 @@ def operation_auth(tree: dict, schemes: Mapping[str, object]) -> Iterator[tuple]
     for path, item, method, op in operations(tree):
         params = [(p, api_keys.get(slot(text(p, "in", "query"), text(p, "name"))))
                   for p in merge_parameters(parameters(item), parameters(op))]
-        sets = [text_keys(s) for s in sequence(op, "security", default)
-                if isinstance(s, dict)]
+        sets = [s for s in sequence(op, "security", default) if isinstance(s, dict)]
         undeclared = next((k for s in sets for k in s if k not in schemes), None)
         if undeclared is not None:
             yield path, method, op, params, SchemeError(
@@ -310,14 +309,14 @@ def _pick_success_status(responses: dict) -> int:
     codes = [
         int(code)
         for code in responses
-        if str(code).isdigit() and 200 <= int(code) <= 299
+        if code.isdecimal() and 200 <= int(code) <= 299
     ]
     return min(codes, default=200)
 
 
 def _pick_media_type(content: dict) -> str | None:
     for media_type in content:
-        if media_type == "application/json" or str(media_type).endswith("+json"):
+        if media_type == "application/json" or media_type.endswith("+json"):
             return media_type
     return next(iter(content), None)
 

@@ -30,9 +30,9 @@ from .compiler import operation_auth
 from .errors import BaseUrlError, NonConvergence, ParseError, PointerError, SchemeError
 from .ingest import DIALECT_2_0, FORMAT_JSON, RawDocument, api_title, mapping
 from .ingest import normalize, operations, resolve_base_url, sequence, swagger_scheme
-from .ingest import text, text_keys
+from .ingest import text
 from .jsonout import dumps
-from .refs import FlattenedContract, child_key, escape_token, flatten, pointer_segments
+from .refs import FlattenedContract, escape_token, flatten, pointer_segments
 from .sampling import path_group
 from .security import SecurityScheme, declared_schemes, parse_scheme
 
@@ -348,7 +348,7 @@ def _lint_class_d(raw: RawDocument, rules: list[VendorRule]) -> list[LintFinding
     override_names = {
         name for rule in rules for name in rule.string_path_params
     }
-    paths = text_keys(mapping(raw.tree, "paths"))
+    paths = mapping(raw.tree, "paths")
     holders = [
         (mapping(paths, path), f"#/paths/{escape_token(path)}") for path in paths
     ] + [
@@ -365,7 +365,7 @@ def _lint_class_d(raw: RawDocument, rules: list[VendorRule]) -> list[LintFinding
     # operations `$ref` it
     shared, shared_ptr = ((raw.tree, "#") if raw.dialect == DIALECT_2_0
                           else (mapping(raw.tree, "components"), "#/components"))
-    reusable = text_keys(mapping(shared, "parameters"))
+    reusable = mapping(shared, "parameters")
     params += [(reusable[name], f"{shared_ptr}/parameters/{escape_token(name)}")
                for name in reusable]
     findings = [_check_path_param_type(param, ptr, override_names)
@@ -405,7 +405,7 @@ def _lint_class_e(raw: RawDocument, groups: dict[str, list[tuple]],
     `parsed` holds the compiler's reading of each declared scheme (a
     SchemeError when it rejects one). There is no edit where the raw
     document has no such operation."""
-    raw_paths = text_keys(mapping(raw.tree, "paths"))
+    raw_paths = mapping(raw.tree, "paths")
     findings: list[LintFinding] = []
     for group, ops in groups.items():
         scheme_id = next((next(iter(requirement)) for _, _, security, _ in ops
@@ -472,7 +472,7 @@ def _apply_edit(tree: dict, edit: PatchEdit, copied: set[int]) -> None:
     parent = tree
     for segment in segments[:-1]:
         if isinstance(parent, dict):
-            key = child_key(parent, segment)
+            key = segment
             if key not in parent:
                 if edit.op != "add":
                     raise PointerError(edit.pointer, f"missing segment {segment!r}")
@@ -491,7 +491,6 @@ def _apply_edit(tree: dict, edit: PatchEdit, copied: set[int]) -> None:
 
     leaf = segments[-1]
     if isinstance(parent, dict):
-        leaf = child_key(parent, leaf)
         if edit.op == "replace" and leaf not in parent:
             raise PointerError(edit.pointer, f"nothing to replace at {leaf!r}")
         parent[leaf] = edit.value

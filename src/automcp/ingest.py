@@ -11,10 +11,10 @@ wrong type means. A field compile cannot go on without (`paths`, the
 base URL from `servers` or `host`, the security-scheme container) raises
 its typed error, exit code 2, naming the field's pointer. Any other
 field of the wrong type reads as absent; lint may report it. A text
-field reads a number or boolean as its `str()`, and so does a mapping
-key that names something (a path, a scheme, a scope): `text_keys` reads
-YAML's `200:` as `"200"`. A flag that is not a boolean
-(`required: "false"`) reads as absent, that is false.
+field reads a number or boolean as its `str()`. Every mapping key is a
+string: JSON's are, and the YAML reader writes YAML's `200:` as `"200"`.
+A flag that is not a boolean (`required: "false"`) reads as absent,
+that is false.
 
 `normalize` runs on the flattened tree, so it never sees a `$ref`. No
 function here changes its input: each copies only what it rewrites and
@@ -141,17 +141,6 @@ def flag(node: Any, key: Any) -> bool:
     return isinstance(node, dict) and node.get(key) is True
 
 
-def text_keys(node: dict) -> dict:
-    """`node` with each key that is not a string read as its `str()`, as
-    `text` reads a number; `node` itself when every key is a string. A
-    string key wins over one that reads the same (`refs.child_key`)."""
-    for key in node:
-        if not isinstance(key, str):
-            return {str(key): value for key, value in node.items()
-                    if isinstance(key, str) or str(key) not in node}
-    return node
-
-
 def api_title(tree: dict) -> str:
     """`info.title`; "" when there is none."""
     return text(mapping(tree, "info"), "title")
@@ -249,8 +238,8 @@ def operations(tree: dict) -> Iterator[tuple[str, dict, str, dict]]:
     """(path, path item, method, operation) for every operation, in
     document order: each mapping under an HTTP-method key of a mapping
     path item. The one definition of an operation; every other walk over
-    `paths` iterates this. Each path is read as text (`text_keys`)."""
-    paths = text_keys(mapping(tree, "paths"))
+    `paths` iterates this."""
+    paths = mapping(tree, "paths")
     for path in paths:
         item = mapping(paths, path)
         for method, op in item.items():
@@ -309,7 +298,7 @@ def _convert_2_0(tree: dict) -> dict:
     # rejects it
     components = out.get("components") or {}
     if "securityDefinitions" in tree and isinstance(components, dict):
-        declared = text_keys(mapping(tree, "securityDefinitions"))
+        declared = mapping(tree, "securityDefinitions")
         out["components"] = {**components, "securitySchemes": {
             name: _convert_security_scheme(scheme_node)
             for name, scheme_node in declared.items()
@@ -319,7 +308,6 @@ def _convert_2_0(tree: dict) -> dict:
     if paths is None:  # missing or not a mapping: validation rejects it
         out["paths"] = tree.get("paths")
         return out
-    paths = text_keys(paths)
     consumes = sequence(tree, "consumes")
     produces = sequence(tree, "produces")
     out["paths"] = {path: _convert_path_item(mapping(paths, path)) for path in paths}
@@ -475,7 +463,7 @@ def _synthesize_path_params(tree: dict) -> dict:
             for var in missing
         ]
         if out is tree:
-            out = {**tree, "paths": dict(text_keys(tree["paths"]))}
+            out = {**tree, "paths": dict(tree["paths"])}
         paths = out["paths"]
         if paths[path] is item:
             paths[path] = dict(item)

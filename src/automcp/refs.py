@@ -45,24 +45,15 @@ def pointer_segments(pointer: str) -> list[str]:
     ]
 
 
-def child_key(node: dict, token: str) -> Any:
-    """The key of `node` a pointer token names: the token, or else a key
-    that is not a string and reads as it (`ingest.text_keys`), so
-    ``#/paths/200`` reaches YAML's ``200:``. The token when none does."""
-    if token in node:
-        return token
-    return next((k for k in node if not isinstance(k, str) and str(k) == token), token)
-
-
 def pointer_lookup(tree: Any, pointer: str) -> Any:
     """Resolve an intra-document JSON pointer (`#/a/b/0`) to its node."""
     if not pointer.startswith("#"):
         raise ExternalRefError(pointer)
     node = tree
     for token in pointer_segments(pointer):
-        if isinstance(node, dict) and (key := child_key(node, token)) in node:
-            node = node[key]
-        elif isinstance(node, list) and token.isdigit() and int(token) < len(node):
+        if isinstance(node, dict) and token in node:
+            node = node[token]
+        elif isinstance(node, list) and token.isdecimal() and int(token) < len(node):
             node = node[int(token)]
         else:
             raise DanglingRefError(pointer)

@@ -6,7 +6,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import SchemeError
-from .ingest import DIALECT_2_0, DIALECT_3_X, mapping, text, text_keys
+from .ingest import DIALECT_2_0, DIALECT_3_X, mapping, text
 from .refs import FlattenedContract
 
 KIND_API_KEY = "api_key"
@@ -60,9 +60,8 @@ def declared_schemes(tree: dict, dialect: str = DIALECT_3_X) -> tuple[str, dict]
     """Where a document declares its security schemes, and the mapping of
     scheme names to declarations there ({} when there is none):
     `securityDefinitions` in 2.0, `components.securitySchemes` in 3.x.
-    The one reader of that container, with each scheme name read as text
-    (`text_keys`); raises SchemeError (class A) naming its pointer when
-    it, or `components`, is not a mapping."""
+    The one reader of that container; raises SchemeError (class A)
+    naming its pointer when it, or `components`, is not a mapping."""
     if dialect == DIALECT_2_0:
         ptr = "#/securityDefinitions"
         container = mapping(tree, "securityDefinitions", required=(SchemeError, ptr))
@@ -70,7 +69,7 @@ def declared_schemes(tree: dict, dialect: str = DIALECT_3_X) -> tuple[str, dict]
         components = mapping(tree, "components", required=(SchemeError, "#/components"))
         ptr = "#/components/securitySchemes"
         container = mapping(components, "securitySchemes", required=(SchemeError, ptr))
-    return ptr, text_keys(container)
+    return ptr, container
 
 
 def parse_scheme(scheme_id: str, node: dict) -> SecurityScheme:
@@ -123,9 +122,9 @@ def _parse_flows(scheme_id: str, flows: dict) -> OAuth2Flows:
         return OAuth2Flows(
             authorization_url=text(flow, "authorizationUrl", None) if code else None,
             token_url=token_url,
-            scopes=dict(text_keys(mapping(flow, "scopes"))),
+            scopes=dict(mapping(flow, "scopes")),
         )
-    present = ", ".join(sorted(text_keys(flows))) or "none"
+    present = ", ".join(sorted(flows)) or "none"
     raise SchemeError(
         f"oauth2 scheme {scheme_id!r} declares no usable flow "
         f"(flows present: {present}; need authorizationCode or "

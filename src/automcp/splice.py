@@ -5,8 +5,10 @@ keeps the author's comments, key order and quoting.
 events of the loader `ingest` reads YAML with (`yamltree.source_nodes`;
 JSON is YAML's flow style), finds each edit's node and changes only that
 node's text: it replaces a value's span, adds a mapping entry or appends
-a sequence item. A new value is written on one line: as JSON in a JSON
-document, and otherwise as YAML, in flow style where it is a collection.
+a sequence item; a replaced value that aliases name first moves, its
+`&name` included, to the first of them. A new value is written on one
+line: as JSON in a JSON document, and otherwise as YAML, in flow style
+where it is a collection.
 Each line of the text remembers the original line it still is, or the
 lint class whose edit wrote it; the changed-line counts and the unified
 diff come from that record, not from diffing the whole text.
@@ -74,7 +76,7 @@ class SourceText:
             root = source_nodes(self.text)
         except (yaml.YAMLError, _TooDeep) as exc:
             raise Unplaceable(f"text does not compose: {exc}") from exc
-        splices = sorted((self._place(root, edit, cls) for cls, edit in edits),
+        splices = sorted((s for cls, edit in edits for s in self._place(root, edit, cls)),
                          key=lambda s: (s.start, s.end))
         for before, after in zip(splices, splices[1:]):
             if after.start < before.end:
@@ -90,7 +92,7 @@ class SourceText:
 
     # -- placing one edit ---------------------------------------------------
 
-    def _place(self, root: Node, edit: PatchEdit, cls: str) -> _Splice:
+    def _place(self, root: Node, edit: PatchEdit, cls: str) -> list[_Splice]:
         segments = pointer_segments(edit.pointer)
         node = root
         for i, segment in enumerate(segments[:-1]):
@@ -99,28 +101,30 @@ class SourceText:
                 value = edit.value
                 for inner in reversed(segments[i + 1:]):
                     value = {inner: value}
-                return self._add_entry(node, segment, value, cls)
+                return [self._add_entry(node, segment, value, cls)]
             node = child
         leaf = segments[-1]
         if node.kind is MAPPING:
-            child, child_key = self._child(node, leaf)
+            child, key = self._child(node, leaf)
             if child is None:
-                return self._add_entry(node, leaf, edit.value, cls)
-            return self._replace(node, child_key, child, edit.value, cls)
-        if node.kind is SEQUENCE:
+                return [self._add_entry(node, leaf, edit.value, cls)]
+        elif node.kind is SEQUENCE:
             # `-` appends whatever the op, as `_apply_edit` does
             if leaf == "-" or (edit.op == "add" and int(leaf) == len(node.value)):
-                return self._append(node, edit.value, cls)
-            if edit.op == "replace":
-                item, _ = self._child(node, leaf)
-                return self._replace(node, None, item, edit.value, cls)
-            raise Unplaceable("an item inserted before another")
-        raise Unplaceable(f"{edit.pointer}: parent is a scalar")
+                return [self._append(node, edit.value, cls)]
+            if edit.op != "replace":
+                raise Unplaceable("an item inserted before another")
+            child, key = self._child(node, leaf)
+        else:
+            raise Unplaceable(f"{edit.pointer}: parent is a scalar")
+        return [self._replace(node, key, child, edit.value, cls),
+                *self._kept_anchor(root, child, cls)]
 
     def _child(self, node: Node, segment: str) -> tuple[Node | None, Node | None]:
         """(value, key node) under `segment`; (None, None) for a missing
-        mapping key, which is `segment` as a string or else one that loads
-        to a value reading as it (`refs.child_key`). An alias is refused."""
+        mapping key, one whose text (`yamltree.key_value`) is not
+        `segment`. A key written as `segment` is tried first, so that no
+        other key is constructed. An alias is refused."""
         if node.kind is SEQUENCE and segment.isdigit() and int(segment) < len(node.value):
             key, value = None, node.value[int(segment)]
         elif node.kind is MAPPING:
@@ -129,8 +133,8 @@ class SourceText:
                                if k.value == segment and key_value(k) == segment), (None, None))
             if key is None:
                 loaded = [(key_value(k), k, v) for k, v in pairs]
-                key, value = next(((k, v) for text, k, v in loaded if not isinstance(
-                    text, str) and str(text) == segment), (None, None))
+                key, value = next(((k, v) for text, k, v in loaded if text == segment),
+                                  (None, None))
                 if key is None and any(text is _Unbuilt for text, _, _ in loaded):
                     raise Unplaceable(f"{segment!r} may come from a merge key")
         else:
@@ -153,6 +157,28 @@ class SourceText:
             end = colon + 1 if node.empty else self._content_end(node)
             return _Splice(colon + 1, end, " " + rendered, cls)
         return _Splice(node.start, node.end, rendered, cls)
+
+    def _kept_anchor(self, root: Node, node: Node, cls: str) -> list[_Splice]:
+        """The replaced node's text, its `&name` included, in place of the
+        first alias to it, so that the aliases after it still resolve; []
+        when no alias names it. Only a node written on one line moves."""
+        if node.anchor is None:
+            return []
+        aliases, stack = [], [root]
+        while stack:
+            other = stack.pop()
+            if other.kind is ALIAS:
+                if other.value is node:
+                    aliases.append(other)
+            elif other.kind is not SCALAR:
+                stack += other.value
+        if not aliases:
+            return []
+        first = min(aliases, key=lambda alias: alias.start)
+        moved = self.text[node.start:node.end]
+        if first.start < node.end or any(ch in _BREAKS for ch in moved):
+            raise Unplaceable("an anchored node that its aliases name")
+        return [_Splice(first.start, first.end, moved, cls)]
 
     def _add_entry(self, mapping: Node, key: str, value: object, cls: str) -> _Splice:
         if mapping.kind is not MAPPING:

@@ -18,8 +18,10 @@ A plain scalar such as `2020-01-01` reads as text, not as a date. An
 explicit tag whose value JSON cannot hold reads as the node it tags:
 `!!timestamp` and `!!binary` as the scalar's text as written, `!!set`
 as its mapping (whose values are null), and `!!omap` and `!!pairs` as
-their sequence of one-key mappings. Both loaders are subclasses that
-drop the implicit timestamp resolver and hold these constructors;
+their sequence of one-key mappings. A mapping key reads as the text
+`json.dumps` writes for it (`200:` as "200", `true:` as "true"), so no
+other module meets a key that is not a str. Both loaders are subclasses
+that drop the implicit timestamp resolver and hold these constructors;
 PyYAML's own classes are left as they are.
 
 Only text that does not parse as JSON is read here: `ingest` imports
@@ -28,6 +30,7 @@ this module, and with it `yaml`, on first use.
 
 from __future__ import annotations
 
+import json
 from typing import Any
 
 import yaml
@@ -43,13 +46,30 @@ from yaml import (AliasEvent, DocumentEndEvent, MappingEndEvent, MappingStartEve
 # text to the pure loader, whose RecursionError becomes NestingError.
 _LIBYAML_MAX_DEPTH = 2000
 _TIMESTAMP_TAG = "tag:yaml.org,2002:timestamp"
+_STR_TAG = "tag:yaml.org,2002:str"
 _MAP_TAG = "tag:yaml.org,2002:map"
 _SEQ_TAG = "tag:yaml.org,2002:seq"
 
 
+def _key_text(key: Any) -> str:
+    """A mapping key as JSON writes it: `200` as "200", `~` as "null"."""
+    return key if isinstance(key, str) else json.dumps(key)
+
+
+def _construct_mapping(self: Any, node: Any, deep: bool = False) -> dict:
+    """SafeConstructor's `construct_mapping`, with each scalar key node
+    read as a str node of its text before the key is stored: `1`, `1.0`
+    and `true` are one Python key."""
+    if isinstance(node, yaml.MappingNode):
+        self.flatten_mapping(node)  # merge keys
+        node.value = [(ScalarNode(_STR_TAG, _key_text(self.construct_object(k)))
+                       if k.__class__ is ScalarNode else k, v) for k, v in node.value]
+    return yaml.constructor.BaseConstructor.construct_mapping(self, node, deep)
+
+
 def _json_loader(loader: type) -> type:
     """A subclass of `loader` whose plain scalars never resolve to a date,
-    and whose tagged nodes build only JSON values."""
+    whose tagged nodes build only JSON values and whose keys are text."""
     resolvers = {
         first: [(tag, regexp) for tag, regexp in pairs if tag != _TIMESTAMP_TAG]
         for first, pairs in loader.yaml_implicit_resolvers.items()
@@ -62,6 +82,7 @@ def _json_loader(loader: type) -> type:
     return type(loader.__name__, (loader,), {
         "yaml_implicit_resolvers": resolvers,
         "yaml_constructors": {**loader.yaml_constructors, **untagged},
+        "construct_mapping": _construct_mapping,
     })
 
 
@@ -105,7 +126,6 @@ class _TooDeep(Exception):
     """The event stream nests deeper than `_LIBYAML_MAX_DEPTH`."""
 
 
-_STR_TAG = "tag:yaml.org,2002:str"
 _NO_KEY = object()  # a mapping's key slot while it waits for a key
 # a collection's start event -> the tags under which it is a plain dict or list
 _PLAIN_TAGS = {
@@ -120,7 +140,8 @@ def _tree_from_events(loader: Any) -> Any:
     alias sharing the object its anchor names. A scalar's tag is resolved
     and constructed by the loader itself, so ints, floats, bools and
     nulls come out as PyYAML makes them, and timestamps and binary as
-    the loader's constructors read them (as text).
+    the loader's constructors read them (as text), and keys as their
+    text (`_key_text`).
 
     Raises _TooDeep once more than `_LIBYAML_MAX_DEPTH` collections are
     open. Raises _Unbuilt on what only PyYAML's constructor gets exactly
@@ -132,9 +153,6 @@ def _tree_from_events(loader: Any) -> Any:
     get_event = loader.get_event
     resolve = loader.resolve
     constructors = loader.yaml_constructors
-    # Without path resolvers, `resolve` reads only a scalar's text, and
-    # gives the str tag when `implicit[0]` is false (a quoted scalar).
-    by_text = not loader.yaml_path_resolvers
     # a plain scalar's text -> its value, resolved and constructed once
     # per load; the implicit tags construct ints, floats, bools, None
     # and strs, so sharing a value shares nothing mutable
@@ -159,7 +177,8 @@ def _tree_from_events(loader: Any) -> Any:
             if kind is ScalarEvent:
                 node = event.value
                 tag = event.tag
-                if (tag is None or tag == "!") and by_text:
+                if tag is None or tag == "!":
+                    # with no path resolvers, a quoted scalar is a str
                     if event.implicit[0]:
                         value = plain.get(node, _NO_KEY)
                         if value is _NO_KEY:
@@ -168,8 +187,6 @@ def _tree_from_events(loader: Any) -> Any:
                                 resolve(ScalarNode, node, (True, False)), node)
                         node = value
                 else:
-                    if tag is None or tag == "!":
-                        tag = resolve(ScalarNode, node, event.implicit)
                     node = _construct(loader, constructors, tag, node)
                 if event.anchor is not None:
                     _set_anchor(anchors, event.anchor, node)
@@ -216,7 +233,7 @@ def _tree_from_events(loader: Any) -> Any:
             elif node.__class__ is dict or node.__class__ is list:
                 raise _Unbuilt  # an alias to a collection, as a key
             else:
-                key = node
+                key = node if node.__class__ is str else _key_text(node)
     except _Unbuilt:
         # the event that raised may have opened a collection not yet counted
         _read_to_end(get_event, len(stack) + 1)
@@ -264,8 +281,9 @@ class Node:
     """A node as written: its `kind`, the class of the event that opens it,
     and its `value`, a scalar's text, a sequence's items, a mapping's keys
     and values in turn, or the node an alias (a node of its own, at its
-    `*name`) names. The rest is read from its events on use: `tag` as
-    written, `start`, `end` and `column` as PyYAML's composer marks them,
+    `*name`) names. The rest is read from its events on use: `tag` and
+    `anchor` as written (an alias's `anchor` is the name it names),
+    `start`, `end` and `column` as PyYAML's composer marks them,
     `flow`, and `style` (falsy if plain). An `empty` plain scalar's marks
     sit at the next token; a `block` node is a block collection or a
     literal or folded scalar."""
@@ -277,6 +295,7 @@ class Node:
 
     kind = property(lambda self: self._open.__class__)
     tag = property(lambda self: getattr(self._open, "tag", None))
+    anchor = property(lambda self: self._open.anchor)
     start = property(lambda self: self._open.start_mark.index)
     end = property(lambda self: getattr(self, "_close", self._open).end_mark.index)
     column = property(lambda self: self._open.start_mark.column)
@@ -355,13 +374,13 @@ def scalar_tag(node: Node) -> str:
 
 
 def key_value(node: Node) -> Any:
-    """What a mapping key node loads to in `_load_yaml`'s tree, through an
-    alias; `_Unbuilt` itself for a collection or a merge key."""
+    """The text a mapping key node loads to in `_load_yaml`'s tree,
+    through an alias; `_Unbuilt` itself for a collection or a merge key."""
     if node._open.__class__ is ALIAS:  # `kind`, without the property call
         node = node.value
     if node._open.__class__ is not SCALAR:
         return _Unbuilt
     try:
-        return _construct(_KEYS, _KEYS.yaml_constructors, scalar_tag(node), node.value)
+        return _key_text(_construct(_KEYS, _KEYS.yaml_constructors, scalar_tag(node), node.value))
     except _Unbuilt:
         return _Unbuilt

@@ -14,8 +14,9 @@ import pytest
 from automcp import pipeline
 from automcp.cli import main
 from automcp.compiler import manifest_to_dict
-from automcp.doctor import load_vendor_rules
+from automcp.doctor import fix_loop, load_vendor_rules
 from automcp.errors import NestingError
+from automcp.ingest import load_document
 from automcp.mock_upstream import run_mock_upstream
 from automcp.pipeline import compile_file
 from conftest import DEFECTS, changed_line_count, fixture_path
@@ -639,7 +640,8 @@ def test_malformed_shape_compiles_without_traceback(tmp_path, case):
 
 
 # YAML mapping keys that are not strings, where a key names something:
-# each reads as its str(), so the spec compiles and lints clean.
+# the YAML reader writes each as its JSON text, so the spec compiles and
+# lints clean.
 NON_STRING_KEYS = {
     "path": """
 openapi: 3.0.3
@@ -734,6 +736,26 @@ class TestLintFixSplicesTheSource:
         assert report["total_loc_changed"] == 1
         written = Path(report["repaired_spec"]).read_text(encoding="utf-8")
         assert written == head + item % "string" + tail
+
+    def test_repair_of_an_anchored_value_keeps_its_anchor(self, tmp_path, capsys):
+        """A repair that replaces an anchored value moves its old text,
+        `&u` included, to the first alias, so the later alias still
+        resolves and the author's flow style survives."""
+        spec = tmp_path / "anchor.yaml"
+        spec.write_text(
+            "openapi: 3.0.3\ninfo: {title: Anchor, version: '1'}\n"
+            "servers: [{url: &u '{{root}}'}]\nx-copy: *u\nx-again: *u\n"
+            "paths:\n  /notes:\n    get:\n"
+            "      responses: {'200': {description: ok}}\n", encoding="utf-8")
+        assert run_cli(["lint", spec, "--fix", "--out", tmp_path / "out"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["whole_document_render"] is False
+        assert report["total_loc_changed"] <= 2
+        written = Path(report["repaired_spec"]).read_text(encoding="utf-8")
+        assert "x-copy: &u '{{root}}'\n" in written
+        patched = fix_loop(load_document(spec)).document.tree
+        assert load_document(report["repaired_spec"]).tree == patched
+        assert patched["x-copy"] == patched["x-again"] == "{{root}}"
 
     def test_comment_survives(self, tmp_path, capsys):
         run_cli(["lint", DEFECTS / "class_a.yaml", "--fix", "--out", tmp_path])

@@ -101,6 +101,15 @@ class TestListEndpoints:
         ep = manifest.tools[0].endpoint
         assert ep.success_status == 200
 
+    def test_code_int_cannot_read_is_no_status(self):
+        """`²01` is digits to `str.isdigit`, but no number `int` reads."""
+        manifest = compile_tree({
+            "openapi": "3.0.0", "info": {"title": "T", "version": "1"},
+            "servers": [{"url": "https://t.example"}],
+            "paths": {"/a": {"get": {"responses": {"\u00b201": {"description": "x"}}}}},
+        })
+        assert manifest.tools[0].endpoint.success_status == 200
+
     def test_doc_level_security_inherited(self, petstore):
         for ep in endpoints(petstore):
             assert ep.security == [{"api_key": []}]

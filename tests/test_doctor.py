@@ -899,6 +899,17 @@ class TestSourceText:
         assert report.document.tree["servers"] == [{"url": "https://api.example.com"}]
         assert raw.tree["servers"][0] is raw.tree["x-base"] == {"url": "{{root}}"}
 
+    def test_anchored_value_on_two_lines_renders_whole(self, tmp_path):
+        """Only a one-line anchored value moves to its first alias; one
+        on two lines is rendered with the whole document, and the alias
+        keeps the old value."""
+        text = ("openapi: 3.0.0\ninfo: {title: Anchor, version: '1'}\n"
+                "servers:\n- url: &u '{{root}}\n    tail'\nx-copy: *u\npaths: {}\n")
+        report = fix_loop(write_spec(tmp_path, "anchor.yaml", text))
+        assert report.whole_document_render is True
+        assert yamltree._load_yaml(report.text) == report.document.tree
+        assert report.document.tree["x-copy"] == "{{root}} tail"
+
 
 # -- one hunk writer for every diff --------------------------------------------
 
@@ -982,19 +993,19 @@ class TestOneDiff:
         assert report.total_loc_changed == diff_changed_lines(report.diff) > 0
 
 
-def test_edit_under_a_non_string_key_lands_on_that_node():
-    """A repair under YAML's `200:` path key edits that operation, not a
-    new `"200"` path beside it."""
-    param = {"name": "user_id", "in": "path", "required": True,
-             "schema": {"type": "integer"}, "example": "u-1"}
-    tree = {
-        "openapi": "3.0.0", "info": {"title": "T", "version": "1"},
-        "servers": [{"url": "https://t.example"}],
-        "paths": {200: {"get": {"parameters": [param],
-                                "responses": {"200": {"description": "ok"}}}}},
-    }
-    report = fix_loop(mem_doc(tree, fmt="yaml"))
+def test_edit_under_a_non_string_key_lands_on_that_node(tmp_path):
+    """A repair under YAML's `200:` path key edits that operation, whose
+    path the reader wrote as `"200"`, not a new path beside it."""
+    spec = tmp_path / "key200.yaml"
+    spec.write_text(
+        "openapi: 3.0.0\ninfo: {title: T, version: '1'}\n"
+        "servers: [{url: 'https://t.example'}]\n"
+        "paths:\n  200:\n    get:\n      parameters:\n"
+        "        - {name: user_id, in: path, required: true,"
+        " schema: {type: integer}, example: u-1}\n"
+        "      responses: {200: {description: ok}}\n", encoding="utf-8")
+    report = fix_loop(load_document(spec))
     assert report.findings_by_class == {"D": 1}
-    assert list(report.document.tree["paths"]) == [200]
-    [fixed] = report.document.tree["paths"][200]["get"]["parameters"]
+    assert list(report.document.tree["paths"]) == ["200"]
+    [fixed] = report.document.tree["paths"]["200"]["get"]["parameters"]
     assert fixed["schema"] == {"type": "string"}

@@ -696,8 +696,8 @@ def load_outcome(load, text):
 
 
 def todays_load(text):
-    """The load before the event-built tree: libyaml's `yaml.load`, then
-    the pure loader's on a YAMLError."""
+    """The load through PyYAML's constructor, which the event walk falls
+    back to: libyaml's `yaml.load`, then the pure loader's on a YAMLError."""
     try:
         return yaml.load(text, Loader=yamltree._FastLoader)
     except yaml.YAMLError:
@@ -707,6 +707,7 @@ def todays_load(text):
 YAML_SNIPPETS = {
     "merge-key": "base: &b {x: 1, y: 2}\nm:\n  <<: *b\n  y: 3\n",
     "merge-key-list": "a: &a {x: 1}\nb: &b {y: 2, x: 0}\nm:\n  z: 3\n  <<: [*a, *b]\n",
+    "merge-number-keys": "b: &b {1: x, ~: n}\nm:\n  <<: *b\n  1.0: y\n  true: z\n  .inf: i\n",
     "duplicate-keys": "a: 1\nb: 2\na: [3]\n1: x\n1.0: y\ntrue: z\n",
     "timestamps": "d: 2001-12-14\nt: 2001-12-14t21:59:43.10-05:00\n"
                   "u: 2001-12-14 21:59:43.10\nz: 2002-12-14T21:59:43Z\n",
@@ -750,16 +751,24 @@ YAML_SNIPPETS = {
 }
 # Left to PyYAML's own constructor (or, for a parse error, its pure loader)
 FALLS_BACK = {
-    "merge-key", "merge-key-list", "bad-binary", "bad-int", "set", "omap",
-    "unknown-tag", "value-key", "value-value", "sequence-key", "mapping-key",
+    "merge-key", "merge-key-list", "merge-number-keys", "bad-binary", "bad-int", "set",
+    "omap", "unknown-tag", "value-key", "value-value", "sequence-key", "mapping-key",
     "alias-to-collection-key", "undefined-alias", "redefined-anchor",
     "two-documents", "parse-error",
 }
 
-# Trees of JSON values where PyYAML's loaders give a date, bytes, a set or
-# tuples (or, for bad base64, an error): plain dates and times read as text,
-# and a tagged node as the node it tags
+# Trees of JSON values where PyYAML's loaders give a date, bytes, a set,
+# tuples or keys that are not strings (or, for bad base64, an error): plain
+# dates and times read as text, a tagged node as the node it tags, and a
+# key as its JSON text, converted before it is stored so that `1`, `1.0`
+# and `true` stay three keys
 JSON_NOT_PYYAMLS = {
+    "duplicate-keys": {"a": [3], "b": 2, "1": "x", "1.0": "y", "true": "z"},
+    "bools-and-nulls": {"a": True, "b": False, "c": None, "d": None, "e": True,
+                        "f": False, "g": None, "null": "k"},
+    "merge-number-keys": {"b": {"1": "x", "null": "n"},
+                          "m": {"1": "x", "null": "n", "1.0": "y", "true": "z",
+                                "Infinity": "i"}},
     "timestamps": {"d": "2001-12-14", "t": "2001-12-14t21:59:43.10-05:00",
                    "u": "2001-12-14 21:59:43.10", "z": "2002-12-14T21:59:43Z"},
     "binary": {"b": "aGVsbG8="},
@@ -787,6 +796,7 @@ class TestTreeFromEvents:
     def test_fixture_tree_is_libyamls_built_from_events(self, path, monkeypatch):
         text = path.read_text(encoding="utf-8")
         expected = shape(libyaml_load(text))
+        assert shape(todays_load(text)) == expected
         monkeypatch.setattr(yaml, "load", refuse)
         assert shape(yamltree._load_yaml(text)) == expected
         if path.suffix == ".yaml":
@@ -822,3 +832,33 @@ class TestTreeFromEvents:
         text = yaml.safe_dump(value, default_flow_style=flow_style, indent=indent,
                               allow_unicode=True)
         assert shape(yamltree._load_yaml(text)) == shape(libyaml_load(text))
+
+
+def mapping_keys(node, seen=None):
+    """Every mapping key under `node`, each collection visited once."""
+    seen = set() if seen is None else seen
+    if id(node) in seen or not isinstance(node, (dict, list)):
+        return
+    seen.add(id(node))
+    if isinstance(node, dict):
+        yield from node
+    for child in node.values() if isinstance(node, dict) else node:
+        yield from mapping_keys(child, seen)
+
+
+@pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pure"])
+@pytest.mark.parametrize("source", LOADABLE + list(YAML_SNIPPETS),
+                         ids=lambda s: getattr(s, "name", s))
+def test_every_loaded_key_is_text(source, libyaml, monkeypatch):
+    """Every mapping key of a loaded tree is a str, from the event walk and
+    from each fallback loader alike."""
+    if not libyaml:
+        monkeypatch.setattr(yamltree, "_FastLoader", None)
+    snippet = source in YAML_SNIPPETS
+    try:
+        tree = yamltree._load_yaml(
+            YAML_SNIPPETS[source] if snippet else source.read_text(encoding="utf-8"))
+    except (yaml.YAMLError, ValueError):
+        assert snippet  # `test_snippet_outcome_is_todays` pins the error
+        return
+    assert all(isinstance(key, str) for key in mapping_keys(tree))

@@ -280,17 +280,16 @@ class TestPointerCodec:
     def test_escaped_key_round_trips(self, key):
         assert pointer_segments("#/" + escape_token(key)) == [key]
 
+    def test_index_int_cannot_read_is_dangling(self):
+        """`²` is a digit to `str.isdigit`, but no list index."""
+        with pytest.raises(DanglingRefError):
+            pointer_lookup({"a": [1]}, "#/a/\u00b2")
+
     def test_hash_alone_is_the_root_and_slash_the_empty_key(self):
         tree = {"": 1, "a": {"": 2}}
         assert pointer_lookup(tree, "#") is tree
         assert pointer_lookup(tree, "#/") == 1
         assert pointer_lookup(tree, "#/a/") == 2
-
-    def test_token_names_a_key_that_reads_as_it(self):
-        """YAML's `200:` is an int key; `#/200` reaches it, and a string
-        key that reads the same wins."""
-        assert pointer_lookup({"a": {200: "int"}}, "#/a/200") == "int"
-        assert pointer_lookup({200: "int", "200": "str"}, "#/200") == "str"
 
 
 class TestValidate:

@@ -4,8 +4,9 @@ Each example takes one fixture spec (the three corpus specs and the five
 defect specs) and changes one node: it replaces it by `[1]`, `1`, `null`,
 `"x"`, `{}`, a plain YAML date, text holding a lone surrogate, or a value
 under an explicit `!!timestamp`, `!!binary` or `!!set` tag, deletes its
-key, replaces its key by an integer, or points a `$ref` at another
-node. The mutant then runs through `compile_file`,
+key, replaces its key by an integer, a boolean or null (written as YAML,
+which the reader reads as the key's JSON text), or points a `$ref` at
+another node. The mutant then runs through `compile_file`,
 `compile_file(fix=True)` and `lint`. Each must return or raise
 `AutoMcpError`, never anything else, within a bounded wall time, and
 each manifest compiled must encode as `generate` writes it.
@@ -83,11 +84,12 @@ DELETE = object()  # a mutation that deletes the node's key
 class RenameKey:
     """A mutation that replaces the node's key by `key`, in its place."""
 
-    key: int
+    key: int | bool | None
 
 
-# `200` reads as the text of a response code key, `1` as a new name
-KEY_INTS = [RenameKey(200), RenameKey(1)]
+# `200` reads as the text of a response code key, `1` as a new name, and
+# `true` and null as "true" and "null"
+NON_STRING_KEYS = [RenameKey(200), RenameKey(1), RenameKey(True), RenameKey(None)]
 
 
 def mutated(node, path, value):
@@ -135,7 +137,7 @@ def _delete(name):
 
 def _rename(name):
     return st.tuples(st.just(name), st.sampled_from(SPECS[name]["keys"]),
-                     st.sampled_from(KEY_INTS))
+                     st.sampled_from(NON_STRING_KEYS))
 
 
 def _rewire(name):
