@@ -51,8 +51,11 @@ _ID_NAME_RE = re.compile(r"(^id$|_id$)", re.IGNORECASE)
 
 @dataclass
 class PatchEdit:
-    pointer: str  # "#/..." JSON pointer
-    op: str       # add | replace
+    """Set `value` at `pointer` (`#/...`): a mapping key, present or not,
+    or an existing sequence item; a last token of `-` appends to a
+    sequence. Every parent on the pointer exists."""
+
+    pointer: str
     value: Any
 
 
@@ -219,7 +222,7 @@ def _scheme_repair(
         and node.get("name")
     ):
         # common casing mistake; the declaration is otherwise complete
-        return ptr, [PatchEdit(f"{ptr}/type", "replace", "apiKey")]
+        return ptr, [PatchEdit(f"{ptr}/type", "apiKey")]
     return ptr, []
 
 
@@ -234,7 +237,7 @@ def _oauth2_repair_3_x(
             token_url = _derive_token_url(
                 text(flow, "authorizationUrl") if code else "", rules)
             return f"{ptr}/flows/{name}", [
-                PatchEdit(f"{ptr}/flows/{name}/tokenUrl", "add", token_url)
+                PatchEdit(f"{ptr}/flows/{name}/tokenUrl", token_url)
             ]
     implicit = mapping(flows, "implicit", None)
     if implicit is not None:
@@ -245,13 +248,13 @@ def _oauth2_repair_3_x(
             "scopes": mapping(implicit, "scopes"),
         }
         return f"{ptr}/flows", [
-            PatchEdit(f"{ptr}/flows/authorizationCode", "add", migrated)
+            PatchEdit(f"{ptr}/flows/authorizationCode", migrated)
         ]
     password = mapping(flows, "password")
     if text(password, "tokenUrl"):
         moved = {"tokenUrl": password["tokenUrl"], "scopes": mapping(password, "scopes")}
         return f"{ptr}/flows", [
-            PatchEdit(f"{ptr}/flows/clientCredentials", "add", moved)
+            PatchEdit(f"{ptr}/flows/clientCredentials", moved)
         ]
     return f"{ptr}/flows", []
 
@@ -261,16 +264,16 @@ def _oauth2_repair_2_0(
 ) -> list[PatchEdit]:
     flow = text(node, "flow", "implicit")  # as ingest reads a missing flow
     token_url = _derive_token_url(text(node, "authorizationUrl"), rules)
-    add_token_url = [PatchEdit(f"{ptr}/tokenUrl", "add", token_url)]
+    add_token_url = [PatchEdit(f"{ptr}/tokenUrl", token_url)]
     if flow in ("accessCode", "application"):
         return add_token_url
     if flow == "password":
         # a password grant needs the user's own password; the client
         # credentials grant exchanges at the same token endpoint
-        edits = [PatchEdit(f"{ptr}/flow", "replace", "application")]
+        edits = [PatchEdit(f"{ptr}/flow", "application")]
         return edits if text(node, "tokenUrl") else edits + add_token_url
     if flow == "implicit":
-        return [PatchEdit(f"{ptr}/flow", "add", "accessCode")] + add_token_url
+        return [PatchEdit(f"{ptr}/flow", "accessCode")] + add_token_url
     return []
 
 
@@ -297,11 +300,11 @@ def _lint_class_b(raw: RawDocument, rules: list[VendorRule]) -> list[LintFinding
         else:
             servers = sequence(raw.tree, "servers")
             if not servers:
-                edits = [PatchEdit("#/servers", "add", [{"url": replacement}])]
+                edits = [PatchEdit("#/servers", [{"url": replacement}])]
             elif mapping(servers, 0, None) is None:
-                edits = [PatchEdit("#/servers/0", "replace", {"url": replacement})]
+                edits = [PatchEdit("#/servers/0", {"url": replacement})]
             else:
-                edits = [PatchEdit("#/servers/0/url", "add", replacement)]
+                edits = [PatchEdit("#/servers/0/url", replacement)]
             location = "#/servers/0/url"
         return [LintFinding("B", location, str(exc), edits)]
 
@@ -317,12 +320,12 @@ def _swagger_base_url_repair(
     edits = []
     tree = raw.tree
     if swagger_scheme(tree) not in ("http", "https"):
-        edits.append(PatchEdit("#/schemes", "replace", [scheme]))
+        edits.append(PatchEdit("#/schemes", [scheme]))
         tree = {**tree, "schemes": [scheme]}
     try:
         resolve_base_url(dataclasses.replace(raw, tree=tree))
     except BaseUrlError:
-        edits.append(PatchEdit("#/host", "add", host))
+        edits.append(PatchEdit("#/host", host))
     return edits, edits[0].pointer
 
 
@@ -377,8 +380,9 @@ def _check_path_param_type(
     param: dict, ptr: str, override_names: set[str]
 ) -> LintFinding | None:
     name = text(param, "name")
-    schema = mapping(param, "schema", None)
-    declared = (schema or param).get("type")
+    # the type the compiler reads: the schema's whenever there is one
+    schema = mapping(param, "schema") if "schema" in param else None
+    declared = (param if schema is None else schema).get("type")
     if declared not in ("integer", "number"):
         return None
     example = param.get("example", (schema or {}).get("example"))
@@ -393,7 +397,7 @@ def _check_path_param_type(
         type_ptr,
         f"path parameter {name!r} is typed {declared} but callers pass string "
         f"identifiers",
-        [PatchEdit(type_ptr, "replace", "string")],
+        [PatchEdit(type_ptr, "string")],
     )
 
 
@@ -435,18 +439,20 @@ def _class_e_edits(raw: RawDocument, op: dict | None, op_ptr: str, scheme_id: st
         else:
             entry["schema"] = {"type": "string"}
         if sequence(op, "parameters", None) is not None:
-            return [PatchEdit(f"{op_ptr}/parameters/-", "add", entry)]
-        return [PatchEdit(f"{op_ptr}/parameters", "add", [entry])]
-    return [PatchEdit(f"{op_ptr}/security", "add", [{scheme_id: []}])]
+            return [PatchEdit(f"{op_ptr}/parameters/-", entry)]
+        return [PatchEdit(f"{op_ptr}/parameters", [entry])]
+    return [PatchEdit(f"{op_ptr}/security", [{scheme_id: []}])]
 
 
 # -- patching ------------------------------------------------------------------
 
 
 def apply_patch(raw: RawDocument, edits: list[PatchEdit]) -> RawDocument:
-    """A copy of `raw` with the edits applied and no source text. Only the
-    root and the containers along each edit's pointer are copied: `raw` is
-    untouched, and an edit under a YAML alias changes only its own node."""
+    """A copy of `raw` with the edits applied, each setting the value at
+    its pointer or appending at `-`, and no source text. Only the root and
+    the containers along each edit's pointer are copied: `raw` is
+    untouched, and an edit under a YAML alias changes only its own node.
+    Raises PointerError for a pointer the tree does not hold."""
     tree = dict(raw.tree)
     copied = {id(tree)}  # containers this call made, safe to change
     for edit in edits:
@@ -463,51 +469,26 @@ def render_document(tree: dict, fmt: str) -> str:
 
 
 def _apply_edit(tree: dict, edit: PatchEdit, copied: set[int]) -> None:
-    """Apply one edit, first copying each container on its pointer not in `copied`."""
-    if not edit.pointer.startswith("#"):
-        raise PointerError(edit.pointer, "pointer must start with '#'")
-    segments = pointer_segments(edit.pointer)
-    if not segments:
-        raise PointerError(edit.pointer, "cannot edit the document root")
-    parent = tree
-    for segment in segments[:-1]:
-        if isinstance(parent, dict):
-            key = segment
-            if key not in parent:
-                if edit.op != "add":
-                    raise PointerError(edit.pointer, f"missing segment {segment!r}")
-                parent[key] = {}
-        elif isinstance(parent, list):
-            if not segment.isdigit() or int(segment) >= len(parent):
-                raise PointerError(edit.pointer, f"bad list index {segment!r}")
-            key = int(segment)
-        else:
-            raise PointerError(edit.pointer, f"segment {segment!r} is a scalar")
-        child = parent[key]
-        if isinstance(child, (dict, list)) and id(child) not in copied:
-            child = parent[key] = type(child)(child)
-            copied.add(id(child))
-        parent = child
-
-    leaf = segments[-1]
-    if isinstance(parent, dict):
-        if edit.op == "replace" and leaf not in parent:
-            raise PointerError(edit.pointer, f"nothing to replace at {leaf!r}")
-        parent[leaf] = edit.value
-    elif isinstance(parent, list):
-        if leaf == "-":
+    """Apply one edit, first copying each container on its pointer not in
+    `copied`. Raises PointerError when the tree has no such place: a
+    missing key or item on the way, a bad index or a scalar parent."""
+    try:
+        *path, leaf = pointer_segments(edit.pointer)
+        parent = tree
+        for segment in path:
+            key = int(segment) if isinstance(parent, list) and segment.isdecimal() else segment
+            child = parent[key]
+            if isinstance(child, (dict, list)) and id(child) not in copied:
+                child = parent[key] = type(child)(child)
+                copied.add(id(child))
+            parent = child
+        if isinstance(parent, list) and leaf == "-":
             parent.append(edit.value)
-        elif leaf.isdigit() and int(leaf) <= len(parent):
-            if edit.op == "replace":
-                if int(leaf) >= len(parent):
-                    raise PointerError(edit.pointer, "index out of range")
-                parent[int(leaf)] = edit.value
-            else:
-                parent.insert(int(leaf), edit.value)
         else:
-            raise PointerError(edit.pointer, f"bad list index {leaf!r}")
-    else:
-        raise PointerError(edit.pointer, "parent is a scalar")
+            key = int(leaf) if isinstance(parent, list) and leaf.isdecimal() else leaf
+            parent[key] = edit.value
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise PointerError(edit.pointer, "the document has no such place") from exc
 
 
 # -- fix loop ------------------------------------------------------------------

@@ -121,7 +121,7 @@ class FatalValidationError(AutoMcpError):
 
 
 class PointerError(AutoMcpError):
-    """A patch edit targets a JSON pointer that cannot be created."""
+    """A patch edit's pointer names no place the document holds."""
 
     def __init__(self, pointer: str, reason: str) -> None:
         super().__init__(f"cannot apply edit at {pointer}: {reason}", pointer)

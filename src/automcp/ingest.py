@@ -306,7 +306,6 @@ def _convert_2_0(tree: dict) -> dict:
 
     paths = mapping(tree, "paths", None)
     if paths is None:  # missing or not a mapping: validation rejects it
-        out["paths"] = tree.get("paths")
         return out
     consumes = sequence(tree, "consumes")
     produces = sequence(tree, "produces")

@@ -20,13 +20,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, unquote, urlparse
 
 from .compiler import ToolManifest, ToolSpec
-from .security import (
-    KIND_API_KEY,
-    KIND_HTTP_BASIC,
-    KIND_HTTP_BEARER,
-    KIND_OAUTH2,
-    SecurityScheme,
-)
+from .security import KIND_API_KEY, KIND_HTTP_BASIC, SecurityScheme
 
 ENFORCE_PER_ENDPOINT = "per_endpoint"
 ENFORCE_GLOBAL = "global"
@@ -240,15 +234,14 @@ class MockUpstream:
                 return lowered.get(scheme.parameter_name.lower()) == expected
             if scheme.location == "query":
                 return query.get(scheme.parameter_name) == expected
-            cookie = lowered.get("cookie", "")
-            return f"{scheme.parameter_name}={expected}" in cookie
+            # each `name=value` pair of the header (RFC 6265 §4.2.1), matched whole
+            pairs = (pair.strip().partition("=") for pair in lowered.get("cookie", "").split(";"))
+            return (scheme.parameter_name, "=", expected) in pairs
         if scheme.kind == KIND_HTTP_BASIC:
             user, password = expected  # type: ignore[misc]
             token = base64.b64encode(f"{user}:{password}".encode()).decode()
             return lowered.get("authorization") == f"Basic {token}"
-        if scheme.kind in (KIND_HTTP_BEARER, KIND_OAUTH2):
-            return lowered.get("authorization") == f"Bearer {expected}"
-        return False
+        return lowered.get("authorization") == f"Bearer {expected}"  # bearer, oauth2
 
     def _apply(
         self, tool: ToolSpec, path: str, query: dict[str, str], body: object

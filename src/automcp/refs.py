@@ -46,9 +46,8 @@ def pointer_segments(pointer: str) -> list[str]:
 
 
 def pointer_lookup(tree: Any, pointer: str) -> Any:
-    """Resolve an intra-document JSON pointer (`#/a/b/0`) to its node."""
-    if not pointer.startswith("#"):
-        raise ExternalRefError(pointer)
+    """Resolve an intra-document JSON pointer (`#/a/b/0`) to its node;
+    `flatten` refuses any other `$ref` first."""
     node = tree
     for token in pointer_segments(pointer):
         if isinstance(node, dict) and token in node:

@@ -94,7 +94,8 @@ def resolve_auth(
     Requirement sets are alternatives; within a set every scheme applies.
     The first set whose bindings are all satisfied by `env` wins. Raises
     MissingCredential (naming the first unmet variable, and why for a
-    value its place cannot carry) when none is.
+    value its place cannot carry) when none is. Every scheme a set names
+    is in `schemes` and bound in `bindings`, as compile makes them.
     """
     if not requirements:
         return AuthPlan()
@@ -108,17 +109,13 @@ def resolve_auth(
         plan = AuthPlan()
         unmet: MissingCredential | None = None
         for scheme_id in requirement:
-            scheme = scheme_map.get(scheme_id)
-            if scheme is None:
-                unmet = MissingCredential(f"(undeclared scheme {scheme_id!r})")
-            else:
-                unmet = _apply_scheme(plan, scheme, by_scheme.get(scheme_id, []), env)
+            unmet = _apply_scheme(plan, scheme_map[scheme_id], by_scheme[scheme_id], env)
             if unmet is not None:
                 break
         if unmet is None:
             return plan
         first_unmet = first_unmet or unmet
-    raise first_unmet or MissingCredential("(no satisfiable security requirement)")
+    raise first_unmet
 
 
 def _apply_scheme(
@@ -143,8 +140,6 @@ def _apply_scheme(
         if not encodes(value, codec):
             return UnsendableCredential(binding.env_var, codec)
         values[binding.role] = value
-    if not scheme_bindings:
-        return MissingCredential(f"(no binding for scheme {scheme.id!r})")
 
     if scheme.kind == KIND_API_KEY:
         secret = next(iter(values.values()))
@@ -281,15 +276,10 @@ def invoke_tool(
     headers: dict[str, str] = {}
     cookies: list[str] = []
     for param in ep.parameters:
-        if param.is_credential:
-            continue
-        if param.sanitized_name in args:
-            value = args[param.sanitized_name]
-        elif param.location == "path":
-            raise SchemaViolation(f"missing path parameter {param.name!r}")
-        else:
-            continue
         arg = param.sanitized_name
+        if param.is_credential or arg not in args:
+            continue  # `validate_args` requires each path parameter
+        value = args[arg]
         if param.location == "path":
             path_args["{%s}" % param.name] = arg
             path = path.replace(

@@ -17,7 +17,10 @@ fallback passes it a `difflib.SequenceMatcher`'s changed runs instead.
 
 An edit with no safe place raises `Unplaceable`. The caller keeps the
 tree-level edit as the oracle: it loads the spliced text and renders the
-whole document instead when the two trees differ.
+whole document instead when the two trees differ. So a layout the
+splice does not read (an entry after a `? key`, an item below its `-`,
+a pair in a flow sequence with no braces) needs no check here: the text
+it misplaces fails the oracle.
 """
 
 from __future__ import annotations
@@ -93,30 +96,17 @@ class SourceText:
     # -- placing one edit ---------------------------------------------------
 
     def _place(self, root: Node, edit: PatchEdit, cls: str) -> list[_Splice]:
-        segments = pointer_segments(edit.pointer)
+        *path, leaf = pointer_segments(edit.pointer)
         node = root
-        for i, segment in enumerate(segments[:-1]):
-            child, _ = self._child(node, segment)
-            if child is None:  # a missing parent, which `add` creates
-                value = edit.value
-                for inner in reversed(segments[i + 1:]):
-                    value = {inner: value}
-                return [self._add_entry(node, segment, value, cls)]
-            node = child
-        leaf = segments[-1]
-        if node.kind is MAPPING:
-            child, key = self._child(node, leaf)
-            if child is None:
-                return [self._add_entry(node, leaf, edit.value, cls)]
-        elif node.kind is SEQUENCE:
-            # `-` appends whatever the op, as `_apply_edit` does
-            if leaf == "-" or (edit.op == "add" and int(leaf) == len(node.value)):
-                return [self._append(node, edit.value, cls)]
-            if edit.op != "replace":
-                raise Unplaceable("an item inserted before another")
-            child, key = self._child(node, leaf)
-        else:
-            raise Unplaceable(f"{edit.pointer}: parent is a scalar")
+        for segment in path:
+            node, _ = self._child(node, segment)
+            if node is None:
+                raise Unplaceable(f"{edit.pointer}: no node at {segment!r}")
+        if node.kind is SEQUENCE and leaf == "-":
+            return [self._append(node, edit.value, cls)]
+        child, key = self._child(node, leaf)
+        if child is None:
+            return [self._add_entry(node, leaf, edit.value, cls)]
         return [self._replace(node, key, child, edit.value, cls),
                 *self._kept_anchor(root, child, cls)]
 
@@ -148,8 +138,6 @@ class SourceText:
         rendered = self._render(value, parent.flow)
         if node.empty or (not parent.flow and node.block):
             if key is None:
-                if node.empty:
-                    raise Unplaceable("empty sequence item")
                 # a block item starts after its `- `: only its span goes
                 return _Splice(node.start, self._content_end(node), rendered, cls)
             # the value moves up onto its key's line
@@ -181,16 +169,11 @@ class SourceText:
         return [_Splice(first.start, first.end, moved, cls)]
 
     def _add_entry(self, mapping: Node, key: str, value: object, cls: str) -> _Splice:
-        if mapping.kind is not MAPPING:
-            raise Unplaceable("parent is not a mapping")
         flow = mapping.flow
         entry = f"{self._render(key, flow)}: {self._render(value, flow)}"
         if flow:
             return self._flow_insert(mapping, entry, cls)
-        first = mapping.value[0]
-        if self.text[self._line_start(first.start):first.start].strip(" -\ufeff"):
-            raise Unplaceable("the first key does not start its entry")  # `? key`
-        indent = " " * first.column
+        indent = " " * mapping.value[0].column
         return self._new_line(self._content_end(mapping), indent + entry, cls)
 
     def _append(self, seq: Node, value: object, cls: str) -> _Splice:
@@ -233,23 +216,17 @@ class SourceText:
         return colon
 
     def _dash(self, item: Node) -> int:
-        """The offset of the `-` that opens a block sequence item."""
+        """The offset of the `-` that opens a block sequence item written on
+        its line; for one written below it, a wrong offset, and the text it
+        misplaces fails the oracle."""
         dash = item.start - 1
         while dash >= 0 and self.text[dash] == " ":
             dash -= 1
-        if dash < 0 or self.text[dash] != "-":
-            raise Unplaceable("no `-` before the item")
         return dash
 
-    def _line_start(self, pos: int) -> int:
-        while pos > 0 and self.text[pos - 1] not in _BREAKS:
-            pos -= 1
-        return pos
-
     def _new_line(self, content_end: int, line: str, cls: str) -> _Splice:
-        """A whole new line after the line where `content_end` falls."""
-        if content_end == self._line_start(content_end):
-            return _Splice(content_end, content_end, line + "\n", cls)
+        """A whole new line after the line where `content_end` falls, which
+        is past a node's last character: never at a line's start."""
         match = _BREAK_RE.search(self.text, content_end)
         if match is None:  # the last line, with no break at its end
             return _Splice(len(self.text), len(self.text), "\n" + line, cls)
@@ -272,12 +249,10 @@ class SourceText:
         return ", "
 
     def _opener(self, node: Node) -> int:
-        """The offset of the `{` or `[` that opens a flow collection."""
-        opener = "{" if node.kind is MAPPING else "["
-        pos = self.text.find(opener, node.start)
-        if pos < 0:
-            raise Unplaceable(f"no {opener!r} opens the collection")
-        return pos
+        """The offset of the `{` or `[` that opens a flow collection. A pair
+        written in a flow sequence with no braces has none: the offset is
+        then a later one, or -1, and the text it misplaces fails the oracle."""
+        return self.text.find("{" if node.kind is MAPPING else "[", node.start)
 
     def _render(self, value: object, flow: bool) -> str:
         """`value` on one line, for a flow or a block context."""

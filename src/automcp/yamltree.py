@@ -94,21 +94,27 @@ _FastLoader = (_json_loader(yaml.CSafeLoader)  # None without libyaml
 def _load_yaml(text: str) -> Any:
     """`yaml.safe_load(text)`, with plain dates as text. With libyaml, the
     tree is built from its parse events; a libyaml error is re-raised by
-    the pure loader, so the message is the same either way."""
-    if _libyaml_reads(text):
-        loader = _FastLoader(text)
-        try:
-            return _tree_from_events(loader)
-        except _Unbuilt:
+    the pure loader, so the message is the same either way. A scalar that
+    its tag's constructor cannot read (`!!int abc`, `!!bool abc`, an int
+    past Python's digit limit) raises yaml.YAMLError, as a parse error
+    does, not the constructor's ValueError or KeyError."""
+    try:
+        if _libyaml_reads(text):
+            loader = _FastLoader(text)
             try:
-                return yaml.load(text, Loader=_FastLoader)
-            except yaml.YAMLError:
+                return _tree_from_events(loader)
+            except _Unbuilt:
+                try:
+                    return yaml.load(text, Loader=_FastLoader)
+                except yaml.YAMLError:
+                    pass
+            except (_TooDeep, yaml.YAMLError):
                 pass
-        except (_TooDeep, yaml.YAMLError):
-            pass
-        finally:
-            loader.dispose()
-    return yaml.load(text, Loader=_PureLoader)
+            finally:
+                loader.dispose()
+        return yaml.load(text, Loader=_PureLoader)
+    except (ValueError, KeyError) as exc:
+        raise yaml.YAMLError(f"{type(exc).__name__}: {exc}") from exc
 
 
 def _libyaml_reads(text: str) -> bool:
@@ -306,10 +312,10 @@ class Node:
                      else self.kind is not ALIAS and not self.flow)
 
 
-def source_nodes(text: str) -> Node | None:
-    """The node tree of `text`'s document (None for an empty stream), from
-    the events of the parser `_load_yaml` picks, or the pure one's on a
-    libyaml error. Raises yaml.YAMLError, or _TooDeep past the depth bound."""
+def source_nodes(text: str) -> Node:
+    """The node tree of `text`'s document, which `_load_yaml` has read,
+    from the events of the parser it picks, or the pure one's on a libyaml
+    error. Raises yaml.YAMLError, or _TooDeep past the depth bound."""
     if _libyaml_reads(text):
         # libyaml's marks do not count a leading BOM (the only one here); a
         # line break in its place keeps every offset, column and node
@@ -320,7 +326,7 @@ def source_nodes(text: str) -> Node | None:
     return _nodes_from_events(_PureLoader(text))
 
 
-def _nodes_from_events(loader: Any) -> Node | None:
+def _nodes_from_events(loader: Any) -> Node:
     """The tree of nodes `yaml.compose` would build from the loader's
     events, but with each alias a node of its own."""
     get_event = loader.get_event
@@ -330,8 +336,7 @@ def _nodes_from_events(loader: Any) -> Node | None:
     append = items.append
     try:
         get_event()  # StreamStartEvent
-        if get_event().__class__ is StreamEndEvent:
-            return None  # an empty stream; else that was a DocumentStartEvent
+        get_event()  # DocumentStartEvent
         while True:
             event = get_event()
             kind = event.__class__
@@ -375,11 +380,10 @@ def scalar_tag(node: Node) -> str:
 
 def key_value(node: Node) -> Any:
     """The text a mapping key node loads to in `_load_yaml`'s tree,
-    through an alias; `_Unbuilt` itself for a collection or a merge key."""
+    through an alias; `_Unbuilt` itself for a merge key. (A collection
+    key fails the load.)"""
     if node._open.__class__ is ALIAS:  # `kind`, without the property call
         node = node.value
-    if node._open.__class__ is not SCALAR:
-        return _Unbuilt
     try:
         return _key_text(_construct(_KEYS, _KEYS.yaml_constructors, scalar_tag(node), node.value))
     except _Unbuilt:

@@ -248,6 +248,21 @@ class TestLint:
         [residual] = payload["residual_advisories"]
         assert residual["class"] == "A" and residual["patchable"] is False
 
+    def test_fix_that_never_converges_exits_4(self, tmp_path, capsys):
+        """A rules file whose `base_url` is itself no usable base URL makes
+        class B's repair re-open the finding every pass."""
+        rules = tmp_path / "rules.json"
+        rules.write_text(json.dumps({".*": {"base_url": "relative/api"}}), encoding="utf-8")
+        tree = {"openapi": "3.0.3", "info": {"title": "T", "version": "1"},
+                "servers": [{"url": "{{root}}"}], "paths": {"/a": {"get": _op()}}}
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(tree), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_cli(["lint", spec, "--fix", "--rules", rules, "--out", out]) == 4
+        assert capsys.readouterr().err == (
+            "error: 1 patchable finding(s) remain after 5 iterations\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("schemes", [["k"], "k"], ids=["list", "string"])
     @pytest.mark.parametrize("dialect, pointer", [
         ("2.0", "#/securityDefinitions"), ("3.x", "#/components/securitySchemes"),

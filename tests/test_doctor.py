@@ -8,6 +8,7 @@ import json
 from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -92,7 +93,7 @@ class TestLintDetection:
         findings = lint(build_contract(raw), raw)
         assert findings[0].lint_class == "A"
         assert findings[0].edits == [
-            PatchEdit("#/components/securitySchemes/k/type", "replace", "apiKey")
+            PatchEdit("#/components/securitySchemes/k/type", "apiKey")
         ]
 
     def test_class_b_templated_url(self, rules):
@@ -117,9 +118,21 @@ class TestLintDetection:
         findings, _ = lint_file(DEFECTS / "class_d.yaml", rules)
         assert [f.lint_class for f in findings] == ["D"]
         edit = findings[0].edits[0]
-        assert edit.op == "replace"
         assert edit.value == "string"
         assert edit.pointer.endswith("/schema/type")
+
+    def test_class_d_reads_the_type_compile_reads(self):
+        """A parameter that has a `schema`, even an empty one, is typed by
+        it alone, as compile types it: a `type` beside it is not read."""
+        param = {"name": "user_id", "in": "path", "required": True, "type": "integer",
+                 "example": "abc", "schema": {}}
+        raw = mem_doc({"openapi": "3.0.3", "info": {"title": "U", "version": "1"},
+                       "servers": [{"url": "https://u.example"}],
+                       "paths": {"/users/{user_id}": {"get": {
+                           "parameters": [param],
+                           "responses": {"200": {"description": "ok"}}}}}})
+        assert lint(build_contract(raw), raw) == []
+        assert fix_loop(raw).changed is False
 
     def test_class_d_ignores_integer_ids_without_string_examples(self, petstore):
         findings = lint(petstore.contract, petstore.raw)
@@ -261,7 +274,7 @@ class TestLintDetection:
                          json.dumps(tree, indent=2).replace("REF", ref))
         [finding] = lint(build_contract(raw), raw)
         assert (finding.lint_class, finding.location) == ("D", type_ptr)
-        assert finding.edits == [PatchEdit(type_ptr, "replace", "string")]
+        assert finding.edits == [PatchEdit(type_ptr, "string")]
         report = fix_loop(raw)
         assert report.findings_by_class == {"D": 1}
         assert (report.total_loc_changed, report.whole_document_render) == (1, False)
@@ -309,34 +322,31 @@ class TestApplyPatch:
         assert any("tokenUrl:" in line for line in added)
         assert report.total_loc_changed == 1
 
-    def test_add_creates_missing_parents(self):
-        raw = mem_doc({"openapi": "3.0.0", "paths": {}})
-        patched = apply_patch(raw, [
-            PatchEdit("#/components/securitySchemes/k", "add",
-                      {"type": "http", "scheme": "bearer"})
-        ])
-        assert patched.tree["components"]["securitySchemes"]["k"]["scheme"] == "bearer"
-
     def test_replace_missing_target_fails(self):
-        raw = mem_doc({"openapi": "3.0.0"})
-        with pytest.raises(PointerError):
-            apply_patch(raw, [PatchEdit("#/servers/0/url", "replace", "x")])
+        """A pointer through a missing container raises PointerError, and
+        so does one through an item a list does not have, a scalar, or
+        none at all."""
+        raw = mem_doc({"openapi": "3.0.0", "info": {"title": "T"}, "tags": [{"name": "a"}]})
+        for pointer in ("#/servers/0/url", "#/tags/1/name", "#/tags/a/name", "#/tags/2",
+                        "#/tags/-1", "#/openapi/x", "#/info/title/x", "#"):
+            with pytest.raises(PointerError):
+                apply_patch(raw, [PatchEdit(pointer, "x")])
 
     def test_list_append(self):
         raw = mem_doc({"items": [1, 2]})
-        patched = apply_patch(raw, [PatchEdit("#/items/-", "add", 3)])
+        patched = apply_patch(raw, [PatchEdit("#/items/-", 3)])
         assert patched.tree["items"] == [1, 2, 3]
 
     def test_original_document_untouched(self):
         tree = {"servers": [{"url": "old"}]}
         raw = mem_doc(tree)
         before = copy.deepcopy(tree)
-        apply_patch(raw, [PatchEdit("#/servers/0/url", "replace", "new")])
+        apply_patch(raw, [PatchEdit("#/servers/0/url", "new")])
         assert raw.tree == before
 
     def test_yaml_documents_render_as_yaml(self):
         raw = mem_doc({"a": {"b": 1}}, fmt="yaml")
-        patched = apply_patch(raw, [PatchEdit("#/a/b", "replace", 2)])
+        patched = apply_patch(raw, [PatchEdit("#/a/b", 2)])
         assert "  b: 1" in render_document(raw.tree, raw.format).splitlines()
         assert "  b: 2" in render_document(patched.tree, patched.format).splitlines()
 
@@ -474,7 +484,7 @@ class TestLintAgreesWithCompiler:
         rules = load_vendor_rules_text({"^One$": {"token_url": "https://v.example/t"}})
         [finding] = lint(build_contract(raw), raw, rules)
         assert finding.edits == [
-            PatchEdit("#/securityDefinitions/s/tokenUrl", "add", "https://v.example/t")
+            PatchEdit("#/securityDefinitions/s/tokenUrl", "https://v.example/t")
         ]
 
     def test_password_flow_repair_is_client_credentials(self):
@@ -483,8 +493,16 @@ class TestLintAgreesWithCompiler:
         [finding] = lint(build_contract(raw), raw)
         assert finding.location == "#/securityDefinitions/s"
         assert finding.edits == [
-            PatchEdit("#/securityDefinitions/s/flow", "replace", "application")
+            PatchEdit("#/securityDefinitions/s/flow", "application")
         ]
+
+    def test_token_url_beside_an_authorization_url_without_authorize(self):
+        node = _oauth2_2_0("accessCode", None)
+        node["authorizationUrl"] = "https://auth.example/oauth2/consent/"
+        raw = _one_scheme_doc("openapi_2_0", node)
+        [finding] = lint(build_contract(raw), raw)
+        assert finding.edits == [PatchEdit("#/securityDefinitions/s/tokenUrl",
+                                           "https://auth.example/oauth2/consent/token")]
 
 
     @pytest.mark.parametrize("dialect", ["openapi_2_0", "openapi_3_x"])
@@ -700,24 +718,156 @@ edit_values = st.recursive(
 
 @st.composite
 def fixture_edits(draw, tree):
-    """An edit at an existing node: a replace, an add at an existing key,
-    an add of a new key, or an append. (The text path does not insert an
-    item before another, which an add at an existing item would.)"""
+    """An edit at an existing node, at a new key of an existing mapping,
+    or an append to an existing sequence."""
     target = draw(st.sampled_from(sorted(pointers(tree))))
     node = pointer_lookup(tree, target)
-    in_list = isinstance(pointer_lookup(tree, target.rpartition("/")[0]), list)
-    kind = draw(st.sampled_from(["replace", "add", "add-child"]))
     value = draw(edit_values)
-    if kind == "add-child" and isinstance(node, dict):
-        key = draw(one_line_text.filter(bool))
-        return PatchEdit(f"{target}/{escape_token(key)}", "add", value)
-    if kind == "add-child" and isinstance(node, list):
-        index = draw(st.sampled_from(["-", str(len(node))]))
-        return PatchEdit(f"{target}/{index}", "add", value)
-    return PatchEdit(target, "add" if kind == "add" and not in_list else "replace", value)
+    if draw(st.booleans()):  # under the node, where it is a collection
+        if isinstance(node, dict):
+            return PatchEdit(f"{target}/{escape_token(draw(one_line_text.filter(bool)))}",
+                             value)
+        if isinstance(node, list):
+            return PatchEdit(f"{target}/-", value)
+    return PatchEdit(target, value)
+
+
+# class E on an operation that already has parameters, under a query
+# apiKey: its edit appends the key's parameter at `.../parameters/-`
+_GAP_3_X = """\
+openapi: 3.0.3
+info: {title: Things, version: '1'}
+servers:
+  - url: https://things.example
+components:
+  securitySchemes:
+    k: {type: apiKey, in: query, name: api_key}
+paths:
+  /things/a:
+    get:
+      security: [{k: []}]
+      responses: {'200': {description: ok}}
+  /things/b:
+    get:
+      parameters:
+        - name: q
+          in: query
+          schema: {type: string}
+      responses: {'200': {description: ok}}
+"""
+_GAP_2_0 = """\
+swagger: '2.0'
+info: {title: Things, version: '1'}
+host: things.example
+securityDefinitions:
+  k: {type: apiKey, in: query, name: api_key}
+paths:
+  /things/a:
+    get:
+      security: [{k: []}]
+      responses: {'200': {description: ok}}
+  /things/b:
+    get:
+      parameters: [{name: q, in: query, type: string}]
+      responses: {'200': {description: ok}}
+"""
+_BARE_SERVER = """\
+openapi: 3.0.3
+info: {title: B, version: '1'}
+servers:
+  - https://api.example.com  # a bare string
+paths:
+  /a:
+    get:
+      responses: {'200': {description: ok}}
+"""
+
+
+# a spec whose paths are complete; each case below adds what it tests
+_HEAD = ("openapi: 3.0.3\ninfo: {title: B, version: '1'}\n"
+         "paths:\n  /a:\n    get:\n      responses: {'200': {description: ok}}\n")
+_NEW_SERVERS = "+servers: [{url: 'https://api.example.com'}]"
+_ROOT_URL = "[{url: '{{root}}'}]"
 
 
 class TestSourceText:
+    @pytest.mark.parametrize("name, text, changed", [
+        ("gap.yaml", _GAP_3_X, [
+            "+        - {in: query, name: api_key, required: true, schema: {type: string}}"]),
+        ("gap20.yaml", _GAP_2_0, [
+            "-      parameters: [{name: q, in: query, type: string}]",
+            "+      parameters: [{name: q, in: query, type: string}, "
+            "{in: query, name: api_key, required: true, type: string}]"]),
+        ("gap.json", json.dumps(yaml.safe_load(_GAP_3_X), indent=2), [
+            "-          }",
+            "+          },",
+            '+          {"name": "api_key", "in": "query", "required": true, '
+            '"schema": {"type": "string"}}']),
+        ("bare.yaml", _BARE_SERVER, [
+            "-  - https://api.example.com  # a bare string",
+            "+  - {url: 'https://api.example.com'}  # a bare string"]),
+        ("nested.yaml", _HEAD + "servers:\n  - - https://a.example\n    - https://b.example\n", [
+            "-  - - https://a.example", "-    - https://b.example",
+            "+  - {url: 'https://api.example.com'}"]),
+        ("anchored.yaml", _HEAD + "servers:\n  - url: &u '{{root}}'\n", [
+            "-  - url: &u '{{root}}'", "+  - url: https://api.example.com"]),
+        ("empty-last.yaml", _HEAD + "x-note :\n", [_NEW_SERVERS]),
+        ("literal-last.yaml", _HEAD + "x-text: |\n  some text\n\n\n", [_NEW_SERVERS]),
+        ("no-final-break.yaml", _HEAD + "x-last: 1", [_NEW_SERVERS]),
+        ("alias-key.yaml", _HEAD + f"x-name: &s servers\n*s : {_ROOT_URL}\n", [
+            f"-*s : {_ROOT_URL}", "+*s : [{url: 'https://api.example.com'}]"]),
+        ("tagged-key.yaml", "openapi: 3.0.3\ninfo: {title: B, version: '1'}\n"
+         "servers: [{url: 'https://b.example'}]\npaths:\n  !!float 1:\n    get:\n"
+         "      parameters: [{name: user_id, in: path, schema: {type: integer}, "
+         "example: u-1}]\n", [
+            "-      parameters: [{name: user_id, in: path, schema: {type: integer}, "
+            "example: u-1}]",
+            "+      parameters: [{name: user_id, in: path, schema: {type: string}, "
+            "example: u-1}]"]),
+    ])
+    def test_append_set_and_replace_are_spliced(self, tmp_path, name, text, changed):
+        """A class E parameter appended to a block and to a flow sequence,
+        in YAML and in JSON; a first server that is a bare string, and one
+        that is a block sequence, replaced as an item; an anchor no alias
+        names dropped with its value; a key added after an entry with no
+        value, after a literal scalar and on a last line with no line
+        break; and a value replaced under a key written as an alias or
+        with an explicit tag (`!!float 1` is the path "1.0")."""
+        report = fix_loop(write_spec(tmp_path, name, text))
+        assert report.whole_document_render is False
+        assert [line for line in report.diff.splitlines()[2:]
+                if line.startswith(("+", "-"))] == changed
+        assert report.total_loc_changed == changed_line_count(text, report.text)
+
+    @pytest.mark.parametrize("text", [
+        pytest.param("? openapi\n: 3.0.3\ninfo: {title: B, version: '1'}\npaths: {}\n",
+                     id="explicit-first-key"),
+        pytest.param(_HEAD + "? x-note\n", id="explicit-last-key-with-no-colon"),
+        pytest.param(_HEAD + "x-list:\n  - a\n  -\n", id="empty-last-item"),
+        pytest.param(_HEAD + "servers: [description: x]\n", id="flow-pair-with-no-braces"),
+        pytest.param(_GAP_3_X.replace("        - name: q", "        -\n          name: q"),
+                     id="item-below-its-dash"),
+        pytest.param(_HEAD + "x-base: &b {url: '{{root}}'}\nservers:\n  - <<: *b\n",
+                     id="key-from-a-merge"),
+        pytest.param(_HEAD + "servers:\n  - [&u x]\nx-copy: *u\n",
+                     id="anchor-inside-the-replaced-value"),
+        pytest.param(_HEAD.replace("openapi: 3.0.3", "swagger: '2.0'\nhost: o.example")
+                     + "securityDefinitions:\n  s: {type: oauth2, flow: accessCode, "
+                     'scopes: {}, authorizationUrl: "https://a.example/authorize\\nx"}\n',
+                     id="value-with-a-line-break"),
+    ])
+    def test_edit_with_no_safe_place_renders_the_document(self, tmp_path, text):
+        """Where the text gives an edit no safe place (after a `?` key with
+        no `:` or an empty item, under a key that may come from a merge, a
+        value on several lines), or the spliced text would not read back
+        to the tree (an entry after a first key written `? key`, in a flow
+        pair with no braces or below its `-`, an alias left without its
+        anchor), the repaired tree is rendered whole."""
+        raw = write_spec(tmp_path, "spec.yaml", text)
+        report = fix_loop(raw)
+        assert report.changed and report.whole_document_render is True
+        assert yaml.safe_load(report.text) == report.document.tree
+
     @pytest.mark.parametrize("name", PATCHED_FIXTURES)
     def test_fixture_repairs_are_spliced(self, name, rules):
         original = (DEFECTS / name).read_text(encoding="utf-8")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -92,6 +93,26 @@ class TestSynthArgs:
         assert args["body"]["name"] == "sample-name"
         assert args["body"]["size"] == 1
 
+    def test_every_schema_shape_gives_a_value(self):
+        """A default, a list of types, a node that is no schema, an array
+        with no item schema, and nesting past three levels each give a
+        value."""
+        deep = {"type": "object", "properties": {"d": {"type": "integer"}}}
+        for key in "cba":
+            deep = {"type": "object", "properties": {key: deep}}
+        deep_list = {"type": "integer"}
+        for _ in range(4):
+            deep_list = {"type": "array", "items": deep_list}
+        tool = SimpleNamespace(input_schema={"properties": {
+            "raw": "not a schema", "dflt": {"type": "integer", "default": 7},
+            "union": {"type": ["number", "null"]}, "untyped": {"type": []},
+            "bare": {"type": "array"}, "deep": deep, "deep_list": deep_list,
+        }})
+        assert synth_args(tool) == {
+            "raw": "sample-raw", "dflt": 7, "union": 1.5, "untyped": "sample-untyped",
+            "bare": [], "deep": {"a": {"b": {"c": {}}}}, "deep_list": [[[[]]]],
+        }
+
     def test_enum_first_value(self, allauth):
         list_jobs = next(
             t for t in allauth.manifest.tools if t.tool_name == "listjobs"
@@ -127,6 +148,15 @@ class TestEvaluate:
         report = evaluate_spec_file(spec, env={})
         assert (report.api_title, report.total) == (str(spec), 1)
         assert "BaseUrlError" in report.load_error
+
+    def test_unparseable_spec_reports_its_load_error(self, tmp_path):
+        spec = tmp_path / "spec.yaml"
+        spec.write_text("{:::not parseable\n", encoding="utf-8")
+        report = evaluate_spec_file(spec, env={})
+        assert (report.api_title, report.total) == (str(spec), 0)
+        assert report.load_error.startswith("ParseError: ")
+        assert report.format_table() == (f"API: {spec}   0/0 passed (0%)\n"
+                                         f"  manifest failed to load: {report.load_error}")
 
     def test_fix_flag_repairs_and_passes(self):
         from automcp.doctor import load_vendor_rules

@@ -67,6 +67,12 @@ class TestLoadDocument:
         with pytest.raises(ParseError):
             load_document(path)
 
+    @pytest.mark.parametrize("value", ["!!int abc", "!!float abc", "!!bool abc", "1" * 4301])
+    def test_scalar_its_tag_cannot_hold_is_a_parse_error(self, tmp_path, value):
+        path = write(tmp_path, "a.yaml", f"openapi: 3.0.0\npaths: {{}}\nx: {value}\n")
+        with pytest.raises(ParseError):
+            load_document(path)
+
     def test_scalar_root_rejected(self, tmp_path):
         path = write(tmp_path, "a.yaml", "just a string\n")
         with pytest.raises(ParseError):
@@ -258,6 +264,28 @@ class TestNormalize:
         media = op["requestBody"]["content"]["application/x-www-form-urlencoded"]
         assert media["schema"]["properties"]["tag"] == {"type": "string"}
         assert media["schema"]["required"] == ["tag"]
+
+    def test_body_description_and_file_field_carry_over(self, tmp_path):
+        """A body parameter's description becomes the request body's, and a
+        `type: file` form field a binary string."""
+        ok = {"200": {"description": "ok"}}
+        doc = load_document(write(tmp_path, "upload.json", json.dumps({
+            "swagger": "2.0", "info": {"title": "T", "version": "1"},
+            "host": "t.example", "consumes": ["multipart/form-data"],
+            "paths": {
+                "/notes": {"post": {"parameters": [
+                    {"name": "note", "in": "body", "description": "The note",
+                     "schema": {"type": "object"}}], "responses": ok}},
+                "/files": {"post": {"parameters": [
+                    {"name": "upload", "in": "formData", "type": "file"}],
+                    "responses": ok}},
+            },
+        })))
+        paths = normalize(doc)["paths"]
+        assert paths["/notes"]["post"]["requestBody"]["description"] == "The note"
+        media = paths["/files"]["post"]["requestBody"]["content"]["multipart/form-data"]
+        assert media["schema"]["properties"] == {
+            "upload": {"type": "string", "format": "binary"}}
 
     def test_path_level_form_data_is_inherited_unless_overridden(self, tmp_path):
         doc = load_document(write(tmp_path, "form.json", json.dumps({
@@ -510,6 +538,15 @@ class TestYamlLoaders:
         assert node_depth(nodes) == collection_depth(yaml.load(
             text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader)))
 
+    @pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pure"])
+    def test_source_nodes_refuse_an_undefined_alias(self, libyaml, monkeypatch):
+        """As the composer does: a repair whose splice dropped an anchor
+        leaves text that no later splice reads."""
+        if not libyaml:
+            monkeypatch.setattr(yamltree, "_FastLoader", None)
+        with pytest.raises(yaml.YAMLError, match="undefined alias 'nope'"):
+            yamltree.source_nodes("a: [1]\nb: *nope\n")
+
     def test_text_that_may_nest_deeply_skips_libyaml(self, monkeypatch):
         """The event walk counts open collections, and text that nests
         past `_LIBYAML_MAX_DEPTH` goes to the pure loader, never to the
@@ -720,6 +757,9 @@ YAML_SNIPPETS = {
     "binary": "b: !!binary aGVsbG8=\n",
     "bad-binary": "b: !!binary \"é\"\n",
     "bad-int": "a: !!int abc\n",
+    "bad-float": "a: !!float abc\n",
+    "bad-bool": "a: !!bool abc\n",
+    "long-int": "a: " + "1" * 4301 + "\n",
     "set": "s: !!set {a, b}\n",
     "omap": "o: !!omap [a: 1, b: 2]\n",
     "tagged-map-and-seq": "m: !!map {a: 1}\ns: !!seq [1]\n",
@@ -751,7 +791,8 @@ YAML_SNIPPETS = {
 }
 # Left to PyYAML's own constructor (or, for a parse error, its pure loader)
 FALLS_BACK = {
-    "merge-key", "merge-key-list", "merge-number-keys", "bad-binary", "bad-int", "set",
+    "merge-key", "merge-key-list", "merge-number-keys", "bad-binary", "bad-int", "bad-float",
+    "bad-bool", "long-int", "set",
     "omap", "unknown-tag", "value-key", "value-value", "sequence-key", "mapping-key",
     "alias-to-collection-key", "undefined-alias", "redefined-anchor",
     "two-documents", "parse-error",
@@ -776,6 +817,11 @@ JSON_NOT_PYYAMLS = {
     "set": {"s": {"a": None, "b": None}},
     "omap": {"o": [{"a": 1}, {"b": 2}]},
 }
+
+# Scalars their tag's constructor cannot read: PyYAML raises its
+# ValueError or KeyError, and the reader a YAMLError, which `ingest`
+# reports as a ParseError
+UNREADABLE_SCALARS = {"bad-int", "bad-float", "bad-bool", "long-int"}
 
 LOADABLE = sorted(FIXTURES.glob("*.yaml")) + sorted(FIXTURES.glob("*.json")) + sorted(
     DEFECTS.glob("*.yaml")) + sorted(DEFECTS.glob("*.json"))
@@ -811,6 +857,10 @@ class TestTreeFromEvents:
             assert expected == (shape(JSON_NOT_PYYAMLS[name]), None)
         elif expected[1] is None:
             assert expected == load_outcome(libyaml_load, text)
+        elif name in UNREADABLE_SCALARS:
+            error, message = expected[1]
+            assert issubclass(error, (ValueError, KeyError))
+            expected = None, (yaml.YAMLError, f"{error.__name__}: {message}")
         if name not in FALLS_BACK:
             monkeypatch.setattr(yaml, "load", refuse)
         assert load_outcome(yamltree._load_yaml, text) == expected
@@ -858,7 +908,7 @@ def test_every_loaded_key_is_text(source, libyaml, monkeypatch):
     try:
         tree = yamltree._load_yaml(
             YAML_SNIPPETS[source] if snippet else source.read_text(encoding="utf-8"))
-    except (yaml.YAMLError, ValueError):
+    except yaml.YAMLError:
         assert snippet  # `test_snippet_outcome_is_todays` pins the error
         return
     assert all(isinstance(key, str) for key in mapping_keys(tree))

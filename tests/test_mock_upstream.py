@@ -284,3 +284,59 @@ def test_blank_query_and_form_values_are_recorded(tmp_path):
     assert response.status_code == 201
     assert record.query == {"blank": "", "q": "x"}
     assert record.body == {"a": "", "b": "1"}
+
+
+def _api_key_spec(tmp_path):
+    """A POST under a cookie apiKey `sid`, and a GET under a header apiKey."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "openapi": "3.0.3", "info": {"title": "T", "version": "1"},
+        "servers": [{"url": "https://t.example"}],
+        "components": {"securitySchemes": {
+            "ck": {"type": "apiKey", "in": "cookie", "name": "sid"},
+            "hk": {"type": "apiKey", "in": "header", "name": "X-Key"}}},
+        "paths": {"/things": {
+            "post": {"security": [{"ck": []}],
+                     "requestBody": {"content": {"text/plain": {
+                         "schema": {"type": "string"}}}},
+                     "responses": {"201": {"description": "ok"}}},
+            "get": {"security": [{"hk": []}],
+                    "responses": {"200": {"description": "ok"}}}}},
+    }), encoding="utf-8")
+    return compile_file(spec).manifest
+
+
+@pytest.mark.parametrize("cookie, status", [
+    ("sid=s3cret", 201),
+    ("a=1; sid=s3cret", 201),
+    ("xsid=s3cret", 401),
+    ("sid=s3cretx", 401),
+    ("a=sid=s3cret", 401),
+])
+def test_cookie_credential_is_one_whole_pair(tmp_path, cookie, status):
+    """The cookie apiKey passes only as a `name=value` pair of its own,
+    name and value matched exactly."""
+    with run_mock_upstream(_api_key_spec(tmp_path), credentials={"ck": "s3cret"}) as mock:
+        response = requests.post(f"{mock.base_url}/things", headers={"Cookie": cookie},
+                                 timeout=5)
+    assert response.status_code == status
+
+
+def test_scheme_with_no_configured_credential_is_refused(tmp_path):
+    """Per endpoint, a required scheme the mock holds no credential for is
+    never satisfied, not even by a request that sends no such header."""
+    with run_mock_upstream(_api_key_spec(tmp_path), credentials={"ck": "s3cret"}) as mock:
+        response = requests.get(f"{mock.base_url}/things", timeout=5)
+    assert response.status_code == 401
+
+
+def test_body_that_is_not_json_is_recorded_as_text(tmp_path):
+    """A body that does not decode as JSON (text, or bytes that are not
+    UTF-8) is kept as its text, undecodable bytes replaced."""
+    with run_mock_upstream(_api_key_spec(tmp_path), credentials={"ck": "s3cret"}) as mock:
+        seen = []
+        for body in (b"plain words", b"\xff{"):
+            requests.post(f"{mock.base_url}/things", data=body, timeout=5,
+                          headers={"Cookie": "sid=s3cret", "Content-Type": "text/plain"})
+            seen.append(mock.last_record().body)
+    assert seen == ["plain words", "�{"]

@@ -19,6 +19,11 @@ from automcp.oauth import acquire_oauth_token
 from automcp.security import OAuth2Flows
 
 
+def auth_query(url: str) -> dict:
+    """The authorization URL's query, one value per name."""
+    return {k: v[0] for k, v in parse_qs(urlparse(url).query).items()}
+
+
 class MockAuthProvider:
     """Token endpoint plus a scripted 'user' that follows the redirect."""
 
@@ -84,7 +89,7 @@ class MockAuthProvider:
 
     def browse(self, auth_url: str) -> None:
         """Act as the resource owner: approve and hit the callback."""
-        query = {k: v[0] for k, v in parse_qs(urlparse(auth_url).query).items()}
+        query = auth_query(auth_url)
         redirect = query["redirect_uri"]
         requests.get(
             redirect, params={"code": self.code, "state": query["state"]}, timeout=5
@@ -224,6 +229,63 @@ class TestAuthorizationCode:
                 "PORTAL_ACCESS_TOKEN", open_browser=provider.browse, timeout=10,
             )
         assert token == "tok-tls"
+
+    def test_callback_refuses_a_wrong_path_and_a_wrong_state(self, env_file):
+        """A request to another path is a 404, and one whose state is not the
+        one sent is a 400; neither ends the wait for the real callback."""
+        statuses = []
+
+        def browse(url):
+            query = auth_query(url)
+            redirect = query["redirect_uri"]
+            for target, state in ((redirect.replace("/callback", "/other"), query["state"]),
+                                  (redirect, "forged")):
+                response = requests.get(target, params={"code": "evil", "state": state},
+                                        timeout=5)
+                statuses.append(response.status_code)
+            provider.browse(url)
+
+        with MockAuthProvider(code="abc") as provider:
+            token = acquire_oauth_token(flows_for(provider), "cid", "shh", _free_port(),
+                                        env_file, "PORTAL_ACCESS_TOKEN",
+                                        open_browser=browse, timeout=10)
+        assert (statuses, token) == ([404, 400], "tok-1")
+        assert provider.token_requests[0]["code"] == "abc"
+
+    def test_denied_authorization_is_an_exchange_error(self, env_file):
+        def deny(url):
+            query = auth_query(url)
+            requests.get(query["redirect_uri"],
+                         params={"error": "access_denied", "state": query["state"]},
+                         timeout=5)
+
+        with MockAuthProvider() as provider:
+            with pytest.raises(ExchangeError, match="authorization denied: access_denied"):
+                acquire_oauth_token(flows_for(provider), "cid", "shh", _free_port(),
+                                    env_file, "PORTAL_ACCESS_TOKEN", open_browser=deny,
+                                    timeout=10)
+        assert provider.token_requests == []
+
+    def test_system_browser_by_default(self, env_file, monkeypatch):
+        import webbrowser
+
+        with MockAuthProvider() as provider:
+            monkeypatch.setattr(webbrowser, "open", provider.browse)
+            token = acquire_oauth_token(flows_for(provider), "cid", "shh", _free_port(),
+                                        env_file, "PORTAL_ACCESS_TOKEN", timeout=10)
+        assert token == "tok-1"
+
+    def test_refresh_token_beside_a_suffixed_access_token_variable(self, env_file):
+        """`build_env_map` makes a second `..._ACCESS_TOKEN` name unique as
+        `..._ACCESS_TOKEN_2`; its refresh token goes to that name plus
+        `_REFRESH`."""
+        with MockAuthProvider(refresh="ref-2") as provider:
+            acquire_oauth_token(flows_for(provider), "cid", "shh", _free_port(), env_file,
+                                "PORTAL_ACCESS_TOKEN_2", open_browser=provider.browse,
+                                timeout=10)
+        stored = read_env_file(env_file)
+        assert stored["PORTAL_ACCESS_TOKEN_2"] == "tok-1"
+        assert stored["PORTAL_ACCESS_TOKEN_2_REFRESH"] == "ref-2"
 
     def test_timeout_without_callback(self, env_file):
         with MockAuthProvider() as provider:

@@ -11,6 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from automcp.errors import DanglingRefError, ExternalRefError, FatalValidationError
+from automcp.ingest import normalize
 from automcp.refs import (
     escape_token,
     flatten,
@@ -297,7 +298,11 @@ class TestValidate:
         assert validate(petstore.contract) is None
 
     def test_missing_paths_is_fatal(self):
-        for tree in ({"openapi": "3.0.0"}, {"openapi": "3.0.0", "paths": ["/a"]}):
+        """In either dialect, normalized first as compile does."""
+        for tree in ({"openapi": "3.0.0"}, {"openapi": "3.0.0", "paths": ["/a"]},
+                     {"swagger": "2.0"}, {"swagger": "2.0", "paths": ["/a"]}):
+            contract = flatten(tree)
+            contract.tree = normalize(contract)
             with pytest.raises(FatalValidationError, match="no `paths`"):
-                validate(flatten(tree))
+                validate(contract)
 

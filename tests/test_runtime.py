@@ -204,6 +204,18 @@ class TestValidateArgs:
         assert validate_args({"a": True}, schema)
         assert not validate_args({"a": 3}, schema)
 
+    def test_number_takes_ints_and_floats_but_not_bools(self):
+        schema = {"type": "object", "properties": {"n": {"type": "number"}}}
+        assert not validate_args({"n": 3}, schema)
+        assert not validate_args({"n": 2.5}, schema)
+        assert validate_args({"n": True}, schema)
+        assert validate_args({"n": "3"}, schema)
+
+    def test_type_it_does_not_know_takes_any_value(self):
+        """A spec's `type: file` (or any other word) checks nothing."""
+        schema = {"type": "object", "properties": {"f": {"type": "file"}}}
+        assert not validate_args({"f": {"any": ["value"]}}, schema)
+
 
 class TestInvokeTool:
     def test_trello_card_round_trip(self, trello):
@@ -981,6 +993,36 @@ def test_upstream_json_nested_too_deep_stays_text(send, caplog):
     assert json.loads(result["content"][0]["text"]) == {
         "httpStatus": 422, "body": "[" * 5000 + "]" * 5000}
     assert caplog.records == []
+
+
+class _PlainText(BaseHTTPRequestHandler):
+    """Answers every request with a text/plain body."""
+
+    def do_GET(self):  # noqa: N802 - http.server's name
+        body = b'{"looks": "like JSON"}'
+        self.send_response(200)
+        self.send_header("Content-Type", "text/plain")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+def test_upstream_body_that_is_not_json_typed_stays_text(send):
+    """Only a JSON media type is decoded; any other body is its text."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _PlainText)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        result = invoke_tool(send.manifest.tool("get_item"), {"item_id": "1"}, {},
+                             f"http://127.0.0.1:{server.server_address[1]}",
+                             send.manifest.schemes, send.bindings)
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert (result.http_status, result.body) == (200, '{"looks": "like JSON"}')
 
 
 class TestToolsListLine:

@@ -238,6 +238,11 @@ class TestEnvFile:
         assert merged["SHARED"] == "process"
         assert merged["FILE_ONLY"] == "yes"
 
+    def test_missing_file_reads_as_empty(self, tmp_path):
+        """`serve --env` on a path with no file yet takes the process
+        environment alone."""
+        assert load_env(tmp_path / "absent.env", {"K": "v"}) == {"K": "v"}
+
     def test_extra_headers_value_kept_verbatim(self, tmp_path):
         env = tmp_path / ".env"
         env.write_text('EXTRA_HEADERS={"Notion-Version":"2022-06-28"}\n', encoding="utf-8")

@@ -2,8 +2,9 @@
 
 Each example takes one fixture spec (the three corpus specs and the five
 defect specs) and changes one node: it replaces it by `[1]`, `1`, `null`,
-`"x"`, `{}`, a plain YAML date, text holding a lone surrogate, or a value
-under an explicit `!!timestamp`, `!!binary` or `!!set` tag, deletes its
+`"x"`, `{}`, a plain YAML date, text holding a lone surrogate, a value
+under an explicit `!!timestamp`, `!!binary` or `!!set` tag, or text that
+an explicit `!!int` or `!!bool` tag cannot hold, deletes its
 key, replaces its key by an integer, a boolean or null (written as YAML,
 which the reader reads as the key's JSON text), or points a `$ref` at
 another node. The mutant then runs through `compile_file`,
@@ -59,7 +60,11 @@ TagDumper.add_representer(
 # `!!timestamp '2020-01-01'`, bytes as `!!binary` and the set as `!!set`
 WRONG_VALUES = [[1], 1, None, "x", {}, datetime.date(2020, 1, 1), "a\ud800b",
                 ExplicitTag("tag:yaml.org,2002:timestamp", "2020-01-01"),
-                b"hello", {"a"}]
+                b"hello", {"a"},
+                # a tag over text it cannot hold: a ParseError, not a ValueError
+                # or KeyError from PyYAML's constructor
+                ExplicitTag("tag:yaml.org,2002:int", "abc"),
+                ExplicitTag("tag:yaml.org,2002:bool", "abc")]
 WALL_TIME_BOUND_S = 2.0
 
 # A fixed budget that keeps this module to a few seconds in tier-1. CI's
