@@ -428,6 +428,85 @@ class TestOperations:
     def test_parameters_not_a_list_of_mappings_reads_as_empty(self, value):
         assert ingest.parameters({"parameters": value}) == []
 
+
+# Every JSON value, and what each reader gives for it: (mapping, sequence,
+# text, flag). IS marks the value itself, as the same object.
+IS = object()
+READER_TABLE = {
+    "str": ("x", {}, [], "x", False),
+    "empty-str": ("", {}, [], "", False),
+    "int": (7, {}, [], "7", False),
+    "float": (1.5, {}, [], "1.5", False),
+    "true": (True, {}, [], "True", True),
+    "false": (False, {}, [], "False", False),
+    "null": (None, {}, [], "", False),
+    "dict": ({"k": 1}, IS, [], "", False),
+    "list": ([1], {}, IS, "", False),
+}
+
+
+class TestReaders:
+    """README's "Malformed input" rules, reader by reader: a field of the
+    wrong type reads as absent, a text field reads a number or boolean
+    as its `str()`, and a flag is true only for `True`."""
+
+    @pytest.mark.parametrize("name", READER_TABLE)
+    @pytest.mark.parametrize("under", ["key", "index"])
+    def test_each_reader_over_each_json_value(self, name, under):
+        value, *expected = READER_TABLE[name]
+        node, key = ({"f": value}, "f") if under == "key" else (["pad", value], 1)
+        readers = (ingest.mapping, ingest.sequence, ingest.text, ingest.flag)
+        for reader, want in zip(readers, expected):
+            got = reader(node, key)
+            if want is IS:
+                assert got is value
+            elif reader is ingest.flag and under == "index":
+                assert got is False  # a flag is read from a mapping only
+            else:
+                assert got == want and type(got) is type(want)
+
+    @pytest.mark.parametrize("node, key", [
+        ({}, "f"), ({"g": 1}, "f"), (["pad"], 1), (["pad"], -1), (["pad"], "0"),
+        ("text", 0), (None, "f"), (7, 0),
+    ], ids=["empty", "missing-key", "past-the-end", "negative", "text-index",
+            "text-node", "null-node", "int-node"])
+    def test_nothing_there_reads_as_the_default(self, node, key):
+        assert ingest.mapping(node, key) == {}
+        assert ingest.mapping(node, key, None) is None
+        assert ingest.sequence(node, key) == []
+        assert ingest.sequence(node, key, None) is None
+        assert ingest.text(node, key) == ""
+        assert ingest.text(node, key, None) is None
+        assert ingest.flag(node, key) is False
+
+    def test_each_default_is_a_new_container(self):
+        first, second = ingest.mapping({}, "f"), ingest.mapping({}, "f")
+        assert first == {} and first is not second
+        first, second = ingest.sequence({}, "f"), ingest.sequence({}, "f")
+        assert first == [] and first is not second
+
+    def test_text_default_is_given_for_wrong_types_too(self):
+        assert ingest.text({"in": None}, "in", "query") == "query"
+        assert ingest.text({"in": ["path"]}, "in", "query") == "query"
+        assert ingest.text({"in": 0}, "in", "query") == "0"
+
+    @pytest.mark.parametrize("name", READER_TABLE)
+    @pytest.mark.parametrize("under", ["key", "index"])
+    def test_required_raises_its_error_with_the_pointer(self, name, under):
+        value = READER_TABLE[name][0]
+        node, key = ({"f": value}, "f") if under == "key" else (["pad", value], 1)
+        required = (BaseUrlError, "#/f")
+        for reader, kind, noun in ((ingest.mapping, dict, "a mapping"),
+                                   (ingest.sequence, list, "a list"),
+                                   (ingest.text, (str, int, float), "a string")):
+            if value is None or isinstance(value, kind):
+                assert reader(node, key, required=required) \
+                    == reader(node, key)  # present and right, or absent
+                continue
+            with pytest.raises(BaseUrlError, match=f"^#/f is not {noun}$") as caught:
+                reader(node, key, required=required)
+            assert caught.value.pointer == "#/f"
+
 # -- libyaml and the pure-Python loader --------------------------------------------
 
 YAML_SPECS = sorted(FIXTURES.glob("*.yaml")) + sorted(DEFECTS.glob("*.yaml"))
