@@ -19,6 +19,7 @@ from automcp.compiler import (
 from automcp.doctor import fix_loop, load_vendor_rules
 from automcp.ingest import RawDocument, load_document, resolve_base_url
 from automcp.pipeline import compile_file, count_operations
+from automcp.refs import FlattenedContract
 from automcp.security import extract_security
 from conftest import DEFECTS, FIXTURES, build_contract, fixture_path
 
@@ -575,6 +576,22 @@ class TestContractNotMutated:
                 self._scribble(tool.input_schema)
             assert json.dumps(contract.tree) == before, name
             assert json.dumps(raw.tree) == raw_before, name
+            names.append(name)
+        assert len(names) == 9
+
+    def test_shared_nodes_compile_as_unshared_equal_ones_do(self, tmp_path):
+        """A memo keyed by node identity must not change the manifest: the
+        contract and a copy of it with equal values but no shared node
+        compile alike."""
+        names = []
+        for name, raw, contract in self.contracts(tmp_path):
+            unshared = FlattenedContract(tree=json.loads(json.dumps(contract.tree)))
+            base_url = resolve_base_url(raw)
+            shared_doc, unshared_doc = (
+                manifest_to_dict(compile_manifest(c, extract_security(c), base_url),
+                                 include_bindings=True)
+                for c in (contract, unshared))
+            assert shared_doc == unshared_doc, name
             names.append(name)
         assert len(names) == 9
 
