@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Iterator, Mapping
 
 from .errors import SchemeError
-from .ingest import api_title, flag, mapping, merge_parameters, operations
-from .ingest import parameters, sequence, text
+from .ingest import api_title, flag, mapping, operations, sequence, text
 from .refs import FlattenedContract
 from .security import KIND_API_KEY, SecurityScheme, unique_name
 
@@ -66,10 +66,12 @@ class ToolManifest:
     schemes: list[SecurityScheme] = field(default_factory=list)
 
     def tool(self, name: str) -> ToolSpec | None:
-        for spec in self.tools:
-            if spec.tool_name == name:
-                return spec
-        return None
+        return self._by_name.get(name)
+
+    @cached_property
+    def _by_name(self) -> dict[str, ToolSpec]:
+        """Each tool by its name, the first of any two that share one."""
+        return {spec.tool_name: spec for spec in reversed(self.tools)}
 
 
 def compile_manifest(
@@ -81,16 +83,22 @@ def compile_manifest(
     ToolSpec per operation, with its name, description, input schema and
     endpoint.
 
-    Each operation's parameters and auth are read by `operation_auth`; a
-    credential slot is never a tool argument. The success status is the
-    smallest declared 2xx code, defaulting to 200. Raises SchemeError
-    (class A) when an operation requires a scheme that `schemes` does not
-    hold. Schemas and examples are copied by `_copy_json`, through one
-    memo per compile, so each contract node is copied once, however many
-    tools use it, and the manifest shares no node with the contract.
+    Each operation's parameters and auth are read by `operation_auth`,
+    which reads each parameter once per compile; a credential slot is
+    never a tool argument. Every other field of an operation is read
+    once: its request body, media type and body schema, `responses`,
+    `summary`, `description`, `operationId` and flags. The success
+    status is the smallest declared 2xx code, defaulting to 200. Raises
+    SchemeError (class A) when an operation requires a scheme that
+    `schemes` does not hold. Schemas and examples are copied by
+    `_copy_json`, through one memo per compile, so each contract node is
+    copied once, however many tools use it, and the manifest shares no
+    node with the contract. Each distinct name is sanitized once per
+    compile (`_Identifiers`).
     """
     tree = contract.tree
     memo: dict = {}  # one `_copy_json` memo: tools share the copies
+    identifiers = _Identifiers()
     taken: set[str] = set()
     tools: list[ToolSpec] = []
     for path, method, op, params, security in operation_auth(
@@ -99,12 +107,15 @@ def compile_manifest(
         if isinstance(security, SchemeError):
             raise security
         request_body = mapping(op, "requestBody")
-        body_schema, content_type = _pick_request_body(request_body)
+        content = mapping(request_body, "content")
+        content_type = _pick_media_type(content)
         specs, properties, required = _compile_parameters(
-            params, memo, names={"body"} if content_type is not None else set(),
+            params, memo, identifiers,
+            names={"body"} if content_type is not None else set(),
         )
         if content_type is not None:
-            properties["body"] = _copy_json(body_schema, memo)
+            properties["body"] = _copy_json(
+                mapping(mapping(content, content_type), "schema"), memo)
             if flag(request_body, "required"):
                 required.append("body")
 
@@ -113,24 +124,14 @@ def compile_manifest(
             or f"{verb} {path}"
         if flag(op, "deprecated"):
             description = "[DEPRECATED] " + description
-        tools.append(ToolSpec(
-            tool_name=derive_tool_name(text(op, "operationId"), method, path, taken),
-            description=description,
-            input_schema={
-                "type": "object",
-                "properties": properties,
-                "required": required,
-                "additionalProperties": False,
-            },
-            endpoint=EndpointDescriptor(
-                method=verb,
-                path_template=path,
-                parameters=specs,
-                request_content_type=content_type,
-                success_status=_pick_success_status(mapping(op, "responses")),
-                security=security,
-            ),
-        ))
+        input_schema = {"type": "object", "properties": properties,
+                        "required": required, "additionalProperties": False}
+        endpoint = EndpointDescriptor(
+            verb, path, specs, content_type,
+            _pick_success_status(mapping(op, "responses")), security)
+        name = derive_tool_name(text(op, "operationId"), method, path, taken,
+                                identifiers)
+        tools.append(ToolSpec(name, description, input_schema, endpoint))
     return ToolManifest(tools=tools, api_title=api_title(tree) or "API",
                         base_url=base_url, schemes=schemes)
 
@@ -141,15 +142,18 @@ def operation_auth(tree: dict, schemes: Mapping[str, object]) -> Iterator[tuple]
     which compile and lint both iterate. `schemes` maps each declared
     scheme id to its reading.
 
-    The parameters are the path item's merged into the operation's
-    (`merge_parameters`), each paired with the id of the apiKey scheme
-    whose credential slot it is, else None. The first apiKey scheme sent
-    at a name holds that slot; a header name matches in any case (RFC
-    9110 §5.1). The auth is the requirement sets, the operation's own
-    `security` or else the document's, with each slot's scheme joined to
-    every set (the slots alone when there is none). It is instead the
-    SchemeError (class A) for the first scheme they name that `schemes`
-    does not hold.
+    The parameters are the path item's merged into the operation's (one
+    overrides another with the same name and location, as
+    `merge_parameters` has it), each read as (node, name, location, id of
+    the apiKey scheme whose credential slot it is, else None). Each
+    parameter node is read once per call, however many operations share
+    it, and a path item's parameters once for all its operations. The
+    first apiKey scheme sent at a name holds that slot; a header name
+    matches in any case (RFC 9110 §5.1). The auth is the requirement
+    sets, the operation's own `security` or else the document's, with
+    each slot's scheme joined to every set (the slots alone when there is
+    none). It is instead the SchemeError (class A) for the first scheme
+    they name that `schemes` does not hold.
     """
     def slot(location: str, name: str) -> tuple[str, str]:
         return location, name.lower() if location == "header" else name
@@ -157,32 +161,60 @@ def operation_auth(tree: dict, schemes: Mapping[str, object]) -> Iterator[tuple]
     api_keys = {slot(s.location, s.parameter_name): s.id
                 for s in reversed(list(schemes.values()))
                 if isinstance(s, SecurityScheme) and s.kind == KIND_API_KEY}
-    default = sequence(tree, "security")
+    readings: dict[int, tuple] = {}  # id of each parameter node -> its reading
+
+    def read_parameters(node: dict) -> list[tuple]:
+        """The readings of the mapping entries of `node`'s `parameters`."""
+        params = []
+        for p in sequence(node, "parameters"):
+            reading = readings.get(id(p))
+            if reading is None and isinstance(p, dict):
+                name, location = text(p, "name"), text(p, "in", "query")
+                reading = readings[id(p)] = (
+                    p, name, location, api_keys.get(slot(location, name)))
+            if reading is not None:
+                params.append(reading)
+        return params
+
+    def requirements(value: list) -> tuple[list[dict], str | None]:
+        sets = [s for s in value if isinstance(s, dict)]
+        return sets, next((k for s in sets for k in s if k not in schemes), None)
+
+    default = requirements(sequence(tree, "security"))
+    read_item = None
     for path, item, method, op in operations(tree):
-        params = [(p, api_keys.get(slot(text(p, "in", "query"), text(p, "name"))))
-                  for p in merge_parameters(parameters(item), parameters(op))]
-        sets = [s for s in sequence(op, "security", default) if isinstance(s, dict)]
-        undeclared = next((k for s in sets for k in s if k not in schemes), None)
+        if item is not read_item:
+            read_item, shared = item, read_parameters(item)
+        params = read_parameters(op)
+        if shared:
+            own = {(r[1], r[2]) for r in params}
+            params = [r for r in shared if (r[1], r[2]) not in own] + params
+        own_security = sequence(op, "security", None)
+        sets, undeclared = default if own_security is None else requirements(own_security)
         if undeclared is not None:
             yield path, method, op, params, SchemeError(
                 f"operations require scheme {undeclared!r} but it is not declared")
             continue
-        slots = {scheme_id: [] for _, scheme_id in params if scheme_id is not None}
+        slots = {r[3]: [] for r in params if r[3] is not None}
         security = [{**slots, **s} for s in sets] or ([slots] if slots else [])
         yield path, method, op, params, security
 
 
 def derive_tool_name(operation_id: str, method: str, path: str,
-                     taken: set[str]) -> str:
+                     taken: set[str], identifiers: Mapping[str, str] | None = None,
+                     ) -> str:
     """Stable identifier for one operation, unique within `taken`.
 
     The operationId is sanitized when present; otherwise the name is
     synthesized from the method and path words. Capped at 64 chars with
-    ``_2``, ``_3``, ... suffixes on collision.
+    ``_2``, ``_3``, ... suffixes on collision. `identifiers` maps each
+    name to its sanitized form (a compile's `_Identifiers`).
     """
-    base = _sanitize_identifier(operation_id)
+    if identifiers is None:
+        identifiers = _Identifiers()
+    base = identifiers[operation_id]
     if not base:
-        words = [_sanitize_identifier(seg.strip("{}")) for seg in path.split("/")]
+        words = [identifiers[seg.strip("{}")] for seg in path.split("/")]
         base = "_".join([method.lower()] + [w for w in words if w])
     base = base[:TOOL_NAME_MAX].rstrip("_") or "tool"
 
@@ -242,36 +274,44 @@ def manifest_to_dict(manifest: ToolManifest, include_bindings: bool = False) -> 
 
 
 def _compile_parameters(
-    params: list[tuple[dict, str | None]], memo: dict, names: set[str]
+    params: list[tuple], memo: dict, identifiers: _Identifiers, names: set[str]
 ) -> tuple[list[ParamSpec], dict[str, dict], list[str]]:
-    """The ParamSpecs of an operation's parameters (as `operation_auth`
-    pairs them with their credential slots), and the input-schema
-    properties and required names of those that are not credential slots.
-    Each sanitized name is made unique within `names`. Schemas are copied
-    through `memo`, each under a top-level dict of its own."""
+    """The ParamSpecs of an operation's parameters, as `operation_auth`
+    reads them, and the input-schema properties and required names of
+    those that are not credential slots. Each sanitized name is made
+    unique within `names`. Each parameter's property is built once per
+    compile and kept in `memo` under ("property", the parameter's id);
+    its schema is copied through `memo`, under a top-level dict of its
+    own."""
     specs: list[ParamSpec] = []
     properties: dict[str, dict] = {}
     required: list[str] = []
-    for param, slot in params:
-        name = text(param, "name")
-        location = text(param, "in", "query")
+    for param, name, location, slot in params:
         spec = ParamSpec(name, location,
-                         unique_name(_sanitize_identifier(name) or "param", names), slot)
+                         unique_name(identifiers[name] or "param", names), slot)
         specs.append(spec)
-        if spec.is_credential:
+        if slot is not None:
             continue
-        schema = dict(_copy_json(mapping(param, "schema"), memo))
-        if "example" in param and "example" not in schema:
-            schema["example"] = _copy_json(param["example"], memo)
-        if not schema:
-            schema = {"type": "string"}
-        description = text(param, "description")
-        if description and "description" not in schema:
-            schema["description"] = description
-        properties[spec.sanitized_name] = schema
-        if location == "path" or flag(param, "required"):
+        built = memo.get(("property", id(param)))
+        if built is None:
+            built = memo[("property", id(param))] = _property(param, location, memo)
+        properties[spec.sanitized_name] = built[0]
+        if built[1]:
             required.append(spec.sanitized_name)
     return specs, properties, required
+
+
+def _property(param: dict, location: str, memo: dict) -> tuple[dict, bool]:
+    """One parameter's input-schema property, and whether it is required."""
+    schema = dict(_copy_json(mapping(param, "schema"), memo))
+    if "example" in param and "example" not in schema:
+        schema["example"] = _copy_json(param["example"], memo)
+    if not schema:
+        schema = {"type": "string"}
+    description = text(param, "description")
+    if description and "description" not in schema:
+        schema["description"] = description
+    return schema, location == "path" or flag(param, "required")
 
 
 def _copy_json(node: Any, memo: dict) -> Any:
@@ -280,38 +320,31 @@ def _copy_json(node: Any, memo: dict) -> Any:
     scalars are immutable. `memo` maps the id of each container copied
     so far to it and its copy, so a node reached twice is copied once,
     and holding the original keeps its id from being reused."""
+    seen = memo.get(id(node))
+    if seen is not None:
+        return seen[1]
     if isinstance(node, dict):
         items = node.items()
     elif isinstance(node, list):
         items = enumerate(node)
     else:
         return node
-    seen = memo.get(id(node))
-    if seen is not None:
-        return seen[1]
     copied = node.copy()
     memo[id(node)] = (node, copied)
     for key, value in items:
-        if isinstance(value, (dict, list)):
+        kind = value.__class__  # a loaded tree's exact classes first
+        if kind is dict or kind is list or kind is not str and isinstance(
+                value, (dict, list)):
             copied[key] = _copy_json(value, memo)
     return copied
 
 
-def _pick_request_body(request_body: dict) -> tuple[dict | None, str | None]:
-    content = mapping(request_body, "content")
-    media_type = _pick_media_type(content)
-    if media_type is None:
-        return None, None
-    return mapping(mapping(content, media_type), "schema"), media_type
-
-
 def _pick_success_status(responses: dict) -> int:
-    codes = [
-        int(code)
-        for code in responses
-        if code.isdecimal() and 200 <= int(code) <= 299
-    ]
-    return min(codes, default=200)
+    status = 300  # past every 2xx code
+    for code in responses:
+        if code.isdecimal() and 200 <= int(code) < status:
+            status = int(code)
+    return 200 if status == 300 else status
 
 
 def _pick_media_type(content: dict) -> str | None:
@@ -321,10 +354,21 @@ def _pick_media_type(content: dict) -> str | None:
     return next(iter(content), None)
 
 
+class _Identifiers(dict):
+    """Each name's `_sanitize_identifier`, computed at its first lookup:
+    one per compile, so each distinct name is sanitized once."""
+
+    def __missing__(self, name: str) -> str:
+        self[name] = identifier = _sanitize_identifier(name)
+        return identifier
+
+
 def _sanitize_identifier(text: str) -> str:
-    text = _SEPARATOR_RE.sub("_", str(text).lower())
-    text = _IDENT_RE.sub("", text)
-    text = _UNDERSCORES_RE.sub("_", text).strip("_")
+    text = str(text).lower()
+    if not (text.isascii() and text.isalnum()):  # else each pass keeps it as it is
+        text = _SEPARATOR_RE.sub("_", text)
+        text = _IDENT_RE.sub("", text)
+        text = _UNDERSCORES_RE.sub("_", text).strip("_")
     if text and text[0].isdigit():
         text = "_" + text
     return text

@@ -5,7 +5,8 @@ A tool passes when it (1) is present in a loadable manifest, (2) returns
 a 2xx from the upstream, and (3) the mock served the request as this
 tool's operation, with each path and query argument decoded to its text
 under the wire rule (`_wire_text`); creates additionally must land in
-the mock's resource store. The mock is the only oracle: nothing here
+the mock's resource store, a form body's fields each as the text the
+mock records for it. The mock is the only oracle: nothing here
 rebuilds a request the way the runtime does.
 """
 
@@ -201,10 +202,8 @@ def _run_one(tool, manifest, mock, env, bindings, timeout) -> ToolOutcome:
         sent = args[param.sanitized_name]
         if param.location == "path":
             expected, seen = _wire_text(sent), record.path_params.get(param.name)
-        elif param.location == "query":  # the mock records a list's first item
-            items = sent if isinstance(sent, list) else [sent]
-            texts = [t for t in map(_wire_text, items) if t is not None]
-            expected, seen = next(iter(texts), None), record.query.get(param.name)
+        elif param.location == "query":
+            expected, seen = _recorded_text(sent), record.query.get(param.name)
         else:
             continue
         if seen != expected:
@@ -214,12 +213,12 @@ def _run_one(tool, manifest, mock, env, bindings, timeout) -> ToolOutcome:
                 result.http_status,
             )
 
-    if tool.endpoint.method == "POST" and isinstance(args.get("body"), dict):
+    body = args.get("body")
+    if tool.endpoint.method == "POST" and isinstance(body, dict):
+        if tool.endpoint.request_content_type == "application/x-www-form-urlencoded":
+            body = {k: _recorded_text(v) for k, v in body.items()}  # the mock's text
         stored = mock.store.get(record.path, [])
-        if not any(
-            all(item.get(k) == v for k, v in args["body"].items())
-            for item in stored
-        ):
+        if not any(all(item.get(k) == v for k, v in body.items()) for item in stored):
             return ToolOutcome(
                 tool.tool_name, False, "state",
                 "created resource not visible in the store",
@@ -319,6 +318,14 @@ def _sample_value(schema: dict, hint: str, depth: int = 0):
             for key, value in (schema.get("properties") or {}).items()
         }
     return f"sample-{hint}"
+
+
+def _recorded_text(sent) -> str | None:
+    """What the mock records for a query value or a form field: its wire
+    text, a list's first item that is sent (`runtime._add_field` sends
+    each as a repeated key), None when nothing is sent."""
+    items = sent if isinstance(sent, list) else [sent]
+    return next((t for t in map(_wire_text, items) if t is not None), None)
 
 
 def _wire_text(value) -> str | None:

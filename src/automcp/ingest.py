@@ -95,50 +95,67 @@ Required = tuple[type[AutoMcpError], str]
 _EMPTY: Any = object()  # the default `default`: a new {} or []
 
 
-def _read(node: Any, key: Any, kind: type | tuple, noun: str, default: Any,
-          required: Required | None) -> Any:
-    """`node[key]` (`node` a mapping, or a list and `key` an index) when it
-    is a `kind`, else `default`. A present value of another type raises
-    `required`'s error instead, when there is one."""
+def _item(node: Any, key: Any) -> Any:
+    """`node[key]` (`node` a mapping, or a list and `key` an index in it),
+    else None."""
     if isinstance(node, dict):
-        value = node.get(key)
-    elif isinstance(node, list) and isinstance(key, int) and 0 <= key < len(node):
-        value = node[key]
-    else:
-        value = None
+        return node.get(key)
+    if isinstance(node, list) and isinstance(key, int) and 0 <= key < len(node):
+        return node[key]
+    return None
+
+
+def _is(value: Any, kind: type | tuple, noun: str, required: Required | None) -> bool:
+    """Whether `value`, which is not None, is a `kind`. A value of another
+    type raises `required`'s error instead, when there is one."""
     if isinstance(value, kind):
-        return value
-    if required is not None and value is not None:
+        return True
+    if required is not None:
         error, pointer = required
         raise error(f"{pointer} is not {noun}", pointer)
-    return default
+    return False
+
+
+# Each reader first tries the exact classes `json.loads` and `yamltree`
+# build (`node.__class__ is dict`), then None; any other value takes
+# `_item` and `_is`, which give the same answer for those classes.
 
 
 def mapping(node: Any, key: Any, default: Any = _EMPTY,
             required: Required | None = None) -> Any:
     """The mapping at `node[key]`, else `default` ({} unless given)."""
-    value = _read(node, key, dict, "a mapping", default, required)
-    return {} if value is _EMPTY else value
+    value = node.get(key) if node.__class__ is dict else _item(node, key)
+    if value.__class__ is dict or (
+            value is not None and _is(value, dict, "a mapping", required)):
+        return value
+    return {} if default is _EMPTY else default
 
 
 def sequence(node: Any, key: Any, default: Any = _EMPTY,
              required: Required | None = None) -> Any:
     """The list at `node[key]`, else `default` ([] unless given)."""
-    value = _read(node, key, list, "a list", default, required)
-    return [] if value is _EMPTY else value
+    value = node.get(key) if node.__class__ is dict else _item(node, key)
+    if value.__class__ is list or (
+            value is not None and _is(value, list, "a list", required)):
+        return value
+    return [] if default is _EMPTY else default
 
 
 def text(node: Any, key: Any, default: Any = "",
          required: Required | None = None) -> Any:
     """The string at `node[key]`, or the `str()` of a number or boolean,
     else `default`."""
-    value = _read(node, key, (str, int, float), "a string", None, required)
-    return default if value is None else str(value)
+    value = node.get(key) if node.__class__ is dict else _item(node, key)
+    if value.__class__ is str:
+        return value
+    if value is not None and _is(value, (str, int, float), "a string", required):
+        return str(value)
+    return default
 
 
 def flag(node: Any, key: Any) -> bool:
     """The boolean at `node[key]`, else False."""
-    return isinstance(node, dict) and node.get(key) is True
+    return (node.__class__ is dict or isinstance(node, dict)) and node.get(key) is True
 
 
 def api_title(tree: dict) -> str:
@@ -447,14 +464,16 @@ def _synthesize_path_params(tree: dict) -> dict:
     """`tree` with each undeclared path template variable declared as a
     required string parameter. Copies the root, `paths` and each path item
     and operation it rewrites, once per path: a YAML alias or a shared
-    `$ref` expansion may put one under several paths."""
+    `$ref` expansion may put one under several paths. A path item's
+    parameters are read once for all its operations, and an operation's
+    only when its path item leaves a variable undeclared."""
     out = tree
+    read_path = None
     for path, item, method, op in operations(tree):
-        declared = {
-            text(p, "name") for p in parameters(item) + parameters(op)
-            if p.get("in") == "path"
-        }
-        missing = [var for var in _PATH_VAR_RE.findall(path) if var not in declared]
+        if path != read_path:
+            read_path = path
+            undeclared = _undeclared(_PATH_VAR_RE.findall(path), item)
+        missing = _undeclared(undeclared, op) if undeclared else undeclared
         if not missing:
             continue
         synthesized = [
@@ -469,3 +488,9 @@ def _synthesize_path_params(tree: dict) -> dict:
         params = sequence(op, "parameters") + synthesized
         paths[path][method] = {**op, "parameters": params}
     return out
+
+
+def _undeclared(variables: list[str], node: dict) -> list[str]:
+    """Those of `variables` that no path parameter of `node` declares."""
+    declared = {text(p, "name") for p in parameters(node) if p.get("in") == "path"}
+    return [var for var in variables if var not in declared]

@@ -83,7 +83,8 @@ def flatten(tree: dict) -> FlattenedContract:
 
     def expand(node: Any, active: tuple[str, ...]) -> Any:
         nonlocal resolved, placeholders
-        if isinstance(node, dict):
+        kind = node.__class__  # a loaded tree's exact classes first
+        if kind is dict or isinstance(node, dict):
             ref = node.get("$ref")
             if isinstance(ref, str):
                 if ref in expanded:
@@ -108,13 +109,15 @@ def flatten(tree: dict) -> FlattenedContract:
                     expanded[ref] = (value, resolved - resolved_before)
                 return value
             items = node.items()
-        elif isinstance(node, list):
+        elif kind is list or isinstance(node, list):
             items = enumerate(node)
         else:
             return node
         copied = None  # made at the first child whose expansion differs
         for key, value in items:
-            if isinstance(value, (dict, list)):
+            kind = value.__class__
+            if kind is dict or kind is list or kind is not str and isinstance(
+                    value, (dict, list)):
                 flat = expand(value, active)
                 if flat is not value:
                     if copied is None:

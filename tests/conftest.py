@@ -45,6 +45,28 @@ def build_contract(raw: RawDocument) -> FlattenedContract:
     return contract
 
 
+class Dict(dict):
+    pass
+
+
+class List(list):
+    pass
+
+
+class Str(str):
+    pass
+
+
+def subclassed(node):
+    """`node` rebuilt with each dict, list and str (keys too) as an
+    instance of a subclass, as a tree built in memory may hold them."""
+    if isinstance(node, dict):
+        return Dict({Str(k): subclassed(v) for k, v in node.items()})
+    if isinstance(node, list):
+        return List(subclassed(v) for v in node)
+    return Str(node) if isinstance(node, str) else node
+
+
 def changed_line_count(before: str, after: str) -> int:
     """Lines a difflib line diff touches: a replaced run counts its longer
     side, an inserted or deleted run its length."""

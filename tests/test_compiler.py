@@ -21,7 +21,7 @@ from automcp.ingest import RawDocument, load_document, resolve_base_url
 from automcp.pipeline import compile_file, count_operations
 from automcp.refs import FlattenedContract
 from automcp.security import extract_security
-from conftest import DEFECTS, FIXTURES, build_contract, fixture_path
+from conftest import DEFECTS, FIXTURES, build_contract, fixture_path, subclassed
 
 TOOL_NAME_RE = re.compile(r"^[a-z_][a-z0-9_]*$")
 
@@ -594,6 +594,15 @@ class TestContractNotMutated:
             assert shared_doc == unshared_doc, name
             names.append(name)
         assert len(names) == 9
+
+    def test_subclassed_nodes_compile_as_the_classes_they_extend(self, tmp_path):
+        for name, raw, contract in self.contracts(tmp_path):
+            base_url = resolve_base_url(raw)
+            loaded, sub = (
+                manifest_to_dict(compile_manifest(c, extract_security(c), base_url),
+                                 include_bindings=True)
+                for c in (contract, FlattenedContract(tree=subclassed(contract.tree))))
+            assert json.dumps(sub) == json.dumps(loaded), name
 
     def _scribble(self, node):
         if isinstance(node, dict):

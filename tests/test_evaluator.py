@@ -16,7 +16,7 @@ from automcp.evaluator import (
     order_tools,
     synth_args,
 )
-from automcp.mock_upstream import run_mock_upstream
+from automcp.mock_upstream import MockUpstream, run_mock_upstream
 from automcp.runtime import InvocationResult
 from automcp.sampling import sample
 from conftest import DEFECTS, fixture_path, sentinel_credentials
@@ -309,6 +309,57 @@ class TestEchoStage:
             query("blank", {"type": "string", "example": ""})], "responses": OK}}}
         report = evaluate_spec_file(write_spec(tmp_path, paths), env={})
         assert outcomes(report) == {"listitems": (True, "ok", "")}
+
+
+FORM_PATHS = {"/things": {"post": {"operationId": "createThing", "requestBody": {
+    "required": True, "content": {"application/x-www-form-urlencoded": {"schema": {
+        "type": "object", "properties": {
+            "n": {"type": "integer"}, "x": {"type": "number"},
+            "ok": {"type": "boolean"}, "s": {"type": "string"},
+            "tags": {"type": "array", "items": {"type": "integer"}},
+            "none": {"type": "array", "example": []},
+            "meta": {"type": "object", "example": {"a": [1]}}}}}}},
+    "responses": {"201": {"description": "created"}}}}}
+
+
+class TestStateStage:
+    """A created resource must be in the mock's store: a JSON body as it
+    was sent, a form body's fields as the text the mock records."""
+
+    def test_form_fields_that_are_not_text_pass(self, tmp_path):
+        report = evaluate_spec_file(write_spec(tmp_path, FORM_PATHS), env={})
+        assert outcomes(report) == {"creatething": (True, "ok", "")}
+
+    @pytest.mark.parametrize("change", [
+        {"n": 2}, {"ok": False}, {"tags": [2]}, {"s": DROP}, {"none": ["x"]},
+    ], ids=["int", "bool", "list-item", "left-out", "empty-list"])
+    def test_form_field_stored_differently_fails(self, tmp_path, monkeypatch, change):
+        real = evaluator.invoke_tool
+
+        def invoke_changed(tool, args, *rest, **kwargs):
+            body = {k: v for k, v in {**args["body"], **change}.items() if v is not DROP}
+            return real(tool, {**args, "body": body}, *rest, **kwargs)
+
+        monkeypatch.setattr(evaluator, "invoke_tool", invoke_changed)
+        report = evaluate_spec_file(write_spec(tmp_path, FORM_PATHS), env={})
+        assert outcomes(report) == {"creatething": (
+            False, "state", "created resource not visible in the store")}
+
+    def test_json_body_the_mock_does_not_store_fails(self, tmp_path, monkeypatch):
+        paths = {"/things": {"post": {"operationId": "createThing", "requestBody": {
+            "content": {"application/json": {"schema": {
+                "type": "object", "properties": {"n": {"type": "integer"}}}}}},
+            "responses": {"201": {"description": "created"}}}}}
+        monkeypatch.setattr(MockUpstream, "_apply", forgetful_apply)
+        report = evaluate_spec_file(write_spec(tmp_path, paths), env={})
+        assert outcomes(report) == {"creatething": (
+            False, "state", "created resource not visible in the store")}
+
+
+def forgetful_apply(self, tool, path, query, body):
+    """`MockUpstream._apply` for a mock that answers a create and stores
+    nothing."""
+    return tool.endpoint.success_status, {"tool": tool.tool_name}
 
 
 # `example: 2020-01-01` reads as the text "2020-01-01", not as a date

@@ -27,7 +27,7 @@ from automcp.ingest import (
 )
 from automcp.refs import flatten
 from automcp.security import extract_security
-from conftest import DEFECTS, FIXTURES, build_contract, fixture_path
+from conftest import DEFECTS, FIXTURES, build_contract, fixture_path, subclassed
 
 
 def write(tmp_path, name, content):
@@ -323,6 +323,17 @@ class TestNormalize:
         param = op["parameters"][0]
         assert param["schema"] == {"type": "integer", "format": "int32"}
 
+    def test_param_with_a_schema_or_no_type_kept_as_it_is(self, tmp_path):
+        with_schema = {"name": "a", "in": "query", "schema": {"type": "integer"}}
+        untyped = {"name": "b", "in": "header", "description": "free text"}
+        tree = {"swagger": "2.0", "host": "h.example", "paths": {"/x": {
+            "parameters": [untyped],
+            "get": {"parameters": [with_schema], "responses": {}}}}}
+        item = normalize(load_document(write(tmp_path, "s.json", json.dumps(tree))))
+        item = item["paths"]["/x"]
+        assert item["parameters"] == [untyped]
+        assert item["get"]["parameters"] == [with_schema]
+
     def test_duplicate_operation_ids_suffixed(self, swagger_doc):
         contract = build_contract(swagger_doc)
         assert contract.tree["paths"]["/items"]["get"]["operationId"] == "listItems"
@@ -452,9 +463,14 @@ class TestReaders:
 
     @pytest.mark.parametrize("name", READER_TABLE)
     @pytest.mark.parametrize("under", ["key", "index"])
-    def test_each_reader_over_each_json_value(self, name, under):
+    @pytest.mark.parametrize("build", [lambda node: node, subclassed],
+                             ids=["loaded", "subclassed"])
+    def test_each_reader_over_each_json_value(self, name, under, build):
+        """A subclass of dict, list or str reads as the class it extends."""
         value, *expected = READER_TABLE[name]
-        node, key = ({"f": value}, "f") if under == "key" else (["pad", value], 1)
+        node = build({"f": value} if under == "key" else ["pad", value])
+        key = "f" if under == "key" else 1
+        value = node[key]
         readers = (ingest.mapping, ingest.sequence, ingest.text, ingest.flag)
         for reader, want in zip(readers, expected):
             got = reader(node, key)

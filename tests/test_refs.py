@@ -19,6 +19,7 @@ from automcp.refs import (
     pointer_segments,
     validate,
 )
+from conftest import subclassed
 
 
 # -- the independent oracle: substitute one ref at a time until fixpoint -------
@@ -230,6 +231,15 @@ class TestFlatten:
             assert flat.cycles_detected == cycles
             cyclic += bool(cycles)
         assert 30 <= cyclic <= 270  # both kinds of graph were drawn
+
+    def test_subclassed_nodes_flatten_as_the_classes_they_extend(self):
+        rng = random.Random(20261020)
+        for _ in range(100):
+            doc = random_ref_graph(rng)
+            flat, sub = flatten(doc), flatten(subclassed(doc))
+            assert sub.tree == flat.tree
+            assert sub.ref_count_resolved == flat.ref_count_resolved
+            assert sub.cycles_detected == flat.cycles_detected
 
     def test_input_not_mutated(self):
         tree = {"a": {"$ref": "#/defs/x"}, "defs": {"x": {"v": 1}}}
