@@ -13,7 +13,8 @@ from functools import cached_property
 from typing import Any, Iterator, Mapping
 
 from .errors import SchemeError
-from .ingest import api_title, flag, mapping, operations, sequence, text
+from .ingest import api_title, flag, mapping, operations, parameters, sequence
+from .ingest import text
 from .refs import FlattenedContract
 from .security import KIND_API_KEY, SecurityScheme, unique_name
 
@@ -49,8 +50,8 @@ class EndpointDescriptor:
 @dataclass
 class ToolSpec:
     """One compiled tool. The tools of a manifest may share schema nodes
-    (`compile_manifest` copies each contract node once), so nothing writes
-    to a compiled schema."""
+    (`compile_manifest` copies each contract node once and builds each
+    parameter's property once), so nothing writes to a compiled schema."""
 
     tool_name: str
     description: str
@@ -81,24 +82,19 @@ def compile_manifest(
 ) -> ToolManifest:
     """Build the full manifest in one walk over the operations: one
     ToolSpec per operation, with its name, description, input schema and
-    endpoint.
+    endpoint, each field of the operation read once.
 
-    Each operation's parameters and auth are read by `operation_auth`,
-    which reads each parameter once per compile; a credential slot is
-    never a tool argument. Every other field of an operation is read
-    once: its request body, media type and body schema, `responses`,
-    `summary`, `description`, `operationId` and flags. The success
-    status is the smallest declared 2xx code, defaulting to 200. Raises
-    SchemeError (class A) when an operation requires a scheme that
-    `schemes` does not hold. Schemas and examples are copied by
-    `_copy_json`, through one memo per compile, so each contract node is
-    copied once, however many tools use it, and the manifest shares no
-    node with the contract. Each distinct name is sanitized once per
-    compile (`_Identifiers`).
+    Each operation's parameters and auth are read by `operation_auth`; a
+    credential slot is never a tool argument. The success status is the
+    smallest declared 2xx code, defaulting to 200. Raises SchemeError
+    (class A) when an operation requires a scheme that `schemes` does not
+    hold. Schemas and examples are copied by `_copy_json`, through one
+    memo per compile, so each contract node is copied once, however many
+    tools use it, and the manifest shares no node with the contract.
     """
     tree = contract.tree
     memo: dict = {}  # one `_copy_json` memo: tools share the copies
-    identifiers = _Identifiers()
+    identifiers: dict[str, str] = {}  # each parameter name, sanitized once
     taken: set[str] = set()
     tools: list[ToolSpec] = []
     for path, method, op, params, security in operation_auth(
@@ -129,8 +125,7 @@ def compile_manifest(
         endpoint = EndpointDescriptor(
             verb, path, specs, content_type,
             _pick_success_status(mapping(op, "responses")), security)
-        name = derive_tool_name(text(op, "operationId"), method, path, taken,
-                                identifiers)
+        name = derive_tool_name(text(op, "operationId"), method, path, taken)
         tools.append(ToolSpec(name, description, input_schema, endpoint))
     return ToolManifest(tools=tools, api_title=api_title(tree) or "API",
                         base_url=base_url, schemes=schemes)
@@ -142,13 +137,12 @@ def operation_auth(tree: dict, schemes: Mapping[str, object]) -> Iterator[tuple]
     which compile and lint both iterate. `schemes` maps each declared
     scheme id to its reading.
 
-    The parameters are the path item's merged into the operation's (one
-    overrides another with the same name and location, as
-    `merge_parameters` has it), each read as (node, name, location, id of
-    the apiKey scheme whose credential slot it is, else None). Each
-    parameter node is read once per call, however many operations share
-    it, and a path item's parameters once for all its operations. The
-    first apiKey scheme sent at a name holds that slot; a header name
+    The parameters are the path item's that none of the operation's own
+    overrides (by name and location, `in` defaulting to query), then its
+    own, each read as (node, name, location, id of the apiKey scheme
+    whose credential slot it is, else None): once per call, however many
+    operations share it, and a path item's once for all its operations.
+    The first apiKey scheme sent at a name holds that slot; a header name
     matches in any case (RFC 9110 §5.1). The auth is the requirement
     sets, the operation's own `security` or else the document's, with
     each slot's scheme joined to every set (the slots alone when there is
@@ -161,20 +155,13 @@ def operation_auth(tree: dict, schemes: Mapping[str, object]) -> Iterator[tuple]
     api_keys = {slot(s.location, s.parameter_name): s.id
                 for s in reversed(list(schemes.values()))
                 if isinstance(s, SecurityScheme) and s.kind == KIND_API_KEY}
-    readings: dict[int, tuple] = {}  # id of each parameter node -> its reading
+    readings: dict[int, tuple] = {}  # by the id of each parameter node read
 
-    def read_parameters(node: dict) -> list[tuple]:
-        """The readings of the mapping entries of `node`'s `parameters`."""
-        params = []
-        for p in sequence(node, "parameters"):
-            reading = readings.get(id(p))
-            if reading is None and isinstance(p, dict):
-                name, location = text(p, "name"), text(p, "in", "query")
-                reading = readings[id(p)] = (
-                    p, name, location, api_keys.get(slot(location, name)))
-            if reading is not None:
-                params.append(reading)
-        return params
+    def read(p: dict) -> tuple:
+        if id(p) not in readings:
+            name, location = text(p, "name"), text(p, "in", "query")
+            readings[id(p)] = p, name, location, api_keys.get(slot(location, name))
+        return readings[id(p)]
 
     def requirements(value: list) -> tuple[list[dict], str | None]:
         sets = [s for s in value if isinstance(s, dict)]
@@ -184,11 +171,11 @@ def operation_auth(tree: dict, schemes: Mapping[str, object]) -> Iterator[tuple]
     read_item = None
     for path, item, method, op in operations(tree):
         if item is not read_item:
-            read_item, shared = item, read_parameters(item)
-        params = read_parameters(op)
+            read_item, shared = item, [read(p) for p in parameters(item)]
+        params = [read(p) for p in parameters(op)]
         if shared:
-            own = {(r[1], r[2]) for r in params}
-            params = [r for r in shared if (r[1], r[2]) not in own] + params
+            own = {r[1:3] for r in params}
+            params = [r for r in shared if r[1:3] not in own] + params
         own_security = sequence(op, "security", None)
         sets, undeclared = default if own_security is None else requirements(own_security)
         if undeclared is not None:
@@ -201,20 +188,16 @@ def operation_auth(tree: dict, schemes: Mapping[str, object]) -> Iterator[tuple]
 
 
 def derive_tool_name(operation_id: str, method: str, path: str,
-                     taken: set[str], identifiers: Mapping[str, str] | None = None,
-                     ) -> str:
+                     taken: set[str]) -> str:
     """Stable identifier for one operation, unique within `taken`.
 
     The operationId is sanitized when present; otherwise the name is
     synthesized from the method and path words. Capped at 64 chars with
-    ``_2``, ``_3``, ... suffixes on collision. `identifiers` maps each
-    name to its sanitized form (a compile's `_Identifiers`).
+    ``_2``, ``_3``, ... suffixes on collision.
     """
-    if identifiers is None:
-        identifiers = _Identifiers()
-    base = identifiers[operation_id]
+    base = _sanitize_identifier(operation_id)
     if not base:
-        words = [identifiers[seg.strip("{}")] for seg in path.split("/")]
+        words = [_sanitize_identifier(seg.strip("{}")) for seg in path.split("/")]
         base = "_".join([method.lower()] + [w for w in words if w])
     base = base[:TOOL_NAME_MAX].rstrip("_") or "tool"
 
@@ -274,44 +257,40 @@ def manifest_to_dict(manifest: ToolManifest, include_bindings: bool = False) -> 
 
 
 def _compile_parameters(
-    params: list[tuple], memo: dict, identifiers: _Identifiers, names: set[str]
+    params: list[tuple], memo: dict, identifiers: dict[str, str], names: set[str]
 ) -> tuple[list[ParamSpec], dict[str, dict], list[str]]:
     """The ParamSpecs of an operation's parameters, as `operation_auth`
     reads them, and the input-schema properties and required names of
-    those that are not credential slots. Each sanitized name is made
-    unique within `names`. Each parameter's property is built once per
-    compile and kept in `memo` under ("property", the parameter's id);
-    its schema is copied through `memo`, under a top-level dict of its
-    own."""
+    those that are not credential slots. Each sanitized name (kept in
+    `identifiers`) is made unique within `names`. Each parameter's
+    property is built once per compile, kept in `memo` under ("property",
+    its id); its schema is copied through `memo`, under a top-level dict
+    of its own."""
     specs: list[ParamSpec] = []
     properties: dict[str, dict] = {}
     required: list[str] = []
     for param, name, location, slot in params:
-        spec = ParamSpec(name, location,
-                         unique_name(identifiers[name] or "param", names), slot)
+        if name not in identifiers:
+            identifiers[name] = _sanitize_identifier(name) or "param"
+        spec = ParamSpec(name, location, unique_name(identifiers[name], names), slot)
         specs.append(spec)
         if slot is not None:
             continue
-        built = memo.get(("property", id(param)))
-        if built is None:
-            built = memo[("property", id(param))] = _property(param, location, memo)
-        properties[spec.sanitized_name] = built[0]
-        if built[1]:
+        key = ("property", id(param))
+        if key not in memo:
+            schema = dict(_copy_json(mapping(param, "schema"), memo))
+            if "example" in param and "example" not in schema:
+                schema["example"] = _copy_json(param["example"], memo)
+            if not schema:
+                schema = {"type": "string"}
+            description = text(param, "description")
+            if description and "description" not in schema:
+                schema["description"] = description
+            memo[key] = schema, location == "path" or flag(param, "required")
+        properties[spec.sanitized_name], needed = memo[key]
+        if needed:
             required.append(spec.sanitized_name)
     return specs, properties, required
-
-
-def _property(param: dict, location: str, memo: dict) -> tuple[dict, bool]:
-    """One parameter's input-schema property, and whether it is required."""
-    schema = dict(_copy_json(mapping(param, "schema"), memo))
-    if "example" in param and "example" not in schema:
-        schema["example"] = _copy_json(param["example"], memo)
-    if not schema:
-        schema = {"type": "string"}
-    description = text(param, "description")
-    if description and "description" not in schema:
-        schema["description"] = description
-    return schema, location == "path" or flag(param, "required")
 
 
 def _copy_json(node: Any, memo: dict) -> Any:
@@ -333,8 +312,7 @@ def _copy_json(node: Any, memo: dict) -> Any:
     memo[id(node)] = (node, copied)
     for key, value in items:
         kind = value.__class__  # a loaded tree's exact classes first
-        if kind is dict or kind is list or kind is not str and isinstance(
-                value, (dict, list)):
+        if kind is dict or kind is list or kind is not str and isinstance(value, (dict, list)):
             copied[key] = _copy_json(value, memo)
     return copied
 
@@ -352,15 +330,6 @@ def _pick_media_type(content: dict) -> str | None:
         if media_type == "application/json" or media_type.endswith("+json"):
             return media_type
     return next(iter(content), None)
-
-
-class _Identifiers(dict):
-    """Each name's `_sanitize_identifier`, computed at its first lookup:
-    one per compile, so each distinct name is sanitized once."""
-
-    def __missing__(self, name: str) -> str:
-        self[name] = identifier = _sanitize_identifier(name)
-        return identifier
 
 
 def _sanitize_identifier(text: str) -> str:

@@ -120,10 +120,8 @@ def order_tools(
     then deletes within each resource group; an explicit override list
     wins where it names tools."""
     exclusions = exclusions or set()
-    by_name = {t.tool_name: t for t in manifest.tools}
-    chosen = [
-        by_name[name] for name in selected if name not in exclusions and name in by_name
-    ]
+    chosen = [manifest.tool(name) for name in selected
+              if name not in exclusions and manifest.tool(name) is not None]
     doc_index = {t.tool_name: i for i, t in enumerate(manifest.tools)}
     group_order: dict[str, int] = {}
     for tool in manifest.tools:
@@ -143,7 +141,7 @@ def order_tools(
         pinned = [name for name in order_override if name in names]
         pinned_names = set(pinned)
         tail = [t for t in ordered if t.tool_name not in pinned_names]
-        ordered = [by_name[name] for name in pinned] + tail
+        ordered = [manifest.tool(name) for name in pinned] + tail
     return ordered
 
 
@@ -321,9 +319,8 @@ def _sample_value(schema: dict, hint: str, depth: int = 0):
 
 
 def _recorded_text(sent) -> str | None:
-    """What the mock records for a query value or a form field: its wire
-    text, a list's first item that is sent (`runtime._add_field` sends
-    each as a repeated key), None when nothing is sent."""
+    """What the mock records for a query value or form field: the wire text
+    of a list's first item sent (`runtime._add_field`), None for none."""
     items = sent if isinstance(sent, list) else [sent]
     return next((t for t in map(_wire_text, items) if t is not None), None)
 

@@ -95,62 +95,52 @@ Required = tuple[type[AutoMcpError], str]
 _EMPTY: Any = object()  # the default `default`: a new {} or []
 
 
-def _item(node: Any, key: Any) -> Any:
-    """`node[key]` (`node` a mapping, or a list and `key` an index in it),
-    else None."""
+def _read(node: Any, key: Any, kind: type | tuple, noun: str,
+          required: Required | None) -> Any:
+    """`node[key]` (`node` a mapping, or a list and `key` an index) when it
+    is a `kind`, else None. A present value of another type raises
+    `required`'s error instead, when there is one. Each reader tries the
+    exact classes a loaded tree holds first, and only then this."""
     if isinstance(node, dict):
-        return node.get(key)
-    if isinstance(node, list) and isinstance(key, int) and 0 <= key < len(node):
-        return node[key]
-    return None
-
-
-def _is(value: Any, kind: type | tuple, noun: str, required: Required | None) -> bool:
-    """Whether `value`, which is not None, is a `kind`. A value of another
-    type raises `required`'s error instead, when there is one."""
-    if isinstance(value, kind):
-        return True
+        value = node.get(key)
+    elif isinstance(node, list) and isinstance(key, int) and 0 <= key < len(node):
+        value = node[key]
+    else:
+        return None
+    if value is None or isinstance(value, kind):
+        return value
     if required is not None:
         error, pointer = required
         raise error(f"{pointer} is not {noun}", pointer)
-    return False
-
-
-# Each reader first tries the exact classes `json.loads` and `yamltree`
-# build (`node.__class__ is dict`), then None; any other value takes
-# `_item` and `_is`, which give the same answer for those classes.
+    return None
 
 
 def mapping(node: Any, key: Any, default: Any = _EMPTY,
             required: Required | None = None) -> Any:
     """The mapping at `node[key]`, else `default` ({} unless given)."""
-    value = node.get(key) if node.__class__ is dict else _item(node, key)
-    if value.__class__ is dict or (
-            value is not None and _is(value, dict, "a mapping", required)):
-        return value
-    return {} if default is _EMPTY else default
+    value = node.get(key) if node.__class__ is dict else _EMPTY
+    if value.__class__ is not dict and value is not None:
+        value = _read(node, key, dict, "a mapping", required)
+    return ({} if default is _EMPTY else default) if value is None else value
 
 
 def sequence(node: Any, key: Any, default: Any = _EMPTY,
              required: Required | None = None) -> Any:
     """The list at `node[key]`, else `default` ([] unless given)."""
-    value = node.get(key) if node.__class__ is dict else _item(node, key)
-    if value.__class__ is list or (
-            value is not None and _is(value, list, "a list", required)):
-        return value
-    return [] if default is _EMPTY else default
+    value = node.get(key) if node.__class__ is dict else _EMPTY
+    if value.__class__ is not list and value is not None:
+        value = _read(node, key, list, "a list", required)
+    return ([] if default is _EMPTY else default) if value is None else value
 
 
 def text(node: Any, key: Any, default: Any = "",
          required: Required | None = None) -> Any:
     """The string at `node[key]`, or the `str()` of a number or boolean,
     else `default`."""
-    value = node.get(key) if node.__class__ is dict else _item(node, key)
-    if value.__class__ is str:
-        return value
-    if value is not None and _is(value, (str, int, float), "a string", required):
-        return str(value)
-    return default
+    value = node.get(key) if node.__class__ is dict else _EMPTY
+    if value.__class__ is not str and value is not None:
+        value = _read(node, key, (str, int, float), "a string", required)
+    return default if value is None else str(value)
 
 
 def flag(node: Any, key: Any) -> bool:
@@ -270,18 +260,6 @@ def parameters(node: dict) -> list[dict]:
     return [p for p in sequence(node, "parameters") if isinstance(p, dict)]
 
 
-def merge_parameters(path_level: list[dict], op_level: list[dict]) -> list[dict]:
-    """The parameters an operation takes: each path-level one that none of
-    its own overrides, then its own. One overrides another with the same
-    name and location (`in` defaults to query)."""
-
-    def key(p: dict) -> tuple[str, str]:
-        return text(p, "name"), text(p, "in", "query")
-
-    op_keys = {key(p) for p in op_level}
-    return [p for p in path_level if key(p) not in op_keys] + op_level
-
-
 def normalize(doc: RawDocument | FlattenedContract) -> dict:
     """`doc.tree` in 3.x shape, with mechanical defects repaired.
 
@@ -388,7 +366,10 @@ def _convert_operation(
     produces = sequence(op, "produces") or doc_produces
     out = {k: v for k, v in op.items() if k not in ("consumes", "produces")}
 
-    params = merge_parameters(shared, parameters(out))
+    own = parameters(out)  # overrides each shared one of its name and `in`
+    keys = {(text(p, "name"), text(p, "in", "query")) for p in own}
+    params = [p for p in shared if (text(p, "name"), text(p, "in", "query")) not in keys]
+    params += own
     body_params = [p for p in params if p.get("in") == "body"]
     # a parameter with no name reads as absent
     form_params = [p for p in params if p.get("in") == "formData" and text(p, "name")]

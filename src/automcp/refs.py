@@ -69,8 +69,8 @@ def flatten(tree: dict) -> FlattenedContract:
     Only the containers on a path to a $ref are rebuilt: the result
     shares every other node with `tree`, which is never changed, and the
     expansion of a target that breaks no cycle is built once and placed
-    at every use. Treat the result as read-only and copy a subtree
-    before changing it.
+    at every use. Each target is looked up once. Treat the result as
+    read-only and copy a subtree before changing it.
     """
     resolved = 0
     placeholders = 0
@@ -80,6 +80,7 @@ def flatten(tree: dict) -> FlattenedContract:
     # active chain, so they are the same wherever the ref is used. A ref on
     # a cycle always reaches itself and so is never kept.
     expanded: dict[str, tuple[Any, int]] = {}
+    targets: dict[str, Any] = {}  # ref -> its target, looked up once
 
     def expand(node: Any, active: tuple[str, ...]) -> Any:
         nonlocal resolved, placeholders
@@ -101,10 +102,11 @@ def flatten(tree: dict) -> FlattenedContract:
                         "type": "object",
                         "description": _CYCLE_PLACEHOLDER_PREFIX + ref,
                     }
-                target = pointer_lookup(tree, ref)
+                if ref not in targets:
+                    targets[ref] = pointer_lookup(tree, ref)
                 resolved_before, placeholders_before = resolved, placeholders
                 resolved += 1
-                value = expand(target, active + (ref,))
+                value = expand(targets[ref], active + (ref,))
                 if placeholders == placeholders_before:
                     expanded[ref] = (value, resolved - resolved_before)
                 return value
@@ -116,8 +118,7 @@ def flatten(tree: dict) -> FlattenedContract:
         copied = None  # made at the first child whose expansion differs
         for key, value in items:
             kind = value.__class__
-            if kind is dict or kind is list or kind is not str and isinstance(
-                    value, (dict, list)):
+            if kind is dict or kind is list or kind is not str and isinstance(value, (dict, list)):
                 flat = expand(value, active)
                 if flat is not value:
                     if copied is None:
