@@ -13,8 +13,7 @@ from functools import cached_property
 from typing import Any, Iterator, Mapping
 
 from .errors import SchemeError
-from .ingest import api_title, flag, mapping, operations, parameters, sequence
-from .ingest import text
+from .ingest import api_title, flag, mapping, operations, sequence, text
 from .refs import FlattenedContract
 from .security import KIND_API_KEY, SecurityScheme, unique_name
 
@@ -163,6 +162,9 @@ def operation_auth(tree: dict, schemes: Mapping[str, object]) -> Iterator[tuple]
             readings[id(p)] = p, name, location, api_keys.get(slot(location, name))
         return readings[id(p)]
 
+    def read_all(node: dict) -> list[tuple]:  # as `ingest.parameters` filters them
+        return [read(p) for p in sequence(node, "parameters") if isinstance(p, dict)]
+
     def requirements(value: list) -> tuple[list[dict], str | None]:
         sets = [s for s in value if isinstance(s, dict)]
         return sets, next((k for s in sets for k in s if k not in schemes), None)
@@ -171,8 +173,8 @@ def operation_auth(tree: dict, schemes: Mapping[str, object]) -> Iterator[tuple]
     read_item = None
     for path, item, method, op in operations(tree):
         if item is not read_item:
-            read_item, shared = item, [read(p) for p in parameters(item)]
-        params = [read(p) for p in parameters(op)]
+            read_item, shared = item, read_all(item)
+        params = read_all(op)
         if shared:
             own = {r[1:3] for r in params}
             params = [r for r in shared if r[1:3] not in own] + params
