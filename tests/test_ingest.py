@@ -523,6 +523,7 @@ class TestReaders:
                 reader(node, key, required=required)
             assert caught.value.pointer == "#/f"
 
+
 # -- libyaml and the pure-Python loader --------------------------------------------
 
 YAML_SPECS = sorted(FIXTURES.glob("*.yaml")) + sorted(DEFECTS.glob("*.yaml"))
