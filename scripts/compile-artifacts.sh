@@ -10,7 +10,8 @@
 # (compiled with --fix and the vendor rules), and the benchmark's
 # generated specs at seed 1 (perfbench/specgen.py: the 500-op spec as
 # JSON, as block YAML and as flow-style YAML, the 1000-op spec as
-# flow-style YAML, the diamond and the cyclic spec). Three specs with
+# flow-style YAML, the diamond and the cyclic spec), and a small spec
+# with path-item parameters in each dialect. Three specs with
 # gaps are compiled with --fix and the vendor rules as well: the 500-op
 # spec as JSON with class E gaps, whose repairs are spliced; a small YAML
 # spec whose class B repair lands under an alias, so the whole document
@@ -69,6 +70,62 @@ for name, tree in (("generated500-flow", crud), ("generated1000-flow", crud_spec
 for name, tree in (("generated500", crud), ("diamond", diamond_spec(1)),
                    ("cyclic", cyclic_spec(1))):
     (out / f"{name}.yaml").write_text(to_yaml(tree), encoding="utf-8")
+# Path-item parameters in each dialect: inherited unless the operation's
+# own override them by name and `in` (absent `in` reads as query), a
+# formData field, an apiKey slot, an undeclared template variable and a
+# `parameters` that is not a list.
+(out / "item-params-2.0.yaml").write_text("""\
+swagger: '2.0'
+info: {title: Item Params 2.0, version: '1'}
+host: params.example
+securityDefinitions:
+  key: {type: apiKey, in: query, name: key}
+paths:
+  /notes/{id}/{rev}:
+    parameters:
+      - {name: id, in: path, required: true, type: string}
+      - {name: limit, type: integer}
+      - {name: limit, in: header, type: string}
+      - {name: title, in: formData, type: string}
+      - {name: key, in: query, type: string}
+    get:
+      parameters:
+        - {name: limit, in: query, type: string, required: true}
+      responses: {'200': {description: ok}}
+    post:
+      security: [{key: []}]
+      parameters:
+        - {name: title, in: formData, type: string, required: true}
+        - {name: tags, in: formData, type: array, items: {type: string}}
+      responses: {'201': {description: created}}
+  /notes:
+    parameters: not a list
+    get: {responses: {'200': {description: ok}}}
+""", encoding="utf-8")
+(out / "item-params-3.x.yaml").write_text("""\
+openapi: 3.0.3
+info: {title: Item Params 3.x, version: '1'}
+servers: [{url: 'https://params.example'}]
+paths:
+  /notes/{id}/{rev}:
+    parameters:
+      - {name: id, in: path, required: true, schema: {type: string}}
+      - {name: limit, schema: {type: integer}}
+      - {name: limit, in: header, schema: {type: string}}
+      - {name: X-Trace, in: header, schema: {type: string}}
+    get:
+      parameters:
+        - {name: limit, in: query, required: true, schema: {type: string}}
+        - {name: rev, in: path, required: true, schema: {type: string}}
+      responses: {'200': {description: ok}}
+    delete:
+      parameters:
+        - {name: X-Trace, in: header, required: true, schema: {type: string, enum: [a]}}
+      responses: {'204': {description: gone}}
+  /notes:
+    parameters: {name: q, in: query}
+    get: {responses: {'200': {description: ok}}}
+""", encoding="utf-8")
 PY
 
 for spec in tests/fixtures/*.json tests/fixtures/*.yaml "$specs"/*; do

@@ -13,11 +13,12 @@ from functools import cached_property
 from typing import Any, Iterator, Mapping
 
 from .errors import SchemeError
-from .ingest import api_title, flag, mapping, operations, sequence, text
+from .ingest import api_title, flag, mapping, operations, parameters, sequence, text
 from .refs import FlattenedContract
 from .security import KIND_API_KEY, SecurityScheme, unique_name
 
 TOOL_NAME_MAX = 64
+_LOCATIONS = ("path", "query", "header", "cookie")  # where a parameter is sent
 
 _SEPARATOR_RE = re.compile(r"[/\-.\s]+")
 _IDENT_RE = re.compile(r"[^a-z0-9_]+")
@@ -136,11 +137,11 @@ def operation_auth(tree: dict, schemes: Mapping[str, object]) -> Iterator[tuple]
     which compile and lint both iterate. `schemes` maps each declared
     scheme id to its reading.
 
-    The parameters are the path item's that none of the operation's own
-    overrides (by name and location, `in` defaulting to query), then its
-    own, each read as (node, name, location, id of the apiKey scheme
-    whose credential slot it is, else None): once per call, however many
-    operations share it, and a path item's once for all its operations.
+    The parameters are `ingest.parameters(op)`, the whole list
+    `normalize` gave the operation, each read as (node, name, location,
+    id of the apiKey scheme whose credential slot it is, else None), once
+    per call however many operations share it. One whose location is not
+    path, query, header or cookie is left out: nothing would send it.
     The first apiKey scheme sent at a name holds that slot; a header name
     matches in any case (RFC 9110 §5.1). The auth is the requirement
     sets, the operation's own `security` or else the document's, with
@@ -154,30 +155,22 @@ def operation_auth(tree: dict, schemes: Mapping[str, object]) -> Iterator[tuple]
     api_keys = {slot(s.location, s.parameter_name): s.id
                 for s in reversed(list(schemes.values()))
                 if isinstance(s, SecurityScheme) and s.kind == KIND_API_KEY}
-    readings: dict[int, tuple] = {}  # by the id of each parameter node read
+    readings: dict[int, tuple | None] = {}  # by the id of each parameter node read
 
-    def read(p: dict) -> tuple:
+    def read(p: dict) -> tuple | None:
         if id(p) not in readings:
             name, location = text(p, "name"), text(p, "in", "query")
-            readings[id(p)] = p, name, location, api_keys.get(slot(location, name))
+            slot_id = api_keys.get(slot(location, name))
+            readings[id(p)] = (p, name, location, slot_id) if location in _LOCATIONS else None
         return readings[id(p)]
-
-    def read_all(node: dict) -> list[tuple]:  # as `ingest.parameters` filters them
-        return [read(p) for p in sequence(node, "parameters") if isinstance(p, dict)]
 
     def requirements(value: list) -> tuple[list[dict], str | None]:
         sets = [s for s in value if isinstance(s, dict)]
         return sets, next((k for s in sets for k in s if k not in schemes), None)
 
     default = requirements(sequence(tree, "security"))
-    read_item = None
-    for path, item, method, op in operations(tree):
-        if item is not read_item:
-            read_item, shared = item, read_all(item)
-        params = read_all(op)
-        if shared:
-            own = {r[1:3] for r in params}
-            params = [r for r in shared if r[1:3] not in own] + params
+    for path, _, method, op in operations(tree):
+        params = [r for r in map(read, parameters(op)) if r is not None]
         own_security = sequence(op, "security", None)
         sets, undeclared = default if own_security is None else requirements(own_security)
         if undeclared is not None:

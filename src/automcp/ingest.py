@@ -245,13 +245,17 @@ def operations(tree: dict) -> Iterator[tuple[str, dict, str, dict]]:
     """(path, path item, method, operation) for every operation, in
     document order: each mapping under an HTTP-method key of a mapping
     path item. The one definition of an operation; every other walk over
-    `paths` iterates this."""
+    `paths` iterates this or, for one path item, `_item_operations`."""
     paths = mapping(tree, "paths")
     for path in paths:
         item = mapping(paths, path)
-        for method, op in item.items():
-            if method in HTTP_METHODS and isinstance(op, dict):
-                yield path, item, method, op
+        for method, op in _item_operations(item):
+            yield path, item, method, op
+
+
+def _item_operations(item: dict) -> Iterator[tuple[str, dict]]:
+    """(method, operation) for every operation of the path item `item`."""
+    return ((m, op) for m, op in item.items() if m in HTTP_METHODS and isinstance(op, dict))
 
 
 def parameters(node: dict) -> list[dict]:
@@ -265,22 +269,60 @@ def normalize(doc: RawDocument | FlattenedContract) -> dict:
 
     Runs on the flattened tree (``contract = flatten(raw.tree);
     contract.tree = normalize(contract)``), so it sees no `$ref`. Total on
-    parseable documents: 2.0 constructs are relocated, and undeclared path
-    template variables gain a synthesized required string parameter.
-    operationIds are left as they are; the compiler makes tool names
-    unique. Idempotent. `doc.tree` is never changed: only what is
-    rewritten is copied, and the result shares the rest with it.
+    parseable documents: 2.0 constructs are relocated, and each operation
+    gets its whole parameter list, so no path item keeps `parameters`.
+    The list is the path item's parameters that none of the operation's
+    own overrides (by name and `in`, `in` defaulting to query), then its
+    own, then a required string parameter for each path template
+    variable that none of them declares. operationIds are left as they
+    are; the compiler makes tool names unique. Idempotent. `doc.tree` is
+    never changed: only what is rewritten is copied, and the result
+    shares the rest with it. A path item's parameters are converted once
+    for all its operations, so their lists share those nodes.
     """
     tree = doc.tree
-    if text(tree, "swagger") == "2.0":
-        tree = _convert_2_0(tree)
-    return _synthesize_path_params(tree)
+    swagger = text(tree, "swagger") == "2.0"
+    out = _convert_2_0(tree) if swagger else tree
+    paths = mapping(tree, "paths", None)
+    if paths is None:  # missing or not a mapping: validation rejects it
+        return out
+    media = sequence(tree, "consumes"), sequence(tree, "produces")
+
+    def read(node: dict) -> list[dict]:  # each 2.0 one in 3.x shape
+        found = parameters(node)
+        return [_convert_parameter(p) for p in found] if swagger else found
+
+    def key(param: dict) -> tuple[str, str]:
+        return text(param, "name"), text(param, "in", "query")
+
+    items = {}  # each path item rewritten, by its path
+    for path, item in paths.items():
+        variables = _PATH_VAR_RE.findall(path)
+        if not isinstance(item, dict) or not (swagger or variables or "parameters" in item):
+            continue
+        inherited, ops = read(item), {}
+        for method, op in _item_operations(item):
+            own = read(op)
+            keys = {key(p) for p in own}
+            params = [p for p in inherited if key(p) not in keys] + own
+            declared = {text(p, "name") for p in params if p.get("in") == "path"}
+            params += [{"name": var, "in": "path", "required": True,
+                        "schema": {"type": "string"}}
+                       for var in variables if var not in declared]
+            if swagger:
+                ops[method] = _convert_operation(op, params, *media)
+            elif len(params) > len(own):  # it inherits or gains one
+                ops[method] = {**op, "parameters": params}
+        if swagger or ops or "parameters" in item:
+            items[path] = {k: ops.get(k, v) for k, v in item.items() if k != "parameters"}
+    return {**out, "paths": {**paths, **items}} if swagger or items else out
 
 
 # -- 2.0 conversion ----------------------------------------------------------
 
 
 def _convert_2_0(tree: dict) -> dict:
+    """The root of `tree` in 3.x shape; `normalize` converts its paths."""
     out: dict = {"openapi": "3.0.3"}
     for key, value in tree.items():
         if key not in _SWAGGER_ONLY_KEYS and key != "paths":
@@ -298,16 +340,6 @@ def _convert_2_0(tree: dict) -> dict:
             name: _convert_security_scheme(scheme_node)
             for name, scheme_node in declared.items()
         }}
-
-    paths = mapping(tree, "paths", None)
-    if paths is None:  # missing or not a mapping: validation rejects it
-        return out
-    consumes = sequence(tree, "consumes")
-    produces = sequence(tree, "produces")
-    out["paths"] = {path: _convert_path_item(mapping(paths, path)) for path in paths}
-    for path, item, method, op in operations(out):
-        shared = [p for p in parameters(paths[path]) if p.get("in") in _BODY_LOCATIONS]
-        item[method] = _convert_operation(op, shared, consumes, produces)
     return out
 
 
@@ -347,34 +379,19 @@ def _convert_security_scheme(node: Any) -> Any:
     return node  # apiKey and anything else keep their 3.x-compatible shape
 
 
-def _convert_path_item(item: dict) -> dict:
-    converted = dict(item)  # YAML aliases can share one item between paths
-    if "parameters" in item:  # body and formData ones go to each operation
-        converted["parameters"] = [
-            _convert_parameter(p) for p in parameters(item)
-            if p.get("in") not in _BODY_LOCATIONS
-        ]
-    return converted
-
-
 def _convert_operation(
-    op: dict, shared: list[dict], doc_consumes: list, doc_produces: list
+    op: dict, params: list[dict], doc_consumes: list, doc_produces: list
 ) -> dict:
-    """`op` in 3.x shape. `shared` holds its path item's body and formData
-    parameters, which it inherits unless it overrides them."""
+    """`op` in 3.x shape. `params` is its whole parameter list, each one
+    already converted: its body and formData ones go to `requestBody`."""
     consumes = sequence(op, "consumes") or doc_consumes
     produces = sequence(op, "produces") or doc_produces
     out = {k: v for k, v in op.items() if k not in ("consumes", "produces")}
 
-    own = parameters(out)  # overrides each shared one of its name and `in`
-    keys = {(text(p, "name"), text(p, "in", "query")) for p in own}
-    params = [p for p in shared if (text(p, "name"), text(p, "in", "query")) not in keys]
-    params += own
     body_params = [p for p in params if p.get("in") == "body"]
     # a parameter with no name reads as absent
     form_params = [p for p in params if p.get("in") == "formData" and text(p, "name")]
-    rest = [p for p in params if p.get("in") not in _BODY_LOCATIONS]
-    out["parameters"] = [_convert_parameter(p) for p in rest]
+    out["parameters"] = [p for p in params if p.get("in") not in _BODY_LOCATIONS]
     if not out["parameters"]:
         del out["parameters"]
 
@@ -410,7 +427,9 @@ def _convert_operation(
 
 
 def _convert_parameter(param: dict) -> dict:
-    if "schema" in param or not any(
+    """`param` in 3.x shape. A body or formData one keeps its own:
+    `_convert_operation` builds the request body from it."""
+    if "schema" in param or param.get("in") in _BODY_LOCATIONS or not any(
             k in param for k in ("type", "items", "enum", "format", "default")):
         return param
     kept = {
@@ -436,42 +455,3 @@ def _convert_response(resp: dict, media: str) -> dict:
     converted = {k: v for k, v in resp.items() if k != "schema"}
     converted["content"] = {media: {"schema": resp["schema"]}}
     return converted
-
-
-# -- repairs shared by both dialects -----------------------------------------
-
-
-def _synthesize_path_params(tree: dict) -> dict:
-    """`tree` with each undeclared path template variable declared as a
-    required string parameter. Copies the root, `paths` and each path item
-    and operation it rewrites, once per path: a YAML alias or a shared
-    `$ref` expansion may put one under several paths. A path item's
-    parameters are read once for all its operations, and an operation's
-    only when its path item leaves a variable undeclared."""
-    out = tree
-    read_path = None
-    for path, item, method, op in operations(tree):
-        if path != read_path:
-            read_path = path
-            undeclared = _undeclared(_PATH_VAR_RE.findall(path), item)
-        missing = _undeclared(undeclared, op) if undeclared else undeclared
-        if not missing:
-            continue
-        synthesized = [
-            {"name": var, "in": "path", "required": True, "schema": {"type": "string"}}
-            for var in missing
-        ]
-        if out is tree:
-            out = {**tree, "paths": dict(tree["paths"])}
-        paths = out["paths"]
-        if paths[path] is item:
-            paths[path] = dict(item)
-        params = sequence(op, "parameters") + synthesized
-        paths[path][method] = {**op, "parameters": params}
-    return out
-
-
-def _undeclared(variables: list[str], node: dict) -> list[str]:
-    """Those of `variables` that no path parameter of `node` declares."""
-    declared = {text(p, "name") for p in parameters(node) if p.get("in") == "path"}
-    return [var for var in variables if var not in declared]

@@ -363,11 +363,9 @@ def _no_netrc(request):
 
 
 def _scalar(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (dict, list)):
-        return json.dumps(value)
-    return str(value)
+    """A value's wire text: a string as itself, any other value as its
+    JSON text (`true`, `3`, `NaN`, `{"a": 1}`)."""
+    return value if isinstance(value, str) else json.dumps(value)
 
 
 def _add_field(fields: dict[str, object], name: str, value, arg: str) -> None:

@@ -132,6 +132,11 @@ def _parse_flows(scheme_id: str, flows: dict) -> OAuth2Flows:
     )
 
 
+# Each line break `str.splitlines` splits at, as its escape: spec text in
+# a .env comment stays on its line.
+_BREAKS = {ord(c): ascii(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+
+
 def build_env_map(
     schemes: list[SecurityScheme], api_title: str
 ) -> tuple[list[EnvBinding], str]:
@@ -147,30 +152,31 @@ def build_env_map(
         bindings.append(binding)
         return binding
 
-    lines = [f"# Credentials for {api_title or 'API'}".rstrip()]
+    lines = [f"# Credentials for {(api_title or 'API').translate(_BREAKS)}".rstrip()]
     for scheme in schemes:
+        scheme_id = scheme.id.translate(_BREAKS)
         if scheme.kind == KIND_API_KEY:
             role = sanitize_env_component(scheme.id) or "API_KEY"
             binding = bind(scheme.id, role)
             lines.append(
-                f"# {scheme.id}: API key sent in {scheme.location} "
+                f"# {scheme_id}: API key sent in {scheme.location} "
                 f"{scheme.parameter_name!r}"
             )
             lines.append(f"{binding.env_var}=")
         elif scheme.kind == KIND_HTTP_BASIC:
             user = bind(scheme.id, "USERNAME")
             password = bind(scheme.id, "PASSWORD")
-            lines.append(f"# {scheme.id}: HTTP Basic credentials")
+            lines.append(f"# {scheme_id}: HTTP Basic credentials")
             lines.append(f"{user.env_var}=")
             lines.append(f"{password.env_var}=")
         elif scheme.kind == KIND_HTTP_BEARER:
             binding = bind(scheme.id, "TOKEN")
-            lines.append(f"# {scheme.id}: HTTP Bearer token")
+            lines.append(f"# {scheme_id}: HTTP Bearer token")
             lines.append(f"{binding.env_var}=")
         elif scheme.kind == KIND_OAUTH2:
             binding = bind(scheme.id, "ACCESS_TOKEN")
             lines.append(
-                f"# {scheme.id}: OAuth2 access token "
+                f"# {scheme_id}: OAuth2 access token "
                 f"(fill manually or run the token acquisition helper)"
             )
             lines.append(f"{binding.env_var}=")

@@ -310,6 +310,13 @@ class TestEchoStage:
         report = evaluate_spec_file(write_spec(tmp_path, paths), env={})
         assert outcomes(report) == {"listitems": (True, "ok", "")}
 
+    def test_non_finite_number_example_passes(self, tmp_path):
+        """`.nan` goes out as its JSON text, `NaN`, as every other number does."""
+        spec = tmp_path / "nan.yaml"
+        spec.write_text(NAN_SPEC, encoding="utf-8")
+        report = evaluate_spec_file(spec, env={})
+        assert outcomes(report) == {"getreading": (True, "ok", "")}
+
 
 FORM_PATHS = {"/things": {"post": {"operationId": "createThing", "requestBody": {
     "required": True, "content": {"application/x-www-form-urlencoded": {"schema": {
@@ -363,6 +370,20 @@ def forgetful_apply(self, tool, path, query, body):
 
 
 # `example: 2020-01-01` reads as the text "2020-01-01", not as a date
+NAN_SPEC = """\
+openapi: 3.0.3
+info: {title: Readings, version: "1"}
+servers: [{url: "https://readings.example"}]
+paths:
+  /readings:
+    get:
+      operationId: getReading
+      parameters:
+        - {name: x, in: query, schema: {type: number}, example: .nan}
+      responses: {"200": {description: ok}}
+"""
+
+
 DATE_SPEC = """\
 openapi: 3.0.3
 info: {title: Dates, version: "1"}

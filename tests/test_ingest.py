@@ -7,6 +7,7 @@ import datetime
 import json
 import re
 import time
+from pathlib import Path
 
 import pytest
 import yaml
@@ -21,6 +22,7 @@ from automcp.ingest import (
     DIALECT_3_X,
     FORMAT_JSON,
     FORMAT_YAML,
+    RawDocument,
     load_document,
     normalize,
     resolve_base_url,
@@ -222,6 +224,69 @@ SWAGGER_DOC = {
 }
 
 
+# Path-item parameter inheritance: (path, the path item's parameters,
+# the operation's, the operation's whole list after `normalize`). Each
+# parameter is (name, its `in` or None for none, type).
+ITEM_PARAMETER_CASES = {
+    "override-with-absent-in-on-the-item": (
+        "/a", [("a", None, "string")], [("a", "query", "integer")],
+        [("a", "query", "integer")]),
+    "override-with-absent-in-on-the-operation": (
+        "/a", [("a", "query", "string")], [("a", None, "integer")],
+        [("a", None, "integer")]),
+    "same-name-under-another-in-both-kept": (
+        "/a", [("a", "header", "string")], [("a", "query", "integer")],
+        [("a", "header", "string"), ("a", "query", "integer")]),
+    "form-field-overridden": (
+        "/a", [("t", "formData", "string"), ("q", "query", "string")],
+        [("t", "formData", "integer")],
+        [("q", "query", "string"), ("t", "formData", "integer")]),
+    "path-variable-on-the-item": (
+        "/a/{id}", [("id", "path", "integer")], [], [("id", "path", "integer")]),
+    "path-variable-on-the-operation": (
+        "/a/{id}", [], [("id", "path", "integer")], [("id", "path", "integer")]),
+    "path-variable-declared-nowhere": (
+        "/a/{id}", [], [("q", "query", "integer")],
+        [("q", "query", "integer"), ("id", "path", "string")]),
+    "item-parameters-not-a-list": (
+        "/a", {"name": "q", "in": "query"}, [("x", "query", "integer")],
+        [("x", "query", "integer")]),
+}
+DIALECTS = ("2.0", "3.x")
+
+
+def item_parameter_doc(dialect, path, item_params, op_params) -> RawDocument:
+    """A one-operation (POST) document in `dialect` with the given path
+    item and operation parameters."""
+    def node(name, location, kind):
+        param = {"name": name} if location is None else {"name": name, "in": location}
+        if dialect == "2.0":
+            return {**param, "type": kind}
+        return {**param, "schema": {"type": kind}}
+
+    if isinstance(item_params, list):
+        item_params = [node(*p) for p in item_params]
+    op = {"parameters": [node(*p) for p in op_params],
+          "responses": {"200": {"description": "ok"}}}
+    root = ({"swagger": "2.0", "host": "t.example"} if dialect == "2.0"
+            else {"openapi": "3.0.3", "servers": [{"url": "https://t.example"}]})
+    tree = {**root, "info": {"title": "T", "version": "1"},
+            "paths": {path: {"parameters": item_params, "post": op}}}
+    return RawDocument(Path("case.json"), FORMAT_JSON,
+                       DIALECT_2_0 if dialect == "2.0" else DIALECT_3_X, tree)
+
+
+def whole_list(op) -> list[tuple]:
+    """A normalized operation's parameters as (name, `in`, type), its form
+    body's fields (from 2.0 formData) last."""
+    params = [(p["name"], p.get("in"), p["schema"]["type"])
+              for p in op.get("parameters", [])]
+    media = op.get("requestBody", {}).get("content", {})
+    form = media.get("application/x-www-form-urlencoded", {}).get("schema", {})
+    return params + [(name, "formData", schema["type"])
+                     for name, schema in form.get("properties", {}).items()]
+
+
 SPEC_FILES = sorted(
     p for p in list(FIXTURES.iterdir()) + list(DEFECTS.iterdir())
     if p.suffix in (".json", ".yaml")
@@ -305,13 +370,27 @@ class TestNormalize:
             }},
         })))
         item = normalize(doc)["paths"]["/a"]
-        assert item["parameters"] == [{"name": "q", "in": "query", "schema": {"type": "string"}}]
+        assert "parameters" not in item
+        assert item["post"]["parameters"] == [
+            {"name": "q", "in": "query", "schema": {"type": "string"}}]
         media = item["post"]["requestBody"]["content"]["application/x-www-form-urlencoded"]
         assert media["schema"] == {
             "type": "object",
             "properties": {"a": {"type": "string"}, "b": {"type": "integer"}},
             "required": ["b"],
         }
+
+    def test_body_parameter_is_not_converted_as_a_parameter(self, tmp_path):
+        """A body parameter with no `schema` gives an empty body schema,
+        inherited from the path item or not: its `type` stays where it is."""
+        untyped = {"name": "b", "in": "body", "type": "string"}
+        tree = {"swagger": "2.0", "host": "h.example", "paths": {
+            "/own": {"post": {"parameters": [untyped], "responses": {}}},
+            "/item": {"parameters": [untyped], "post": {"responses": {}}}}}
+        paths = normalize(load_document(write(tmp_path, "b.json", json.dumps(tree))))
+        for path in ("/own", "/item"):
+            body = paths["paths"][path]["post"]["requestBody"]
+            assert body["content"] == {"application/json": {"schema": {}}}
 
     def test_response_schema_moved_under_content(self, swagger_doc):
         op = build_contract(swagger_doc).tree["paths"]["/items"]["post"]
@@ -331,8 +410,8 @@ class TestNormalize:
             "get": {"parameters": [with_schema], "responses": {}}}}}
         item = normalize(load_document(write(tmp_path, "s.json", json.dumps(tree))))
         item = item["paths"]["/x"]
-        assert item["parameters"] == [untyped]
-        assert item["get"]["parameters"] == [with_schema]
+        assert "parameters" not in item
+        assert item["get"]["parameters"] == [untyped, with_schema]
 
     def test_duplicate_operation_ids_suffixed(self, swagger_doc):
         contract = build_contract(swagger_doc)
@@ -375,16 +454,19 @@ class TestNormalize:
         assert tree["servers"] == [{"url": "https://legacy.example/api"}]
 
     def test_idempotent(self, swagger_doc):
-        once = normalize(swagger_doc)
-        twice = normalize(
-            type(swagger_doc)(
-                source_path=swagger_doc.source_path,
-                format=swagger_doc.format,
-                dialect="openapi_3_x",
-                tree=copy.deepcopy(once),
+        cases = [item_parameter_doc(dialect, *case[:3]) for dialect in DIALECTS
+                 for case in ITEM_PARAMETER_CASES.values()]
+        for doc in [swagger_doc, *cases]:
+            once = normalize(doc)
+            twice = normalize(
+                type(doc)(
+                    source_path=doc.source_path,
+                    format=doc.format,
+                    dialect="openapi_3_x",
+                    tree=copy.deepcopy(once),
+                )
             )
-        )
-        assert twice == once
+            assert twice == once
 
     def test_idempotent_on_3_x_fixture(self):
         doc = load_document(fixture_path("allauth.yaml"))
@@ -403,6 +485,20 @@ class TestNormalize:
         before = copy.deepcopy(doc.tree)
         normalize(doc)
         assert doc.tree == before
+
+    @pytest.mark.parametrize("dialect", DIALECTS)
+    @pytest.mark.parametrize("case", ITEM_PARAMETER_CASES)
+    def test_operation_gets_its_whole_parameter_list(self, case, dialect):
+        """The path item's parameters the operation's own do not override
+        (by name and `in`, an absent `in` read as query), then its own,
+        then a required string for each undeclared path variable."""
+        path, item_params, op_params, expected = ITEM_PARAMETER_CASES[case]
+        doc = item_parameter_doc(dialect, path, item_params, op_params)
+        before = copy.deepcopy(doc.tree)
+        item = normalize(doc)["paths"][path]
+        assert doc.tree == before
+        assert "parameters" not in item
+        assert whole_list(item["post"]) == expected
 
     def test_every_path_var_declared_after_normalize(self, swagger_doc):
         tree = normalize(swagger_doc)

@@ -404,6 +404,60 @@ class TestInvokeTool:
         assert record.query == {"active": "true", "filter": '{"a": 1}',
                                 "tags": "false", "n": "3"}
 
+    @pytest.mark.parametrize("name", ["x", "y"])
+    def test_parameter_sent_nowhere_is_no_argument(self, tmp_path, name):
+        """A 3.x parameter whose `in` is not path, query, header or cookie
+        (a 2.0 `formData`, a `Query`) would be sent nowhere."""
+        tree = {
+            "openapi": "3.0.0",
+            "info": {"title": "Odd", "version": "1"},
+            "servers": [{"url": "https://odd.example"}],
+            "paths": {"/a": {"get": {
+                "operationId": "get_a",
+                "parameters": [
+                    {"name": "x", "in": "formData", "schema": {"type": "string"}},
+                    {"name": "y", "in": "Query", "schema": {"type": "string"}}],
+                "responses": {"200": {"description": "ok"}},
+            }}},
+        }
+        spec = tmp_path / "odd.json"
+        spec.write_text(json.dumps(tree), encoding="utf-8")
+        compiled = compile_file(spec)
+        tool = compiled.manifest.tool("get_a")
+        assert tool.input_schema["properties"] == {}
+        assert tool.endpoint.parameters == []
+        with run_mock_upstream(compiled.manifest) as mock:
+            with pytest.raises(SchemaViolation):
+                invoke_tool(tool, {name: "1"}, {}, mock.base_url,
+                            compiled.manifest.schemes, compiled.bindings)
+            assert mock.records == []
+
+    def test_non_finite_numbers_go_out_as_their_json_text(self, tmp_path):
+        tree = {
+            "openapi": "3.0.0",
+            "info": {"title": "Query", "version": "1"},
+            "servers": [{"url": "https://query.example"}],
+            "paths": {"/range/{low}": {"get": {
+                "parameters": [
+                    {"name": "low", "in": "path", "schema": {"type": "number"}},
+                    {"name": "high", "in": "query", "schema": {"type": "number"}},
+                    {"name": "X-Step", "in": "header", "schema": {"type": "number"}}],
+                "responses": {"200": {"description": "ok"}},
+            }}},
+        }
+        spec = tmp_path / "range.json"
+        spec.write_text(json.dumps(tree), encoding="utf-8")
+        compiled = compile_file(spec)
+        args = {"low": float("-inf"), "high": float("inf"), "x_step": float("nan")}
+        with run_mock_upstream(compiled.manifest) as mock:
+            result = invoke_tool(compiled.manifest.tools[0], args, {}, mock.base_url,
+                                 compiled.manifest.schemes, compiled.bindings)
+            record = mock.last_record()
+        assert result.http_status == 200
+        assert record.path_params == {"low": "-Infinity"}
+        assert record.query == {"high": "Infinity"}
+        assert record.headers["X-Step"] == "NaN"
+
     def test_cookie_auth_merges_with_cookie_params(self, tmp_path):
         tree = {
             "openapi": "3.0.0",

@@ -196,6 +196,22 @@ class TestBuildEnvMap:
         bindings, _ = build_env_map(schemes, "Api")
         assert len({b.env_var for b in bindings}) == 2
 
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\x85", "\u2028"],
+                             ids=["LF", "CR", "NEL", "LS"])
+    def test_line_break_in_spec_text_adds_no_line(self, tmp_path, brk):
+        """A title or scheme id is spec text: each line break in it is
+        written as its escape, so it stays in its comment."""
+        schemes = [SecurityScheme(f"{kind}{brk}DEMO_OTHER=x", kind, "query", "k")
+                   for kind in (KIND_API_KEY, KIND_HTTP_BASIC, KIND_HTTP_BEARER,
+                                KIND_OAUTH2)]
+        bindings, template = build_env_map(schemes, f"Demo{brk}DEMO_K=from-the-spec")
+        env = tmp_path / ".env"
+        env.write_text(template, encoding="utf-8")
+        expected = {b.env_var: "" for b in bindings}
+        assert read_env_file(env) == {**expected, "EXTRA_HEADERS": ""}
+        escape = ascii(brk)[1:-1]
+        assert template.splitlines()[0] == f"# Credentials for Demo{escape}DEMO_K=from-the-spec"
+
 
 class TestSanitize:
     @pytest.mark.parametrize(
