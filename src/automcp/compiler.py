@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .errors import SchemeError
 from .ingest import api_title, flag, mapping, operations, parameters, sequence, text
@@ -49,9 +49,8 @@ class EndpointDescriptor:
 
 @dataclass
 class ToolSpec:
-    """One compiled tool. The tools of a manifest may share schema nodes
-    (`compile_manifest` copies each contract node once and builds each
-    parameter's property once), so nothing writes to a compiled schema."""
+    """One compiled tool. Its schema shares nodes with the contract and
+    with other tools (`compile_manifest`), so nothing writes to it."""
 
     tool_name: str
     description: str
@@ -88,12 +87,13 @@ def compile_manifest(
     credential slot is never a tool argument. The success status is the
     smallest declared 2xx code, defaulting to 200. Raises SchemeError
     (class A) when an operation requires a scheme that `schemes` does not
-    hold. Schemas and examples are copied by `_copy_json`, through one
-    memo per compile, so each contract node is copied once, however many
-    tools use it, and the manifest shares no node with the contract.
+    hold. The loaded tree, the contract and the manifest are one
+    read-only graph: a request body's schema is the contract's node, and
+    the only new nodes are those compile writes, each parameter's
+    property built once however many tools use it.
     """
     tree = contract.tree
-    memo: dict = {}  # one `_copy_json` memo: tools share the copies
+    param_properties: dict[int, tuple[dict, bool]] = {}  # by parameter node id
     identifiers: dict[str, str] = {}  # each parameter name, sanitized once
     taken: set[str] = set()
     tools: list[ToolSpec] = []
@@ -106,12 +106,11 @@ def compile_manifest(
         content = mapping(request_body, "content")
         content_type = _pick_media_type(content)
         specs, properties, required = _compile_parameters(
-            params, memo, identifiers,
+            params, param_properties, identifiers,
             names={"body"} if content_type is not None else set(),
         )
         if content_type is not None:
-            properties["body"] = _copy_json(
-                mapping(mapping(content, content_type), "schema"), memo)
+            properties["body"] = mapping(mapping(content, content_type), "schema")
             if flag(request_body, "required"):
                 required.append("body")
 
@@ -252,15 +251,17 @@ def manifest_to_dict(manifest: ToolManifest, include_bindings: bool = False) -> 
 
 
 def _compile_parameters(
-    params: list[tuple], memo: dict, identifiers: dict[str, str], names: set[str]
+    params: list[tuple], param_properties: dict, identifiers: dict[str, str], names: set[str]
 ) -> tuple[list[ParamSpec], dict[str, dict], list[str]]:
     """The ParamSpecs of an operation's parameters, as `operation_auth`
     reads them, and the input-schema properties and required names of
     those that are not credential slots. Each sanitized name (kept in
     `identifiers`) is made unique within `names`. Each parameter's
-    property is built once per compile, kept in `memo` under ("property",
-    its id); its schema is copied through `memo`, under a top-level dict
-    of its own."""
+    property, a top-level copy of its schema that takes the `example`,
+    `description` or `{"type": "string"}` compile writes, is built once
+    per compile and kept in `param_properties`, with whether it is
+    required, under the parameter node's id: the contract holds every
+    node, so no id is reused."""
     specs: list[ParamSpec] = []
     properties: dict[str, dict] = {}
     required: list[str] = []
@@ -271,45 +272,20 @@ def _compile_parameters(
         specs.append(spec)
         if slot is not None:
             continue
-        key = ("property", id(param))
-        if key not in memo:
-            schema = dict(_copy_json(mapping(param, "schema"), memo))
+        if id(param) not in param_properties:
+            schema = dict(mapping(param, "schema"))
             if "example" in param and "example" not in schema:
-                schema["example"] = _copy_json(param["example"], memo)
+                schema["example"] = param["example"]
             if not schema:
                 schema = {"type": "string"}
             description = text(param, "description")
             if description and "description" not in schema:
                 schema["description"] = description
-            memo[key] = schema, location == "path" or flag(param, "required")
-        properties[spec.sanitized_name], needed = memo[key]
+            param_properties[id(param)] = schema, location == "path" or flag(param, "required")
+        properties[spec.sanitized_name], needed = param_properties[id(param)]
         if needed:
             required.append(spec.sanitized_name)
     return specs, properties, required
-
-
-def _copy_json(node: Any, memo: dict) -> Any:
-    """`node` with each dict and list under it rebuilt, and each scalar as
-    it is: a loaded tree holds only JSON values (`yamltree`), whose
-    scalars are immutable. `memo` maps the id of each container copied
-    so far to it and its copy, so a node reached twice is copied once,
-    and holding the original keeps its id from being reused."""
-    seen = memo.get(id(node))
-    if seen is not None:
-        return seen[1]
-    if isinstance(node, dict):
-        items = node.items()
-    elif isinstance(node, list):
-        items = enumerate(node)
-    else:
-        return node
-    copied = node.copy()
-    memo[id(node)] = (node, copied)
-    for key, value in items:
-        kind = value.__class__  # a loaded tree's exact classes first
-        if kind is dict or kind is list or kind is not str and isinstance(value, (dict, list)):
-            copied[key] = _copy_json(value, memo)
-    return copied
 
 
 def _pick_success_status(responses: dict) -> int:

@@ -100,12 +100,12 @@ class MissingCredential(AutoMcpError):
 
 
 class UnsendableCredential(MissingCredential):
-    """A credential's value cannot be encoded where its scheme sends it."""
+    """A credential's value cannot be sent where its scheme sends it."""
 
-    def __init__(self, env_var: str, codec: str) -> None:
+    def __init__(self, env_var: str, what: str) -> None:
         self.env_var = env_var
         AutoMcpError.__init__(
-            self, f"credential {env_var} cannot be sent: its value is not {codec} text")
+            self, f"credential {env_var} cannot be sent: its value is not {what}")
 
 
 class TransportError(AutoMcpError):

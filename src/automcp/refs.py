@@ -17,8 +17,9 @@ class FlattenedContract:
     """A document with every $ref inlined, then `ingest.normalize`d.
 
     `tree` shares every node it does not rewrite with the loaded tree,
-    and acyclic targets are expanded once and shared by all their uses,
-    so `tree` is read-only: copy a subtree before changing it.
+    and acyclic targets are expanded once and shared by all their uses;
+    the compiled manifest shares its nodes in turn. So `tree` is
+    read-only: copy a subtree before changing it.
     """
 
     tree: dict

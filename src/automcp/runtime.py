@@ -62,6 +62,7 @@ DEFAULT_TIMEOUT_SECONDS = 30.0
 _CALL_WORKERS = 4  # upstream calls in flight at once under `serve`
 # RFC 6265 §4.1.1's cookie-octet: US-ASCII but controls, whitespace, DQUOTE, `,`, `;`, `\`
 _COOKIE_OCTETS = re.compile(r"[\x21\x23-\x2b\x2d-\x3a\x3c-\x5b\x5d-\x7e]*")
+_TOKEN = re.compile(r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")  # a header name (RFC 9110 §5.6.2)
 REDACTED = "***"
 
 _RPC_PARSE_ERROR = -32700
@@ -127,7 +128,9 @@ def _apply_scheme(
     """Inject one scheme into the plan; returns why it is unmet (an empty
     variable, or a value its place cannot carry) instead of mutating
     further. A header or cookie takes Latin-1 text; a query, and the
-    `user:password` that Basic encodes, UTF-8."""
+    `user:password` that Basic encodes, UTF-8. Then a header value as
+    sent (the key, or `Bearer <token>`) must be one `_is_header_value`
+    allows, and a cookie value cookie-octets, as an argument's must."""
     codec = "latin-1"
     if scheme.kind == KIND_HTTP_BASIC or (
             scheme.kind == KIND_API_KEY and scheme.location == "query"):
@@ -138,23 +141,27 @@ def _apply_scheme(
         if not value:
             return MissingCredential(binding.env_var)
         if not encodes(value, codec):
-            return UnsendableCredential(binding.env_var, codec)
+            return UnsendableCredential(binding.env_var, f"{codec} text")
         values[binding.role] = value
 
-    if scheme.kind == KIND_API_KEY:
-        secret = next(iter(values.values()))
-        if scheme.location == "header":
-            plan.headers[scheme.parameter_name] = secret
-        elif scheme.location == "query":
-            plan.query[scheme.parameter_name] = secret
-        else:  # cookie
-            _append_cookie(plan, scheme.parameter_name, secret)
-    elif scheme.kind == KIND_HTTP_BASIC:
+    if scheme.kind == KIND_HTTP_BASIC:
         userpass = f"{values.get('USERNAME', '')}:{values.get('PASSWORD', '')}"
         token = base64.b64encode(userpass.encode()).decode()
         plan.headers["Authorization"] = f"Basic {token}"
-    elif scheme.kind in (KIND_HTTP_BEARER, KIND_OAUTH2):
-        plan.headers["Authorization"] = f"Bearer {next(iter(values.values()))}"
+        return None
+    secret = next(iter(values.values()))
+    if scheme.kind == KIND_API_KEY and scheme.location == "query":
+        plan.query[scheme.parameter_name] = secret
+    elif scheme.kind == KIND_API_KEY and scheme.location == "cookie":
+        if not _COOKIE_OCTETS.fullmatch(secret):
+            return UnsendableCredential(scheme_bindings[0].env_var, "a cookie value")
+        _append_cookie(plan, scheme.parameter_name, secret)
+    else:  # a header: the key, or a Bearer or OAuth2 token
+        name, sent = ((scheme.parameter_name, secret) if scheme.kind == KIND_API_KEY
+                      else ("Authorization", f"Bearer {secret}"))
+        if not _is_header_value(sent):
+            return UnsendableCredential(scheme_bindings[0].env_var, "a header value")
+        plan.headers[name] = sent
     return None
 
 
@@ -192,11 +199,12 @@ def parse_extra_headers(raw: str) -> dict[str, str]:
         raise ExtraHeadersParseError(
             "EXTRA_HEADERS must be a JSON object of string -> string"
         )
-    for name, value in parsed.items():  # as http.client writes a header
-        if not (encodes(name, "ascii") and encodes(value, "latin-1")):
+    for name, value in parsed.items():  # by the rules of RFC 9110 §5.1 and §5.5
+        if not (_TOKEN.fullmatch(name) and encodes(value, "latin-1")
+                and _is_header_value(value)):
             raise ExtraHeadersParseError(
-                f"EXTRA_HEADERS entry {name!r} needs an ASCII name and a Latin-1 value"
-            )
+                f"EXTRA_HEADERS entry {name!r} needs a token name and a Latin-1 value "
+                "with no CR, LF or NUL and no leading or trailing space or tab")
     return parsed
 
 
@@ -322,17 +330,12 @@ def invoke_tool(
             headers["Content-Type"] = content_type
 
     url = base_url.rstrip("/") + path
-    import requests  # see the module docstring
-
     try:
-        response = requests.request(
-            ep.method, url, params=query, headers=headers, auth=_no_netrc,
-            timeout=timeout, **body_kwargs,
-        )
-    except requests.RequestException as exc:
+        response = _send(ep.method, url, query, headers, body_kwargs, timeout)
+    except TransportError as exc:
         secrets = _bound_secrets(schemes, bindings, env)
-        detail = _redact(f"{exc.__class__.__name__}: {exc}", secrets)
-        raise TransportError(f"{ep.method} {_redact(url, secrets)}: {detail}") from exc
+        raise TransportError(
+            f"{ep.method} {_redact(url, secrets)}: {_redact(str(exc), secrets)}") from exc
 
     body: object
     content_type = response.headers.get("Content-Type", "")
@@ -353,6 +356,20 @@ def invoke_tool(
         body=body,
         is_error=not (200 <= response.status_code <= 299),
     )
+
+
+def _send(method: str, url: str, query: dict, headers: dict, body_kwargs: dict,
+          timeout: float):
+    """The one place an upstream request leaves: `requests.request`, its
+    response returned. A `requests.RequestException` is raised as a
+    TransportError whose text is not redacted: the caller redacts it."""
+    import requests  # see the module docstring
+
+    try:
+        return requests.request(method, url, params=query, headers=headers,
+                                auth=_no_netrc, timeout=timeout, **body_kwargs)
+    except requests.RequestException as exc:
+        raise TransportError(f"{exc.__class__.__name__}: {exc}") from exc
 
 
 def _no_netrc(request):
@@ -400,10 +417,15 @@ def _check_segments(template: str, path: str, path_args: dict[str, str]) -> None
                 "empty or a dot segment")
 
 
+def _is_header_value(text: str) -> bool:
+    """Whether `text` has no CR, LF or NUL and no leading or trailing SP
+    or HTAB (RFC 9110 §5.5); the codec is checked apart."""
+    return text.strip(" \t") == text and not any(ch in text for ch in "\r\n\0")
+
+
 def _header_value(arg: str, text: str) -> str:
-    """`text` as a header value: Latin-1, with no CR, LF or NUL and no
-    leading or trailing SP or HTAB (RFC 9110 §5.5)."""
-    if text.strip(" \t") != text or any(ch in text for ch in "\r\n\0"):
+    """`text` as a header value: Latin-1, and one `_is_header_value` allows."""
+    if not _is_header_value(text):
         raise SchemaViolation(f"argument {arg!r} cannot be sent as a header value")
     return _sendable(arg, text, "latin-1")
 
@@ -433,12 +455,13 @@ def _bound_secrets(
 
 
 def _redact(text: str, secrets: set[str]) -> str:
-    # longest first, so a secret inside another cannot leave part of it
+    # longest first, so a secret inside another cannot leave part of it; then
+    # quoted for a path and for a query, a lone surrogate without raising
     for secret in sorted(secrets, key=len, reverse=True):
         if secret:
             text = text.replace(secret, REDACTED)
-            text = text.replace(quote(secret, safe=""), REDACTED)
-            text = text.replace(quote_plus(secret, safe=""), REDACTED)  # query
+            text = text.replace(quote(secret, "", errors="surrogatepass"), REDACTED)
+            text = text.replace(quote_plus(secret, "", errors="surrogatepass"), REDACTED)
     return text
 
 

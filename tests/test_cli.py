@@ -428,8 +428,11 @@ class TestExitCodes:
         )
         assert run_cli(["generate", spec, "--out", tmp_path / "out"]) == 2
 
-    @pytest.mark.parametrize("extra", ['{"X-Lang": "\u65e5\u672c"}',
-                                       '{"X-\u65e5": "ja"}'], ids=["value", "name"])
+    @pytest.mark.parametrize("extra", ['{"X-Lang": "\u65e5\u672c"}', '{"X-\u65e5": "ja"}',
+                                       '{"Bad Name": "ja"}', '{"X-A": " lead"}',
+                                       '{"X-A": "a\\u0000b"}', '{"X-A": "a\\r\\nX-B: c"}'],
+                             ids=["value", "name", "name-not-a-token", "leading-space",
+                                  "nul", "crlf"])
     def test_extra_headers_http_cannot_carry_is_2_at_start(self, tmp_path, capsys,
                                                            monkeypatch, extra):
         monkeypatch.delenv("EXTRA_HEADERS", raising=False)

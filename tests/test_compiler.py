@@ -17,7 +17,7 @@ from automcp.compiler import (
     tools_list_payload,
 )
 from automcp.doctor import fix_loop, load_vendor_rules
-from automcp.ingest import RawDocument, load_document, resolve_base_url
+from automcp.ingest import RawDocument, load_document, operations, resolve_base_url
 from automcp.pipeline import compile_file, count_operations
 from automcp.refs import FlattenedContract
 from automcp.security import extract_security
@@ -382,10 +382,11 @@ class TestCompileManifest:
         for entry in payload:
             assert set(entry) == {"name", "description", "inputSchema"}
 
-    def test_a_shared_model_is_copied_once(self):
-        """Operations that `$ref` one model share one copy of it, not the
-        contract's node. A parameter's schema keeps a top-level dict of its
-        own, which compile adds `example` and `description` to."""
+    def test_a_shared_model_is_one_node(self):
+        """Operations that `$ref` one model share the contract's node. A
+        parameter's schema keeps a top-level dict of its own, which compile
+        adds `example` and `description` to; what it holds is the
+        contract's."""
         body = {"content": {"application/json": {
             "schema": {"$ref": "#/components/schemas/Pet"}}}}
         tag = {"name": "tag", "in": "query",
@@ -411,15 +412,16 @@ class TestCompileManifest:
         assert first["body"] is second["body"]
         node = contract.tree["paths"]["/pets"]["post"]["requestBody"]["content"][
             "application/json"]["schema"]
-        assert first["body"] == node and first["body"] is not node
+        assert first["body"] is node
         assert first["tag"] is not second["tag"]
         assert first["tag"]["properties"] is second["tag"]["properties"]
-        assert first["tag"]["properties"] is first["body"]["properties"]["tag"]["properties"]
-        assert first["tag"]["example"] == {"name": "a"} and "example" not in second["tag"]
+        assert first["tag"]["properties"] is node["properties"]["tag"]["properties"]
+        example = contract.tree["paths"]["/pets"]["post"]["parameters"][0]["example"]
+        assert first["tag"]["example"] is example and "example" not in second["tag"]
 
-    def test_a_yaml_anchor_is_copied_once(self, tmp_path):
-        """Two operations whose bodies alias one YAML anchor share one copy
-        of it, which is neither the loaded node nor the contract's."""
+    def test_a_yaml_anchor_is_one_node(self, tmp_path):
+        """Two operations whose bodies alias one YAML anchor share its one
+        loaded node, which is also the contract's."""
         spec = tmp_path / "anchor.yaml"
         spec.write_text(
             "openapi: 3.0.3\ninfo: {title: Anchor, version: '1'}\n"
@@ -439,9 +441,9 @@ class TestCompileManifest:
                          for t in compiled.manifest.tools)
         loaded = compiled.raw.tree["paths"]["/a"]["post"]["requestBody"]["content"][
             "application/json"]["schema"]
-        assert first is second
-        assert first == loaded and first is not loaded
-        assert first["properties"] is not loaded["properties"]
+        node = compiled.contract.tree["paths"]["/b"]["put"]["requestBody"]["content"][
+            "application/json"]["schema"]
+        assert first is second is loaded is node
 
 
 def _swagger(paths: dict, **top) -> dict:
@@ -545,8 +547,8 @@ def diamond_tree(depth: int = 6) -> dict:
 class TestContractNotMutated:
     """The flattened tree shares the expansion of each acyclic target
     among its uses, and every node it does not rewrite with the loaded
-    tree, so compilation must change neither, and the manifest must
-    share no node with them."""
+    tree, and the manifest shares the contract's nodes, so compilation
+    must change neither tree."""
 
     def contracts(self, tmp_path):
         rules = load_vendor_rules(FIXTURES / "vendor_rules.json")
@@ -571,13 +573,28 @@ class TestContractNotMutated:
                                         base_url=resolve_base_url(raw))
             assert json.dumps(contract.tree) == before, name
             assert json.dumps(raw.tree) == raw_before, name
-            self._scribble(manifest_to_dict(manifest)["tools"])
-            for tool in manifest.tools:
-                self._scribble(tool.input_schema)
-            assert json.dumps(contract.tree) == before, name
-            assert json.dumps(raw.tree) == raw_before, name
+            assert manifest.tools, name
             names.append(name)
         assert len(names) == 9
+
+    def test_each_body_is_the_contract_node(self, tmp_path):
+        """Every tool's body schema is its operation's request-body schema
+        node in the contract, not a copy of it."""
+        bodies = 0
+        for name, raw, contract in self.contracts(tmp_path):
+            manifest = compile_manifest(contract, extract_security(contract),
+                                        base_url=resolve_base_url(raw))
+            nodes = {(path, method.upper()): op for path, _, method, op
+                     in operations(contract.tree)}
+            for tool in manifest.tools:
+                ep = tool.endpoint
+                if ep.request_content_type is None:
+                    continue
+                op = nodes[ep.path_template, ep.method]
+                node = op["requestBody"]["content"][ep.request_content_type]["schema"]
+                assert tool.input_schema["properties"]["body"] is node, (name, tool.tool_name)
+                bodies += 1
+        assert bodies > 20
 
     def test_shared_nodes_compile_as_unshared_equal_ones_do(self, tmp_path):
         """A memo keyed by node identity must not change the manifest: the
@@ -603,12 +620,3 @@ class TestContractNotMutated:
                                  include_bindings=True)
                 for c in (contract, FlattenedContract(tree=subclassed(contract.tree))))
             assert json.dumps(sub) == json.dumps(loaded), name
-
-    def _scribble(self, node):
-        if isinstance(node, dict):
-            for value in list(node.values()):
-                self._scribble(value)
-            node["x-scribbled"] = True
-        elif isinstance(node, list):
-            for value in node:
-                self._scribble(value)

@@ -323,6 +323,20 @@ class TestInvokeTool:
             assert "api_key=***" in text
             assert "s3cr3t" not in text
 
+    def test_lone_surrogate_in_a_credential_leaves_the_reply(self, allauth):
+        """Redacting a bound value that no URL can hold (it is refused where
+        it is sent) does not raise, so a failed call still gets its line."""
+        env, _ = sentinel_credentials(allauth)
+        [binding] = [b for b in allauth.bindings if b.scheme_id == "bearerAuth"]
+        env[binding.env_var] = "\ud800"
+        closed = dataclasses.replace(allauth.manifest, base_url="http://127.0.0.1:1")
+        stdout = io.StringIO()
+        serve(closed, env, stdin=io.StringIO(call_line("listwidgets", {}) + "\n"),
+              stdout=stdout, timeout=2)
+        [text] = [c["text"] for c in json.loads(stdout.getvalue())["result"]["content"]]
+        assert text.startswith("TransportError: GET http://127.0.0.1:1/widgets: ")
+        assert "api_key=***" in text
+
     def test_netrc_does_not_replace_runtime_auth(self, allauth, tmp_path, monkeypatch):
         netrc = tmp_path / "netrc"
         netrc.write_text("machine 127.0.0.1 login netrcuser password netrcpass\n")
@@ -1079,6 +1093,82 @@ def test_upstream_body_that_is_not_json_typed_stays_text(send):
     assert (result.http_status, result.body) == (200, '{"looks": "like JSON"}')
 
 
+SEND_ALL_TREE = {
+    "openapi": "3.0.3", "info": {"title": "All", "version": "1"},
+    "servers": [{"url": "https://all.example"}],
+    "components": {"securitySchemes": {
+        "key": {"type": "apiKey", "in": "query", "name": "api_key"},
+        "token": {"type": "http", "scheme": "bearer"}}},
+    "security": [{"key": [], "token": []}],
+    "paths": {"/items/{item_id}": {"put": {
+        "operationId": "put_item",
+        "parameters": [
+            {"name": "item_id", "in": "path", "required": True},
+            {"name": "q", "in": "query", "schema": {"type": "array"}},
+            {"name": "X-Note", "in": "header"},
+            {"name": "pref", "in": "cookie"},
+        ],
+        "requestBody": {"content": {"application/json": {"schema": {"type": "object"}}}},
+        "responses": {"200": {"description": "ok"}}}}},
+}
+
+
+class _Response:
+    status_code = 200
+    headers = {"Content-Type": "application/json"}
+    url = "https://all.example/v1/items/a%20b"
+    text = '{"ok": true}'
+
+    def json(self):
+        return {"ok": True}
+
+
+class TestSend:
+    """Every upstream request leaves through `runtime._send`, which
+    `invoke_tool` calls with the request it built."""
+
+    def call(self, tmp_path, send):
+        spec = tmp_path / "all.json"
+        spec.write_text(json.dumps(SEND_ALL_TREE), encoding="utf-8")
+        compiled = compile_file(spec)
+        env = {b.env_var: f"sek-{b.scheme_id}" for b in compiled.bindings}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("automcp.runtime._send", send)
+            return invoke_tool(
+                compiled.manifest.tool("put_item"),
+                {"item_id": "a b", "q": ["1", 2], "x_note": "n", "pref": "p",
+                 "body": {"k": 1}},
+                env, "https://all.example/v1/", compiled.manifest.schemes,
+                compiled.bindings, timeout=7)
+
+    def test_receives_the_request(self, tmp_path):
+        sent = []
+
+        def send(*request):
+            sent.append(request)
+            return _Response()
+
+        result = self.call(tmp_path, send)
+        assert (result.http_status, result.body, result.is_error) == (200, {"ok": True}, False)
+        assert sent == [(
+            "PUT", "https://all.example/v1/items/a%20b",
+            {"q": ["1", "2"], "api_key": "sek-key"},
+            {"X-Note": "n", "Authorization": "Bearer sek-token", "Cookie": "pref=p",
+             "Content-Type": "application/json"},
+            {"json": {"k": 1}}, 7)]
+
+    def test_its_transport_error_comes_back_redacted(self, tmp_path):
+        def send(*request):
+            raise TransportError(
+                "ConnectionError: /v1/items/a%20b?api_key=sek-key (Bearer sek-token)")
+
+        with pytest.raises(TransportError) as excinfo:
+            self.call(tmp_path, send)
+        assert str(excinfo.value) == (
+            "PUT https://all.example/v1/items/a%20b: "
+            "ConnectionError: /v1/items/a%20b?api_key=*** (Bearer ***)")
+
+
 class TestToolsListLine:
     """`serve` encodes the tools once per session and splices each id in;
     every line is still `dumps` of the whole reply, byte for byte."""
@@ -1116,27 +1206,42 @@ def test_bindings_rederived_from_manifest(trello_manifest=None):
 
 class TestCredentialsTheirPlaceCannotCarry:
     """A credential value its place cannot encode (Latin-1 in a header or
-    cookie; UTF-8 in a query and in Basic's `user:password`) leaves its
-    requirement set unmet, and the error names the variable, never the
-    value."""
+    cookie; UTF-8 in a query and in Basic's `user:password`), or that
+    encodes but is no header value as sent (RFC 9110 §5.5) or no cookie
+    value (RFC 6265 §4.1.1), as the same text in an argument is not,
+    leaves its requirement set unmet, and the error names the variable,
+    never the value."""
 
-    @pytest.mark.parametrize("scheme, value, codec", [
-        (SecurityScheme("s", KIND_HTTP_BEARER), "日本", "latin-1"),
-        (SecurityScheme("s", KIND_OAUTH2), "日本", "latin-1"),
-        (SecurityScheme("s", KIND_API_KEY, "header", "X-Key"), "日", "latin-1"),
-        (SecurityScheme("s", KIND_API_KEY, "cookie", "sid"), "日", "latin-1"),
-        (SecurityScheme("s", KIND_API_KEY, "query", "key"), "\ud800", "utf-8"),
-        (SecurityScheme("s", KIND_HTTP_BASIC), "\ud800", "utf-8"),
-    ], ids=["bearer", "oauth2", "header", "cookie", "query", "basic"])
-    def test_is_unmet_naming_the_variable(self, scheme, value, codec):
+    @pytest.mark.parametrize("scheme, value, what", [
+        (SecurityScheme("s", KIND_HTTP_BEARER), "日本", "latin-1 text"),
+        (SecurityScheme("s", KIND_OAUTH2), "日本", "latin-1 text"),
+        (SecurityScheme("s", KIND_API_KEY, "header", "X-Key"), "日", "latin-1 text"),
+        (SecurityScheme("s", KIND_API_KEY, "cookie", "sid"), "日", "latin-1 text"),
+        (SecurityScheme("s", KIND_API_KEY, "query", "key"), "\ud800", "utf-8 text"),
+        (SecurityScheme("s", KIND_HTTP_BASIC), "\ud800", "utf-8 text"),
+        (SecurityScheme("s", KIND_API_KEY, "header", "X-Key"), "sec\nret", "a header value"),
+        (SecurityScheme("s", KIND_API_KEY, "header", "X-Key"), "sec\rret", "a header value"),
+        (SecurityScheme("s", KIND_API_KEY, "header", "X-Key"), "sec\x00ret", "a header value"),
+        (SecurityScheme("s", KIND_API_KEY, "header", "X-Key"), " secret", "a header value"),
+        (SecurityScheme("s", KIND_API_KEY, "header", "X-Key"), "secret\t", "a header value"),
+        (SecurityScheme("s", KIND_HTTP_BEARER), "sec\nret", "a header value"),
+        (SecurityScheme("s", KIND_HTTP_BEARER), "secret ", "a header value"),
+        (SecurityScheme("s", KIND_OAUTH2), "sec\x00ret", "a header value"),
+        (SecurityScheme("s", KIND_API_KEY, "cookie", "sid"), "abc; admin=1", "a cookie value"),
+        (SecurityScheme("s", KIND_API_KEY, "cookie", "sid"), 'a"b', "a cookie value"),
+        (SecurityScheme("s", KIND_API_KEY, "cookie", "sid"), "café", "a cookie value"),
+    ], ids=["bearer", "oauth2", "header", "cookie", "query", "basic", "header-lf",
+            "header-cr", "header-nul", "header-leading-space", "header-trailing-tab",
+            "bearer-lf", "bearer-trailing-space", "oauth2-nul", "cookie-adds-a-cookie",
+            "cookie-quote", "cookie-latin-1"])
+    def test_is_unmet_naming_the_variable(self, scheme, value, what):
         bindings, _ = build_env_map([scheme], "Acme")
         env = {b.env_var: value for b in bindings}
         with pytest.raises(MissingCredential) as excinfo:
             resolve_auth([{"s": []}], [scheme], env, bindings)
         assert excinfo.value.env_var == bindings[0].env_var
         assert str(excinfo.value) == (
-            f"credential {bindings[0].env_var} cannot be sent: "
-            f"its value is not {codec} text")
+            f"credential {bindings[0].env_var} cannot be sent: its value is not {what}")
 
     @pytest.mark.parametrize("scheme, value", [
         (SecurityScheme("s", KIND_HTTP_BEARER), "café"),

@@ -14,21 +14,36 @@ is JSON (no `NaN`) that encodes as UTF-8; each line that is not a
 notification gets exactly one answer, carrying its id, or null for an
 id JSON-RPC 2.0 §4 does not allow; and every `tools/list` answer is,
 byte for byte, `jsonout.dumps` of the whole reply.
+
+A second property binds drawn credentials, one per allauth.yaml
+variable, each an ASCII marker inside text that no header, cookie or
+query may carry as it is. Every tool is called through `serve` against
+an upstream that answers `200 {}` and against a closed port: each
+request gets one line, and no output line and no log record holds a
+marker.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
+import logging
 import math
+import socket
+import threading
 from collections import Counter
 from dataclasses import dataclass
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from unittest import mock
+
+import pytest
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from automcp.compiler import tools_list_payload
+from automcp.evaluator import synth_args
 from automcp.jsonout import dumps
 from automcp.pipeline import compile_file
 from automcp.runtime import serve
@@ -175,3 +190,89 @@ def test_every_request_gets_one_utf8_json_line(lines, manifest):
         dumps({"jsonrpc": "2.0", "id": msg_id, "result": {"tools": tools}})
         for msg_id, method in expected if method == "tools/list")
     assert not references - Counter(out)
+
+
+ALLAUTH = compile_file(FIXTURES / "allauth.yaml")
+# each tool called once, with an id of its index
+CALL_LINES = "".join(
+    json.dumps({"jsonrpc": "2.0", "id": i, "method": "tools/call",
+                "params": {"name": tool.tool_name, "arguments": synth_args(tool)}}) + "\n"
+    for i, tool in enumerate(ALLAUTH.manifest.tools))
+MARKERS = [f"QZX{i}MARK" for i in range(len(ALLAUTH.bindings))]
+# what a header, a cookie or a query cannot carry as it is
+HOSTILE = st.lists(st.sampled_from(["\r", "\n", "\0", " ", "\t", ";", '"', "\u00e9",
+                                    "\u65e5", "\ud800", "\udbff", "\udc00", "\udfff"]),
+                   max_size=4).map("".join)
+
+
+class _Ok(BaseHTTPRequestHandler):
+    """Answers every request `200 {}`."""
+
+    def _answer(self):
+        self.rfile.read(int(self.headers.get("Content-Length") or 0))
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", "2")
+        self.end_headers()
+        self.wfile.write(b"{}")
+
+    do_GET = do_POST = do_PUT = do_PATCH = do_DELETE = _answer
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture(scope="module")
+def upstreams():
+    """The base URLs of an upstream that answers `200 {}` and of a port
+    that nothing listens on."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _Ok)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    with socket.socket() as closed:
+        closed.bind(("127.0.0.1", 0))
+        closed_port = closed.getsockname()[1]
+    try:
+        yield [f"http://127.0.0.1:{server.server_address[1]}",
+               f"http://127.0.0.1:{closed_port}"]
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+class _Records(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.lines: list[str] = []
+
+    def emit(self, record):
+        self.lines.append(self.format(record))
+
+
+@settings(max_examples=settings.default.max_examples, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(credentials=st.lists(st.tuples(HOSTILE, HOSTILE), min_size=len(MARKERS),
+                            max_size=len(MARKERS)))
+def test_no_credential_reaches_stdout_or_a_log(upstreams, credentials):
+    env = {binding.env_var: before + marker + after for binding, marker, (before, after)
+           in zip(ALLAUTH.bindings, MARKERS, credentials)}
+    records = _Records()
+    root, runtime_log = logging.getLogger(), logging.getLogger("automcp")
+    root.addHandler(records)
+    level, runtime_log.level = runtime_log.level, logging.DEBUG
+    try:
+        for base_url in upstreams:
+            manifest = dataclasses.replace(ALLAUTH.manifest, base_url=base_url)
+            stdout = io.StringIO()
+            serve(manifest, env, stdin=io.StringIO(CALL_LINES), stdout=stdout, timeout=5)
+            *lines, last = stdout.getvalue().split("\n")
+            assert last == ""
+            assert sorted(json.loads(line)["id"] for line in lines) == list(
+                range(len(manifest.tools)))
+            for line in lines:
+                assert not any(marker in line for marker in MARKERS), line
+    finally:
+        root.removeHandler(records)
+        runtime_log.level = level
+    for line in records.lines:
+        assert not any(marker in line for marker in MARKERS), line
