@@ -15,9 +15,12 @@
 # gaps are compiled with --fix and the vendor rules as well: the 500-op
 # spec as JSON with class E gaps, whose repairs are spliced; a small YAML
 # spec whose class B repair lands under an alias, so the whole document
-# is rendered; and a small YAML spec whose keys are not strings (a `200:`
+# is rendered; a small YAML spec whose keys are not strings (a `200:`
 # path, a `1:` scheme, an `on:` property, a `~:` example key) and whose
-# class B repair replaces an anchored URL that an alias names. For each
+# class B repair replaces an anchored URL that an alias names; and a
+# small 2.0 spec (`host: "{{host}}"`, `basePath: /v2`), compiled with a
+# rules file of its own whose `base_url` has a path, so that its class B
+# repair splits that URL over `host` and `basePath`. For each
 # spec OUT holds `generate --emit-stub`'s files (manifest, stub.json,
 # .env template, launch config, and the repaired copy and diff of a
 # defect spec) and `lint --rules`'s JSON; for the specs with gaps also
@@ -34,16 +37,17 @@ specs="${TMPDIR:-/tmp}/automcp-generated-specs"
 rm -rf "$work" "$specs"
 mkdir -p "$work" "$specs"
 gaps="${TMPDIR:-/tmp}/automcp-generated-gap-specs"
-rm -rf "$gaps"
-mkdir -p "$gaps"
+gap_rules="${TMPDIR:-/tmp}/automcp-gap-rules"  # a gap spec's own rules, by its name
+rm -rf "$gaps" "$gap_rules"
+mkdir -p "$gaps" "$gap_rules"
 
 automcp() { PYTHONPATH="$src" python -m automcp "$@"; }
 
-compile_and_lint() {  # SPEC DIR [generate options...]
-  local spec=$1 dir=$2 code=0
-  shift 2
+compile_and_lint() {  # SPEC DIR RULES [generate options...]
+  local spec=$1 dir=$2 spec_rules=$3 code=0
+  shift 3
   automcp generate "$spec" --emit-stub --out "$dir" "$@"
-  automcp lint "$spec" --rules "$rules" > "$dir/lint.json" || code=$?
+  automcp lint "$spec" --rules "$spec_rules" > "$dir/lint.json" || code=$?
   if [ "$code" -ne 0 ] && [ "$code" -ne 4 ]; then
     echo "lint $spec exited $code" >&2
     exit 1
@@ -130,14 +134,14 @@ PY
 
 for spec in tests/fixtures/*.json tests/fixtures/*.yaml "$specs"/*; do
   [ "$(basename "$spec")" = vendor_rules.json ] && continue
-  compile_and_lint "$spec" "$work/$(basename "$spec")"
+  compile_and_lint "$spec" "$work/$(basename "$spec")" "$rules"
 done
 for spec in tests/fixtures/defects/*.json tests/fixtures/defects/*.yaml; do
   [ "$(basename "$spec")" = reference_counts.json ] && continue
-  compile_and_lint "$spec" "$work/defects/$(basename "$spec")" --fix --rules "$rules"
+  compile_and_lint "$spec" "$work/defects/$(basename "$spec")" "$rules" --fix --rules "$rules"
 done
 
-python - "$gaps" <<'PY'
+python - "$gaps" "$gap_rules" <<'PY'
 import json, sys
 from pathlib import Path
 
@@ -192,14 +196,28 @@ paths:
               example: {on: true, ~: none}
       responses: {200: {description: ok}}
 """, encoding="utf-8")
+(out / "subpath-2.0.yaml").write_text("""\
+swagger: '2.0'
+info: {title: Sub Path, version: '1'}
+host: '{{host}}'
+basePath: /v2
+paths:
+  /items:
+    get:
+      responses: {'200': {description: ok}}
+""", encoding="utf-8")
+(Path(sys.argv[2]) / "subpath-2.0.yaml.json").write_text(json.dumps(
+    {"^Sub Path$": {"base_url": "https://api.vendor.com/v2"}}), encoding="utf-8")
 PY
 
 for spec in "$gaps"/*; do
   dir="$work/gaps/$(basename "$spec")"
-  compile_and_lint "$spec" "$dir" --fix --rules "$rules"
+  spec_rules="$gap_rules/$(basename "$spec").json"
+  [ -f "$spec_rules" ] || spec_rules=$rules
+  compile_and_lint "$spec" "$dir" "$spec_rules" --fix --rules "$spec_rules"
   code=0
-  automcp lint "$spec" --fix --rules "$rules" --out "$dir/lint-fix" > "$dir/lint-fix.json" \
-    || code=$?
+  automcp lint "$spec" --fix --rules "$spec_rules" --out "$dir/lint-fix" \
+    > "$dir/lint-fix.json" || code=$?
   if [ "$code" -ne 0 ] && [ "$code" -ne 4 ]; then
     echo "lint --fix $spec exited $code" >&2
     exit 1

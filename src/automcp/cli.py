@@ -176,15 +176,13 @@ def cmd_generate(cfg: argparse.Namespace) -> int:
     oauth_schemes = [s for s in compiled.manifest.schemes if s.kind == KIND_OAUTH2]
     if oauth_schemes:
         scheme = oauth_schemes[0]
-        binding = next(
-            (b for b in compiled.bindings if b.scheme_id == scheme.id), None
-        )
+        binding = next(b for b in compiled.bindings if b.scheme_id == scheme.id)
         oauth_doc = {
             "scheme": scheme.id,
-            "authorizationUrl": scheme.flows.authorization_url if scheme.flows else None,
-            "tokenUrl": scheme.flows.token_url if scheme.flows else None,
-            "scopes": scheme.flows.scopes if scheme.flows else {},
-            "envVar": binding.env_var if binding else None,
+            "authorizationUrl": scheme.flows.authorization_url,
+            "tokenUrl": scheme.flows.token_url,
+            "scopes": scheme.flows.scopes,
+            "envVar": binding.env_var,
             "redirectPort": cfg.port,
             "envPath": str(env_file.resolve()),
         }

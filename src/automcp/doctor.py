@@ -46,6 +46,8 @@ CLASS_LABELS = {
 
 MAX_FIX_ITERATIONS = 5
 _FALLBACK_BASE_URL = "https://api.example.com"
+# an absolute http(s) URL: its scheme, its host and port, and its path
+_HTTP_URL = re.compile(r"(https?)://([^/?#]+)([^?#]*)")
 _ID_NAME_RE = re.compile(r"(^id$|_id$)", re.IGNORECASE)
 
 
@@ -113,8 +115,9 @@ def load_vendor_rules(path: str | Path) -> list[VendorRule]:
         shape = {  # JSON object keys are strings already
             "`required_headers` must map strings to strings": isinstance(headers, dict)
             and all(isinstance(v, str) for v in headers.values()),
-            "`base_url` must be a string or null":
-                isinstance(body.get("base_url"), (str, type(None))),
+            "`base_url` must be an absolute http(s) URL or null":
+                body.get("base_url") is None or isinstance(body["base_url"], str)
+                and bool(_HTTP_URL.match(body["base_url"])),
             "`token_url` must be a string or null":
                 isinstance(body.get("token_url"), (str, type(None))),
             "`string_path_params` must be a list of strings": isinstance(names, list)
@@ -314,9 +317,10 @@ def _swagger_base_url_repair(
 ) -> tuple[list[PatchEdit], str]:
     """The edits that give a 2.0 document `replacement`'s base URL, and
     where to report them. `schemes` is replaced when it lists no http(s)
-    scheme, and `host` only when it is still wrong after that."""
-    scheme = "http" if replacement.startswith("http://") else "https"
-    host = re.sub(r"^https?://", "", replacement).rstrip("/")
+    scheme, and `host` only when it is still wrong after that: `host`
+    gets the URL's host and port, and `basePath` its path when that
+    differs (a URL with no path keeps `basePath`)."""
+    scheme, host, path = _HTTP_URL.match(replacement).groups()
     edits = []
     tree = raw.tree
     if swagger_scheme(tree) not in ("http", "https"):
@@ -326,6 +330,8 @@ def _swagger_base_url_repair(
         resolve_base_url(dataclasses.replace(raw, tree=tree))
     except BaseUrlError:
         edits.append(PatchEdit("#/host", host))
+        if path.rstrip("/") not in ("", text(tree, "basePath")):
+            edits.append(PatchEdit("#/basePath", path.rstrip("/")))
     return edits, edits[0].pointer
 
 

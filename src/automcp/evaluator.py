@@ -23,7 +23,7 @@ from .ingest import api_title, load_document
 from .mock_upstream import ENFORCE_PER_ENDPOINT, MockUpstream, run_mock_upstream
 from .pipeline import compile_file, count_operations
 from .runtime import bindings_for, invoke_tool
-from .sampling import SampleReport, path_group, sample
+from .sampling import DEFAULT_THRESHOLD, SampleReport, path_group, sample
 
 _METHOD_RANK = {
     "POST": 0,
@@ -231,7 +231,7 @@ def evaluate_spec_file(
     credentials: dict[str, object] | None = None,
     required_headers: dict[str, str] | None = None,
     enforce: str = ENFORCE_PER_ENDPOINT,
-    threshold: int = 20,
+    threshold: int = DEFAULT_THRESHOLD,
     fix: bool = False,
     rules: list[VendorRule] | None = None,
     timeout: float = 10.0,

@@ -1,5 +1,5 @@
-"""Load OpenAPI documents, read their shape, and normalize 2.0 constructs
-into 3.x shape.
+"""Load OpenAPI documents, read their shape, and normalize them into the
+contract: the fields compile and lint read, in 3.x shape.
 
 A document is read as JSON first. Only text that is not JSON goes to the
 YAML reader (`yamltree`), imported on first use, so a JSON spec never
@@ -265,11 +265,13 @@ def parameters(node: dict) -> list[dict]:
 
 
 def normalize(doc: RawDocument | FlattenedContract) -> dict:
-    """`doc.tree` in 3.x shape, with mechanical defects repaired.
+    """`doc.tree` as the fields compile and lint read, in 3.x shape, with
+    mechanical defects repaired.
 
     Runs on the flattened tree (``contract = flatten(raw.tree);
     contract.tree = normalize(contract)``), so it sees no `$ref`. Total on
-    parseable documents: 2.0 constructs are relocated, and each operation
+    parseable documents. A 2.0 document keeps its `responses` as written
+    (compile reads their codes) and gets no `servers`. Each operation
     gets its whole parameter list, so no path item keeps `parameters`.
     The list is the path item's parameters that none of the operation's
     own overrides (by name and `in`, `in` defaulting to query), then its
@@ -286,7 +288,7 @@ def normalize(doc: RawDocument | FlattenedContract) -> dict:
     paths = mapping(tree, "paths", None)
     if paths is None:  # missing or not a mapping: validation rejects it
         return out
-    media = sequence(tree, "consumes"), sequence(tree, "produces")
+    consumes = sequence(tree, "consumes")
 
     def read(node: dict) -> list[dict]:  # each 2.0 one in 3.x shape
         found = parameters(node)
@@ -310,7 +312,7 @@ def normalize(doc: RawDocument | FlattenedContract) -> dict:
                         "schema": {"type": "string"}}
                        for var in variables if var not in declared]
             if swagger:
-                ops[method] = _convert_operation(op, params, *media)
+                ops[method] = _convert_operation(op, params, consumes)
             elif len(params) > len(own):  # it inherits or gains one
                 ops[method] = {**op, "parameters": params}
         if swagger or ops or "parameters" in item:
@@ -327,9 +329,6 @@ def _convert_2_0(tree: dict) -> dict:
     for key, value in tree.items():
         if key not in _SWAGGER_ONLY_KEYS and key != "paths":
             out[key] = value
-
-    if text(tree, "host"):
-        out["servers"] = [{"url": _swagger_url(tree)}]
 
     # a `components` that is not a mapping stays as it is: the compiler
     # rejects it
@@ -379,13 +378,11 @@ def _convert_security_scheme(node: Any) -> Any:
     return node  # apiKey and anything else keep their 3.x-compatible shape
 
 
-def _convert_operation(
-    op: dict, params: list[dict], doc_consumes: list, doc_produces: list
-) -> dict:
-    """`op` in 3.x shape. `params` is its whole parameter list, each one
+def _convert_operation(op: dict, params: list[dict], doc_consumes: list) -> dict:
+    """`op` with the 3.x `parameters` and `requestBody` compile reads; the
+    rest as written. `params` is its whole parameter list, each one
     already converted: its body and formData ones go to `requestBody`."""
     consumes = sequence(op, "consumes") or doc_consumes
-    produces = sequence(op, "produces") or doc_produces
     out = {k: v for k, v in op.items() if k not in ("consumes", "produces")}
 
     body_params = [p for p in params if p.get("in") == "body"]
@@ -402,8 +399,6 @@ def _convert_operation(
             "content": {request_media: {"schema": body.get("schema", {})}},
             "required": flag(body, "required"),
         }
-        if body.get("description"):
-            out["requestBody"]["description"] = body["description"]
     elif form_params:
         media = request_media if request_media in _FORM_MEDIA else _FORM_MEDIA[0]
         properties = {text(p, "name"): _parameter_schema(p) for p in form_params}
@@ -414,14 +409,6 @@ def _convert_operation(
         out["requestBody"] = {
             "content": {media: {"schema": schema}},
             "required": bool(required),
-        }
-
-    responses = mapping(out, "responses", None)
-    if responses is not None:
-        response_media = text(produces, 0) or "application/json"
-        out["responses"] = {
-            status: _convert_response(mapping(responses, status), response_media)
-            for status in responses
         }
     return out
 
@@ -447,11 +434,3 @@ def _parameter_schema(param: dict) -> dict:
         schema["type"] = "string"
         schema["format"] = "binary"
     return schema
-
-
-def _convert_response(resp: dict, media: str) -> dict:
-    if "schema" not in resp:
-        return resp
-    converted = {k: v for k, v in resp.items() if k != "schema"}
-    converted["content"] = {media: {"schema": resp["schema"]}}
-    return converted

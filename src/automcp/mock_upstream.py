@@ -57,8 +57,7 @@ class MockConfig:
 class MockUpstream:
     """Lifecycle wrapper around the HTTP server thread."""
 
-    def __init__(self, manifest: ToolManifest, port: int = 0,
-                 config: MockConfig | None = None) -> None:
+    def __init__(self, manifest: ToolManifest, config: MockConfig | None = None) -> None:
         self.manifest = manifest
         self.config = config or MockConfig()
         self.routes = [
@@ -68,7 +67,7 @@ class MockUpstream:
         self.records: list[RequestRecord] = []
         self.store: dict[str, list[dict]] = {}
         self._lock = threading.Lock()
-        self._server = ThreadingHTTPServer(("127.0.0.1", port), self._handler_class())
+        self._server = ThreadingHTTPServer(("127.0.0.1", 0), self._handler_class())
         self._server.daemon_threads = True
         self._thread = threading.Thread(
             target=lambda: self._server.serve_forever(poll_interval=0.05), daemon=True
@@ -298,18 +297,13 @@ class MockUpstream:
 
 def run_mock_upstream(
     manifest: ToolManifest,
-    port: int = 0,
     credentials: dict[str, object] | None = None,
     required_headers: dict[str, str] | None = None,
     enforce: str = ENFORCE_PER_ENDPOINT,
 ) -> MockUpstream:
     """Start a mock upstream for the manifest; caller owns stop()."""
-    config = MockConfig(
-        credentials=credentials or {},
-        required_headers=required_headers or {},
-        enforce=enforce,
-    )
-    return MockUpstream(manifest, port=port, config=config).start()
+    config = MockConfig(credentials or {}, required_headers or {}, enforce)
+    return MockUpstream(manifest, config).start()
 
 
 def _compile_template(template: str) -> tuple[re.Pattern, tuple[str, ...]]:

@@ -14,12 +14,12 @@ _CYCLE_PLACEHOLDER_PREFIX = "cyclic reference to "
 
 @dataclass
 class FlattenedContract:
-    """A document with every $ref inlined, then `ingest.normalize`d.
-
-    `tree` shares every node it does not rewrite with the loaded tree,
-    and acyclic targets are expanded once and shared by all their uses;
-    the compiled manifest shares its nodes in turn. So `tree` is
-    read-only: copy a subtree before changing it.
+    """A document with every $ref inlined, then `ingest.normalize`d into
+    the fields compile and lint read, in 3.x shape. `tree` shares every
+    node it does not rewrite with the loaded tree, and acyclic targets
+    are expanded once and shared by all their uses; the compiled manifest
+    shares its nodes in turn. So `tree` is read-only: copy a subtree
+    before changing it.
     """
 
     tree: dict

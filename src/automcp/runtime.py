@@ -32,7 +32,7 @@ import threading
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from urllib.parse import quote, quote_plus
+from urllib.parse import quote, quote_plus, urljoin, urlsplit
 
 from ._version import __version__ as _version
 from .compiler import ToolManifest, ToolSpec, tools_list_payload
@@ -60,6 +60,8 @@ logger = logging.getLogger("automcp.runtime")
 PROTOCOL_VERSIONS = ("2024-11-05", "2025-03-26", "2025-06-18")
 DEFAULT_TIMEOUT_SECONDS = 30.0
 _CALL_WORKERS = 4  # upstream calls in flight at once under `serve`
+_MAX_REDIRECTS = 5  # same-origin redirects `_send` follows
+_REDIRECTS = (301, 302, 303, 307, 308)
 # RFC 6265 §4.1.1's cookie-octet: US-ASCII but controls, whitespace, DQUOTE, `,`, `;`, `\`
 _COOKIE_OCTETS = re.compile(r"[\x21\x23-\x2b\x2d-\x3a\x3c-\x5b\x5d-\x7e]*")
 _TOKEN = re.compile(r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")  # a header name (RFC 9110 §5.6.2)
@@ -361,15 +363,39 @@ def invoke_tool(
 def _send(method: str, url: str, query: dict, headers: dict, body_kwargs: dict,
           timeout: float):
     """The one place an upstream request leaves: `requests.request`, its
-    response returned. A `requests.RequestException` is raised as a
-    TransportError whose text is not redacted: the caller redacts it."""
+    response returned. A `requests.RequestException` or ValueError is raised
+    as a TransportError whose text is not redacted: the caller redacts it.
+    Up to `_MAX_REDIRECTS` same-origin redirects are followed: a 303, or
+    a 301 or 302 after a POST, as a bodiless GET, a 307 or 308 as sent."""
     import requests  # see the module docstring
 
     try:
-        return requests.request(method, url, params=query, headers=headers,
-                                auth=_no_netrc, timeout=timeout, **body_kwargs)
-    except requests.RequestException as exc:
+        for hop in range(_MAX_REDIRECTS + 1):
+            response = requests.request(method, url, params=query, headers=headers,
+                                        auth=_no_netrc, timeout=timeout,
+                                        allow_redirects=False, **body_kwargs)
+            status, location = response.status_code, response.headers.get("Location")
+            if hop == _MAX_REDIRECTS or status not in _REDIRECTS or location is None:
+                return response
+            url, query = _same_origin(response.url, location), {}  # a Location's own query
+            if url is None:
+                return response
+            if status == 303 or status in (301, 302) and method == "POST":
+                method, body_kwargs = "GET", {}
+                headers = {k: v for k, v in headers.items() if k.lower() != "content-type"}
+    except (requests.RequestException, ValueError) as exc:  # ValueError: a bad Location
         raise TransportError(f"{exc.__class__.__name__}: {exc}") from exc
+
+
+def _same_origin(url: str, location: str) -> str | None:
+    """`location` resolved against `url`, if it keeps its scheme, host and port."""
+    try:
+        target = urljoin(url, location)
+        origins = {(p.scheme, p.hostname, p.port or {"http": 80, "https": 443}.get(p.scheme))
+                   for p in map(urlsplit, (url, target))}
+    except ValueError:  # a port that is not a number, say
+        return None
+    return target if len(origins) == 1 else None
 
 
 def _no_netrc(request):

@@ -252,7 +252,8 @@ class TestLint:
         """A rules file whose `base_url` is itself no usable base URL makes
         class B's repair re-open the finding every pass."""
         rules = tmp_path / "rules.json"
-        rules.write_text(json.dumps({".*": {"base_url": "relative/api"}}), encoding="utf-8")
+        rules.write_text(json.dumps({".*": {"base_url": "https://{{root}}.example"}}),
+                         encoding="utf-8")
         tree = {"openapi": "3.0.3", "info": {"title": "T", "version": "1"},
                 "servers": [{"url": "{{root}}"}], "paths": {"/a": {"get": _op()}}}
         spec = tmp_path / "spec.json"
@@ -447,11 +448,13 @@ class TestExitCodes:
         "text",
         ["{not json", '{"x": 1}', "[1]", '{"(": {}}',
          '{".*": {"required_headers": "x"}}', '{".*": {"required_headers": {"a": 1}}}',
-         '{".*": {"base_url": 1}}', '{".*": {"token_url": ["x"]}}',
+         '{".*": {"base_url": 1}}', '{".*": {"base_url": "relative/api"}}',
+         '{".*": {"token_url": ["x"]}}',
          '{".*": {"string_path_params": "id"}}', '{".*": {"string_path_params": [1]}}'],
         ids=["not-json", "value-not-an-object", "not-an-object", "bad-title-regex",
              "headers-not-an-object", "header-not-a-string", "base-url-not-a-string",
-             "token-url-not-a-string", "params-not-a-list", "param-not-a-string"],
+             "base-url-relative", "token-url-not-a-string", "params-not-a-list",
+             "param-not-a-string"],
     )
     def test_malformed_rules_file_is_parse_error(self, tmp_path, capsys, command, text):
         rules = tmp_path / "rules.json"

@@ -23,8 +23,8 @@ from automcp.doctor import (
     load_vendor_rules,
     render_document,
 )
-from automcp.errors import NonConvergence, PointerError, SchemeError
-from automcp.ingest import RawDocument, load_document
+from automcp.errors import NonConvergence, ParseError, PointerError, SchemeError
+from automcp.ingest import RawDocument, load_document, resolve_base_url
 from automcp.refs import escape_token, pointer_lookup
 from automcp.security import extract_security
 from automcp.splice import SourceText, unified_diff
@@ -580,13 +580,38 @@ class TestFixLoop:
         }
 
     def test_non_convergence_when_patch_cannot_fix(self):
-        # a rules-supplied base URL that is itself malformed keeps class B alive
+        # a rules-supplied base URL that is itself unresolved keeps class B alive
         bad_rules = load_vendor_rules_text(
-            {"Workforce Directory": {"base_url": "still-not-a-url"}}
+            {"Workforce Directory": {"base_url": "https://{{tenant}}.example"}}
         )
         raw = load_document(DEFECTS / "class_b.yaml")
         with pytest.raises(NonConvergence):
             fix_loop(raw, bad_rules)
+
+    @pytest.mark.parametrize("rule_url, host, base_path", [
+        ("https://api.vendor.com/v2", "api.vendor.com", "/v2"),
+        ("https://api.vendor.com:8443/v3/", "api.vendor.com:8443", "/v3"),
+        ("https://api.vendor.com", "api.vendor.com", "/v2"),
+    ], ids=["same-path", "other-path", "no-path"])
+    def test_2_0_repair_puts_no_sub_path_in_host(self, rule_url, host, base_path):
+        """OpenAPI 2.0's `host` holds no scheme and no sub-path: the rule
+        URL's path goes to `basePath` when it differs."""
+        raw = mem_doc({"swagger": "2.0", "info": {"title": "Vendor", "version": "1"},
+                       "host": "{{host}}", "basePath": "/v2", "paths": {}},
+                      dialect="openapi_2_0")
+        rules = load_vendor_rules_text({"Vendor": {"base_url": rule_url}})
+        report = fix_loop(raw, rules)
+        assert report.iterations == 1
+        tree = report.document.tree
+        assert (tree["host"], tree["basePath"]) == (host, base_path)
+        assert resolve_base_url(report.document) == f"https://{host}{base_path}"
+
+    @pytest.mark.parametrize("base_url", [
+        "api.vendor.com/v2", "/v2", "ftp://files.example", "https://", "https:///v2", 7,
+    ])
+    def test_rule_base_url_must_be_an_absolute_http_url(self, base_url):
+        with pytest.raises(ParseError, match="rule 'Vendor': `base_url` must be"):
+            load_vendor_rules_text({"Vendor": {"base_url": base_url}})
 
     @pytest.mark.parametrize(
         "entry", ["https://x.example", {"description": "no url"}],

@@ -15,7 +15,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from automcp import ingest, yamltree
-from automcp.compiler import compile_manifest
+from automcp.compiler import compile_manifest, manifest_to_dict
+from automcp.doctor import lint, load_vendor_rules
 from automcp.errors import BaseUrlError, DialectError, ParseError
 from automcp.ingest import (
     DIALECT_2_0,
@@ -27,6 +28,7 @@ from automcp.ingest import (
     normalize,
     resolve_base_url,
 )
+from automcp.pipeline import compile_file
 from automcp.refs import flatten
 from automcp.security import extract_security
 from conftest import DEFECTS, FIXTURES, build_contract, fixture_path, subclassed
@@ -293,6 +295,8 @@ SPEC_FILES = sorted(
     and p.name not in ("vendor_rules.json", "reference_counts.json")
 )
 
+SWAGGER_FILES = [p for p in SPEC_FILES if load_document(p).dialect == DIALECT_2_0]
+
 
 class TestNormalize:
     @pytest.fixture()
@@ -330,24 +334,18 @@ class TestNormalize:
         assert media["schema"]["properties"]["tag"] == {"type": "string"}
         assert media["schema"]["required"] == ["tag"]
 
-    def test_body_description_and_file_field_carry_over(self, tmp_path):
-        """A body parameter's description becomes the request body's, and a
-        `type: file` form field a binary string."""
+    def test_file_form_field_becomes_a_binary_string(self, tmp_path):
         ok = {"200": {"description": "ok"}}
         doc = load_document(write(tmp_path, "upload.json", json.dumps({
             "swagger": "2.0", "info": {"title": "T", "version": "1"},
             "host": "t.example", "consumes": ["multipart/form-data"],
             "paths": {
-                "/notes": {"post": {"parameters": [
-                    {"name": "note", "in": "body", "description": "The note",
-                     "schema": {"type": "object"}}], "responses": ok}},
                 "/files": {"post": {"parameters": [
                     {"name": "upload", "in": "formData", "type": "file"}],
                     "responses": ok}},
             },
         })))
         paths = normalize(doc)["paths"]
-        assert paths["/notes"]["post"]["requestBody"]["description"] == "The note"
         media = paths["/files"]["post"]["requestBody"]["content"]["multipart/form-data"]
         assert media["schema"]["properties"] == {
             "upload": {"type": "string", "format": "binary"}}
@@ -391,11 +389,6 @@ class TestNormalize:
         for path in ("/own", "/item"):
             body = paths["paths"][path]["post"]["requestBody"]
             assert body["content"] == {"application/json": {"schema": {}}}
-
-    def test_response_schema_moved_under_content(self, swagger_doc):
-        op = build_contract(swagger_doc).tree["paths"]["/items"]["post"]
-        content = op["responses"]["200"]["content"]["application/json"]
-        assert content["schema"] == SWAGGER_DOC["definitions"]["Item"]
 
     def test_query_param_type_wrapped_in_schema(self, swagger_doc):
         op = normalize(swagger_doc)["paths"]["/items"]["get"]
@@ -449,10 +442,6 @@ class TestNormalize:
                     "host", "basePath"):
             assert key not in top_level
 
-    def test_servers_composed_from_host(self, swagger_doc):
-        tree = normalize(swagger_doc)
-        assert tree["servers"] == [{"url": "https://legacy.example/api"}]
-
     def test_idempotent(self, swagger_doc):
         cases = [item_parameter_doc(dialect, *case[:3]) for dialect in DIALECTS
                  for case in ITEM_PARAMETER_CASES.values()]
@@ -499,6 +488,34 @@ class TestNormalize:
         assert doc.tree == before
         assert "parameters" not in item
         assert whole_list(item["post"]) == expected
+
+    @pytest.mark.parametrize("path", SWAGGER_FILES, ids=lambda path: path.name)
+    def test_responses_kept_as_written(self, path, tmp_path):
+        """A converted 2.0 operation shares its `responses` node with the
+        flattened tree, and no response `schema` changes the manifest or
+        the lint findings: compile reads only the response codes."""
+        raw = load_document(path)
+        flat = flatten(raw.tree)
+        tree = normalize(flat)
+        for path_key, _, method, op in ingest.operations(flat.tree):
+            if "responses" in op:
+                assert tree["paths"][path_key][method]["responses"] is op["responses"]
+
+        bare = copy.deepcopy(raw.tree)
+        for *_, op in ingest.operations(bare):
+            for response in [*op.get("responses", {}).values(),
+                             *bare.get("responses", {}).values()]:
+                if isinstance(response, dict):
+                    response.pop("schema", None)
+        assert bare != raw.tree
+        rules = load_vendor_rules(fixture_path("vendor_rules.json"))
+
+        def view(spec):  # the manifest and the lint findings
+            doc = load_document(spec)
+            findings = [f.to_dict() for f in lint(build_contract(doc), doc, rules)]
+            return manifest_to_dict(compile_file(spec).manifest, include_bindings=True), findings
+
+        assert view(write(tmp_path, path.name, json.dumps(bare))) == view(path)
 
     def test_every_path_var_declared_after_normalize(self, swagger_doc):
         tree = normalize(swagger_doc)

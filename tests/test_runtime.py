@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import base64
+import contextlib
 import dataclasses
 import io
 import json
@@ -25,6 +26,7 @@ from automcp.pipeline import compile_file
 from automcp.runtime import (
     AuthPlan,
     _redact,
+    _same_origin,
     _Writer,
     bindings_for,
     invoke_tool,
@@ -1274,3 +1276,138 @@ class TestCredentialsTheirPlaceCannotCarry:
         assert result["isError"] is True
         assert key_var in result["content"][0]["text"]
         assert "\\ud800" not in stdout.getvalue() and caplog.records == []
+
+
+REDIRECT_TREE = {
+    "openapi": "3.0.0",
+    "info": {"title": "Redirects", "version": "1"},
+    "servers": [{"url": "https://redirects.example"}],
+    "components": {"securitySchemes": {
+        "key": {"type": "apiKey", "in": "header", "name": "X-API-Key"}}},
+    "security": [{"key": []}],
+    "paths": {"/items": {
+        "get": {"operationId": "list_items", "responses": {"200": {"description": "ok"}}},
+        "post": {"operationId": "add_item",
+                 "requestBody": {"content": {"application/json": {
+                     "schema": {"type": "object"}}}},
+                 "responses": {"200": {"description": "ok"}}},
+    }},
+}
+
+
+class _Scripted(BaseHTTPRequestHandler):
+    """Records each request on its server as (method, path, headers,
+    body) and answers with the server's `answer(method, path)`: a status
+    and a `Location`, None for none."""
+
+    def _answer(self):
+        body = self.rfile.read(int(self.headers.get("Content-Length") or 0))
+        self.server.records.append((self.command, self.path, dict(self.headers), body))
+        status, location = self.server.answer(self.command, self.path)
+        self.send_response(status)
+        if location is not None:
+            self.send_header("Location", location)
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+
+    do_GET = do_POST = _answer
+
+    def log_message(self, *args):
+        pass
+
+
+@contextlib.contextmanager
+def scripted(answer):
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _Scripted)
+    server.answer, server.records = answer, []
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+class TestRedirects:
+    """A 3xx is followed, at most five times, only to the request's own
+    origin, so no header credential reaches another host."""
+
+    @pytest.fixture()
+    def api(self, tmp_path):
+        spec = tmp_path / "redirects.json"
+        spec.write_text(json.dumps(REDIRECT_TREE), encoding="utf-8")
+        compiled = compile_file(spec)
+        env, _ = sentinel_credentials(compiled)
+
+        def call(server, tool, args):
+            return invoke_tool(compiled.manifest.tool(tool), args, env,
+                               f"http://127.0.0.1:{server.server_port}",
+                               compiled.manifest.schemes, compiled.bindings)
+        return call
+
+    @pytest.mark.parametrize("location", [
+        "http://127.0.0.1:{other}/elsewhere", "http://localhost:{port}/items",
+        "https://127.0.0.1:{port}/items", "http://127.0.0.1:x/items",
+    ], ids=["other-port", "other-host", "other-scheme", "bad-port"])
+    def test_other_origin_is_not_followed(self, api, location):
+        def answer(method, path):
+            return 302, location.format(other=other.server_port, port=upstream.server_port)
+
+        with scripted(lambda method, path: (200, None)) as other:
+            with scripted(answer) as upstream:
+                result = api(upstream, "list_items", {})
+            assert other.records == []
+        assert (result.is_error, result.http_status) == (True, 302)
+        [(_, _, headers, _)] = upstream.records
+        assert headers["X-API-Key"] == "sek-key-secret"
+
+    def test_location_that_is_no_url_is_a_transport_error(self, api):
+        """requests reads the Location of every 3xx it returns, and raises a
+        plain ValueError on one that is no URL."""
+        with scripted(lambda method, path: (302, "http://[::1/items")) as upstream:
+            with pytest.raises(TransportError, match="Invalid IPv6 URL"):
+                api(upstream, "list_items", {})
+        assert len(upstream.records) == 1
+
+    @pytest.mark.parametrize("url, location, target", [
+        ("http://a.example/x", "http://A.example:80/y", "http://A.example:80/y"),
+        ("https://a.example:443/x", "//a.example/y?q=1", "https://a.example/y?q=1"),
+        ("http://a.example/x", "https://a.example/y", None),
+        ("http://a.example/x", "http://a.example:8080/y", None),
+    ], ids=["default-port-named", "default-port-left-out", "other-scheme", "other-port"])
+    def test_origin_fills_in_the_default_port(self, url, location, target):
+        assert _same_origin(url, location) == target
+
+    def test_see_other_after_post_goes_on_as_a_bodiless_get(self, api):
+        def answer(method, path):
+            return (303, "/done") if path == "/items" else (200, None)
+
+        with scripted(answer) as upstream:
+            result = api(upstream, "add_item", {"body": {"name": "x"}})
+        assert (result.is_error, result.http_status) == (False, 200)
+        first, second = upstream.records
+        assert first[:2] == ("POST", "/items") and first[3] == b'{"name": "x"}'
+        assert second[:2] == ("GET", "/done") and second[3] == b""
+        assert "Content-Type" not in second[2]
+        assert second[2]["X-API-Key"] == "sek-key-secret"
+
+    def test_temporary_redirect_keeps_method_and_body(self, api):
+        def answer(method, path):
+            return (307, "/moved?page=2") if path == "/items" else (200, None)
+
+        with scripted(answer) as upstream:
+            result = api(upstream, "add_item", {"body": {"name": "x"}})
+        assert (result.is_error, result.http_status) == (False, 200)
+        first, second = upstream.records
+        assert second[:2] == ("POST", "/moved?page=2")
+        assert second[3] == first[3] == b'{"name": "x"}'
+        assert second[2]["Content-Type"] == "application/json"
+
+    def test_sixth_hop_is_returned_unfollowed(self, api):
+        hops = iter(range(1, 10))
+        with scripted(lambda method, path: (302, f"/hop/{next(hops)}")) as upstream:
+            result = api(upstream, "list_items", {})
+        assert (result.is_error, result.http_status) == (True, 302)
+        assert [path for _, path, _, _ in upstream.records] == [
+            "/items", "/hop/1", "/hop/2", "/hop/3", "/hop/4", "/hop/5"]

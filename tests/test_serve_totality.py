@@ -21,6 +21,11 @@ query may carry as it is. Every tool is called through `serve` against
 an upstream that answers `200 {}` and against a closed port: each
 request gets one line, and no output line and no log record holds a
 marker.
+
+A third test calls one tool against upstreams that each answer with one
+hostile raw response: bodies that are not valid UTF-8 or not the JSON
+their type says, a body on a 204, and bodies the connection cuts short.
+Each call gets one line of strict UTF-8 JSON and no log record.
 """
 
 from __future__ import annotations
@@ -276,3 +281,79 @@ def test_no_credential_reaches_stdout_or_a_log(upstreams, credentials):
         runtime_log.level = level
     for line in records.lines:
         assert not any(marker in line for marker in MARKERS), line
+
+
+def _raw(head: str, body: bytes = b"", length: int | None = None) -> bytes:
+    """A raw HTTP/1.1 response: `head` is its status line and headers,
+    and its `Content-Length` is `length`, else the body's."""
+    length = len(body) if length is None else length
+    return f"HTTP/1.1 {head}\r\nContent-Length: {length}\r\n\r\n".encode() + body
+
+
+JSON_200 = "200 OK\r\nContent-Type: application/json"
+TEXT_200 = "200 OK\r\nContent-Type: text/plain"
+HOSTILE_RESPONSES = {
+    "lone-surrogate": (_raw(JSON_200, b'"\\ud800"'), False),
+    "bad-utf8-json": (_raw(JSON_200, b'{"a": "\xff\xfe"}'), False),
+    "bad-utf8-text": (_raw(TEXT_200, b"\xff\xfe text"), False),
+    "html-as-json": (_raw(JSON_200, b"<html><body>oops</body></html>"), False),
+    "empty-200": (_raw(JSON_200), False),
+    "latin-1": (_raw(TEXT_200 + "; charset=iso-8859-1", "café".encode("latin-1")),
+                False),
+    "nan": (_raw(JSON_200, b'{"x": NaN}'), False),
+    "5000-digits": (_raw(JSON_200, b"7" * 5000), False),
+    "204-with-body": (_raw("204 No Content", b"surprise"), False),
+    "short-body": (_raw(JSON_200, b'{"a": 1}', length=100), True),
+    "cut-chunk": (b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+                  b"Transfer-Encoding: chunked\r\n\r\n10\r\n{\"a\": ", True),
+}
+
+
+def _one_shot(response: bytes) -> tuple[str, threading.Thread]:
+    """The base URL of an upstream that reads one request's head, writes
+    `response` as it is and closes, and the thread that serves it."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def answer():
+        with listener, listener.accept()[0] as conn:
+            conn.settimeout(5)
+            request = b""
+            while b"\r\n\r\n" not in request:
+                chunk = conn.recv(65536)
+                if not chunk:
+                    break
+                request += chunk
+            conn.sendall(response)
+
+    thread = threading.Thread(target=answer, daemon=True)
+    thread.start()
+    return f"http://127.0.0.1:{listener.getsockname()[1]}", thread
+
+
+@pytest.mark.parametrize("name", HOSTILE_RESPONSES)
+def test_hostile_upstream_response_gets_one_utf8_json_line(name, tmp_path, caplog):
+    """Whatever bytes the upstream answers with, the call gets exactly one
+    line of strict JSON that encodes as UTF-8. A 2xx is no tool error; a
+    body the connection cuts short is a `TransportError` one."""
+    response, truncated = HOSTILE_RESPONSES[name]
+    spec = tmp_path / "hostile.json"
+    spec.write_text(json.dumps({
+        "openapi": "3.0.3", "info": {"title": "Hostile", "version": "1"},
+        "servers": [{"url": "https://hostile.example"}],
+        "paths": {"/thing": {"get": {"operationId": "get_thing",
+                                     "responses": {"200": {"description": "ok"}}}}},
+    }), encoding="utf-8")
+    base_url, thread = _one_shot(response)
+    manifest = dataclasses.replace(compile_file(spec).manifest, base_url=base_url)
+    stdout = io.StringIO()
+    with caplog.at_level(logging.WARNING):
+        serve(manifest, {}, stdin=io.StringIO(request_line(
+            ("tools/call", {"name": "get_thing", "arguments": {}}), 1) + "\n"),
+            stdout=stdout, timeout=5)
+    thread.join(5)
+    [line] = stdout.getvalue().splitlines()
+    line.encode("utf-8")
+    result = strict_json(line)["result"]
+    assert result["isError"] is truncated
+    assert result["content"][0]["text"].startswith("TransportError: ") is truncated
+    assert caplog.records == []
