@@ -115,6 +115,7 @@ class MockUpstream:
 
         class Handler(BaseHTTPRequestHandler):
             protocol_version = "HTTP/1.1"
+            disable_nagle_algorithm = True  # a body written after its head leaves at once
 
             def log_message(self, *args) -> None:
                 pass

@@ -35,8 +35,7 @@ import yaml
 
 from .ingest import FORMAT_JSON, load_text
 from .refs import pointer_segments
-from .yamltree import (ALIAS, MAPPING, SCALAR, SEQUENCE, Node, _TooDeep, _Unbuilt,
-                       key_value, source_nodes)
+from .yamltree import ALIAS, MAPPING, SCALAR, SEQUENCE, Node, _TooDeep, _Unbuilt, source_nodes
 
 if TYPE_CHECKING:
     from .doctor import PatchEdit
@@ -112,21 +111,16 @@ class SourceText:
 
     def _child(self, node: Node, segment: str) -> tuple[Node | None, Node | None]:
         """(value, key node) under `segment`; (None, None) for a missing
-        mapping key, one whose text (`yamltree.key_value`) is not
-        `segment`. A key written as `segment` is tried first, so that no
-        other key is constructed. An alias is refused."""
+        mapping key, one whose `key` (the text it loads to) is not
+        `segment`. The last duplicate wins, as in the loaded tree. An
+        alias is refused."""
         if node.kind is SEQUENCE and segment.isdigit() and int(segment) < len(node.value):
             key, value = None, node.value[int(segment)]
         elif node.kind is MAPPING:
-            pairs = list(zip(node.value[-2::-2], node.value[::-2]))  # the last duplicate wins
-            key, value = next(((k, v) for k, v in pairs
-                               if k.value == segment and key_value(k) == segment), (None, None))
-            if key is None:
-                loaded = [(key_value(k), k, v) for k, v in pairs]
-                key, value = next(((k, v) for text, k, v in loaded if text == segment),
-                                  (None, None))
-                if key is None and any(text is _Unbuilt for text, _, _ in loaded):
-                    raise Unplaceable(f"{segment!r} may come from a merge key")
+            key, value = next(((k, v) for k, v in zip(node.value[-2::-2], node.value[::-2])
+                               if k.key == segment), (None, None))
+            if key is None and any(k.key is _Unbuilt for k in node.value[::2]):
+                raise Unplaceable(f"{segment!r} may come from a merge key")
         else:
             raise Unplaceable(f"no node at {segment!r}")
         if value is not None and value.kind is ALIAS:

@@ -34,9 +34,8 @@ import json
 from typing import Any
 
 import yaml
-from yaml import (AliasEvent, DocumentEndEvent, MappingEndEvent, MappingStartEvent,
-                  ScalarEvent, ScalarNode, SequenceEndEvent, SequenceStartEvent,
-                  StreamEndEvent)
+from yaml import (AliasEvent, MappingEndEvent, MappingStartEvent, ScalarEvent, ScalarNode,
+                  SequenceEndEvent, SequenceStartEvent, StreamEndEvent)
 
 # libyaml parses several times faster than the pure-Python loader. But
 # its composer (behind `yaml.load`) recurses in C, beyond Python's
@@ -284,29 +283,24 @@ SCALAR, MAPPING, SEQUENCE, ALIAS = ScalarEvent, MappingStartEvent, SequenceStart
 
 
 class Node:
-    """A node as written: its `kind`, the class of the event that opens it,
-    and its `value`, a scalar's text, a sequence's items, a mapping's keys
-    and values in turn, or the node an alias (a node of its own, at its
-    `*name`) names. The rest is read from its events on use: `tag` and
-    `anchor` as written (an alias's `anchor` is the name it names),
-    `start`, `end` and `column` as PyYAML's composer marks them,
-    `flow`, and `style` (falsy if plain). An `empty` plain scalar's marks
-    sit at the next token; a `block` node is a block collection or a
-    literal or folded scalar."""
+    """A node as written, a record of what `splice` reads: its `kind`, the
+    class of the event that opens it; its `value`, a scalar's text, a
+    sequence's items, a mapping's keys and values in turn, or the node an
+    alias (a node of its own, at its `*name`) names; `anchor` as written
+    (an alias's: the name it names); `start`, `end` and `column` as PyYAML's
+    composer marks them; `flow`; `style` (falsy if plain); and `key`, the
+    text a mapping key or an anchored scalar loads to as a key in
+    `_load_yaml`'s tree (`_Unbuilt` for a merge key), an alias's target's,
+    else None. An `empty` plain scalar's marks sit at the next token; a
+    `block` node is a block collection or a literal or folded scalar."""
 
-    __slots__ = ("value", "_open", "_close")  # `_close`: a collection's end event
+    __slots__ = ("kind", "value", "anchor", "start", "end", "column", "flow", "style", "key")
 
-    def __init__(self, value: Any, event: Any) -> None:
-        self.value, self._open = value, event
+    def __init__(self, kind: type, value: Any, anchor: str | None, start: int, end: int,
+                 column: int, flow: bool, style: str | None, key: Any) -> None:
+        self.kind, self.value, self.anchor, self.start, self.end = kind, value, anchor, start, end
+        self.column, self.flow, self.style, self.key = column, flow, style, key
 
-    kind = property(lambda self: self._open.__class__)
-    tag = property(lambda self: getattr(self._open, "tag", None))
-    anchor = property(lambda self: self._open.anchor)
-    start = property(lambda self: self._open.start_mark.index)
-    end = property(lambda self: getattr(self, "_close", self._open).end_mark.index)
-    column = property(lambda self: self._open.start_mark.column)
-    flow = property(lambda self: bool(getattr(self._open, "flow_style", False)))
-    style = property(lambda self: getattr(self._open, "style", None))
     empty = property(lambda self: self.kind is SCALAR and self.start == self.end)
     block = property(lambda self: self.style in ("|", ">") if self.kind is SCALAR
                      else self.kind is not ALIAS and not self.flow)
@@ -328,12 +322,16 @@ def source_nodes(text: str) -> Node:
 
 def _nodes_from_events(loader: Any) -> Node:
     """The tree of nodes `yaml.compose` would build from the loader's
-    events, but with each alias a node of its own."""
+    events, but with each alias a node of its own. No node keeps an event.
+    A key's text is read as `_tree_from_events` reads it, a plain one's
+    once per text."""
     get_event = loader.get_event
+    plain: dict[str, Any] = {}  # a plain scalar's text -> its key
     anchors: dict[str, Node] = {}
     stack: list[Node] = []  # the open collections
     items = top = []  # the open collection's children, or the root
     append = items.append
+    in_mapping = False  # whether the open collection is a mapping
     try:
         get_event()  # StreamStartEvent
         get_event()  # DocumentStartEvent
@@ -341,15 +339,29 @@ def _nodes_from_events(loader: Any) -> Node:
             event = get_event()
             kind = event.__class__
             if kind is ScalarEvent:
-                append(node := Node(event.value, event))
-                if event.anchor is not None:
-                    anchors[event.anchor] = node
+                text, anchor, mark = event.value, event.anchor, event.start_mark
+                key = None
+                if anchor is not None or (in_mapping and not len(items) % 2):
+                    tag = event.tag
+                    if tag is not None and tag != "!":
+                        key = _key(loader, tag, text)
+                    elif not event.implicit[0]:
+                        key = text  # quoted: a str
+                    elif (key := plain.get(text)) is None:
+                        key = plain[text] = _key(loader, None, text)
+                append(node := Node(SCALAR, text, anchor, mark.index, event.end_mark.index,
+                                    mark.column, False, event.style, key))
+                if anchor is not None:
+                    anchors[anchor] = node
             elif kind is MappingEndEvent or kind is SequenceEndEvent:
-                stack.pop()._close = event
+                stack.pop().end = event.end_mark.index
                 items = stack[-1].value if stack else top
                 append = items.append
+                in_mapping = bool(stack) and stack[-1].kind is MAPPING
             elif kind is MappingStartEvent or kind is SequenceStartEvent:
-                append(node := Node([], event))
+                mark = event.start_mark
+                append(node := Node(kind, [], event.anchor, mark.index, mark.index,
+                                    mark.column, bool(event.flow_style), None, None))
                 if event.anchor is not None:
                     anchors[event.anchor] = node
                 stack.append(node)
@@ -357,34 +369,26 @@ def _nodes_from_events(loader: Any) -> Node:
                     raise _TooDeep
                 items = node.value
                 append = items.append
+                in_mapping = kind is MappingStartEvent
             elif kind is AliasEvent:
-                if event.anchor not in anchors:
+                target = anchors.get(event.anchor)
+                if target is None:
                     raise yaml.YAMLError(f"found undefined alias {event.anchor!r}")
-                append(Node(anchors[event.anchor], event))
+                mark = event.start_mark
+                append(Node(ALIAS, target, event.anchor, mark.index, event.end_mark.index,
+                            mark.column, False, None, target.key))
             else:  # DocumentEndEvent
                 return top[0]
     finally:
         loader.dispose()
 
 
-_KEYS = _PureLoader("")  # resolves and constructs keys for `key_value`
-
-
-def scalar_tag(node: Node) -> str:
-    """The tag a scalar node loads under, resolved as the composer does."""
-    event = node._open
-    if event.tag is not None and event.tag != "!":
-        return event.tag
-    return _KEYS.resolve(ScalarNode, event.value, event.implicit)
-
-
-def key_value(node: Node) -> Any:
-    """The text a mapping key node loads to in `_load_yaml`'s tree,
-    through an alias; `_Unbuilt` itself for a merge key. (A collection
-    key fails the load.)"""
-    if node._open.__class__ is ALIAS:  # `kind`, without the property call
-        node = node.value
+def _key(loader: Any, tag: str | None, text: str) -> Any:
+    """The text the scalar `text` under `tag` (None: plain) loads to as a
+    key, or `_Unbuilt` for one `_tree_from_events` leaves to PyYAML (a
+    merge key)."""
+    tag = tag or loader.resolve(ScalarNode, text, (True, False))
     try:
-        return _key_text(_construct(_KEYS, _KEYS.yaml_constructors, scalar_tag(node), node.value))
+        return _key_text(_construct(loader, loader.yaml_constructors, tag, text))
     except _Unbuilt:
         return _Unbuilt

@@ -27,7 +27,7 @@ from automcp.errors import NonConvergence, ParseError, PointerError, SchemeError
 from automcp.ingest import RawDocument, load_document, resolve_base_url
 from automcp.refs import escape_token, pointer_lookup
 from automcp.security import extract_security
-from automcp.splice import SourceText, unified_diff
+from automcp.splice import SourceText, Unplaceable, unified_diff
 from conftest import DEFECTS, build_contract, changed_line_count, fixture_path
 
 
@@ -1084,6 +1084,72 @@ class TestSourceText:
         assert report.whole_document_render is True
         assert yamltree._load_yaml(report.text) == report.document.tree
         assert report.document.tree["x-copy"] == "{{root}} tail"
+
+    @pytest.mark.parametrize("text, pointers", [
+        pytest.param("a: [1]\nb: *nope\n", ["#/a/0"], id="text-that-does-not-compose"),
+        pytest.param("a: {b: 1}\n", ["#/a", "#/a/b"], id="two-edits-that-overlap"),
+        pytest.param("a: {b: 1}\n", ["#/c/d"], id="a-parent-the-text-lacks"),
+        pytest.param("a: 1\n", ["#/a/b"], id="a-segment-under-a-scalar"),
+    ])
+    def test_unplaceable_edits_leave_the_text_as_it_was(self, text, pointers):
+        source = SourceText(text, "yaml")
+        with pytest.raises(Unplaceable):
+            source.splice([("B", PatchEdit(pointer, "x")) for pointer in pointers])
+        assert source.text == text
+        assert source.changed_lines_by_class() == {}
+
+    def test_text_that_stops_composing_renders_whole(self, tmp_path):
+        """The first iteration's class B repair replaces a value that holds
+        an anchor, so the spliced text has an alias with no anchor; the
+        class E repair that the class A repair brings out in the second
+        iteration finds no nodes to splice into, and the tree is rendered."""
+        text = (
+            "openapi: 3.0.3\n"
+            "info: {title: Cascade, version: '1'}\n"
+            "servers:\n  - [&u x]\n"
+            "x-copy: *u\n"
+            "components:\n"
+            "  securitySchemes:\n"
+            "    key: {type: apikey, in: query, name: api_key}\n"
+            "paths:\n"
+            "  /notes:\n"
+            "    get:\n"
+            "      parameters: [{name: api_key, in: query}]\n"
+            "      responses: {'200': {description: ok}}\n"
+            "    post:\n"
+            "      responses: {'201': {description: created}}\n"
+        )
+        report = fix_loop(write_spec(tmp_path, "cascade.yaml", text))
+        assert report.iterations == 2
+        assert report.findings_by_class == {"A": 1, "B": 1, "E": 1}
+        assert report.whole_document_render is True
+        assert yamltree._load_yaml(report.text) == report.document.tree
+        assert report.document.tree["x-copy"] == "x"
+
+    def test_a_key_spelled_twice_edits_the_spelling_the_tree_keeps(self, tmp_path):
+        """`16` and `0x10` load to one key, "16", and the later spelling's
+        value is the one the tree keeps: the repair lands under it."""
+        source = SourceText("x: {16: a, 0x10: b}\n", "yaml")
+        source.splice([("D", PatchEdit("#/x/16", "c"))])
+        assert source.text == "x: {16: a, 0x10: c}\n"
+        text = (
+            "openapi: 3.0.0\ninfo: {title: T, version: '1'}\n"
+            "servers: [{url: 'https://t.example'}]\n"
+            "paths:\n"
+            "  16:\n"
+            "    get: {responses: {'200': {description: ok}}}\n"
+            "  0x10:\n"
+            "    get:\n"
+            "      parameters:\n"
+            "        - {name: user_id, in: path, required: true, schema: {type: integer}, "
+            "example: u-1}\n"
+            "      responses: {'200': {description: ok}}\n"
+        )
+        report = fix_loop(write_spec(tmp_path, "twice.yaml", text))
+        assert report.findings_by_class == {"D": 1}
+        assert report.whole_document_render is False
+        assert report.text == text.replace("{type: integer}", "{type: string}")
+        assert report.total_loc_changed == 1
 
 
 # -- one hunk writer for every diff --------------------------------------------

@@ -678,11 +678,11 @@ yaml_values = st.recursive(
 )
 
 
-def node_outline(node, key_tag=None):
-    """A `yamltree.Node` as (kind, span, column, flow style, key tag,
-    children); an alias is left out."""
+def node_outline(node, key=None):
+    """A `yamltree.Node` as (kind, span, column, flow style, key, children),
+    where a key node's key is the text it loads to; an alias is left out."""
     if node.kind is yamltree.MAPPING:
-        children = [(node_outline(k, yamltree.scalar_tag(k)), node_outline(v))
+        children = [(node_outline(k, k.key), node_outline(v))
                     for k, v in zip(node.value[::2], node.value[1::2])
                     if yamltree.ALIAS not in (k.kind, v.kind)]
     elif node.kind is yamltree.SEQUENCE:
@@ -690,22 +690,25 @@ def node_outline(node, key_tag=None):
     else:
         children = None
     return (node.kind, node.start, node.end, node.column,
-            node.flow if children is not None else None, key_tag, children)
+            node.flow if children is not None else None, key, children)
 
 
-def composed_outline(node, key_tag=None):
-    """A PyYAML node as `node_outline` writes a `yamltree.Node`."""
+def composed_outline(node, loader, key=None):
+    """A PyYAML node, composed by `loader`, as `node_outline` writes a
+    `yamltree.Node`: a key node's key is the text (`_key_text`) that
+    `loader` constructs it to."""
     start, end = node.start_mark, node.end_mark
     if isinstance(node, yaml.MappingNode):
-        children = [(composed_outline(k, k.tag), composed_outline(v)) for k, v in node.value]
+        children = [(composed_outline(k, loader, yamltree._key_text(loader.construct_object(k))),
+                     composed_outline(v, loader)) for k, v in node.value]
     elif isinstance(node, yaml.SequenceNode):
-        children = [composed_outline(v) for v in node.value]
+        children = [composed_outline(v, loader) for v in node.value]
     else:
         children = None
     kind = {yaml.MappingNode: yamltree.MAPPING, yaml.SequenceNode: yamltree.SEQUENCE,
             yaml.ScalarNode: yamltree.SCALAR}[type(node)]
     return (kind, start.index, end.index, start.column,
-            bool(node.flow_style) if children is not None else None, key_tag, children)
+            bool(node.flow_style) if children is not None else None, key, children)
 
 
 def node_depth(node) -> int:
@@ -736,14 +739,15 @@ class TestYamlLoaders:
                                                   newline, bom):
         """Over every YAML line break and with or without a leading BOM,
         which both loaders skip: the walk's nodes have the kinds, spans,
-        columns, flow styles and key tags of `yaml.compose`'s, and nest
-        as deep as the loaded tree."""
+        columns and flow styles of `yaml.compose`'s, each key node the key
+        its composed node constructs to, and they nest as deep as the
+        loaded tree."""
         text = bom + yaml.safe_dump(
             value, default_flow_style=flow_style, indent=indent,
             allow_unicode=True).replace("\n", newline)
         nodes = yamltree.source_nodes(text)
-        assert node_outline(nodes) == composed_outline(
-            yaml.compose(text, Loader=yamltree._PureLoader))
+        loader = yamltree._PureLoader(text)
+        assert node_outline(nodes) == composed_outline(loader.get_single_node(), loader)
         assert node_depth(nodes) == collection_depth(yaml.load(
             text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader)))
 
@@ -882,11 +886,7 @@ class TestYamlLoaders:
         assert tree == {"openapi": "3.0.3", "d": "2020-01-01",
                         "t": "2001-12-14 21:59:43.10", "2020-01-02": "k",
                         "l": ["2020-01-03"]}
-        node = yamltree.source_nodes(text)
-        assert {yamltree.scalar_tag(key) for key in node.value[::2]} == {
-            "tag:yaml.org,2002:str"}
-        assert {yamltree.scalar_tag(value) for value in node.value[1:-2:2]} == {
-            "tag:yaml.org,2002:str"}
+        assert [key.key for key in yamltree.source_nodes(text).value[::2]] == list(tree)
         assert yaml.safe_load(text)["d"] == datetime.date(2020, 1, 1)
 
     @pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "pure"])

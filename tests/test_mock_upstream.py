@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import time
 
 import pytest
 import requests
@@ -175,6 +176,31 @@ def test_no_content_carries_no_body(tmp_path):
             assert json.loads(read.read())["tool"] == "readthing"
         finally:
             conn.close()
+
+
+def test_kept_alive_calls_do_not_stall(tmp_path):
+    """Each response's head and body leave at once: with Nagle's algorithm
+    on, the body waits for the ACK the client delays, about 40 ms a call."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "openapi": "3.0.3", "info": {"title": "T", "version": "1"},
+        "servers": [{"url": "https://t.example"}],
+        "paths": {"/things": {"get": {"operationId": "listThings",
+                                      "responses": {"200": {"description": "ok"}}}}},
+    }), encoding="utf-8")
+    with run_mock_upstream(compile_file(spec).manifest) as mock:
+        conn = http.client.HTTPConnection("127.0.0.1", mock.port, timeout=5)
+        try:
+            start = time.perf_counter()
+            for _ in range(10):
+                conn.request("GET", "/things")
+                response = conn.getresponse()
+                assert (response.status, json.loads(response.read())["tool"]) == (
+                    200, "listthings")
+            elapsed = time.perf_counter() - start
+        finally:
+            conn.close()
+    assert elapsed < 0.2
 
 
 def test_credential_slot_is_checked_beside_the_requirement(tmp_path):

@@ -18,9 +18,11 @@ byte for byte, `jsonout.dumps` of the whole reply.
 A second property binds drawn credentials, one per allauth.yaml
 variable, each an ASCII marker inside text that no header, cookie or
 query may carry as it is. Every tool is called through `serve` against
-an upstream that answers `200 {}` and against a closed port: each
-request gets one line, and no output line and no log record holds a
-marker.
+an upstream that answers `200 {}`, one that redirects each request, its
+query included, to another port, and a closed port: each request gets
+one line, and no output line and no log record holds a marker. Fixed
+credentials of the same kind meet an upstream that accepts and never
+answers, with a short timeout.
 
 A third test calls one tool against upstreams that each answer with one
 hostile raw response: bodies that are not valid UTF-8 or not the JSON
@@ -227,22 +229,69 @@ class _Ok(BaseHTTPRequestHandler):
         pass
 
 
+def _redirect_to(port: int) -> type:
+    """A handler that answers every request `302`, with a `Location` of
+    the same path and query on `port`."""
+
+    class _Redirect(_Ok):
+        def _answer(self):
+            self.rfile.read(int(self.headers.get("Content-Length") or 0))
+            self.send_response(302)
+            self.send_header("Location", f"http://127.0.0.1:{port}{self.path}")
+            self.send_header("Content-Length", "0")
+            self.end_headers()
+
+        do_GET = do_POST = do_PUT = do_PATCH = do_DELETE = _answer
+
+    return _Redirect
+
+
 @pytest.fixture(scope="module")
 def upstreams():
-    """The base URLs of an upstream that answers `200 {}` and of a port
-    that nothing listens on."""
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _Ok)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    """The base URLs of an upstream that answers `200 {}`, of one that
+    redirects to it, and of a port that nothing listens on."""
+    ok = ThreadingHTTPServer(("127.0.0.1", 0), _Ok)
+    servers = [ok, ThreadingHTTPServer(("127.0.0.1", 0), _redirect_to(ok.server_address[1]))]
+    for server in servers:
+        threading.Thread(target=server.serve_forever, daemon=True).start()
     with socket.socket() as closed:
         closed.bind(("127.0.0.1", 0))
         closed_port = closed.getsockname()[1]
     try:
-        yield [f"http://127.0.0.1:{server.server_address[1]}",
-               f"http://127.0.0.1:{closed_port}"]
+        yield [f"http://127.0.0.1:{server.server_address[1]}" for server in servers] + [
+            f"http://127.0.0.1:{closed_port}"]
     finally:
-        server.shutdown()
-        server.server_close()
+        for server in servers:
+            server.shutdown()
+            server.server_close()
+
+
+@pytest.fixture
+def silent_upstream():
+    """The base URL of an upstream that accepts each connection and never
+    answers."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.05)
+    held: list[socket.socket] = []
+    done = threading.Event()
+
+    def hold():
+        while not done.is_set():
+            try:
+                held.append(listener.accept()[0])
+            except TimeoutError:
+                pass
+
+    thread = threading.Thread(target=hold, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{listener.getsockname()[1]}"
+    finally:
+        done.set()
+        thread.join(timeout=5)
+        for conn in [listener, *held]:
+            conn.close()
+        assert not thread.is_alive()
 
 
 class _Records(logging.Handler):
@@ -259,6 +308,23 @@ class _Records(logging.Handler):
 @given(credentials=st.lists(st.tuples(HOSTILE, HOSTILE), min_size=len(MARKERS),
                             max_size=len(MARKERS)))
 def test_no_credential_reaches_stdout_or_a_log(upstreams, credentials):
+    assert_no_marker_escapes(upstreams, credentials, timeout=5)
+
+
+def test_no_credential_reaches_stdout_or_a_log_on_a_timeout(silent_upstream):
+    """Every other credential is one a request may carry, so those calls
+    reach the upstream and time out; the others are refused unsent."""
+    credentials = [('"', ";\u00e9") if i % 2 else ("\r\n", " \ud800")
+                   for i in range(len(MARKERS))]
+    assert_no_marker_escapes([silent_upstream], credentials, timeout=0.2)
+
+
+def assert_no_marker_escapes(base_urls: list[str], credentials: list[tuple[str, str]],
+                             timeout: float) -> None:
+    """Each tool called once through `serve` against each upstream, with
+    each allauth.yaml credential a marker between the (before, after) text
+    drawn for it: one line per call, and no line or log record holds a
+    marker."""
     env = {binding.env_var: before + marker + after for binding, marker, (before, after)
            in zip(ALLAUTH.bindings, MARKERS, credentials)}
     records = _Records()
@@ -266,10 +332,10 @@ def test_no_credential_reaches_stdout_or_a_log(upstreams, credentials):
     root.addHandler(records)
     level, runtime_log.level = runtime_log.level, logging.DEBUG
     try:
-        for base_url in upstreams:
+        for base_url in base_urls:
             manifest = dataclasses.replace(ALLAUTH.manifest, base_url=base_url)
             stdout = io.StringIO()
-            serve(manifest, env, stdin=io.StringIO(CALL_LINES), stdout=stdout, timeout=5)
+            serve(manifest, env, stdin=io.StringIO(CALL_LINES), stdout=stdout, timeout=timeout)
             *lines, last = stdout.getvalue().split("\n")
             assert last == ""
             assert sorted(json.loads(line)["id"] for line in lines) == list(
