@@ -13,9 +13,9 @@
 # flow-style YAML, the diamond and the cyclic spec), and a small spec
 # with path-item parameters in each dialect. Three specs with
 # gaps are compiled with --fix and the vendor rules as well: the 500-op
-# spec as JSON with class E gaps, whose repairs are spliced; a small YAML
-# spec whose class B repair lands under an alias, so the whole document
-# is rendered; a small YAML spec whose keys are not strings (a `200:`
+# spec as JSON with class E gaps (scripts/gap_spec.py), whose repairs
+# are spliced; a small YAML spec whose class B repair lands under an
+# alias, so the whole document is rendered; a small YAML spec whose keys are not strings (a `200:`
 # path, a `1:` scheme, an `on:` property, a `~:` example key) and whose
 # class B repair replaces an anchored URL that an alias names; and a
 # small 2.0 spec (`host: "{{host}}"`, `basePath: /v2`), compiled with a
@@ -141,22 +141,12 @@ for spec in tests/fixtures/defects/*.json tests/fixtures/defects/*.yaml; do
   compile_and_lint "$spec" "$work/defects/$(basename "$spec")" "$rules" --fix --rules "$rules"
 done
 
+python scripts/gap_spec.py "$gaps" 500 json
 python - "$gaps" "$gap_rules" <<'PY'
 import json, sys
 from pathlib import Path
 
-sys.path.insert(0, "perfbench")
-from specgen import crud_spec
-
 out = Path(sys.argv[1])
-# class E: no document-level auth, and each bearer resource's delete
-# without the security its siblings declare
-crud = crud_spec(1, 500)
-del crud["security"]
-for item in crud["paths"].values():
-    if "security" in item.get("delete", {}):
-        del item["delete"]["security"]
-(out / "generated500-gaps.json").write_text(json.dumps(crud, indent=2), encoding="utf-8")
 (out / "alias-gaps.yaml").write_text("""\
 openapi: 3.0.3
 info: {title: Alias Gaps, version: '1'}

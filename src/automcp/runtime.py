@@ -129,48 +129,36 @@ def _apply_scheme(
 ) -> MissingCredential | None:
     """Inject one scheme into the plan; returns why it is unmet (an empty
     variable, or a value its place cannot carry) instead of mutating
-    further. A header or cookie takes Latin-1 text; a query, and the
-    `user:password` that Basic encodes, UTF-8. Then a header value as
-    sent (the key, or `Bearer <token>`) must be one `_is_header_value`
-    allows, and a cookie value cookie-octets, as an argument's must."""
-    codec = "latin-1"
-    if scheme.kind == KIND_HTTP_BASIC or (
-            scheme.kind == KIND_API_KEY and scheme.location == "query"):
-        codec = "utf-8"
+    further. Basic's values, which it encodes, and a query key are checked
+    as UTF-8 text; any other value as it is sent (`_unsendable`): an API
+    key by its location, a Bearer or OAuth2 token as `Bearer <token>`."""
+    place = ("utf-8" if scheme.kind == KIND_HTTP_BASIC or scheme.location == "query"
+             else "cookie" if scheme.location == "cookie" else "header")
+    prefix = "" if scheme.kind in (KIND_API_KEY, KIND_HTTP_BASIC) else "Bearer "
     values = {}
     for binding in scheme_bindings:
         value = env.get(binding.env_var, "")
         if not value:
             return MissingCredential(binding.env_var)
-        if not encodes(value, codec):
-            return UnsendableCredential(binding.env_var, f"{codec} text")
-        values[binding.role] = value
+        what = _unsendable(prefix + value, place)
+        if what is not None:
+            return UnsendableCredential(binding.env_var, what)
+        values[binding.role] = prefix + value
 
     if scheme.kind == KIND_HTTP_BASIC:
         userpass = f"{values.get('USERNAME', '')}:{values.get('PASSWORD', '')}"
         token = base64.b64encode(userpass.encode()).decode()
         plan.headers["Authorization"] = f"Basic {token}"
         return None
-    secret = next(iter(values.values()))
-    if scheme.kind == KIND_API_KEY and scheme.location == "query":
-        plan.query[scheme.parameter_name] = secret
-    elif scheme.kind == KIND_API_KEY and scheme.location == "cookie":
-        if not _COOKIE_OCTETS.fullmatch(secret):
-            return UnsendableCredential(scheme_bindings[0].env_var, "a cookie value")
-        _append_cookie(plan, scheme.parameter_name, secret)
-    else:  # a header: the key, or a Bearer or OAuth2 token
-        name, sent = ((scheme.parameter_name, secret) if scheme.kind == KIND_API_KEY
-                      else ("Authorization", f"Bearer {secret}"))
-        if not _is_header_value(sent):
-            return UnsendableCredential(scheme_bindings[0].env_var, "a header value")
-        plan.headers[name] = sent
+    sent = next(iter(values.values()))
+    if place == "utf-8":
+        plan.query[scheme.parameter_name] = sent
+    elif place == "cookie":
+        pairs = [plan.headers["Cookie"]] if "Cookie" in plan.headers else []
+        plan.headers["Cookie"] = "; ".join([*pairs, f"{scheme.parameter_name}={sent}"])
+    else:
+        plan.headers["Authorization" if prefix else scheme.parameter_name] = sent
     return None
-
-
-def _append_cookie(plan: AuthPlan, name: str, value: str) -> None:
-    pair = f"{name}={value}"
-    existing = plan.headers.get("Cookie")
-    plan.headers["Cookie"] = f"{existing}; {pair}" if existing else pair
 
 
 def merge_extra_headers(plan: AuthPlan, env: dict[str, str]) -> AuthPlan:
@@ -202,8 +190,7 @@ def parse_extra_headers(raw: str) -> dict[str, str]:
             "EXTRA_HEADERS must be a JSON object of string -> string"
         )
     for name, value in parsed.items():  # by the rules of RFC 9110 §5.1 and §5.5
-        if not (_TOKEN.fullmatch(name) and encodes(value, "latin-1")
-                and _is_header_value(value)):
+        if not _TOKEN.fullmatch(name) or _unsendable(value, "header") is not None:
             raise ExtraHeadersParseError(
                 f"EXTRA_HEADERS entry {name!r} needs a token name and a Latin-1 value "
                 "with no CR, LF or NUL and no leading or trailing space or tab")
@@ -293,14 +280,14 @@ def invoke_tool(
         if param.location == "path":
             path_args["{%s}" % param.name] = arg
             path = path.replace(
-                "{%s}" % param.name, quote(_sendable(arg, _scalar(value)), safe="")
+                "{%s}" % param.name, quote(_argument_text(arg, value, "utf-8"), safe="")
             )
         elif param.location == "query":
             _add_field(query, param.name, value, arg)
         elif param.location == "header":
-            headers[param.name] = _header_value(arg, _scalar(value))
+            headers[param.name] = _argument_text(arg, value, "header")
         elif param.location == "cookie":
-            cookies.append(f"{param.name}={_cookie_value(arg, _scalar(value))}")
+            cookies.append(f"{param.name}={_argument_text(arg, value, 'cookie')}")
     _check_segments(ep.path_template, path, path_args)
 
     plan = resolve_auth(ep.security, schemes, env, bindings)
@@ -321,12 +308,12 @@ def invoke_tool(
         ):
             form: dict[str, object] = {}
             for name, value in args["body"].items():
-                _add_field(form, _sendable("body", name), value, "body")
+                _add_field(form, _argument_text("body", name, "utf-8"), value, "body")
             body_kwargs["data"] = form
         elif "json" in content_type:
             body_kwargs["json"] = args["body"]  # written as ASCII JSON
         else:
-            body_kwargs["data"] = _sendable("body", _scalar(args["body"]))
+            body_kwargs["data"] = _argument_text("body", args["body"], "utf-8")
         # the declared media type, unless a header (a parameter, say) sets one
         if not any(name.lower() == "content-type" for name in headers):
             headers["Content-Type"] = content_type
@@ -405,28 +392,42 @@ def _no_netrc(request):
     return request
 
 
-def _scalar(value) -> str:
-    """A value's wire text: a string as itself, any other value as its
-    JSON text (`true`, `3`, `NaN`, `{"a": 1}`)."""
-    return value if isinstance(value, str) else json.dumps(value)
-
-
 def _add_field(fields: dict[str, object], name: str, value, arg: str) -> None:
-    """A query or form field as it is sent: each value through `_scalar`,
-    a list as repeated keys, None left out."""
+    """A query or form field as it is sent: each value through
+    `_argument_text`, a list as repeated keys, None left out."""
     if isinstance(value, list):
-        fields[name] = [_sendable(arg, _scalar(v)) for v in value if v is not None]
+        fields[name] = [_argument_text(arg, v, "utf-8") for v in value if v is not None]
     elif value is not None:
-        fields[name] = _sendable(arg, _scalar(value))
+        fields[name] = _argument_text(arg, value, "utf-8")
 
 
-def _sendable(arg: str, text: str, codec: str = "utf-8") -> str:
-    """`text`, checked to encode in the codec its place in the request
-    takes: UTF-8 in a path, query or body, Latin-1 in a header. Raises
-    SchemaViolation naming the argument `arg`, never its value."""
-    if not encodes(text, codec):
-        raise SchemaViolation(f"argument {arg!r} cannot be sent as {codec} text")
+def _argument_text(arg: str, value, place: str) -> str:
+    """The argument `arg`'s value as its place sends it: a string as
+    itself, any other value as its JSON text (`true`, `3`, `NaN`,
+    `{"a": 1}`). Raises SchemaViolation, naming `arg` and never the value,
+    when `_unsendable` finds the place cannot carry it."""
+    text = value if isinstance(value, str) else json.dumps(value)
+    what = _unsendable(text, place)
+    if what is not None:
+        raise SchemaViolation(f"argument {arg!r} cannot be sent as {what}")
     return text
+
+
+def _unsendable(text: str, place: str) -> str | None:
+    """What `text` is not that its place in a request needs, or None. A
+    `"utf-8"` place (a path, query or body) takes UTF-8 text. A `"header"`
+    value takes Latin-1 text with no CR, LF or NUL and no leading or
+    trailing space or tab (RFC 9110 §5.5); a `"cookie"` value, Latin-1 text
+    of cookie-octets only (RFC 6265 §4.1.1), so that it cannot add a cookie
+    or change one. The codec is checked first."""
+    codec = "utf-8" if place == "utf-8" else "latin-1"
+    if not encodes(text, codec):
+        return f"{codec} text"
+    if place == "header" and (text.strip(" \t") != text or any(ch in text for ch in "\r\n\0")):
+        return "a header value"
+    if place == "cookie" and not _COOKIE_OCTETS.fullmatch(text):
+        return "a cookie value"
+    return None
 
 
 def _check_segments(template: str, path: str, path_args: dict[str, str]) -> None:
@@ -441,28 +442,6 @@ def _check_segments(template: str, path: str, path_args: dict[str, str]) -> None
             raise SchemaViolation(
                 f"argument {arg!r} cannot be sent as a path segment: it would be "
                 "empty or a dot segment")
-
-
-def _is_header_value(text: str) -> bool:
-    """Whether `text` has no CR, LF or NUL and no leading or trailing SP
-    or HTAB (RFC 9110 §5.5); the codec is checked apart."""
-    return text.strip(" \t") == text and not any(ch in text for ch in "\r\n\0")
-
-
-def _header_value(arg: str, text: str) -> str:
-    """`text` as a header value: Latin-1, and one `_is_header_value` allows."""
-    if not _is_header_value(text):
-        raise SchemaViolation(f"argument {arg!r} cannot be sent as a header value")
-    return _sendable(arg, text, "latin-1")
-
-
-def _cookie_value(arg: str, text: str) -> str:
-    """`text` as a cookie value: cookie-octets only (RFC 6265 §4.1.1), so
-    no `;`, `,`, space, quote, backslash, control or non-ASCII character
-    can add a cookie or change one."""
-    if not _COOKIE_OCTETS.fullmatch(text):
-        raise SchemaViolation(f"argument {arg!r} cannot be sent as a cookie value")
-    return text
 
 
 def _bound_secrets(

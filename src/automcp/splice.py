@@ -5,10 +5,10 @@ keeps the author's comments, key order and quoting.
 events of the loader `ingest` reads YAML with (`yamltree.source_nodes`;
 JSON is YAML's flow style), finds each edit's node and changes only that
 node's text: it replaces a value's span, adds a mapping entry or appends
-a sequence item; a replaced value that aliases name first moves, its
-`&name` included, to the first of them. A new value is written on one
-line: as JSON in a JSON document, and otherwise as YAML, in flow style
-where it is a collection.
+a sequence item; each anchored node in a replaced value that an alias
+outside it names moves, its `&name` included, to the first such alias.
+A new value is written on one line: as JSON in a JSON document, and
+otherwise as YAML, in flow style where it is a collection.
 Each line of the text remembers the original line it still is, or the
 lint class whose edit wrote it; the changed-line counts and the unified
 diff come from that record, not from diffing the whole text.
@@ -107,7 +107,7 @@ class SourceText:
         if child is None:
             return [self._add_entry(node, leaf, edit.value, cls)]
         return [self._replace(node, key, child, edit.value, cls),
-                *self._kept_anchor(root, child, cls)]
+                *self._kept_anchors(root, child, cls)]
 
     def _child(self, node: Node, segment: str) -> tuple[Node | None, Node | None]:
         """(value, key node) under `segment`; (None, None) for a missing
@@ -140,27 +140,40 @@ class SourceText:
             return _Splice(colon + 1, end, " " + rendered, cls)
         return _Splice(node.start, node.end, rendered, cls)
 
-    def _kept_anchor(self, root: Node, node: Node, cls: str) -> list[_Splice]:
-        """The replaced node's text, its `&name` included, in place of the
-        first alias to it, so that the aliases after it still resolve; []
-        when no alias names it. Only a node written on one line moves."""
-        if node.anchor is None:
+    def _kept_anchors(self, root: Node, node: Node, cls: str) -> list[_Splice]:
+        """For each anchored node in the replaced `node`, itself included,
+        that an alias outside it names: the node's text, its `&name`
+        included, in place of the first such alias, so that the aliases
+        after it still resolve. Only a node written on one line moves, and
+        none inside another that moves. The document's nodes are walked
+        only when the replaced value holds an anchor."""
+        anchored, stack = set(), [node]
+        while stack:
+            other = stack.pop()
+            if other.anchor is not None and other.kind is not ALIAS:
+                anchored.add(other)
+            if other.kind in (MAPPING, SEQUENCE):
+                stack += other.value
+        if not anchored:
             return []
-        aliases, stack = [], [root]
+        aliases: dict[Node, list[Node]] = {}  # an anchored node -> the aliases to it
+        stack = [root]
         while stack:
             other = stack.pop()
             if other.kind is ALIAS:
-                if other.value is node:
-                    aliases.append(other)
-            elif other.kind is not SCALAR:
+                if other.value in anchored:
+                    aliases.setdefault(other.value, []).append(other)
+            elif other.kind is not SCALAR and other is not node:
                 stack += other.value
-        if not aliases:
-            return []
-        first = min(aliases, key=lambda alias: alias.start)
-        moved = self.text[node.start:node.end]
-        if first.start < node.end or any(ch in _BREAKS for ch in moved):
-            raise Unplaceable("an anchored node that its aliases name")
-        return [_Splice(first.start, first.end, moved, cls)]
+        splices, end = [], -1
+        for moved in sorted(aliases, key=lambda target: target.start):
+            first = min(aliases[moved], key=lambda alias: alias.start)
+            text = self.text[moved.start:moved.end]
+            if moved.start < end or any(ch in _BREAKS for ch in text):
+                raise Unplaceable("an anchored node that its aliases name")
+            splices.append(_Splice(first.start, first.end, text, cls))
+            end = moved.end
+        return splices
 
     def _add_entry(self, mapping: Node, key: str, value: object, cls: str) -> _Splice:
         flow = mapping.flow

@@ -849,6 +849,9 @@ class TestSourceText:
             "example: u-1}]",
             "+      parameters: [{name: user_id, in: path, schema: {type: string}, "
             "example: u-1}]"]),
+        ("anchor-inside.yaml", _HEAD + "servers:\n  - [&u x]\nx-copy: *u\n", [
+            "-  - [&u x]", "-x-copy: *u", "+  - {url: 'https://api.example.com'}",
+            "+x-copy: &u x"]),
     ])
     def test_append_set_and_replace_are_spliced(self, tmp_path, name, text, changed):
         """A class E parameter appended to a block and to a flow sequence,
@@ -856,8 +859,9 @@ class TestSourceText:
         that is a block sequence, replaced as an item; an anchor no alias
         names dropped with its value; a key added after an entry with no
         value, after a literal scalar and on a last line with no line
-        break; and a value replaced under a key written as an alias or
-        with an explicit tag (`!!float 1` is the path "1.0")."""
+        break; a value replaced under a key written as an alias or with an
+        explicit tag (`!!float 1` is the path "1.0"); and an anchor inside
+        the replaced value that an alias names, moved to that alias."""
         report = fix_loop(write_spec(tmp_path, name, text))
         assert report.whole_document_render is False
         assert [line for line in report.diff.splitlines()[2:]
@@ -874,8 +878,10 @@ class TestSourceText:
                      id="item-below-its-dash"),
         pytest.param(_HEAD + "x-base: &b {url: '{{root}}'}\nservers:\n  - <<: *b\n",
                      id="key-from-a-merge"),
-        pytest.param(_HEAD + "servers:\n  - [&u x]\nx-copy: *u\n",
-                     id="anchor-inside-the-replaced-value"),
+        pytest.param(_HEAD + "servers:\n  - [&u [&v y]]\nx-copy: *u\nx-b: *v\n",
+                     id="anchor-inside-an-anchored-node-that-moves"),
+        pytest.param(_HEAD + "servers:\n  - [&u 'x\n    y']\nx-copy: *u\n",
+                     id="anchor-inside-on-two-lines"),
         pytest.param(_HEAD.replace("openapi: 3.0.3", "swagger: '2.0'\nhost: o.example")
                      + "securityDefinitions:\n  s: {type: oauth2, flow: accessCode, "
                      'scopes: {}, authorizationUrl: "https://a.example/authorize\\nx"}\n',
@@ -884,10 +890,11 @@ class TestSourceText:
     def test_edit_with_no_safe_place_renders_the_document(self, tmp_path, text):
         """Where the text gives an edit no safe place (after a `?` key with
         no `:` or an empty item, under a key that may come from a merge, a
-        value on several lines), or the spliced text would not read back
-        to the tree (an entry after a first key written `? key`, in a flow
-        pair with no braces or below its `-`, an alias left without its
-        anchor), the repaired tree is rendered whole."""
+        value on several lines, an anchored node to move that is inside
+        another one or on several lines), or the spliced text would not
+        read back to the tree (an entry after a first key written `? key`,
+        in a flow pair with no braces or below its `-`), the repaired tree
+        is rendered whole."""
         raw = write_spec(tmp_path, "spec.yaml", text)
         report = fix_loop(raw)
         assert report.changed and report.whole_document_render is True
@@ -1098,11 +1105,11 @@ class TestSourceText:
         assert source.text == text
         assert source.changed_lines_by_class() == {}
 
-    def test_text_that_stops_composing_renders_whole(self, tmp_path):
+    def test_a_cascade_over_a_moved_anchor_is_spliced(self, tmp_path):
         """The first iteration's class B repair replaces a value that holds
-        an anchor, so the spliced text has an alias with no anchor; the
+        an anchor an alias names, so the anchor moves to that alias; the
         class E repair that the class A repair brings out in the second
-        iteration finds no nodes to splice into, and the tree is rendered."""
+        iteration is spliced into that text."""
         text = (
             "openapi: 3.0.3\n"
             "info: {title: Cascade, version: '1'}\n"
@@ -1122,9 +1129,10 @@ class TestSourceText:
         report = fix_loop(write_spec(tmp_path, "cascade.yaml", text))
         assert report.iterations == 2
         assert report.findings_by_class == {"A": 1, "B": 1, "E": 1}
-        assert report.whole_document_render is True
+        assert report.whole_document_render is False
         assert yamltree._load_yaml(report.text) == report.document.tree
-        assert report.document.tree["x-copy"] == "x"
+        assert "x-copy: &u x\n" in report.text
+        assert report.total_loc_changed == changed_line_count(text, report.text)
 
     def test_a_key_spelled_twice_edits_the_spelling_the_tree_keeps(self, tmp_path):
         """`16` and `0x10` load to one key, "16", and the later spelling's

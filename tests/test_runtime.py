@@ -5,6 +5,7 @@ from __future__ import annotations
 import base64
 import contextlib
 import dataclasses
+import http.client
 import io
 import json
 import logging
@@ -12,6 +13,8 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from automcp.compiler import tools_list_payload
 from automcp.errors import (
@@ -1012,6 +1015,21 @@ class TestArgumentsTheRequestCannotCarry:
                    if len(str(value)) > 2)
         assert caplog.records == []
 
+    @pytest.mark.parametrize("arguments, message", [
+        ({"pref": "\u65e5\u672c"}, "argument 'pref' cannot be sent as latin-1 text"),
+        ({"x_note": "\u65e5\n"}, "argument 'x_note' cannot be sent as latin-1 text"),
+        ({"pref": "caf\u00e9"}, "argument 'pref' cannot be sent as a cookie value"),
+        ({"x_note": "caf\u00e9\n"}, "argument 'x_note' cannot be sent as a header value"),
+    ], ids=["cookie-non-latin-1", "header-non-latin-1-and-lf", "cookie-latin-1",
+            "header-latin-1-and-lf"])
+    def test_the_codec_is_named_first(self, send, arguments, message):
+        """Text that neither encodes in its place's codec nor keeps its
+        place's rule is named for the codec, as a credential is."""
+        with pytest.raises(SchemaViolation) as excinfo:
+            invoke_tool(send.manifest.tool("get_item"), {"item_id": "1", **arguments}, {},
+                        "https://send.example", send.manifest.schemes, send.bindings)
+        assert str(excinfo.value) == message
+
     def test_non_ascii_text_goes_out_as_utf8(self, send):
         with run_mock_upstream(send.manifest) as mock:
             invoke_tool(send.manifest.tool("get_item"),
@@ -1030,6 +1048,63 @@ class TestArgumentsTheRequestCannotCarry:
         # the mock records the first of repeated keys
         assert record.body == {"flag": "true", "obj": '{"a": 1, "b": 2}', "tags": "x",
                                "n": "3"}
+
+
+SEGMENTS_TREE = {
+    "openapi": "3.0.3", "info": {"title": "Segments", "version": "1"},
+    "servers": [{"url": "https://segments.example"}],
+    "paths": {
+        "/x/{a}{b}/{c}.json": {"get": {
+            "operationId": "get_joined",
+            "parameters": [{"name": name, "in": "path", "required": True,
+                            "schema": {"type": "string"}} for name in "abc"],
+            "responses": {"200": {"description": "ok"}}}},
+        "/x/{a/b}": {"get": {
+            "operationId": "get_slashed",
+            "parameters": [{"name": "a/b", "in": "path", "required": True,
+                            "schema": {"type": "string"}}],
+            "responses": {"200": {"description": "ok"}}}},
+    },
+}
+
+
+class TestPathSegments:
+    """A path segment that two arguments fill, or that holds template text
+    beside an argument, and a declared path parameter whose name holds a
+    `/`."""
+
+    @pytest.fixture()
+    def segments(self, tmp_path):
+        spec = tmp_path / "segments.json"
+        spec.write_text(json.dumps(SEGMENTS_TREE), encoding="utf-8")
+        return compile_file(spec)
+
+    @pytest.mark.parametrize("a, b", [(".", "."), ("", "")], ids=["dot-dot", "empty"])
+    def test_two_arguments_that_make_a_dot_or_empty_segment_are_refused(
+            self, segments, a, b):
+        with run_mock_upstream(segments.manifest) as mock:
+            with pytest.raises(SchemaViolation) as excinfo:
+                invoke_tool(segments.manifest.tool("get_joined"), {"a": a, "b": b, "c": "z"},
+                            {}, mock.base_url, segments.manifest.schemes, segments.bindings)
+            assert mock.records == []
+        assert str(excinfo.value) == (
+            "argument 'a' cannot be sent as a path segment: it would be empty or a dot segment")
+
+    def test_a_dot_beside_template_text_is_sent(self, segments):
+        with run_mock_upstream(segments.manifest) as mock:
+            invoke_tool(segments.manifest.tool("get_joined"), {"a": "x", "b": "y", "c": "."},
+                        {}, mock.base_url, segments.manifest.schemes, segments.bindings)
+            record = mock.last_record()
+        assert record.path == "/x/xy/..json"
+
+    def test_a_parameter_named_with_a_slash_fills_its_template(self, segments):
+        tool = segments.manifest.tool("get_slashed")
+        [arg] = tool.input_schema["required"]
+        with run_mock_upstream(segments.manifest) as mock:
+            invoke_tool(tool, {arg: "v"}, {}, mock.base_url, segments.manifest.schemes,
+                        segments.bindings)
+            record = mock.last_record()
+        assert record.path == "/x/v"
 
 
 class _DeepJson(BaseHTTPRequestHandler):
@@ -1276,6 +1351,73 @@ class TestCredentialsTheirPlaceCannotCarry:
         assert result["isError"] is True
         assert key_var in result["content"][0]["text"]
         assert "\\ud800" not in stdout.getvalue() and caplog.records == []
+
+
+PLACES_TREE = {
+    "openapi": "3.0.3", "info": {"title": "Places", "version": "1"},
+    "servers": [{"url": "https://places.example"}],
+    "paths": {"/v": {"get": {
+        "operationId": "get_v",
+        "parameters": [
+            {"name": "X-Arg", "in": "header", "schema": {"type": "string"}},
+            {"name": "arg", "in": "cookie", "schema": {"type": "string"}},
+            {"name": "q", "in": "query", "schema": {"type": "string"}}],
+        "responses": {"200": {"description": "ok"}}}}},
+}
+PLACE_ARGUMENTS = {"header": "x_arg", "cookie": "arg", "query": "q"}
+# CR, LF, NUL, space and tab (at either end too), `;` and `"`, Latin-1,
+# non-Latin-1 and lone surrogates, among any other characters
+PLACE_TEXT = st.text(st.sampled_from(list('\r\n\0 \t;"=,\\aZ9\u00e9\u00ff\u65e5\ud800\udfff'))
+                     | st.characters(), min_size=1, max_size=8)
+
+
+class TestArgumentsAndCredentialsAgree:
+    """One rule says what a header, a cookie or a query can carry, for an
+    argument and for an API key credential alike."""
+
+    @pytest.fixture(scope="class")
+    def places(self, tmp_path_factory):
+        spec = tmp_path_factory.mktemp("places") / "places.json"
+        spec.write_text(json.dumps(PLACES_TREE), encoding="utf-8")
+        return compile_file(spec).manifest.tool("get_v")
+
+    @staticmethod
+    def sent_or_refused(tool, place, text):
+        """The request `invoke_tool` sends with `text` as the argument in
+        `place`, or what its SchemaViolation says the text is not."""
+        arg, sent = PLACE_ARGUMENTS[place], []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("automcp.runtime._send",
+                          lambda *request: sent.append(request) or _Response())
+            try:
+                invoke_tool(tool, {arg: text}, {}, "https://places.example", [], [])
+            except SchemaViolation as exc:
+                return str(exc).removeprefix(f"argument {arg!r} cannot be sent as ")
+        return sent[0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(PLACE_ARGUMENTS)), PLACE_TEXT)
+    def test_an_argument_is_refused_when_the_credential_is(self, places, place, text):
+        scheme = SecurityScheme("s", KIND_API_KEY, place, "X-Key")
+        bindings, _ = build_env_map([scheme], "Acme")
+        var = bindings[0].env_var
+        try:
+            resolve_auth([{"s": []}], [scheme], {var: text}, bindings)
+            credential = None
+        except MissingCredential as exc:
+            credential = str(exc).removeprefix(
+                f"credential {var} cannot be sent: its value is not ")
+        argument = self.sent_or_refused(places, place, text)
+        assert (argument if isinstance(argument, str) else None) == credential
+
+    @settings(max_examples=300, deadline=None)
+    @given(PLACE_TEXT)
+    def test_a_header_value_sent_is_one_http_client_sends(self, places, text):
+        sent = self.sent_or_refused(places, "header", text)
+        if not isinstance(sent, str):
+            connection = http.client.HTTPConnection("localhost")  # never connects
+            connection.putrequest("GET", "/")
+            connection.putheader("X-Arg", sent[3]["X-Arg"])
 
 
 REDIRECT_TREE = {
