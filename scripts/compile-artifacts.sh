@@ -10,8 +10,10 @@
 # (compiled with --fix and the vendor rules), and the benchmark's
 # generated specs at seed 1 (perfbench/specgen.py: the 500-op spec as
 # JSON, as block YAML and as flow-style YAML, the 1000-op spec as
-# flow-style YAML, the diamond and the cyclic spec), and a small spec
-# with path-item parameters in each dialect. Three specs with
+# flow-style YAML, the diamond and the cyclic spec), a small spec with
+# path-item parameters in each dialect, and a small 3.x spec of path
+# template variables (a declared name that holds a `/`, an undeclared
+# one, and a variable beside literal text in its segment). Three specs with
 # gaps are compiled with --fix and the vendor rules as well: the 500-op
 # spec as JSON with class E gaps (scripts/gap_spec.py), whose repairs
 # are spliced; a small YAML spec whose class B repair lands under an
@@ -128,6 +130,21 @@ paths:
       responses: {'204': {description: gone}}
   /notes:
     parameters: {name: q, in: query}
+    get: {responses: {'200': {description: ok}}}
+""", encoding="utf-8")
+(out / "path-variables.yaml").write_text("""\
+openapi: 3.0.3
+info: {title: Path Variables, version: '1'}
+servers: [{url: 'https://vars.example'}]
+paths:
+  /x/{a/b}:
+    get:
+      parameters:
+        - {name: a/b, in: path, required: true, schema: {type: string, example: v}}
+      responses: {'200': {description: ok}}
+  /y/{u/v}:
+    get: {responses: {'200': {description: ok}}}
+  /z/{id}.json:
     get: {responses: {'200': {description: ok}}}
 """, encoding="utf-8")
 PY

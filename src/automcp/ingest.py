@@ -42,7 +42,7 @@ DIALECT_3_X = "openapi_3_x"
 HTTP_METHODS = ("get", "put", "post", "delete", "options", "head", "patch")
 
 _PLACEHOLDER_RE = re.compile(r"\{[^}]*\}")
-_PATH_VAR_RE = re.compile(r"\{([^}/]+)\}")
+PATH_VARIABLE = re.compile(r"\{([^{}]+)\}")  # any text but braces: OpenAPI 3.1.1
 
 # 2.0 keys that must not survive normalization.
 _SWAGGER_ONLY_KEYS = (
@@ -299,7 +299,7 @@ def normalize(doc: RawDocument | FlattenedContract) -> dict:
 
     items = {}  # each path item rewritten, by its path
     for path, item in paths.items():
-        variables = _PATH_VAR_RE.findall(path)
+        variables = PATH_VARIABLE.findall(path)
         if not isinstance(item, dict) or not (swagger or variables or "parameters" in item):
             continue
         inherited, ops = read(item), {}

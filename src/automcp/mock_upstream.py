@@ -20,6 +20,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, unquote, urlparse
 
 from .compiler import ToolManifest, ToolSpec
+from .ingest import PATH_VARIABLE
 from .security import KIND_API_KEY, KIND_HTTP_BASIC, SecurityScheme
 
 ENFORCE_PER_ENDPOINT = "per_endpoint"
@@ -308,11 +309,6 @@ def run_mock_upstream(
 
 
 def _compile_template(template: str) -> tuple[re.Pattern, tuple[str, ...]]:
-    parts, names = [], []
-    for token in re.split(r"(\{[^}/]+\})", template):
-        if token.startswith("{") and token.endswith("}"):
-            parts.append(r"([^/]+)")
-            names.append(token[1:-1])
-        else:
-            parts.append(re.escape(token))
-    return re.compile("^" + "".join(parts) + "$"), tuple(names)
+    pieces = PATH_VARIABLE.split(template)
+    pattern = "".join(r"([^/]+)" if i % 2 else re.escape(p) for i, p in enumerate(pieces))
+    return re.compile("^" + pattern + "$"), tuple(pieces[1::2])

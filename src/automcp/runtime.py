@@ -44,6 +44,7 @@ from .errors import (
     TransportError,
     UnsendableCredential,
 )
+from .ingest import PATH_VARIABLE
 from .jsonout import dumps, encodes
 from .security import (
     EnvBinding,
@@ -267,8 +268,7 @@ def invoke_tool(
         raise SchemaViolation("; ".join(problems))
     ep = tool.endpoint
 
-    path = ep.path_template
-    path_args: dict[str, str] = {}  # "{name}" -> the argument that fills it
+    path_values: dict[str, tuple[str, str]] = {}  # name -> (quoted text, argument)
     query: dict[str, object] = {}
     headers: dict[str, str] = {}
     cookies: list[str] = []
@@ -278,17 +278,14 @@ def invoke_tool(
             continue  # `validate_args` requires each path parameter
         value = args[arg]
         if param.location == "path":
-            path_args["{%s}" % param.name] = arg
-            path = path.replace(
-                "{%s}" % param.name, quote(_argument_text(arg, value, "utf-8"), safe="")
-            )
+            path_values[param.name] = (quote(_argument_text(arg, value, "utf-8"), safe=""), arg)
         elif param.location == "query":
             _add_field(query, param.name, value, arg)
         elif param.location == "header":
             headers[param.name] = _argument_text(arg, value, "header")
         elif param.location == "cookie":
             cookies.append(f"{param.name}={_argument_text(arg, value, 'cookie')}")
-    _check_segments(ep.path_template, path, path_args)
+    path = _fill_path(ep.path_template, path_values)
 
     plan = resolve_auth(ep.security, schemes, env, bindings)
     plan = merge_extra_headers(plan, env)
@@ -430,18 +427,25 @@ def _unsendable(text: str, place: str) -> str | None:
     return None
 
 
-def _check_segments(template: str, path: str, path_args: dict[str, str]) -> None:
-    """Raise SchemaViolation when an argument makes a path segment empty,
-    `.` or `..`: urllib3 removes dot segments (RFC 3986 §5.2.4), so the
-    request would reach another resource. Such a segment is refused, not
-    percent-encoded. A quoted argument holds no `/`, so the template and
-    the path have the same segments."""
-    for written, sent in zip(template.split("/"), path.split("/")):
-        if sent in ("", ".", "..") and sent != written:
-            arg = next(arg for name, arg in path_args.items() if name in written)
+def _fill_path(template: str, values: dict[str, tuple[str, str]]) -> str:
+    """`template` with each variable in `values`, a name's quoted text and
+    argument, put in its place. Raises SchemaViolation, naming a segment's
+    first argument, when arguments leave it empty, `.` or `..`: urllib3
+    removes dot segments (RFC 3986 §5.2.4), so the request would reach
+    another resource. Such a segment is refused, not percent-encoded."""
+    path, first = "", {}  # first: a segment's index -> the first argument in it
+    for i, piece in enumerate(PATH_VARIABLE.split(template)):
+        text, arg = values.get(piece, ("{%s}" % piece, None)) if i % 2 else (piece, None)
+        if arg is not None:
+            first.setdefault(path.count("/"), arg)  # a quoted argument holds no `/`
+        path += text
+    segments = path.split("/")
+    for index, arg in first.items():
+        if segments[index] in ("", ".", ".."):
             raise SchemaViolation(
                 f"argument {arg!r} cannot be sent as a path segment: it would be "
                 "empty or a dot segment")
+    return path
 
 
 def _bound_secrets(

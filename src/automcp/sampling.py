@@ -86,26 +86,26 @@ def sample(manifest: ToolManifest, threshold: int = DEFAULT_THRESHOLD) -> Sample
 
     report = SampleReport(exhaustive=len(manifest.tools) <= threshold)
     for group, tools in grouped.items():
-        if report.exhaustive:
-            picked = list(tools)
-            scores: list[int] = []
-        else:
-            picked, scores = _greedy_pick(tools, scheme_kinds)
-        report.groups[group] = [t.tool_name for t in picked]
+        axes = [endpoint_axes(t, scheme_kinds) for t in tools]
+        picked, scores = (range(len(tools)), []) if report.exhaustive else _greedy_pick(axes)
+        report.groups[group] = [tools[i].tool_name for i in picked]
         report.scores[group] = scores
-        report.coverage_axes[group] = _coverage(picked, scheme_kinds)
+        verbs, auth, modalities = zip(*axes)
+        # the greedy pass stops only once its picks cover every axis in the group
+        report.coverage_axes[group] = {"verbs": sorted(set(verbs)),
+                                       "auth": sorted(set().union(*auth)),
+                                       "modalities": sorted(set().union(*modalities))}
     report.total_selected = sum(len(v) for v in report.groups.values())
     return report
 
 
-def _greedy_pick(
-    tools: list[ToolSpec], scheme_kinds: dict[str, str]
-) -> tuple[list[ToolSpec], list[int]]:
-    axes = [endpoint_axes(t, scheme_kinds) for t in tools]
+def _greedy_pick(axes: list[tuple[str, frozenset, frozenset]]) -> tuple[list[int], list[int]]:
+    """The indexes of the tools picked from `axes`, in document order, and
+    each one's score."""
     seen_verbs: set[str] = set()
     seen_auth: set[str] = set()
     seen_modalities: set[str] = set()
-    remaining = list(range(len(tools)))
+    remaining = list(range(len(axes)))
     picked: list[int] = []
     scores: list[int] = []
 
@@ -134,22 +134,4 @@ def _greedy_pick(
         seen_modalities |= modalities
 
     pairs = sorted(zip(picked, scores))  # keep document order in the report
-    return [tools[i] for i, _ in pairs], [s for _, s in pairs]
-
-
-def _coverage(
-    tools: list[ToolSpec], scheme_kinds: dict[str, str]
-) -> dict[str, list[str]]:
-    verbs: set[str] = set()
-    auth: set[str] = set()
-    modalities: set[str] = set()
-    for tool in tools:
-        verb, kinds, mods = endpoint_axes(tool, scheme_kinds)
-        verbs.add(verb)
-        auth |= kinds
-        modalities |= mods
-    return {
-        "verbs": sorted(verbs),
-        "auth": sorted(auth),
-        "modalities": sorted(modalities),
-    }
+    return [i for i, _ in pairs], [s for _, s in pairs]

@@ -27,9 +27,10 @@ from automcp.security import (
 FIXTURES = Path(__file__).parent / "fixtures"
 DEFECTS = FIXTURES / "defects"
 
-# A larger budget for the mutation property (tests/test_totality.py) and
-# the serve and credential-hygiene properties (tests/test_serve_totality.py),
-# run by CI's `totality` job: pytest tests/test_totality.py --hypothesis-profile=totality
+# A larger budget for the mutation property (tests/test_totality.py), the
+# serve and credential-hygiene properties (tests/test_serve_totality.py) and
+# the path-template property (tests/test_path_templates.py), run by CI's
+# `totality` job: pytest tests/test_totality.py --hypothesis-profile=totality
 settings.register_profile("totality", max_examples=5000, deadline=None)
 
 

@@ -297,6 +297,13 @@ class TestEchoStage:
             False, "echo",
             "expected GET /items/{item_id} as getitem, mock saw nothing recorded")}
 
+    def test_variable_named_with_a_slash_passes(self, tmp_path):
+        paths = {"/x/{a/b}": {"get": {"operationId": "getSlashed", "parameters": [
+            {"name": "a/b", "in": "path", "required": True,
+             "schema": {"type": "string", "example": "v"}}], "responses": OK}}}
+        report = evaluate_spec_file(write_spec(tmp_path, paths), env={})
+        assert outcomes(report) == {"getslashed": (True, "ok", "")}
+
     def test_plain_yaml_date_example_passes(self, tmp_path):
         spec = tmp_path / "dates.yaml"
         spec.write_text(DATE_SPEC, encoding="utf-8")

@@ -425,6 +425,17 @@ class TestNormalize:
             {"name": "item_id", "in": "path", "required": True, "schema": {"type": "string"}}
         ]
 
+    @pytest.mark.parametrize("path, name", [("/y/{u/v}", "u/v"), ("/y/{a{b}", "b")],
+                             ids=["slash", "brace"])
+    def test_undeclared_variable_is_braces_around_any_text_but_braces(
+            self, tmp_path, path, name):
+        doc = load_document(write(tmp_path, "spec.json", json.dumps({
+            "openapi": "3.0.3", "info": {"title": "T", "version": "1"},
+            "paths": {path: {"get": {"responses": {"200": {"description": "ok"}}}}},
+        })))
+        assert normalize(doc)["paths"][path]["get"]["parameters"] == [
+            {"name": name, "in": "path", "required": True, "schema": {"type": "string"}}]
+
     def test_no_swagger_only_keys_remain(self, swagger_doc):
         tree = normalize(swagger_doc)
 

@@ -291,6 +291,21 @@ def test_records_the_served_tool_and_decoded_path_params(tmp_path):
     ]
 
 
+def test_a_variable_named_with_a_slash_is_routed_and_recorded(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "openapi": "3.0.3", "info": {"title": "T", "version": "1"},
+        "servers": [{"url": "https://t.example"}],
+        "paths": {"/x/{a/b}": {"get": {"operationId": "getSlashed", "parameters": [
+            {"name": "a/b", "in": "path", "required": True, "schema": {"type": "string"}}],
+            "responses": {"200": {"description": "ok"}}}}},
+    }), encoding="utf-8")
+    with run_mock_upstream(compile_file(spec).manifest) as mock:
+        assert requests.get(mock.base_url + "/x/v", timeout=5).status_code == 200
+        record = mock.last_record()
+    assert (record.tool_name, record.path_params) == ("getslashed", {"a/b": "v"})
+
+
 def test_blank_query_and_form_values_are_recorded(tmp_path):
     """An empty query value or form field is recorded as "", not dropped."""
     spec = tmp_path / "spec.json"

@@ -1106,6 +1106,31 @@ class TestPathSegments:
             record = mock.last_record()
         assert record.path == "/x/v"
 
+    @pytest.mark.parametrize("value", ["", ".", ".."], ids=["empty", "dot", "dot-dot"])
+    def test_a_slashed_name_that_makes_a_dot_or_empty_segment_is_refused(
+            self, segments, value):
+        with run_mock_upstream(segments.manifest) as mock:
+            with pytest.raises(SchemaViolation) as excinfo:
+                invoke_tool(segments.manifest.tool("get_slashed"), {"a_b": value}, {},
+                            mock.base_url, segments.manifest.schemes, segments.bindings)
+            assert mock.records == []
+        assert str(excinfo.value) == (
+            "argument 'a_b' cannot be sent as a path segment: it would be empty or a dot "
+            "segment")
+
+    def test_a_slashed_name_filled_with_dot_dot_is_one_tool_error(self, segments, caplog):
+        with run_mock_upstream(segments.manifest) as mock:
+            segments.manifest.base_url = mock.base_url
+            with caplog.at_level(logging.ERROR, logger="automcp.runtime"):
+                [line] = serve_utf8(segments.manifest,
+                                    [call_line("get_slashed", {"a_b": ".."})])
+            assert mock.records == []
+        result = json.loads(line)["result"]
+        assert result["isError"] is True
+        assert result["content"][0]["text"].startswith(
+            "SchemaViolation: argument 'a_b' cannot be sent as a path segment")
+        assert caplog.records == []
+
 
 class _DeepJson(BaseHTTPRequestHandler):
     """Answers every request with a JSON array nested 5,000 deep."""
