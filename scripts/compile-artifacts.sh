@@ -13,7 +13,10 @@
 # flow-style YAML, the diamond and the cyclic spec), a small spec with
 # path-item parameters in each dialect, and a small 3.x spec of path
 # template variables (a declared name that holds a `/`, an undeclared
-# one, and a variable beside literal text in its segment). Three specs with
+# one, and a variable beside literal text in its segment), and a small
+# 3.x spec of tool, argument and env-var names that collide (each gets a
+# `_2`, `_3`, ... suffix; a 64-character tool name is cut to fit its
+# suffix, past `_9` too). Three specs with
 # gaps are compiled with --fix and the vendor rules as well: the 500-op
 # spec as JSON with class E gaps (scripts/gap_spec.py), whose repairs
 # are spliced; a small YAML spec whose class B repair lands under an
@@ -146,6 +149,51 @@ paths:
     get: {responses: {'200': {description: ok}}}
   /z/{id}.json:
     get: {responses: {'200': {description: ok}}}
+""", encoding="utf-8")
+# Names that collide: operation ids that sanitize alike (one already
+# spelled `x_2`), a 64-character id used 12 times, parameters that
+# sanitize alike beside a request body and a parameter named `body`, and
+# schemes whose env roles collide.
+ids = ["x", "X", "x_2", "x-2", "x", "x.2", "漢字", "!!!"] + ["list_" + "very_" * 11 + "long_ops"] * 12
+get = {"responses": {"200": {"description": "ok"}}}
+(out / "colliding-names.yaml").write_text("""\
+openapi: 3.0.3
+info: {title: Colliding Names, version: '1'}
+servers: [{url: 'https://names.example'}]
+components:
+  securitySchemes:
+    a: {type: http, scheme: bearer}
+    b: {type: http, scheme: bearer}
+    token: {type: apiKey, in: header, name: X-Token}
+    token_2: {type: apiKey, in: query, name: token_2}
+    c: {type: http, scheme: basic}
+    password: {type: apiKey, in: cookie, name: pw}
+    漢: {type: apiKey, in: header, name: X-Kan}
+    api-key: {type: apiKey, in: header, name: X-Api-Key}
+    o:
+      type: oauth2
+      flows: {clientCredentials: {tokenUrl: 'https://names.example/token', scopes: {}}}
+    access token: {type: apiKey, in: header, name: X-Access}
+paths:
+""" + "".join(f"  /op{i}: {json.dumps({'get': {**get, 'operationId': op_id}}, ensure_ascii=False)}\n"
+              for i, op_id in enumerate(ids)) + """\
+  /things/{id}:
+    post:
+      operationId: x
+      parameters:
+        - {name: id, in: path, required: true, schema: {type: string}}
+        - {name: body, in: query, schema: {type: string}}
+        - {name: body_2, in: query, schema: {type: string}}
+        - {name: x-y, in: query, schema: {type: string}}
+        - {name: x_y, in: header, schema: {type: string}}
+        - {name: X.Y, in: cookie, schema: {type: string}}
+        - {name: 漢, in: query, schema: {type: string}}
+        - {name: 字, in: query, schema: {type: string}}
+        - {name: param, in: header, schema: {type: string}}
+      requestBody:
+        content:
+          application/json: {schema: {type: object}}
+      responses: {'200': {description: ok}}
 """, encoding="utf-8")
 PY
 

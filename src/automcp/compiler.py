@@ -95,7 +95,7 @@ def compile_manifest(
     tree = contract.tree
     param_properties: dict[int, tuple[dict, bool]] = {}  # by parameter node id
     identifiers: dict[str, str] = {}  # each parameter name, sanitized once
-    taken: set[str] = set()
+    taken: dict[str, int] = {}
     tools: list[ToolSpec] = []
     for path, method, op, params, security in operation_auth(
         tree, {s.id: s for s in schemes}
@@ -107,7 +107,7 @@ def compile_manifest(
         content_type = _pick_media_type(content)
         specs, properties, required = _compile_parameters(
             params, param_properties, identifiers,
-            names={"body"} if content_type is not None else set(),
+            names={"body": 1} if content_type is not None else {},
         )
         if content_type is not None:
             properties["body"] = mapping(mapping(content, content_type), "schema")
@@ -182,27 +182,20 @@ def operation_auth(tree: dict, schemes: Mapping[str, object]) -> Iterator[tuple]
 
 
 def derive_tool_name(operation_id: str, method: str, path: str,
-                     taken: set[str]) -> str:
+                     taken: dict[str, int]) -> str:
     """Stable identifier for one operation, unique within `taken`.
 
-    The operationId is sanitized when present; otherwise the name is
-    synthesized from the method and path words. Capped at 64 chars with
-    ``_2``, ``_3``, ... suffixes on collision.
+    The base is the sanitized operationId when it has one; otherwise it
+    is synthesized from the method and path words. It is cut to 64
+    characters (`tool` when nothing is left), and `security.unique_name`
+    makes it unique with the same cap.
     """
     base = _sanitize_identifier(operation_id)
     if not base:
         words = [_sanitize_identifier(seg.strip("{}")) for seg in path.split("/")]
         base = "_".join([method.lower()] + [w for w in words if w])
     base = base[:TOOL_NAME_MAX].rstrip("_") or "tool"
-
-    name = base
-    counter = 1
-    while name in taken:
-        counter += 1
-        suffix = f"_{counter}"
-        name = base[: TOOL_NAME_MAX - len(suffix)] + suffix
-    taken.add(name)
-    return name
+    return unique_name(base, taken, TOOL_NAME_MAX)
 
 
 def tools_list_payload(manifest: ToolManifest) -> list[dict]:
@@ -251,7 +244,7 @@ def manifest_to_dict(manifest: ToolManifest, include_bindings: bool = False) -> 
 
 
 def _compile_parameters(
-    params: list[tuple], param_properties: dict, identifiers: dict[str, str], names: set[str]
+    params: list[tuple], param_properties: dict, identifiers: dict[str, str], names: dict[str, int]
 ) -> tuple[list[ParamSpec], dict[str, dict], list[str]]:
     """The ParamSpecs of an operation's parameters, as `operation_auth`
     reads them, and the input-schema properties and required names of

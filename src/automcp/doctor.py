@@ -28,7 +28,7 @@ from typing import Any
 
 from .compiler import operation_auth
 from .errors import BaseUrlError, NonConvergence, ParseError, PointerError, SchemeError
-from .ingest import DIALECT_2_0, FORMAT_JSON, RawDocument, api_title, mapping
+from .ingest import DIALECT_2_0, FORMAT_JSON, HTTP_URL, RawDocument, api_title, mapping
 from .ingest import normalize, operations, resolve_base_url, sequence, swagger_scheme
 from .ingest import text
 from .jsonout import dumps
@@ -46,8 +46,6 @@ CLASS_LABELS = {
 
 MAX_FIX_ITERATIONS = 5
 _FALLBACK_BASE_URL = "https://api.example.com"
-# an absolute http(s) URL: its scheme, its host and port, and its path
-_HTTP_URL = re.compile(r"(https?)://([^/?#]+)([^?#]*)")
 _ID_NAME_RE = re.compile(r"(^id$|_id$)", re.IGNORECASE)
 
 
@@ -117,7 +115,7 @@ def load_vendor_rules(path: str | Path) -> list[VendorRule]:
             and all(isinstance(v, str) for v in headers.values()),
             "`base_url` must be an absolute http(s) URL or null":
                 body.get("base_url") is None or isinstance(body["base_url"], str)
-                and bool(_HTTP_URL.match(body["base_url"])),
+                and bool(HTTP_URL.match(body["base_url"])),
             "`token_url` must be a string or null":
                 isinstance(body.get("token_url"), (str, type(None))),
             "`string_path_params` must be a list of strings": isinstance(names, list)
@@ -320,7 +318,7 @@ def _swagger_base_url_repair(
     scheme, and `host` only when it is still wrong after that: `host`
     gets the URL's host and port, and `basePath` its path when that
     differs (a URL with no path keeps `basePath`)."""
-    scheme, host, path = _HTTP_URL.match(replacement).groups()
+    scheme, host, path = HTTP_URL.match(replacement).groups()
     edits = []
     tree = raw.tree
     if swagger_scheme(tree) not in ("http", "https"):

@@ -43,6 +43,8 @@ HTTP_METHODS = ("get", "put", "post", "delete", "options", "head", "patch")
 
 _PLACEHOLDER_RE = re.compile(r"\{[^}]*\}")
 PATH_VARIABLE = re.compile(r"\{([^{}]+)\}")  # any text but braces: OpenAPI 3.1.1
+# an absolute http(s) URL: its scheme, host and port (a host not empty), path
+HTTP_URL = re.compile(r"(https?)://([^/?#:][^/?#]*)([^?#]*)")
 
 # 2.0 keys that must not survive normalization.
 _SWAGGER_ONLY_KEYS = (
@@ -211,8 +213,8 @@ def resolve_base_url(doc: RawDocument) -> str:
     server variable replaced by its declared default.
 
     Raises BaseUrlError (lint class B) when `host`, `servers` or its first
-    entry is missing or of the wrong type, or the result is relative,
-    empty, or still contains an unsubstitutable placeholder.
+    entry is missing or of the wrong type, or the result is empty, not an
+    absolute http(s) URL with a host, or still holds a placeholder.
     """
     tree = doc.tree
     if doc.dialect == DIALECT_2_0:
@@ -236,7 +238,7 @@ def resolve_base_url(doc: RawDocument) -> str:
         raise BaseUrlError("server URL is empty")
     if _PLACEHOLDER_RE.search(url) or "{{" in url:
         raise BaseUrlError(f"server URL contains unresolved placeholder: {url!r}")
-    if not re.match(r"^https?://[^/]+", url):
+    if not HTTP_URL.match(url):
         raise BaseUrlError(f"server URL is not an absolute http(s) URL: {url!r}")
     return url
 

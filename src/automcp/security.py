@@ -144,7 +144,7 @@ def build_env_map(
     template. Deterministic: same schemes + title give identical bytes."""
     prefix = sanitize_env_component(api_title) or "API"
     bindings: list[EnvBinding] = []
-    taken: set[str] = set()
+    taken: dict[str, int] = {}
 
     def bind(scheme_id: str, role: str) -> EnvBinding:
         var = unique_name(f"{prefix}_{role}", taken)
@@ -201,13 +201,19 @@ def sanitize_env_component(text: str) -> str:
     return text
 
 
-def unique_name(candidate: str, taken: set[str]) -> str:
-    """`candidate`, or the first of `candidate_2`, `candidate_3`, ... that
-    `taken` does not hold; added to `taken`."""
-    name = candidate
-    counter = 1
+def unique_name(base: str, taken: dict[str, int], cap: int | None = None) -> str:
+    """`base`, or the first of `base_2`, `base_3`, ... that `taken` does
+    not hold, added to `taken`: the one suffix rule for tool, argument and
+    env-var names. With `cap`, `base` is cut so that a suffixed name fits.
+    `taken` maps each name to the last counter tried with it as the base
+    (1 until then); names only join it, so a returning base resumes there
+    and gets the name a search from `_2` would, probing no suffix twice."""
+    counter = taken.get(base, 1)
+    name = base
     while name in taken:
         counter += 1
-        name = f"{candidate}_{counter}"
-    taken.add(name)
+        suffix = f"_{counter}"
+        name = (base if cap is None else base[: cap - len(suffix)]) + suffix
+    taken[name] = 1
+    taken[base] = counter
     return name

@@ -119,6 +119,14 @@ class TestGenerate:
         assert code == 2
         assert "class B" in captured.err
 
+    @pytest.mark.parametrize("url", ["https://?x", "https://#x", "http://:80"])
+    def test_a_url_with_an_empty_host_exits_2(self, tmp_path, capsys, url):
+        spec = tmp_path / "s.json"
+        spec.write_text(json.dumps({"openapi": "3.0.0", "info": {"title": "S", "version": "1"},
+                                    "servers": [{"url": url}], "paths": {}}), encoding="utf-8")
+        assert run_cli(["generate", spec, "--out", tmp_path / "out"]) == 2
+        assert "class B" in capsys.readouterr().err
+
     def test_class_b_with_fix_proceeds(self, tmp_path):
         code = run_cli(
             [

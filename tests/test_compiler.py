@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from automcp.compiler import (
+    TOOL_NAME_MAX,
     _sanitize_identifier,
     compile_manifest,
     derive_tool_name,
@@ -20,7 +21,7 @@ from automcp.doctor import fix_loop, load_vendor_rules
 from automcp.ingest import RawDocument, load_document, operations, resolve_base_url
 from automcp.pipeline import compile_file, count_operations
 from automcp.refs import FlattenedContract
-from automcp.security import extract_security
+from automcp.security import extract_security, unique_name
 from conftest import DEFECTS, FIXTURES, build_contract, fixture_path, subclassed
 
 TOOL_NAME_RE = re.compile(r"^[a-z_][a-z0-9_]*$")
@@ -118,14 +119,14 @@ class TestListEndpoints:
 
 class TestDeriveToolName:
     def test_operation_id_sanitized(self):
-        name = derive_tool_name("repos/list-branches", "get", "/users/{id}", set())
+        name = derive_tool_name("repos/list-branches", "get", "/users/{id}", {})
         assert name == "repos_list_branches"
 
     def test_fallback_from_method_and_path(self):
-        assert derive_tool_name("", "get", "/users/{id}", set()) == "get_users_id"
+        assert derive_tool_name("", "get", "/users/{id}", {}) == "get_users_id"
 
     def test_collision_suffixed(self):
-        taken: set[str] = set()
+        taken: dict[str, int] = {}
         first = derive_tool_name("get-items", "get", "/users/{id}", taken)
         second = derive_tool_name("get.items", "get", "/users/{id}", taken)
         assert first == "get_items"
@@ -158,7 +159,7 @@ class TestDeriveToolName:
         rng = random.Random(99)
         corpus = ["repos/list-branches", "GET /users", "ünïcode-ops", "漢字", "  ",
                   "a" * 200, "Déjà.vu", "x/y/z", "123start", "!!!"]
-        taken: set[str] = set()
+        taken: dict[str, int] = {}
         names = []
         for _ in range(300):
             base = rng.choice(corpus)
@@ -167,6 +168,54 @@ class TestDeriveToolName:
         for name in names:
             assert len(name) <= 64
             assert TOOL_NAME_RE.match(name), name
+
+
+def suffixed_then(candidate: str, taken: set[str]) -> str:
+    """The suffix loop `security.unique_name` had: each search from `_2`."""
+    name = candidate
+    counter = 1
+    while name in taken:
+        counter += 1
+        name = f"{candidate}_{counter}"
+    taken.add(name)
+    return name
+
+
+def capped_then(base: str, taken: set[str]) -> str:
+    """The suffix loop `derive_tool_name` had, under the 64-character cap."""
+    name = base
+    counter = 1
+    while name in taken:
+        counter += 1
+        suffix = f"_{counter}"
+        name = base[: TOOL_NAME_MAX - len(suffix)] + suffix
+    taken.add(name)
+    return name
+
+
+class TestUniqueName:
+    """`unique_name` resumes each base where it stopped. It must hand out
+    the names of the two loops it replaced, which searched from `_2`."""
+
+    TEXTS = [
+        "x", "X", "x-2", "x_2", "x_2_2", "x_3", "x_10", "漢字", "!!!", "",
+        "a" * 64, "A" * 64, "a" * 70, "a" * 62 + "_2", "a" * 61 + "_10",
+        "b" * 63 + "c", "b" * 63 + "d", "b" * 62 + "_c", "b" * 60 + "_2_2",
+    ]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_names_match_a_search_from_2(self, seed):
+        texts = random.Random(seed).choices(self.TEXTS, k=1500)
+        bases = [_sanitize_identifier(t) or "param" for t in texts]
+        capped = [b[:TOOL_NAME_MAX].rstrip("_") for b in bases]
+        for cap, drawn, oracle in ((None, bases, suffixed_then),
+                                   (TOOL_NAME_MAX, capped, capped_then)):
+            taken, old_taken = {}, set()
+            names = [unique_name(b, taken, cap) for b in drawn]
+            assert names == [oracle(b, old_taken) for b in drawn]
+            assert len(set(names)) == len(names)
+        # the draws reach a 64-character name cut to fit a suffix past `_9`
+        assert any(name.endswith("_10") and len(name) == TOOL_NAME_MAX for name in names)
 
 
 class TestSynthesizeInputSchema:

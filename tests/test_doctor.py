@@ -608,6 +608,7 @@ class TestFixLoop:
 
     @pytest.mark.parametrize("base_url", [
         "api.vendor.com/v2", "/v2", "ftp://files.example", "https://", "https:///v2", 7,
+        "http://:80",
     ])
     def test_rule_base_url_must_be_an_absolute_http_url(self, base_url):
         with pytest.raises(ParseError, match="rule 'Vendor': `base_url` must be"):
@@ -622,6 +623,16 @@ class TestFixLoop:
                        "servers": [entry], "paths": {}})
         report = fix_loop(raw)
         assert report.findings_by_class == {"B": 1}
+        assert report.document.tree["servers"][0]["url"] == "https://api.example.com"
+
+    @pytest.mark.parametrize("url", ["https://?x", "https://#x", "http://:80"])
+    def test_class_b_repairs_a_url_with_an_empty_host(self, url):
+        raw = mem_doc({"openapi": "3.0.0", "info": {"title": "S", "version": "1"},
+                       "servers": [{"url": url}], "paths": {}})
+        [finding] = lint(build_contract(raw), raw, [])
+        assert (finding.lint_class, finding.location) == ("B", "#/servers/0/url")
+        assert finding.to_dict()["patchable"]
+        report = fix_loop(raw)
         assert report.document.tree["servers"][0]["url"] == "https://api.example.com"
 
     def test_repairs_land_on_escaped_path_keys(self):

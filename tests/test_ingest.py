@@ -149,6 +149,12 @@ class TestResolveBaseUrl:
         with pytest.raises(BaseUrlError):
             resolve_base_url(doc)
 
+    @pytest.mark.parametrize("url", ["https://?x", "https://#x", "http://:80"])
+    def test_url_with_an_empty_host(self, tmp_path, url):
+        doc = self._doc_3_x(tmp_path, [{"url": url}])
+        with pytest.raises(BaseUrlError, match="not an absolute http"):
+            resolve_base_url(doc)
+
     def test_first_server_wins(self, tmp_path):
         doc = self._doc_3_x(
             tmp_path,
